@@ -203,6 +203,10 @@ def test_c6_theorem_search():
         for w in report.witnesses:
             assert w.lambda_min < -1e-6
         assert elapsed < 60.0, f"search took {elapsed:.2f}s"
+        # Regression pin: the tallies this seed has always produced.
+        assert (report.accepted, report.rejected) == (8996, 1004)
+        assert report.case_counts == {"Case 1": 1562, "Case 2": 4036, "Case 3": 3398}
+        assert report.both_phase_dependent == 1807
 
 
 def test_c7_deterministic_obstruction():
