@@ -5,7 +5,6 @@ from .trigpoly import (
     DecompositionForm,
     FirstOrderPoly,
     FullForm,
-    LaurentPoly,
     NotDivisibleError,
     PureNegForm,
     ZeroDivisorError,

@@ -24,7 +24,6 @@ search in :mod:`phaseclone.search` exercises.  For a double root
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,35 +184,24 @@ def output_depends_on_phase(
 ) -> tuple[bool, ConstantOperator | None]:
     """Decide whether the normalized output state varies with the phase.
 
-    The candidate constant is the ratio matrix out(phi0) / P(phi0) taken at
-    a phase maximising |P| (staying away from the zero-probability locus);
-    the output is phase-independent iff every entry matches that constant
-    times P coefficientwise within tol.  On success the constant is
-    returned trace-normalized.
+    Each entry ``e`` is projected onto ``P`` in coefficient space,
+    ``gamma = <e, P> / <P, P>``; the output is phase-independent iff every
+    entry matches ``gamma * P`` coefficientwise within tol.  On success the
+    constant matrix ``gamma`` is returned trace-normalized.
     """
     scale = max(1.0, P.max_abs(), out.max_abs())
     if P.max_abs() <= ZERO_COEFF_REL * (1.0 + out.max_abs()):
         raise ZeroProbabilityError("probability polynomial vanishes identically")
 
-    phis = np.arange(64) * (2.0 * math.pi / 64)
-    values = P.a * np.exp(1j * phis) + P.b * np.exp(-1j * phis) + P.c
-    phi0 = float(phis[int(np.argmax(np.abs(values)))])
-    p0_val = P.eval(phi0)
+    p = P.coeffs
+    gamma = np.tensordot(p.conj(), out.coeffs, axes=1) / np.vdot(p, p).real
+    if np.abs(out.coeffs - gamma * p[:, None, None]).max() > tol * scale:
+        return True, None
 
-    d = out.dim
-    gamma = [[out.entries[i][j].eval(phi0) / p0_val for j in range(d)] for i in range(d)]
-    limit = tol * scale
-    for i in range(d):
-        for j in range(d):
-            model = gamma[i][j] * P
-            if out.entries[i][j].distance(model) > limit:
-                return True, None
-
-    tr = sum(gamma[i][i] for i in range(d))
+    tr = np.trace(gamma)
     if abs(tr) < 1e-9:
         return False, None
-    normalized = tuple(tuple(z / tr for z in row) for row in gamma)
-    return False, ConstantOperator(normalized)
+    return False, ConstantOperator((gamma / tr).tolist())
 
 
 def _root_content(entry, p0: complex, p1: complex, degenerate: bool, root_tol: float):
@@ -330,11 +318,7 @@ def deterministic_tensor_obstruction(
     phase-set when the success probability is constant.  Returns True iff
     some entry of the tensor has second-order content above ``tol``.
     """
-    for row in tensor(o1, o2):
-        for entry in row:
-            if has_second_order(entry, tol):
-                return True
-    return False
+    return has_second_order(tensor(o1, o2), tol)
 
 
 def analyze(

@@ -83,15 +83,8 @@ def _fp(a, b, c) -> FirstOrderPoly:
 def swap_systems(t: UncorrelatedTriple) -> UncorrelatedTriple:
     """Interchange system 1 with system 2 in a triple."""
     d1, d2 = t.out1.dim, t.out2.dim
-    rows = []
-    for mu in range(d2):
-        for i in range(d1):
-            row = []
-            for nu in range(d2):
-                for j in range(d1):
-                    row.append(t.joint.entry4(i, j, mu, nu))
-            rows.append(tuple(row))
-    joint = JointPhaseOperator(tuple(rows), dim1=d2, dim2=d1)
+    blocks = t.joint.coeffs.reshape(3, d1, d2, d1, d2).transpose(0, 2, 1, 4, 3)
+    joint = JointPhaseOperator(blocks.reshape(3, d1 * d2, d1 * d2), dim1=d2, dim2=d1)
     return UncorrelatedTriple(joint=joint, out1=t.out2, out2=t.out1)
 
 
@@ -108,7 +101,7 @@ def _counterexample_triple() -> UncorrelatedTriple:
     jdiag = _fp(0.0625, 0.0625, 0.125)
     up = _fp(0, 0.5, 0.5)    # (1/2)(e^{-i phi} + 1)
     dn = _fp(0.5, 0, 0.5)    # (1/2)(e^{i phi} + 1)
-    joint = JointPhaseOperator(
+    joint = JointPhaseOperator.from_rows(
         (
             (jdiag, up, up, _fp(0, 4, 0)),
             (dn, jdiag, _fp(0, 0, 4), up),
@@ -135,7 +128,7 @@ def _case1_triple() -> UncorrelatedTriple:
     )
     jslot = _fp(0.0625, 0.0625, 0.125)
     jconst = _fp(0, 0, 0.125)
-    joint = JointPhaseOperator(
+    joint = JointPhaseOperator.from_rows(
         (
             (jslot, zero, zero, zero),
             (zero, jconst, zero, zero),
@@ -157,7 +150,7 @@ def _footnote_triple() -> UncorrelatedTriple:
     em = _fp(0, 1, 0)
     out1 = PhaseOperator.from_rows([[one, zero], [ep, zero]])
     out2 = PhaseOperator.from_rows([[one, zero], [em, zero]])
-    joint = JointPhaseOperator(
+    joint = JointPhaseOperator.from_rows(
         (
             (one, zero, zero, zero),
             (em, zero, zero, zero),
@@ -179,7 +172,7 @@ def _projective_discard_triple(q: float) -> UncorrelatedTriple:
     out = PhaseOperator.from_rows([[_fp(0, 0, q), zero], [zero, zero]])
     jrows = [[zero] * 4 for _ in range(4)]
     jrows[0][0] = _fp(0, 0, q)
-    joint = JointPhaseOperator(tuple(tuple(r) for r in jrows), dim1=2, dim2=2)
+    joint = JointPhaseOperator.from_rows(jrows, dim1=2, dim2=2)
     return UncorrelatedTriple(joint=joint, out1=out, out2=out)
 
 

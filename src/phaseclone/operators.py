@@ -2,31 +2,34 @@
 
 A :class:`PhaseOperator` is the restriction of a linear map to the
 phase-set of qubit states: a d x d matrix whose entries are first-order
-polynomials in e^{i phi}.  A :class:`JointPhaseOperator` is the same thing
-on a bipartite output with the row index laid out as ``i * dim2 + mu``
-(system 1 major).  An :class:`UncorrelatedTriple` bundles a joint output
-with its two marginals and can be validated against the product relation
+polynomials in e^{i phi}, stored as one read-only complex array ``coeffs``
+of shape ``(3, d, d)`` holding the coefficient matrices ``(A, B, C)`` of
+``A e^{i phi} + B e^{-i phi} + C``.  A :class:`JointPhaseOperator` is the
+same thing on a bipartite output with the row index laid out as
+``i * dim2 + mu`` (system 1 major).  An :class:`UncorrelatedTriple` bundles
+a joint output with its two marginals and can be validated against the
+product relation
 
     joint(phi) = out1(phi) (x) out2(phi) / P(phi),      P = trace(out1),
 
 which is the probabilistic analogue of the deterministic tensor relation.
-All values are immutable and the operations below are pure functions.
+It is checked cross-multiplied, ``joint * P == out1 (x) out2``, so the
+check needs no division and exact (dyadic) inputs give a residual of
+exactly zero.  Traces, partial traces, tensor products and the hermiticity
+test are array expressions on ``coeffs``.  All values are immutable and the
+operations below are pure functions.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import (
-    ZERO_COEFF_REL,
-    FirstOrderPoly,
-    NotDivisibleError,
-    exact_div,
-    mul,
-)
+from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly, mul
 
 __all__ = [
     "PhaseOperator",
@@ -37,7 +40,6 @@ __all__ = [
     "ZeroProbabilityError",
     "ZeroProbabilityAtPhaseError",
     "eval_matrix",
-    "coefficient_arrays",
     "trace_poly",
     "partial_trace",
     "is_hermitian_preserving",
@@ -57,49 +59,65 @@ class ZeroProbabilityAtPhaseError(ZeroDivisionError):
     """P(phi) = 0 at the requested phase, so there is no output state."""
 
 
-def _as_poly(value) -> FirstOrderPoly:
+def _as_coeffs(value) -> tuple:
     if isinstance(value, FirstOrderPoly):
-        return value
+        return value.a, value.b, value.c
     if isinstance(value, (int, float, complex)):
-        return FirstOrderPoly.constant(value)
+        return 0.0, 0.0, value
     a, b, c = value
-    return FirstOrderPoly(a, b, c)
+    return a, b, c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseOperator:
-    """d x d matrix of first-order phase polynomials."""
+    """d x d matrix of first-order phase polynomials as ``(A, B, C)`` arrays."""
 
-    entries: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(tuple(_as_poly(e) for e in row) for row in self.entries)
-        d = len(rows)
-        if d < 1 or any(len(row) != d for row in rows):
-            raise ValueError("entries must form a nonempty square matrix")
-        object.__setattr__(self, "entries", rows)
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if coeffs.ndim != 3 or coeffs.shape[0] != 3 or not 1 <= coeffs.shape[1] == coeffs.shape[2]:
+            raise ValueError(f"coeffs must have shape (3, d, d) with d >= 1, got {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
     @classmethod
-    def from_rows(cls, rows) -> "PhaseOperator":
-        return cls(tuple(tuple(row) for row in rows))
+    def from_rows(cls, rows, **dims) -> "PhaseOperator":
+        """Build from rows of :class:`FirstOrderPoly`, ``(a, b, c)`` tuples or scalars."""
+        cells = [[_as_coeffs(e) for e in row] for row in rows]
+        return cls(np.moveaxis(np.array(cells, dtype=complex), -1, 0), **dims)
 
     @classmethod
     def zero(cls, dim: int) -> "PhaseOperator":
-        z = FirstOrderPoly.zero()
-        return cls(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
+        return cls(np.zeros((3, dim, dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.coeffs.shape[1]
+
+    @cached_property
+    def entries(self) -> tuple:
+        """Rows of :class:`FirstOrderPoly`: the scalar view of ``coeffs``."""
+        A, B, C = self.coeffs.tolist()
+        return tuple(tuple(map(FirstOrderPoly, a, b, c)) for a, b, c in zip(A, B, C))
 
     def entry(self, i: int, j: int) -> FirstOrderPoly:
         return self.entries[i][j]
 
     def max_abs(self) -> float:
-        return max(e.max_abs() for row in self.entries for e in row)
+        return float(np.abs(self.coeffs).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPhaseOperator(PhaseOperator):
     """Bipartite output matrix, row/column index = i * dim2 + mu."""
 
@@ -112,10 +130,6 @@ class JointPhaseOperator(PhaseOperator):
             raise ValueError(
                 f"joint dimension {self.dim} != dim1 * dim2 = {self.dim1 * self.dim2}"
             )
-
-    def entry4(self, i: int, j: int, mu: int, nu: int) -> FirstOrderPoly:
-        """Entry indexed by the two subsystem index pairs (i, j) and (mu, nu)."""
-        return self.entries[i * self.dim2 + mu][j * self.dim2 + nu]
 
 
 @dataclass(frozen=True)
@@ -161,119 +175,62 @@ class RelationReport:
 
 def eval_matrix(op: PhaseOperator, phi: float) -> np.ndarray:
     """Entrywise evaluation at a single phase."""
-    d = op.dim
-    out = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = op.entries[i][j].eval(phi)
-    return out
-
-
-def coefficient_arrays(op: PhaseOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three coefficient matrices (A, B, C) with op = A e^{i phi} + B e^{-i phi} + C."""
-    d = op.dim
-    A = np.empty((d, d), dtype=complex)
-    B = np.empty((d, d), dtype=complex)
-    C = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = op.entries[i][j]
-            A[i, j], B[i, j], C[i, j] = e.a, e.b, e.c
-    return A, B, C
+    x = cmath.exp(1j * phi)
+    A, B, C = op.coeffs
+    return A * x + B * x.conjugate() + C
 
 
 def trace_poly(op: PhaseOperator) -> FirstOrderPoly:
     """Coefficientwise sum of the diagonal entries."""
-    t = FirstOrderPoly.zero()
-    for i in range(op.dim):
-        t = t + op.entries[i][i]
-    return t
+    return FirstOrderPoly(*op.coeffs.trace(axis1=1, axis2=2).tolist())
 
 
 def partial_trace(joint: JointPhaseOperator, keep: int) -> PhaseOperator:
     """Trace out one subsystem, coefficientwise."""
     d1, d2 = joint.dim1, joint.dim2
+    blocks = joint.coeffs.reshape(3, d1, d2, d1, d2)
     if keep == 1:
-        rows = []
-        for i in range(d1):
-            row = []
-            for j in range(d1):
-                s = FirstOrderPoly.zero()
-                for mu in range(d2):
-                    s = s + joint.entries[i * d2 + mu][j * d2 + mu]
-                row.append(s)
-            rows.append(tuple(row))
-        return PhaseOperator(tuple(rows))
+        return PhaseOperator(blocks.trace(axis1=2, axis2=4))
     if keep == 2:
-        rows = []
-        for mu in range(d2):
-            row = []
-            for nu in range(d2):
-                s = FirstOrderPoly.zero()
-                for i in range(d1):
-                    s = s + joint.entries[i * d2 + mu][i * d2 + nu]
-                row.append(s)
-            rows.append(tuple(row))
-        return PhaseOperator(tuple(rows))
+        return PhaseOperator(blocks.trace(axis1=1, axis2=3))
     raise ValueError("keep must be 1 or 2")
 
 
 def is_hermitian_preserving(op: PhaseOperator, tol: float = 1e-10) -> bool:
-    """Entrywise conjugate-transposed coefficient symmetry.
+    """Conjugate-transposed coefficient symmetry.
 
-    The output matrix is Hermitian at every phi iff for all i, j:
-    ``a[j,i] = conj(b[i,j])``, ``b[j,i] = conj(a[i,j])`` and
-    ``c[j,i] = conj(c[i,j])``.
+    The output matrix is Hermitian at every phi iff ``A = B^H`` and
+    ``C = C^H``, here each within ``tol`` per entry.
     """
-    d = op.dim
-    for i in range(d):
-        for j in range(i, d):
-            p, q = op.entries[i][j], op.entries[j][i]
-            if (
-                abs(q.a - p.b.conjugate()) > tol
-                or abs(q.b - p.a.conjugate()) > tol
-                or abs(q.c - p.c.conjugate()) > tol
-            ):
-                return False
-    return True
+    A, B, C = op.coeffs
+    return bool(np.abs(A - B.conj().T).max() <= tol and np.abs(C - C.conj().T).max() <= tol)
 
 
-def tensor(o1: PhaseOperator, o2: PhaseOperator) -> tuple:
+def tensor(o1: PhaseOperator, o2: PhaseOperator) -> np.ndarray:
     """Kronecker product with entrywise polynomial multiplication.
 
-    Returns a (d1*d2) x (d1*d2) nested tuple of :class:`LaurentPoly`;
-    entries may carry genuine second-order content.
+    Returns a ``(5, d1*d2, d1*d2)`` array over degrees -2..2 (see
+    :func:`phaseclone.trigpoly.mul`); entries may carry genuine
+    second-order content.
     """
     d1, d2 = o1.dim, o2.dim
-    rows = []
-    for i in range(d1):
-        for mu in range(d2):
-            row = []
-            for j in range(d1):
-                for nu in range(d2):
-                    row.append(mul(o1.entries[i][j], o2.entries[mu][nu]))
-            rows.append(tuple(row))
-    return tuple(rows)
+    prod = mul(o1.coeffs[:, :, None, :, None], o2.coeffs[:, None, :, None, :])
+    return prod.reshape(5, d1 * d2, d1 * d2)
 
 
 def max_coeff_diff(op1: PhaseOperator, op2: PhaseOperator) -> float:
     if op1.dim != op2.dim:
         raise ValueError("dimension mismatch")
-    return max(
-        op1.entries[i][j].distance(op2.entries[i][j])
-        for i in range(op1.dim)
-        for j in range(op1.dim)
-    )
+    return float(np.abs(op1.coeffs - op2.coeffs).max())
 
 
 def validate_triple(t: UncorrelatedTriple, tol: float = 1e-9) -> RelationReport:
     """Check traces, the product relation and the partial traces of a triple.
 
-    The relation is tested entrywise: the product of the two marginal
-    entries must divide by P back to the corresponding joint entry.  The
-    reported residual is the worst coefficientwise deviation between the
-    quotient and the stored joint entry (or the division residual when no
-    quotient exists).
+    The relation is tested cross-multiplied, ``joint * P = out1 (x) out2``,
+    with no division.  ``max_residual`` is the largest coefficient of the
+    difference over all entries and degrees, divided by ``max|P|`` so that
+    it reads in the units of the joint block.
     """
     P = trace_poly(t.out1)
     scale = max(t.joint.max_abs(), t.out1.max_abs(), t.out2.max_abs())
@@ -285,22 +242,8 @@ def validate_triple(t: UncorrelatedTriple, tol: float = 1e-9) -> RelationReport:
         and trace_poly(t.joint).distance(P) <= tol
     )
 
-    d1, d2 = t.out1.dim, t.out2.dim
-    max_residual = 0.0
-    divisible = True
-    for i in range(d1):
-        for j in range(d1):
-            for mu in range(d2):
-                for nu in range(d2):
-                    prod = mul(t.out1.entries[i][j], t.out2.entries[mu][nu])
-                    try:
-                        q = exact_div(prod, P, tol)
-                    except NotDivisibleError as err:
-                        divisible = False
-                        max_residual = max(max_residual, err.residual)
-                        continue
-                    max_residual = max(max_residual, q.distance(t.joint.entry4(i, j, mu, nu)))
-    relation_holds = divisible and max_residual <= tol
+    cross = mul(t.joint.coeffs, P.coeffs[:, None, None]) - tensor(t.out1, t.out2)
+    max_residual = float(np.abs(cross).max()) / P.max_abs()
 
     partial_ok = (
         max_coeff_diff(partial_trace(t.joint, 1), t.out1) <= tol
@@ -310,7 +253,7 @@ def validate_triple(t: UncorrelatedTriple, tol: float = 1e-9) -> RelationReport:
     return RelationReport(
         probability=P,
         traces_equal=traces_equal,
-        relation_holds=relation_holds,
+        relation_holds=max_residual <= tol,
         partial_traces_consistent=partial_ok,
         max_residual=max_residual,
     )

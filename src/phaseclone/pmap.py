@@ -14,21 +14,26 @@ polynomial; omitted entries are zero.  Each coefficient is written as
 exponent) or exact rationals ``p/q``.  Rationals are parsed exactly and
 converted once to double.  Blank lines and ``#`` comments are ignored.
 A document whose blocks are named ``lambda12``, ``lambda1`` and
-``lambda2`` describes an uncorrelated triple.  Serialization is
+``lambda2`` describes an uncorrelated triple.  ``dim`` is at most
+:data:`MAX_DIM`, checked on the ``dim`` line before anything is
+allocated.  Serialization is
 byte-deterministic: shortest round-trip decimals, entries in row-major
 order, zero entries skipped.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trigpoly import FirstOrderPoly
+import numpy as np
+
 from .operators import JointPhaseOperator, PhaseOperator, UncorrelatedTriple
 
 __all__ = [
+    "MAX_DIM",
     "ParseError",
     "DuplicateEntryError",
     "DimensionMismatchError",
@@ -40,6 +45,9 @@ __all__ = [
 ]
 
 TRIPLE_BLOCKS = ("lambda12", "lambda1", "lambda2")
+
+#: Largest accepted block dimension; a (3, 64, 64) block is 98 KB.
+MAX_DIM = 64
 
 
 class ParseError(ValueError):
@@ -61,10 +69,14 @@ _NUMBER = r"(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
 _COMPLEX_RE = re.compile(rf"^([+-]?{_NUMBER})([+-]{_NUMBER})i$")
 
 
-def _parse_real(token: str) -> float:
-    if "/" in token:
-        return float(Fraction(token))
-    return float(token)
+def _parse_real(token: str, line: int) -> float:
+    try:
+        x = float(Fraction(token)) if "/" in token else float(token)
+    except (ZeroDivisionError, OverflowError):
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"coefficient part {token!r} is not a finite number", line)
+    return x
 
 
 def _parse_complex(token: str, line: int) -> complex:
@@ -73,7 +85,7 @@ def _parse_complex(token: str, line: int) -> complex:
         raise ParseError(
             f"expected coefficient like '0.5+0.0i' or '1/8-1/2i', got {token!r}", line
         )
-    return complex(_parse_real(m.group(1)), _parse_real(m.group(2)))
+    return complex(_parse_real(m.group(1), line), _parse_real(m.group(2), line))
 
 
 @dataclass(frozen=True)
@@ -98,13 +110,8 @@ class PmapDocument:
                 f"lambda12 has dim {flat.dim}, expected "
                 f"{out1.dim} * {out2.dim} = {out1.dim * out2.dim}"
             )
-        joint = JointPhaseOperator(flat.entries, dim1=out1.dim, dim2=out2.dim)
+        joint = JointPhaseOperator(flat.coeffs, dim1=out1.dim, dim2=out2.dim)
         return UncorrelatedTriple(joint=joint, out1=out1, out2=out2)
-
-    def single(self) -> tuple[str, PhaseOperator]:
-        if len(self.blocks) != 1:
-            raise ValueError(f"expected exactly one block, found {len(self.blocks)}")
-        return next(iter(self.blocks.items()))
 
 
 def parse_pmap(text: str) -> PmapDocument:
@@ -112,7 +119,7 @@ def parse_pmap(text: str) -> PmapDocument:
     blocks: dict[str, PhaseOperator] = {}
     name: str | None = None
     dim: int | None = None
-    entries: dict[tuple[int, int], FirstOrderPoly] = {}
+    entries: dict[tuple[int, int], tuple] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,9 +141,11 @@ def parse_pmap(text: str) -> PmapDocument:
                 raise ParseError("'dim' outside of a pmap block", lineno)
             if dim is not None:
                 raise ParseError("duplicate 'dim' line", lineno)
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise ParseError("expected 'dim <positive integer>'", lineno)
             dim = int(tokens[1])
+            if dim > MAX_DIM:
+                raise ParseError(f"dim {dim} exceeds the maximum of {MAX_DIM}", lineno)
         elif keyword == "entry":
             if name is None:
                 raise ParseError("'entry' outside of a pmap block", lineno)
@@ -152,18 +161,16 @@ def parse_pmap(text: str) -> PmapDocument:
                 raise ParseError(f"entry index ({i}, {j}) out of range for dim {dim}", lineno)
             if (i, j) in entries:
                 raise DuplicateEntryError(f"duplicate entry ({i}, {j})", lineno)
-            a, b, c = (_parse_complex(tok, lineno) for tok in tokens[3:6])
-            entries[(i, j)] = FirstOrderPoly(a, b, c)
+            entries[(i, j)] = tuple(_parse_complex(tok, lineno) for tok in tokens[3:6])
         elif keyword == "end":
             if name is None:
                 raise ParseError("'end' outside of a pmap block", lineno)
             if dim is None:
                 raise ParseError(f"block {name!r} has no 'dim'", lineno)
-            zero = FirstOrderPoly.zero()
-            rows = tuple(
-                tuple(entries.get((i, j), zero) for j in range(dim)) for i in range(dim)
-            )
-            blocks[name] = PhaseOperator(rows)
+            coeffs = np.zeros((3, dim, dim), dtype=complex)
+            for (i, j), abc in entries.items():
+                coeffs[:, i, j] = abc
+            blocks[name] = PhaseOperator(coeffs)
             name, dim, entries = None, None, {}
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno)
@@ -210,7 +217,7 @@ def serialize_pmap(doc: PmapDocument) -> str:
 def document_from_triple(t: UncorrelatedTriple) -> PmapDocument:
     return PmapDocument(
         blocks={
-            "lambda12": PhaseOperator(t.joint.entries),
+            "lambda12": PhaseOperator(t.joint.coeffs),
             "lambda1": t.out1,
             "lambda2": t.out2,
         }

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly
-from .operators import PhaseOperator, coefficient_arrays, is_hermitian_preserving
+from .operators import PhaseOperator, is_hermitian_preserving
 
 __all__ = [
     "DEFAULT_GRID",
@@ -38,7 +38,6 @@ __all__ = [
 
 DEFAULT_GRID = 4096
 DEFAULT_TOL = 1e-9
-_HERMITICITY_TOL = 1e-10
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -118,7 +117,7 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
 
 def _lambda_min_grid(op: PhaseOperator, phis: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of op(phi) for each phi, vectorised over the grid."""
-    A, B, C = coefficient_arrays(op)
+    A, B, C = op.coeffs
     x = np.exp(1j * phis)[:, None, None]
     E = x * A + np.conj(x) * B + C
     d = op.dim
@@ -155,11 +154,9 @@ def _require_hp(op: PhaseOperator, tol: float) -> None:
         raise NotHermitianError("operator family is not hermitian-preserving")
 
 
-def min_eigenvalue_profile(
-    op: PhaseOperator, n: int = DEFAULT_GRID, hermiticity_tol: float = _HERMITICITY_TOL
-) -> list[tuple[float, float]]:
+def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> list[tuple[float, float]]:
     """(phi, lambda_min) at n uniformly spaced phases in [0, 2*pi)."""
-    _require_hp(op, hermiticity_tol)
+    _require_hp(op, DEFAULT_TOL)
     phis = _phi_grid(n)
     lam = _lambda_min_grid(op, phis)
     return [(float(p), float(v)) for p, v in zip(phis, lam)]
@@ -192,7 +189,6 @@ def is_positive_over_phase(
     op: PhaseOperator,
     tol: float = DEFAULT_TOL,
     n: int = DEFAULT_GRID,
-    hermiticity_tol: float = _HERMITICITY_TOL,
 ) -> PositivityVerdict:
     """Certify lambda_min(op(phi)) >= -tol over the whole phase circle.
 
@@ -200,8 +196,9 @@ def is_positive_over_phase(
     already decisively negative, the bracketing interval is refined by
     golden-section search so narrow dips between grid points are not
     missed.  The witness phase is reported only for negative verdicts.
+    Hermiticity is checked at the same ``tol``.
     """
-    _require_hp(op, hermiticity_tol)
+    _require_hp(op, tol)
     phis = _phi_grid(n)
     lam = _lambda_min_grid(op, phis)
     k = int(np.argmin(lam))
@@ -229,7 +226,6 @@ def submatrix_positivity(
     j: int,
     tol: float = DEFAULT_TOL,
     n: int = DEFAULT_GRID,
-    hermiticity_tol: float = _HERMITICITY_TOL,
 ) -> PositivityVerdict:
     """Positivity of the principal 2 x 2 family built from rows/columns i, j.
 
@@ -239,11 +235,6 @@ def submatrix_positivity(
     d = op.dim
     if not (0 <= i < d and 0 <= j < d) or i == j:
         raise IndexError(f"need two distinct indices in [0, {d}), got ({i}, {j})")
-    _require_hp(op, hermiticity_tol)
-    sub = PhaseOperator.from_rows(
-        [
-            [op.entry(i, i), op.entry(j, i)],
-            [op.entry(i, j), op.entry(j, j)],
-        ]
-    )
-    return is_positive_over_phase(sub, tol, n, hermiticity_tol)
+    _require_hp(op, tol)
+    idx = [i, j]
+    return is_positive_over_phase(PhaseOperator(op.coeffs[:, idx][:, :, idx]), tol, n)

@@ -6,7 +6,7 @@ hermitian-preserving triple: constant multiples of ``P``, entries carrying
 one forced factor root plus a free one, and (for the double-root stratum
 r = 1) real-valued diagonals whose second root is a free unit-modulus
 number.  The joint block is reconstructed by dividing the tensor product
-entrywise by ``P``; draws whose product is not divisible are rejected and
+by ``P`` in one batched long division; draws whose product is not divisible are rejected and
 counted, never silently dropped.
 
 Per-trial randomness is seeded from (seed, trial index), so a search is
@@ -219,6 +219,7 @@ def assemble_triple(
 ) -> UncorrelatedTriple:
     """Build the joint block by dividing the tensor product by the trace.
 
+    The whole ``(5, D, D)`` product is divided by ``P`` at once.
     Raises :class:`SampleRejected` when the traces disagree, the trace
     vanishes, or some product entry is not divisible back to first order.
     A triple returned from here passes :func:`validate_triple` by
@@ -229,19 +230,12 @@ def assemble_triple(
         raise SampleRejected("marginal traces disagree")
     if P.max_abs() <= tol:
         raise SampleRejected("trace polynomial vanishes")
-    product = tensor(out1, out2)
-    rows = []
-    for r, row in enumerate(product):
-        entries = []
-        for c, lp in enumerate(row):
-            try:
-                entries.append(exact_div(lp, P, tol))
-            except NotDivisibleError as err:
-                raise SampleRejected(
-                    f"product entry ({r}, {c}) is not divisible by the trace"
-                ) from err
-        rows.append(tuple(entries))
-    joint = JointPhaseOperator(tuple(rows), dim1=out1.dim, dim2=out2.dim)
+    try:
+        quotient = exact_div(tensor(out1, out2), P.coeffs, tol)
+    except NotDivisibleError as err:
+        r, c = err.index
+        raise SampleRejected(f"product entry ({r}, {c}) is not divisible by the trace") from err
+    joint = JointPhaseOperator(quotient, dim1=out1.dim, dim2=out2.dim)
     return UncorrelatedTriple(joint=joint, out1=out1, out2=out2)
 
 

@@ -1,10 +1,16 @@
 """Algebra of trigonometric Laurent polynomials in e^{i phi}.
 
 A first-order polynomial ``a e^{i phi} + b e^{-i phi} + c`` is the basic
-matrix-entry object of this package.  Products of two first-order
-polynomials live in the degree range [-2, 2] (:class:`LaurentPoly`), and
-every nonzero first-order polynomial factors, uniquely up to the order of
-the two roots, into one of three shapes (``x = e^{i phi}``):
+matrix-entry object of this package.  In bulk it is stored as a complex
+coefficient array whose axis 0 holds ``(a, b, c)``; any trailing axes index
+independent polynomials, so a ``(3, d, d)`` array is a whole phase
+operator.  Products of two first-order polynomials live in the degree
+range [-2, 2] and are stored as ``(5, ...)`` arrays in ascending degrees
+``(-2, -1, 0, 1, 2)``; :func:`mul` and :func:`exact_div` broadcast over the
+trailing axes.  :class:`FirstOrderPoly` is the scalar view used where one
+entry is inspected on its own.  Every nonzero first-order polynomial
+factors, uniquely up to the order of the two roots, into one of three
+shapes (``x = e^{i phi}``):
 
 * ``scale * (x + w0) * (w1 * conj(x) + 1)``   generic, ``a != 0``
 * ``scale * (w * conj(x) + 1)``               affine, ``a == 0, c != 0``
@@ -24,10 +30,11 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ZERO_COEFF_REL",
     "FirstOrderPoly",
-    "LaurentPoly",
     "FullForm",
     "AffineForm",
     "PureNegForm",
@@ -58,13 +65,15 @@ class ZeroDivisorError(ZeroDivisionError):
 class NotDivisibleError(ArithmeticError):
     """No first-order quotient exists within tolerance.
 
-    The ``residual`` attribute carries the maximum coefficient magnitude of
-    ``num - den * best_quotient``.
+    ``index`` is the trailing index of the first failing numerator in
+    row-major order (``()`` for a single polynomial) and ``residual`` the
+    maximum coefficient magnitude of ``num - den * best_quotient`` there.
     """
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, index: tuple = ()):
         super().__init__(message)
         self.residual = residual
+        self.index = index
 
 
 def _finite(z, name: str) -> complex:
@@ -95,10 +104,6 @@ class FirstOrderPoly:
     def zero() -> "FirstOrderPoly":
         return FirstOrderPoly(0.0, 0.0, 0.0)
 
-    @staticmethod
-    def constant(c) -> "FirstOrderPoly":
-        return FirstOrderPoly(0.0, 0.0, c)
-
     def eval(self, phi: float) -> complex:
         x = cmath.exp(1j * phi)
         return self.a * x + self.b * x.conjugate() + self.c
@@ -123,15 +128,14 @@ class FirstOrderPoly:
         """The polynomial whose value is the complex conjugate at every phi."""
         return FirstOrderPoly(self.b.conjugate(), self.a.conjugate(), self.c.conjugate())
 
-    def as_laurent(self) -> "LaurentPoly":
-        return LaurentPoly((0.0, self.b, self.c, self.a, 0.0))
+    @property
+    def coeffs(self) -> np.ndarray:
+        """``(a, b, c)`` as a complex array, the layout of :func:`mul`."""
+        return np.array((self.a, self.b, self.c))
 
     def distance(self, other: "FirstOrderPoly") -> float:
         """Maximum coefficientwise difference."""
         return max(abs(self.a - other.a), abs(self.b - other.b), abs(self.c - other.c))
-
-    def isclose(self, other: "FirstOrderPoly", tol: float) -> bool:
-        return self.distance(other) <= tol
 
     def __add__(self, other):
         if not isinstance(other, FirstOrderPoly):
@@ -143,12 +147,7 @@ class FirstOrderPoly:
             return NotImplemented
         return FirstOrderPoly(self.a - other.a, self.b - other.b, self.c - other.c)
 
-    def __neg__(self):
-        return FirstOrderPoly(-self.a, -self.b, -self.c)
-
     def __mul__(self, other):
-        if isinstance(other, FirstOrderPoly):
-            return mul(self, other)
         if isinstance(other, numbers.Complex):
             k = complex(other)
             return FirstOrderPoly(self.a * k, self.b * k, self.c * k)
@@ -158,82 +157,6 @@ class FirstOrderPoly:
         if isinstance(other, numbers.Complex):
             return self.__mul__(other)
         return NotImplemented
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Polynomial in e^{i phi} with integer degrees k in [-2, 2].
-
-    ``coeffs`` stores the coefficients for degrees (-2, -1, 0, 1, 2).  This
-    range is closed under products of first-order polynomials, which is the
-    only way second-order content arises in this package.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        cs = tuple(_finite(z, f"coeff[{k - 2}]") for k, z in enumerate(self.coeffs))
-        if len(cs) != 5:
-            raise ValueError("LaurentPoly stores exactly five coefficients")
-        object.__setattr__(self, "coeffs", cs)
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly((0.0,) * 5)
-
-    @staticmethod
-    def from_dict(d) -> "LaurentPoly":
-        cs = [0j] * 5
-        for k, z in d.items():
-            if not -2 <= k <= 2:
-                raise ValueError(f"degree {k} outside [-2, 2]")
-            cs[k + 2] = complex(z)
-        return LaurentPoly(tuple(cs))
-
-    @staticmethod
-    def from_first_order(p: FirstOrderPoly) -> "LaurentPoly":
-        return p.as_laurent()
-
-    def coeff(self, k: int) -> complex:
-        if not -2 <= k <= 2:
-            raise ValueError(f"degree {k} outside [-2, 2]")
-        return self.coeffs[k + 2]
-
-    def as_dict(self) -> dict:
-        return {k - 2: z for k, z in enumerate(self.coeffs) if z != 0}
-
-    def eval(self, phi: float) -> complex:
-        x = cmath.exp(1j * phi)
-        return sum(z * x ** (k - 2) for k, z in enumerate(self.coeffs) if z != 0) + 0j
-
-    __call__ = eval
-
-    def max_abs(self) -> float:
-        return max(abs(z) for z in self.coeffs)
-
-    def distance(self, other: "LaurentPoly") -> float:
-        return max(abs(u - v) for u, v in zip(self.coeffs, other.coeffs))
-
-    def isclose(self, other: "LaurentPoly", tol: float) -> bool:
-        return self.distance(other) <= tol
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly(tuple(u + v for u, v in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly(tuple(u - v for u, v in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Complex):
-            k = complex(other)
-            return LaurentPoly(tuple(z * k for z in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -279,63 +202,67 @@ class PureNegForm:
 DecompositionForm = FullForm | AffineForm | PureNegForm
 
 
-def mul(p: FirstOrderPoly, q: FirstOrderPoly) -> LaurentPoly:
-    """Coefficient-exact product of two first-order polynomials."""
-    return LaurentPoly(
-        (
-            p.b * q.b,
-            p.b * q.c + p.c * q.b,
-            p.a * q.b + p.b * q.a + p.c * q.c,
-            p.a * q.c + p.c * q.a,
-            p.a * q.a,
-        )
+def mul(p, q) -> np.ndarray:
+    """Coefficient-exact products of first-order polynomials.
+
+    ``p`` and ``q`` hold ``(a, b, c)`` on axis 0 and broadcast over their
+    trailing axes; the result holds degrees -2..2 on axis 0.
+    """
+    a, b, c = p
+    qa, qb, qc = q
+    return np.stack(
+        (b * qb, b * qc + c * qb, a * qb + b * qa + c * qc, a * qc + c * qa, a * qa)
     )
 
 
-def exact_div(num, den: FirstOrderPoly, tol: float = 1e-10) -> FirstOrderPoly:
-    """Divide ``num`` (degrees in [-2, 2]) by a first-order ``den``.
+def exact_div(num, den, tol: float = 1e-10) -> np.ndarray:
+    """Divide products (degrees -2..2 on axis 0) by one first-order ``den``.
 
-    Both sides are shifted to ordinary polynomials (``num * x^2`` and
-    ``den * x``) and long division is performed; the quotient is accepted
-    only if the rebuilt product matches ``num`` with residual at most
-    ``tol * max|num coeffs|``.  Raises :class:`ZeroDivisorError` for a zero
-    divisor and :class:`NotDivisibleError` when no first-order quotient
-    exists (for example when the true quotient would need degree 2).
+    ``den`` holds ``(a, b, c)``.  Each numerator is shifted to the ordinary
+    polynomial ``num * x^2`` and long-divided by ``den * x``, all trailing
+    indices at once; a quotient is accepted only if the rebuilt product
+    matches its numerator with residual at most ``tol * max|num coeffs|``.
+    Returns the quotients as a ``(3, ...)`` array.  Raises
+    :class:`ZeroDivisorError` for a zero divisor and
+    :class:`NotDivisibleError`, naming the first failing index, when some
+    numerator has no first-order quotient (for example when it would need
+    degree 2).
     """
-    if isinstance(num, FirstOrderPoly):
-        num = num.as_laurent()
-    if den.is_zero():
+    num = np.asarray(num, dtype=complex)
+    if num.shape[:1] != (5,):
+        raise ValueError(f"numerator needs degrees -2..2 on axis 0, got shape {num.shape}")
+    da, db, dc = (complex(z) for z in den)
+    # Ascending coefficients of den * x.
+    d = (db, dc, da)
+    den_scale = max(abs(da), abs(db), abs(dc))
+    if den_scale == 0.0:
         raise ZeroDivisorError("division by the zero polynomial")
-
-    num_scale = num.max_abs()
-    if num_scale == 0.0:
-        return FirstOrderPoly.zero()
-
-    # Ascending coefficients of num * x^2 and den * x.
-    n = list(num.coeffs)
-    d = (den.b, den.c, den.a)
-    den_scale = den.max_abs()
     lead = 2
     while lead > 0 and _negligible(abs(d[lead]), den_scale):
         lead -= 1
     if _negligible(abs(d[lead]), den_scale):
         raise ZeroDivisorError("division by a numerically zero polynomial")
 
-    qcoeffs = [0j] * 5
-    rem = list(n)
+    shifted = np.zeros_like(num)
+    rem = num.copy()
     for k in range(4, lead - 1, -1):
         qk = rem[k] / d[lead]
-        qcoeffs[k - lead] = qk
+        shifted[k - lead] = qk
         for m in range(lead + 1):
             rem[k - lead + m] -= qk * d[m]
 
     # Quotient degree j in [-1, 1] sits at x^(j+1) of the shifted quotient.
-    q = FirstOrderPoly(qcoeffs[2], qcoeffs[0], qcoeffs[1])
-    residual = (num - mul(q, den)).max_abs()
-    if residual > tol * num_scale:
+    q = shifted[[2, 0, 1]]
+    residual = np.abs(num - mul(q, (da, db, dc))).max(axis=0)
+    failing = residual > tol * np.abs(num).max(axis=0)
+    if failing.any():
+        index = tuple(int(i) for i in np.argwhere(failing)[0])
+        worst = float(residual[index])
+        scale = float(np.abs(num[(slice(None),) + index]).max())
         raise NotDivisibleError(
-            f"residual {residual:.3e} exceeds {tol:.1e} * |num| = {tol * num_scale:.3e}",
-            residual,
+            f"residual {worst:.3e} exceeds {tol:.1e} * |num| = {tol * scale:.3e}",
+            worst,
+            index,
         )
     return q
 
@@ -416,6 +343,7 @@ def contains_root(p: FirstOrderPoly, z: complex, tol: float = 1e-8) -> int:
     return sum(1 for w in ws if abs(w - z) <= limit)
 
 
-def has_second_order(lp: LaurentPoly, tol: float = 1e-10) -> bool:
-    """True iff a degree +2 or -2 coefficient exceeds ``tol`` in magnitude."""
-    return abs(lp.coeff(2)) > tol or abs(lp.coeff(-2)) > tol
+def has_second_order(products, tol: float = 1e-10) -> bool:
+    """True iff a degree +2 or -2 coefficient of ``products`` (degrees -2..2
+    on axis 0) exceeds ``tol`` in magnitude."""
+    return bool((np.abs(np.asarray(products)[[0, 4]]) > tol).any())

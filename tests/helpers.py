@@ -60,9 +60,7 @@ def random_hp_operator(rng, dim: int = 2, min_a: float = 1e-3) -> PhaseOperator:
 
 
 def replace_joint_entry(t: UncorrelatedTriple, row: int, col: int, poly) -> UncorrelatedTriple:
-    rows = [list(r) for r in t.joint.entries]
-    rows[row][col] = poly
-    joint = JointPhaseOperator(
-        tuple(tuple(r) for r in rows), dim1=t.joint.dim1, dim2=t.joint.dim2
-    )
+    coeffs = t.joint.coeffs.copy()
+    coeffs[:, row, col] = poly.coeffs
+    joint = JointPhaseOperator(coeffs, dim1=t.joint.dim1, dim2=t.joint.dim2)
     return UncorrelatedTriple(joint=joint, out1=t.out1, out2=t.out2)

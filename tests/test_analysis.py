@@ -15,6 +15,7 @@ from phaseclone import (
     PhaseOperator,
     PreconditionError,
     SampleRejected,
+    UncorrelatedTriple,
     analyze,
     assemble_triple,
     builtin,
@@ -201,8 +202,8 @@ def test_forcing_unreachable_for_affine_offdiagonal():
 def test_obstruction_phase_state_pair():
     op = phase_state_operator(0.5)
     assert deterministic_tensor_obstruction(op, op)
-    prod = mul(op.entry(0, 1), op.entry(0, 1))
-    assert prod.as_dict() == {-2: 0.25}
+    prod = mul(op.entry(0, 1).coeffs, op.entry(0, 1).coeffs)
+    assert prod.tolist() == [0.25, 0, 0, 0, 0]
 
 
 def test_obstruction_footnote_pair_absent():
@@ -261,8 +262,33 @@ def test_analyze_never_raises_on_zero_triple():
     from phaseclone import JointPhaseOperator, UncorrelatedTriple
 
     zero = PhaseOperator.zero(2)
-    joint = JointPhaseOperator(PhaseOperator.zero(4).entries, dim1=2, dim2=2)
+    joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
     rep = analyze(UncorrelatedTriple(joint=joint, out1=zero, out2=zero))
     assert rep.probability == "zero-probability"
     assert not rep.relation_ok
     assert rep.theorem_consistent
+
+
+def test_analyze_hermitian_within_tol_does_not_raise():
+    # Hermitian within tol = 1e-9 but not within 1e-10: positivity checks
+    # hermiticity at the same tol as analyze, so a report comes back.
+    t = builtin("case1-example").payload
+    coeffs = t.out1.coeffs.copy()
+    coeffs[2, 0, 1] += 5e-10
+    shifted = UncorrelatedTriple(joint=t.joint, out1=PhaseOperator(coeffs), out2=t.out2)
+    rep = analyze(shifted)
+    assert rep.hp_out1
+    assert rep.positivity_out1 is not None and rep.positivity_out1.positive
+    assert rep.theorem_consistent
+
+
+def test_phase_dependence_projection_recovers_gamma():
+    P = fp(0.3 - 0.1j, 0.3 + 0.1j, 1.2)
+    gamma = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    out = PhaseOperator(gamma[None] * P.coeffs[:, None, None])
+    dependent, const = output_depends_on_phase(out, P)
+    assert dependent is False
+    assert np.abs(const.as_array() - gamma).max() < 1e-15
+    bumped = out.coeffs.copy()
+    bumped[0, 0, 1] += 1e-6
+    assert output_depends_on_phase(PhaseOperator(bumped), P)[0] is True

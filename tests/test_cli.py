@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import phaseclone
 from phaseclone import builtin, document_from_triple, parse_pmap, serialize_pmap
 from phaseclone.cli import main
 from phaseclone.operators import max_coeff_diff
@@ -148,10 +151,26 @@ def test_missing_file_exit_code(capsys):
 
 def test_module_entry_point(tmp_path):
     path = _write_entry(tmp_path, "case1-example")
+    # Run the package under test, also when it is not installed.
+    src = str(Path(phaseclone.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "phaseclone", "check", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["factor", "check"])
+def test_zero_denominator_is_input_error(tmp_path, capsys, command):
+    bad = tmp_path / "zero-denominator.pmap"
+    bad.write_text("pmap lambda1\ndim 1\nentry 0 0 1/0+0i 0+0i 0+0i\nend\n")
+    code = main([command, str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "line 3" in err
+    assert "Traceback" not in err

@@ -90,14 +90,8 @@ def test_partial_trace_constant_tensor():
     # unit-trace constant second factor
     g2 = PhaseOperator.from_rows([[fp(0, 0, 0.7), fp(0, 0, 0.1j)], [fp(0, 0, -0.1j), fp(0, 0, 0.3)]])
     prod = tensor(g1, g2)
-    rows = []
-    for r in range(4):
-        row = []
-        for c in range(4):
-            lp = prod[r][c]
-            row.append(FirstOrderPoly(lp.coeff(1), lp.coeff(-1), lp.coeff(0)))
-        rows.append(row)
-    joint = JointPhaseOperator(tuple(tuple(r) for r in rows), dim1=2, dim2=2)
+    # degrees (1, -1, 0) of the product are the (a, b, c) of a first-order joint
+    joint = JointPhaseOperator(prod[[3, 1, 2]], dim1=2, dim2=2)
     assert max_coeff_diff(partial_trace(joint, 1), g1) <= 1e-12
 
 
@@ -115,11 +109,7 @@ def test_partial_trace_asymmetric_dims():
     g /= np.trace(g).real
     o2 = PhaseOperator.from_rows([[fp(0, 0, g[i, j]) for j in range(3)] for i in range(3)])
     prod = tensor(o1, o2)
-    rows = [
-        [FirstOrderPoly(lp.coeff(1), lp.coeff(-1), lp.coeff(0)) for lp in row]
-        for row in prod
-    ]
-    joint = JointPhaseOperator(tuple(tuple(r) for r in rows), dim1=2, dim2=3)
+    joint = JointPhaseOperator(prod[[3, 1, 2]], dim1=2, dim2=3)
     assert max_coeff_diff(partial_trace(joint, 1), o1) <= 1e-12
     T = trace_poly(o1)
     expected = PhaseOperator.from_rows(
@@ -177,35 +167,31 @@ def test_hp_matches_pointwise_hermiticity():
 
 def test_tensor_counterexample_offdiag_slot(counterexample):
     prod = tensor(counterexample.out1, counterexample.out2)
-    assert prod[0][3].as_dict() == {-2: 1, -1: 2, 0: 1}
+    assert prod[:, 0, 3].tolist() == [1, 2, 1, 0, 0]
 
 
 def test_tensor_identity():
     eye = PhaseOperator.from_rows(
         [[fp(0, 0, 1), FirstOrderPoly.zero()], [FirstOrderPoly.zero(), fp(0, 0, 1)]]
     )
-    prod = tensor(eye, eye)
-    for r in range(4):
-        for c in range(4):
-            expected = {0: 1} if r == c else {}
-            assert prod[r][c].as_dict() == expected
+    expected = np.zeros((5, 4, 4))
+    expected[2] = np.eye(4)
+    assert np.array_equal(tensor(eye, eye), expected)
 
 
 def test_tensor_footnote_first_column(footnote):
     prod = tensor(footnote.out1, footnote.out2)
-    col = [prod[r][0].as_dict() for r in range(4)]
-    assert col == [{0: 1}, {-1: 1}, {1: 1}, {0: 1}]
+    col = [prod[:, r, 0].tolist() for r in range(4)]
+    assert col == [[0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0]]
 
 
 def test_trace_of_tensor_is_product_of_traces():
     rng = np.random.default_rng(19)
     for _ in range(20):
         o1, o2 = random_hp_operator(rng), random_hp_operator(rng)
-        prod = tensor(o1, o2)
-        tr = prod[0][0]
-        for k in range(1, 4):
-            tr = tr + prod[k][k]
-        assert tr.distance(mul(trace_poly(o1), trace_poly(o2))) < 1e-12
+        tr = tensor(o1, o2).trace(axis1=1, axis2=2)
+        expected = mul(trace_poly(o1).coeffs, trace_poly(o2).coeffs)
+        assert np.abs(tr - expected).max() < 1e-12
 
 
 # --------------------------------------------------------- validate_triple
@@ -234,7 +220,7 @@ def test_validate_detects_injected_defect(counterexample):
 
 def test_validate_zero_probability():
     zero = PhaseOperator.zero(2)
-    joint = JointPhaseOperator(PhaseOperator.zero(4).entries, dim1=2, dim2=2)
+    joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
     with pytest.raises(ZeroProbabilityError):
         validate_triple(UncorrelatedTriple(joint=joint, out1=zero, out2=zero))
 
@@ -309,7 +295,7 @@ def test_normalized_output_zero_phase(counterexample):
 
 def test_joint_dimension_validation():
     with pytest.raises(ValueError):
-        JointPhaseOperator(PhaseOperator.zero(4).entries, dim1=2, dim2=3)
+        JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=3)
 
 
 def test_triple_dimension_validation(counterexample):
@@ -324,3 +310,30 @@ def test_triple_dimension_validation(counterexample):
 def test_operator_requires_square():
     with pytest.raises(ValueError):
         PhaseOperator.from_rows([[fp(0, 0, 1), fp(0, 0, 1)]])
+
+
+def test_operator_storage_is_one_read_only_array(counterexample):
+    op = counterexample.out1
+    assert op.coeffs.shape == (3, 2, 2)
+    assert not op.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        op.coeffs[0, 0, 0] = 1.0
+    # the scalar view agrees with the array
+    e = op.entry(0, 1)
+    assert (e.a, e.b, e.c) == tuple(op.coeffs[:, 0, 1])
+
+
+def test_from_rows_accepts_polys_tuples_and_scalars():
+    a = PhaseOperator.from_rows([[fp(1, 2, 3), 0.5], [(0, 0, 0.5), 4]])
+    b = PhaseOperator.from_rows([[(1, 2, 3), fp(0, 0, 0.5)], [0.5, fp(0, 0, 4)]])
+    assert a == b
+    assert a != PhaseOperator.zero(2)
+    with pytest.raises(ValueError):
+        PhaseOperator.from_rows([[(float("nan"), 0, 0)]])
+
+
+def test_joint_equality_compares_dimensions():
+    coeffs = np.zeros((3, 4, 4))
+    assert JointPhaseOperator(coeffs, dim1=2, dim2=2) == JointPhaseOperator(coeffs, dim1=2, dim2=2)
+    assert JointPhaseOperator(coeffs, dim1=2, dim2=2) != JointPhaseOperator(coeffs, dim1=1, dim2=4)
+    assert JointPhaseOperator(coeffs, dim1=2, dim2=2) != PhaseOperator(coeffs)

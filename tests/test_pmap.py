@@ -17,6 +17,7 @@ from phaseclone import (
 )
 from phaseclone.catalog import NAMES
 from phaseclone.operators import max_coeff_diff
+from phaseclone.pmap import MAX_DIM
 
 from helpers import fp
 
@@ -135,3 +136,18 @@ def test_serializer_skips_zero_entries():
     # diagonal triple: no off-diagonal entry lines at all
     assert "entry 0 1" not in text
     assert "entry 1 0" not in text
+
+
+def test_dim_above_max_rejected_at_dim_line():
+    # Rejected on line 2, before the block is closed and anything is built.
+    with pytest.raises(ParseError) as exc:
+        parse_pmap("pmap x\ndim 1000000000\nend\n")
+    assert exc.value.line == 2
+    assert parse_pmap(f"pmap x\ndim {MAX_DIM}\nend\n").blocks["x"].dim == MAX_DIM
+
+
+@pytest.mark.parametrize("token", ["1/0+0i", "0+1/0i", "1e999+0i", "0-1e400i"])
+def test_non_finite_coefficient_is_parse_error(token):
+    with pytest.raises(ParseError) as exc:
+        parse_pmap(f"pmap x\ndim 1\nentry 0 0 {token} 0+0i 0+0i\nend\n")
+    assert exc.value.line == 3

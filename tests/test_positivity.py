@@ -24,7 +24,6 @@ from phaseclone import (
     phase_state_operator,
     submatrix_positivity,
 )
-from phaseclone.operators import coefficient_arrays
 from phaseclone.positivity import _lambda_min_grid
 
 from helpers import fp, grid, random_hp_operator
@@ -149,7 +148,7 @@ def test_analytic_matches_eigensolver():
     for _ in range(25):
         op = random_hp_operator(rng)
         analytic = _lambda_min_grid(op, phis)
-        A, B, C = coefficient_arrays(op)
+        A, B, C = op.coeffs
         x = np.exp(1j * phis)[:, None, None]
         solver = np.linalg.eigvalsh(x * A + np.conj(x) * B + C)[:, 0]
         assert np.max(np.abs(analytic - solver)) < 1e-10

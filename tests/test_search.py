@@ -39,6 +39,12 @@ def test_assemble_rejects_trace_mismatch():
         assemble_triple(out1, out2)
 
 
+def test_assemble_rejection_names_the_entry():
+    params = SamplerParams(pin_stratum="reject")
+    with pytest.raises(SampleRejected, match=r"product entry \(\d+, \d+\) is not divisible"):
+        generate_case2_candidate([33, 0], params)
+
+
 def test_generated_samples_validate_by_construction():
     checked = 0
     for k in range(60):
