@@ -199,11 +199,12 @@ def partial_trace(joint: JointPhaseOperator, keep: int) -> PhaseOperator:
 def is_hermitian_preserving(op: PhaseOperator, tol: float = 1e-10) -> bool:
     """Conjugate-transposed coefficient symmetry.
 
-    The output matrix is Hermitian at every phi iff ``A = B^H`` and
-    ``C = C^H``, here each within ``tol`` per entry.
+    ``op(phi)^H = B^H e^{i phi} + A^H e^{-i phi} + C^H``, so the output
+    matrix is Hermitian at every phi iff ``A = B^H`` and ``C = C^H``, here
+    each within ``tol`` per entry.
     """
-    A, B, C = op.coeffs
-    return bool(np.abs(A - B.conj().T).max() <= tol and np.abs(C - C.conj().T).max() <= tol)
+    c = op.coeffs
+    return bool(np.abs(c - c[[1, 0, 2]].conj().transpose(0, 2, 1)).max() <= tol)
 
 
 def tensor(o1: PhaseOperator, o2: PhaseOperator) -> np.ndarray:

@@ -16,9 +16,8 @@ converted once to double.  Blank lines and ``#`` comments are ignored.
 A document whose blocks are named ``lambda12``, ``lambda1`` and
 ``lambda2`` describes an uncorrelated triple.  ``dim`` is at most
 :data:`MAX_DIM`, checked on the ``dim`` line before anything is
-allocated.  Serialization is
-byte-deterministic: shortest round-trip decimals, entries in row-major
-order, zero entries skipped.
+allocated.  Serialization is byte-deterministic: shortest round-trip
+decimals, entries in row-major order, zero entries skipped.
 """
 
 from __future__ import annotations

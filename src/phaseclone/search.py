@@ -5,9 +5,9 @@ two marginal outputs from the entry shapes that can actually occur in a
 hermitian-preserving triple: constant multiples of ``P``, entries carrying
 one forced factor root plus a free one, and (for the double-root stratum
 r = 1) real-valued diagonals whose second root is a free unit-modulus
-number.  The joint block is reconstructed by dividing the tensor product
-by ``P`` in one batched long division; draws whose product is not divisible are rejected and
-counted, never silently dropped.
+number.  The joint block is reconstructed by dividing the whole tensor
+product by ``P`` in one batched long division; draws whose product is not
+divisible are rejected and counted, never silently dropped.
 
 Per-trial randomness is seeded from (seed, trial index), so a search is
 reproducible regardless of execution order.
@@ -219,11 +219,11 @@ def assemble_triple(
 ) -> UncorrelatedTriple:
     """Build the joint block by dividing the tensor product by the trace.
 
-    The whole ``(5, D, D)`` product is divided by ``P`` at once.
-    Raises :class:`SampleRejected` when the traces disagree, the trace
-    vanishes, or some product entry is not divisible back to first order.
-    A triple returned from here passes :func:`validate_triple` by
-    construction.
+    The whole ``(5, D, D)`` product is divided by ``P`` at once.  Raises
+    :class:`SampleRejected` when the traces disagree, the trace vanishes,
+    or some product entry is not divisible back to first order (the
+    message names the first such entry).  A triple returned from here
+    passes :func:`validate_triple` by construction.
     """
     P = trace_poly(out1)
     if trace_poly(out2).distance(P) > tol:

@@ -254,14 +254,13 @@ def exact_div(num, den, tol: float = 1e-10) -> np.ndarray:
     # Quotient degree j in [-1, 1] sits at x^(j+1) of the shifted quotient.
     q = shifted[[2, 0, 1]]
     residual = np.abs(num - mul(q, (da, db, dc))).max(axis=0)
-    failing = residual > tol * np.abs(num).max(axis=0)
+    limit = tol * np.abs(num).max(axis=0)
+    failing = residual > limit
     if failing.any():
         index = tuple(int(i) for i in np.argwhere(failing)[0])
-        worst = float(residual[index])
-        scale = float(np.abs(num[(slice(None),) + index]).max())
         raise NotDivisibleError(
-            f"residual {worst:.3e} exceeds {tol:.1e} * |num| = {tol * scale:.3e}",
-            worst,
+            f"residual {residual[index]:.3e} exceeds {tol:.1e} * |num| = {limit[index]:.3e}",
+            float(residual[index]),
             index,
         )
     return q

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from phaseclone import (
+    JointPhaseOperator,
     UncorrelatedTriple,
     UnknownNameError,
     analyze,
@@ -20,7 +22,7 @@ from phaseclone import (
 from phaseclone.catalog import NAMES
 from phaseclone.operators import max_coeff_diff
 
-from helpers import fp
+from helpers import fp, random_hp_operator
 
 # dyadic entries compare at 1e-12; the case1/case3 pair involves sqrt(3)
 TOLS = {
@@ -107,6 +109,26 @@ def test_case3_is_swapped_case1():
     assert max_coeff_diff(c3.out2, c1.out1) == 0
     back = swap_systems(c3)
     assert max_coeff_diff(back.joint, c1.joint) == 0
+
+
+def test_swap_systems_matches_index_loop():
+    # Loop reference: swapped[mu*d1 + i][nu*d1 + j] = joint[i*d2 + mu][j*d2 + nu].
+    rng = np.random.default_rng(83)
+    d1, d2 = 2, 3
+    coeffs = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+    t = UncorrelatedTriple(
+        joint=JointPhaseOperator(coeffs, dim1=d1, dim2=d2),
+        out1=random_hp_operator(rng, dim=d1),
+        out2=random_hp_operator(rng, dim=d2),
+    )
+    swapped = swap_systems(t).joint
+    assert (swapped.dim1, swapped.dim2) == (d2, d1)
+    for i in range(d1):
+        for j in range(d1):
+            for mu in range(d2):
+                for nu in range(d2):
+                    got = swapped.entry(mu * d1 + i, nu * d1 + j)
+                    assert got == t.joint.entry(i * d2 + mu, j * d2 + nu)
 
 
 def test_unknown_name():

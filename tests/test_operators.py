@@ -185,6 +185,20 @@ def test_tensor_footnote_first_column(footnote):
     assert col == [[0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0]]
 
 
+def test_tensor_matches_entrywise_products():
+    # Loop reference: entry (i*d2 + mu, j*d2 + nu) is out1[i][j] * out2[mu][nu].
+    rng = np.random.default_rng(59)
+    o1, o2 = random_hp_operator(rng, dim=2), random_hp_operator(rng, dim=3)
+    prod = tensor(o1, o2)
+    for i in range(2):
+        for j in range(2):
+            for mu in range(3):
+                for nu in range(3):
+                    one = mul(o1.entry(i, j).coeffs, o2.entry(mu, nu).coeffs)
+                    got = prod[:, i * 3 + mu, j * 3 + nu]
+                    assert np.abs(got - one).max() <= 1e-15 * (1.0 + np.abs(one).max())
+
+
 def test_trace_of_tensor_is_product_of_traces():
     rng = np.random.default_rng(19)
     for _ in range(20):
