@@ -42,15 +42,14 @@ from .operators import (
     RelationReport,
     UncorrelatedTriple,
     ZeroProbabilityError,
-    is_hermitian_preserving,
     tensor,
     trace_poly,
     validate_triple,
 )
 from .positivity import (
-    DEFAULT_GRID,
     DEFAULT_TOL,
     ConstantProbabilityError,
+    NotHermitianError,
     NotPositiveError,
     NotRealValuedError,
     PositivityVerdict,
@@ -276,11 +275,7 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
     return CaseVerdict(CaseLabel.CASE3)
 
 
-def case2_forcing_check(
-    t: UncorrelatedTriple,
-    tol: float = DEFAULT_TOL,
-    n: int = DEFAULT_GRID,
-) -> bool:
+def case2_forcing_check(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> bool:
     """Verify the positivity-forced structure of out1 in a Case-2 triple.
 
     Precondition (raises :class:`PreconditionError` otherwise): the triple
@@ -294,7 +289,7 @@ def case2_forcing_check(
     if verdict.label is not CaseLabel.CASE2:
         raise PreconditionError(f"triple classifies as {verdict}, not Case 2")
     for name, op in (("joint", t.joint), ("out1", t.out1), ("out2", t.out2)):
-        if not is_positive_over_phase(op, tol, n).positive:
+        if not is_positive_over_phase(op, tol).positive:
             raise PreconditionError(f"{name} is not a positive family")
 
     P = trace_poly(t.out1)
@@ -321,11 +316,15 @@ def deterministic_tensor_obstruction(
     return has_second_order(tensor(o1, o2), tol)
 
 
-def analyze(
-    t: UncorrelatedTriple,
-    tol: float = DEFAULT_TOL,
-    grid_points: int = DEFAULT_GRID,
-) -> CloningReport:
+def _positivity(op: PhaseOperator, tol: float) -> tuple[bool, PositivityVerdict | None]:
+    """``(hermitian-preserving, verdict)``; the certificate tests hermiticity itself."""
+    try:
+        return True, is_positive_over_phase(op, tol)
+    except NotHermitianError:
+        return False, None
+
+
+def analyze(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CloningReport:
     """Run every check on a triple and summarise the verdicts.
 
     Failures are recorded in the report rather than raised.  The report is
@@ -334,9 +333,9 @@ def analyze(
     operators and phase-dependent on both outputs, which the no-cloning
     theorem forbids.
     """
-    hp_joint = is_hermitian_preserving(t.joint, tol)
-    hp_out1 = is_hermitian_preserving(t.out1, tol)
-    hp_out2 = is_hermitian_preserving(t.out2, tol)
+    hp_joint, positivity_joint = _positivity(t.joint, tol)
+    hp_out1, positivity_out1 = _positivity(t.out1, tol)
+    hp_out2, positivity_out2 = _positivity(t.out2, tol)
 
     try:
         relation = validate_triple(t, tol)
@@ -360,15 +359,6 @@ def analyze(
             probability = "not-real-valued"
         except NotPositiveError:
             probability = "not-positive"
-
-    def _verdict(op, hp_flag):
-        if not hp_flag:
-            return None
-        return is_positive_over_phase(op, tol, grid_points)
-
-    positivity_joint = _verdict(t.joint, hp_joint)
-    positivity_out1 = _verdict(t.out1, hp_out1)
-    positivity_out2 = _verdict(t.out2, hp_out2)
 
     case: CaseVerdict | None = None
     if probability == "constant-probability":

@@ -140,9 +140,16 @@ def parse_pmap(text: str) -> PmapDocument:
                 raise ParseError("'dim' outside of a pmap block", lineno)
             if dim is not None:
                 raise ParseError("duplicate 'dim' line", lineno)
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError("expected 'dim <positive integer>'", lineno)
-            dim = int(tokens[1])
+            # More digits than MAX_DIM has means out of range; checked before
+            # int(), which refuses strings of more than 4300 digits.
+            digits = tokens[1].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DIM)):
+                raise ParseError(f"dim exceeds the maximum of {MAX_DIM}", lineno)
+            dim = int(digits)
+            if dim < 1:
+                raise ParseError("expected 'dim <positive integer>'", lineno)
             if dim > MAX_DIM:
                 raise ParseError(f"dim {dim} exceeds the maximum of {MAX_DIM}", lineno)
         elif keyword == "entry":

@@ -29,7 +29,7 @@ from .operators import (
     tensor,
     trace_poly,
 )
-from .positivity import DEFAULT_GRID, ProbabilityDecomposition, is_positive_over_phase
+from .positivity import ProbabilityDecomposition
 from .analysis import analyze
 
 __all__ = [
@@ -346,30 +346,20 @@ def _sample_min_eigenvalue(report) -> tuple[float, float | None]:
     return best
 
 
-def _full_grid_min(t: UncorrelatedTriple, tol: float) -> tuple[float, float | None]:
-    best = (math.inf, None)
-    for op in (t.out1, t.out2, t.joint):
-        verdict = is_positive_over_phase(op, tol, DEFAULT_GRID)
-        if verdict.min_eigenvalue < best[0]:
-            best = (verdict.min_eigenvalue, verdict.witness_phi)
-    return best
-
-
 def theorem_search(
     trials: int,
     seed: int = 0,
     tol: float = 1e-9,
     params: SamplerParams | None = None,
-    grid_points: int = 512,
 ) -> SearchReport:
     """Analyze ``trials`` sampled candidates and hunt for theorem violations.
 
-    Every accepted candidate runs through :func:`analyze`.  Candidates with
-    both outputs phase-dependent must show a minimum eigenvalue below
-    ``-1e-6`` at some phase; any that do not (after re-checking on the full
-    4096-point grid) are recorded as witness failures, and any report that
-    is not theorem-consistent is recorded as a violation.  Both lists must
-    stay empty.
+    Every accepted candidate runs through :func:`analyze`, whose positivity
+    verdicts are exact minima over the phase circle.  Candidates with both
+    outputs phase-dependent must show a minimum eigenvalue below ``-1e-6``
+    at some phase; any that do not are recorded as witness failures, and
+    any report that is not theorem-consistent is recorded as a violation.
+    Both lists must stay empty.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -386,7 +376,7 @@ def theorem_search(
             rejected += 1
             continue
         accepted += 1
-        report = analyze(t, tol, grid_points=grid_points)
+        report = analyze(t, tol)
 
         key = report.case.label.value if report.case is not None else "unclassified"
         case_counts[key] = case_counts.get(key, 0) + 1
@@ -394,25 +384,21 @@ def theorem_search(
         if report.out1_phase_dependent and report.out2_phase_dependent:
             both_dep += 1
             lam, phi = _sample_min_eigenvalue(report)
-            if lam >= WITNESS_LEVEL:
-                lam, phi = _full_grid_min(t, tol)
             if lam < WITNESS_LEVEL:
                 witnesses.append(WitnessRecord(trial=k, phi=float(phi), lambda_min=lam))
             else:
                 witness_failures.append(k)
 
         if not report.theorem_consistent:
-            confirm = analyze(t, tol, grid_points=DEFAULT_GRID)
-            if not confirm.theorem_consistent:
-                violations.append(
-                    ViolationRecord(
-                        trial=k,
-                        detail=(
-                            f"case={confirm.case}, "
-                            f"min_eig={_sample_min_eigenvalue(confirm)[0]:.3e}"
-                        ),
-                    )
+            violations.append(
+                ViolationRecord(
+                    trial=k,
+                    detail=(
+                        f"case={report.case}, "
+                        f"min_eig={_sample_min_eigenvalue(report)[0]:.3e}"
+                    ),
                 )
+            )
 
     return SearchReport(
         trials=trials,

@@ -282,6 +282,39 @@ def test_analyze_hermitian_within_tol_does_not_raise():
     assert rep.theorem_consistent
 
 
+def test_analyze_tests_hermiticity_once_per_operator(monkeypatch):
+    import sys
+
+    import phaseclone.operators as operators
+
+    original = operators.is_hermitian_preserving
+    calls = []
+
+    def counting(op, tol=1e-10):
+        calls.append(op)
+        return original(op, tol)
+
+    # Count calls through every binding, as `from .operators import ...` makes one per module.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phaseclone") and getattr(module, "is_hermitian_preserving", None) is original:
+            monkeypatch.setattr(module, "is_hermitian_preserving", counting)
+    triples = [builtin(name).payload for name in ("counterexample", "case1-example", "footnote-linear-only")]
+    for k in range(40):
+        try:
+            triples.append(generate_case2_candidate([1, k]))
+        except SampleRejected:
+            pass
+    for t in triples:
+        calls.clear()
+        rep = analyze(t)
+        assert len(calls) == 3
+        flags = [original(op, 1e-9) for op in (t.joint, t.out1, t.out2)]
+        assert [rep.hp_joint, rep.hp_out1, rep.hp_out2] == flags
+        verdicts = (rep.positivity_joint, rep.positivity_out1, rep.positivity_out2)
+        assert [v is not None for v in verdicts] == flags
+    assert not analyze(triples[2]).hp_ok
+
+
 def test_phase_dependence_projection_recovers_gamma():
     P = fp(0.3 - 0.1j, 0.3 + 0.1j, 1.2)
     gamma = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])

@@ -174,3 +174,13 @@ def test_zero_denominator_is_input_error(tmp_path, capsys, command):
     assert code == 2
     assert err.startswith("error:") and "line 3" in err
     assert "Traceback" not in err
+
+
+def test_overlong_dim_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "overlong-dim.pmap"
+    bad.write_text("pmap lambda1\ndim " + "9" * 5000 + "\nend\n")
+    code = main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "line 2" in err
+    assert "Traceback" not in err

@@ -146,6 +146,20 @@ def test_dim_above_max_rejected_at_dim_line():
     assert parse_pmap(f"pmap x\ndim {MAX_DIM}\nend\n").blocks["x"].dim == MAX_DIM
 
 
+@pytest.mark.parametrize("token", ["9" * 5000, "1" + "0" * 4400, "0" * 5000 + "99"])
+def test_overlong_dim_token_is_parse_error(token):
+    # int() refuses strings of more than 4300 digits with a plain ValueError.
+    with pytest.raises(ParseError) as exc:
+        parse_pmap(f"pmap x\ndim {token}\nend\n")
+    assert exc.value.line == 2
+
+
+def test_dim_leading_zeros():
+    assert parse_pmap("pmap x\ndim " + "0" * 5000 + "2\nend\n").blocks["x"].dim == 2
+    with pytest.raises(ParseError):
+        parse_pmap("pmap x\ndim 000\nend\n")
+
+
 @pytest.mark.parametrize("token", ["1/0+0i", "0+1/0i", "1e999+0i", "0-1e400i"])
 def test_non_finite_coefficient_is_parse_error(token):
     with pytest.raises(ParseError) as exc:

@@ -94,7 +94,7 @@ def test_wild_phase_dependent_samples_have_strong_witnesses():
             t = generate_case2_candidate([55, k], params)
         except SampleRejected:
             continue
-        rep = analyze(t, grid_points=512)
+        rep = analyze(t)
         if rep.out1_phase_dependent and rep.out2_phase_dependent:
             seen += 1
             worst = min(
