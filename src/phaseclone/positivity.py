@@ -22,9 +22,10 @@ iteration (Boyd & Balakrishnan, SCL 15, 1990):
   ``sigma = lambda_min(phi0) - L``, which only grows as ``L`` falls.  Roots
   within ``1e-4`` of the circle count as crossings: an extra root only adds
   a sample, a missed one could hide a dip.  The companion matrix has norm
-  about ``scale / sigma``, so with ``sigma >= 1e-6 * scale`` (else see the
-  degenerate pencils below) rounding moves a root on the circle by about
-  ``sqrt(1e-16 * scale / sigma) <= 1e-5``, inside the band.
+  about ``max|coeffs| / sigma``, so with ``sigma >= 1e-6 * max|coeffs|``
+  (else see the degenerate pencils below) rounding moves a root on the
+  circle by about ``sqrt(1e-16 * max|coeffs| / sigma) <= 1e-5``, inside
+  the band.
 * Evaluate ``lambda_min`` at the midpoint of every arc between crossings
   and lower ``g`` to the smallest value found.  Stop when no arc goes
   below ``L``.
@@ -319,7 +320,8 @@ def _constant_level_crossings(E: np.ndarray, g: float, scale: float):
 def _minimum(family: np.ndarray) -> tuple[float, float]:
     """``(min over phi of lambda_min, a phase attaining it)`` by the level-set iteration."""
     d = family.shape[1]
-    scale = max(1.0, float(np.abs(family).max()))
+    size = float(np.abs(family).max())
+    scale = max(1.0, size)
     eps = _LEVEL_GAP * scale
     seeds = _phi_grid(2 * d + 2).tolist()
     E = _matrices(family, seeds)
@@ -327,7 +329,7 @@ def _minimum(family: np.ndarray) -> tuple[float, float]:
     g = min(lam)
     phi = seeds[lam.index(g)]
     top = max(lam)
-    if top - g + eps >= _DEGENERATE_REL * scale:
+    if top - g + eps >= _DEGENERATE_REL * size:
         anchor = lam.index(top)
         crossings = _pencil_crossings(family, seeds[anchor], E[anchor])
     else:

@@ -182,3 +182,16 @@ def test_constant_eigenvalue_with_a_dip_below_it(depth):
             assert verdict.positive == (depth < 1e-9)
             assert verdict.min_eigenvalue == pytest.approx(-depth, abs=bound(op))
             assert_exact(op, verdict)
+
+
+@pytest.mark.parametrize("k", [1e-8, 1e8])
+def test_scaling_scales_the_minimum(k):
+    rng = np.random.default_rng(13)
+    ops = [random_hp_operator(rng, d) for d in (1, 2, 4)]
+    ops += [phase_state_operator(0.3), builtin("projective-discard").payload.joint]
+    for op in ops:
+        scaled = PhaseOperator(k * op.coeffs)
+        low = is_positive_over_phase(op).min_eigenvalue
+        assert is_positive_over_phase(scaled, 1e-9 * k).min_eigenvalue == pytest.approx(
+            k * low, abs=bound(scaled)
+        )
