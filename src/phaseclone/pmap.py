@@ -142,12 +142,12 @@ def parse_pmap(text: str) -> PmapDocument:
                 raise ParseError("duplicate 'dim' line", lineno)
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError("expected 'dim <positive integer>'", lineno)
-            # More digits than MAX_DIM has means out of range; checked before
-            # int(), which refuses strings of more than 4300 digits.
-            digits = tokens[1].lstrip("0") or "0"
-            if len(digits) > len(str(MAX_DIM)):
-                raise ParseError(f"dim exceeds the maximum of {MAX_DIM}", lineno)
-            dim = int(digits)
+            try:
+                dim = int(tokens[1])
+            except ValueError:  # int() refuses strings of more than 4300 digits
+                raise ParseError(
+                    f"dim token of {len(tokens[1])} digits is too long", lineno
+                ) from None
             if dim < 1:
                 raise ParseError("expected 'dim <positive integer>'", lineno)
             if dim > MAX_DIM:

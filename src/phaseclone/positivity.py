@@ -43,23 +43,22 @@ takes a few rounds.
 
 Degenerate pencils.  If ``lambda_min`` is flat (within ``1e-6`` relative)
 over the seeds, ``L`` sits next to an eigenvalue at every seed and
-``Q(x0)`` is near-singular for every anchor.  ``det(M(phi) - g I)`` is a
-trigonometric polynomial of degree <= d that then vanishes at
-``2d + 2 > 2d`` phases, so ``g`` is an eigenvalue at every phase:
-
-* With a fixed eigenvector (``P * Gamma`` with singular ``Gamma``, the
-  constant ``projective-discard``, the zero operator) the common null space
-  of ``A``, ``A^H`` and ``C - g I`` is an invariant subspace of every
-  ``M(phi)`` with eigenvalue ``g``; the family is deflated exactly onto
-  its orthogonal complement and certified there.
-* With a moving eigenvector (``phase_state_operator``) the constant
-  eigenvalue ``g0`` of multiplicity ``k`` splits off the characteristic
-  polynomial, ``det(M(phi) - L I) = (g0 - L)^k r(phi, L)``, where ``r`` is
-  the product of the other eigenvalues minus ``L`` and a trigonometric
-  polynomial of degree <= d.  ``r`` is recovered exactly from its values
-  at the ``2d + 2`` seeds by a discrete Fourier transform; its unit-circle
-  roots are the crossings of the non-constant eigenvalues, and ``g0 > L``
-  never crosses.  The same arc argument then applies.
+``Q(x0)`` is near-singular for every anchor; rounding in the companion
+matrix can then push both roots of a shallow dip out of the band (two
+``phase_state_operator`` blocks next to a branch dipping ``1e-8`` below
+them are missed at some phases).  ``det(M(phi) - g I)`` is a
+trigonometric polynomial of degree <= d that vanishes at ``2d + 2 > 2d``
+phases, so ``g`` is an eigenvalue at every phase, whether its eigenvector
+is fixed (``P * Gamma`` with singular ``Gamma``, the constant
+``projective-discard``) or moving (``phase_state_operator``).  This
+constant eigenvalue ``g0`` of multiplicity ``k`` splits off the
+characteristic polynomial, ``det(M(phi) - L I) = (g0 - L)^k r(phi, L)``,
+where ``r`` is the product of the other eigenvalues minus ``L`` and a
+trigonometric polynomial of degree <= d.  ``r`` is recovered exactly from
+its values at the ``2d + 2`` seeds by a discrete Fourier transform; its
+unit-circle roots are the crossings of the non-constant eigenvalues, and
+``g0 > L`` never crosses.  The same arc argument then applies; for
+``k = d`` (a constant family) ``r`` is constant and has no crossings.
 """
 
 from __future__ import annotations
@@ -99,8 +98,7 @@ _LEVEL_GAP = 1e-13
 _CIRCLE_BAND = 1e-4
 #: Seeds whose lambda_min spread is below this (relative) mark a degenerate pencil.
 _DEGENERATE_REL = 1e-6
-#: Relative size below which a singular value of ``[A; A^H; C - g I]``, or the
-#: distance of an eigenvalue from ``g`` at every seed, marks a constant eigenvalue.
+#: Relative distance from ``g`` at every seed that marks a constant eigenvalue.
 _CONSTANT_REL = 1e-12
 #: Bound on the levels of one certificate; the iteration converges quadratically.
 _MAX_LEVELS = 100
@@ -278,14 +276,6 @@ def _open_arcs(crossings: list[float], seen: list[float]) -> list[float]:
     return mids
 
 
-def _common_null_space(family: np.ndarray, g: float, scale: float) -> tuple[np.ndarray, int]:
-    """Right singular vectors of ``[A; A^H; C - g I]`` and the null-space size."""
-    A, AH, C = family
-    stacked = np.concatenate([A, AH, C - g * np.eye(A.shape[0])])
-    _, s, Vh = np.linalg.svd(stacked)
-    return Vh, int(np.count_nonzero(s <= _CONSTANT_REL * scale))
-
-
 def _constant_level_crossings(E: np.ndarray, g: float, scale: float):
     """Crossing finder for a family with a constant eigenvalue ``g0 ~ g``.
 
@@ -295,7 +285,8 @@ def _constant_level_crossings(E: np.ndarray, g: float, scale: float):
     other ``d - k`` eigenvalues and is, like the determinant, a
     trigonometric polynomial of degree <= d.  Its values at the seeds give
     its Fourier coefficients exactly; its roots on the circle are the
-    phases where a non-constant eigenvalue equals ``L``.
+    phases where a non-constant eigenvalue equals ``L``.  The factors are
+    divided by ``scale``, which moves no root, so the product cannot overflow.
     """
     n, d = E.shape[:2]
     ev = np.linalg.eigvalsh(E)
@@ -305,7 +296,7 @@ def _constant_level_crossings(E: np.ndarray, g: float, scale: float):
     rest = np.take_along_axis(ev, order[:, k:], axis=1)
 
     def crossings(level: float) -> list[float]:
-        coeffs = np.fft.fft(np.prod(rest - level, axis=1)) / n
+        coeffs = np.fft.fft(np.prod((rest - level) / scale, axis=1)) / n
         # x^d r(x): coefficient of x^m, m = d .. -d, highest power first
         poly = np.concatenate([coeffs[d::-1], coeffs[: d + 1 : -1]])
         return sorted(
@@ -333,13 +324,6 @@ def _minimum(family: np.ndarray) -> tuple[float, float]:
         anchor = lam.index(top)
         crossings = _pencil_crossings(family, seeds[anchor], E[anchor])
     else:
-        Vh, null = _common_null_space(family, g, scale)
-        if null:
-            if null == d:
-                return g, phi
-            W = Vh[: d - null].conj().T
-            sub = _minimum(W.conj().T @ family @ W)
-            return min((g, phi), sub)
         crossings = _constant_level_crossings(E, g, scale)
 
     seen = list(seeds)

@@ -157,12 +157,19 @@ def test_singular_psd_gamma_times_probability():
         assert_exact(op, verdict)
 
 
-def _direct_sum(op: PhaseOperator, a: complex, c: float) -> PhaseOperator:
-    """``op`` with one more diagonal entry ``a x + conj(a) conj(x) + c``."""
-    d = op.dim
-    coeffs = np.zeros((3, d + 1, d + 1), dtype=complex)
-    coeffs[:, :d, :d] = op.coeffs
-    coeffs[:, d, d] = (a, np.conj(a), c)
+def _branch(a: complex, c: float) -> PhaseOperator:
+    """The 1 x 1 family ``a x + conj(a) conj(x) + c``."""
+    return PhaseOperator(np.array([[[a]], [[np.conj(a)]], [[c]]]))
+
+
+def _direct_sum(*ops: PhaseOperator) -> PhaseOperator:
+    size = sum(op.dim for op in ops)
+    coeffs = np.zeros((3, size, size), dtype=complex)
+    start = 0
+    for op in ops:
+        stop = start + op.dim
+        coeffs[:, start:stop, start:stop] = op.coeffs
+        start = stop
     return PhaseOperator(coeffs)
 
 
@@ -177,7 +184,7 @@ def test_constant_eigenvalue_with_a_dip_below_it(depth):
         a = a_abs * np.exp(-1.3j)
         fixed = PhaseOperator([np.zeros((2, 2)), np.zeros((2, 2)), np.diag([0.0, 1.0])])
         for base in (fixed, phase_state_operator(0.4)):
-            op = rotated(_direct_sum(base, a, 2.0 * a_abs - depth), rng)
+            op = rotated(_direct_sum(base, _branch(a, 2.0 * a_abs - depth)), rng)
             verdict = is_positive_over_phase(op)
             assert verdict.positive == (depth < 1e-9)
             assert verdict.min_eigenvalue == pytest.approx(-depth, abs=bound(op))
@@ -195,3 +202,43 @@ def test_scaling_scales_the_minimum(k):
         assert is_positive_over_phase(scaled, 1e-9 * k).min_eigenvalue == pytest.approx(
             k * low, abs=bound(scaled)
         )
+
+
+def test_two_phase_state_blocks_with_a_shallow_dip():
+    # A double constant eigenvalue 0 with moving eigenvectors next to a branch
+    # 2 cos(phi - phi*) + 2 - 1e-8.  Anchored at a seed phase, where 0 is the
+    # minimum, the shifted pencil is so ill-conditioned that rounding pushes
+    # the two crossings of this dip off the circle at some phi*.
+    ps = phase_state_operator(0.5)
+    for k in range(20):
+        phi_star = 0.1 + 0.3 * k
+        op = _direct_sum(ps, ps, _branch(np.exp(-1j * phi_star), 2.0 - 1e-8))
+        verdict = is_positive_over_phase(op)
+        assert not verdict.positive
+        assert verdict.min_eigenvalue == pytest.approx(-1e-8, abs=bound(op))
+        assert abs(verdict.witness_phi - (phi_star + math.pi) % TWO_PI) < 1e-5
+        assert_exact(op, verdict)
+
+
+def test_huge_coefficients_with_a_constant_eigenvalue():
+    # Seeds flat at 0 with coefficients near 1e160: the split-off
+    # characteristic polynomial must not overflow.  Rounding is relative to
+    # the coefficients, so is the tolerance.
+    tol = 1e-9 * 1e160
+    big = PhaseOperator([np.zeros((2, 2)), np.zeros((2, 2)), 1e160 * np.eye(2)])
+    for scale in (1.0, 1e150):
+        op = _direct_sum(PhaseOperator(scale * phase_state_operator(0.3).coeffs), big)
+        verdict = is_positive_over_phase(op, tol)
+        assert verdict.positive
+        assert abs(verdict.min_eigenvalue) <= bound(op)
+        assert_exact(op, verdict)
+    # A branch dipping 1e152 below 0 between two seed phases.
+    dip = _direct_sum(
+        PhaseOperator(1e160 * phase_state_operator(0.3).coeffs),
+        _branch(1e160 * np.exp(-0.3j), 2e160 - 1e152),
+    )
+    verdict = is_positive_over_phase(dip, tol)
+    assert not verdict.positive
+    assert verdict.min_eigenvalue == pytest.approx(-1e152, abs=bound(dip))
+    assert abs(verdict.witness_phi - (math.pi + 0.3)) < 1e-5
+    assert_exact(dip, verdict)
