@@ -25,6 +25,7 @@ from .operators import (
     ZeroProbabilityAtPhaseError,
     ZeroProbabilityError,
     eval_matrix,
+    hermitian_part,
     is_hermitian_preserving,
     normalized_output,
     partial_trace,
@@ -32,6 +33,7 @@ from .operators import (
     tensor,
     trace_poly,
     validate_triple,
+    validate_triples,
 )
 from .positivity import (
     ConstantProbabilityError,
@@ -43,6 +45,7 @@ from .positivity import (
     decompose_probability,
     is_positive_over_phase,
     min_eigenvalue_profile,
+    positivity_many,
     submatrix_positivity,
 )
 from .analysis import (
@@ -53,6 +56,7 @@ from .analysis import (
     EntryForm,
     PreconditionError,
     analyze,
+    analyze_many,
     case2_forcing_check,
     classify,
     deterministic_tensor_obstruction,

@@ -44,17 +44,17 @@ from .operators import (
     ZeroProbabilityError,
     tensor,
     trace_poly,
-    validate_triple,
+    validate_triples,
 )
 from .positivity import (
     DEFAULT_TOL,
     ConstantProbabilityError,
-    NotHermitianError,
     NotPositiveError,
     NotRealValuedError,
     PositivityVerdict,
     decompose_probability,
     is_positive_over_phase,
+    positivity_many,
 )
 
 __all__ = [
@@ -70,6 +70,7 @@ __all__ = [
     "case2_forcing_check",
     "deterministic_tensor_obstruction",
     "analyze",
+    "analyze_many",
 ]
 
 #: Relative tolerance for matching factor roots (scaled by max(1, |root|)).
@@ -178,6 +179,38 @@ def _nonzero_entries(op: PhaseOperator):
                 yield i, j, e
 
 
+def _vanishes(P: FirstOrderPoly, out: PhaseOperator) -> bool:
+    return P.max_abs() <= ZERO_COEFF_REL * (1.0 + out.max_abs())
+
+
+def _projection(outs: np.ndarray, p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma = <e, P> / <P, P>`` per entry of an ``(N, 3, d, d)`` stack of outputs.
+
+    ``p`` holds the ``(N, 3)`` coefficients of their probabilities.  Also
+    returns, per output, whether some entry differs from ``gamma * P`` by
+    more than ``tol * max(1, max|P|, max|out|)``: a phase-dependent output.
+    """
+    p = p[:, :, None, None]
+    gamma = (p.conj() * outs).sum(axis=1) / (p.conj() * p).real.sum(axis=1)
+    residual = np.abs(outs - gamma[:, None] * p).max(axis=(1, 2, 3))
+    scale = np.maximum(np.abs(p).max(axis=(1, 2, 3)), np.abs(outs).max(axis=(1, 2, 3)))
+    return gamma, residual > tol * np.maximum(1.0, scale)
+
+
+def _phase_dependent(outs: list, Ps: list, tol: float) -> list[bool]:
+    """The verdict of :func:`output_depends_on_phase` per pair, one projection per dimension."""
+    flags = [False] * len(outs)
+    groups: dict[int, list[int]] = {}
+    for i, out in enumerate(outs):
+        groups.setdefault(out.dim, []).append(i)
+    for members in groups.values():
+        stack = np.array([outs[i].coeffs for i in members])
+        _, dependent = _projection(stack, np.array([Ps[i].coeffs for i in members]), tol)
+        for i, flag in zip(members, dependent.tolist()):
+            flags[i] = flag
+    return flags
+
+
 def output_depends_on_phase(
     out: PhaseOperator, P: FirstOrderPoly, tol: float = DEFAULT_TOL
 ) -> tuple[bool, ConstantOperator | None]:
@@ -188,15 +221,11 @@ def output_depends_on_phase(
     entry matches ``gamma * P`` coefficientwise within tol.  On success the
     constant matrix ``gamma`` is returned trace-normalized.
     """
-    scale = max(1.0, P.max_abs(), out.max_abs())
-    if P.max_abs() <= ZERO_COEFF_REL * (1.0 + out.max_abs()):
+    if _vanishes(P, out):
         raise ZeroProbabilityError("probability polynomial vanishes identically")
-
-    p = P.coeffs
-    gamma = np.tensordot(p.conj(), out.coeffs, axes=1) / np.vdot(p, p).real
-    if np.abs(out.coeffs - gamma * p[:, None, None]).max() > tol * scale:
+    (gamma,), (dependent,) = _projection(out.coeffs[None], P.coeffs[None], tol)
+    if dependent:
         return True, None
-
     tr = np.trace(gamma)
     if abs(tr) < 1e-9:
         return False, None
@@ -316,39 +345,46 @@ def deterministic_tensor_obstruction(
     return has_second_order(tensor(o1, o2), tol)
 
 
-def _positivity(op: PhaseOperator, tol: float) -> tuple[bool, PositivityVerdict | None]:
-    """``(hermitian-preserving, verdict)``; the certificate tests hermiticity itself."""
-    try:
-        return True, is_positive_over_phase(op, tol)
-    except NotHermitianError:
-        return False, None
+def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
+    """:func:`analyze` for each triple, with the array checks run over stacks.
 
-
-def analyze(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CloningReport:
-    """Run every check on a triple and summarise the verdicts.
-
-    Failures are recorded in the report rather than raised.  The report is
-    theorem-consistent unless the triple is simultaneously
-    hermitian-preserving, relation-satisfying, positive on all three
-    operators and phase-dependent on both outputs, which the no-cloning
-    theorem forbids.
+    The hermiticity test and positivity certificate run once per operator
+    dimension, the product relation once per pair of marginal dimensions
+    and the phase-dependence projection once per output dimension;
+    decomposition and classification stay a loop over the triples.
     """
-    hp_joint, positivity_joint = _positivity(t.joint, tol)
-    hp_out1, positivity_out1 = _positivity(t.out1, tol)
-    hp_out2, positivity_out2 = _positivity(t.out2, tol)
+    triples = list(triples)
+    verdicts = positivity_many([op for t in triples for op in (t.joint, t.out1, t.out2)], tol)
+    relations = validate_triples(triples, tol)
+    Ps = [trace_poly(t.out1) for t in triples]
+    # output_depends_on_phase raises ZeroProbabilityError for the others.
+    projected = [
+        i
+        for i, (t, P) in enumerate(zip(triples, Ps))
+        if not (_vanishes(P, t.out1) or _vanishes(P, t.out2))
+    ]
+    flags = _phase_dependent(
+        [op for i in projected for op in (triples[i].out1, triples[i].out2)],
+        [Ps[i] for i in projected for _ in range(2)],
+        tol,
+    )
+    dependence = {i: (flags[2 * k], flags[2 * k + 1]) for k, i in enumerate(projected)}
+    return [
+        _report(
+            t, P, verdicts[3 * i : 3 * i + 3], relations[i], dependence.get(i, (None, None)), tol
+        )
+        for i, (t, P) in enumerate(zip(triples, Ps))
+    ]
 
-    try:
-        relation = validate_triple(t, tol)
-        relation_ok = relation.all_ok
-    except ZeroProbabilityError:
-        relation = None
-        relation_ok = False
 
-    P = trace_poly(t.out1)
-    zero_probability = P.max_abs() <= ZERO_COEFF_REL * (1.0 + t.out1.max_abs())
+def _report(t, P, verdicts, relation, dependence, tol: float) -> CloningReport:
+    """Assemble one :class:`CloningReport` from the stacked verdicts of its triple."""
+    positivity_joint, positivity_out1, positivity_out2 = verdicts
+    hp_joint, hp_out1, hp_out2 = (v is not None for v in verdicts)
+    relation_ok = relation is not None and relation.all_ok
 
     probability: object
-    if zero_probability:
+    if _vanishes(P, t.out1):
         probability = "zero-probability"
     else:
         try:
@@ -366,18 +402,8 @@ def analyze(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CloningReport:
     elif not isinstance(probability, str) and relation_ok and hp_joint and hp_out1 and hp_out2:
         case = classify(t, tol)
 
-    dep1 = dep2 = None
-    if not zero_probability:
-        try:
-            dep1, _ = output_depends_on_phase(t.out1, P, tol)
-            dep2, _ = output_depends_on_phase(t.out2, P, tol)
-        except ZeroProbabilityError:
-            dep1 = dep2 = None
-
-    all_positive = all(
-        v is not None and v.positive
-        for v in (positivity_joint, positivity_out1, positivity_out2)
-    )
+    dep1, dep2 = dependence
+    all_positive = all(v is not None and v.positive for v in verdicts)
     theorem_consistent = not (
         all_positive
         and hp_joint
@@ -403,3 +429,15 @@ def analyze(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CloningReport:
         out2_phase_dependent=dep2,
         theorem_consistent=theorem_consistent,
     )
+
+
+def analyze(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CloningReport:
+    """Run every check on a triple and summarise the verdicts.
+
+    Failures are recorded in the report rather than raised.  The report is
+    theorem-consistent unless the triple is simultaneously
+    hermitian-preserving, relation-satisfying, positive on all three
+    operators and phase-dependent on both outputs, which the no-cloning
+    theorem forbids.  This is :func:`analyze_many` on one triple.
+    """
+    return analyze_many([t], tol)[0]

@@ -11,6 +11,7 @@ sweeps), ``search`` (randomized theorem search, exit 1 on violations) and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -286,9 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as err:

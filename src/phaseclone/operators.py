@@ -42,10 +42,12 @@ __all__ = [
     "eval_matrix",
     "trace_poly",
     "partial_trace",
+    "hermitian_part",
     "is_hermitian_preserving",
     "tensor",
     "max_coeff_diff",
     "validate_triple",
+    "validate_triples",
     "phase_state_operator",
     "normalized_output",
 ]
@@ -196,15 +198,29 @@ def partial_trace(joint: JointPhaseOperator, keep: int) -> PhaseOperator:
     raise ValueError("keep must be 1 or 2")
 
 
-def is_hermitian_preserving(op: PhaseOperator, tol: float = 1e-10) -> bool:
-    """Conjugate-transposed coefficient symmetry.
+def hermitian_part(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian part and hermiticity defect of each operator of a ``(..., 3, d, d)`` stack.
 
-    ``op(phi)^H = B^H e^{i phi} + A^H e^{-i phi} + C^H``, so the output
-    matrix is Hermitian at every phi iff ``A = B^H`` and ``C = C^H``, here
-    each within ``tol`` per entry.
+    ``op(phi)^H = B^H e^{i phi} + A^H e^{-i phi} + C^H``, the family with
+    coefficients ``c* = (B^H, A^H, C^H)``.  The Hermitian part
+    ``(c + c*) / 2`` is the family ``A' x + A'^H conj(x) + C'``; the
+    defect, the largest coefficient of ``c - c*`` per operator, is zero iff
+    the output matrix is Hermitian at every phi.
     """
-    c = op.coeffs
-    return bool(np.abs(c - c[[1, 0, 2]].conj().transpose(0, 2, 1)).max() <= tol)
+    adjoint = coeffs[..., [1, 0, 2], :, :].conj().swapaxes(-1, -2)
+    return 0.5 * (coeffs + adjoint), np.abs(coeffs - adjoint).max(axis=(-3, -2, -1))
+
+
+def is_hermitian_preserving(op: PhaseOperator, tol: float = 1e-10) -> bool:
+    """``A = B^H`` and ``C = C^H``, each within ``tol`` per entry (see :func:`hermitian_part`)."""
+    return bool(hermitian_part(op.coeffs)[1] <= tol)
+
+
+def _tensor(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Kronecker products of ``(3, ..., d1, d1)`` and ``(3, ..., d2, d2)`` coefficient stacks."""
+    d1, d2 = c1.shape[-1], c2.shape[-1]
+    prod = mul(c1[..., :, None, :, None], c2[..., None, :, None, :])
+    return prod.reshape(prod.shape[:-4] + (d1 * d2, d1 * d2))
 
 
 def tensor(o1: PhaseOperator, o2: PhaseOperator) -> np.ndarray:
@@ -214,9 +230,7 @@ def tensor(o1: PhaseOperator, o2: PhaseOperator) -> np.ndarray:
     :func:`phaseclone.trigpoly.mul`); entries may carry genuine
     second-order content.
     """
-    d1, d2 = o1.dim, o2.dim
-    prod = mul(o1.coeffs[:, :, None, :, None], o2.coeffs[:, None, :, None, :])
-    return prod.reshape(5, d1 * d2, d1 * d2)
+    return _tensor(o1.coeffs, o2.coeffs)
 
 
 def max_coeff_diff(op1: PhaseOperator, op2: PhaseOperator) -> float:
@@ -225,39 +239,59 @@ def max_coeff_diff(op1: PhaseOperator, op2: PhaseOperator) -> float:
     return float(np.abs(op1.coeffs - op2.coeffs).max())
 
 
+def validate_triples(triples, tol: float = 1e-9) -> list[RelationReport | None]:
+    """:func:`validate_triple` for each triple; ``None`` where the trace vanishes identically.
+
+    Triples with the same marginal dimensions are checked as one stack,
+    coefficient axis first: ``(3, N, d, d)``.
+    """
+    reports: list[RelationReport | None] = [None] * len(triples)
+    groups: dict[tuple, list[int]] = {}
+    for i, t in enumerate(triples):
+        groups.setdefault((t.out1.dim, t.out2.dim), []).append(i)
+    for (d1, d2), members in groups.items():
+        joint, out1, out2 = (
+            np.array([getattr(triples[i], name).coeffs for i in members]).swapaxes(0, 1)
+            for name in ("joint", "out1", "out2")
+        )
+        P = out1.trace(axis1=-2, axis2=-1)
+        size = np.abs(P).max(axis=0)
+        scale = np.max([np.abs(c).max(axis=(0, 2, 3)) for c in (joint, out1, out2)], axis=0)
+        nonzero = size > ZERO_COEFF_REL * (1.0 + scale)
+        traces_equal = (np.abs(out2.trace(axis1=-2, axis2=-1) - P).max(axis=0) <= tol) & (
+            np.abs(joint.trace(axis1=-2, axis2=-1) - P).max(axis=0) <= tol
+        )
+        cross = mul(joint, P[..., None, None]) - _tensor(out1, out2)
+        residual = np.abs(cross).max(axis=(0, 2, 3)) / np.where(nonzero, size, 1.0)
+        blocks = joint.reshape(joint.shape[:2] + (d1, d2, d1, d2))
+        partial_ok = (np.abs(blocks.trace(axis1=3, axis2=5) - out1).max(axis=(0, 2, 3)) <= tol) & (
+            np.abs(blocks.trace(axis1=2, axis2=4) - out2).max(axis=(0, 2, 3)) <= tol
+        )
+        for k, i in enumerate(members):
+            if nonzero[k]:
+                reports[i] = RelationReport(
+                    probability=FirstOrderPoly(*P[:, k].tolist()),
+                    traces_equal=bool(traces_equal[k]),
+                    relation_holds=bool(residual[k] <= tol),
+                    partial_traces_consistent=bool(partial_ok[k]),
+                    max_residual=float(residual[k]),
+                )
+    return reports
+
+
 def validate_triple(t: UncorrelatedTriple, tol: float = 1e-9) -> RelationReport:
     """Check traces, the product relation and the partial traces of a triple.
 
     The relation is tested cross-multiplied, ``joint * P = out1 (x) out2``,
     with no division.  ``max_residual`` is the largest coefficient of the
     difference over all entries and degrees, divided by ``max|P|`` so that
-    it reads in the units of the joint block.
+    it reads in the units of the joint block.  This is
+    :func:`validate_triples` on one triple.
     """
-    P = trace_poly(t.out1)
-    scale = max(t.joint.max_abs(), t.out1.max_abs(), t.out2.max_abs())
-    if P.max_abs() <= ZERO_COEFF_REL * (1.0 + scale):
+    (report,) = validate_triples([t], tol)
+    if report is None:
         raise ZeroProbabilityError("trace polynomial vanishes identically")
-
-    traces_equal = (
-        trace_poly(t.out2).distance(P) <= tol
-        and trace_poly(t.joint).distance(P) <= tol
-    )
-
-    cross = mul(t.joint.coeffs, P.coeffs[:, None, None]) - tensor(t.out1, t.out2)
-    max_residual = float(np.abs(cross).max()) / P.max_abs()
-
-    partial_ok = (
-        max_coeff_diff(partial_trace(t.joint, 1), t.out1) <= tol
-        and max_coeff_diff(partial_trace(t.joint, 2), t.out2) <= tol
-    )
-
-    return RelationReport(
-        probability=P,
-        traces_equal=traces_equal,
-        relation_holds=max_residual <= tol,
-        partial_traces_consistent=partial_ok,
-        max_residual=max_residual,
-    )
+    return report
 
 
 def phase_state_operator(state) -> PhaseOperator:

@@ -73,6 +73,10 @@ def _parse_real(token: str, line: int) -> float:
         x = float(Fraction(token)) if "/" in token else float(token)
     except (ZeroDivisionError, OverflowError):
         x = math.inf
+    except ValueError:  # Fraction refuses integers of more than 4300 digits
+        raise ParseError(
+            f"coefficient part of {len(token)} characters is too long", line
+        ) from None
     if not math.isfinite(x):
         raise ParseError(f"coefficient part {token!r} is not a finite number", line)
     return x

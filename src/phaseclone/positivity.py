@@ -59,18 +59,28 @@ its values at the ``2d + 2`` seeds by a discrete Fourier transform; its
 unit-circle roots are the crossings of the non-constant eigenvalues, and
 ``g0 > L`` never crosses.  The same arc argument then applies; for
 ``k = d`` (a constant family) ``r`` is constant and has no crossings.
+
+Stacks.  :func:`positivity_many` certifies many operators at once; each
+group of one dimension is an ``(N, 3, d, d)`` stack.  The members share
+the numpy calls (one evaluation at the seeds, then per level one
+``eigvals`` over the companion matrices of the members still iterating
+and one evaluation at all of their open-arc midpoints) but nothing else:
+``eps``, the scale, the degenerate test and the stopping rule are per
+member, so a member gets the same verdict and minimum in any stack.
+:func:`is_positive_over_phase` is a stack of one.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly
-from .operators import PhaseOperator, is_hermitian_preserving
+from .operators import PhaseOperator, hermitian_part, is_hermitian_preserving
 
 __all__ = [
     "DEFAULT_GRID",
@@ -84,6 +94,7 @@ __all__ = [
     "decompose_probability",
     "min_eigenvalue_profile",
     "is_positive_over_phase",
+    "positivity_many",
     "submatrix_positivity",
 ]
 
@@ -102,6 +113,8 @@ _DEGENERATE_REL = 1e-6
 _CONSTANT_REL = 1e-12
 #: Bound on the levels of one certificate; the iteration converges quadratically.
 _MAX_LEVELS = 100
+#: Exponents of the basis ``(e^{i phi}, e^{-i phi}, 1)`` of first-order families.
+_FREQUENCIES = np.array([1j, -1j, 0.0])
 
 
 class NotRealValuedError(ValueError):
@@ -164,7 +177,7 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
         raise NotPositiveError(
             f"R/|alpha| = {ratio:.12g} < 2, the probability goes negative"
         )
-    theta = -cmath.phase(alpha)
+    theta = -math.atan2(alpha.imag, alpha.real)
     ratio = max(ratio, 2.0)
     r = (ratio + math.sqrt(ratio * ratio - 4.0)) / 2.0
     root_phase = cmath.exp(1j * theta)
@@ -178,40 +191,46 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
     )
 
 
-def _hermitian_family(op: PhaseOperator) -> np.ndarray:
-    """``(A, A^H, C)`` of the Hermitian part ``A x + A^H conj(x) + C`` of ``op``."""
-    c = op.coeffs
-    return 0.5 * (c + c[[1, 0, 2]].conj().transpose(0, 2, 1))
+def _basis(phis) -> np.ndarray:
+    """Rows ``(e^{i phi}, e^{-i phi}, 1)``, one per phase.
 
-
-def _matrices(family: np.ndarray, phis) -> np.ndarray:
-    """The family evaluated at each phase, shape ``(len(phis), d, d)``."""
-    A, AH, C = family
-    x = np.exp(1j * np.asarray(phis, dtype=float))[:, None, None]
-    return x * A + np.conj(x) * AH + C
+    ``_basis(phis) @ coeffs.reshape(3, d * d)`` evaluates a family with
+    coefficients ``(A, B, C)`` at every phase in one product.
+    """
+    return np.exp(np.multiply.outer(phis, _FREQUENCIES))
 
 
 def _lowest(E: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of each Hermitian matrix (analytic for d <= 2, eigvalsh above)."""
-    d = E.shape[1]
+    d = E.shape[-1]
     if d == 1:
-        return E[:, 0, 0].real
+        return E[..., 0, 0].real
     if d == 2:
-        h00 = E[:, 0, 0].real
-        h11 = E[:, 1, 1].real
-        return 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), np.abs(E[:, 0, 1]))
-    return np.linalg.eigvalsh(E)[:, 0]
+        h00 = E[..., 0, 0].real
+        h11 = E[..., 1, 1].real
+        return 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), np.abs(E[..., 0, 1]))
+    return np.linalg.eigvalsh(E)[..., 0]
 
 
 def _lambda_min_grid(op: PhaseOperator, phis: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of op(phi) for each phi, vectorised over the grid."""
-    return _lowest(_matrices(_hermitian_family(op), phis))
+    d = op.dim
+    family = hermitian_part(op.coeffs)[0].reshape(3, d * d)
+    return _lowest((_basis(phis) @ family).reshape(-1, d, d))
 
 
 def _phi_grid(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("grid size must be positive")
     return np.arange(n) * (2.0 * math.pi / n)
+
+
+@functools.cache
+def _seeds(d: int) -> tuple[list[float], list[complex], np.ndarray]:
+    """The ``2d + 2`` equispaced seed phases, their ``e^{i phi}`` and their basis rows."""
+    phis = _phi_grid(2 * d + 2)
+    basis = _basis(phis)
+    return phis.tolist(), basis[:, 0].tolist(), basis
 
 
 def _require_hp(op: PhaseOperator, tol: float) -> None:
@@ -227,36 +246,53 @@ def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> list[tup
     return [(float(p), float(v)) for p, v in zip(phis, lam)]
 
 
-def _pencil_crossings(family: np.ndarray, phi0: float, M0: np.ndarray):
-    """Crossing finder of the level set, linearised at the anchor ``x0 = e^{i phi0}``.
+def _pencil_crossings(families: np.ndarray, x0: list[complex], M0: np.ndarray):
+    """Crossing finder of the level set for a stack, each member linearised at its anchor.
 
     ``Q(x) = A x^2 + (C - L I) x + A^H`` is shifted by ``x = x0 + 1/y`` to
     ``y^2 Q(x0) + y Q'(x0) + A``.  On the circle ``Q(x0) = x0 (M0 - L I)``
     with ``M0 = M(phi0) = V diag(mu) V^H``, so in the eigenbasis of ``M0``
     the ``2d x 2d`` companion matrix of the shifted pencil needs only
-    ``diag(1 / (mu - L))`` per level.  The returned function maps a level
-    to the sorted phases of the roots within ``_CIRCLE_BAND`` of the circle.
+    ``diag(1 / (mu - L))`` per level.  The returned function maps the rows
+    still iterating (in stack order, a subset of the previous call's) and
+    their levels to the sorted phases of the roots within ``_CIRCLE_BAND``
+    of the circle, with one ``eigvals`` call for all rows.
     """
-    A, AH, _ = family
-    d = A.shape[0]
-    x0 = cmath.exp(1j * phi0)
+    d = families.shape[-1]
+    x = np.array(x0)[:, None, None]
     mu, V = np.linalg.eigh(M0)
-    # Q(x0)^{-1} [A | Q'(x0)] = (M0 - L)^{-1} [A | x0 A - conj(x0) A^H] / x0 + [0 | I / x0]
-    F = x0 * A - x0.conjugate() * AH
-    blocks = (V.conj().T @ np.concatenate([A, F], axis=1)).reshape(d, 2, d) @ V
-    blocks = blocks.reshape(d, 2 * d) * (-1.0 / x0)
-    companion = np.eye(2 * d, k=d, dtype=complex)
-    shift = np.eye(d) / x0
+    mu = mu[:, :, None]
+    # Q(x0)^{-1} [A | Q'(x0)] = (M0 - L)^{-1} [A | x0 A - conj(x0) A^H] / x0 + [0 | I / x0],
+    # where V^H A^H V = G^H for G = V^H A V.
+    G = V.conj().swapaxes(1, 2) @ families[:, 0] @ V
+    blocks = np.concatenate([G, x * G - np.conj(x) * G.conj().swapaxes(1, 2)], axis=2) * (-1.0 / x)
+    shift = np.eye(d) / x
+    companion = np.zeros((len(x0), 2 * d, 2 * d), dtype=complex)
+    companion[:, :d, d:] = np.eye(d)
+    current = list(range(len(x0)))
 
-    def crossings(level: float) -> list[float]:
-        companion[d:] = blocks / (mu - level)[:, None]
-        companion[d:, d:] -= shift
-        phases = []
-        for y in np.linalg.eigvals(companion).tolist():
-            u = x0 * y + 1.0  # x = u / y; y = 0 is the root at infinity
-            if abs(abs(u) - abs(y)) <= _CIRCLE_BAND * abs(y):
-                phases.append(cmath.phase(u * y.conjugate()) % _TWO_PI)
-        return sorted(phases)
+    def crossings(rows: list[int], levels: list[float]) -> list[list[float]]:
+        nonlocal current, companion, blocks, mu, shift, x0
+        if rows != current:  # drop the rows that have finished
+            where = {row: k for k, row in enumerate(current)}
+            keep = [where[row] for row in rows]
+            companion, blocks, mu, shift = (
+                a.take(keep, axis=0) for a in (companion, blocks, mu, shift)
+            )
+            x0 = [x0[k] for k in keep]
+            current = rows
+        companion[:, d:] = blocks / (mu - np.array(levels)[:, None, None])
+        companion[:, d:, d:] -= shift
+        found = []
+        for anchor, roots in zip(x0, np.linalg.eigvals(companion).tolist()):
+            phases = []
+            for y in roots:
+                u = anchor * y + 1.0  # x = u / y; y = 0 is the root at infinity
+                if abs(abs(u) - abs(y)) <= _CIRCLE_BAND * abs(y):
+                    w = u * y.conjugate()
+                    phases.append(math.atan2(w.imag, w.real) % _TWO_PI)
+            found.append(sorted(phases))
+        return found
 
     return crossings
 
@@ -277,7 +313,7 @@ def _open_arcs(crossings: list[float], seen: list[float]) -> list[float]:
 
 
 def _constant_level_crossings(E: np.ndarray, g: float, scale: float):
-    """Crossing finder for a family with a constant eigenvalue ``g0 ~ g``.
+    """Crossing finder for one family with a constant eigenvalue ``g0 ~ g``.
 
     ``E`` holds the family at the ``n = 2d + 2`` equispaced seed phases,
     where ``g0`` is an eigenvalue of multiplicity ``k``; so
@@ -300,7 +336,7 @@ def _constant_level_crossings(E: np.ndarray, g: float, scale: float):
         # x^d r(x): coefficient of x^m, m = d .. -d, highest power first
         poly = np.concatenate([coeffs[d::-1], coeffs[: d + 1 : -1]])
         return sorted(
-            cmath.phase(x) % _TWO_PI
+            math.atan2(x.imag, x.real) % _TWO_PI
             for x in np.roots(poly).tolist()
             if abs(abs(x) - 1.0) <= _CIRCLE_BAND
         )
@@ -308,40 +344,86 @@ def _constant_level_crossings(E: np.ndarray, g: float, scale: float):
     return crossings
 
 
-def _minimum(family: np.ndarray) -> tuple[float, float]:
-    """``(min over phi of lambda_min, a phase attaining it)`` by the level-set iteration."""
-    d = family.shape[1]
-    size = float(np.abs(family).max())
-    scale = max(1.0, size)
-    eps = _LEVEL_GAP * scale
-    seeds = _phi_grid(2 * d + 2).tolist()
-    E = _matrices(family, seeds)
-    lam = _lowest(E).tolist()
-    g = min(lam)
-    phi = seeds[lam.index(g)]
-    top = max(lam)
-    if top - g + eps >= _DEGENERATE_REL * size:
-        anchor = lam.index(top)
-        crossings = _pencil_crossings(family, seeds[anchor], E[anchor])
-    else:
-        crossings = _constant_level_crossings(E, g, scale)
+def _minimum(families: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per family of an ``(N, 3, d, d)`` stack: min over phi of lambda_min and a phase attaining it.
 
-    seen = list(seeds)
+    The level-set iteration of the module docstring run on a stack (see
+    "Stacks" there); a degenerate member finds its crossings on its own.
+    """
+    d = families.shape[-1]
+    seeds, x, basis = _seeds(d)
+    n = len(seeds)
+    flat = families.reshape(-1, 3, d * d)
+    E = (basis @ flat).reshape(-1, d, d)  # member-major
+    lams = _lowest(E).tolist()
+    sizes = np.abs(families).max(axis=(1, 2, 3), initial=0.0).tolist()
+    g, phi, eps, split, anchors = [], [], [], {}, []
+    for m, size in enumerate(sizes):
+        lam = lams[m * n : (m + 1) * n]
+        scale = max(1.0, size)
+        low, top = min(lam), max(lam)
+        g.append(low)
+        phi.append(seeds[lam.index(low)])
+        eps.append(_LEVEL_GAP * scale)
+        anchors.append(m * n + lam.index(top))
+        if top - low + eps[m] < _DEGENERATE_REL * size:
+            split[m] = _constant_level_crossings(E[m * n : (m + 1) * n], low, scale)
+    # Anchored at each member's largest seed (``anchors`` index the rows of
+    # ``E``); built for every member, used by those that are not split off.
+    pencil = _pencil_crossings(families, [x[k % n] for k in anchors], E.take(anchors, axis=0))
+
+    seen = [seeds] * len(g)
+    active = list(range(len(g)))
     for _ in range(_MAX_LEVELS):
-        level = g - eps
-        cross = crossings(level)
-        if not cross:
+        if not active:
             return g, phi
-        mids = _open_arcs(cross, seen)
+        rows = [m for m in active if m not in split]
+        cross = dict(zip(rows, pencil(rows, [g[m] - eps[m] for m in rows])))
+        owners, mids, spans = [], [], []
+        for m in active:
+            found = split[m](g[m] - eps[m]) if m in split else cross[m]
+            if found:
+                arcs = _open_arcs(found, seen[m])
+                spans.append((m, len(mids), len(mids) + len(arcs)))
+                owners += [m] * len(arcs)
+                mids += arcs
+        active = []
         if not mids:
-            return g, phi
-        values = _lowest(_matrices(family, mids)).tolist()
-        seen += mids
-        low = min(values)
-        if low >= level:
-            return g, phi
-        g, phi = low, mids[values.index(low)]
+            continue
+        at = _basis(mids)[:, None] @ flat.take(owners, axis=0)
+        values = _lowest(at.reshape(-1, d, d)).tolist()
+        for m, lo, hi in spans:
+            vals = values[lo:hi]
+            seen[m] = seen[m] + mids[lo:hi]
+            low = min(vals)
+            if low < g[m] - eps[m]:
+                g[m], phi[m] = low, mids[lo + vals.index(low)]
+                active.append(m)
     raise RuntimeError("positivity level-set iteration did not converge")
+
+
+def positivity_many(ops, tol: float = DEFAULT_TOL) -> list[PositivityVerdict | None]:
+    """:func:`is_positive_over_phase` for each operator, ``None`` for a non-hermitian one.
+
+    Operators are grouped by dimension, and each group's hermiticity test
+    and certificate run once over its ``(N, 3, d, d)`` stack.
+    """
+    verdicts: list[PositivityVerdict | None] = [None] * len(ops)
+    groups: dict[int, list[int]] = {}
+    for i, op in enumerate(ops):
+        groups.setdefault(op.dim, []).append(i)
+    for members in groups.values():
+        families, defect = hermitian_part(np.array([ops[i].coeffs for i in members]))
+        hp = (defect <= tol).tolist()
+        if not all(hp):
+            families = families[hp]
+            members = [i for i, ok in zip(members, hp) if ok]
+            if not members:
+                continue
+        for i, low, phi in zip(members, *_minimum(families)):
+            positive = low >= -tol
+            verdicts[i] = PositivityVerdict(positive, low, None if positive else phi)
+    return verdicts
 
 
 def is_positive_over_phase(op: PhaseOperator, tol: float = DEFAULT_TOL) -> PositivityVerdict:
@@ -350,16 +432,14 @@ def is_positive_over_phase(op: PhaseOperator, tol: float = DEFAULT_TOL) -> Posit
     ``min_eigenvalue`` is the exact minimum over the circle (within
     ``1e-13 * max(1, max|coeffs|)``, see the module docstring) and is
     attained at a phase; that phase is reported as ``witness_phi`` for
-    negative verdicts.  Hermiticity is checked at the same ``tol``.
+    negative verdicts.  Hermiticity is checked at the same ``tol``
+    (:class:`NotHermitianError`).  This is :func:`positivity_many` on a
+    stack of one.
     """
-    _require_hp(op, tol)
-    min_e, phi = _minimum(_hermitian_family(op))
-    positive = min_e >= -tol
-    return PositivityVerdict(
-        positive=positive,
-        min_eigenvalue=min_e,
-        witness_phi=None if positive else phi,
-    )
+    (verdict,) = positivity_many([op], tol)
+    if verdict is None:
+        raise NotHermitianError("operator family is not hermitian-preserving")
+    return verdict
 
 
 def submatrix_positivity(

@@ -30,7 +30,7 @@ from .operators import (
     trace_poly,
 )
 from .positivity import ProbabilityDecomposition
-from .analysis import analyze
+from .analysis import analyze_many
 
 __all__ = [
     "SamplerParams",
@@ -45,6 +45,10 @@ __all__ = [
 
 #: Minimum eigenvalue a phase-dependent pair must exhibit somewhere.
 WITNESS_LEVEL = -1e-6
+
+#: Trials sampled and analyzed as one stack by :func:`theorem_search`; it
+#: only bounds the memory of a long search.
+_BLOCK = 1024
 
 _STRATA = (
     ("proportional", 0.15),
@@ -354,12 +358,14 @@ def theorem_search(
 ) -> SearchReport:
     """Analyze ``trials`` sampled candidates and hunt for theorem violations.
 
-    Every accepted candidate runs through :func:`analyze`, whose positivity
-    verdicts are exact minima over the phase circle.  Candidates with both
-    outputs phase-dependent must show a minimum eigenvalue below ``-1e-6``
-    at some phase; any that do not are recorded as witness failures, and
-    any report that is not theorem-consistent is recorded as a violation.
-    Both lists must stay empty.
+    Trials are sampled with their own streams ``default_rng([seed, k])``,
+    the accepted triples of each block of trials are analyzed together by
+    :func:`analyze_many` (positivity verdicts are exact minima over the
+    phase circle), and the reports are tallied in trial order.  Candidates
+    with both outputs phase-dependent must show a minimum eigenvalue below
+    ``-1e-6`` at some phase; any that do not are recorded as witness
+    failures, and any report that is not theorem-consistent is recorded as
+    a violation.  Both lists must stay empty.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -369,36 +375,38 @@ def theorem_search(
     violations: list[ViolationRecord] = []
     accepted = rejected = both_dep = 0
 
-    for k in range(trials):
-        try:
-            t = generate_case2_candidate([seed, k], params)
-        except SampleRejected:
-            rejected += 1
-            continue
-        accepted += 1
-        report = analyze(t, tol)
+    for start in range(0, trials, _BLOCK):
+        drawn = []
+        for k in range(start, min(start + _BLOCK, trials)):
+            try:
+                drawn.append((k, generate_case2_candidate([seed, k], params)))
+            except SampleRejected:
+                rejected += 1
+        reports = analyze_many([t for _, t in drawn], tol)
+        accepted += len(drawn)
 
-        key = report.case.label.value if report.case is not None else "unclassified"
-        case_counts[key] = case_counts.get(key, 0) + 1
+        for (k, _), report in zip(drawn, reports):
+            key = report.case.label.value if report.case is not None else "unclassified"
+            case_counts[key] = case_counts.get(key, 0) + 1
 
-        if report.out1_phase_dependent and report.out2_phase_dependent:
-            both_dep += 1
-            lam, phi = _sample_min_eigenvalue(report)
-            if lam < WITNESS_LEVEL:
-                witnesses.append(WitnessRecord(trial=k, phi=float(phi), lambda_min=lam))
-            else:
-                witness_failures.append(k)
+            if report.out1_phase_dependent and report.out2_phase_dependent:
+                both_dep += 1
+                lam, phi = _sample_min_eigenvalue(report)
+                if lam < WITNESS_LEVEL:
+                    witnesses.append(WitnessRecord(trial=k, phi=float(phi), lambda_min=lam))
+                else:
+                    witness_failures.append(k)
 
-        if not report.theorem_consistent:
-            violations.append(
-                ViolationRecord(
-                    trial=k,
-                    detail=(
-                        f"case={report.case}, "
-                        f"min_eig={_sample_min_eigenvalue(report)[0]:.3e}"
-                    ),
+            if not report.theorem_consistent:
+                violations.append(
+                    ViolationRecord(
+                        trial=k,
+                        detail=(
+                            f"case={report.case}, "
+                            f"min_eig={_sample_min_eigenvalue(report)[0]:.3e}"
+                        ),
+                    )
                 )
-            )
 
     return SearchReport(
         trials=trials,

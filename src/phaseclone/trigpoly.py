@@ -285,7 +285,7 @@ def _stable_quadratic_roots(a2: complex, a1: complex, a0: complex) -> tuple[comp
 def _canonical_pair(w0: complex, w1: complex) -> tuple[complex, complex]:
     # Lexicographic (<magnitude>, <argument>) order keeps form equality
     # deterministic under root permutation.
-    key = lambda w: (abs(w), cmath.phase(w))
+    key = lambda w: (abs(w), math.atan2(w.imag, w.real))
     return tuple(sorted((w0, w1), key=key))
 
 

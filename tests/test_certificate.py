@@ -14,9 +14,15 @@ import pytest
 
 from phaseclone import (
     PhaseOperator,
+    SampleRejected,
+    analyze,
+    analyze_many,
     builtin,
+    generate_case2_candidate,
     is_positive_over_phase,
     phase_state_operator,
+    positivity_many,
+    validate_triples,
 )
 
 from helpers import random_hp_operator
@@ -242,3 +248,61 @@ def test_huge_coefficients_with_a_constant_eigenvalue():
     assert verdict.min_eigenvalue == pytest.approx(-1e152, abs=bound(dip))
     assert abs(verdict.witness_phi - (math.pi + 0.3)) < 1e-5
     assert_exact(dip, verdict)
+
+
+def _mixed_stack() -> list[PhaseOperator]:
+    """Operators of every dimension, degenerate families and rescaled members."""
+    rng = np.random.default_rng(2026)
+    ops = []
+    for d in DIMS:
+        op = random_hp_operator(rng, d)
+        ops += [op, shifted(op, 10.0 * (1.0 + op.max_abs()))]  # not positive, positive
+    t = builtin("projective-discard", q=0.3).payload
+    ps = phase_state_operator(0.5)
+    ops += [t.out1, t.out2, t.joint, phase_state_operator(0.3)]
+    ops.append(_direct_sum(ps, ps, _branch(np.exp(-0.7j), 2.0 - 1e-8)))
+    ops += [PhaseOperator(k * op.coeffs) for k in (1e-8, 1e8) for op in ops[:4] + ops[-5:]]
+    order = np.random.default_rng(5).permutation(len(ops))
+    return [ops[i] for i in order]
+
+
+def test_stack_matches_each_member_alone():
+    # Per-member eps, scale and degenerate test: a shared scale would move the
+    # minima of the 1e-8 members by far more than the bound.
+    ops = _mixed_stack()
+    stacked = positivity_many(ops)
+    assert len(stacked) == len(ops)
+    for op, verdict in zip(ops, stacked):
+        alone = is_positive_over_phase(op)
+        assert verdict.positive == alone.positive
+        assert abs(verdict.min_eigenvalue - alone.min_eigenvalue) <= bound(op)
+    assert any(v.positive for v in stacked) and not all(v.positive for v in stacked)
+
+
+def test_non_hermitian_member_leaves_the_others_alone():
+    footnote = builtin("footnote-linear-only").payload
+    ops = _mixed_stack()
+    mixed = ops[:3] + [footnote.out1] + ops[3:] + [footnote.joint]
+    got = positivity_many(mixed)
+    assert got[3] is None and got[-1] is None
+    assert got[:3] + got[4:-1] == positivity_many(ops)
+    assert got[:3] + got[4:-1] == [is_positive_over_phase(op) for op in ops]
+
+
+def test_empty_stack():
+    assert positivity_many([]) == []
+    assert analyze_many([]) == []
+    assert validate_triples([]) == []
+
+
+def test_analyze_many_matches_analyze():
+    triples = [builtin(name).payload for name in ("counterexample", "case1-example", "footnote-linear-only")]
+    triples.append(builtin("projective-discard", q=0.3).payload)
+    for k in range(30):
+        try:
+            triples.append(generate_case2_candidate([7, k]))
+        except SampleRejected:
+            pass
+    reports = analyze_many(triples)
+    assert reports == [analyze(t) for t in triples]
+    assert not reports[2].hp_ok and reports[0].hp_ok

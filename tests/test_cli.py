@@ -11,7 +11,9 @@ import pytest
 
 import phaseclone
 from phaseclone import builtin, document_from_triple, parse_pmap, serialize_pmap
+from phaseclone import cli
 from phaseclone.cli import main
+from phaseclone.positivity import DEFAULT_TOL
 from phaseclone.operators import max_coeff_diff
 
 
@@ -184,3 +186,28 @@ def test_overlong_dim_is_input_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and "line 2" in err
     assert "Traceback" not in err
+
+
+def test_factor_root_with_an_underflowing_phase(tmp_path, capsys):
+    path = tmp_path / "tiny-phase.pmap"
+    path.write_text(
+        "pmap lambda1\ndim 1\n"
+        "entry 0 0 2.225073858507203e-309+3i 0+0i 4.450147717014407e-309+6i\nend\n"
+    )
+    code = main(["factor", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "full" in captured.out and "w1=2+4.94065645841e-324j" in captured.out
+
+
+def test_consecutive_calls_do_not_leak_options(tmp_path, monkeypatch):
+    path = _write_entry(tmp_path, "case1-example")
+    tols = []
+    analyze = cli.analyze
+    monkeypatch.setattr(cli, "analyze", lambda t, tol: tols.append(tol) or analyze(t, tol))
+    assert main(["check", str(path), "--tol", "1e-3"]) == 0
+    assert main(["check", str(path)]) == 0
+    assert tols == [1e-3, DEFAULT_TOL]
+    # The parser is built once per process, not per call.
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["classify", str(path)]) == 0

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseclone import (
     DimensionMismatchError,
     DuplicateEntryError,
     ParseError,
+    PhaseOperator,
+    PmapDocument,
     UncorrelatedTriple,
     builtin,
     document_from_operator,
@@ -165,3 +170,54 @@ def test_non_finite_coefficient_is_parse_error(token):
     with pytest.raises(ParseError) as exc:
         parse_pmap(f"pmap x\ndim 1\nentry 0 0 {token} 0+0i 0+0i\nend\n")
     assert exc.value.line == 3
+
+
+def test_overlong_fraction_is_parse_error():
+    # Fraction() refuses integers of more than 4300 digits with a plain ValueError.
+    with pytest.raises(ParseError) as exc:
+        parse_pmap("pmap x\ndim 1\nentry 0 0 " + "1" * 5000 + "/1+0i 0+0i 0+0i\nend\n")
+    assert exc.value.line == 3
+
+
+_WORDS = st.sampled_from(
+    [
+        "pmap", "dim", "entry", "end", "#", "x", "lambda1", "0", "1", "2", "64", "65", "-1",
+        "002", "1_0", "٣", "0+0i", "1/8-1/2i", ".5+1e-3i", "1/0+0i", "1e999+0i",
+        "nan+0i", "1+inf i", "9" * 4400, "1" * 5000 + "/1+0i",
+    ]
+)
+_LINES = st.lists(st.one_of(_WORDS, st.text(max_size=6)), max_size=7).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=12).map("\n".join))
+def test_parse_raises_only_parse_errors(text):
+    try:
+        doc = parse_pmap(text)
+    except (ParseError, DimensionMismatchError):
+        return
+    first = serialize_pmap(doc)
+    assert serialize_pmap(parse_pmap(first)) == first
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _operators(draw):
+    d = draw(st.integers(1, 3))
+    parts = np.array(draw(st.lists(_FINITE, min_size=6 * d * d, max_size=6 * d * d)))
+    coeffs = parts[: 3 * d * d].astype(complex)
+    coeffs.imag = parts[3 * d * d :]
+    return PhaseOperator(coeffs.reshape(3, d, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_-]{0,8}", fullmatch=True), _operators(), min_size=1, max_size=3
+    )
+)
+def test_serialize_parse_serialize_is_byte_identical(blocks):
+    text = serialize_pmap(PmapDocument(blocks=blocks))
+    assert serialize_pmap(parse_pmap(text)) == text

@@ -229,3 +229,11 @@ def test_operator_positive_implies_submatrices_positive():
             for j in range(3):
                 if i != j:
                     assert submatrix_positivity(op, i, j).positive
+
+
+def test_decompose_probability_with_an_underflowing_phase():
+    # cmath.phase(2+5e-324j) raises OverflowError; the phase is 0 to double precision.
+    alpha = complex(2.0, 5e-324)
+    dec = decompose_probability(fp(alpha, alpha.conjugate(), 5.0))
+    assert dec.theta == 0.0
+    assert dec.to_poly().distance(fp(alpha, alpha.conjugate(), 5.0)) <= 1e-15

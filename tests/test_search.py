@@ -14,6 +14,7 @@ from phaseclone import (
     theorem_search,
     validate_triple,
 )
+from phaseclone import search
 from phaseclone.operators import max_coeff_diff
 from phaseclone.analysis import CaseLabel
 
@@ -173,3 +174,46 @@ def test_search_rejects_bad_trials():
 def test_unknown_stratum_rejected():
     with pytest.raises(ValueError):
         generate_case2_candidate(1, SamplerParams(pin_stratum="nope"))
+
+
+def _reference_search(trials: int, seed: int):
+    """Per-trial ``analyze`` tally, the serial definition of ``theorem_search``."""
+    counts, witnesses, failures, violations = {}, [], [], []
+    accepted = both = 0
+    for k in range(trials):
+        try:
+            t = generate_case2_candidate([seed, k])
+        except SampleRejected:
+            continue
+        accepted += 1
+        rep = analyze(t)
+        key = rep.case.label.value if rep.case is not None else "unclassified"
+        counts[key] = counts.get(key, 0) + 1
+        if rep.out1_phase_dependent and rep.out2_phase_dependent:
+            both += 1
+            verdicts = (rep.positivity_out1, rep.positivity_out2, rep.positivity_joint)
+            low = min((v for v in verdicts if v is not None), key=lambda v: v.min_eigenvalue)
+            if low.min_eigenvalue < -1e-6:
+                witnesses.append((k, low.witness_phi, low.min_eigenvalue))
+            else:
+                failures.append(k)
+        if not rep.theorem_consistent:
+            violations.append(k)
+    return accepted, dict(sorted(counts.items())), both, witnesses, failures, violations
+
+
+@pytest.mark.parametrize("block", [None, 97])
+def test_batched_search_equals_per_trial_analyze(block, monkeypatch):
+    if block is not None:  # many blocks, with a partial one at the end
+        monkeypatch.setattr(search, "_BLOCK", block)
+    report = theorem_search(1000, seed=20260809)
+    accepted, counts, both, witnesses, failures, violations = _reference_search(1000, 20260809)
+    assert report.accepted == accepted and report.rejected == 1000 - accepted
+    assert report.case_counts == counts
+    assert report.both_phase_dependent == both
+    assert report.witness_failures == failures
+    assert [v.trial for v in report.violations] == violations
+    assert [w.trial for w in report.witnesses] == [k for k, _, _ in witnesses]
+    for w, (_, phi, lam) in zip(report.witnesses, witnesses):
+        assert abs(w.lambda_min - lam) <= 1e-12 * (1.0 + abs(lam))
+        assert abs(w.phi - phi) <= 1e-12 * (1.0 + abs(phi))

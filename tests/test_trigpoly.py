@@ -258,6 +258,15 @@ def test_expand_factorize_round_trip_random_full(scale, w0, w1):
     assert diff <= 1e-9 * ref
 
 
+def test_factorize_root_with_an_underflowing_phase():
+    # The free root is 2 + 5e-324i, on which cmath.phase raises OverflowError.
+    p = fp(2.225073858507203e-309 + 3j, 0, 4.450147717014407e-309 + 6j)
+    form = factorize(p)
+    assert isinstance(form, FullForm)
+    assert (form.w0, form.w1) == (0j, 2 + 5e-324j)
+    assert expand(form).distance(p) <= 1e-15 * p.max_abs()
+
+
 def test_round_trip_bulk_and_scale_invariance():
     rng = np.random.default_rng(101)
     phis = grid(64)
