@@ -25,6 +25,7 @@ from phaseclone import (
     tensor,
     trace_poly,
     validate_triple,
+    validate_triples,
 )
 from phaseclone.operators import max_coeff_diff
 
@@ -237,6 +238,30 @@ def test_validate_zero_probability():
     joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
     with pytest.raises(ZeroProbabilityError):
         validate_triple(UncorrelatedTriple(joint=joint, out1=zero, out2=zero))
+
+
+def _scaled(t: UncorrelatedTriple, k: float) -> UncorrelatedTriple:
+    joint = JointPhaseOperator(k * t.joint.coeffs, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    return UncorrelatedTriple(
+        joint=joint, out1=PhaseOperator(k * t.out1.coeffs), out2=PhaseOperator(k * t.out2.coeffs)
+    )
+
+
+def test_validate_triples_matches_each_triple(counterexample, case1, footnote):
+    # Mixed dimensions and scales in one call: the zero-probability test is per triple.
+    zero = PhaseOperator.zero(2)
+    vanishing = UncorrelatedTriple(
+        joint=JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2), out1=zero, out2=zero
+    )
+    bad = replace_joint_entry(counterexample, 3, 3, counterexample.joint.entry(3, 3) + fp(0, 0, 0.01))
+    triples = [counterexample, _scaled(case1, 1e-8), footnote, vanishing, _scaled(counterexample, 1e8)]
+    triples += [builtin("projective-discard", q=0.3).payload, bad, _scaled(footnote, 1e-8)]
+    reports = validate_triples(triples, 1e-9)
+    assert reports[3] is None
+    for t, report in zip(triples, reports):
+        if report is not None:
+            assert report == validate_triple(t, 1e-9)
+    assert [r is not None and r.all_ok for r in reports] == [True] * 3 + [False, True, True, False, True]
 
 
 def test_triple_trace_equality(counterexample, case1):

@@ -179,25 +179,45 @@ def test_overlong_fraction_is_parse_error():
     assert exc.value.line == 3
 
 
-_WORDS = st.sampled_from(
+_JUNK = st.text(max_size=8)
+_INDEX = st.sampled_from(["0", "0", "0", "1", "-1", "1_0", "٣", "9" * 4400])
+_COEFF = st.sampled_from(
     [
-        "pmap", "dim", "entry", "end", "#", "x", "lambda1", "0", "1", "2", "64", "65", "-1",
-        "002", "1_0", "٣", "0+0i", "1/8-1/2i", ".5+1e-3i", "1/0+0i", "1e999+0i",
-        "nan+0i", "1+inf i", "9" * 4400, "1" * 5000 + "/1+0i",
+        "0+0i", "1/8-1/2i", ".5+1e-3i", "-2.5e-309+1e308i", "1/0+0i", "1e999+0i",
+        "nan+0i", "1+infi", "1+1", "1" * 5000 + "/1+0i", "0+1/" + "3" * 5000 + "i",
     ]
 )
-_LINES = st.lists(st.one_of(_WORDS, st.text(max_size=6)), max_size=7).map(" ".join)
+_ENTRY = st.tuples(_INDEX, _INDEX, _COEFF, _COEFF, _COEFF).map(lambda t: "entry " + " ".join(t))
+_LINE = st.one_of(
+    st.sampled_from(["pmap x", "pmap lambda1", "pmap 1x", "pmap", "end", "# note", ""]),
+    st.sampled_from(["dim 1", "dim 2", "dim 0", "dim 002", "dim 65", "dim " + "9" * 5000]),
+    _ENTRY,
+    _JUNK,
+    st.lists(st.one_of(_INDEX, _COEFF, _JUNK), max_size=6).map(" ".join),
+)
+_BLOCK = st.tuples(
+    st.sampled_from(["pmap x", "pmap lambda1", "pmap lambda2", "pmap lambda12"]),
+    st.sampled_from(["dim 1", "dim 2", "dim 4"]),
+    st.lists(_ENTRY, max_size=3),
+).map(lambda b: [b[0], b[1], *b[2], "end"])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_LINES, max_size=12).map("\n".join))
-def test_parse_raises_only_parse_errors(text):
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.one_of(_BLOCK, _BLOCK, _LINE.map(lambda line: [line])), max_size=6))
+def test_parse_raises_only_parse_errors(chunks):
+    # Well-formed blocks with hostile tokens, interleaved with stray lines.
+    text = "\n".join(line for chunk in chunks for line in chunk)
     try:
         doc = parse_pmap(text)
     except (ParseError, DimensionMismatchError):
         return
     first = serialize_pmap(doc)
     assert serialize_pmap(parse_pmap(first)) == first
+    if doc.has_triple:
+        try:
+            doc.triple()
+        except DimensionMismatchError:
+            pass
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
