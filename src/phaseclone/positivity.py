@@ -226,11 +226,12 @@ def _phi_grid(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _seeds(d: int) -> tuple[list[float], list[complex], np.ndarray]:
-    """The ``2d + 2`` equispaced seed phases, their ``e^{i phi}`` and their basis rows."""
+def _seeds(d: int) -> tuple[tuple, tuple, np.ndarray]:
+    """The ``2d + 2`` equispaced seed phases, their ``e^{i phi}`` and their basis rows (read-only)."""
     phis = _phi_grid(2 * d + 2)
     basis = _basis(phis)
-    return phis.tolist(), basis[:, 0].tolist(), basis
+    basis.flags.writeable = False
+    return tuple(phis.tolist()), tuple(basis[:, 0].tolist()), basis
 
 
 def _require_hp(op: PhaseOperator, tol: float) -> None:
@@ -394,7 +395,7 @@ def _minimum(families: np.ndarray) -> tuple[list[float], list[float]]:
         values = _lowest(at.reshape(-1, d, d)).tolist()
         for m, lo, hi in spans:
             vals = values[lo:hi]
-            seen[m] = seen[m] + mids[lo:hi]
+            seen[m] = [*seen[m], *mids[lo:hi]]
             low = min(vals)
             if low < g[m] - eps[m]:
                 g[m], phi[m] = low, mids[lo + vals.index(low)]
