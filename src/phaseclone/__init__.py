@@ -25,7 +25,6 @@ from .operators import (
     ZeroProbabilityAtPhaseError,
     ZeroProbabilityError,
     eval_matrix,
-    hermitian_part,
     is_hermitian_preserving,
     normalized_output,
     partial_trace,
