@@ -33,9 +33,9 @@ from .trigpoly import (
     AffineForm,
     FirstOrderPoly,
     FullForm,
-    contains_root,
     factorize,
     has_second_order,
+    root_multiplicity,
 )
 from .operators import (
     PhaseOperator,
@@ -232,17 +232,6 @@ def output_depends_on_phase(
     return False, ConstantOperator((gamma / tr).tolist())
 
 
-def _root_content(entry, p0: complex, p1: complex, degenerate: bool, root_tol: float):
-    """(has_both, has_exactly_one, has_neither) for one entry."""
-    m0 = contains_root(entry, p0, root_tol)
-    if degenerate:
-        return m0 >= 2, m0 == 1, m0 == 0
-    m1 = contains_root(entry, p1, root_tol)
-    both = m0 >= 1 and m1 >= 1
-    neither = m0 == 0 and m1 == 0
-    return both, (not both and not neither), neither
-
-
 def _entry_forms(out1: PhaseOperator, forced: complex, root_tol: float) -> dict:
     forms = {}
     limit = root_tol * max(1.0, abs(forced))
@@ -288,15 +277,19 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
     any_single = False
     missing_root = None
     for _i, _j, entry in _nonzero_entries(t.out2):
-        both, single, neither = _root_content(entry, p0, p1, degenerate, root_tol)
-        if neither:
+        # How many of the two factors the entry carries, from one factorization.
+        form = factorize(entry)
+        m0 = root_multiplicity(form, p0, root_tol)
+        if degenerate:
+            found = min(m0, 2)
+        else:
+            found = (m0 >= 1) + (root_multiplicity(form, p1, root_tol) >= 1)
+        if found == 0:
             return CaseVerdict(CaseLabel.CASE1)
-        if single and not any_single:
+        if found == 1 and not any_single:
             any_single = True
-            if degenerate:
-                missing_root = p0
-            else:
-                missing_root = p0 if contains_root(entry, p0, root_tol) == 0 else p1
+            # A degenerate pair has p0 == p1, so either choice names it.
+            missing_root = p0 if m0 == 0 else p1
     if any_single:
         return CaseVerdict(
             CaseLabel.CASE2, entry_forms=_entry_forms(t.out1, missing_root, root_tol)

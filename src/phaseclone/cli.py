@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .trigpoly import AffineForm, FullForm, ZeroPolynomialError, factorize
@@ -243,6 +244,14 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+def _tol(text: str) -> float:
+    """Argparse type of ``--tol``: a finite number > 0."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tol must be a finite number > 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phaseclone",
@@ -258,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a triple; exit 1 on any failed check")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("classify", help="print the case verdict and report summary")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("profile", help="write a CSV of minimum-eigenvalue sweeps")
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="randomized theorem search; exit 1 on violations")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("catalog", help="emit a built-in map as PMAP text")

@@ -5,9 +5,9 @@ two marginal outputs from the entry shapes that can actually occur in a
 hermitian-preserving triple: constant multiples of ``P``, entries carrying
 one forced factor root plus a free one, and (for the double-root stratum
 r = 1) real-valued diagonals whose second root is a free unit-modulus
-number.  The joint block is reconstructed by dividing the whole tensor
-product by ``P`` in one batched long division; draws whose product is not
-divisible are rejected and counted, never silently dropped.
+number.  The joint blocks of a stack of draws come from dividing their
+tensor products by their traces in one batched long division; draws whose
+product is not divisible are rejected and counted, never silently dropped.
 
 Per-trial randomness is seeded from (seed, trial index), so a search is
 reproducible regardless of execution order.
@@ -21,15 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import FirstOrderPoly, FullForm, NotDivisibleError, exact_div, expand
-from .operators import (
-    JointPhaseOperator,
-    PhaseOperator,
-    UncorrelatedTriple,
-    tensor,
-    trace_poly,
-)
-from .positivity import ProbabilityDecomposition
+from .trigpoly import divide
+from .operators import JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
 from .analysis import analyze_many
 
 __all__ = [
@@ -66,7 +59,11 @@ class SampleRejected(Exception):
 
 @dataclass(frozen=True)
 class SamplerParams:
-    """Ranges, stratum weights and optional pins for the candidate sampler."""
+    """Ranges, stratum weights and optional pins for the candidate sampler.
+
+    Building one raises ``ValueError`` for repeated stratum names, weights
+    that are not finite and >= 0 with a positive sum, or an unknown ``pin_stratum``.
+    """
 
     alpha_abs_range: tuple = (0.1, 2.0)
     r_range: tuple = (1.0, 4.0)
@@ -82,31 +79,57 @@ class SamplerParams:
     pin_r: float | None = None
     pin_psd: bool | None = None
 
-
-def _random_unit_trace_hermitian(rng, psd: bool) -> np.ndarray:
-    for _ in range(64):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = g @ g.conj().T if psd else 0.5 * (g + g.conj().T)
-        tr = h[0, 0].real + h[1, 1].real
-        if abs(tr) >= 0.3:
-            break
-    h = h / tr
-    if rng.random() < 0.2:
-        h[0, 1] = 0.0
-        h[1, 0] = 0.0
-    return h
-
-
-def _proportional_output(rng, P: FirstOrderPoly, psd: bool) -> PhaseOperator:
-    gamma = _random_unit_trace_hermitian(rng, psd)
-    rows = [[complex(gamma[i, j]) * P for j in range(2)] for i in range(2)]
-    return PhaseOperator.from_rows(rows)
+    def __post_init__(self):
+        names = [name for name, _ in self.strata]
+        weights = np.array([w for _, w in self.strata], dtype=float)
+        if len(set(names)) != len(names):
+            raise ValueError(f"stratum names must be unique, got {names}")
+        total = weights.sum()
+        if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < total < math.inf):
+            raise ValueError(f"stratum weights must be finite, >= 0 and not all 0, got {weights}")
+        if self.pin_stratum is not None and self.pin_stratum not in names:
+            raise ValueError(f"unknown stratum {self.pin_stratum!r}")
+        # Built as numpy's Generator.choice builds it, so searching it with
+        # one rng.random() picks the stratum choice(p=weights) would pick.
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_names", tuple(names))
+        object.__setattr__(self, "_cdf", cdf)
 
 
-def _draw_separated(rng, params: SamplerParams, avoid: complex) -> complex:
+_DEFAULT_PARAMS = SamplerParams()
+_ZERO = (0j, 0j, 0j)
+
+
+def _scaled(k, P: tuple) -> tuple:
+    k = complex(k)
+    return (P[0] * k, P[1] * k, P[2] * k)
+
+
+def _full(s: complex, w0: complex, w1: complex) -> tuple:
+    """Coefficients of ``s * (x + w0) * (w1 * conj(x) + 1)``."""
+    return (s, s * w0 * w1, s * (w0 + w1))
+
+
+def _conj(e: tuple) -> tuple:
+    """The entry whose value is the complex conjugate at every phi."""
+    return (e[1].conjugate(), e[0].conjugate(), e[2].conjugate())
+
+
+def _matrix(rows) -> np.ndarray:
+    """The ``(3, d, d)`` coefficients of rows of ``(a, b, c)`` entries."""
+    return np.array(rows, dtype=complex).transpose(2, 0, 1)
+
+
+def _polar(rng, lo: float, hi: float) -> complex:
+    """A modulus drawn from [lo, hi), then a uniform phase."""
+    return rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _separated(rng, params: SamplerParams, avoid: complex) -> complex:
     gap = params.min_root_gap * max(1.0, abs(avoid))
     for _ in range(64):
-        f = rng.uniform(0.2, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        f = _polar(rng, 0.2, 2.0)
         if abs(f - avoid) >= gap:
             return f
     return -avoid if avoid != 0 else 1.0 + 0j
@@ -117,155 +140,18 @@ def _signed_gap(rng, params: SamplerParams) -> float:
     return sign * rng.uniform(params.min_angle_gap, math.pi)
 
 
-def _offdiag_entry(rng, params, role_root, companion, mode: str) -> FirstOrderPoly:
-    lo, hi = params.offdiag_scale_range
-    s = rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    if mode == "m0":
-        return FirstOrderPoly(0.0, s * role_root, s)
-    f = _draw_separated(rng, params, companion)
-    return expand(FullForm(s, role_root, f))
+def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(3, 2, 2)`` coefficients of one candidate's two outputs.
 
-
-def _deficient_output(
-    rng,
-    params: SamplerParams,
-    P: FirstOrderPoly,
-    role_root: complex,
-    companion: complex,
-    force_offdiag: bool = False,
-) -> PhaseOperator:
-    # Hermiticity plus the forced factor pins r != 1 diagonals to multiples
-    # of P; only the off-diagonal pair is free.
-    if rng.random() < 0.15:
-        b0 = rng.uniform(1.05, 1.5)
-    else:
-        b0 = rng.uniform(0.1, 0.9)
-    diag0, diag1 = b0 * P, (1.0 - b0) * P
-
-    u = rng.random()
-    if force_offdiag:
-        mode = "m0" if u < 0.5 else "m1"
-    elif u < 0.2:
-        mode = "zero"
-    elif u < 0.6:
-        mode = "m0"
-    else:
-        mode = "m1"
-    if mode == "zero":
-        w01 = FirstOrderPoly.zero()
-        w10 = FirstOrderPoly.zero()
-    else:
-        w01 = _offdiag_entry(rng, params, role_root, companion, mode)
-        w10 = w01.conjugate()
-    return PhaseOperator.from_rows([[diag0, w01], [w10, diag1]])
-
-
-def _random_real_poly(rng, P: FirstOrderPoly) -> FirstOrderPoly:
-    scale_a = 0.3 * (1.0 + abs(P.a))
-    scale_c = 0.4 * (1.0 + abs(P.c))
-    a = (rng.normal() + 1j * rng.normal()) * scale_a
-    return FirstOrderPoly(a, a.conjugate(), rng.normal() * scale_c)
-
-
-def _loose_hp_output(rng, P: FirstOrderPoly) -> PhaseOperator:
-    # Free hermitian-preserving operator with trace P; entries generically
-    # contain neither probability factor.
-    diag0 = _random_real_poly(rng, P)
-    diag1 = P - diag0
-    if rng.random() < 0.25:
-        w01 = FirstOrderPoly.zero()
-    else:
-        w01 = FirstOrderPoly(
-            rng.normal() + 1j * rng.normal(),
-            rng.normal() + 1j * rng.normal(),
-            rng.normal() + 1j * rng.normal(),
-        ) * 0.5
-    return PhaseOperator.from_rows([[diag0, w01], [w01.conjugate(), diag1]])
-
-
-def _wild_diag(rng, params, P, dec: ProbabilityDecomposition) -> FirstOrderPoly:
-    theta = dec.theta
-    if rng.random() < 0.4:
-        return rng.uniform(0.1, 0.9) * P
-    psi = theta + _signed_gap(rng, params)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    s0 = sign * rng.uniform(0.2, 1.5) * cmath.exp(-0.5j * (theta + psi))
-    return expand(FullForm(s0, dec.p0, cmath.exp(1j * psi)))
-
-
-def _wild_output(rng, params, P, dec: ProbabilityDecomposition) -> PhaseOperator:
-    # Double-root stratum (r = 1): every entry contains p0 at least once,
-    # which keeps all tensor products divisible by P.
-    diag0 = _wild_diag(rng, params, P, dec)
-    diag1 = P - diag0
-    u = rng.random()
-    if u < 0.25:
-        w01 = FirstOrderPoly.zero()
-    elif u < 0.6:
-        s = rng.uniform(*params.offdiag_scale_range) * cmath.exp(
-            1j * rng.uniform(0.0, 2.0 * math.pi)
-        )
-        w01 = FirstOrderPoly(0.0, s * dec.p0, s)
-    else:
-        s = rng.uniform(*params.offdiag_scale_range) * cmath.exp(
-            1j * rng.uniform(0.0, 2.0 * math.pi)
-        )
-        if rng.random() < 0.3:
-            f = dec.p1
-        else:
-            f = rng.uniform(0.2, 2.0) * cmath.exp(1j * (dec.theta + _signed_gap(rng, params)))
-        w01 = expand(FullForm(s, dec.p0, f))
-    return PhaseOperator.from_rows([[diag0, w01], [w01.conjugate(), diag1]])
-
-
-def assemble_triple(
-    out1: PhaseOperator, out2: PhaseOperator, tol: float = 1e-9
-) -> UncorrelatedTriple:
-    """Build the joint block by dividing the tensor product by the trace.
-
-    The whole ``(5, D, D)`` product is divided by ``P`` at once.  Raises
-    :class:`SampleRejected` when the traces disagree, the trace vanishes,
-    or some product entry is not divisible back to first order (the
-    message names the first such entry).  A triple returned from here
-    passes :func:`validate_triple` by construction.
+    ``seed`` feeds ``numpy.random.default_rng``; every entry is built with
+    plain complex arithmetic straight from the draws.
     """
-    P = trace_poly(out1)
-    if trace_poly(out2).distance(P) > tol:
-        raise SampleRejected("marginal traces disagree")
-    if P.max_abs() <= tol:
-        raise SampleRejected("trace polynomial vanishes")
-    try:
-        quotient = exact_div(tensor(out1, out2), P.coeffs, tol)
-    except NotDivisibleError as err:
-        r, c = err.index
-        raise SampleRejected(f"product entry ({r}, {c}) is not divisible by the trace") from err
-    joint = JointPhaseOperator(quotient, dim1=out1.dim, dim2=out2.dim)
-    return UncorrelatedTriple(joint=joint, out1=out1, out2=out2)
-
-
-def generate_case2_candidate(seed, params: SamplerParams | None = None) -> UncorrelatedTriple:
-    """Draw one structured candidate triple.
-
-    ``seed`` feeds ``numpy.random.default_rng`` directly, so a sequence
-    like ``[search_seed, trial_index]`` gives independent, reproducible
-    per-trial streams.  Raises :class:`SampleRejected` for draws without a
-    first-order joint block (expected for part of the family).
-    """
-    params = params or SamplerParams()
     rng = np.random.default_rng(seed)
+    stratum = params.pin_stratum or params._names[params._cdf.searchsorted(rng.random(), "right")]
 
-    names = [name for name, _ in params.strata]
-    weights = np.array([w for _, w in params.strata], dtype=float)
-    weights = weights / weights.sum()
-    stratum = params.pin_stratum or names[int(rng.choice(len(names), p=weights))]
-    if stratum not in names:
-        raise ValueError(f"unknown stratum {stratum!r}")
-
-    alpha_abs = (
-        params.pin_alpha_abs
-        if params.pin_alpha_abs is not None
-        else rng.uniform(*params.alpha_abs_range)
-    )
+    alpha_abs = params.pin_alpha_abs
+    if alpha_abs is None:
+        alpha_abs = rng.uniform(*params.alpha_abs_range)
     theta = params.pin_theta if params.pin_theta is not None else rng.uniform(0.0, 2.0 * math.pi)
     if params.pin_r is not None:
         r = params.pin_r
@@ -279,33 +165,144 @@ def generate_case2_candidate(seed, params: SamplerParams | None = None) -> Uncor
     phase = cmath.exp(1j * theta)
     p0, p1 = r * phase, phase / r
     alpha = alpha_abs * cmath.exp(-1j * theta)
-    R = alpha_abs * (r + 1.0 / r)
-    P = FirstOrderPoly(alpha, alpha.conjugate(), R)
-    dec = ProbabilityDecomposition(alpha_abs=alpha_abs, theta=theta, R=R, r=r, p0=p0, p1=p1)
+    P = (complex(alpha), alpha.conjugate(), complex(alpha_abs * (r + 1.0 / r)))
 
-    def psd() -> bool:
-        return params.pin_psd if params.pin_psd is not None else bool(rng.random() < 0.5)
+    def proportional() -> np.ndarray:
+        # Gamma * P for a random unit-trace Hermitian Gamma, PSD or not.
+        psd = params.pin_psd if params.pin_psd is not None else bool(rng.random() < 0.5)
+        for _ in range(64):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            h = g @ g.conj().T if psd else 0.5 * (g + g.conj().T)
+            tr = h[0, 0].real + h[1, 1].real
+            if abs(tr) >= 0.3:
+                break
+        gamma = h / tr
+        if rng.random() < 0.2:
+            gamma[0, 1] = gamma[1, 0] = 0.0
+        return _matrix([[_scaled(g, P) for g in row] for row in gamma.tolist()])
+
+    def deficient(role_root: complex, companion: complex, force_offdiag: bool = False):
+        # Hermiticity plus the forced factor pins r != 1 diagonals to
+        # multiples of P; only the off-diagonal pair is free.
+        b0 = rng.uniform(1.05, 1.5) if rng.random() < 0.15 else rng.uniform(0.1, 0.9)
+        u = rng.random()
+        w01 = _ZERO
+        if force_offdiag or u >= 0.2:
+            s = _polar(rng, *params.offdiag_scale_range)
+            if u < (0.5 if force_offdiag else 0.6):
+                w01 = (0j, s * role_root, s)
+            else:
+                w01 = _full(s, role_root, _separated(rng, params, companion))
+        return _matrix([[_scaled(b0, P), w01], [_conj(w01), _scaled(1.0 - b0, P)]])
+
+    def loose_hp() -> np.ndarray:
+        # Free hermitian-preserving operator with trace P; entries
+        # generically contain neither probability factor.
+        a = (rng.normal() + 1j * rng.normal()) * (0.3 * (1.0 + abs(P[0])))
+        d0 = (a, a.conjugate(), complex(rng.normal() * (0.4 * (1.0 + abs(P[2])))))
+        if rng.random() < 0.25:
+            w01 = _ZERO
+        else:
+            w01 = _scaled(0.5, tuple(rng.normal() + 1j * rng.normal() for _ in range(3)))
+        return _matrix([[d0, w01], [_conj(w01), tuple(p - e for p, e in zip(P, d0))]])
+
+    def wild() -> np.ndarray:
+        # Double-root stratum (r = 1): every entry contains p0 at least
+        # once, which keeps all tensor products divisible by P.
+        if rng.random() < 0.4:
+            d0 = _scaled(rng.uniform(0.1, 0.9), P)
+        else:
+            psi = theta + _signed_gap(rng, params)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            s0 = sign * rng.uniform(0.2, 1.5) * cmath.exp(-0.5j * (theta + psi))
+            d0 = _full(s0, p0, cmath.exp(1j * psi))
+        u = rng.random()
+        if u < 0.25:
+            w01 = _ZERO
+        else:
+            s = _polar(rng, *params.offdiag_scale_range)
+            if u < 0.6:
+                w01 = (0j, s * p0, s)
+            elif rng.random() < 0.3:
+                w01 = _full(s, p0, p1)
+            else:
+                f = rng.uniform(0.2, 2.0) * cmath.exp(1j * (theta + _signed_gap(rng, params)))
+                w01 = _full(s, p0, f)
+        return _matrix([[d0, w01], [_conj(w01), tuple(p - e for p, e in zip(P, d0))]])
 
     if stratum == "proportional":
-        out1 = _proportional_output(rng, P, psd())
-        out2 = _proportional_output(rng, P, psd())
-    elif stratum == "case2":
-        out1 = _proportional_output(rng, P, psd())
-        out2 = _deficient_output(rng, params, P, role_root=p1, companion=p0)
-    elif stratum == "case2-swapped":
-        out1 = _deficient_output(rng, params, P, role_root=p0, companion=p1)
-        out2 = _proportional_output(rng, P, psd())
-    elif stratum == "case1":
-        out1 = _proportional_output(rng, P, psd())
-        out2 = _loose_hp_output(rng, P)
-    elif stratum == "wild":
-        out1 = _wild_output(rng, params, P, dec)
-        out2 = _wild_output(rng, params, P, dec)
-    else:  # reject: deficient off-diagonals on both sides cannot divide
-        out1 = _deficient_output(rng, params, P, role_root=p0, companion=p1, force_offdiag=True)
-        out2 = _deficient_output(rng, params, P, role_root=p1, companion=p0, force_offdiag=True)
+        return proportional(), proportional()
+    if stratum == "case2":
+        return proportional(), deficient(p1, p0)
+    if stratum == "case2-swapped":
+        return deficient(p0, p1), proportional()
+    if stratum == "case1":
+        return proportional(), loose_hp()
+    if stratum == "wild":
+        return wild(), wild()
+    # reject: deficient off-diagonals on both sides cannot divide
+    return deficient(p0, p1, True), deficient(p1, p0, True)
 
-    return assemble_triple(out1, out2)
+
+def _assemble(c1: np.ndarray, c2: np.ndarray, tol: float) -> list:
+    """Triples from ``(3, N, d1, d1)`` and ``(3, N, d2, d2)`` output stacks.
+
+    Each member's joint block is its tensor product divided by its trace
+    ``P``, all members in one batched division.  Returns per member the
+    :class:`UncorrelatedTriple` or the :class:`SampleRejected` saying why
+    there is none: the traces disagree, ``P`` vanishes, or some product
+    entry is not divisible (the first in row-major order is named).
+    """
+    d1, d2 = c1.shape[-1], c2.shape[-1]
+    P = c1.trace(axis1=-2, axis2=-1)
+    mismatch = np.abs(c2.trace(axis1=-2, axis2=-1) - P).max(axis=0) > tol
+    vanishes = np.abs(P).max(axis=0) <= tol
+    results: list = [None] * P.shape[1]
+    rejected = mismatch | vanishes
+    for i in np.flatnonzero(rejected).tolist():
+        reason = "marginal traces disagree" if mismatch[i] else "trace polynomial vanishes"
+        results[i] = SampleRejected(reason)
+    live = np.flatnonzero(~rejected)
+    q, residual, limit = divide(_tensor(c1[:, live], c2[:, live]), P[:, live, None, None], tol)
+    failing = (residual > limit).reshape(live.size, (d1 * d2) ** 2)
+    for n, i in enumerate(live.tolist()):
+        if failing[n].any():
+            r, c = divmod(int(failing[n].argmax()), d1 * d2)
+            results[i] = SampleRejected(f"product entry ({r}, {c}) is not divisible by the trace")
+        else:
+            joint = JointPhaseOperator(q[:, n], dim1=d1, dim2=d2)
+            out1, out2 = PhaseOperator(c1[:, i]), PhaseOperator(c2[:, i])
+            results[i] = UncorrelatedTriple(joint=joint, out1=out1, out2=out2)
+    return results
+
+
+def assemble_triple(
+    out1: PhaseOperator, out2: PhaseOperator, tol: float = 1e-9
+) -> UncorrelatedTriple:
+    """Build the joint block by dividing the tensor product by the trace.
+
+    The whole ``(5, D, D)`` product is divided by ``P`` at once.  Raises
+    :class:`SampleRejected` when the traces disagree, the trace vanishes,
+    or some product entry is not divisible back to first order (the
+    message names the first such entry).  A triple returned from here
+    passes :func:`validate_triple` by construction.
+    """
+    (result,) = _assemble(out1.coeffs[:, None], out2.coeffs[:, None], tol)
+    if isinstance(result, SampleRejected):
+        raise result
+    return result
+
+
+def generate_case2_candidate(seed, params: SamplerParams | None = None) -> UncorrelatedTriple:
+    """Draw one structured candidate triple.
+
+    ``seed`` feeds ``numpy.random.default_rng`` directly, so a sequence
+    like ``[search_seed, trial_index]`` gives independent, reproducible
+    per-trial streams.  Raises :class:`SampleRejected` for draws without a
+    first-order joint block (expected for part of the family).
+    """
+    c1, c2 = _draw(seed, params or _DEFAULT_PARAMS)
+    return assemble_triple(PhaseOperator(c1), PhaseOperator(c2))
 
 
 @dataclass(frozen=True)
@@ -369,6 +366,9 @@ def theorem_search(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    params = params or _DEFAULT_PARAMS
     case_counts: dict[str, int] = {}
     witnesses: list[WitnessRecord] = []
     witness_failures: list[int] = []
@@ -376,12 +376,11 @@ def theorem_search(
     accepted = rejected = both_dep = 0
 
     for start in range(0, trials, _BLOCK):
-        drawn = []
-        for k in range(start, min(start + _BLOCK, trials)):
-            try:
-                drawn.append((k, generate_case2_candidate([seed, k], params)))
-            except SampleRejected:
-                rejected += 1
+        block = range(start, min(start + _BLOCK, trials))
+        c1, c2 = np.array([_draw([seed, k], params) for k in block]).transpose(1, 2, 0, 3, 4)
+        results = _assemble(c1, c2, 1e-9)
+        drawn = [(k, t) for k, t in zip(block, results) if not isinstance(t, SampleRejected)]
+        rejected += len(block) - len(drawn)
         reports = analyze_many([t for _, t in drawn], tol)
         accepted += len(drawn)
 

@@ -43,10 +43,12 @@ __all__ = [
     "ZeroDivisorError",
     "ZeroPolynomialError",
     "mul",
+    "divide",
     "exact_div",
     "factorize",
     "expand",
     "contains_root",
+    "root_multiplicity",
     "has_second_order",
 ]
 
@@ -215,34 +217,8 @@ def mul(p, q) -> np.ndarray:
     )
 
 
-def exact_div(num, den, tol: float = 1e-10) -> np.ndarray:
-    """Divide products (degrees -2..2 on axis 0) by one first-order ``den``.
-
-    ``den`` holds ``(a, b, c)``.  Each numerator is shifted to the ordinary
-    polynomial ``num * x^2`` and long-divided by ``den * x``, all trailing
-    indices at once; a quotient is accepted only if the rebuilt product
-    matches its numerator with residual at most ``tol * max|num coeffs|``.
-    Returns the quotients as a ``(3, ...)`` array.  Raises
-    :class:`ZeroDivisorError` for a zero divisor and
-    :class:`NotDivisibleError`, naming the first failing index, when some
-    numerator has no first-order quotient (for example when it would need
-    degree 2).
-    """
-    num = np.asarray(num, dtype=complex)
-    if num.shape[:1] != (5,):
-        raise ValueError(f"numerator needs degrees -2..2 on axis 0, got shape {num.shape}")
-    da, db, dc = (complex(z) for z in den)
-    # Ascending coefficients of den * x.
-    d = (db, dc, da)
-    den_scale = max(abs(da), abs(db), abs(dc))
-    if den_scale == 0.0:
-        raise ZeroDivisorError("division by the zero polynomial")
-    lead = 2
-    while lead > 0 and _negligible(abs(d[lead]), den_scale):
-        lead -= 1
-    if _negligible(abs(d[lead]), den_scale):
-        raise ZeroDivisorError("division by a numerically zero polynomial")
-
+def _long_div(num: np.ndarray, d: np.ndarray, lead: int) -> np.ndarray:
+    """Long division of ``num * x^2`` by ``den * x``, ascending ``d`` led by ``d[lead]``."""
     shifted = np.zeros_like(num)
     rem = num.copy()
     for k in range(4, lead - 1, -1):
@@ -250,11 +226,67 @@ def exact_div(num, den, tol: float = 1e-10) -> np.ndarray:
         shifted[k - lead] = qk
         for m in range(lead + 1):
             rem[k - lead + m] -= qk * d[m]
-
     # Quotient degree j in [-1, 1] sits at x^(j+1) of the shifted quotient.
-    q = shifted[[2, 0, 1]]
-    residual = np.abs(num - mul(q, (da, db, dc))).max(axis=0)
-    limit = tol * np.abs(num).max(axis=0)
+    return shifted[[2, 0, 1]]
+
+
+def divide(num, den, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The division of :func:`exact_div` without the divisibility verdict.
+
+    Returns the ``(3, ...)`` quotients, the residual ``max|num - den * q|``
+    of each numerator and its limit ``tol * max|num coeffs|``; a numerator
+    is divisible iff its residual is at most its limit.  Raises like
+    :func:`exact_div` for bad shapes and zero divisors.
+    """
+    num = np.asarray(num, dtype=complex)
+    den = np.asarray(den, dtype=complex)
+    if num.shape[:1] != (5,):
+        raise ValueError(f"numerator needs degrees -2..2 on axis 0, got shape {num.shape}")
+    if den.shape[:1] != (3,):
+        raise ValueError(f"divisor needs (a, b, c) on axis 0, got shape {den.shape}")
+    shape = np.broadcast_shapes(num.shape[1:], den.shape[1:])
+    num = np.broadcast_to(num, (5,) + shape)
+    # Ascending coefficients of den * x.
+    d = den[[1, 2, 0]]
+    mags = np.abs(d)
+    den_scale = mags.max(axis=0)
+    if (den_scale == 0.0).any():
+        raise ZeroDivisorError("division by the zero polynomial")
+    negligible = mags <= ZERO_COEFF_REL * (1.0 + den_scale)
+    if negligible.all(axis=0).any():
+        raise ZeroDivisorError("division by a numerically zero polynomial")
+    # Highest non-negligible coefficient of each divisor.
+    lead = 2 - np.argmin(negligible[::-1], axis=0)
+    if lead.size and lead.min() == lead.max():
+        q = _long_div(num, d, int(lead.flat[0]))
+    else:
+        d = np.broadcast_to(d, (3,) + shape)
+        lead = np.broadcast_to(lead, shape)
+        q = np.empty((3,) + shape, dtype=complex)
+        for value in range(3):
+            members = lead == value
+            if members.any():
+                q[:, members] = _long_div(num[:, members], d[:, members], value)
+    residual = np.abs(num - mul(q, den)).max(axis=0)
+    return q, residual, tol * np.abs(num).max(axis=0)
+
+
+def exact_div(num, den, tol: float = 1e-10) -> np.ndarray:
+    """Divide products (degrees -2..2 on axis 0) by first-order divisors ``den``.
+
+    ``den`` holds ``(a, b, c)`` on axis 0 and broadcasts over the trailing
+    axes of ``num``, so one call can divide a stack by one divisor per
+    member.  Each numerator is shifted to the ordinary polynomial
+    ``num * x^2`` and long-divided by ``den * x``, grouped by the degree of
+    each divisor's leading coefficient; a quotient is accepted only if the
+    rebuilt product matches its numerator with residual at most
+    ``tol * max|num coeffs|``.  Returns the quotients as a ``(3, ...)``
+    array.  Raises :class:`ZeroDivisorError` for a zero divisor and
+    :class:`NotDivisibleError`, naming the first failing index, when some
+    numerator has no first-order quotient (for example when it would need
+    degree 2).
+    """
+    q, residual, limit = divide(num, den, tol)
     failing = residual > limit
     if failing.any():
         index = tuple(int(i) for i in np.argwhere(failing)[0])
@@ -326,12 +358,16 @@ def contains_root(p: FirstOrderPoly, z: complex, tol: float = 1e-8) -> int:
 
     Equivalently, how many times the factor ``(x + z)`` divides the shifted
     polynomial.  Roots match with relative tolerance ``tol`` scaled by
-    ``max(1, |z|)``.
+    ``max(1, |z|)``.  This is :func:`root_multiplicity` of ``factorize(p)``.
     """
+    return root_multiplicity(factorize(p), z, tol)
+
+
+def root_multiplicity(form: DecompositionForm, z: complex, tol: float = 1e-8) -> int:
+    """:func:`contains_root` on an already factored polynomial."""
     z = complex(z)
     if z == 0:
         raise ValueError("factor containment is defined for nonzero z only")
-    form = factorize(p)
     if isinstance(form, FullForm):
         ws = (form.w0, form.w1)
     elif isinstance(form, AffineForm):

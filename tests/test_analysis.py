@@ -326,3 +326,30 @@ def test_phase_dependence_projection_recovers_gamma():
     bumped = out.coeffs.copy()
     bumped[0, 0, 1] += 1e-6
     assert output_depends_on_phase(PhaseOperator(bumped), P)[0] is True
+
+
+def test_classify_factorizes_each_entry_once(monkeypatch):
+    from phaseclone import analysis, trigpoly
+
+    names = ("counterexample", "case1-example", "case3-example")
+    triples = [builtin(name).payload for name in names]
+    for k in range(300):
+        try:
+            triples.append(generate_case2_candidate([20260809, k]))
+        except SampleRejected:
+            pass
+    calls = []
+    factorize = trigpoly.factorize
+    counting = lambda p: calls.append(p) or factorize(p)
+    monkeypatch.setattr(analysis, "factorize", counting)
+    monkeypatch.setattr(trigpoly, "factorize", counting)
+    labels = set()
+    for t in triples:
+        calls.clear()
+        verdict = classify(t)
+        labels.add(verdict.label)
+        bound = len(list(analysis._nonzero_entries(t.out2)))
+        if verdict.label is CaseLabel.CASE2:
+            bound += len(list(analysis._nonzero_entries(t.out1)))
+        assert len(calls) <= bound
+    assert labels >= {CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3}

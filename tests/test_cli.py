@@ -211,3 +211,18 @@ def test_consecutive_calls_do_not_leak_options(tmp_path, monkeypatch):
     # The parser is built once per process, not per call.
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
     assert main(["classify", str(path)]) == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["check", "classify", "search"])
+def test_bad_tol_is_input_error(tmp_path, capsys, command, tol):
+    if command == "search":
+        args = ["--trials", "5"]
+    else:
+        args = [str(_write_entry(tmp_path, "counterexample"))]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--tol", tol])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --tol: tol must be a finite number > 0" in err
+    assert "Traceback" not in err

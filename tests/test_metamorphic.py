@@ -1,0 +1,80 @@
+"""Verdicts that must not change under the problem's symmetries.
+
+A phase shift ``phi -> phi + delta`` maps each coefficient triple
+``(A, B, C)`` to ``(A e^{i delta}, B e^{-i delta}, C)``; it moves the phase
+at which anything happens but cannot change whether it happens.  Swapping
+the two systems exchanges the roles of the outputs and nothing else.
+"""
+
+from __future__ import annotations
+
+import cmath
+
+import numpy as np
+import pytest
+
+from phaseclone import (
+    JointPhaseOperator,
+    PhaseOperator,
+    SampleRejected,
+    UncorrelatedTriple,
+    analyze_many,
+    builtin,
+    generate_case2_candidate,
+    swap_systems,
+)
+from phaseclone.catalog import NAMES
+
+
+@pytest.fixture(scope="module")
+def triples():
+    sampled = []
+    for k in range(600):
+        try:
+            sampled.append(generate_case2_candidate([20260809, k]))
+        except SampleRejected:
+            pass
+    catalog = [builtin(name).payload for name in NAMES]
+    return sampled + [t for t in catalog if isinstance(t, UncorrelatedTriple)]
+
+
+@pytest.fixture(scope="module")
+def verdicts(triples):
+    return [_verdict(r) for r in analyze_many(triples)]
+
+
+def _verdict(report) -> tuple:
+    return (
+        report.relation_ok,
+        report.hp_ok,
+        report.all_positive,
+        report.out1_phase_dependent,
+        report.out2_phase_dependent,
+        report.theorem_consistent,
+    )
+
+
+def _shifted(t: UncorrelatedTriple, delta: float) -> UncorrelatedTriple:
+    factor = np.array([cmath.exp(1j * delta), cmath.exp(-1j * delta), 1.0])[:, None, None]
+    joint = JointPhaseOperator(t.joint.coeffs * factor, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    return UncorrelatedTriple(
+        joint=joint,
+        out1=PhaseOperator(t.out1.coeffs * factor),
+        out2=PhaseOperator(t.out2.coeffs * factor),
+    )
+
+
+@pytest.mark.parametrize("delta", [0.3, 2.0])
+def test_phase_shift_keeps_every_verdict(triples, verdicts, delta):
+    shifted = [_verdict(r) for r in analyze_many([_shifted(t, delta) for t in triples])]
+    flips = [i for i, (a, b) in enumerate(zip(verdicts, shifted)) if a != b]
+    assert flips == []
+
+
+def test_swap_systems_exchanges_the_dependence_flags(triples, verdicts):
+    swapped = [_verdict(r) for r in analyze_many([swap_systems(t) for t in triples])]
+    expected = [(a, b, c, d2, d1, e) for a, b, c, d1, d2, e in verdicts]
+    flips = [i for i, (a, b) in enumerate(zip(expected, swapped)) if a != b]
+    assert flips == []
+    # Both flags occur, so the exchange is actually exercised.
+    assert {v[3:5] for v in verdicts} >= {(True, False), (False, True), (True, True)}

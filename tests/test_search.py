@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from phaseclone import (
@@ -174,6 +177,91 @@ def test_search_rejects_bad_trials():
 def test_unknown_stratum_rejected():
     with pytest.raises(ValueError):
         generate_case2_candidate(1, SamplerParams(pin_stratum="nope"))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_search_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        theorem_search(5, tol=tol)
+
+
+_NAMES = tuple(name for name, _ in search._STRATA)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"strata": (("case1", 1.0), ("case1", 2.0))}, "unique"),
+        ({"strata": tuple(zip(_NAMES, (1.0, math.nan, 1.0, 1.0, 1.0, 1.0)))}, "finite"),
+        ({"strata": tuple(zip(_NAMES, (1.0, math.inf, 1.0, 1.0, 1.0, 1.0)))}, "finite"),
+        ({"strata": tuple(zip(_NAMES, (1.0, -0.5, 1.0, 1.0, 1.0, 1.0)))}, "finite"),
+        ({"strata": tuple(zip(_NAMES, (0.0,) * 6))}, "not all 0"),
+        ({"pin_stratum": "nope"}, "unknown stratum"),
+        ({"strata": (("case1", 1.0),), "pin_stratum": "wild"}, "unknown stratum"),
+    ],
+)
+def test_sampler_params_validated_when_built(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SamplerParams(**kwargs)
+
+
+@pytest.mark.parametrize("weights", [None, (0.0, 1.0, 0.0, 2.0, 0.0, 0.5), (3.0,) + (0.0,) * 5])
+def test_stratum_cdf_draws_what_choice_draws(weights):
+    # One double from the stream picks the stratum Generator.choice picks.
+    strata = search._STRATA if weights is None else tuple(zip(_NAMES, weights))
+    params = SamplerParams(strata=strata)
+    p = np.array([w for _, w in strata])
+    p = p / p.sum()
+    for k in range(2000):
+        ours, numpys = np.random.default_rng([3, k]), np.random.default_rng([3, k])
+        assert params._cdf.searchsorted(ours.random(), "right") == numpys.choice(len(p), p=p)
+        assert ours.random() == numpys.random()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [SamplerParams()]
+    + [SamplerParams(pin_stratum=name) for name in _NAMES]
+    + [SamplerParams(pin_alpha_abs=0.0)],
+    ids=["default", *_NAMES, "vanishing-trace"],
+)
+def test_batched_assembly_equals_per_trial_candidates(params):
+    # Blocks of one stacked draw and assembly give, trial for trial, the
+    # coefficients and rejection messages of generate_case2_candidate.
+    seed = 20260809
+    for start in range(0, 150, 50):
+        block = range(start, start + 50)
+        outputs = np.array([search._draw([seed, k], params) for k in block])
+        results = search._assemble(*outputs.transpose(1, 2, 0, 3, 4), 1e-9)
+        for k, got in zip(block, results):
+            try:
+                t = generate_case2_candidate([seed, k], params)
+            except SampleRejected as err:
+                assert isinstance(got, SampleRejected) and str(got) == str(err), k
+                continue
+            for name in ("out1", "out2", "joint"):
+                assert np.array_equal(getattr(got, name).coeffs, getattr(t, name).coeffs), k
+
+
+def test_search_analyzes_the_per_trial_candidates(monkeypatch):
+    # theorem_search hands analyze_many exactly the accepted per-trial triples.
+    seen = []
+    analyze_many = search.analyze_many
+    monkeypatch.setattr(search, "_BLOCK", 37)
+    monkeypatch.setattr(
+        search, "analyze_many", lambda ts, tol: seen.extend(ts) or analyze_many(ts, tol)
+    )
+    report = theorem_search(200, seed=7)
+    expected = []
+    for k in range(200):
+        try:
+            expected.append(generate_case2_candidate([7, k]))
+        except SampleRejected:
+            pass
+    assert report.accepted == len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        for name in ("out1", "out2", "joint"):
+            assert np.array_equal(getattr(got, name).coeffs, getattr(want, name).coeffs)
 
 
 def _reference_search(trials: int, seed: int):

@@ -26,6 +26,8 @@ from phaseclone import (
     mul,
 )
 
+from phaseclone.trigpoly import divide
+
 from helpers import eval_on_grid, fp, grid, random_first_order
 
 SQRT3 = math.sqrt(3.0)
@@ -193,6 +195,65 @@ def test_exact_div_names_first_failing_entry():
         exact_div(num, den.coeffs)
     assert exc.value.index == (0, 2)
     assert exc.value.residual > 0.5
+
+
+def _mixed_divisors(rng, n: int) -> np.ndarray:
+    """``(3, n)`` divisors cycling through the generic, affine and pure-negative shapes."""
+    dens = []
+    for i in range(n):
+        p = random_first_order(rng)
+        if i % 3 == 1:
+            p = fp(0, p.b, p.c)
+        elif i % 3 == 2:
+            p = fp(0, p.b, 0)
+        dens.append(p.coeffs)
+    return np.array(dens).T
+
+
+def test_exact_div_per_member_divisors_match_single_calls():
+    rng = np.random.default_rng(59)
+    n = 12
+    den = _mixed_divisors(rng, n)
+    quot = np.moveaxis(
+        np.array([[[random_first_order(rng).coeffs for _ in range(3)] for _ in range(2)]
+                  for _ in range(n)]),
+        -1,
+        0,
+    )
+    num = mul(quot, den[:, :, None, None])
+    got = exact_div(num, den[:, :, None, None], 1e-10)
+    assert got.shape == (3, n, 2, 3)
+    for k in range(n):
+        one = exact_div(num[:, k], den[:, k], 1e-10)
+        assert np.abs(got[:, k] - one).max() <= 1e-14 * np.abs(one).max()
+        assert np.abs(got[:, k] - quot[:, k]).max() <= 1e-9 * (1.0 + np.abs(quot[:, k]).max())
+
+
+def test_exact_div_per_member_divisors_name_first_failing_member():
+    rng = np.random.default_rng(61)
+    den = _mixed_divisors(rng, 6)
+    num = mul(
+        np.moveaxis(np.array([[random_first_order(rng).coeffs] * 2 for _ in range(6)]), -1, 0),
+        den[:, :, None],
+    )
+    num[:, 4, 1] = [0, 0, 0, 0, 1]  # e^{2 i phi} has no first-order quotient
+    num[:, 5, 0] = [1, 0, 0, 0, 1]
+    with pytest.raises(NotDivisibleError) as exc:
+        exact_div(num, den[:, :, None], 1e-10)
+    assert exc.value.index == (4, 1)
+    with pytest.raises(NotDivisibleError) as one:
+        exact_div(num[:, 4, 1], den[:, 4], 1e-10)
+    assert exc.value.residual == one.value.residual
+    q, residual, limit = divide(num, den[:, :, None], 1e-10)
+    assert (residual > limit).tolist() == [[False, False]] * 4 + [[False, True], [True, False]]
+    assert np.array_equal(q[:, :4], exact_div(num[:, :4], den[:, :4, None], 1e-10))
+
+
+def test_exact_div_rejects_bad_divisor_shapes():
+    with pytest.raises(ValueError):
+        exact_div(np.zeros(5), np.ones(2))
+    with pytest.raises(ZeroDivisorError):
+        exact_div(np.zeros((5, 2)), np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
 
 
 # --------------------------------------------------------------- factorize
