@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import divide
+from .trigpoly import _divide
 from .operators import JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
 from .analysis import analyze_many
 
@@ -42,6 +42,11 @@ WITNESS_LEVEL = -1e-6
 #: Trials sampled and analyzed as one stack by :func:`theorem_search`; it
 #: only bounds the memory of a long search.
 _BLOCK = 1024
+
+#: Trace-agreement, vanishing-trace and divisibility tolerance of the joint
+#: assembly, shared by :func:`assemble_triple` and :func:`theorem_search`
+#: so that both accept and reject the same draws.
+_ASSEMBLE_TOL = 1e-9
 
 _STRATA = (
     ("proportional", 0.15),
@@ -186,14 +191,15 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
         # multiples of P; only the off-diagonal pair is free.
         b0 = rng.uniform(1.05, 1.5) if rng.random() < 0.15 else rng.uniform(0.1, 0.9)
         u = rng.random()
-        w01 = _ZERO
+        w01 = w10 = _ZERO  # a zero pair is not conjugated: its imaginary zeros stay +0.0
         if force_offdiag or u >= 0.2:
             s = _polar(rng, *params.offdiag_scale_range)
             if u < (0.5 if force_offdiag else 0.6):
                 w01 = (0j, s * role_root, s)
             else:
                 w01 = _full(s, role_root, _separated(rng, params, companion))
-        return _matrix([[_scaled(b0, P), w01], [_conj(w01), _scaled(1.0 - b0, P)]])
+            w10 = _conj(w01)
+        return _matrix([[_scaled(b0, P), w01], [w10, _scaled(1.0 - b0, P)]])
 
     def loose_hp() -> np.ndarray:
         # Free hermitian-preserving operator with trace P; entries
@@ -263,7 +269,7 @@ def _assemble(c1: np.ndarray, c2: np.ndarray, tol: float) -> list:
         reason = "marginal traces disagree" if mismatch[i] else "trace polynomial vanishes"
         results[i] = SampleRejected(reason)
     live = np.flatnonzero(~rejected)
-    q, residual, limit = divide(_tensor(c1[:, live], c2[:, live]), P[:, live, None, None], tol)
+    q, residual, limit = _divide(_tensor(c1[:, live], c2[:, live]), P[:, live, None, None], tol)
     failing = (residual > limit).reshape(live.size, (d1 * d2) ** 2)
     for n, i in enumerate(live.tolist()):
         if failing[n].any():
@@ -277,7 +283,7 @@ def _assemble(c1: np.ndarray, c2: np.ndarray, tol: float) -> list:
 
 
 def assemble_triple(
-    out1: PhaseOperator, out2: PhaseOperator, tol: float = 1e-9
+    out1: PhaseOperator, out2: PhaseOperator, tol: float = _ASSEMBLE_TOL
 ) -> UncorrelatedTriple:
     """Build the joint block by dividing the tensor product by the trace.
 
@@ -378,7 +384,7 @@ def theorem_search(
     for start in range(0, trials, _BLOCK):
         block = range(start, min(start + _BLOCK, trials))
         c1, c2 = np.array([_draw([seed, k], params) for k in block]).transpose(1, 2, 0, 3, 4)
-        results = _assemble(c1, c2, 1e-9)
+        results = _assemble(c1, c2, _ASSEMBLE_TOL)
         drawn = [(k, t) for k, t in zip(block, results) if not isinstance(t, SampleRejected)]
         rejected += len(block) - len(drawn)
         reports = analyze_many([t for _, t in drawn], tol)

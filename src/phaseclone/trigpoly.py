@@ -43,7 +43,6 @@ __all__ = [
     "ZeroDivisorError",
     "ZeroPolynomialError",
     "mul",
-    "divide",
     "exact_div",
     "factorize",
     "expand",
@@ -230,7 +229,7 @@ def _long_div(num: np.ndarray, d: np.ndarray, lead: int) -> np.ndarray:
     return shifted[[2, 0, 1]]
 
 
-def divide(num, den, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _divide(num, den, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The division of :func:`exact_div` without the divisibility verdict.
 
     Returns the ``(3, ...)`` quotients, the residual ``max|num - den * q|``
@@ -256,17 +255,14 @@ def divide(num, den, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.nda
     if negligible.all(axis=0).any():
         raise ZeroDivisorError("division by a numerically zero polynomial")
     # Highest non-negligible coefficient of each divisor.
-    lead = 2 - np.argmin(negligible[::-1], axis=0)
-    if lead.size and lead.min() == lead.max():
-        q = _long_div(num, d, int(lead.flat[0]))
-    else:
-        d = np.broadcast_to(d, (3,) + shape)
-        lead = np.broadcast_to(lead, shape)
-        q = np.empty((3,) + shape, dtype=complex)
-        for value in range(3):
-            members = lead == value
-            if members.any():
-                q[:, members] = _long_div(num[:, members], d[:, members], value)
+    lead = np.broadcast_to(2 - np.argmin(negligible[::-1], axis=0), shape)
+    # Align the divisor's trailing axes with the last ones of ``shape``.
+    d = np.broadcast_to(d.reshape((3,) + (1,) * (len(shape) + 1 - d.ndim) + d.shape[1:]), (3,) + shape)
+    q = np.empty((3,) + shape, dtype=complex)
+    for value in range(3):
+        members = lead == value
+        if members.any():
+            q[:, members] = _long_div(num[:, members], d[:, members], value)
     residual = np.abs(num - mul(q, den)).max(axis=0)
     return q, residual, tol * np.abs(num).max(axis=0)
 
@@ -286,7 +282,7 @@ def exact_div(num, den, tol: float = 1e-10) -> np.ndarray:
     numerator has no first-order quotient (for example when it would need
     degree 2).
     """
-    q, residual, limit = divide(num, den, tol)
+    q, residual, limit = _divide(num, den, tol)
     failing = residual > limit
     if failing.any():
         index = tuple(int(i) for i in np.argwhere(failing)[0])

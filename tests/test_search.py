@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -218,6 +219,55 @@ def test_stratum_cdf_draws_what_choice_draws(weights):
         assert ours.random() == numpys.random()
 
 
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    # Stricter than np.array_equal: also tells -0.0 from +0.0.
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _digest(t) -> str:
+    h = hashlib.sha256()
+    for op in (t.out1, t.out2, t.joint):
+        h.update(np.ascontiguousarray(op.coeffs, dtype=complex).tobytes())
+    return h.hexdigest()[:16]
+
+
+# sha256 (first 16 hex digits) of the out1, out2 and joint coefficient
+# bytes of generate_case2_candidate([20260809, k]), or the rejection
+# message, as produced by the FirstOrderPoly-based sampler this one
+# replaced.  Trial 6 draws a zero off-diagonal pair.
+_PINNED_CANDIDATES = {
+    0: "beb3fcb91d48c11a",
+    1: "246971984a2b44eb",
+    2: "61036153a138aecf",
+    3: "d81ab87408bbc635",
+    4: "07e7b2808bb3eb86",
+    5: "854d66e1e101a6c8",
+    6: "bc0d8b8739ea72d4",
+    7: "5ddcea326396902b",
+    8: "e378f2757961065a",
+    9: "08a586f1fdbd0ec1",
+    10: "e0c9856f305db4cb",
+    11: "4ac639ed778f73c7",
+    12: "0d358b4354215fa5",
+    13: "c058c63dcdf82aca",
+    14: "product entry (1, 2) is not divisible by the trace",
+    15: "0e75a94b7eb2ab8d",
+    16: "31f68555cf029ae8",
+    17: "product entry (1, 2) is not divisible by the trace",
+    18: "b837de5f992b368c",
+    19: "product entry (1, 2) is not divisible by the trace",
+}
+
+
+def test_candidate_stream_is_pinned():
+    for k, want in _PINNED_CANDIDATES.items():
+        try:
+            got = _digest(generate_case2_candidate([20260809, k]))
+        except SampleRejected as err:
+            got = str(err)
+        assert got == want, k
+
+
 @pytest.mark.parametrize(
     "params",
     [SamplerParams()]
@@ -232,7 +282,7 @@ def test_batched_assembly_equals_per_trial_candidates(params):
     for start in range(0, 150, 50):
         block = range(start, start + 50)
         outputs = np.array([search._draw([seed, k], params) for k in block])
-        results = search._assemble(*outputs.transpose(1, 2, 0, 3, 4), 1e-9)
+        results = search._assemble(*outputs.transpose(1, 2, 0, 3, 4), search._ASSEMBLE_TOL)
         for k, got in zip(block, results):
             try:
                 t = generate_case2_candidate([seed, k], params)
@@ -240,7 +290,7 @@ def test_batched_assembly_equals_per_trial_candidates(params):
                 assert isinstance(got, SampleRejected) and str(got) == str(err), k
                 continue
             for name in ("out1", "out2", "joint"):
-                assert np.array_equal(getattr(got, name).coeffs, getattr(t, name).coeffs), k
+                assert _same_bits(getattr(got, name).coeffs, getattr(t, name).coeffs), k
 
 
 def test_search_analyzes_the_per_trial_candidates(monkeypatch):
@@ -261,7 +311,7 @@ def test_search_analyzes_the_per_trial_candidates(monkeypatch):
     assert report.accepted == len(seen) == len(expected)
     for got, want in zip(seen, expected):
         for name in ("out1", "out2", "joint"):
-            assert np.array_equal(getattr(got, name).coeffs, getattr(want, name).coeffs)
+            assert _same_bits(getattr(got, name).coeffs, getattr(want, name).coeffs)
 
 
 def _reference_search(trials: int, seed: int):
