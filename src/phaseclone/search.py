@@ -43,9 +43,7 @@ WITNESS_LEVEL = -1e-6
 #: only bounds the memory of a long search.
 _BLOCK = 1024
 
-#: Trace-agreement, vanishing-trace and divisibility tolerance of the joint
-#: assembly, shared by :func:`assemble_triple` and :func:`theorem_search`
-#: so that both accept and reject the same draws.
+#: Joint-assembly tolerance; one value keeps search and sampler in step.
 _ASSEMBLE_TOL = 1e-9
 
 _STRATA = (

@@ -257,7 +257,8 @@ def _divide(num, den, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.nd
     # Highest non-negligible coefficient of each divisor.
     lead = np.broadcast_to(2 - np.argmin(negligible[::-1], axis=0), shape)
     # Align the divisor's trailing axes with the last ones of ``shape``.
-    d = np.broadcast_to(d.reshape((3,) + (1,) * (len(shape) + 1 - d.ndim) + d.shape[1:]), (3,) + shape)
+    d = d.reshape((3,) + (1,) * (len(shape) + 1 - d.ndim) + d.shape[1:])
+    d = np.broadcast_to(d, (3,) + shape)
     q = np.empty((3,) + shape, dtype=complex)
     for value in range(3):
         members = lead == value
