@@ -45,7 +45,6 @@ from .positivity import (
     is_positive_over_phase,
     min_eigenvalue_profile,
     positivity_many,
-    submatrix_positivity,
 )
 from .analysis import (
     CaseLabel,

@@ -397,15 +397,8 @@ def _report(t, P, verdicts, relation, dependence, tol: float) -> CloningReport:
 
     dep1, dep2 = dependence
     all_positive = all(v is not None and v.positive for v in verdicts)
-    theorem_consistent = not (
-        all_positive
-        and hp_joint
-        and hp_out1
-        and hp_out2
-        and relation_ok
-        and bool(dep1)
-        and bool(dep2)
-    )
+    # A verdict exists only for a hermitian-preserving operator, so all_positive implies hp_ok.
+    theorem_consistent = not (all_positive and relation_ok and bool(dep1) and bool(dep2))
 
     return CloningReport(
         hp_joint=hp_joint,

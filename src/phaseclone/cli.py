@@ -16,6 +16,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .trigpoly import AffineForm, FullForm, ZeroPolynomialError, factorize
 from .operators import (
     UncorrelatedTriple,
@@ -26,13 +28,13 @@ from .positivity import (
     DEFAULT_TOL,
     NotHermitianError,
     PositivityVerdict,
+    _basis,
     min_eigenvalue_profile,
 )
 from .analysis import analyze
 from .search import theorem_search
-from .catalog import UnknownNameError, builtin
+from .catalog import builtin
 from .pmap import (
-    DimensionMismatchError,
     ParseError,
     document_from_operator,
     document_from_triple,
@@ -40,13 +42,9 @@ from .pmap import (
     serialize_pmap,
 )
 
-_INPUT_ERRORS = (
-    ParseError,
-    DimensionMismatchError,
-    UnknownNameError,
-    OSError,
-    ValueError,
-)
+#: Errors that exit with 2; ``ParseError``, ``DimensionMismatchError`` and
+#: ``UnknownNameError`` are ``ValueError``s.
+_INPUT_ERRORS = (OSError, ValueError)
 
 
 def _load_document(path: str):
@@ -76,10 +74,8 @@ def _bool(x) -> str:
 def _verdict_line(name: str, v: PositivityVerdict | None) -> str:
     if v is None:
         return f"positivity_{name}: skipped (not hermitian-preserving)"
-    if v.positive:
-        return f"positivity_{name}: true (lambda_min={_fmt(v.min_eigenvalue)})"
     return (
-        f"positivity_{name}: false "
+        f"positivity_{name}: {_bool(v.positive)} "
         f"(lambda_min={_fmt(v.min_eigenvalue)} at phi={_fmt(v.witness_phi)})"
     )
 
@@ -193,22 +189,21 @@ def _cmd_classify(args) -> int:
 
 def _cmd_profile(args) -> int:
     t = _load_triple(args.file)
-    n = args.samples
     try:
-        prof1 = min_eigenvalue_profile(t.out1, n)
-        prof2 = min_eigenvalue_profile(t.out2, n)
-        profj = min_eigenvalue_profile(t.joint, n)
+        phis, l1 = min_eigenvalue_profile(t.out1, args.samples)
+        _, l2 = min_eigenvalue_profile(t.out2, args.samples)
+        _, lj = min_eigenvalue_profile(t.joint, args.samples)
     except NotHermitianError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    P = trace_poly(t.out1)
-    lines = ["phi,P,lmin_out1,lmin_out2,lmin_joint"]
-    for (phi, l1), (_, l2), (_, lj) in zip(prof1, prof2, profj):
-        p = P.eval(phi)
-        lines.append(
-            f"{phi:.17g},{p.real:.17g},{l1:.17g},{l2:.17g},{lj:.17g}"
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # Re(a x + b conj(x) + c) in the float operations of FirstOrderPoly.eval,
+    # so every P value has the bits of P.eval(phi).real.
+    P, x = trace_poly(t.out1), _basis(phis)[:, 0]
+    xr, xi = x.real, x.imag
+    p = ((P.a.real * xr - P.a.imag * xi) + (P.b.real * xr - P.b.imag * -xi)) + P.c.real
+    values = tuple(np.column_stack([phis, p, l1, l2, lj]).ravel().tolist())
+    rows = "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(phis) % values
+    _write_text(args.out, "phi,P,lmin_out1,lmin_out2,lmin_joint\n" + rows)
     return 0
 
 
@@ -252,6 +247,21 @@ def _tol(text: str) -> float:
     return tol
 
 
+#: Largest ``profile --samples``: 16 times the default grid.
+MAX_SAMPLES = 1 << 16
+
+
+def _samples(text: str) -> int:
+    """Argparse type of ``--samples``: an integer in ``[1, MAX_SAMPLES]``."""
+    try:
+        n = int(text)
+        if 1 <= n <= MAX_SAMPLES:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"samples must be an integer in [1, {MAX_SAMPLES}], got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phaseclone",
@@ -277,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="write a CSV of minimum-eigenvalue sweeps")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=DEFAULT_GRID)
+    p.add_argument("--samples", type=_samples, default=DEFAULT_GRID)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_profile)
 

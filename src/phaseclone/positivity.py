@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly
-from .operators import PhaseOperator, hermitian_part, is_hermitian_preserving
+from .operators import PhaseOperator, hermitian_part
 
 __all__ = [
     "DEFAULT_GRID",
@@ -95,7 +95,6 @@ __all__ = [
     "min_eigenvalue_profile",
     "is_positive_over_phase",
     "positivity_many",
-    "submatrix_positivity",
 ]
 
 #: Default number of phases of :func:`min_eigenvalue_profile`.
@@ -152,9 +151,11 @@ class ProbabilityDecomposition:
 
 @dataclass(frozen=True)
 class PositivityVerdict:
+    """``min_eigenvalue``, the minimum of lambda_min over the circle, is attained at ``witness_phi``."""
+
     positive: bool
     min_eigenvalue: float
-    witness_phi: float | None = None
+    witness_phi: float
 
 
 def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> ProbabilityDecomposition:
@@ -212,11 +213,10 @@ def _lowest(E: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(E)[..., 0]
 
 
-def _lambda_min_grid(op: PhaseOperator, phis: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of op(phi) for each phi, vectorised over the grid."""
-    d = op.dim
-    family = hermitian_part(op.coeffs)[0].reshape(3, d * d)
-    return _lowest((_basis(phis) @ family).reshape(-1, d, d))
+def _lambda_min_grid(family: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of a ``(3, d, d)`` Hermitian family at each phi, vectorised over the grid."""
+    d = family.shape[-1]
+    return _lowest((_basis(phis) @ family.reshape(3, d * d)).reshape(-1, d, d))
 
 
 def _phi_grid(n: int) -> np.ndarray:
@@ -234,17 +234,16 @@ def _seeds(d: int) -> tuple[tuple, tuple, np.ndarray]:
     return tuple(phis.tolist()), tuple(basis[:, 0].tolist()), basis
 
 
-def _require_hp(op: PhaseOperator, tol: float) -> None:
-    if not is_hermitian_preserving(op, tol):
+def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
+    """Two float arrays: the phases ``2 pi k / n`` (``k < n``) and lambda_min of ``op`` at each.
+
+    Hermiticity is checked within ``DEFAULT_TOL`` (:class:`NotHermitianError`).
+    """
+    family, defect = hermitian_part(op.coeffs)
+    if not defect <= DEFAULT_TOL:
         raise NotHermitianError("operator family is not hermitian-preserving")
-
-
-def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> list[tuple[float, float]]:
-    """(phi, lambda_min) at n uniformly spaced phases in [0, 2*pi)."""
-    _require_hp(op, DEFAULT_TOL)
     phis = _phi_grid(n)
-    lam = _lambda_min_grid(op, phis)
-    return [(float(p), float(v)) for p, v in zip(phis, lam)]
+    return phis, _lambda_min_grid(family, phis)
 
 
 def _pencil_crossings(families: np.ndarray, x0: list[complex], M0: np.ndarray):
@@ -422,8 +421,7 @@ def positivity_many(ops, tol: float = DEFAULT_TOL) -> list[PositivityVerdict | N
             if not members:
                 continue
         for i, low, phi in zip(members, *_minimum(families)):
-            positive = low >= -tol
-            verdicts[i] = PositivityVerdict(positive, low, None if positive else phi)
+            verdicts[i] = PositivityVerdict(low >= -tol, low, phi)
     return verdicts
 
 
@@ -431,29 +429,13 @@ def is_positive_over_phase(op: PhaseOperator, tol: float = DEFAULT_TOL) -> Posit
     """Certify lambda_min(op(phi)) >= -tol over the whole phase circle.
 
     ``min_eigenvalue`` is the exact minimum over the circle (within
-    ``1e-13 * max(1, max|coeffs|)``, see the module docstring) and is
-    attained at a phase; that phase is reported as ``witness_phi`` for
-    negative verdicts.  Hermiticity is checked at the same ``tol``
-    (:class:`NotHermitianError`).  This is :func:`positivity_many` on a
-    stack of one.
+    ``1e-13 * max(1, max|coeffs|)``, see the module docstring), attained at
+    ``witness_phi`` for every verdict.  Hermiticity is checked at the same
+    ``tol`` (:class:`NotHermitianError`).  This is :func:`positivity_many`
+    on a stack of one.
     """
     (verdict,) = positivity_many([op], tol)
     if verdict is None:
         raise NotHermitianError("operator family is not hermitian-preserving")
     return verdict
 
-
-def submatrix_positivity(
-    op: PhaseOperator, i: int, j: int, tol: float = DEFAULT_TOL
-) -> PositivityVerdict:
-    """Positivity of the principal 2 x 2 family built from rows/columns i, j.
-
-    A positive operator family has every such submatrix positive, so a
-    negative submatrix is a cheap witness against positivity of the whole.
-    """
-    d = op.dim
-    if not (0 <= i < d and 0 <= j < d) or i == j:
-        raise IndexError(f"need two distinct indices in [0, {d}), got ({i}, {j})")
-    _require_hp(op, tol)
-    idx = [i, j]
-    return is_positive_over_phase(PhaseOperator(op.coeffs[:, idx][:, :, idx]), tol)

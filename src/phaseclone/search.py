@@ -65,7 +65,10 @@ class SamplerParams:
     """Ranges, stratum weights and optional pins for the candidate sampler.
 
     Building one raises ``ValueError`` for repeated stratum names, weights
-    that are not finite and >= 0 with a positive sum, or an unknown ``pin_stratum``.
+    that are not finite and >= 0 with a positive sum, an unknown
+    ``pin_stratum``, an ``r_range`` end or ``pin_r`` that is not finite and
+    >= 1, an ``alpha_abs_range`` end or ``pin_alpha_abs`` that is not
+    finite and > 0, or a range whose low end exceeds its high end.
     """
 
     alpha_abs_range: tuple = (0.1, 2.0)
@@ -92,6 +95,15 @@ class SamplerParams:
             raise ValueError(f"stratum weights must be finite, >= 0 and not all 0, got {weights}")
         if self.pin_stratum is not None and self.pin_stratum not in names:
             raise ValueError(f"unknown stratum {self.pin_stratum!r}")
+        for name, (lo, hi), pin, rule, valid in (
+            ("r", self.r_range, self.pin_r, ">= 1", lambda v: 1.0 <= v < math.inf),
+            ("alpha_abs", self.alpha_abs_range, self.pin_alpha_abs, "> 0", lambda v: 0.0 < v < math.inf),
+        ):
+            if not (valid(lo) and valid(hi) and lo <= hi and (pin is None or valid(pin))):
+                raise ValueError(
+                    f"{name}_range and pin_{name} must be finite and {rule} with low <= high, "
+                    f"got {(lo, hi)!r} and {pin!r}"
+                )
         # Built as numpy's Generator.choice builds it, so searching it with
         # one rng.random() picks the stratum choice(p=weights) would pick.
         cdf = (weights / total).cumsum()
@@ -340,7 +352,9 @@ class SearchReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.witness_failures
+        """No violation, no witness failure, and at least one accepted triple classified."""
+        classified = self.accepted - self.case_counts.get("unclassified", 0)
+        return not self.violations and not self.witness_failures and classified > 0
 
 
 def _sample_min_eigenvalue(report) -> tuple[float, float | None]:

@@ -73,7 +73,8 @@ def test_c1_counterexample_reproduction():
         assert not report.all_positive
         assert not report.positivity_out1.positive
 
-        phi0, lam0 = min_eigenvalue_profile(t.out1, 64)[0]
+        phis, lams = min_eigenvalue_profile(t.out1, 64)
+        phi0, lam0 = phis[0], lams[0]
         assert phi0 == 0.0
         oracle = np.linalg.eigvalsh(np.array([[0.5, 2.0], [2.0, 0.5]]))[0]
         assert abs(lam0 - oracle) <= 1e-9

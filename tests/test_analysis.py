@@ -23,10 +23,10 @@ from phaseclone import (
     classify,
     deterministic_tensor_obstruction,
     generate_case2_candidate,
+    is_positive_over_phase,
     mul,
     output_depends_on_phase,
     phase_state_operator,
-    submatrix_positivity,
     swap_systems,
     trace_poly,
 )
@@ -190,7 +190,7 @@ def test_forcing_unreachable_for_affine_offdiagonal():
     )
     t = assemble_triple(out1, out2)
     assert classify(t).label is CaseLabel.CASE2
-    verdict = submatrix_positivity(t.out1, 0, 1)
+    verdict = is_positive_over_phase(PhaseOperator(t.out1.coeffs[:, [0, 1]][:, :, [0, 1]]))
     assert not verdict.positive
     assert verdict.min_eigenvalue < -1e-6
     with pytest.raises(PreconditionError):

@@ -2,19 +2,33 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaseclone
-from phaseclone import builtin, document_from_triple, parse_pmap, serialize_pmap
+from phaseclone import (
+    SampleRejected,
+    builtin,
+    document_from_triple,
+    generate_case2_candidate,
+    parse_pmap,
+    serialize_pmap,
+    trace_poly,
+)
 from phaseclone import cli
 from phaseclone.cli import main
-from phaseclone.positivity import DEFAULT_TOL
-from phaseclone.operators import max_coeff_diff
+from phaseclone.positivity import DEFAULT_TOL, _lambda_min_grid
+from phaseclone.operators import hermitian_part, max_coeff_diff
 
 
 def _write_entry(tmp_path, name, q=0.5):
@@ -226,3 +240,77 @@ def test_bad_tol_is_input_error(tmp_path, capsys, command, tol):
     assert exc.value.code == 2
     assert "error: argument --tol: tol must be a finite number > 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["abc", "1.5", "0", "-3", "65537", "1000000000000", "9" * 5000])
+def test_bad_samples_is_input_error(tmp_path, capsys, monkeypatch, samples):
+    path = _write_entry(tmp_path, "counterexample")
+    # Rejected while parsing the arguments, before any grid is built.
+    monkeypatch.setattr(cli, "min_eigenvalue_profile", lambda *a: pytest.fail("grid built"))
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", str(path), "--samples", samples])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument --samples: samples must be an integer in [1, {cli.MAX_SAMPLES}]" in err
+    assert "Traceback" not in err
+
+
+# sha256 (first 16 hex digits) of the profile CSV of each catalog triple at
+# 1, 7, 64 and 4096 samples, as written by the per-row formatter this table
+# formatter replaced.  footnote-linear-only is not hermitian-preserving: it
+# exits 1 and writes nothing (the digest of no bytes).
+_PINNED_PROFILES = {
+    "counterexample": ("5212b7d64b93afd6", "d105b184f0202169", "533dbda7c8b0ac6d", "376d79ac3123932b"),
+    "case1-example": ("99a8185043683446", "2f2c9ad39224ae58", "c6678607101fa3ac", "1747e8180fb69eed"),
+    "case3-example": ("1f0136a8cf0d23a6", "c3176dd90c189fbe", "be8ee554695af5fb", "24914f530a84e303"),
+    "footnote-linear-only": ("e3b0c44298fc1c14",) * 4,
+    "projective-discard": ("748eb4eeeb38f6a7", "b3d67cd398428e00", "be159f2f0faad5fb", "fb712447793c35a5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_PROFILES))
+def test_profile_csv_is_pinned(tmp_path, capsys, name):
+    path = _write_entry(tmp_path, name)
+    for samples, want in zip((1, 7, 64, 4096), _PINNED_PROFILES[name]):
+        code = main(["profile", str(path), "--samples", str(samples)])
+        out = capsys.readouterr().out
+        assert code == (1 if name == "footnote-linear-only" else 0)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, samples
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 300))
+def test_profile_columns_are_the_scalar_and_grid_values(k, samples):
+    # P is P.eval(phi).real and every lmin column the grid sweep of its
+    # block, bit for bit (signed zeros included).
+    try:
+        t = generate_case2_candidate([20260809, k])
+    except SampleRejected:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.pmap"
+        path.write_text(serialize_pmap(document_from_triple(t)))
+        out_csv = Path(tmp) / "t.csv"
+        assert main(["profile", str(path), "--samples", str(samples), "--out", str(out_csv)]) == 0
+        t = parse_pmap(path.read_text()).triple()
+        lines = out_csv.read_text().splitlines()
+    table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    phis = table[:, 0]
+    assert _bits(phis) == _bits(np.arange(samples) * (2.0 * math.pi / samples))
+    P = trace_poly(t.out1)
+    assert _bits(table[:, 1]) == _bits([P.eval(phi).real for phi in phis.tolist()])
+    for column, op in zip(table[:, 2:].T, (t.out1, t.out2, t.joint)):
+        assert _bits(column) == _bits(_lambda_min_grid(hermitian_part(op.coeffs)[0], phis))
+
+
+def test_profile_sweeps_each_block_once(tmp_path, monkeypatch):
+    path = _write_entry(tmp_path, "counterexample")
+    calls = []
+    sweep = cli.min_eigenvalue_profile
+    monkeypatch.setattr(cli, "min_eigenvalue_profile", lambda op, n: calls.append(n) or sweep(op, n))
+    assert main(["profile", str(path), "--samples", "16", "--out", str(tmp_path / "p.csv")]) == 0
+    assert calls == [16, 16, 16]

@@ -22,7 +22,6 @@ from phaseclone import (
     is_positive_over_phase,
     min_eigenvalue_profile,
     phase_state_operator,
-    submatrix_positivity,
 )
 from phaseclone.positivity import _lambda_min_grid
 
@@ -114,8 +113,8 @@ def test_decomposition_reproduces_probability():
 
 def test_profile_counterexample_minimum_at_zero():
     out1 = builtin("counterexample").payload.out1
-    prof = min_eigenvalue_profile(out1, 64)
-    phi0, lam0 = prof[0]
+    phis, lams = min_eigenvalue_profile(out1, 64)
+    phi0, lam0 = phis[0], lams[0]
     assert phi0 == 0.0
     # oracle: direct eigendecomposition of the evaluated matrix
     oracle = np.linalg.eigvalsh(np.array([[0.5, 2.0], [2.0, 0.5]]))[0]
@@ -125,15 +124,15 @@ def test_profile_counterexample_minimum_at_zero():
 
 def test_profile_case1_out2_formula():
     out2 = builtin("case1-example").payload.out2
-    for phi, lam in min_eigenvalue_profile(out2, 128):
+    for phi, lam in zip(*min_eigenvalue_profile(out2, 128)):
         expected = min((math.cos(phi) + 1.0) / 4.0, 0.25)
         assert lam == pytest.approx(expected, abs=1e-12)
         assert lam >= -1e-12
 
 
 def test_profile_zero_operator():
-    prof = min_eigenvalue_profile(PhaseOperator.zero(2), 16)
-    assert all(lam == 0.0 for _, lam in prof)
+    _, lams = min_eigenvalue_profile(PhaseOperator.zero(2), 16)
+    assert all(lam == 0.0 for lam in lams)
 
 
 def test_profile_requires_hermiticity():
@@ -147,7 +146,7 @@ def test_analytic_matches_eigensolver():
     phis = grid(128)
     for _ in range(25):
         op = random_hp_operator(rng)
-        analytic = _lambda_min_grid(op, phis)
+        analytic = _lambda_min_grid(op.coeffs, phis)
         A, B, C = op.coeffs
         x = np.exp(1j * phis)[:, None, None]
         solver = np.linalg.eigvalsh(x * A + np.conj(x) * B + C)[:, 0]
@@ -168,7 +167,9 @@ def test_positive_case1_joint():
     joint = builtin("case1-example").payload.joint
     verdict = is_positive_over_phase(joint)
     assert verdict.positive
-    assert verdict.witness_phi is None
+    # lambda_min = 0 only at phi = pi (0.125 for |phi| <= pi/4), and the
+    # positive verdict reports that phase too.
+    assert verdict.witness_phi == pytest.approx(math.pi, abs=1e-9)
     assert verdict.min_eigenvalue >= -1e-9
 
 
@@ -180,14 +181,19 @@ def test_positive_phase_state():
 
 # --------------------------------------------------------------- submatrices
 
+def principal(op: PhaseOperator, idx: list) -> PhaseOperator:
+    """The principal submatrix family on rows and columns ``idx``."""
+    return PhaseOperator(op.coeffs[:, idx][:, :, idx])
+
+
 def test_submatrix_counterexample():
     out1 = builtin("counterexample").payload.out1
-    assert not submatrix_positivity(out1, 0, 1).positive
+    assert not is_positive_over_phase(principal(out1, [0, 1])).positive
 
 
 def test_submatrix_case1():
     out1 = builtin("case1-example").payload.out1
-    assert submatrix_positivity(out1, 0, 1).positive
+    assert is_positive_over_phase(principal(out1, [0, 1])).positive
 
 
 def test_submatrix_small_diagonal_weights():
@@ -199,7 +205,7 @@ def test_submatrix_small_diagonal_weights():
     s = 1.0
     offdiag = fp(0, s, s)  # s (p0 conj(x) + 1) with p0 = 1
     op = PhaseOperator.from_rows([[a * P, offdiag], [offdiag.conjugate(), a * P]])
-    verdict = submatrix_positivity(op, 0, 1)
+    verdict = is_positive_over_phase(principal(op, [0, 1]))
     assert not verdict.positive
     # oracle: P * (a_i a_j P - |s|^2 / |alpha|) < 0 at the witness
     phi = verdict.witness_phi
@@ -210,9 +216,7 @@ def test_submatrix_small_diagonal_weights():
 def test_submatrix_index_validation():
     out1 = builtin("counterexample").payload.out1
     with pytest.raises(IndexError):
-        submatrix_positivity(out1, 0, 0)
-    with pytest.raises(IndexError):
-        submatrix_positivity(out1, 0, 5)
+        principal(out1, [0, 5])
 
 
 def test_operator_positive_implies_submatrices_positive():
@@ -228,7 +232,7 @@ def test_operator_positive_implies_submatrices_positive():
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert submatrix_positivity(op, i, j).positive
+                    assert is_positive_over_phase(principal(op, [i, j])).positive
 
 
 def test_decompose_probability_with_an_underflowing_phase():

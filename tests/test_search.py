@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -170,6 +171,18 @@ def test_search_smallest_run_forced_constant_branch():
     assert not r.violations and not r.witness_failures
 
 
+def test_search_without_a_classified_triple_is_not_ok():
+    clean = theorem_search(20, seed=1)
+    assert clean.ok and clean.accepted > clean.case_counts.get("unclassified", 0)
+    # Every draw of the reject stratum is rejected: nothing was tested.
+    rejected = theorem_search(20, seed=1, params=SamplerParams(pin_stratum="reject"))
+    assert rejected.accepted == 0 and not rejected.violations and not rejected.witness_failures
+    assert not rejected.ok
+    # Accepted triples that were all left unclassified test nothing either.
+    unclassified = dataclasses.replace(clean, case_counts={"unclassified": clean.accepted})
+    assert not unclassified.ok
+
+
 def test_search_rejects_bad_trials():
     with pytest.raises(ValueError):
         theorem_search(0)
@@ -199,6 +212,18 @@ _NAMES = tuple(name for name, _ in search._STRATA)
         ({"strata": tuple(zip(_NAMES, (0.0,) * 6))}, "not all 0"),
         ({"pin_stratum": "nope"}, "unknown stratum"),
         ({"strata": (("case1", 1.0),), "pin_stratum": "wild"}, "unknown stratum"),
+        ({"pin_r": 0.0}, "pin_r must be finite and >= 1"),
+        ({"pin_r": -2.0}, "pin_r must be finite and >= 1"),
+        ({"pin_r": math.nan}, "pin_r must be finite and >= 1"),
+        ({"r_range": (0.0, 0.0)}, "r_range and pin_r"),
+        ({"r_range": (0.5, 2.0)}, "r_range and pin_r"),
+        ({"r_range": (1.0, math.inf)}, "r_range and pin_r"),
+        ({"r_range": (3.0, 2.0)}, "low <= high"),
+        ({"pin_alpha_abs": -1.0}, "pin_alpha_abs must be finite and > 0"),
+        ({"pin_alpha_abs": 0.0}, "pin_alpha_abs must be finite and > 0"),
+        ({"alpha_abs_range": (0.0, 1.0)}, "alpha_abs_range and pin_alpha_abs"),
+        ({"alpha_abs_range": (math.nan, 1.0)}, "alpha_abs_range and pin_alpha_abs"),
+        ({"alpha_abs_range": (2.0, 1.0)}, "low <= high"),
     ],
 )
 def test_sampler_params_validated_when_built(kwargs, match):
@@ -268,11 +293,19 @@ def test_candidate_stream_is_pinned():
         assert got == want, k
 
 
+def _unvalidated(**fields) -> SamplerParams:
+    """Default params with ``fields`` set past ``__post_init__``, to reach rejections it forbids."""
+    params = SamplerParams()
+    for name, value in fields.items():
+        object.__setattr__(params, name, value)
+    return params
+
+
 @pytest.mark.parametrize(
     "params",
     [SamplerParams()]
     + [SamplerParams(pin_stratum=name) for name in _NAMES]
-    + [SamplerParams(pin_alpha_abs=0.0)],
+    + [_unvalidated(pin_alpha_abs=0.0)],
     ids=["default", *_NAMES, "vanishing-trace"],
 )
 def test_batched_assembly_equals_per_trial_candidates(params):
