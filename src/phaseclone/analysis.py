@@ -19,6 +19,12 @@ In each case at least one output is phase-independent once the maps are
 hermitian-preserving and positive, which is the theorem the randomized
 search in :mod:`phaseclone.search` exercises.  For a double root
 (p0 = p1, the boundary r = 1) "both factors" means root multiplicity two.
+
+The split is decided on coefficient arrays: the roots of every out2 entry
+of an ``(N, 3, d, d)`` stack are solved at once and matched against each
+member's ``p0`` and ``p1``; the label follows from the fewest factors a
+nonzero entry carries.  Only :func:`classify` factors entries one by one, for the
+``entry_forms`` of a Case 2 verdict.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .trigpoly import (
     FullForm,
     factorize,
     has_second_order,
-    root_multiplicity,
 )
 from .operators import (
     PhaseOperator,
@@ -52,6 +57,7 @@ from .positivity import (
     NotPositiveError,
     NotRealValuedError,
     PositivityVerdict,
+    ProbabilityDecomposition,
     decompose_probability,
     is_positive_over_phase,
     positivity_many,
@@ -93,6 +99,10 @@ class CaseLabel(enum.Enum):
     CASE1 = "Case 1"
     CASE2 = "Case 2"
     CASE3 = "Case 3"
+
+
+#: The label of a triple whose out2 entries carry at least this many factors each.
+_CASES = (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3)
 
 
 @dataclass(frozen=True)
@@ -232,9 +242,8 @@ def output_depends_on_phase(
     return False, ConstantOperator((gamma / tr).tolist())
 
 
-def _entry_forms(out1: PhaseOperator, forced: complex, root_tol: float) -> dict:
+def _entry_forms(out1: PhaseOperator, forced: complex, limit: float) -> dict:
     forms = {}
-    limit = root_tol * max(1.0, abs(forced))
     for i, j, entry in _nonzero_entries(out1):
         form = factorize(entry)
         if isinstance(form, FullForm):
@@ -252,49 +261,99 @@ def _entry_forms(out1: PhaseOperator, forced: complex, root_tol: float) -> dict:
     return forms
 
 
+def _targets(dec: ProbabilityDecomposition) -> tuple[tuple, tuple, tuple]:
+    """The factor roots an out2 entry is matched against, their match radii and root caps.
+
+    A pair closer than ``DEGENERATE_ROOT_BAND`` is one double root: its
+    midpoint counts up to two entry roots, within a radius widened past
+    the square-root noise in both the pair and the entries.
+    """
+    p0, p1 = dec.p0, dec.p1
+    if abs(p0 - p1) <= DEGENERATE_ROOT_BAND * max(1.0, abs(p0)):
+        z = 0.5 * (p0 + p1)
+        limit = 2.0 * DEGENERATE_ROOT_BAND * max(1.0, abs(z))
+        return (z, z), (limit, limit), (2, 0)
+    limits = (ROOT_MATCH_TOL * max(1.0, abs(p0)), ROOT_MATCH_TOL * max(1.0, abs(p1)))
+    return (p0, p1), limits, (1, 1)
+
+
+def _inlay(out2: np.ndarray, targets: list) -> tuple[np.ndarray, np.ndarray]:
+    """How many factors each entry of an ``(N, 3, d, d)`` out2 stack carries, as ``(N, d * d)``.
+
+    Per member, ``targets`` holds its :func:`_targets`.  The entry roots are
+    those of :func:`factorize`; an entry below ``ZERO_COEFF_REL * (1 +
+    max|out2|)`` counts as carrying both factors.  Also returns the
+    uncapped number of entry roots near each target, ``(N, d * d, 2)``.
+    """
+    z, limit, cap = (np.array(column) for column in zip(*targets))
+    e = out2.reshape(len(out2), 3, -1)
+    a, b, c = e[:, 0], e[:, 1], e[:, 2]
+    mags = np.abs(e)
+    size = mags.max(axis=1)
+    small = ZERO_COEFF_REL * (1.0 + size)
+    full = mags[:, 0] > small
+    # Negated roots of a x^2 + c x + b: half / a and b / half, with the sign
+    # of sq chosen so that c + sq does not cancel.
+    sq = np.sqrt(c * c - 4.0 * a * b)
+    np.negative(sq, out=sq, where=(c.conj() * sq).real < 0.0)
+    half = (c + sq) * 0.5
+    roots = np.empty((2,) + size.shape, dtype=complex)
+    roots.fill(np.nan)
+    np.divide(b, c, out=roots[0], where=mags[:, 2] > small)  # affine: w = b / c
+    np.divide(half, a, out=roots[0], where=full)
+    # half = 0 only for the entry a x (b = c = 0), whose roots are both 0.
+    np.divide(b, half + (half == 0), out=roots[1], where=full)
+    hits = np.abs(roots[..., None] - z[:, None]) <= limit[:, None]
+    near = np.add(hits[0], hits[1], dtype=np.intp)
+    capped = np.minimum(near, cap[:, None])
+    found = np.add(capped[..., 0], capped[..., 1])
+    found[size <= ZERO_COEFF_REL * (1.0 + size.max(axis=1, keepdims=True))] = 2
+    return found, near
+
+
+def _labels(found: np.ndarray) -> list[CaseLabel]:
+    """Case 1 if a nonzero entry carries no factor, else Case 2 if one carries one, else Case 3."""
+    return [_CASES[k] for k in found.min(axis=1).tolist()]
+
+
+def _classify_many(outs: list, decs: list) -> list[CaseLabel]:
+    """The case label of each out2 against its decomposed probability, one stack per dimension."""
+    labels: list = [None] * len(outs)
+    groups: dict[int, list[int]] = {}
+    for i, out in enumerate(outs):
+        groups.setdefault(out.dim, []).append(i)
+    for members in groups.values():
+        stack = np.array([outs[i].coeffs for i in members])
+        found, _ = _inlay(stack, [_targets(decs[i]) for i in members])
+        for i, label in zip(members, _labels(found)):
+            labels[i] = label
+    return labels
+
+
 def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
     """Assign one of the three factor-inlay cases (or constant probability).
 
     Assumes the triple already passed :func:`validate_triple` and the
     hermiticity checks.  Propagates the probability-decomposition errors
-    for non-real or negative traces.
+    for non-real or negative traces.  A Case 2 verdict carries the
+    ``entry_forms`` of out1 against the factor missing from the first
+    single-factor entry of out2 in row-major order.
     """
-    P = trace_poly(t.out1)
     try:
-        dec = decompose_probability(P, tol)
+        dec = decompose_probability(trace_poly(t.out1), tol)
     except ConstantProbabilityError:
         return CaseVerdict(CaseLabel.CONSTANT_PROBABILITY)
-    p0, p1 = dec.p0, dec.p1
-    degenerate = abs(p0 - p1) <= DEGENERATE_ROOT_BAND * max(1.0, abs(p0))
-    if degenerate:
-        # Collapse the pinched pair to its midpoint and widen the matching
-        # radius past the square-root noise in both the pair and the entries.
-        p0 = p1 = 0.5 * (p0 + p1)
-        root_tol = 2.0 * DEGENERATE_ROOT_BAND
-    else:
-        root_tol = ROOT_MATCH_TOL
-
-    any_single = False
-    missing_root = None
-    for _i, _j, entry in _nonzero_entries(t.out2):
-        # How many of the two factors the entry carries, from one factorization.
-        form = factorize(entry)
-        m0 = root_multiplicity(form, p0, root_tol)
-        if degenerate:
-            found = min(m0, 2)
-        else:
-            found = (m0 >= 1) + (root_multiplicity(form, p1, root_tol) >= 1)
-        if found == 0:
-            return CaseVerdict(CaseLabel.CASE1)
-        if found == 1 and not any_single:
-            any_single = True
-            # A degenerate pair has p0 == p1, so either choice names it.
-            missing_root = p0 if m0 == 0 else p1
-    if any_single:
-        return CaseVerdict(
-            CaseLabel.CASE2, entry_forms=_entry_forms(t.out1, missing_root, root_tol)
-        )
-    return CaseVerdict(CaseLabel.CASE3)
+    targets = _targets(dec)
+    found, near = _inlay(t.out2.coeffs[None], [targets])
+    (label,) = _labels(found)
+    if label is not CaseLabel.CASE2:
+        return CaseVerdict(label)
+    first = int(np.argmax(found[0] == 1))
+    # The entry lacks the first factor unless one of its roots lies near it;
+    # a double root has both factors at its midpoint, so either names it.
+    k = 1 if near[0, first, 0] else 0
+    roots, limits, _ = targets
+    return CaseVerdict(label, entry_forms=_entry_forms(t.out1, roots[k], limits[k]))
 
 
 def case2_forcing_check(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> bool:
@@ -342,19 +401,22 @@ def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
     """:func:`analyze` for each triple, with the array checks run over stacks.
 
     The hermiticity test and positivity certificate run once per operator
-    dimension, the product relation once per pair of marginal dimensions
-    and the phase-dependence projection once per output dimension;
-    decomposition and classification stay a loop over the triples.
+    dimension, the product relation once per pair of marginal dimensions,
+    the phase-dependence projection once per output dimension and the case
+    classification once per out2 dimension; only the probability
+    decomposition is a loop over the triples.  Case verdicts carry no
+    ``entry_forms`` (see :func:`classify`).
     """
     triples = list(triples)
     verdicts = positivity_many([op for t in triples for op in (t.joint, t.out1, t.out2)], tol)
     relations = validate_triples(triples, tol)
     Ps = [trace_poly(t.out1) for t in triples]
+    probabilities = [_probability(P, t.out1, tol) for t, P in zip(triples, Ps)]
     # output_depends_on_phase raises ZeroProbabilityError for the others.
     projected = [
         i
-        for i, (t, P) in enumerate(zip(triples, Ps))
-        if not (_vanishes(P, t.out1) or _vanishes(P, t.out2))
+        for i, (t, P, probability) in enumerate(zip(triples, Ps, probabilities))
+        if probability != "zero-probability" and not _vanishes(P, t.out2)
     ]
     flags = _phase_dependent(
         [op for i in projected for op in (triples[i].out1, triples[i].out2)],
@@ -362,39 +424,48 @@ def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
         tol,
     )
     dependence = {i: (flags[2 * k], flags[2 * k + 1]) for k, i in enumerate(projected)}
+    classified = [
+        i
+        for i, probability in enumerate(probabilities)
+        if not isinstance(probability, str)
+        and relations[i] is not None
+        and relations[i].all_ok
+        and None not in verdicts[3 * i : 3 * i + 3]
+    ]
+    labels = _classify_many(
+        [triples[i].out2 for i in classified], [probabilities[i] for i in classified]
+    )
+    cases = dict(zip(classified, map(CaseVerdict, labels)))
+    for i, probability in enumerate(probabilities):
+        if probability == "constant-probability":
+            cases[i] = CaseVerdict(CaseLabel.CONSTANT_PROBABILITY)
     return [
         _report(
-            t, P, verdicts[3 * i : 3 * i + 3], relations[i], dependence.get(i, (None, None)), tol
+            p, verdicts[3 * i : 3 * i + 3], relations[i], dependence.get(i, (None, None)), cases.get(i)
         )
-        for i, (t, P) in enumerate(zip(triples, Ps))
+        for i, p in enumerate(probabilities)
     ]
 
 
-def _report(t, P, verdicts, relation, dependence, tol: float) -> CloningReport:
+def _probability(P: FirstOrderPoly, out1: PhaseOperator, tol: float) -> object:
+    """The decomposition of ``P``, or a tag string naming why there is none."""
+    if _vanishes(P, out1):
+        return "zero-probability"
+    try:
+        return decompose_probability(P, tol)
+    except ConstantProbabilityError:
+        return "constant-probability"
+    except NotRealValuedError:
+        return "not-real-valued"
+    except NotPositiveError:
+        return "not-positive"
+
+
+def _report(probability, verdicts, relation, dependence, case) -> CloningReport:
     """Assemble one :class:`CloningReport` from the stacked verdicts of its triple."""
     positivity_joint, positivity_out1, positivity_out2 = verdicts
     hp_joint, hp_out1, hp_out2 = (v is not None for v in verdicts)
     relation_ok = relation is not None and relation.all_ok
-
-    probability: object
-    if _vanishes(P, t.out1):
-        probability = "zero-probability"
-    else:
-        try:
-            probability = decompose_probability(P, tol)
-        except ConstantProbabilityError:
-            probability = "constant-probability"
-        except NotRealValuedError:
-            probability = "not-real-valued"
-        except NotPositiveError:
-            probability = "not-positive"
-
-    case: CaseVerdict | None = None
-    if probability == "constant-probability":
-        case = CaseVerdict(CaseLabel.CONSTANT_PROBABILITY)
-    elif not isinstance(probability, str) and relation_ok and hp_joint and hp_out1 and hp_out2:
-        case = classify(t, tol)
-
     dep1, dep2 = dependence
     all_positive = all(v is not None and v.positive for v in verdicts)
     # A verdict exists only for a hermitian-preserving operator, so all_positive implies hp_ok.

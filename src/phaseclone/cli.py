@@ -28,7 +28,7 @@ from .positivity import (
     DEFAULT_TOL,
     NotHermitianError,
     PositivityVerdict,
-    _basis,
+    _grid,
     min_eigenvalue_profile,
 )
 from .analysis import analyze
@@ -198,7 +198,7 @@ def _cmd_profile(args) -> int:
         return 1
     # Re(a x + b conj(x) + c) in the float operations of FirstOrderPoly.eval,
     # so every P value has the bits of P.eval(phi).real.
-    P, x = trace_poly(t.out1), _basis(phis)[:, 0]
+    P, x = trace_poly(t.out1), _grid(args.samples)[1][:, 0]
     xr, xi = x.real, x.imag
     p = ((P.a.real * xr - P.a.imag * xi) + (P.b.real * xr - P.b.imag * -xi)) + P.c.real
     values = tuple(np.column_stack([phis, p, l1, l2, lj]).ravel().tolist())
@@ -213,6 +213,7 @@ def _cmd_search(args) -> int:
     print(f"seed: {report.seed}")
     print(f"accepted: {report.accepted}")
     print(f"rejected: {report.rejected}")
+    print(f"rejection_reasons: {json.dumps(report.rejection_reasons)}")
     print(f"acceptance_rate: {report.acceptance_rate:.4f}")
     print(f"case_counts: {json.dumps(report.case_counts)}")
     print(f"both_phase_dependent: {report.both_phase_dependent}")
@@ -262,6 +263,17 @@ def _samples(text: str) -> int:
     raise argparse.ArgumentTypeError(f"samples must be an integer in [1, {MAX_SAMPLES}], got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """Argparse type of ``--seed``: an integer >= 0, as :func:`theorem_search` takes."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phaseclone",
@@ -293,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="randomized theorem search; exit 1 on violations")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_search)
 

@@ -213,37 +213,41 @@ def _lowest(E: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(E)[..., 0]
 
 
-def _lambda_min_grid(family: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of a ``(3, d, d)`` Hermitian family at each phi, vectorised over the grid."""
+def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of a ``(3, d, d)`` Hermitian family at the phase of each :func:`_basis` row."""
     d = family.shape[-1]
-    return _lowest((_basis(phis) @ family.reshape(3, d * d)).reshape(-1, d, d))
+    return _lowest((basis @ family.reshape(3, d * d)).reshape(-1, d, d))
 
 
-def _phi_grid(n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phases ``2 pi k / n`` (``k < n``) and their :func:`_basis` rows, read-only."""
     if n < 1:
         raise ValueError("grid size must be positive")
-    return np.arange(n) * (2.0 * math.pi / n)
+    phis = np.arange(n) * (2.0 * math.pi / n)
+    basis = _basis(phis)
+    phis.flags.writeable = basis.flags.writeable = False
+    return phis, basis
 
 
 @functools.cache
 def _seeds(d: int) -> tuple[tuple, tuple, np.ndarray]:
     """The ``2d + 2`` equispaced seed phases, their ``e^{i phi}`` and their basis rows (read-only)."""
-    phis = _phi_grid(2 * d + 2)
-    basis = _basis(phis)
-    basis.flags.writeable = False
+    phis, basis = _grid(2 * d + 2)
     return tuple(phis.tolist()), tuple(basis[:, 0].tolist()), basis
 
 
 def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
     """Two float arrays: the phases ``2 pi k / n`` (``k < n``) and lambda_min of ``op`` at each.
 
-    Hermiticity is checked within ``DEFAULT_TOL`` (:class:`NotHermitianError`).
+    The phases are read-only and shared between calls.  Hermiticity is
+    checked within ``DEFAULT_TOL`` (:class:`NotHermitianError`).
     """
     family, defect = hermitian_part(op.coeffs)
     if not defect <= DEFAULT_TOL:
         raise NotHermitianError("operator family is not hermitian-preserving")
-    phis = _phi_grid(n)
-    return phis, _lambda_min_grid(family, phis)
+    phis, basis = _grid(n)
+    return phis, _lambda_min_grid(family, basis)
 
 
 def _pencil_crossings(families: np.ndarray, x0: list[complex], M0: np.ndarray):

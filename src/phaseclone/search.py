@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,6 +344,8 @@ class SearchReport:
     seed: int
     accepted: int
     rejected: int
+    #: How often each :class:`SampleRejected` message occurred; sums to ``rejected``.
+    rejection_reasons: dict
     acceptance_rate: float
     case_counts: dict
     both_phase_dependent: int
@@ -384,21 +388,24 @@ def theorem_search(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     params = params or _DEFAULT_PARAMS
     case_counts: dict[str, int] = {}
+    rejection_reasons: Counter[str] = Counter()
     witnesses: list[WitnessRecord] = []
     witness_failures: list[int] = []
     violations: list[ViolationRecord] = []
-    accepted = rejected = both_dep = 0
+    accepted = both_dep = 0
 
     for start in range(0, trials, _BLOCK):
         block = range(start, min(start + _BLOCK, trials))
         c1, c2 = np.array([_draw([seed, k], params) for k in block]).transpose(1, 2, 0, 3, 4)
         results = _assemble(c1, c2, _ASSEMBLE_TOL)
         drawn = [(k, t) for k, t in zip(block, results) if not isinstance(t, SampleRejected)]
-        rejected += len(block) - len(drawn)
+        rejection_reasons.update(str(t) for t in results if isinstance(t, SampleRejected))
         reports = analyze_many([t for _, t in drawn], tol)
         accepted += len(drawn)
 
@@ -429,7 +436,8 @@ def theorem_search(
         trials=trials,
         seed=seed,
         accepted=accepted,
-        rejected=rejected,
+        rejected=sum(rejection_reasons.values()),
+        rejection_reasons=dict(sorted(rejection_reasons.items())),
         acceptance_rate=accepted / trials,
         case_counts=dict(sorted(case_counts.items())),
         both_phase_dependent=both_dep,

@@ -9,27 +9,37 @@ import pytest
 
 from phaseclone import (
     CaseLabel,
+    CaseVerdict,
     ConstantOperator,
     FirstOrderPoly,
+    JointPhaseOperator,
     NotPositiveError,
     PhaseOperator,
     PreconditionError,
     SampleRejected,
+    SamplerParams,
     UncorrelatedTriple,
     analyze,
+    analyze_many,
     assemble_triple,
     builtin,
     case2_forcing_check,
     classify,
+    decompose_probability,
     deterministic_tensor_obstruction,
+    factorize,
     generate_case2_candidate,
     is_positive_over_phase,
     mul,
     output_depends_on_phase,
     phase_state_operator,
     swap_systems,
+    theorem_search,
     trace_poly,
 )
+from phaseclone import analysis, search, trigpoly
+from phaseclone.catalog import NAMES
+from phaseclone.trigpoly import ZERO_COEFF_REL, root_multiplicity
 
 from helpers import fp, random_hp_operator
 
@@ -353,3 +363,188 @@ def test_classify_factorizes_each_entry_once(monkeypatch):
             bound += len(list(analysis._nonzero_entries(t.out1)))
         assert len(calls) <= bound
     assert labels >= {CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3}
+
+
+# ------------------------------------------------------ stacked classifier
+
+def _reference_case(t):
+    """Case label and missing root of a triple by the per-entry loop.
+
+    Factors every nonzero out2 entry with ``factorize`` and counts its
+    factors with ``root_multiplicity``, under the classifier's constants.
+    The missing root is the one lacked by the first single-factor entry in
+    row-major order (``None`` outside Case 2); the limit is its radius.
+    """
+    dec = decompose_probability(trace_poly(t.out1))
+    p0, p1 = dec.p0, dec.p1
+    degenerate = abs(p0 - p1) <= analysis.DEGENERATE_ROOT_BAND * max(1.0, abs(p0))
+    if degenerate:
+        p0 = p1 = 0.5 * (p0 + p1)
+        root_tol = 2.0 * analysis.DEGENERATE_ROOT_BAND
+    else:
+        root_tol = analysis.ROOT_MATCH_TOL
+    threshold = ZERO_COEFF_REL * (1.0 + t.out2.max_abs())
+    counts, missing = [], None
+    for row in t.out2.entries:
+        for entry in row:
+            if entry.max_abs() <= threshold:
+                continue
+            form = factorize(entry)
+            m0 = root_multiplicity(form, p0, root_tol)
+            if degenerate:
+                counts.append(min(m0, 2))
+            else:
+                counts.append((m0 >= 1) + (root_multiplicity(form, p1, root_tol) >= 1))
+            if counts[-1] == 1 and missing is None:
+                missing = p0 if m0 == 0 else p1
+    if 0 in counts:
+        return CaseLabel.CASE1, None, None
+    if 1 in counts:
+        return CaseLabel.CASE2, missing, root_tol * max(1.0, abs(missing))
+    return CaseLabel.CASE3, None, None
+
+
+def _gamma_times(P, gamma) -> PhaseOperator:
+    return PhaseOperator(np.asarray(gamma, dtype=complex)[None] * P.coeffs[:, None, None])
+
+
+def _mixed_stack() -> list:
+    """Accepted triples of every sampler stratum, 2x3 triples and the catalog."""
+    triples = []
+
+    def draw(key, params=None, count=600):
+        for k in range(count):
+            try:
+                triples.append(generate_case2_candidate([key, k], params))
+            except SampleRejected:
+                pass
+
+    draw(20260809)
+    for name, _ in search._STRATA:
+        draw(20260809, SamplerParams(pin_stratum=name), 80)
+    rng = np.random.default_rng(5)
+    for k in range(12):
+        t = generate_case2_candidate([31, k], SamplerParams(pin_stratum="case2"))
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        g = g @ g.conj().T if k % 2 else 0.5 * (g + g.conj().T)
+        out = t.out2 if k % 3 else t.out1
+        triples.append(assemble_triple(out, _gamma_times(trace_poly(out), g / np.trace(g).real)))
+    triples += [builtin(name).payload for name in NAMES if name != "phase-state"]
+    return triples
+
+
+def test_stacked_labels_equal_the_per_entry_reference():
+    triples = _mixed_stack()
+    reports = analyze_many(triples)
+    seen, degenerate = set(), 0
+    for t, report in zip(triples, reports):
+        if report.case is None or report.case.label is CaseLabel.CONSTANT_PROBABILITY:
+            continue
+        label, missing, limit = _reference_case(t)
+        assert report.case == CaseVerdict(label)
+        verdict = classify(t)
+        assert verdict.label is label
+        if label is CaseLabel.CASE2:
+            assert verdict.entry_forms == analysis._entry_forms(t.out1, missing, limit)
+        seen.add((label, t.out2.dim))
+        degenerate += report.probability.r == 1.0
+    assert seen >= {(label, 2) for label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3)}
+    assert {dim for _, dim in seen} == {2, 3}
+    assert degenerate > 50  # the wild stratum's double roots
+
+
+def _edge_triple(P, entries) -> UncorrelatedTriple:
+    """out1 = P / 2, out2 with diagonal P / 2 and the given off-diagonal entries, and their joint."""
+    coeffs = np.zeros((3, 2, 2), dtype=complex)
+    coeffs[:, 0, 0] = coeffs[:, 1, 1] = 0.5 * P.coeffs
+    coeffs[:, 0, 1], coeffs[:, 1, 0] = (np.asarray(e, dtype=complex) for e in entries)
+    # out1 (x) out2 / P = I/2 (x) out2, without a division.
+    joint = JointPhaseOperator(np.kron(0.5 * np.eye(2), coeffs), dim1=2, dim2=2)
+    return UncorrelatedTriple(joint, _gamma_times(P, 0.5 * np.eye(2)), PhaseOperator(coeffs))
+
+
+def _full(s, w0, w1):
+    """Coefficients of ``s (x + w0) (w1 conj(x) + 1)``."""
+    return (s, s * w0 * w1, s * (w0 + w1))
+
+
+def _edge_cases():
+    theta, r = 0.7, 2.5
+    P = FirstOrderPoly(cmath.exp(-1j * theta), cmath.exp(1j * theta), r + 1.0 / r)
+    p0, p1 = r * cmath.exp(1j * theta), cmath.exp(1j * theta) / r
+    far, tol = -1.3 + 0.4j, analysis.ROOT_MATCH_TOL * max(1.0, abs(p0))
+    near = lambda k: p0 + k * tol * cmath.exp(0.3j)  # noqa: E731
+    zero = (0.0, 0.0, 0.0)
+    threshold = ZERO_COEFF_REL * (1.0 + 0.5 * P.max_abs())  # max|out2| is max|P / 2|
+    unit = np.array(_full(1.0, far, -far)) / np.abs(_full(1.0, far, -far)).max()
+    cases = {
+        "root 0.5 tol from p0": (P, [_full(0.3, near(0.5), far), zero], CaseLabel.CASE2),
+        "root 2 tol from p0": (P, [_full(0.3, near(2.0), far), zero], CaseLabel.CASE1),
+        "both roots 0.5 tol off": (P, [_full(0.3, near(0.5), p1 + 0.5e-8), zero], CaseLabel.CASE3),
+        "affine carrying p0": (P, [(0.0, 0.4 * p0, 0.4), zero], CaseLabel.CASE2),
+        "affine carrying neither": (P, [(0.0, 0.4 * far, 0.4), zero], CaseLabel.CASE1),
+        "pure negative": (P, [(0.0, 0.7, 0.0), zero], CaseLabel.CASE1),
+        "pure positive, roots at 0": (P, [(0.7, 0.0, 0.0), zero], CaseLabel.CASE1),
+        "just under the zero threshold": (P, [0.9 * threshold * unit, zero], CaseLabel.CASE3),
+        "just over the zero threshold": (P, [1.1 * threshold * unit, zero], CaseLabel.CASE1),
+        "no factor after a single factor": (
+            P, [(0.0, 0.4 * p0, 0.4), _full(0.3, far, -far)], CaseLabel.CASE1
+        ),
+        "single factor after no factor": (
+            P, [_full(0.3, far, -far), (0.0, 0.4 * p1, 0.4)], CaseLabel.CASE1
+        ),
+    }
+    # r = 1e9 puts p1 within the match radius of 0, both roots of a x.
+    R = FirstOrderPoly(cmath.exp(-1j * theta), cmath.exp(1j * theta), 1e9 + 1e-9)
+    cases["pure positive, roots at 0 near p1"] = (R, [(0.7, 0.0, 0.0), zero], CaseLabel.CASE2)
+    # r = 1: p0 = p1, matched at its midpoint within twice the degenerate band.
+    Q = FirstOrderPoly(cmath.exp(-1j * theta), cmath.exp(1j * theta), 2.0)
+    q = cmath.exp(1j * theta)
+    band = analysis.DEGENERATE_ROOT_BAND
+    cases["double root, entry carries it once"] = (Q, [_full(0.3, q, far), zero], CaseLabel.CASE2)
+    cases["double root, entry carries it twice"] = (
+        Q, [_full(0.3, q + band * q, q - band * q), zero], CaseLabel.CASE3
+    )
+    cases["double root, entry misses it"] = (Q, [_full(0.3, far, -far), zero], CaseLabel.CASE1)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_edge_cases()))
+def test_classify_edge_entries(name):
+    P, entries, expected = _edge_cases()[name]
+    t = _edge_triple(P, entries)
+    assert _reference_case(t)[0] is expected
+    assert classify(t).label is expected
+
+
+def test_edge_entries_classify_as_one_stack():
+    # One stack holds every edge triple (both root pairs): members do not
+    # influence one another.
+    cases = list(_edge_cases().values())
+    triples = [_edge_triple(P, entries) for P, entries, _ in cases]
+    decs = [decompose_probability(trace_poly(t.out1)) for t in triples]
+    labels = analysis._classify_many([t.out2 for t in triples], decs)
+    assert labels == [expected for _, _, expected in cases]
+
+
+def test_analysis_uses_no_scalar_entry_views(monkeypatch):
+    # analyze_many and theorem_search classify from coefficient arrays: no
+    # factorize call and no FirstOrderPoly view of an operator's entries.
+    calls = []
+    monkeypatch.setattr(analysis, "factorize", lambda p: calls.append("factorize"))
+    monkeypatch.setattr(trigpoly, "factorize", lambda p: calls.append("factorize"))
+    entries = PhaseOperator.entries
+    monkeypatch.setattr(
+        PhaseOperator, "entries", property(lambda op: calls.append("entries") or entries.func(op))
+    )
+    triples = [builtin(name).payload for name in ("counterexample", "case1-example", "case3-example")]
+    for k in range(100):
+        try:
+            triples.append(generate_case2_candidate([20260809, k]))
+        except SampleRejected:
+            pass
+    labels = {r.case.label for r in analyze_many(triples) if r.case is not None}
+    report = theorem_search(300, seed=20260809)
+    assert calls == []
+    assert labels >= {CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3}
+    assert {"Case 1", "Case 2", "Case 3"} <= set(report.case_counts)

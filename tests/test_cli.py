@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -27,7 +28,7 @@ from phaseclone import (
 )
 from phaseclone import cli
 from phaseclone.cli import main
-from phaseclone.positivity import DEFAULT_TOL, _lambda_min_grid
+from phaseclone.positivity import DEFAULT_TOL, _basis, _lambda_min_grid
 from phaseclone.operators import hermitian_part, max_coeff_diff
 
 
@@ -132,6 +133,19 @@ def test_search_small_run(capsys):
     assert "trials: 150" in out
     assert "violations: 0" in out
     assert "witness_failures: 0" in out
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert sum(json.loads(lines["rejection_reasons"]).values()) == int(lines["rejected"]) > 0
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5", "-99999999999999999999"])
+def test_bad_seed_is_input_error(capsys, monkeypatch, seed):
+    monkeypatch.setattr(cli, "theorem_search", lambda *a, **k: pytest.fail("search ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--trials", "5", "--seed", seed])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --seed: seed must be an integer >= 0" in err
+    assert "Traceback" not in err
 
 
 def test_catalog_round_trip(tmp_path):
@@ -304,7 +318,7 @@ def test_profile_columns_are_the_scalar_and_grid_values(k, samples):
     P = trace_poly(t.out1)
     assert _bits(table[:, 1]) == _bits([P.eval(phi).real for phi in phis.tolist()])
     for column, op in zip(table[:, 2:].T, (t.out1, t.out2, t.joint)):
-        assert _bits(column) == _bits(_lambda_min_grid(hermitian_part(op.coeffs)[0], phis))
+        assert _bits(column) == _bits(_lambda_min_grid(hermitian_part(op.coeffs)[0], _basis(phis)))
 
 
 def test_profile_sweeps_each_block_once(tmp_path, monkeypatch):
@@ -314,3 +328,19 @@ def test_profile_sweeps_each_block_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "min_eigenvalue_profile", lambda op, n: calls.append(n) or sweep(op, n))
     assert main(["profile", str(path), "--samples", "16", "--out", str(tmp_path / "p.csv")]) == 0
     assert calls == [16, 16, 16]
+
+
+def test_profile_builds_its_grid_once(tmp_path, monkeypatch):
+    from phaseclone import positivity
+
+    path = _write_entry(tmp_path, "counterexample")
+    sizes = []
+    basis = positivity._basis
+    monkeypatch.setattr(positivity, "_basis", lambda phis: sizes.append(len(phis)) or basis(phis))
+    positivity._grid.cache_clear()
+    for _ in range(2):
+        assert main(["profile", str(path), "--samples", "48", "--out", str(tmp_path / "p.csv")]) == 0
+    # Once for the three sweeps and the P column together, then from the cache.
+    assert sizes == [48]
+    phis, rows = positivity._grid(48)
+    assert not phis.flags.writeable and not rows.flags.writeable

@@ -2,8 +2,12 @@
 
 A phase shift ``phi -> phi + delta`` maps each coefficient triple
 ``(A, B, C)`` to ``(A e^{i delta}, B e^{-i delta}, C)``; it moves the phase
-at which anything happens but cannot change whether it happens.  Swapping
-the two systems exchanges the roles of the outputs and nothing else.
+at which anything happens but cannot change whether it happens, nor how the
+factors are inlaid, so the case label holds too.  Swapping the two systems
+exchanges the roles of the outputs and nothing else.  Fixed local unitaries
+``U``, ``V`` act as ``U out1 U^H``, ``V out2 V^H`` and ``(U (x) V) joint
+(U (x) V)^H``: a change of basis, which keeps every verdict but not the
+case label, since the entries it inspects mix.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 
 from phaseclone import (
+    CaseLabel,
     JointPhaseOperator,
     PhaseOperator,
     SampleRejected,
@@ -39,8 +44,13 @@ def triples():
 
 
 @pytest.fixture(scope="module")
-def verdicts(triples):
-    return [_verdict(r) for r in analyze_many(triples)]
+def reports(triples):
+    return analyze_many(triples)
+
+
+@pytest.fixture(scope="module")
+def verdicts(reports):
+    return [_verdict(r) for r in reports]
 
 
 def _verdict(report) -> tuple:
@@ -65,9 +75,39 @@ def _shifted(t: UncorrelatedTriple, delta: float) -> UncorrelatedTriple:
 
 
 @pytest.mark.parametrize("delta", [0.3, 2.0])
-def test_phase_shift_keeps_every_verdict(triples, verdicts, delta):
-    shifted = [_verdict(r) for r in analyze_many([_shifted(t, delta) for t in triples])]
-    flips = [i for i, (a, b) in enumerate(zip(verdicts, shifted)) if a != b]
+def test_phase_shift_keeps_every_verdict(triples, reports, delta):
+    shifted = analyze_many([_shifted(t, delta) for t in triples])
+    flips = [
+        i
+        for i, (a, b) in enumerate(zip(reports, shifted))
+        if (_verdict(a), a.case) != (_verdict(b), b.case)
+    ]
+    assert flips == []
+    assert {r.case.label for r in reports if r.case is not None} == set(CaseLabel)
+
+
+def _unitary(rng, d: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rotated(t: UncorrelatedTriple, U: np.ndarray, V: np.ndarray) -> UncorrelatedTriple:
+    W = np.kron(U, V)
+    joint = JointPhaseOperator(W @ t.joint.coeffs @ W.conj().T, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    return UncorrelatedTriple(
+        joint=joint,
+        out1=PhaseOperator(U @ t.out1.coeffs @ U.conj().T),
+        out2=PhaseOperator(V @ t.out2.coeffs @ V.conj().T),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_local_unitaries_keep_every_verdict(triples, verdicts, seed):
+    rng = np.random.default_rng([20260809, seed])
+    U, V = _unitary(rng, 2), _unitary(rng, 2)
+    assert {(t.out1.dim, t.out2.dim) for t in triples} == {(2, 2)}
+    rotated = [_verdict(r) for r in analyze_many([_rotated(t, U, V) for t in triples])]
+    flips = [i for i, (a, b) in enumerate(zip(verdicts, rotated)) if a != b]
     assert flips == []
 
 

@@ -23,7 +23,7 @@ from phaseclone import (
     min_eigenvalue_profile,
     phase_state_operator,
 )
-from phaseclone.positivity import _lambda_min_grid
+from phaseclone.positivity import _basis, _lambda_min_grid
 
 from helpers import fp, grid, random_hp_operator
 
@@ -146,7 +146,7 @@ def test_analytic_matches_eigensolver():
     phis = grid(128)
     for _ in range(25):
         op = random_hp_operator(rng)
-        analytic = _lambda_min_grid(op.coeffs, phis)
+        analytic = _lambda_min_grid(op.coeffs, _basis(phis))
         A, B, C = op.coeffs
         x = np.exp(1j * phis)[:, None, None]
         solver = np.linalg.eigvalsh(x * A + np.conj(x) * B + C)[:, 0]

@@ -188,6 +188,22 @@ def test_search_rejects_bad_trials():
         theorem_search(0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_search_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        theorem_search(5, seed=seed)
+
+
+def test_search_counts_rejection_reasons():
+    report = theorem_search(1500, seed=20260809)
+    assert sum(report.rejection_reasons.values()) == report.rejected
+    # The reject stratum's deficient off-diagonals: the first product entry
+    # in row-major order that does not divide is always (1, 2).
+    assert report.rejection_reasons == {"product entry (1, 2) is not divisible by the trace": 150}
+    vanishing = theorem_search(20, seed=20260809, params=_unvalidated(pin_alpha_abs=0.0))
+    assert vanishing.rejection_reasons == {"trace polynomial vanishes": 20}
+
+
 def test_unknown_stratum_rejected():
     with pytest.raises(ValueError):
         generate_case2_candidate(1, SamplerParams(pin_stratum="nope"))
