@@ -252,26 +252,20 @@ def _tol(text: str) -> float:
 MAX_SAMPLES = 1 << 16
 
 
-def _samples(text: str) -> int:
-    """Argparse type of ``--samples``: an integer in ``[1, MAX_SAMPLES]``."""
-    try:
-        n = int(text)
-        if 1 <= n <= MAX_SAMPLES:
-            return n
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"samples must be an integer in [1, {MAX_SAMPLES}], got {text!r}")
+def _integer(name: str, low: int, high: float = math.inf):
+    """Argparse type of an integer option in ``[low, high]``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if low <= value <= high:
+                return value
+        except ValueError:
+            pass
+        bound = f"in [{low}, {high}]" if high < math.inf else f">= {low}"
+        raise argparse.ArgumentTypeError(f"{name} must be an integer {bound}, got {text!r}")
 
-def _seed(text: str) -> int:
-    """Argparse type of ``--seed``: an integer >= 0, as :func:`theorem_search` takes."""
-    try:
-        seed = int(text)
-        if seed >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,13 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="write a CSV of minimum-eigenvalue sweeps")
     p.add_argument("file")
-    p.add_argument("--samples", type=_samples, default=DEFAULT_GRID)
+    p.add_argument("--samples", type=_integer("samples", 1, MAX_SAMPLES), default=DEFAULT_GRID)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("search", help="randomized theorem search; exit 1 on violations")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_integer("seed", 0), default=0)
     p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_search)
 
