@@ -23,8 +23,8 @@ search in :mod:`phaseclone.search` exercises.  For a double root
 The split is decided on coefficient arrays: the roots of every out2 entry
 of an ``(N, 3, d, d)`` stack are solved at once and matched against each
 member's ``p0`` and ``p1``; the label follows from the fewest factors a
-nonzero entry carries.  Only :func:`classify` factors entries one by one, for the
-``entry_forms`` of a Case 2 verdict.
+nonzero entry carries.  Only :func:`classify` factors entries one by one,
+for the ``entry_forms`` of a Case 2 verdict.
 """
 
 from __future__ import annotations
