@@ -25,6 +25,13 @@ of an ``(N, 3, d, d)`` stack are solved at once and matched against each
 member's ``p0`` and ``p1``; the label follows from the fewest factors a
 nonzero entry carries.  Only :func:`classify` factors entries one by one,
 for the ``entry_forms`` of a Case 2 verdict.
+
+A report is built in two stages: a structure stage (hermiticity,
+relation, probability decomposition, phase dependence and case) and the
+positivity certificate on the Hermitian parts the first stage found.
+:func:`analyze`, :func:`analyze_many` and the CLI ``check`` certify every
+operator.  The randomized search certifies only the operators of triples
+with both outputs phase-dependent: positivity decides nothing elsewhere.
 """
 
 from __future__ import annotations
@@ -58,9 +65,10 @@ from .positivity import (
     NotRealValuedError,
     PositivityVerdict,
     ProbabilityDecomposition,
+    _certify_many,
+    _hermitian_families,
     decompose_probability,
     is_positive_over_phase,
-    positivity_many,
 )
 
 __all__ = [
@@ -397,18 +405,25 @@ def deterministic_tensor_obstruction(
     return has_second_order(tensor(o1, o2), tol)
 
 
-def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
-    """:func:`analyze` for each triple, with the array checks run over stacks.
+@dataclass(frozen=True)
+class _Structure:
+    """The verdicts of one triple that need no positivity certificate.
 
-    The hermiticity test and positivity certificate run once per operator
-    dimension, the product relation once per pair of marginal dimensions,
-    the phase-dependence projection once per output dimension and the case
-    classification once per out2 dimension; only the probability
-    decomposition is a loop over the triples.  Case verdicts carry no
-    ``entry_forms`` (see :func:`classify`).
+    ``families`` holds the Hermitian parts of (joint, out1, out2), ``None``
+    for an operator that is not hermitian-preserving; the certificate runs
+    on them as they are.
     """
-    triples = list(triples)
-    verdicts = positivity_many([op for t in triples for op in (t.joint, t.out1, t.out2)], tol)
+
+    families: tuple
+    relation: RelationReport | None
+    probability: object
+    dependence: tuple
+    case: CaseVerdict | None
+
+
+def _structure_many(triples: list, tol: float) -> list[_Structure]:
+    """The structure stage of :func:`analyze_many`: everything but the certificate."""
+    families = _hermitian_families([op for t in triples for op in (t.joint, t.out1, t.out2)], tol)
     relations = validate_triples(triples, tol)
     Ps = [trace_poly(t.out1) for t in triples]
     probabilities = [_probability(P, t.out1, tol) for t, P in zip(triples, Ps)]
@@ -430,7 +445,7 @@ def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
         if not isinstance(probability, str)
         and relations[i] is not None
         and relations[i].all_ok
-        and None not in verdicts[3 * i : 3 * i + 3]
+        and all(f is not None for f in families[3 * i : 3 * i + 3])
     ]
     labels = _classify_many(
         [triples[i].out2 for i in classified], [probabilities[i] for i in classified]
@@ -440,11 +455,50 @@ def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
         if probability == "constant-probability":
             cases[i] = CaseVerdict(CaseLabel.CONSTANT_PROBABILITY)
     return [
-        _report(
-            p, verdicts[3 * i : 3 * i + 3], relations[i], dependence.get(i, (None, None)), cases.get(i)
+        _Structure(
+            tuple(families[3 * i : 3 * i + 3]),
+            relations[i],
+            p,
+            dependence.get(i, (None, None)),
+            cases.get(i),
         )
         for i, p in enumerate(probabilities)
     ]
+
+
+def _certify(structures: list, tol: float) -> list[tuple]:
+    """The positivity verdicts of (joint, out1, out2) for each structure, one stack per dimension."""
+    verdicts = _certify_many([f for s in structures for f in s.families], tol)
+    return [tuple(verdicts[3 * i : 3 * i + 3]) for i in range(len(structures))]
+
+
+def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
+    """:func:`analyze` for each triple, with the array checks run over stacks.
+
+    The hermiticity test and positivity certificate run once per operator
+    dimension, the product relation once per pair of marginal dimensions,
+    the phase-dependence projection once per output dimension and the case
+    classification once per out2 dimension; only the probability
+    decomposition is a loop over the triples.  Every operator is
+    certified, whatever the other verdicts of its triple.  Case verdicts
+    carry no ``entry_forms`` (see :func:`classify`).
+    """
+    structures = _structure_many(list(triples), tol)
+    return list(map(_report, structures, _certify(structures, tol)))
+
+
+def _search_many(triples: list, tol: float) -> list[CloningReport]:
+    """The reports of :func:`analyze_many` as :func:`theorem_search` reads them.
+
+    The structure stage runs on every triple, but the certificate only on
+    the three operators of triples whose outputs both depend on the phase:
+    nowhere else can a positivity verdict make a report theorem-inconsistent
+    (see :func:`_report`), so the other reports carry no positivity verdicts.
+    """
+    structures = _structure_many(triples, tol)
+    decided = [i for i, s in enumerate(structures) if s.dependence == (True, True)]
+    verdicts = dict(zip(decided, _certify([structures[i] for i in decided], tol)))
+    return [_report(s, verdicts.get(i, (None, None, None))) for i, s in enumerate(structures)]
 
 
 def _probability(P: FirstOrderPoly, out1: PhaseOperator, tol: float) -> object:
@@ -461,12 +515,18 @@ def _probability(P: FirstOrderPoly, out1: PhaseOperator, tol: float) -> object:
         return "not-positive"
 
 
-def _report(probability, verdicts, relation, dependence, case) -> CloningReport:
-    """Assemble one :class:`CloningReport` from the stacked verdicts of its triple."""
+def _report(structure: _Structure, verdicts) -> CloningReport:
+    """Assemble one :class:`CloningReport` from the structure and positivity verdicts of its triple.
+
+    A triple whose outputs are not both phase-dependent is
+    theorem-consistent whatever its verdicts; :func:`_search_many` passes
+    ``(None, None, None)`` for it.
+    """
     positivity_joint, positivity_out1, positivity_out2 = verdicts
-    hp_joint, hp_out1, hp_out2 = (v is not None for v in verdicts)
+    hp_joint, hp_out1, hp_out2 = (f is not None for f in structure.families)
+    relation = structure.relation
     relation_ok = relation is not None and relation.all_ok
-    dep1, dep2 = dependence
+    dep1, dep2 = structure.dependence
     all_positive = all(v is not None and v.positive for v in verdicts)
     # A verdict exists only for a hermitian-preserving operator, so all_positive implies hp_ok.
     theorem_consistent = not (all_positive and relation_ok and bool(dep1) and bool(dep2))
@@ -477,11 +537,11 @@ def _report(probability, verdicts, relation, dependence, case) -> CloningReport:
         hp_out2=hp_out2,
         relation=relation,
         relation_ok=relation_ok,
-        probability=probability,
+        probability=structure.probability,
         positivity_joint=positivity_joint,
         positivity_out1=positivity_out1,
         positivity_out2=positivity_out2,
-        case=case,
+        case=structure.case,
         out1_phase_dependent=dep1,
         out2_phase_dependent=dep2,
         theorem_consistent=theorem_consistent,

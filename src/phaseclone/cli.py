@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("search", help="randomized theorem search; exit 1 on violations")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_integer("trials", 1), default=10000)
     p.add_argument("--seed", type=_integer("seed", 0), default=0)
     p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_search)

@@ -406,27 +406,48 @@ def _minimum(families: np.ndarray) -> tuple[list[float], list[float]]:
     raise RuntimeError("positivity level-set iteration did not converge")
 
 
+def _hermitian_families(ops, tol: float) -> list[np.ndarray | None]:
+    """The Hermitian part of each operator's family, ``None`` where its defect exceeds ``tol``.
+
+    Operators are grouped by dimension and each group is tested once as an
+    ``(N, 3, d, d)`` stack; the parts returned are views into that stack.
+    """
+    families: list[np.ndarray | None] = [None] * len(ops)
+    groups: dict[int, list[int]] = {}
+    for i, op in enumerate(ops):
+        groups.setdefault(op.dim, []).append(i)
+    for members in groups.values():
+        stack, defect = hermitian_part(np.array([ops[i].coeffs for i in members]))
+        for i, family, ok in zip(members, stack, (defect <= tol).tolist()):
+            if ok:
+                families[i] = family
+    return families
+
+
+def _certify_many(families, tol: float) -> list[PositivityVerdict | None]:
+    """The certificate on each ``(3, d, d)`` Hermitian family, ``None`` for ``None``.
+
+    The families of one dimension are certified as one stack.
+    """
+    verdicts: list[PositivityVerdict | None] = [None] * len(families)
+    groups: dict[int, list[int]] = {}
+    for i, family in enumerate(families):
+        if family is not None:
+            groups.setdefault(family.shape[-1], []).append(i)
+    for members in groups.values():
+        stack = np.array([families[i] for i in members])
+        for i, low, phi in zip(members, *_minimum(stack)):
+            verdicts[i] = PositivityVerdict(low >= -tol, low, phi)
+    return verdicts
+
+
 def positivity_many(ops, tol: float = DEFAULT_TOL) -> list[PositivityVerdict | None]:
     """:func:`is_positive_over_phase` for each operator, ``None`` for a non-hermitian one.
 
     Operators are grouped by dimension, and each group's hermiticity test
     and certificate run once over its ``(N, 3, d, d)`` stack.
     """
-    verdicts: list[PositivityVerdict | None] = [None] * len(ops)
-    groups: dict[int, list[int]] = {}
-    for i, op in enumerate(ops):
-        groups.setdefault(op.dim, []).append(i)
-    for members in groups.values():
-        families, defect = hermitian_part(np.array([ops[i].coeffs for i in members]))
-        hp = (defect <= tol).tolist()
-        if not all(hp):
-            families = families[hp]
-            members = [i for i, ok in zip(members, hp) if ok]
-            if not members:
-                continue
-        for i, low, phi in zip(members, *_minimum(families)):
-            verdicts[i] = PositivityVerdict(low >= -tol, low, phi)
-    return verdicts
+    return _certify_many(_hermitian_families(ops, tol), tol)
 
 
 def is_positive_over_phase(op: PhaseOperator, tol: float = DEFAULT_TOL) -> PositivityVerdict:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .trigpoly import _divide
 from .operators import JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
-from .analysis import analyze_many
+from .analysis import _search_many
 
 __all__ = [
     "SamplerParams",
@@ -378,18 +378,19 @@ def theorem_search(
     """Analyze ``trials`` sampled candidates and hunt for theorem violations.
 
     Trials are sampled with their own streams ``default_rng([seed, k])``,
-    the accepted triples of each block of trials are analyzed together by
-    :func:`analyze_many` (positivity verdicts are exact minima over the
-    phase circle), and the reports are tallied in trial order.  Candidates
-    with both outputs phase-dependent must show a minimum eigenvalue below
-    ``-1e-6`` at some phase; any that do not are recorded as witness
-    failures, and any report that is not theorem-consistent is recorded as
-    a violation.  Both lists must stay empty.
+    the accepted triples of each block of trials are analyzed together, and
+    the reports are tallied in trial order.  Every accepted triple gets the
+    verdicts of :func:`analyze_many` except positivity: the certificate (an
+    exact minimum over the phase circle) runs only on triples with both
+    outputs phase-dependent, the only ones where it can decide a verdict.
+    Those must show a minimum eigenvalue below ``-1e-6`` at some phase; any
+    that do not are recorded as witness failures, and any report that is
+    not theorem-consistent is recorded as a violation.  Both lists must
+    stay empty.  ``trials`` must be an integer >= 1 and ``seed`` one >= 0.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     params = params or _DEFAULT_PARAMS
@@ -406,7 +407,7 @@ def theorem_search(
         results = _assemble(c1, c2, _ASSEMBLE_TOL)
         drawn = [(k, t) for k, t in zip(block, results) if not isinstance(t, SampleRejected)]
         rejection_reasons.update(str(t) for t in results if isinstance(t, SampleRejected))
-        reports = analyze_many([t for _, t in drawn], tol)
+        reports = _search_many([t for _, t in drawn], tol)
         accepted += len(drawn)
 
         for (k, _), report in zip(drawn, reports):

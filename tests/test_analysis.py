@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from phaseclone import (
 )
 from phaseclone import analysis, search, trigpoly
 from phaseclone.catalog import NAMES
+from phaseclone.positivity import DEFAULT_TOL
 from phaseclone.trigpoly import ZERO_COEFF_REL, root_multiplicity
 
 from helpers import fp, random_hp_operator
@@ -451,6 +453,33 @@ def test_stacked_labels_equal_the_per_entry_reference():
     assert seen >= {(label, 2) for label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3)}
     assert {dim for _, dim in seen} == {2, 3}
     assert degenerate > 50  # the wild stratum's double roots
+
+
+def test_search_reports_drop_only_the_certificates_that_decide_nothing():
+    # theorem_search certifies only triples with both outputs phase-dependent;
+    # every other verdict, and theorem_consistent, is the one analyze_many gives.
+    ce = builtin("counterexample").payload
+    coeffs = ce.joint.coeffs.copy()
+    coeffs[2, 0, 0] += 0.1  # still hermitian, but no longer out1 (x) out2 / P
+    broken = UncorrelatedTriple(JointPhaseOperator(coeffs, dim1=2, dim2=2), ce.out1, ce.out2)
+    zero = PhaseOperator.zero(2)
+    joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
+    triples = _mixed_stack() + [broken, UncorrelatedTriple(joint, zero, zero)]
+    full = analyze_many(triples)
+    searched = analysis._search_many(triples, DEFAULT_TOL)
+    assert not all(r.hp_ok for r in full) and not all(r.relation_ok for r in full)
+    assert any(r.probability == "constant-probability" for r in full)
+    decisive = 0
+    for f, s in zip(full, searched):
+        if f.out1_phase_dependent and f.out2_phase_dependent:
+            decisive += 1
+            assert s == f
+        else:
+            assert s == dataclasses.replace(
+                f, positivity_joint=None, positivity_out1=None, positivity_out2=None
+            )
+            assert s.theorem_consistent
+    assert 0 < decisive < len(triples)
 
 
 def _edge_triple(P, entries) -> UncorrelatedTriple:

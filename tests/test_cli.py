@@ -148,6 +148,17 @@ def test_bad_seed_is_input_error(capsys, monkeypatch, seed):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3", "abc", "2.5"])
+def test_bad_trials_is_input_error(capsys, monkeypatch, trials):
+    monkeypatch.setattr(cli, "theorem_search", lambda *a, **k: pytest.fail("search ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--trials", trials])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument --trials: trials must be an integer >= 1, got {trials!r}" in err
+    assert "Traceback" not in err
+
+
 def test_catalog_round_trip(tmp_path):
     path = _write_entry(tmp_path, "counterexample")
     doc = parse_pmap(path.read_text())

@@ -19,7 +19,7 @@ from phaseclone import (
     theorem_search,
     validate_triple,
 )
-from phaseclone import search
+from phaseclone import analysis, search
 from phaseclone.operators import max_coeff_diff
 from phaseclone.analysis import CaseLabel
 
@@ -184,8 +184,9 @@ def test_search_without_a_classified_triple_is_not_ok():
 
 
 def test_search_rejects_bad_trials():
-    with pytest.raises(ValueError):
-        theorem_search(0)
+    for trials in (0, -2, 10.5, "3", None, 1.0):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            theorem_search(trials)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
@@ -343,12 +344,12 @@ def test_batched_assembly_equals_per_trial_candidates(params):
 
 
 def test_search_analyzes_the_per_trial_candidates(monkeypatch):
-    # theorem_search hands analyze_many exactly the accepted per-trial triples.
+    # theorem_search hands its structure stage exactly the accepted per-trial triples.
     seen = []
-    analyze_many = search.analyze_many
+    structure_many = analysis._structure_many
     monkeypatch.setattr(search, "_BLOCK", 37)
     monkeypatch.setattr(
-        search, "analyze_many", lambda ts, tol: seen.extend(ts) or analyze_many(ts, tol)
+        analysis, "_structure_many", lambda ts, tol: seen.extend(ts) or structure_many(ts, tol)
     )
     report = theorem_search(200, seed=7)
     expected = []
@@ -363,13 +364,35 @@ def test_search_analyzes_the_per_trial_candidates(monkeypatch):
             assert _same_bits(getattr(got, name).coeffs, getattr(want, name).coeffs)
 
 
-def _reference_search(trials: int, seed: int):
+def test_search_certifies_only_both_phase_dependent_triples(monkeypatch):
+    # Positivity decides theorem_consistent only where both outputs depend on
+    # the phase, so only the three operators of those triples are certified.
+    certified = []
+    certify_many = analysis._certify_many
+
+    def counting(families, tol):
+        certified.extend(families)
+        return certify_many(families, tol)
+
+    monkeypatch.setattr(analysis, "_certify_many", counting)
+    monkeypatch.setattr(search, "_BLOCK", 64)
+    report = theorem_search(300, seed=20260809)
+    assert 0 < report.both_phase_dependent < report.accepted
+    assert len(certified) == 3 * report.both_phase_dependent
+    # analyze_many still certifies every operator of every triple.
+    certified.clear()
+    triples = [builtin(name).payload for name in ("counterexample", "case1-example")]
+    analysis.analyze_many(triples)
+    assert len(certified) == 3 * len(triples)
+
+
+def _reference_search(trials: int, seed: int, params: SamplerParams | None = None):
     """Per-trial ``analyze`` tally, the serial definition of ``theorem_search``."""
     counts, witnesses, failures, violations = {}, [], [], []
     accepted = both = 0
     for k in range(trials):
         try:
-            t = generate_case2_candidate([seed, k])
+            t = generate_case2_candidate([seed, k], params)
         except SampleRejected:
             continue
         accepted += 1
@@ -389,12 +412,19 @@ def _reference_search(trials: int, seed: int):
     return accepted, dict(sorted(counts.items())), both, witnesses, failures, violations
 
 
-@pytest.mark.parametrize("block", [None, 97])
-def test_batched_search_equals_per_trial_analyze(block, monkeypatch):
+@pytest.mark.parametrize(
+    "block, params",
+    [pytest.param(None, None, id="None"), pytest.param(97, None, id="97")]
+    + [pytest.param(None, SamplerParams(pin_stratum=name), id=name) for name in _NAMES],
+)
+def test_batched_search_equals_per_trial_analyze(block, params, monkeypatch):
+    # Each pinned stratum is a mix of cases and dependence flags of its own.
     if block is not None:  # many blocks, with a partial one at the end
         monkeypatch.setattr(search, "_BLOCK", block)
-    report = theorem_search(1000, seed=20260809)
-    accepted, counts, both, witnesses, failures, violations = _reference_search(1000, 20260809)
+    report = theorem_search(1000, seed=20260809, params=params)
+    accepted, counts, both, witnesses, failures, violations = _reference_search(
+        1000, 20260809, params
+    )
     assert report.accepted == accepted and report.rejected == 1000 - accepted
     assert report.case_counts == counts
     assert report.both_phase_dependent == both
