@@ -26,17 +26,22 @@ member's ``p0`` and ``p1``; the label follows from the fewest factors a
 nonzero entry carries.  Only :func:`classify` factors entries one by one,
 for the ``entry_forms`` of a Case 2 verdict.
 
-A report is built in two stages: a structure stage (hermiticity,
-relation, probability decomposition, phase dependence and case) and the
-positivity certificate on the Hermitian parts the first stage found.
+Triples are checked as coefficient stacks, one ``(N, 3, ., .)`` stack
+each of joints, out1s and out2s per pair of marginal dimensions.  A
+structure stage gives hermiticity, the relation, the probability
+decomposition, phase dependence and the case as arrays over the members;
+the positivity certificate then runs on the Hermitian parts it found.
 :func:`analyze`, :func:`analyze_many` and the CLI ``check`` certify every
-operator.  The randomized search certifies only the operators of triples
-with both outputs phase-dependent: positivity decides nothing elsewhere.
+operator and build one report per triple.  The randomized search tallies
+from the stage's arrays, with no object per trial, and certifies only
+the operators of triples with both outputs phase-dependent: positivity
+decides nothing elsewhere.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +59,11 @@ from .operators import (
     RelationReport,
     UncorrelatedTriple,
     ZeroProbabilityError,
+    _relation,
+    _relation_reports,
+    hermitian_part,
     tensor,
     trace_poly,
-    validate_triples,
 )
 from .positivity import (
     DEFAULT_TOL,
@@ -66,7 +73,6 @@ from .positivity import (
     PositivityVerdict,
     ProbabilityDecomposition,
     _certify_many,
-    _hermitian_families,
     decompose_probability,
     is_positive_over_phase,
 )
@@ -215,20 +221,6 @@ def _projection(outs: np.ndarray, p: np.ndarray, tol: float) -> tuple[np.ndarray
     return gamma, residual > tol * np.maximum(1.0, scale)
 
 
-def _phase_dependent(outs: list, Ps: list, tol: float) -> list[bool]:
-    """The verdict of :func:`output_depends_on_phase` per pair, one projection per dimension."""
-    flags = [False] * len(outs)
-    groups: dict[int, list[int]] = {}
-    for i, out in enumerate(outs):
-        groups.setdefault(out.dim, []).append(i)
-    for members in groups.values():
-        stack = np.array([outs[i].coeffs for i in members])
-        _, dependent = _projection(stack, np.array([Ps[i].coeffs for i in members]), tol)
-        for i, flag in zip(members, dependent.tolist()):
-            flags[i] = flag
-    return flags
-
-
 def output_depends_on_phase(
     out: PhaseOperator, P: FirstOrderPoly, tol: float = DEFAULT_TOL
 ) -> tuple[bool, ConstantOperator | None]:
@@ -324,20 +316,6 @@ def _labels(found: np.ndarray) -> list[CaseLabel]:
     return [_CASES[k] for k in found.min(axis=1).tolist()]
 
 
-def _classify_many(outs: list, decs: list) -> list[CaseLabel]:
-    """The case label of each out2 against its decomposed probability, one stack per dimension."""
-    labels: list = [None] * len(outs)
-    groups: dict[int, list[int]] = {}
-    for i, out in enumerate(outs):
-        groups.setdefault(out.dim, []).append(i)
-    for members in groups.values():
-        stack = np.array([outs[i].coeffs for i in members])
-        found, _ = _inlay(stack, [_targets(decs[i]) for i in members])
-        for i, label in zip(members, _labels(found)):
-            labels[i] = label
-    return labels
-
-
 def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
     """Assign one of the three factor-inlay cases (or constant probability).
 
@@ -407,104 +385,82 @@ def deterministic_tensor_obstruction(
 
 @dataclass(frozen=True)
 class _Structure:
-    """The verdicts of one triple that need no positivity certificate.
+    """The verdicts of the N triples of one ``(d1, d2)`` group that need no certificate.
 
-    ``families`` holds the Hermitian parts of (joint, out1, out2), ``None``
-    for an operator that is not hermitian-preserving; the certificate runs
-    on them as they are.
+    ``families`` holds the Hermitian parts of the joint, out1 and out2
+    stacks, ``hp`` the ``(3, N)`` verdicts on whether each operator is
+    hermitian-preserving and ``relation`` the arrays of
+    :func:`~phaseclone.operators.validate_triples`.  Per member,
+    ``probability`` is the decomposition of ``P`` or a tag string,
+    ``dependence`` the two phase-dependence flags (``(None, None)`` where
+    ``P`` vanishes) and ``case`` the :class:`CaseLabel` or ``None``.
     """
 
     families: tuple
-    relation: RelationReport | None
-    probability: object
-    dependence: tuple
-    case: CaseVerdict | None
+    hp: np.ndarray
+    relation: tuple
+    relation_ok: np.ndarray
+    probability: list
+    dependence: list
+    case: list
+
+    def operators(self, members) -> list:
+        """The Hermitian parts of (joint, out1, out2) of each member, ``None`` for a non-hermitian one."""
+        hp = self.hp.tolist()
+        return [f[m] if ok[m] else None for m in members for f, ok in zip(self.families, hp)]
 
 
-def _structure_many(triples: list, tol: float) -> list[_Structure]:
-    """The structure stage of :func:`analyze_many`: everything but the certificate."""
-    families = _hermitian_families([op for t in triples for op in (t.joint, t.out1, t.out2)], tol)
-    relations = validate_triples(triples, tol)
-    Ps = [trace_poly(t.out1) for t in triples]
-    probabilities = [_probability(P, t.out1, tol) for t, P in zip(triples, Ps)]
-    # output_depends_on_phase raises ZeroProbabilityError for the others.
-    projected = [
-        i
-        for i, (t, P, probability) in enumerate(zip(triples, Ps, probabilities))
-        if probability != "zero-probability" and not _vanishes(P, t.out2)
-    ]
-    flags = _phase_dependent(
-        [op for i in projected for op in (triples[i].out1, triples[i].out2)],
-        [Ps[i] for i in projected for _ in range(2)],
-        tol,
-    )
-    dependence = {i: (flags[2 * k], flags[2 * k + 1]) for k, i in enumerate(projected)}
-    classified = [
-        i
-        for i, probability in enumerate(probabilities)
-        if not isinstance(probability, str)
-        and relations[i] is not None
-        and relations[i].all_ok
-        and all(f is not None for f in families[3 * i : 3 * i + 3])
-    ]
-    labels = _classify_many(
-        [triples[i].out2 for i in classified], [probabilities[i] for i in classified]
-    )
-    cases = dict(zip(classified, map(CaseVerdict, labels)))
-    for i, probability in enumerate(probabilities):
-        if probability == "constant-probability":
-            cases[i] = CaseVerdict(CaseLabel.CONSTANT_PROBABILITY)
-    return [
-        _Structure(
-            tuple(families[3 * i : 3 * i + 3]),
-            relations[i],
-            p,
-            dependence.get(i, (None, None)),
-            cases.get(i),
-        )
-        for i, p in enumerate(probabilities)
-    ]
+def _outputs(fn, out1: np.ndarray, out2: np.ndarray, *args) -> tuple:
+    """``fn(out1, *args)`` and ``fn(out2, *args)``, one call when the output stacks have one shape.
 
-
-def _certify(structures: list, tol: float) -> list[tuple]:
-    """The positivity verdicts of (joint, out1, out2) for each structure, one stack per dimension."""
-    verdicts = _certify_many([f for s in structures for f in s.families], tol)
-    return [tuple(verdicts[3 * i : 3 * i + 3]) for i in range(len(structures))]
-
-
-def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
-    """:func:`analyze` for each triple, with the array checks run over stacks.
-
-    The hermiticity test and positivity certificate run once per operator
-    dimension, the product relation once per pair of marginal dimensions,
-    the phase-dependence projection once per output dimension and the case
-    classification once per out2 dimension; only the probability
-    decomposition is a loop over the triples.  Every operator is
-    certified, whatever the other verdicts of its triple.  Case verdicts
-    carry no ``entry_forms`` (see :func:`classify`).
+    ``fn`` returns a tuple of arrays over the members; ``args`` are stacked alike.
     """
-    structures = _structure_many(list(triples), tol)
-    return list(map(_report, structures, _certify(structures, tol)))
+    if out1.shape != out2.shape:
+        return fn(out1, *args), fn(out2, *args)
+    n = len(out1)
+    both = fn(np.concatenate([out1, out2]), *(np.concatenate([a, a]) for a in args))
+    return tuple(r[:n] for r in both), tuple(r[n:] for r in both)
 
 
-def _search_many(triples: list, tol: float) -> list[CloningReport]:
-    """The reports of :func:`analyze_many` as :func:`theorem_search` reads them.
+def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
+    """The structure stage on the ``(N, 3, ., .)`` coefficient stacks of N triples of one ``(d1, d2)``.
 
-    The structure stage runs on every triple, but the certificate only on
-    the three operators of triples whose outputs both depend on the phase:
-    nowhere else can a positivity verdict make a report theorem-inconsistent
-    (see :func:`_report`), so the other reports carry no positivity verdicts.
+    Hermiticity per operator, the product relation, the decomposition of
+    ``P`` (out1's trace) per member, the phase-dependence projection of
+    both outputs where ``P`` does not vanish and the case label of the
+    hermitian-preserving, relation-satisfying members with a decomposed
+    ``P``: everything of a report but the positivity certificate.
     """
-    structures = _structure_many(triples, tol)
-    decided = [i for i, s in enumerate(structures) if s.dependence == (True, True)]
-    verdicts = dict(zip(decided, _certify([structures[i] for i in decided], tol)))
-    return [_report(s, verdicts.get(i, (None, None, None))) for i, s in enumerate(structures)]
+    stacks = (joint, out1, out2)
+    families, defects = zip(hermitian_part(joint), *_outputs(hermitian_part, out1, out2))
+    hp = np.array(defects) <= tol
+    relation = _relation(*(stack.swapaxes(0, 1) for stack in stacks), tol)
+    P, sizes, nonzero, traces_equal, residual, partial_ok = relation
+    relation_ok = nonzero & traces_equal & (residual <= tol) & partial_ok
+    zero1, zero2 = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2:])  # _vanishes(P, out) per output
+    probability = [
+        "zero-probability" if zero else _probability(FirstOrderPoly(*row), tol)
+        for zero, row in zip(zero1.tolist(), P.T.tolist())
+    ]
+    dependence = [(None, None)] * len(probability)
+    projected = np.flatnonzero(~(zero1 | zero2))
+    p = np.ascontiguousarray(P.T[projected])
+    project = functools.partial(_projection, tol=tol)
+    flags = (dependent.tolist() for _, dependent in _outputs(project, out1[projected], out2[projected], p))
+    for m, flag in zip(projected.tolist(), zip(*flags)):
+        dependence[m] = flag
+    case = [CaseLabel.CONSTANT_PROBABILITY if t == "constant-probability" else None for t in probability]
+    checked = np.flatnonzero(relation_ok & hp.all(axis=0)).tolist()
+    classified = [m for m in checked if not isinstance(probability[m], str)]
+    if classified:
+        found, _ = _inlay(out2[classified], [_targets(probability[m]) for m in classified])
+        for m, label in zip(classified, _labels(found)):
+            case[m] = label
+    return _Structure(families, hp, relation, relation_ok, probability, dependence, case)
 
 
-def _probability(P: FirstOrderPoly, out1: PhaseOperator, tol: float) -> object:
-    """The decomposition of ``P``, or a tag string naming why there is none."""
-    if _vanishes(P, out1):
-        return "zero-probability"
+def _probability(P: FirstOrderPoly, tol: float) -> object:
+    """The decomposition of a nonzero ``P``, or a tag string naming why there is none."""
     try:
         return decompose_probability(P, tol)
     except ConstantProbabilityError:
@@ -515,37 +471,64 @@ def _probability(P: FirstOrderPoly, out1: PhaseOperator, tol: float) -> object:
         return "not-positive"
 
 
-def _report(structure: _Structure, verdicts) -> CloningReport:
-    """Assemble one :class:`CloningReport` from the structure and positivity verdicts of its triple.
+def _consistent(relation_ok: bool, dependence: tuple, verdicts) -> bool:
+    """``theorem_consistent``: false only for a relation-satisfying triple with both outputs
+    phase-dependent and all three operators positive (a verdict implies ``hp_ok``).
 
-    A triple whose outputs are not both phase-dependent is
-    theorem-consistent whatever its verdicts; :func:`_search_many` passes
-    ``(None, None, None)`` for it.
+    Nowhere else can a positivity verdict matter, so the search certifies no other triple.
     """
-    positivity_joint, positivity_out1, positivity_out2 = verdicts
-    hp_joint, hp_out1, hp_out2 = (f is not None for f in structure.families)
-    relation = structure.relation
-    relation_ok = relation is not None and relation.all_ok
-    dep1, dep2 = structure.dependence
-    all_positive = all(v is not None and v.positive for v in verdicts)
-    # A verdict exists only for a hermitian-preserving operator, so all_positive implies hp_ok.
-    theorem_consistent = not (all_positive and relation_ok and bool(dep1) and bool(dep2))
+    return not (relation_ok and all(dependence) and all(v is not None and v.positive for v in verdicts))
 
-    return CloningReport(
-        hp_joint=hp_joint,
-        hp_out1=hp_out1,
-        hp_out2=hp_out2,
-        relation=relation,
-        relation_ok=relation_ok,
-        probability=structure.probability,
-        positivity_joint=positivity_joint,
-        positivity_out1=positivity_out1,
-        positivity_out2=positivity_out2,
-        case=structure.case,
-        out1_phase_dependent=dep1,
-        out2_phase_dependent=dep2,
-        theorem_consistent=theorem_consistent,
-    )
+
+def _reports(s: _Structure, verdicts: list, tol: float) -> list[CloningReport]:
+    """The :class:`CloningReport` of each member of a structure stage.
+
+    ``verdicts`` holds the positivity verdicts of the joint, out1 and out2
+    of each member in turn, ``None`` for an operator not certified.
+    """
+    reports = []
+    for k, (relation, hp) in enumerate(zip(_relation_reports(s.relation, tol), s.hp.T.tolist())):
+        joint, out1, out2 = positivity = verdicts[3 * k : 3 * k + 3]
+        relation_ok = bool(s.relation_ok[k])
+        dep1, dep2 = s.dependence[k]
+        reports.append(
+            CloningReport(
+                hp_joint=hp[0], hp_out1=hp[1], hp_out2=hp[2],
+                relation=relation, relation_ok=relation_ok, probability=s.probability[k],
+                positivity_joint=joint, positivity_out1=out1, positivity_out2=out2,
+                case=None if s.case[k] is None else CaseVerdict(s.case[k]),
+                out1_phase_dependent=dep1, out2_phase_dependent=dep2,
+                theorem_consistent=_consistent(relation_ok, (dep1, dep2), positivity),
+            )
+        )
+    return reports
+
+
+def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
+    """:func:`analyze` for each triple, with the array checks run over stacks.
+
+    The triples are stacked once per pair of marginal dimensions; each
+    group runs one structure stage, whose probability decomposition is the
+    only loop over its triples, and then the certificate on every operator,
+    whatever the other verdicts of its triple (a member's verdict does not
+    depend on its stack).  Case verdicts carry no ``entry_forms`` (see
+    :func:`classify`).
+    """
+    triples = list(triples)
+    groups: dict[tuple, list[int]] = {}
+    for i, t in enumerate(triples):
+        groups.setdefault((t.out1.dim, t.out2.dim), []).append(i)
+    reports: list = [None] * len(triples)
+    for members in groups.values():
+        stacks = (
+            np.array([getattr(triples[i], name).coeffs for i in members])
+            for name in ("joint", "out1", "out2")
+        )
+        s = _structure(*stacks, tol)
+        verdicts = _certify_many(s.operators(range(len(members))), tol)
+        for i, report in zip(members, _reports(s, verdicts, tol)):
+            reports[i] = report
+    return reports
 
 
 def analyze(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CloningReport:

@@ -32,6 +32,7 @@ import numpy as np
 from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly, mul
 
 __all__ = [
+    "MAX_COEFF",
     "PhaseOperator",
     "JointPhaseOperator",
     "UncorrelatedTriple",
@@ -51,6 +52,15 @@ __all__ = [
     "phase_state_operator",
     "normalized_output",
 ]
+
+
+#: Largest magnitude of a coefficient's real or imaginary part.  The largest
+#: intermediate of the checks is ``|P|^2`` in the phase-dependence projection,
+#: where ``P`` sums up to 64 diagonal entries (``pmap.MAX_DIM``) of modulus at
+#: most ``sqrt(2) * MAX_COEFF``: at most 8.2e303, summed over three
+#: coefficients, below the double range (1.8e308).  The cross-multiplied
+#: relation, ``joint * P``, stays below it as well.
+MAX_COEFF = 1e150
 
 
 class ZeroProbabilityError(ValueError):
@@ -77,11 +87,11 @@ class PhaseOperator:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex)
+        coeffs = np.array(self.coeffs, dtype=complex, order="C")
         if coeffs.ndim != 3 or coeffs.shape[0] != 3 or not 1 <= coeffs.shape[1] == coeffs.shape[2]:
             raise ValueError(f"coeffs must have shape (3, d, d) with d >= 1, got {coeffs.shape}")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("coefficients must be finite")
+        if not np.abs(coeffs.view(float)).max() <= MAX_COEFF:  # NaN fails too
+            raise ValueError(f"coefficient parts must be numbers of magnitude <= {MAX_COEFF:g}")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -239,6 +249,48 @@ def max_coeff_diff(op1: PhaseOperator, op2: PhaseOperator) -> float:
     return float(np.abs(op1.coeffs - op2.coeffs).max())
 
 
+def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
+    """The arrays of :func:`validate_triples` for the ``(3, N, ., .)`` stacks of one ``(d1, d2)`` group.
+
+    Returns the ``(3, N)`` traces ``P`` of out1, the ``(4, N)`` largest
+    coefficient moduli of ``P``, the joint, out1 and out2, and per member
+    whether ``P`` is nonzero, whether the traces agree, the relation
+    residual and whether the partial traces agree.
+    """
+    d1, d2 = out1.shape[-1], out2.shape[-1]
+    P = out1.trace(axis1=-2, axis2=-1)
+    sizes = np.array([np.abs(c).max(axis=(0, 2, 3)) for c in (P[..., None, None], joint, out1, out2)])
+    size = sizes[0]
+    nonzero = size > ZERO_COEFF_REL * (1.0 + sizes[1:].max(axis=0))
+    traces_equal = (np.abs(out2.trace(axis1=-2, axis2=-1) - P).max(axis=0) <= tol) & (
+        np.abs(joint.trace(axis1=-2, axis2=-1) - P).max(axis=0) <= tol
+    )
+    cross = mul(joint, P[..., None, None]) - _tensor(out1, out2)
+    residual = np.abs(cross).max(axis=(0, 2, 3)) / np.where(nonzero, size, 1.0)
+    blocks = joint.reshape(joint.shape[:2] + (d1, d2, d1, d2))
+    partial_ok = (np.abs(blocks.trace(axis1=3, axis2=5) - out1).max(axis=(0, 2, 3)) <= tol) & (
+        np.abs(blocks.trace(axis1=2, axis2=4) - out2).max(axis=(0, 2, 3)) <= tol
+    )
+    return P, sizes, nonzero, traces_equal, residual, partial_ok
+
+
+def _relation_reports(relation: tuple, tol: float) -> list[RelationReport | None]:
+    """The :class:`RelationReport` of each member of :func:`_relation`, ``None`` where ``P`` vanishes."""
+    P, _, nonzero, traces_equal, residual, partial_ok = relation
+    return [
+        RelationReport(
+            probability=FirstOrderPoly(*P[:, k].tolist()),
+            traces_equal=bool(traces_equal[k]),
+            relation_holds=bool(residual[k] <= tol),
+            partial_traces_consistent=bool(partial_ok[k]),
+            max_residual=float(residual[k]),
+        )
+        if nonzero[k]
+        else None
+        for k in range(len(nonzero))
+    ]
+
+
 def validate_triples(triples, tol: float = 1e-9) -> list[RelationReport | None]:
     """:func:`validate_triple` for each triple; ``None`` where the trace vanishes identically.
 
@@ -249,33 +301,13 @@ def validate_triples(triples, tol: float = 1e-9) -> list[RelationReport | None]:
     groups: dict[tuple, list[int]] = {}
     for i, t in enumerate(triples):
         groups.setdefault((t.out1.dim, t.out2.dim), []).append(i)
-    for (d1, d2), members in groups.items():
-        joint, out1, out2 = (
+    for members in groups.values():
+        stacks = (
             np.array([getattr(triples[i], name).coeffs for i in members]).swapaxes(0, 1)
             for name in ("joint", "out1", "out2")
         )
-        P = out1.trace(axis1=-2, axis2=-1)
-        size = np.abs(P).max(axis=0)
-        scale = np.max([np.abs(c).max(axis=(0, 2, 3)) for c in (joint, out1, out2)], axis=0)
-        nonzero = size > ZERO_COEFF_REL * (1.0 + scale)
-        traces_equal = (np.abs(out2.trace(axis1=-2, axis2=-1) - P).max(axis=0) <= tol) & (
-            np.abs(joint.trace(axis1=-2, axis2=-1) - P).max(axis=0) <= tol
-        )
-        cross = mul(joint, P[..., None, None]) - _tensor(out1, out2)
-        residual = np.abs(cross).max(axis=(0, 2, 3)) / np.where(nonzero, size, 1.0)
-        blocks = joint.reshape(joint.shape[:2] + (d1, d2, d1, d2))
-        partial_ok = (np.abs(blocks.trace(axis1=3, axis2=5) - out1).max(axis=(0, 2, 3)) <= tol) & (
-            np.abs(blocks.trace(axis1=2, axis2=4) - out2).max(axis=(0, 2, 3)) <= tol
-        )
-        for k, i in enumerate(members):
-            if nonzero[k]:
-                reports[i] = RelationReport(
-                    probability=FirstOrderPoly(*P[:, k].tolist()),
-                    traces_equal=bool(traces_equal[k]),
-                    relation_holds=bool(residual[k] <= tol),
-                    partial_traces_consistent=bool(partial_ok[k]),
-                    max_residual=float(residual[k]),
-                )
+        for i, report in zip(members, _relation_reports(_relation(*stacks, tol), tol)):
+            reports[i] = report
     return reports
 
 

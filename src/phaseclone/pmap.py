@@ -12,7 +12,8 @@ A document is a sequence of named blocks::
 polynomial; omitted entries are zero.  Each coefficient is written as
 ``<re><sign><im>i`` where the parts are decimal (optionally with an
 exponent) or exact rationals ``p/q``.  Rationals are parsed exactly and
-converted once to double.  Blank lines and ``#`` comments are ignored.
+converted once to double; each part is at most
+:data:`~phaseclone.operators.MAX_COEFF` in magnitude.  Blank lines and ``#`` comments are ignored.
 A document whose blocks are named ``lambda12``, ``lambda1`` and
 ``lambda2`` describes an uncorrelated triple.  ``dim`` is at most
 :data:`MAX_DIM`, checked on the ``dim`` line before anything is
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import JointPhaseOperator, PhaseOperator, UncorrelatedTriple
+from .operators import MAX_COEFF, JointPhaseOperator, PhaseOperator, UncorrelatedTriple
 
 __all__ = [
     "MAX_DIM",
@@ -77,8 +78,8 @@ def _parse_real(token: str, line: int) -> float:
         raise ParseError(
             f"coefficient part of {len(token)} characters is too long", line
         ) from None
-    if not math.isfinite(x):
-        raise ParseError(f"coefficient part {token!r} is not a finite number", line)
+    if not abs(x) <= MAX_COEFF:
+        raise ParseError(f"coefficient part {token!r} is not a number of magnitude <= {MAX_COEFF:g}", line)
     return x
 
 

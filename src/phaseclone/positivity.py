@@ -406,24 +406,6 @@ def _minimum(families: np.ndarray) -> tuple[list[float], list[float]]:
     raise RuntimeError("positivity level-set iteration did not converge")
 
 
-def _hermitian_families(ops, tol: float) -> list[np.ndarray | None]:
-    """The Hermitian part of each operator's family, ``None`` where its defect exceeds ``tol``.
-
-    Operators are grouped by dimension and each group is tested once as an
-    ``(N, 3, d, d)`` stack; the parts returned are views into that stack.
-    """
-    families: list[np.ndarray | None] = [None] * len(ops)
-    groups: dict[int, list[int]] = {}
-    for i, op in enumerate(ops):
-        groups.setdefault(op.dim, []).append(i)
-    for members in groups.values():
-        stack, defect = hermitian_part(np.array([ops[i].coeffs for i in members]))
-        for i, family, ok in zip(members, stack, (defect <= tol).tolist()):
-            if ok:
-                families[i] = family
-    return families
-
-
 def _certify_many(families, tol: float) -> list[PositivityVerdict | None]:
     """The certificate on each ``(3, d, d)`` Hermitian family, ``None`` for ``None``.
 
@@ -444,10 +426,11 @@ def _certify_many(families, tol: float) -> list[PositivityVerdict | None]:
 def positivity_many(ops, tol: float = DEFAULT_TOL) -> list[PositivityVerdict | None]:
     """:func:`is_positive_over_phase` for each operator, ``None`` for a non-hermitian one.
 
-    Operators are grouped by dimension, and each group's hermiticity test
-    and certificate run once over its ``(N, 3, d, d)`` stack.
+    Operators are grouped by dimension, and each group's certificate runs
+    once over its ``(N, 3, d, d)`` stack.
     """
-    return _certify_many(_hermitian_families(ops, tol), tol)
+    parts = (hermitian_part(op.coeffs) for op in ops)
+    return _certify_many([family if defect <= tol else None for family, defect in parts], tol)
 
 
 def is_positive_over_phase(op: PhaseOperator, tol: float = DEFAULT_TOL) -> PositivityVerdict:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .trigpoly import _divide
 from .operators import JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
-from .analysis import _search_many
+from . import analysis
 
 __all__ = [
     "SamplerParams",
@@ -262,36 +262,35 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
     return deficient(p0, p1, True), deficient(p1, p0, True)
 
 
-def _assemble(c1: np.ndarray, c2: np.ndarray, tol: float) -> list:
-    """Triples from ``(3, N, d1, d1)`` and ``(3, N, d2, d2)`` output stacks.
+def _assemble(out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
+    """Joint blocks for ``(N, 3, d1, d1)`` and ``(N, 3, d2, d2)`` output stacks.
 
     Each member's joint block is its tensor product divided by its trace
-    ``P``, all members in one batched division.  Returns per member the
-    :class:`UncorrelatedTriple` or the :class:`SampleRejected` saying why
-    there is none: the traces disagree, ``P`` vanishes, or some product
-    entry is not divisible (the first in row-major order is named).
+    ``P``, all members in one batched division.  Returns the ``(joint,
+    out1, out2)`` stacks of the accepted members, their indices, and for
+    the index of each rejected member the message of the
+    :class:`SampleRejected` saying why it has no joint block: the traces
+    disagree, ``P`` vanishes, or some product entry is not divisible (the
+    first in row-major order is named).
     """
+    c1, c2 = out1.swapaxes(0, 1), out2.swapaxes(0, 1)
     d1, d2 = c1.shape[-1], c2.shape[-1]
     P = c1.trace(axis1=-2, axis2=-1)
     mismatch = np.abs(c2.trace(axis1=-2, axis2=-1) - P).max(axis=0) > tol
     vanishes = np.abs(P).max(axis=0) <= tol
-    results: list = [None] * P.shape[1]
-    rejected = mismatch | vanishes
-    for i in np.flatnonzero(rejected).tolist():
-        reason = "marginal traces disagree" if mismatch[i] else "trace polynomial vanishes"
-        results[i] = SampleRejected(reason)
-    live = np.flatnonzero(~rejected)
+    rejected = {
+        i: "marginal traces disagree" if mismatch[i] else "trace polynomial vanishes"
+        for i in np.flatnonzero(mismatch | vanishes).tolist()
+    }
+    live = np.flatnonzero(~(mismatch | vanishes))
     q, residual, limit = _divide(_tensor(c1[:, live], c2[:, live]), P[:, live, None, None], tol)
     failing = (residual > limit).reshape(live.size, (d1 * d2) ** 2)
-    for n, i in enumerate(live.tolist()):
-        if failing[n].any():
-            r, c = divmod(int(failing[n].argmax()), d1 * d2)
-            results[i] = SampleRejected(f"product entry ({r}, {c}) is not divisible by the trace")
-        else:
-            joint = JointPhaseOperator(q[:, n], dim1=d1, dim2=d2)
-            out1, out2 = PhaseOperator(c1[:, i]), PhaseOperator(c2[:, i])
-            results[i] = UncorrelatedTriple(joint=joint, out1=out1, out2=out2)
-    return results
+    divisible = ~failing.any(axis=1)
+    for n in np.flatnonzero(~divisible).tolist():
+        r, c = divmod(int(failing[n].argmax()), d1 * d2)
+        rejected[int(live[n])] = f"product entry ({r}, {c}) is not divisible by the trace"
+    kept = live[divisible]
+    return (q.swapaxes(0, 1)[divisible], out1[kept], out2[kept]), kept, rejected
 
 
 def assemble_triple(
@@ -305,10 +304,10 @@ def assemble_triple(
     message names the first such entry).  A triple returned from here
     passes :func:`validate_triple` by construction.
     """
-    (result,) = _assemble(out1.coeffs[:, None], out2.coeffs[:, None], tol)
-    if isinstance(result, SampleRejected):
-        raise result
-    return result
+    (joint, _, _), _, rejected = _assemble(out1.coeffs[None], out2.coeffs[None], tol)
+    if rejected:
+        raise SampleRejected(rejected[0])
+    return UncorrelatedTriple(JointPhaseOperator(joint[0], dim1=out1.dim, dim2=out2.dim), out1, out2)
 
 
 def generate_case2_candidate(seed, params: SamplerParams | None = None) -> UncorrelatedTriple:
@@ -361,9 +360,10 @@ class SearchReport:
         return not self.violations and not self.witness_failures and classified > 0
 
 
-def _sample_min_eigenvalue(report) -> tuple[float, float | None]:
+def _witness(verdicts: list) -> tuple[float, float | None]:
+    """The least ``min_eigenvalue`` of (joint, out1, out2) verdicts and its phase; out1 wins a tie."""
     best = (math.inf, None)
-    for verdict in (report.positivity_out1, report.positivity_out2, report.positivity_joint):
+    for verdict in (verdicts[1], verdicts[2], verdicts[0]):
         if verdict is not None and verdict.min_eigenvalue < best[0]:
             best = (verdict.min_eigenvalue, verdict.witness_phi)
     return best
@@ -394,7 +394,7 @@ def theorem_search(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     params = params or _DEFAULT_PARAMS
-    case_counts: dict[str, int] = {}
+    case_counts: Counter[str] = Counter()
     rejection_reasons: Counter[str] = Counter()
     witnesses: list[WitnessRecord] = []
     witness_failures: list[int] = []
@@ -403,35 +403,26 @@ def theorem_search(
 
     for start in range(0, trials, _BLOCK):
         block = range(start, min(start + _BLOCK, trials))
-        c1, c2 = np.array([_draw([seed, k], params) for k in block]).transpose(1, 2, 0, 3, 4)
-        results = _assemble(c1, c2, _ASSEMBLE_TOL)
-        drawn = [(k, t) for k, t in zip(block, results) if not isinstance(t, SampleRejected)]
-        rejection_reasons.update(str(t) for t in results if isinstance(t, SampleRejected))
-        reports = _search_many([t for _, t in drawn], tol)
-        accepted += len(drawn)
+        draws = np.array([_draw([seed, k], params) for k in block])
+        stacks, kept, rejected = _assemble(draws[:, 0], draws[:, 1], _ASSEMBLE_TOL)
+        rejection_reasons.update(rejected.values())
+        accepted += len(kept)
+        s = analysis._structure(*stacks, tol)
+        case_counts.update("unclassified" if label is None else label.value for label in s.case)
+        decided = [m for m, dependence in enumerate(s.dependence) if dependence == (True, True)]
+        verdicts = analysis._certify_many(s.operators(decided), tol)
+        both_dep += len(decided)
 
-        for (k, _), report in zip(drawn, reports):
-            key = report.case.label.value if report.case is not None else "unclassified"
-            case_counts[key] = case_counts.get(key, 0) + 1
-
-            if report.out1_phase_dependent and report.out2_phase_dependent:
-                both_dep += 1
-                lam, phi = _sample_min_eigenvalue(report)
-                if lam < WITNESS_LEVEL:
-                    witnesses.append(WitnessRecord(trial=k, phi=float(phi), lambda_min=lam))
-                else:
-                    witness_failures.append(k)
-
-            if not report.theorem_consistent:
-                violations.append(
-                    ViolationRecord(
-                        trial=k,
-                        detail=(
-                            f"case={report.case}, "
-                            f"min_eig={_sample_min_eigenvalue(report)[0]:.3e}"
-                        ),
-                    )
-                )
+        for n, m in enumerate(decided):
+            k, triple = start + int(kept[m]), verdicts[3 * n : 3 * n + 3]
+            lam, phi = _witness(triple)
+            if lam < WITNESS_LEVEL:
+                witnesses.append(WitnessRecord(trial=k, phi=float(phi), lambda_min=lam))
+            else:
+                witness_failures.append(k)
+            if not analysis._consistent(bool(s.relation_ok[m]), (True, True), triple):
+                case = None if s.case[m] is None else s.case[m].value
+                violations.append(ViolationRecord(trial=k, detail=f"case={case}, min_eig={lam:.3e}"))
 
     return SearchReport(
         trials=trials,

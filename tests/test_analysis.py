@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from phaseclone import (
 )
 from phaseclone import analysis, search, trigpoly
 from phaseclone.catalog import NAMES
+from phaseclone.operators import MAX_COEFF
 from phaseclone.positivity import DEFAULT_TOL
 from phaseclone.trigpoly import ZERO_COEFF_REL, root_multiplicity
 
@@ -455,18 +457,69 @@ def test_stacked_labels_equal_the_per_entry_reference():
     assert degenerate > 50  # the wild stratum's double roots
 
 
-def test_search_reports_drop_only_the_certificates_that_decide_nothing():
-    # theorem_search certifies only triples with both outputs phase-dependent;
-    # every other verdict, and theorem_consistent, is the one analyze_many gives.
+def _odd_stack() -> list:
+    """:func:`_mixed_stack` plus a relation-broken counterexample and the zero triple."""
     ce = builtin("counterexample").payload
     coeffs = ce.joint.coeffs.copy()
     coeffs[2, 0, 0] += 0.1  # still hermitian, but no longer out1 (x) out2 / P
     broken = UncorrelatedTriple(JointPhaseOperator(coeffs, dim1=2, dim2=2), ce.out1, ce.out2)
     zero = PhaseOperator.zero(2)
     joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
-    triples = _mixed_stack() + [broken, UncorrelatedTriple(joint, zero, zero)]
+    return _mixed_stack() + [broken, UncorrelatedTriple(joint, zero, zero)]
+
+
+def _stages(triples) -> list:
+    """The member indices and structure stage of each ``(d1, d2)`` group of the triples."""
+    groups: dict = {}
+    for i, t in enumerate(triples):
+        groups.setdefault((t.out1.dim, t.out2.dim), []).append(i)
+    stages = []
+    for members in groups.values():
+        stacks = [np.array([getattr(triples[i], name).coeffs for i in members]) for name in ("joint", "out1", "out2")]
+        stages.append((members, analysis._structure(*stacks, DEFAULT_TOL)))
+    return stages
+
+
+def _searched_verdicts(s) -> list:
+    """The verdicts theorem_search gets: certificates only where both outputs depend on the phase."""
+    decided = [m for m, dependence in enumerate(s.dependence) if dependence == (True, True)]
+    certified = analysis._certify_many(s.operators(decided), DEFAULT_TOL)
+    verdicts = [None] * (3 * len(s.dependence))
+    for n, m in enumerate(decided):
+        verdicts[3 * m : 3 * m + 3] = certified[3 * n : 3 * n + 3]
+    return verdicts
+
+
+def test_structure_stage_matches_the_reports_on_paths_the_sampler_never_reaches():
+    # Non-hermitian, relation-failing, constant- and zero-probability members
+    # next to sampled ones: the stage's arrays give analyze_many's verdicts.
+    triples = _odd_stack()
+    reports = analyze_many(triples)
+    assert not all(r.hp_ok for r in reports) and not all(r.relation_ok for r in reports)
+    tags = {r.probability for r in reports if isinstance(r.probability, str)}
+    assert {"constant-probability", "zero-probability"} <= tags
+    for members, s in _stages(triples):
+        verdicts = _searched_verdicts(s)
+        for m, i in enumerate(members):
+            r = reports[i]
+            assert s.hp[:, m].tolist() == [r.hp_joint, r.hp_out1, r.hp_out2]
+            assert bool(s.relation_ok[m]) is r.relation_ok
+            assert s.probability[m] == r.probability
+            assert s.dependence[m] == (r.out1_phase_dependent, r.out2_phase_dependent)
+            assert s.case[m] is (None if r.case is None else r.case.label)
+            consistent = analysis._consistent(bool(s.relation_ok[m]), s.dependence[m], verdicts[3 * m : 3 * m + 3])
+            assert consistent is r.theorem_consistent
+
+
+def test_search_reports_drop_only_the_certificates_that_decide_nothing():
+    # theorem_search certifies only triples with both outputs phase-dependent;
+    # every other verdict, and theorem_consistent, is the one analyze_many gives.
+    triples = _odd_stack()
     full = analyze_many(triples)
-    searched = analysis._search_many(triples, DEFAULT_TOL)
+    searched = [None] * len(triples)
+    for members, s in _stages(triples):
+        for i, report in zip(members, analysis._reports(s, _searched_verdicts(s), DEFAULT_TOL)):
+            searched[i] = report
     assert not all(r.hp_ok for r in full) and not all(r.relation_ok for r in full)
     assert any(r.probability == "constant-probability" for r in full)
     decisive = 0
@@ -480,6 +533,22 @@ def test_search_reports_drop_only_the_certificates_that_decide_nothing():
             )
             assert s.theorem_consistent
     assert 0 < decisive < len(triples)
+
+
+@pytest.mark.parametrize("name", [name for name in NAMES if name != "phase-state"])
+def test_analyze_at_the_coefficient_bound_gives_finite_verdicts(name):
+    # Every intermediate stays inside the double range (an overflow warning
+    # fails the suite): the relation, the projection and the certificate.
+    t = builtin(name).payload
+    k = MAX_COEFF / max(op.max_abs() for op in (t.joint, t.out1, t.out2)) * (1.0 - 1e-15)
+    joint = JointPhaseOperator(k * t.joint.coeffs, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    report = analyze(UncorrelatedTriple(joint, PhaseOperator(k * t.out1.coeffs), PhaseOperator(k * t.out2.coeffs)))
+    verdicts = (report.positivity_joint, report.positivity_out1, report.positivity_out2)
+    values = [report.relation.max_residual] + [v.min_eigenvalue for v in verdicts if v is not None]
+    if not isinstance(report.probability, str):
+        values += [report.probability.r, report.probability.R]
+    assert all(math.isfinite(v) for v in values)
+    assert report.out1_phase_dependent is not None and report.case is not None
 
 
 def _edge_triple(P, entries) -> UncorrelatedTriple:
@@ -552,7 +621,9 @@ def test_edge_entries_classify_as_one_stack():
     cases = list(_edge_cases().values())
     triples = [_edge_triple(P, entries) for P, entries, _ in cases]
     decs = [decompose_probability(trace_poly(t.out1)) for t in triples]
-    labels = analysis._classify_many([t.out2 for t in triples], decs)
+    stack = np.array([t.out2.coeffs for t in triples])
+    found, _ = analysis._inlay(stack, [analysis._targets(dec) for dec in decs])
+    labels = analysis._labels(found)
     assert labels == [expected for _, _, expected in cases]
 
 

@@ -227,25 +227,26 @@ def test_two_phase_state_blocks_with_a_shallow_dip():
 
 
 def test_huge_coefficients_with_a_constant_eigenvalue():
-    # Seeds flat at 0 with coefficients near 1e160: the split-off
-    # characteristic polynomial must not overflow.  Rounding is relative to
-    # the coefficients, so is the tolerance.
-    tol = 1e-9 * 1e160
-    big = PhaseOperator([np.zeros((2, 2)), np.zeros((2, 2)), 1e160 * np.eye(2)])
+    # Seeds flat at 0 with coefficients at the bound MAX_COEFF = 1e150: the
+    # split-off characteristic polynomial (at scale 1e150, a product of
+    # 1e150 * 1e150 * 1e150) must not overflow.  Rounding is relative to the
+    # coefficients, so is the tolerance.
+    tol = 1e-9 * 1e150
+    big = PhaseOperator([np.zeros((2, 2)), np.zeros((2, 2)), 1e150 * np.eye(2)])
     for scale in (1.0, 1e150):
         op = _direct_sum(PhaseOperator(scale * phase_state_operator(0.3).coeffs), big)
         verdict = is_positive_over_phase(op, tol)
         assert verdict.positive
         assert abs(verdict.min_eigenvalue) <= bound(op)
         assert_exact(op, verdict)
-    # A branch dipping 1e152 below 0 between two seed phases.
+    # A branch dipping 1e141 below 0 between two seed phases.
     dip = _direct_sum(
-        PhaseOperator(1e160 * phase_state_operator(0.3).coeffs),
-        _branch(1e160 * np.exp(-0.3j), 2e160 - 1e152),
+        PhaseOperator(1e149 * phase_state_operator(0.3).coeffs),
+        _branch(1e149 * np.exp(-0.3j), 2e149 - 1e141),
     )
     verdict = is_positive_over_phase(dip, tol)
     assert not verdict.positive
-    assert verdict.min_eigenvalue == pytest.approx(-1e152, abs=bound(dip))
+    assert verdict.min_eigenvalue == pytest.approx(-1e141, abs=bound(dip))
     assert abs(verdict.witness_phi - (math.pi + 0.3)) < 1e-5
     assert_exact(dip, verdict)
 

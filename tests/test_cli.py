@@ -217,6 +217,18 @@ def test_zero_denominator_is_input_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "classify", "profile"])
+def test_coefficient_past_the_bound_is_input_error(tmp_path, capsys, command):
+    # Finite as a double, 1e308 would overflow the relation and the projection.
+    bad = tmp_path / "huge.pmap"
+    bad.write_text("pmap lambda1\ndim 1\nentry 0 0 1e308+0i 0+0i 0+0i\nend\n")
+    code = main([command, str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: line 3:") and "magnitude <= 1e+150" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_overlong_dim_is_input_error(tmp_path, capsys):
     bad = tmp_path / "overlong-dim.pmap"
     bad.write_text("pmap lambda1\ndim " + "9" * 5000 + "\nend\n")

@@ -27,7 +27,7 @@ from phaseclone import (
     validate_triple,
     validate_triples,
 )
-from phaseclone.operators import max_coeff_diff
+from phaseclone.operators import MAX_COEFF, max_coeff_diff
 
 from helpers import fp, grid, random_hp_operator, replace_joint_entry
 
@@ -369,6 +369,16 @@ def test_from_rows_accepts_polys_tuples_and_scalars():
     assert a != PhaseOperator.zero(2)
     with pytest.raises(ValueError):
         PhaseOperator.from_rows([[(float("nan"), 0, 0)]])
+
+
+@pytest.mark.parametrize("value", [1.01e150, -1.01e150j, 1e308, math.inf, math.nan, complex(0, math.nan)])
+def test_coefficient_parts_past_the_bound_are_rejected(value):
+    coeffs = np.zeros((3, 2, 2), dtype=complex)
+    coeffs[2, 1, 0] = value
+    with pytest.raises(ValueError, match="magnitude <= 1e"):
+        PhaseOperator(coeffs)
+    coeffs[2, 1, 0] = complex(-MAX_COEFF, MAX_COEFF)
+    assert PhaseOperator(coeffs.transpose(0, 2, 1)).coeffs[2, 0, 1] == coeffs[2, 1, 0]
 
 
 def test_joint_equality_compares_dimensions():

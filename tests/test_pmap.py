@@ -21,7 +21,7 @@ from phaseclone import (
     serialize_pmap,
 )
 from phaseclone.catalog import NAMES
-from phaseclone.operators import max_coeff_diff
+from phaseclone.operators import MAX_COEFF, max_coeff_diff
 from phaseclone.pmap import MAX_DIM
 
 from helpers import fp
@@ -172,6 +172,18 @@ def test_non_finite_coefficient_is_parse_error(token):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("token", ["1.0000001e150+0i", "0-1e308i", "-1" + "0" * 151 + "/1+0i"])
+def test_coefficient_part_past_the_bound_is_parse_error(token):
+    with pytest.raises(ParseError, match="magnitude <= 1e") as exc:
+        parse_pmap(f"pmap x\ndim 1\nentry 0 0 0+0i {token} 0+0i\nend\n")
+    assert exc.value.line == 3
+
+
+def test_coefficient_parts_at_the_bound_parse():
+    op = parse_pmap("pmap x\ndim 1\nentry 0 0 1e150-1e150i 0-1e150i -1e150+0i\nend\n").blocks["x"]
+    assert np.abs(op.coeffs.view(float)).max() == MAX_COEFF
+
+
 def test_overlong_fraction_is_parse_error():
     # Fraction() refuses integers of more than 4300 digits with a plain ValueError.
     with pytest.raises(ParseError) as exc:
@@ -220,7 +232,8 @@ def test_parse_raises_only_parse_errors(chunks):
             pass
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: Coefficient parts are at most MAX_COEFF in magnitude.
+_FINITE = st.floats(min_value=-MAX_COEFF, max_value=MAX_COEFF)
 
 
 @st.composite

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from phaseclone import (
+    PhaseOperator,
     SamplerParams,
     SampleRejected,
     analyze,
@@ -332,24 +333,27 @@ def test_batched_assembly_equals_per_trial_candidates(params):
     for start in range(0, 150, 50):
         block = range(start, start + 50)
         outputs = np.array([search._draw([seed, k], params) for k in block])
-        results = search._assemble(*outputs.transpose(1, 2, 0, 3, 4), search._ASSEMBLE_TOL)
-        for k, got in zip(block, results):
+        stacks, kept, rejected = search._assemble(outputs[:, 0], outputs[:, 1], search._ASSEMBLE_TOL)
+        accepted = dict(zip(kept.tolist(), zip(*stacks)))
+        assert sorted([*accepted, *rejected]) == list(range(len(block)))
+        for n, k in enumerate(block):
             try:
                 t = generate_case2_candidate([seed, k], params)
             except SampleRejected as err:
-                assert isinstance(got, SampleRejected) and str(got) == str(err), k
+                assert rejected.get(n) == str(err), k
                 continue
-            for name in ("out1", "out2", "joint"):
-                assert _same_bits(getattr(got, name).coeffs, getattr(t, name).coeffs), k
+            for got, name in zip(accepted[n], ("joint", "out1", "out2")):
+                assert _same_bits(got, getattr(t, name).coeffs), k
 
 
 def test_search_analyzes_the_per_trial_candidates(monkeypatch):
-    # theorem_search hands its structure stage exactly the accepted per-trial triples.
+    # theorem_search hands its structure stage the coefficient stacks of
+    # exactly the accepted per-trial triples.
     seen = []
-    structure_many = analysis._structure_many
+    structure = analysis._structure
     monkeypatch.setattr(search, "_BLOCK", 37)
     monkeypatch.setattr(
-        analysis, "_structure_many", lambda ts, tol: seen.extend(ts) or structure_many(ts, tol)
+        analysis, "_structure", lambda *args: seen.extend(zip(*args[:3])) or structure(*args)
     )
     report = theorem_search(200, seed=7)
     expected = []
@@ -360,8 +364,19 @@ def test_search_analyzes_the_per_trial_candidates(monkeypatch):
             pass
     assert report.accepted == len(seen) == len(expected)
     for got, want in zip(seen, expected):
-        for name in ("out1", "out2", "joint"):
-            assert _same_bits(getattr(got, name).coeffs, getattr(want, name).coeffs)
+        for stack, name in zip(got, ("joint", "out1", "out2")):
+            assert _same_bits(stack, getattr(want, name).coeffs)
+
+
+def test_search_builds_no_operator_objects(monkeypatch):
+    # From draw to tally a search block stays coefficient stacks.
+    built = []
+    post_init = PhaseOperator.__post_init__
+    monkeypatch.setattr(PhaseOperator, "__post_init__", lambda op: built.append(op) or post_init(op))
+    report = theorem_search(300, seed=20260809)
+    assert built == [] and report.accepted > 0
+    generate_case2_candidate([20260809, 0])
+    assert len(built) == 3  # a batch of one wraps its out1, out2 and joint
 
 
 def test_search_certifies_only_both_phase_dependent_triples(monkeypatch):
