@@ -487,9 +487,9 @@ def _reports(s: _Structure, verdicts: list, tol: float) -> list[CloningReport]:
     of each member in turn, ``None`` for an operator not certified.
     """
     reports = []
-    for k, (relation, hp) in enumerate(zip(_relation_reports(s.relation, tol), s.hp.T.tolist())):
+    members = zip(_relation_reports(s.relation, tol), s.hp.T.tolist(), s.relation_ok.tolist())
+    for k, (relation, hp, relation_ok) in enumerate(members):
         joint, out1, out2 = positivity = verdicts[3 * k : 3 * k + 3]
-        relation_ok = bool(s.relation_ok[k])
         dep1, dep2 = s.dependence[k]
         reports.append(
             CloningReport(

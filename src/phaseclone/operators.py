@@ -277,17 +277,15 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
 def _relation_reports(relation: tuple, tol: float) -> list[RelationReport | None]:
     """The :class:`RelationReport` of each member of :func:`_relation`, ``None`` where ``P`` vanishes."""
     P, _, nonzero, traces_equal, residual, partial_ok = relation
+    rows = zip(P.T.tolist(), nonzero.tolist(), traces_equal.tolist(), residual.tolist(), partial_ok.tolist())
     return [
         RelationReport(
-            probability=FirstOrderPoly(*P[:, k].tolist()),
-            traces_equal=bool(traces_equal[k]),
-            relation_holds=bool(residual[k] <= tol),
-            partial_traces_consistent=bool(partial_ok[k]),
-            max_residual=float(residual[k]),
+            probability=FirstOrderPoly(*p), traces_equal=equal, relation_holds=r <= tol,
+            partial_traces_consistent=partial, max_residual=r,
         )
-        if nonzero[k]
+        if ok
         else None
-        for k in range(len(nonzero))
+        for p, ok, equal, r, partial in rows
     ]
 
 
