@@ -472,10 +472,11 @@ def _probability(P: FirstOrderPoly, tol: float) -> object:
 
 
 def _consistent(relation_ok: bool, dependence: tuple, verdicts) -> bool:
-    """``theorem_consistent``: false only for a relation-satisfying triple with both outputs
-    phase-dependent and all three operators positive (a verdict implies ``hp_ok``).
+    """``theorem_consistent`` of a triple from its relation, dependence flags and verdicts.
 
-    Nowhere else can a positivity verdict matter, so the search certifies no other triple.
+    Only a relation-satisfying triple with both outputs phase-dependent and
+    all three operators positive (a verdict implies ``hp_ok``) is
+    inconsistent, so the search certifies no other triple.
     """
     return not (relation_ok and all(dependence) and all(v is not None and v.positive for v in verdicts))
 
