@@ -388,12 +388,11 @@ class _Structure:
     """The verdicts of the N triples of one ``(d1, d2)`` group that need no certificate.
 
     ``families`` holds the Hermitian parts of the joint, out1 and out2
-    stacks, ``hp`` the ``(3, N)`` verdicts on whether each operator is
-    hermitian-preserving and ``relation`` the arrays of
-    :func:`~phaseclone.operators.validate_triples`.  Per member,
-    ``probability`` is the decomposition of ``P`` or a tag string,
-    ``dependence`` the two phase-dependence flags (``(None, None)`` where
-    ``P`` vanishes) and ``case`` the :class:`CaseLabel` or ``None``.
+    stacks, ``hp`` whether each operator is hermitian-preserving (``(3,
+    N)``) and ``relation`` the arrays of ``operators._relation``.  Per
+    member, ``probability`` is the decomposition of ``P`` or a tag string,
+    ``dependence`` the two dependence flags (``(None, None)`` where ``P``
+    vanishes) and ``case`` the :class:`CaseLabel` or ``None``.
     """
 
     families: tuple
@@ -405,7 +404,7 @@ class _Structure:
     case: list
 
     def operators(self, members) -> list:
-        """The Hermitian parts of (joint, out1, out2) of each member, ``None`` for a non-hermitian one."""
+        """Each member's Hermitian parts of (joint, out1, out2); ``None`` for a non-hermitian one."""
         hp = self.hp.tolist()
         return [f[m] if ok[m] else None for m in members for f, ok in zip(self.families, hp)]
 
@@ -423,7 +422,7 @@ def _outputs(fn, out1: np.ndarray, out2: np.ndarray, *args) -> tuple:
 
 
 def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
-    """The structure stage on the ``(N, 3, ., .)`` coefficient stacks of N triples of one ``(d1, d2)``.
+    """The structure stage on the ``(N, 3, ., .)`` stacks of N triples of one ``(d1, d2)``.
 
     Hermiticity per operator, the product relation, the decomposition of
     ``P`` (out1's trace) per member, the phase-dependence projection of
@@ -446,10 +445,11 @@ def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float
     projected = np.flatnonzero(~(zero1 | zero2))
     p = np.ascontiguousarray(P.T[projected])
     project = functools.partial(_projection, tol=tol)
-    flags = (dependent.tolist() for _, dependent in _outputs(project, out1[projected], out2[projected], p))
-    for m, flag in zip(projected.tolist(), zip(*flags)):
+    (_, dep1), (_, dep2) = _outputs(project, out1[projected], out2[projected], p)
+    for m, flag in zip(projected.tolist(), zip(dep1.tolist(), dep2.tolist())):
         dependence[m] = flag
-    case = [CaseLabel.CONSTANT_PROBABILITY if t == "constant-probability" else None for t in probability]
+    constant = CaseLabel.CONSTANT_PROBABILITY
+    case = [constant if t == "constant-probability" else None for t in probability]
     checked = np.flatnonzero(relation_ok & hp.all(axis=0)).tolist()
     classified = [m for m in checked if not isinstance(probability[m], str)]
     if classified:
@@ -478,7 +478,8 @@ def _consistent(relation_ok: bool, dependence: tuple, verdicts) -> bool:
     all three operators positive (a verdict implies ``hp_ok``) is
     inconsistent, so the search certifies no other triple.
     """
-    return not (relation_ok and all(dependence) and all(v is not None and v.positive for v in verdicts))
+    positive = all(v is not None and v.positive for v in verdicts)
+    return not (relation_ok and all(dependence) and positive)
 
 
 def _reports(s: _Structure, verdicts: list, tol: float) -> list[CloningReport]:

@@ -55,11 +55,10 @@ __all__ = [
 
 
 #: Largest magnitude of a coefficient's real or imaginary part.  The largest
-#: intermediate of the checks is ``|P|^2`` in the phase-dependence projection,
-#: where ``P`` sums up to 64 diagonal entries (``pmap.MAX_DIM``) of modulus at
-#: most ``sqrt(2) * MAX_COEFF``: at most 8.2e303, summed over three
-#: coefficients, below the double range (1.8e308).  The cross-multiplied
-#: relation, ``joint * P``, stays below it as well.
+#: intermediate of the checks is ``|P|^2`` in the dependence projection: ``P``
+#: sums up to 64 diagonal entries (``pmap.MAX_DIM``) of modulus at most
+#: ``sqrt(2) * MAX_COEFF``, so ``|P|^2 <= 8.2e303``, summed over three
+#: coefficients, stays below 1.8e308; so does the relation's ``joint * P``.
 MAX_COEFF = 1e150
 
 
@@ -250,7 +249,7 @@ def max_coeff_diff(op1: PhaseOperator, op2: PhaseOperator) -> float:
 
 
 def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
-    """The arrays of :func:`validate_triples` for the ``(3, N, ., .)`` stacks of one ``(d1, d2)`` group.
+    """The arrays of :func:`validate_triples` on the ``(3, N, ., .)`` stacks of one ``(d1, d2)``.
 
     Returns the ``(3, N)`` traces ``P`` of out1, the ``(4, N)`` largest
     coefficient moduli of ``P``, the joint, out1 and out2, and per member
@@ -259,7 +258,8 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     """
     d1, d2 = out1.shape[-1], out2.shape[-1]
     P = out1.trace(axis1=-2, axis2=-1)
-    sizes = np.array([np.abs(c).max(axis=(0, 2, 3)) for c in (P[..., None, None], joint, out1, out2)])
+    stacks = (P[..., None, None], joint, out1, out2)
+    sizes = np.array([np.abs(c).max(axis=(0, 2, 3)) for c in stacks])
     size = sizes[0]
     nonzero = size > ZERO_COEFF_REL * (1.0 + sizes[1:].max(axis=0))
     traces_equal = (np.abs(out2.trace(axis1=-2, axis2=-1) - P).max(axis=0) <= tol) & (
@@ -275,9 +275,9 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
 
 
 def _relation_reports(relation: tuple, tol: float) -> list[RelationReport | None]:
-    """The :class:`RelationReport` of each member of :func:`_relation`, ``None`` where ``P`` vanishes."""
+    """A :class:`RelationReport` per member of :func:`_relation`; ``None`` where ``P`` vanishes."""
     P, _, nonzero, traces_equal, residual, partial_ok = relation
-    rows = zip(P.T.tolist(), nonzero.tolist(), traces_equal.tolist(), residual.tolist(), partial_ok.tolist())
+    rows = zip(P.T.tolist(), *(a.tolist() for a in (nonzero, traces_equal, residual, partial_ok)))
     return [
         RelationReport(
             probability=FirstOrderPoly(*p), traces_equal=equal, relation_holds=r <= tol,

@@ -79,7 +79,9 @@ def _parse_real(token: str, line: int) -> float:
             f"coefficient part of {len(token)} characters is too long", line
         ) from None
     if not abs(x) <= MAX_COEFF:
-        raise ParseError(f"coefficient part {token!r} is not a number of magnitude <= {MAX_COEFF:g}", line)
+        raise ParseError(
+            f"coefficient part {token!r} is not a number of magnitude <= {MAX_COEFF:g}", line
+        )
     return x
 
 

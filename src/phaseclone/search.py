@@ -267,11 +267,10 @@ def _assemble(out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
 
     Each member's joint block is its tensor product divided by its trace
     ``P``, all members in one batched division.  Returns the ``(joint,
-    out1, out2)`` stacks of the accepted members, their indices, and for
-    the index of each rejected member the message of the
-    :class:`SampleRejected` saying why it has no joint block: the traces
-    disagree, ``P`` vanishes, or some product entry is not divisible (the
-    first in row-major order is named).
+    out1, out2)`` stacks of the accepted members, their indices, and a dict
+    from each rejected member's index to its :class:`SampleRejected`
+    message: the traces disagree, ``P`` vanishes, or some product entry is
+    not divisible (the first in row-major order is named).
     """
     c1, c2 = out1.swapaxes(0, 1), out2.swapaxes(0, 1)
     d1, d2 = c1.shape[-1], c2.shape[-1]
@@ -307,7 +306,8 @@ def assemble_triple(
     (joint, _, _), _, rejected = _assemble(out1.coeffs[None], out2.coeffs[None], tol)
     if rejected:
         raise SampleRejected(rejected[0])
-    return UncorrelatedTriple(JointPhaseOperator(joint[0], dim1=out1.dim, dim2=out2.dim), out1, out2)
+    joint = JointPhaseOperator(joint[0], dim1=out1.dim, dim2=out2.dim)
+    return UncorrelatedTriple(joint, out1, out2)
 
 
 def generate_case2_candidate(seed, params: SamplerParams | None = None) -> UncorrelatedTriple:
@@ -361,7 +361,7 @@ class SearchReport:
 
 
 def _witness(verdicts: list) -> tuple[float, float | None]:
-    """The least ``min_eigenvalue`` of (joint, out1, out2) verdicts and its phase; out1 wins a tie."""
+    """The least ``min_eigenvalue`` of (joint, out1, out2) verdicts, out1 first, and its phase."""
     best = (math.inf, None)
     for verdict in (verdicts[1], verdicts[2], verdicts[0]):
         if verdict is not None and verdict.min_eigenvalue < best[0]:
@@ -422,7 +422,8 @@ def theorem_search(
                 witness_failures.append(k)
             if not analysis._consistent(bool(s.relation_ok[m]), (True, True), triple):
                 case = None if s.case[m] is None else s.case[m].value
-                violations.append(ViolationRecord(trial=k, detail=f"case={case}, min_eig={lam:.3e}"))
+                detail = f"case={case}, min_eig={lam:.3e}"
+                violations.append(ViolationRecord(trial=k, detail=detail))
 
     return SearchReport(
         trials=trials,

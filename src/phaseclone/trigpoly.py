@@ -211,9 +211,8 @@ def mul(p, q) -> np.ndarray:
     """
     a, b, c = p
     qa, qb, qc = q
-    # Sums written in place: stacking five temporaries costs twice as much.
-    # Each product is formed as ``x * y``, whose rounding depends on whether
-    # the operands are scalars or arrays.
+    # Written in place: stacking five temporaries costs twice as much.  Each
+    # product stays ``x * y``, whose rounding differs for scalars and arrays.
     out = np.empty((5,) + np.broadcast_shapes(np.shape(a), np.shape(qa)), np.result_type(a, qa))
     out[0] = b * qb
     np.add(b * qc, c * qb, out=out[1, ...])

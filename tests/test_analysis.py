@@ -475,13 +475,16 @@ def _stages(triples) -> list:
         groups.setdefault((t.out1.dim, t.out2.dim), []).append(i)
     stages = []
     for members in groups.values():
-        stacks = [np.array([getattr(triples[i], name).coeffs for i in members]) for name in ("joint", "out1", "out2")]
+        stacks = [
+            np.array([getattr(triples[i], name).coeffs for i in members])
+            for name in ("joint", "out1", "out2")
+        ]
         stages.append((members, analysis._structure(*stacks, DEFAULT_TOL)))
     return stages
 
 
 def _searched_verdicts(s) -> list:
-    """The verdicts theorem_search gets: certificates only where both outputs depend on the phase."""
+    """The verdicts of theorem_search: certificates only where both outputs depend on the phase."""
     decided = [m for m, dependence in enumerate(s.dependence) if dependence == (True, True)]
     certified = analysis._certify_many(s.operators(decided), DEFAULT_TOL)
     verdicts = [None] * (3 * len(s.dependence))
@@ -507,7 +510,8 @@ def test_structure_stage_matches_the_reports_on_paths_the_sampler_never_reaches(
             assert s.probability[m] == r.probability
             assert s.dependence[m] == (r.out1_phase_dependent, r.out2_phase_dependent)
             assert s.case[m] is (None if r.case is None else r.case.label)
-            consistent = analysis._consistent(bool(s.relation_ok[m]), s.dependence[m], verdicts[3 * m : 3 * m + 3])
+            positivity = verdicts[3 * m : 3 * m + 3]
+            consistent = analysis._consistent(bool(s.relation_ok[m]), s.dependence[m], positivity)
             assert consistent is r.theorem_consistent
 
 
@@ -542,7 +546,8 @@ def test_analyze_at_the_coefficient_bound_gives_finite_verdicts(name):
     t = builtin(name).payload
     k = MAX_COEFF / max(op.max_abs() for op in (t.joint, t.out1, t.out2)) * (1.0 - 1e-15)
     joint = JointPhaseOperator(k * t.joint.coeffs, dim1=t.joint.dim1, dim2=t.joint.dim2)
-    report = analyze(UncorrelatedTriple(joint, PhaseOperator(k * t.out1.coeffs), PhaseOperator(k * t.out2.coeffs)))
+    out1, out2 = PhaseOperator(k * t.out1.coeffs), PhaseOperator(k * t.out2.coeffs)
+    report = analyze(UncorrelatedTriple(joint, out1, out2))
     verdicts = (report.positivity_joint, report.positivity_out1, report.positivity_out2)
     values = [report.relation.max_residual] + [v.min_eigenvalue for v in verdicts if v is not None]
     if not isinstance(report.probability, str):

@@ -371,7 +371,9 @@ def test_from_rows_accepts_polys_tuples_and_scalars():
         PhaseOperator.from_rows([[(float("nan"), 0, 0)]])
 
 
-@pytest.mark.parametrize("value", [1.01e150, -1.01e150j, 1e308, math.inf, math.nan, complex(0, math.nan)])
+@pytest.mark.parametrize(
+    "value", [1.01e150, -1.01e150j, 1e308, math.inf, math.nan, complex(0, math.nan)]
+)
 def test_coefficient_parts_past_the_bound_are_rejected(value):
     coeffs = np.zeros((3, 2, 2), dtype=complex)
     coeffs[2, 1, 0] = value

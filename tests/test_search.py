@@ -333,7 +333,7 @@ def test_batched_assembly_equals_per_trial_candidates(params):
     for start in range(0, 150, 50):
         block = range(start, start + 50)
         outputs = np.array([search._draw([seed, k], params) for k in block])
-        stacks, kept, rejected = search._assemble(outputs[:, 0], outputs[:, 1], search._ASSEMBLE_TOL)
+        stacks, kept, rejected = search._assemble(*outputs.swapaxes(0, 1), search._ASSEMBLE_TOL)
         accepted = dict(zip(kept.tolist(), zip(*stacks)))
         assert sorted([*accepted, *rejected]) == list(range(len(block)))
         for n, k in enumerate(block):
@@ -372,7 +372,8 @@ def test_search_builds_no_operator_objects(monkeypatch):
     # From draw to tally a search block stays coefficient stacks.
     built = []
     post_init = PhaseOperator.__post_init__
-    monkeypatch.setattr(PhaseOperator, "__post_init__", lambda op: built.append(op) or post_init(op))
+    counting = lambda op: built.append(op) or post_init(op)  # noqa: E731
+    monkeypatch.setattr(PhaseOperator, "__post_init__", counting)
     report = theorem_search(300, seed=20260809)
     assert built == [] and report.accepted > 0
     generate_case2_candidate([20260809, 0])
