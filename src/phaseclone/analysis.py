@@ -59,6 +59,7 @@ from .operators import (
     RelationReport,
     UncorrelatedTriple,
     ZeroProbabilityError,
+    _groups,
     _relation,
     _relation_reports,
     hermitian_part,
@@ -207,17 +208,17 @@ def _vanishes(P: FirstOrderPoly, out: PhaseOperator) -> bool:
     return P.max_abs() <= ZERO_COEFF_REL * (1.0 + out.max_abs())
 
 
-def _projection(outs: np.ndarray, p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _projection(outs: np.ndarray, p: np.ndarray, scale: np.ndarray, tol: float) -> tuple:
     """``gamma = <e, P> / <P, P>`` per entry of an ``(N, 3, d, d)`` stack of outputs.
 
-    ``p`` holds the ``(N, 3)`` coefficients of their probabilities.  Also
+    ``p`` holds the ``(N, 3)`` coefficients of their probabilities and
+    ``scale`` the larger of ``max|P|`` and ``max|out|`` per output.  Also
     returns, per output, whether some entry differs from ``gamma * P`` by
-    more than ``tol * max(1, max|P|, max|out|)``: a phase-dependent output.
+    more than ``tol * max(1, scale)``: a phase-dependent output.
     """
     p = p[:, :, None, None]
     gamma = (p.conj() * outs).sum(axis=1) / (p.conj() * p).real.sum(axis=1)
     residual = np.abs(outs - gamma[:, None] * p).max(axis=(1, 2, 3))
-    scale = np.maximum(np.abs(p).max(axis=(1, 2, 3)), np.abs(outs).max(axis=(1, 2, 3)))
     return gamma, residual > tol * np.maximum(1.0, scale)
 
 
@@ -233,7 +234,8 @@ def output_depends_on_phase(
     """
     if _vanishes(P, out):
         raise ZeroProbabilityError("probability polynomial vanishes identically")
-    (gamma,), (dependent,) = _projection(out.coeffs[None], P.coeffs[None], tol)
+    scale = np.maximum(np.abs(P.coeffs).max(), np.abs(out.coeffs).max())
+    (gamma,), (dependent,) = _projection(out.coeffs[None], P.coeffs[None], scale, tol)
     if dependent:
         return True, None
     tr = np.trace(gamma)
@@ -304,9 +306,8 @@ def _inlay(out2: np.ndarray, targets: list) -> tuple[np.ndarray, np.ndarray]:
     # half = 0 only for the entry a x (b = c = 0), whose roots are both 0.
     np.divide(b, half + (half == 0), out=roots[1], where=full)
     hits = np.abs(roots[..., None] - z[:, None]) <= limit[:, None]
-    near = np.add(hits[0], hits[1], dtype=np.intp)
-    capped = np.minimum(near, cap[:, None])
-    found = np.add(capped[..., 0], capped[..., 1])
+    near = hits.sum(axis=0, dtype=np.intp)
+    found = np.minimum(near, cap[:, None]).sum(axis=-1)
     found[size <= ZERO_COEFF_REL * (1.0 + size.max(axis=1, keepdims=True))] = 2
     return found, near
 
@@ -410,15 +411,16 @@ class _Structure:
 
 
 def _outputs(fn, out1: np.ndarray, out2: np.ndarray, *args) -> tuple:
-    """``fn(out1, *args)`` and ``fn(out2, *args)``, one call when the output stacks have one shape.
+    """``fn(out1, *a1)`` and ``fn(out2, *a2)`` for ``args`` pairs ``(a1, a2)``.
 
-    ``fn`` returns a tuple of arrays over the members; ``args`` are stacked alike.
+    One call when the output stacks have one shape; ``fn`` returns a
+    sequence of arrays over the members.
     """
     if out1.shape != out2.shape:
-        return fn(out1, *args), fn(out2, *args)
+        return fn(out1, *(a for a, _ in args)), fn(out2, *(b for _, b in args))
     n = len(out1)
-    both = fn(np.concatenate([out1, out2]), *(np.concatenate([a, a]) for a in args))
-    return tuple(r[:n] for r in both), tuple(r[n:] for r in both)
+    both = fn(np.concatenate([out1, out2]), *[np.concatenate(pair) for pair in args])
+    return [r[:n] for r in both], [r[n:] for r in both]
 
 
 def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
@@ -430,10 +432,9 @@ def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float
     hermitian-preserving, relation-satisfying members with a decomposed
     ``P``: everything of a report but the positivity certificate.
     """
-    stacks = (joint, out1, out2)
     families, defects = zip(hermitian_part(joint), *_outputs(hermitian_part, out1, out2))
     hp = np.array(defects) <= tol
-    relation = _relation(*(stack.swapaxes(0, 1) for stack in stacks), tol)
+    relation = _relation(joint, out1, out2, tol)
     P, sizes, nonzero, traces_equal, residual, partial_ok = relation
     relation_ok = nonzero & traces_equal & (residual <= tol) & partial_ok
     zero1, zero2 = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2:])  # _vanishes(P, out) per output
@@ -442,15 +443,16 @@ def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float
         for zero, row in zip(zero1.tolist(), P.T.tolist())
     ]
     dependence = [(None, None)] * len(probability)
-    projected = np.flatnonzero(~(zero1 | zero2))
-    p = np.ascontiguousarray(P.T[projected])
+    projected = (~(zero1 | zero2)).nonzero()[0]
+    p = P.T[projected]
+    scales = np.maximum(sizes[0], sizes[2:])[:, projected]  # max(max|P|, max|out|) per output
     project = functools.partial(_projection, tol=tol)
-    (_, dep1), (_, dep2) = _outputs(project, out1[projected], out2[projected], p)
+    (_, dep1), (_, dep2) = _outputs(project, out1[projected], out2[projected], (p, p), scales)
     for m, flag in zip(projected.tolist(), zip(dep1.tolist(), dep2.tolist())):
         dependence[m] = flag
     constant = CaseLabel.CONSTANT_PROBABILITY
     case = [constant if t == "constant-probability" else None for t in probability]
-    checked = np.flatnonzero(relation_ok & hp.all(axis=0)).tolist()
+    checked = (relation_ok & hp.all(axis=0)).nonzero()[0].tolist()
     classified = [m for m in checked if not isinstance(probability[m], str)]
     if classified:
         found, _ = _inlay(out2[classified], [_targets(probability[m]) for m in classified])
@@ -517,15 +519,8 @@ def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
     :func:`classify`).
     """
     triples = list(triples)
-    groups: dict[tuple, list[int]] = {}
-    for i, t in enumerate(triples):
-        groups.setdefault((t.out1.dim, t.out2.dim), []).append(i)
     reports: list = [None] * len(triples)
-    for members in groups.values():
-        stacks = (
-            np.array([getattr(triples[i], name).coeffs for i in members])
-            for name in ("joint", "out1", "out2")
-        )
+    for members, stacks in _groups(triples):
         s = _structure(*stacks, tol)
         verdicts = _certify_many(s.operators(range(len(members))), tol)
         for i, report in zip(members, _reports(s, verdicts, tol)):

@@ -122,45 +122,35 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    t = _load_triple(args.file)
-    report = analyze(t, args.tol)
+    report = analyze(_load_triple(args.file), args.tol)
     rel = report.relation
-    print(f"file: {args.file}")
+    lines = [f"file: {args.file}"]
     if rel is None:
-        print("relation: unavailable (zero probability)")
+        lines.append("relation: unavailable (zero probability)")
     else:
-        print(f"traces_equal: {_bool(rel.traces_equal)}")
-        print(
-            f"relation_holds: {_bool(rel.relation_holds)} "
-            f"(max_residual={rel.max_residual:.3e})"
-        )
-        print(f"partial_traces_consistent: {_bool(rel.partial_traces_consistent)}")
-    print(
+        lines += [
+            f"traces_equal: {_bool(rel.traces_equal)}",
+            f"relation_holds: {_bool(rel.relation_holds)} (max_residual={rel.max_residual:.3e})",
+            f"partial_traces_consistent: {_bool(rel.partial_traces_consistent)}",
+        ]
+    lines.append(
         "hermitian_preserving: "
         f"joint={_bool(report.hp_joint)} out1={_bool(report.hp_out1)} "
         f"out2={_bool(report.hp_out2)}"
     )
     if isinstance(report.probability, str):
-        print(f"probability: {report.probability}")
+        lines.append(f"probability: {report.probability}")
     else:
         p = report.probability
-        print(
+        lines.append(
             f"probability: |alpha|={_fmt(p.alpha_abs)} theta={_fmt(p.theta)} "
             f"R={_fmt(p.R)} r={_fmt(p.r)}"
         )
-    for name, verdict in (
-        ("out1", report.positivity_out1),
-        ("out2", report.positivity_out2),
-        ("joint", report.positivity_joint),
-    ):
-        print(_verdict_line(name, verdict))
-    passed = (
-        rel is not None
-        and rel.all_ok
-        and report.hp_ok
-        and report.all_positive
-    )
-    print(f"result: {'PASS' if passed else 'FAIL'}")
+    for block in ("out1", "out2", "joint"):
+        lines.append(_verdict_line(block, getattr(report, f"positivity_{block}")))
+    passed = rel is not None and rel.all_ok and report.hp_ok and report.all_positive
+    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
+    print("\n".join(lines))
     return 0 if passed else 1
 
 

@@ -216,7 +216,7 @@ def hermitian_part(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     defect, the largest coefficient of ``c - c*`` per operator, is zero iff
     the output matrix is Hermitian at every phi.
     """
-    adjoint = coeffs[..., [1, 0, 2], :, :].conj().swapaxes(-1, -2)
+    adjoint = coeffs.take([1, 0, 2], axis=-3).conj().swapaxes(-1, -2)
     return 0.5 * (coeffs + adjoint), np.abs(coeffs - adjoint).max(axis=(-3, -2, -1))
 
 
@@ -249,7 +249,7 @@ def max_coeff_diff(op1: PhaseOperator, op2: PhaseOperator) -> float:
 
 
 def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
-    """The arrays of :func:`validate_triples` on the ``(3, N, ., .)`` stacks of one ``(d1, d2)``.
+    """The arrays of :func:`validate_triples` on the ``(N, 3, ., .)`` stacks of one ``(d1, d2)``.
 
     Returns the ``(3, N)`` traces ``P`` of out1, the ``(4, N)`` largest
     coefficient moduli of ``P``, the joint, out1 and out2, and per member
@@ -257,21 +257,20 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     residual and whether the partial traces agree.
     """
     d1, d2 = out1.shape[-1], out2.shape[-1]
+    joint, out1, out2 = (stack.swapaxes(0, 1) for stack in (joint, out1, out2))
     P = out1.trace(axis1=-2, axis2=-1)
-    stacks = (P[..., None, None], joint, out1, out2)
-    sizes = np.array([np.abs(c).max(axis=(0, 2, 3)) for c in stacks])
+    moduli = (np.abs(c).max(axis=(0, 2, 3)) for c in (joint, out1, out2))
+    sizes = np.array([np.abs(P).max(axis=0), *moduli])
     size = sizes[0]
     nonzero = size > ZERO_COEFF_REL * (1.0 + sizes[1:].max(axis=0))
-    traces_equal = (np.abs(out2.trace(axis1=-2, axis2=-1) - P).max(axis=0) <= tol) & (
-        np.abs(joint.trace(axis1=-2, axis2=-1) - P).max(axis=0) <= tol
-    )
+    traces = np.array([out2.trace(axis1=-2, axis2=-1), joint.trace(axis1=-2, axis2=-1)])
+    traces_equal = np.abs(traces - P).max(axis=(0, 1)) <= tol
     cross = mul(joint, P[..., None, None]) - _tensor(out1, out2)
     residual = np.abs(cross).max(axis=(0, 2, 3)) / np.where(nonzero, size, 1.0)
     blocks = joint.reshape(joint.shape[:2] + (d1, d2, d1, d2))
-    partial_ok = (np.abs(blocks.trace(axis1=3, axis2=5) - out1).max(axis=(0, 2, 3)) <= tol) & (
-        np.abs(blocks.trace(axis1=2, axis2=4) - out2).max(axis=(0, 2, 3)) <= tol
-    )
-    return P, sizes, nonzero, traces_equal, residual, partial_ok
+    gaps = (blocks.trace(axis1=3, axis2=5) - out1, blocks.trace(axis1=2, axis2=4) - out2)
+    partial = np.maximum(*(np.abs(gap).max(axis=(0, 2, 3)) for gap in gaps))
+    return P, sizes, nonzero, traces_equal, residual, partial <= tol
 
 
 def _relation_reports(relation: tuple, tol: float) -> list[RelationReport | None]:
@@ -289,21 +288,25 @@ def _relation_reports(relation: tuple, tol: float) -> list[RelationReport | None
     ]
 
 
-def validate_triples(triples, tol: float = 1e-9) -> list[RelationReport | None]:
-    """:func:`validate_triple` for each triple; ``None`` where the trace vanishes identically.
-
-    Triples with the same marginal dimensions are checked as one stack,
-    coefficient axis first: ``(3, N, d, d)``.
-    """
-    reports: list[RelationReport | None] = [None] * len(triples)
+def _groups(triples) -> list[tuple[list[int], tuple]]:
+    """The indices of the triples of each ``(d1, d2)`` and their joint, out1 and out2 stacks."""
     groups: dict[tuple, list[int]] = {}
     for i, t in enumerate(triples):
         groups.setdefault((t.out1.dim, t.out2.dim), []).append(i)
-    for members in groups.values():
-        stacks = (
-            np.array([getattr(triples[i], name).coeffs for i in members]).swapaxes(0, 1)
-            for name in ("joint", "out1", "out2")
-        )
+    names = ("joint", "out1", "out2")
+    return [
+        (members, tuple(np.array([getattr(triples[i], n).coeffs for i in members]) for n in names))
+        for members in groups.values()
+    ]
+
+
+def validate_triples(triples, tol: float = 1e-9) -> list[RelationReport | None]:
+    """:func:`validate_triple` for each triple; ``None`` where the trace vanishes identically.
+
+    Triples with the same marginal dimensions are checked as one stack.
+    """
+    reports: list[RelationReport | None] = [None] * len(triples)
+    for members, stacks in _groups(triples):
         for i, report in zip(members, _relation_reports(_relation(*stacks, tol), tol)):
             reports[i] = report
     return reports

@@ -11,9 +11,11 @@ A document is a sequence of named blocks::
 ``entry i j <a> <b> <c>`` stores the three coefficients of the (i, j)
 polynomial; omitted entries are zero.  Each coefficient is written as
 ``<re><sign><im>i`` where the parts are decimal (optionally with an
-exponent) or exact rationals ``p/q``.  Rationals are parsed exactly and
-converted once to double; each part is at most
-:data:`~phaseclone.operators.MAX_COEFF` in magnitude.  Blank lines and ``#`` comments are ignored.
+exponent) or exact rationals ``p/q``; digits are ASCII ``0-9``.  Rationals
+are parsed exactly and converted once to double; each part is at most
+:data:`~phaseclone.operators.MAX_COEFF` in magnitude.  An ``entry`` line is
+one pattern match (read token by token only to word an error).  Blank lines
+and ``#`` comments are ignored.
 A document whose blocks are named ``lambda12``, ``lambda1`` and
 ``lambda2`` describes an uncorrelated triple.  ``dim`` is at most
 :data:`MAX_DIM`, checked on the ``dim`` line before anything is
@@ -65,8 +67,12 @@ class DimensionMismatchError(ValueError):
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-_NUMBER = r"(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-_COMPLEX_RE = re.compile(rf"^([+-]?{_NUMBER})([+-]{_NUMBER})i$")
+_DIGITS_RE = re.compile("[0-9]+")
+_NUMBER = r"(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+_COMPLEX = rf"([+-]?{_NUMBER})([+-]{_NUMBER})i"
+_COMPLEX_RE = re.compile(_COMPLEX)
+#: A whole ``entry`` line, comment included; ``\s`` is the whitespace of ``str.split``.
+_ENTRY_RE = re.compile(rf"\s*entry\s+([0-9]+)\s+([0-9]+)" + rf"\s+{_COMPLEX}" * 3 + r"\s*(?:#.*)?")
 
 
 def _parse_real(token: str, line: int) -> float:
@@ -83,15 +89,6 @@ def _parse_real(token: str, line: int) -> float:
             f"coefficient part {token!r} is not a number of magnitude <= {MAX_COEFF:g}", line
         )
     return x
-
-
-def _parse_complex(token: str, line: int) -> complex:
-    m = _COMPLEX_RE.match(token)
-    if m is None:
-        raise ParseError(
-            f"expected coefficient like '0.5+0.0i' or '1/8-1/2i', got {token!r}", line
-        )
-    return complex(_parse_real(m.group(1), line), _parse_real(m.group(2), line))
 
 
 @dataclass(frozen=True)
@@ -125,9 +122,21 @@ def parse_pmap(text: str) -> PmapDocument:
     blocks: dict[str, PhaseOperator] = {}
     name: str | None = None
     dim: int | None = None
-    entries: dict[tuple[int, int], tuple] = {}
+    entries: dict[tuple[int, int], list] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _ENTRY_RE.fullmatch(raw)
+        if m is not None and dim is not None:
+            i, j, *parts = m.groups()
+            try:
+                key = i, j = int(i), int(j)
+                parts = [float(Fraction(p)) if "/" in p else float(p) for p in parts]
+                ok = max(i, j) < dim and key not in entries and max(map(abs, parts)) <= MAX_COEFF
+            except (ValueError, ZeroDivisionError, OverflowError):
+                ok = False  # worded token by token below
+            if ok:
+                entries[key] = parts
+                continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -147,7 +156,7 @@ def parse_pmap(text: str) -> PmapDocument:
                 raise ParseError("'dim' outside of a pmap block", lineno)
             if dim is not None:
                 raise ParseError("duplicate 'dim' line", lineno)
-            if len(tokens) != 2 or not tokens[1].isdecimal():
+            if len(tokens) != 2 or not _DIGITS_RE.fullmatch(tokens[1]):
                 raise ParseError("expected 'dim <positive integer>'", lineno)
             try:
                 dim = int(tokens[1])
@@ -164,26 +173,39 @@ def parse_pmap(text: str) -> PmapDocument:
                 raise ParseError("'entry' outside of a pmap block", lineno)
             if dim is None:
                 raise ParseError("'dim' must precede 'entry' lines", lineno)
+            # The line failed the one-match read above: find its first fault.
             if len(tokens) != 6:
                 raise ParseError("expected 'entry <i> <j> <a> <b> <c>'", lineno)
+            if not (_DIGITS_RE.fullmatch(tokens[1]) and _DIGITS_RE.fullmatch(tokens[2])):
+                raise ParseError("entry indices must be unsigned integers of ASCII digits", lineno)
             try:
                 i, j = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError("entry indices must be integers", lineno) from None
-            if not (0 <= i < dim and 0 <= j < dim):
+            except ValueError:  # int() refuses strings of more than 4300 digits
+                raise ParseError("entry index is too long", lineno) from None
+            if not (i < dim and j < dim):
                 raise ParseError(f"entry index ({i}, {j}) out of range for dim {dim}", lineno)
             if (i, j) in entries:
                 raise DuplicateEntryError(f"duplicate entry ({i}, {j})", lineno)
-            entries[(i, j)] = tuple(_parse_complex(tok, lineno) for tok in tokens[3:6])
+            for token in tokens[3:]:
+                m = _COMPLEX_RE.fullmatch(token)
+                if m is None:
+                    raise ParseError(
+                        f"expected coefficient like '0.5+0.0i' or '1/8-1/2i', got {token!r}",
+                        lineno,
+                    )
+                for part in m.groups():
+                    _parse_real(part, lineno)
+            raise ParseError("malformed entry line", lineno)
         elif keyword == "end":
             if name is None:
                 raise ParseError("'end' outside of a pmap block", lineno)
             if dim is None:
                 raise ParseError(f"block {name!r} has no 'dim'", lineno)
-            coeffs = np.zeros((3, dim, dim), dtype=complex)
-            for (i, j), abc in entries.items():
-                coeffs[:, i, j] = abc
-            blocks[name] = PhaseOperator(coeffs)
+            parts = [0.0] * (6 * dim * dim)  # row-major (i, j), then (a, b, c) as re, im
+            for (i, j), values in entries.items():
+                parts[6 * (i * dim + j) : 6 * (i * dim + j) + 6] = values
+            coeffs = np.array(parts).view(complex).reshape(dim, dim, 3)
+            blocks[name] = PhaseOperator(coeffs.transpose(2, 0, 1))
             name, dim, entries = None, None, {}
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno)

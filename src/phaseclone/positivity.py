@@ -78,6 +78,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly
 from .operators import PhaseOperator, hermitian_part
@@ -114,6 +115,12 @@ _CONSTANT_REL = 1e-12
 _MAX_LEVELS = 100
 #: Exponents of the basis ``(e^{i phi}, e^{-i phi}, 1)`` of first-order families.
 _FREQUENCIES = np.array([1j, -1j, 0.0])
+
+
+def _solve(gufunc, a: np.ndarray, signature: str):
+    """A ``numpy.linalg`` eigen gufunc on a finite complex stack, without its per-call checks."""
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(a, signature=signature)
 
 
 class NotRealValuedError(ValueError):
@@ -207,10 +214,10 @@ def _lowest(E: np.ndarray) -> np.ndarray:
     if d == 1:
         return E[..., 0, 0].real
     if d == 2:
-        h00 = E[..., 0, 0].real
-        h11 = E[..., 1, 1].real
+        h = E.real
+        h00, h11 = h[..., 0, 0], h[..., 1, 1]
         return 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), np.abs(E[..., 0, 1]))
-    return np.linalg.eigvalsh(E)[..., 0]
+    return _solve(_umath_linalg.eigvalsh_lo, E, "D->d")[..., 0]
 
 
 def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -231,10 +238,16 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _seeds(d: int) -> tuple[tuple, tuple, np.ndarray]:
-    """The ``2d + 2`` equispaced seed phases, their ``e^{i phi}`` and their basis rows (read-only)."""
+def _seeds(d: int) -> tuple:
+    """Per seed of 2d + 2: phase, x = e^{i phi}, basis row, (x, conj x, -1/x), [0 | I/x]; then
+    the companion's upper half [0 | I]; read-only."""
     phis, basis = _grid(2 * d + 2)
-    return tuple(phis.tolist()), tuple(basis[:, 0].tolist()), basis
+    x = basis[:, 0].reshape(-1, 1, 1)
+    pad = np.concatenate([np.zeros((len(phis), d, d)), np.eye(d) / x], axis=2)
+    arrays = np.stack([x, np.conj(x), -1.0 / x], axis=1), pad, np.eye(d, 2 * d, d, dtype=complex)
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(phis.tolist()), tuple(x.ravel().tolist()), basis, *arrays
 
 
 def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
@@ -250,11 +263,12 @@ def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np
     return phis, _lambda_min_grid(family, basis)
 
 
-def _pencil_crossings(families: np.ndarray, x0: list[complex], M0: np.ndarray):
+def _pencil_crossings(families: np.ndarray, anchors: list[int], M0: np.ndarray):
     """Crossing finder of the level set for a stack, each member linearised at its anchor.
 
     ``Q(x) = A x^2 + (C - L I) x + A^H`` is shifted by ``x = x0 + 1/y`` to
-    ``y^2 Q(x0) + y Q'(x0) + A``.  On the circle ``Q(x0) = x0 (M0 - L I)``
+    ``y^2 Q(x0) + y Q'(x0) + A``, where ``x0`` is the seed of index
+    ``anchors[m]`` for member ``m``.  On the circle ``Q(x0) = x0 (M0 - L I)``
     with ``M0 = M(phi0) = V diag(mu) V^H``, so in the eigenbasis of ``M0``
     the ``2d x 2d`` companion matrix of the shifted pencil needs only
     ``diag(1 / (mu - L))`` per level.  The returned function maps the rows
@@ -263,36 +277,37 @@ def _pencil_crossings(families: np.ndarray, x0: list[complex], M0: np.ndarray):
     of the circle, with one ``eigvals`` call for all rows.
     """
     d = families.shape[-1]
-    x = np.array(x0)[:, None, None]
-    mu, V = np.linalg.eigh(M0)
+    _, xs, _, scalars, pad, upper = _seeds(d)
+    x0 = [xs[k] for k in anchors]
+    x, xc, inv = scalars.take(anchors, axis=0).swapaxes(0, 1)
+    pad = pad.take(anchors, axis=0)
+    mu, V = _solve(_umath_linalg.eigh_lo, M0, "D->dD")
     mu = mu[:, :, None]
     # Q(x0)^{-1} [A | Q'(x0)] = (M0 - L)^{-1} [A | x0 A - conj(x0) A^H] / x0 + [0 | I / x0],
     # where V^H A^H V = G^H for G = V^H A V.
     G = V.conj().swapaxes(1, 2) @ families[:, 0] @ V
-    blocks = np.concatenate([G, x * G - np.conj(x) * G.conj().swapaxes(1, 2)], axis=2) * (-1.0 / x)
-    shift = np.eye(d) / x
-    companion = np.zeros((len(x0), 2 * d, 2 * d), dtype=complex)
-    companion[:, :d, d:] = np.eye(d)
+    blocks = np.concatenate([G, x * G - xc * G.conj().swapaxes(1, 2)], axis=2) * inv
+    companion = np.empty((len(x0), 2 * d, 2 * d), dtype=complex)
+    companion[:, :d] = upper
     current = list(range(len(x0)))
 
     def crossings(rows: list[int], levels: list[float]) -> list[list[float]]:
-        nonlocal current, companion, blocks, mu, shift, x0
+        nonlocal current, companion, blocks, mu, pad, x0
         if rows != current:  # drop the rows that have finished
             where = {row: k for k, row in enumerate(current)}
             keep = [where[row] for row in rows]
-            companion, blocks, mu, shift = (
-                a.take(keep, axis=0) for a in (companion, blocks, mu, shift)
-            )
+            kept = (a.take(keep, axis=0) for a in (companion, blocks, mu, pad))
+            companion, blocks, mu, pad = kept
             x0 = [x0[k] for k in keep]
             current = rows
-        companion[:, d:] = blocks / (mu - np.array(levels)[:, None, None])
-        companion[:, d:, d:] -= shift
+        np.subtract(blocks / (mu - np.array(levels)[:, None, None]), pad, out=companion[:, d:])
         found = []
-        for anchor, roots in zip(x0, np.linalg.eigvals(companion).tolist()):
+        for anchor, roots in zip(x0, _solve(_umath_linalg.eigvals, companion, "D->D").tolist()):
             phases = []
             for y in roots:
                 u = anchor * y + 1.0  # x = u / y; y = 0 is the root at infinity
-                if abs(abs(u) - abs(y)) <= _CIRCLE_BAND * abs(y):
+                size = abs(y)
+                if abs(abs(u) - size) <= _CIRCLE_BAND * size:
                     w = u * y.conjugate()
                     phases.append(math.atan2(w.imag, w.real) % _TWO_PI)
             found.append(sorted(phases))
@@ -311,7 +326,10 @@ def _open_arcs(crossings: list[float], seen: list[float]) -> list[float]:
     mids = []
     for a, b in zip(crossings, crossings[1:] + [crossings[0] + _TWO_PI]):
         lo, hi = a + _CIRCLE_BAND, b - _CIRCLE_BAND
-        if not any(lo < p < hi or lo < p + _TWO_PI < hi for p in seen):
+        for p in seen:
+            if lo < p < hi or lo < p + _TWO_PI < hi:
+                break
+        else:
             mids.append((0.5 * (a + b)) % _TWO_PI)
     return mids
 
@@ -329,7 +347,7 @@ def _constant_level_crossings(E: np.ndarray, g: float, scale: float):
     divided by ``scale``, which moves no root, so the product cannot overflow.
     """
     n, d = E.shape[:2]
-    ev = np.linalg.eigvalsh(E)
+    ev = _solve(_umath_linalg.eigvalsh_lo, E, "D->d")
     near = np.abs(ev - g) <= _CONSTANT_REL * scale
     k = int(near.sum(axis=1).min())
     order = np.argsort(np.abs(ev - g), axis=1)
@@ -355,7 +373,7 @@ def _minimum(families: np.ndarray) -> tuple[list[float], list[float]]:
     "Stacks" there); a degenerate member finds its crossings on its own.
     """
     d = families.shape[-1]
-    seeds, x, basis = _seeds(d)
+    seeds, _, basis, *_ = _seeds(d)
     n = len(seeds)
     flat = families.reshape(-1, 3, d * d)
     E = (basis @ flat).reshape(-1, d, d)  # member-major
@@ -374,7 +392,7 @@ def _minimum(families: np.ndarray) -> tuple[list[float], list[float]]:
             split[m] = _constant_level_crossings(E[m * n : (m + 1) * n], low, scale)
     # Anchored at each member's largest seed (``anchors`` index the rows of
     # ``E``); built for every member, used by those that are not split off.
-    pencil = _pencil_crossings(families, [x[k % n] for k in anchors], E.take(anchors, axis=0))
+    pencil = _pencil_crossings(families, [k % n for k in anchors], E.take(anchors, axis=0))
 
     seen = [seeds] * len(g)
     active = list(range(len(g)))

@@ -213,12 +213,13 @@ def mul(p, q) -> np.ndarray:
     qa, qb, qc = q
     # Written in place: stacking five temporaries costs twice as much.  Each
     # product stays ``x * y``, whose rounding differs for scalars and arrays.
-    out = np.empty((5,) + np.broadcast_shapes(np.shape(a), np.shape(qa)), np.result_type(a, qa))
+    top = a * qa
+    out = np.empty((5,) + np.shape(top), np.result_type(top))
     out[0] = b * qb
     np.add(b * qc, c * qb, out=out[1, ...])
     np.add(a * qb + b * qa, c * qc, out=out[2, ...])
     np.add(a * qc, c * qa, out=out[3, ...])
-    out[4] = a * qa
+    out[4] = top
     return out
 
 

@@ -7,10 +7,13 @@ shares no code with :mod:`phaseclone.positivity`.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from phaseclone import (
     PhaseOperator,
@@ -24,6 +27,8 @@ from phaseclone import (
     positivity_many,
     validate_triples,
 )
+from phaseclone.catalog import NAMES
+from phaseclone.positivity import _solve
 
 from helpers import random_hp_operator
 
@@ -307,3 +312,63 @@ def test_analyze_many_matches_analyze():
     reports = analyze_many(triples)
     assert reports == [analyze(t) for t in triples]
     assert not reports[2].hp_ok and reports[0].hp_ok
+
+
+def _pinned_families() -> list[PhaseOperator]:
+    """Catalog operators, seeded families of every dimension (random and ``Gamma * P``), triples."""
+    ops = []
+    for name in NAMES:
+        payload = builtin(name).payload
+        triple = hasattr(payload, "joint")
+        ops += [payload.joint, payload.out1, payload.out2] if triple else [payload]
+    rng = np.random.default_rng(20260809)
+    for d in DIMS:
+        for _ in range(3):
+            op = random_hp_operator(rng, d)
+            ops += [op, shifted(op, 10.0 * (1.0 + op.max_abs()))]
+            ops.append(shifted(op, -oracle_samples(op)[1].min()))  # minimum on zero
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            gamma = x @ x.conj().T if len(ops) % 2 else x + x.conj().T
+            P = op.coeffs.trace(axis1=1, axis2=2)
+            ops.append(PhaseOperator(P[:, None, None] * gamma))
+    for k in range(12):
+        try:
+            t = generate_case2_candidate([20260809, k])
+        except SampleRejected:
+            continue
+        ops += [t.joint, t.out1, t.out2]
+    return ops + _mixed_stack()
+
+
+def _verdict_digest(verdicts) -> str:
+    h = hashlib.sha256()
+    for v in verdicts:
+        bits = None if v is None else struct.pack("<?dd", v.positive, v.min_eigenvalue, v.witness_phi)
+        h.update(bits or b"-")
+    return h.hexdigest()[:16]
+
+
+#: sha256 prefix of every (positive, min_eigenvalue, witness_phi) of ``_pinned_families``.
+_PINNED_VERDICTS = {"stacked": "b26aee69a8586e0f", "alone": "b26aee69a8586e0f"}
+
+
+def test_certificate_bits_are_pinned():
+    ops = _pinned_families()
+    assert len(ops) > 150
+    assert _verdict_digest(positivity_many(ops)) == _PINNED_VERDICTS["stacked"]
+    assert _verdict_digest([positivity_many([op])[0] for op in ops]) == _PINNED_VERDICTS["alone"]
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4, 8, 12, 18))
+def test_lapack_calls_match_numpy_linalg(d):
+    # The certificate calls numpy.linalg's eigen gufuncs directly; they must give
+    # the bits of the public functions on the stacks it solves.
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    h = a + a.conj().swapaxes(1, 2)
+    assert _solve(_umath_linalg.eigvals, a, "D->D").tobytes() == np.linalg.eigvals(a).tobytes()
+    want = np.linalg.eigvalsh(h)
+    assert _solve(_umath_linalg.eigvalsh_lo, h, "D->d").tobytes() == want.tobytes()
+    w, v = _solve(_umath_linalg.eigh_lo, h, "D->dD")
+    want = np.linalg.eigh(h)
+    assert (w.tobytes(), v.tobytes()) == (want[0].tobytes(), want[1].tobytes())

@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 
 import phaseclone
 from phaseclone import (
+    PhaseOperator,
     SampleRejected,
+    UncorrelatedTriple,
+    assemble_triple,
     builtin,
     document_from_triple,
     generate_case2_candidate,
@@ -367,3 +370,81 @@ def test_profile_builds_its_grid_once(tmp_path, monkeypatch):
     assert sizes == [48]
     phis, rows = positivity._grid(48)
     assert not phis.flags.writeable and not rows.flags.writeable
+
+
+def _gamma_output(gamma: np.ndarray, P) -> PhaseOperator:
+    """``Gamma * P``: every entry a constant multiple of the probability ``P``."""
+    return PhaseOperator(P.coeffs[:, None, None] * gamma)
+
+
+def _gamma(rng, d: int, psd: bool) -> np.ndarray:
+    """A unit-trace Hermitian matrix, positive semidefinite or with a negative eigenvalue."""
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = x @ x.conj().T if psd else x + x.conj().T + 2.0 * np.eye(d)
+    return h / np.trace(h).real
+
+
+def _sampled(k: int) -> UncorrelatedTriple:
+    """The first 2x2 triple drawn by ``generate_case2_candidate([20260809, k])`` from ``k`` on."""
+    while True:
+        try:
+            return generate_case2_candidate([20260809, k])
+        except SampleRejected:
+            k += 1
+
+
+def _check_triple(name: str) -> UncorrelatedTriple:
+    if name.startswith("catalog-"):
+        return builtin(name.removeprefix("catalog-")).payload
+    kind, _, k = name.rpartition("-")
+    k = int(k)
+    t = _sampled(k)
+    rng = np.random.default_rng([20260809, 99, k])
+    P = trace_poly(t.out1)
+    if kind == "sampled-2x2":
+        return t
+    if kind == "gamma-1x2":
+        return assemble_triple(_gamma_output(np.ones((1, 1)), trace_poly(t.out2)), t.out2)
+    if kind == "gamma-2x3":
+        return assemble_triple(t.out1, _gamma_output(_gamma(rng, 3, k % 2 == 0), P))
+    g1, g2 = (_gamma_output(_gamma(rng, 3, psd), P) for psd in (k % 4 != 1, k % 4 != 2))
+    return assemble_triple(g1, g2)
+
+
+#: sha256 prefix of the ``check`` stdout (file path replaced) and its exit code.
+_PINNED_CHECKS = {
+    "catalog-counterexample": ("95a96597967a2a4f", 1),
+    "catalog-case1-example": ("9a08a62733a7feb7", 0),
+    "catalog-case3-example": ("a970e445b62e3b50", 0),
+    "catalog-footnote-linear-only": ("a161b5b28880eedf", 1),
+    "catalog-projective-discard": ("845c189bf6841a0d", 0),
+    "sampled-2x2-1": ("b8ae1dc28820cccb", 1),
+    "sampled-2x2-4": ("d9ac8be1dd736e86", 1),
+    "sampled-2x2-6": ("346bf82c69f7e5c5", 0),
+    "sampled-2x2-9": ("95e29993d37a7972", 1),
+    "sampled-2x2-16": ("9e041805ea9900db", 1),
+    "sampled-2x2-20": ("80cea20987bc8827", 0),
+    "sampled-2x2-25": ("5ca4bb38ac8380fa", 1),
+    "sampled-2x2-36": ("9f2b7476b35b1338", 1),
+    "gamma-1x2-2": ("c90945880eebf030", 1),
+    "gamma-1x2-5": ("9c60ea2beb1b4a07", 1),
+    "gamma-2x3-3": ("7542eb1fad33e283", 1),
+    "gamma-2x3-6": ("f6b66b5419cbc668", 0),
+    "gamma-2x3-7": ("a4d6767ca8651456", 1),
+    "gamma-2x3-10": ("58c78a3ad4290821", 1),
+    "gamma-3x3-8": ("bc1855eeddbed501", 0),
+    "gamma-3x3-11": ("bd48ab8eb24b6dd7", 0),
+    "gamma-3x3-13": ("a3ee2b2d4fb323a7", 1),
+    "gamma-3x3-14": ("f87715639a65a149", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CHECKS))
+def test_check_output_is_pinned(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.pmap"
+    path.write_text(serialize_pmap(document_from_triple(_check_triple(name))))
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    out = captured.out.replace(str(path), "<file>")
+    assert (hashlib.sha256(out.encode()).hexdigest()[:16], code) == _PINNED_CHECKS[name]
+    assert captured.err == ""

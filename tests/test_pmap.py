@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from phaseclone import (
     serialize_pmap,
 )
 from phaseclone.catalog import NAMES
+from phaseclone.cli import main
 from phaseclone.operators import MAX_COEFF, max_coeff_diff
 from phaseclone.pmap import MAX_DIM
 
@@ -254,3 +259,146 @@ def _operators(draw):
 def test_serialize_parse_serialize_is_byte_identical(blocks):
     text = serialize_pmap(PmapDocument(blocks=blocks))
     assert serialize_pmap(parse_pmap(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pmap x\ndim ٢\nend\n", "line 2: expected 'dim <positive integer>'"),
+        ("pmap x\ndim 20\nentry 1_0 0 1+0i 0+0i 0+0i\nend\n", "line 3: entry indices must be"),
+        ("pmap x\ndim 2\nentry +1 0 1+0i 0+0i 0+0i\nend\n", "line 3: entry indices must be"),
+        ("pmap x\ndim 2\nentry 1 ٣ 1+0i 0+0i 0+0i\nend\n", "line 3: entry indices must be"),
+        ("pmap x\ndim 2\nentry 0 0 ١/٨+0i 0+0i 0+0i\nend\n", "line 3: expected coefficient"),
+        ("pmap x\ndim 2\nentry 0 0 1_0+0i 0+0i 0+0i\nend\n", "line 3: expected coefficient"),
+    ],
+)
+def test_non_ascii_digits_are_parse_errors(tmp_path, capsys, text, message):
+    # int(), float() and str.isdecimal() accept every Unicode decimal digit,
+    # underscores and a leading plus sign; the PMAP grammar is ASCII 0-9.
+    with pytest.raises(ParseError) as exc:
+        parse_pmap(text)
+    assert str(exc.value).startswith(message)
+    path = tmp_path / "bad.pmap"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+_REF_NUMBER = r"(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+_REF_COMPLEX = re.compile(rf"([+-]?{_REF_NUMBER})([+-]{_REF_NUMBER})i")
+
+
+def _reference_real(token: str, line: int) -> float:
+    try:
+        x = float(Fraction(token)) if "/" in token else float(token)
+    except (ZeroDivisionError, OverflowError):
+        x = math.inf
+    except ValueError:
+        raise ParseError(
+            f"coefficient part of {len(token)} characters is too long", line
+        ) from None
+    if not abs(x) <= MAX_COEFF:
+        raise ParseError(
+            f"coefficient part {token!r} is not a number of magnitude <= {MAX_COEFF:g}", line
+        )
+    return x
+
+
+def _reference_entry(raw: str, dim: int, taken: set, line: int) -> tuple:
+    """One entry line read token by token: the indices and the coefficients, or a ParseError."""
+    tokens = raw.split("#", 1)[0].split()
+    if len(tokens) != 6:
+        raise ParseError("expected 'entry <i> <j> <a> <b> <c>'", line)
+    if not all(re.fullmatch("[0-9]+", t) for t in tokens[1:3]):
+        raise ParseError("entry indices must be unsigned integers of ASCII digits", line)
+    try:
+        i, j = int(tokens[1]), int(tokens[2])
+    except ValueError:
+        raise ParseError("entry index is too long", line) from None
+    if not (i < dim and j < dim):
+        raise ParseError(f"entry index ({i}, {j}) out of range for dim {dim}", line)
+    if (i, j) in taken:
+        raise DuplicateEntryError(f"duplicate entry ({i}, {j})", line)
+    coeffs = []
+    for token in tokens[3:]:
+        m = _REF_COMPLEX.fullmatch(token)
+        if m is None:
+            raise ParseError(
+                f"expected coefficient like '0.5+0.0i' or '1/8-1/2i', got {token!r}", line
+            )
+        coeffs.append(complex(_reference_real(m[1], line), _reference_real(m[2], line)))
+    return (i, j), coeffs
+
+
+_HOSTILE_INDEX = st.sampled_from(
+    ["0", "1", "2", "3", "007", "63", "64", "-1", "+1", "1_0", "٣", "9" * 4400, "0" * 4400 + "1"]
+)
+_PART = st.one_of(
+    st.sampled_from(
+        [
+            "0", "1", "0.5", ".5", "5.", "2.5e1", "1E-3", "1e+3", "1/8", "3/4", "007/2", "1/0",
+            "0/0", "1e150", "1.0000001e150", "1e308", "1e999", "1" * 5000, "1" * 5000 + "/1",
+            "1/" + "3" * 5000, "1" * 151 + "/1", "١", "1_0", "inf", "nan", "", "e5", "1/2.5",
+        ]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: repr(abs(x))),
+    st.fractions(max_denominator=10**6).map(lambda q: f"{abs(q.numerator)}/{q.denominator}"),
+)
+_COEFFICIENT = st.one_of(
+    st.tuples(st.sampled_from(["", "+", "-"]), _PART, st.sampled_from(["+", "-"]), _PART).map(
+        lambda t: "".join(t) + "i"
+    ),
+    st.sampled_from(["1+1", "1", "+i", "1+2j", "1++2i", "(1+2i)"]),
+)
+_VALID_PART = st.one_of(
+    st.floats(0.0, 1e300).map(repr),
+    st.fractions(0, 10**200, max_denominator=10**9).map(lambda q: f"{q.numerator}/{q.denominator}"),
+    st.sampled_from(["0", "1", ".5", "5.", "1E-3", "1e150", "1e151", "1" * 400, "007/2"]),
+)
+_VALID_COEFFICIENT = st.tuples(
+    st.sampled_from(["", "+", "-"]), _VALID_PART, st.sampled_from(["+", "-"]), _VALID_PART
+).map(lambda t: "".join(t) + "i")
+
+
+@st.composite
+def _fields(draw, dim):
+    """Entry fields: in range and well formed, or with hostile tokens, or of a wrong count."""
+    kind = draw(st.sampled_from(["valid", "valid", "hostile", "count"]))
+    if kind == "count":
+        return draw(st.lists(st.one_of(_HOSTILE_INDEX, _COEFFICIENT), max_size=7))
+    if kind == "valid":
+        index, coefficient = st.integers(0, dim - 1).map(str), _VALID_COEFFICIENT
+    else:
+        index, coefficient = _HOSTILE_INDEX, _COEFFICIENT
+    return [draw(index), draw(index), *(draw(coefficient) for _ in range(3))]
+
+
+#: Whitespace of ``str.split`` that is no line boundary of ``str.splitlines``.
+_SPACE = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003", " \x1f "])
+
+
+@settings(max_examples=800, deadline=None)
+@given(
+    st.integers(1, MAX_DIM).flatmap(lambda dim: st.tuples(st.just(dim), _fields(dim))),
+    st.booleans(),
+    _SPACE,
+    st.sampled_from(["", "  ", "\t"]),
+    st.sampled_from(["", " # note", "#", "# a/b 1e999"]),
+)
+def test_entry_line_matches_the_per_token_reference(dim_fields, taken, space, lead, comment):
+    # One match of one pattern against a per-token reading of the same line:
+    # the same coefficient bits, or the same error and line.
+    dim, fields = dim_fields
+    raw = lead + space.join(["entry", *fields]) + comment
+    pre = "entry 0 0 1+0i 0+0i 0+0i\n" if taken else ""
+    line = 4 if taken else 3
+    try:
+        want = _reference_entry(raw, dim, {(0, 0)} if taken else set(), line)
+    except ParseError as err:
+        with pytest.raises(ParseError) as exc:
+            parse_pmap(f"pmap x\ndim {dim}\n{pre}{raw}\nend\n")
+        assert (type(exc.value), str(exc.value), exc.value.line) == (type(err), str(err), line)
+        return
+    (i, j), coeffs = want
+    op = parse_pmap(f"pmap x\ndim {dim}\n{pre}{raw}\nend\n").blocks["x"]
+    assert op.coeffs[:, i, j].tobytes() == np.array(coeffs).tobytes()
