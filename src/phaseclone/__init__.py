@@ -9,7 +9,6 @@ from .trigpoly import (
     PureNegForm,
     ZeroDivisorError,
     ZeroPolynomialError,
-    contains_root,
     exact_div,
     expand,
     factorize,
@@ -27,12 +26,10 @@ from .operators import (
     eval_matrix,
     is_hermitian_preserving,
     normalized_output,
-    partial_trace,
     phase_state_operator,
     tensor,
     trace_poly,
     validate_triple,
-    validate_triples,
 )
 from .positivity import (
     ConstantProbabilityError,
@@ -50,15 +47,10 @@ from .analysis import (
     CaseLabel,
     CaseVerdict,
     CloningReport,
-    ConstantOperator,
-    EntryForm,
-    PreconditionError,
     analyze,
     analyze_many,
-    case2_forcing_check,
     classify,
     deterministic_tensor_obstruction,
-    output_depends_on_phase,
 )
 from .search import (
     SamplerParams,

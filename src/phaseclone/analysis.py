@@ -23,8 +23,8 @@ search in :mod:`phaseclone.search` exercises.  For a double root
 The split is decided on coefficient arrays: the roots of every out2 entry
 of an ``(N, 3, d, d)`` stack are solved at once and matched against each
 member's ``p0`` and ``p1``; the label follows from the fewest factors a
-nonzero entry carries.  Only :func:`classify` factors entries one by one,
-for the ``entry_forms`` of a Case 2 verdict.
+nonzero entry carries.  :func:`classify` runs the same split on a stack
+of one.
 
 Triples are checked as coefficient stacks, one ``(N, 3, ., .)`` stack
 each of joints, out1s and out2s per pair of marginal dimensions.  A
@@ -34,8 +34,8 @@ the positivity certificate then runs on the Hermitian parts it found.
 :func:`analyze`, :func:`analyze_many` and the CLI ``check`` certify every
 operator and build one report per triple.  The randomized search tallies
 from the stage's arrays, with no object per trial, and certifies only
-the operators of triples with both outputs phase-dependent: positivity
-decides nothing elsewhere.
+the operators of hermitian-preserving, relation-satisfying triples with
+both outputs phase-dependent: positivity decides nothing elsewhere.
 """
 
 from __future__ import annotations
@@ -46,19 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import (
-    ZERO_COEFF_REL,
-    AffineForm,
-    FirstOrderPoly,
-    FullForm,
-    factorize,
-    has_second_order,
-)
+from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly, has_second_order
 from .operators import (
     PhaseOperator,
     RelationReport,
     UncorrelatedTriple,
-    ZeroProbabilityError,
     _groups,
     _relation,
     _relation_reports,
@@ -75,20 +67,14 @@ from .positivity import (
     ProbabilityDecomposition,
     _certify_many,
     decompose_probability,
-    is_positive_over_phase,
 )
 
 __all__ = [
     "ROOT_MATCH_TOL",
     "CaseLabel",
-    "EntryForm",
     "CaseVerdict",
-    "ConstantOperator",
     "CloningReport",
-    "PreconditionError",
-    "output_depends_on_phase",
     "classify",
-    "case2_forcing_check",
     "deterministic_tensor_obstruction",
     "analyze",
     "analyze_many",
@@ -105,10 +91,6 @@ ROOT_MATCH_TOL = 1e-8
 DEGENERATE_ROOT_BAND = 1e-6
 
 
-class PreconditionError(RuntimeError):
-    """A check was invoked outside its validity domain."""
-
-
 class CaseLabel(enum.Enum):
     CONSTANT_PROBABILITY = "constant probability"
     CASE1 = "Case 1"
@@ -121,50 +103,11 @@ _CASES = (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3)
 
 
 @dataclass(frozen=True)
-class EntryForm:
-    """Shape of one out1 entry in Case 2.
-
-    ``m = 0`` means the affine shape ``scale * (p0 conj(x) + 1)`` carrying
-    only the forced factor; ``m = 1`` means the full shape with a second
-    factor root ``f``.  ``scale`` is the scale of the entry's factored form.
-    """
-
-    m: int
-    f: complex | None
-    scale: complex
-
-
-@dataclass(frozen=True)
 class CaseVerdict:
     label: CaseLabel
-    entry_forms: dict | None = None
 
     def __str__(self) -> str:
         return self.label.value
-
-
-@dataclass(frozen=True)
-class ConstantOperator:
-    """Phase-independent unit-trace matrix (trace = 1 within 1e-10)."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(complex(z) for z in row) for row in self.entries)
-        d = len(rows)
-        if d < 1 or any(len(row) != d for row in rows):
-            raise ValueError("entries must form a nonempty square matrix")
-        tr = sum(rows[i][i] for i in range(d))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace must be 1 within 1e-10, got {tr}")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -195,19 +138,6 @@ class CloningReport:
         return all(v is not None and v.positive for v in verdicts)
 
 
-def _nonzero_entries(op: PhaseOperator):
-    threshold = ZERO_COEFF_REL * (1.0 + op.max_abs())
-    for i in range(op.dim):
-        for j in range(op.dim):
-            e = op.entries[i][j]
-            if e.max_abs() > threshold:
-                yield i, j, e
-
-
-def _vanishes(P: FirstOrderPoly, out: PhaseOperator) -> bool:
-    return P.max_abs() <= ZERO_COEFF_REL * (1.0 + out.max_abs())
-
-
 def _projection(outs: np.ndarray, p: np.ndarray, scale: np.ndarray, tol: float) -> tuple:
     """``gamma = <e, P> / <P, P>`` per entry of an ``(N, 3, d, d)`` stack of outputs.
 
@@ -220,47 +150,6 @@ def _projection(outs: np.ndarray, p: np.ndarray, scale: np.ndarray, tol: float) 
     gamma = (p.conj() * outs).sum(axis=1) / (p.conj() * p).real.sum(axis=1)
     residual = np.abs(outs - gamma[:, None] * p).max(axis=(1, 2, 3))
     return gamma, residual > tol * np.maximum(1.0, scale)
-
-
-def output_depends_on_phase(
-    out: PhaseOperator, P: FirstOrderPoly, tol: float = DEFAULT_TOL
-) -> tuple[bool, ConstantOperator | None]:
-    """Decide whether the normalized output state varies with the phase.
-
-    Each entry ``e`` is projected onto ``P`` in coefficient space,
-    ``gamma = <e, P> / <P, P>``; the output is phase-independent iff every
-    entry matches ``gamma * P`` coefficientwise within tol.  On success the
-    constant matrix ``gamma`` is returned trace-normalized.
-    """
-    if _vanishes(P, out):
-        raise ZeroProbabilityError("probability polynomial vanishes identically")
-    scale = np.maximum(np.abs(P.coeffs).max(), np.abs(out.coeffs).max())
-    (gamma,), (dependent,) = _projection(out.coeffs[None], P.coeffs[None], scale, tol)
-    if dependent:
-        return True, None
-    tr = np.trace(gamma)
-    if abs(tr) < 1e-9:
-        return False, None
-    return False, ConstantOperator((gamma / tr).tolist())
-
-
-def _entry_forms(out1: PhaseOperator, forced: complex, limit: float) -> dict:
-    forms = {}
-    for i, j, entry in _nonzero_entries(out1):
-        form = factorize(entry)
-        if isinstance(form, FullForm):
-            # The factor forced by the relation is one of the two roots; the
-            # free one is recorded as f.
-            if abs(form.w0 - forced) <= limit:
-                f = form.w1
-            else:
-                f = form.w0
-            forms[(i, j)] = EntryForm(m=1, f=f, scale=form.scale)
-        elif isinstance(form, AffineForm):
-            forms[(i, j)] = EntryForm(m=0, f=None, scale=form.scale)
-        else:
-            forms[(i, j)] = EntryForm(m=0, f=None, scale=form.b)
-    return forms
 
 
 def _targets(dec: ProbabilityDecomposition) -> tuple[tuple, tuple, tuple]:
@@ -279,13 +168,12 @@ def _targets(dec: ProbabilityDecomposition) -> tuple[tuple, tuple, tuple]:
     return (p0, p1), limits, (1, 1)
 
 
-def _inlay(out2: np.ndarray, targets: list) -> tuple[np.ndarray, np.ndarray]:
+def _inlay(out2: np.ndarray, targets: list) -> np.ndarray:
     """How many factors each entry of an ``(N, 3, d, d)`` out2 stack carries, as ``(N, d * d)``.
 
     Per member, ``targets`` holds its :func:`_targets`.  The entry roots are
     those of :func:`factorize`; an entry below ``ZERO_COEFF_REL * (1 +
-    max|out2|)`` counts as carrying both factors.  Also returns the
-    uncapped number of entry roots near each target, ``(N, d * d, 2)``.
+    max|out2|)`` counts as carrying both factors.
     """
     z, limit, cap = (np.array(column) for column in zip(*targets))
     e = out2.reshape(len(out2), 3, -1)
@@ -309,7 +197,7 @@ def _inlay(out2: np.ndarray, targets: list) -> tuple[np.ndarray, np.ndarray]:
     near = hits.sum(axis=0, dtype=np.intp)
     found = np.minimum(near, cap[:, None]).sum(axis=-1)
     found[size <= ZERO_COEFF_REL * (1.0 + size.max(axis=1, keepdims=True))] = 2
-    return found, near
+    return found
 
 
 def _labels(found: np.ndarray) -> list[CaseLabel]:
@@ -322,53 +210,15 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
 
     Assumes the triple already passed :func:`validate_triple` and the
     hermiticity checks.  Propagates the probability-decomposition errors
-    for non-real or negative traces.  A Case 2 verdict carries the
-    ``entry_forms`` of out1 against the factor missing from the first
-    single-factor entry of out2 in row-major order.
+    for non-real or negative traces.  This is the structure stage's
+    :func:`_inlay` on a stack of one.
     """
     try:
         dec = decompose_probability(trace_poly(t.out1), tol)
     except ConstantProbabilityError:
         return CaseVerdict(CaseLabel.CONSTANT_PROBABILITY)
-    targets = _targets(dec)
-    found, near = _inlay(t.out2.coeffs[None], [targets])
-    (label,) = _labels(found)
-    if label is not CaseLabel.CASE2:
-        return CaseVerdict(label)
-    first = int(np.argmax(found[0] == 1))
-    # The entry lacks the first factor unless one of its roots lies near it;
-    # a double root has both factors at its midpoint, so either names it.
-    k = 1 if near[0, first, 0] else 0
-    roots, limits, _ = targets
-    return CaseVerdict(label, entry_forms=_entry_forms(t.out1, roots[k], limits[k]))
-
-
-def case2_forcing_check(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> bool:
-    """Verify the positivity-forced structure of out1 in a Case-2 triple.
-
-    Precondition (raises :class:`PreconditionError` otherwise): the triple
-    classifies as Case 2 and all three operators are positive.  Positivity
-    then forces every out1 entry to be a constant multiple of P with
-    nonnegative real diagonal weights, making the normalized first output
-    phase-independent.  Returns False when the forced structure fails,
-    which would contradict the theorem.
-    """
-    verdict = classify(t, tol)
-    if verdict.label is not CaseLabel.CASE2:
-        raise PreconditionError(f"triple classifies as {verdict}, not Case 2")
-    for name, op in (("joint", t.joint), ("out1", t.out1), ("out2", t.out2)):
-        if not is_positive_over_phase(op, tol).positive:
-            raise PreconditionError(f"{name} is not a positive family")
-
-    P = trace_poly(t.out1)
-    dependent, gamma = output_depends_on_phase(t.out1, P, tol)
-    if dependent or gamma is None:
-        return False
-    for i in range(gamma.dim):
-        g = gamma.entries[i][i]
-        if abs(g.imag) > tol or g.real < -tol:
-            return False
-    return True
+    (label,) = _labels(_inlay(t.out2.coeffs[None], [_targets(dec)]))
+    return CaseVerdict(label)
 
 
 def deterministic_tensor_obstruction(
@@ -437,7 +287,7 @@ def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float
     relation = _relation(joint, out1, out2, tol)
     P, sizes, nonzero, traces_equal, residual, partial_ok = relation
     relation_ok = nonzero & traces_equal & (residual <= tol) & partial_ok
-    zero1, zero2 = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2:])  # _vanishes(P, out) per output
+    zero1, zero2 = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2:])  # P vanishes next to each output
     probability = [
         "zero-probability" if zero else _probability(FirstOrderPoly(*row), tol)
         for zero, row in zip(zero1.tolist(), P.T.tolist())
@@ -455,7 +305,7 @@ def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float
     checked = (relation_ok & hp.all(axis=0)).nonzero()[0].tolist()
     classified = [m for m in checked if not isinstance(probability[m], str)]
     if classified:
-        found, _ = _inlay(out2[classified], [_targets(probability[m]) for m in classified])
+        found = _inlay(out2[classified], [_targets(probability[m]) for m in classified])
         for m, label in zip(classified, _labels(found)):
             case[m] = label
     return _Structure(families, hp, relation, relation_ok, probability, dependence, case)
@@ -515,8 +365,7 @@ def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
     group runs one structure stage, whose probability decomposition is the
     only loop over its triples, and then the certificate on every operator,
     whatever the other verdicts of its triple (a member's verdict does not
-    depend on its stack).  Case verdicts carry no ``entry_forms`` (see
-    :func:`classify`).
+    depend on its stack).
     """
     triples = list(triples)
     reports: list = [None] * len(triples)

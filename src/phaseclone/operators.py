@@ -42,13 +42,10 @@ __all__ = [
     "ZeroProbabilityAtPhaseError",
     "eval_matrix",
     "trace_poly",
-    "partial_trace",
     "hermitian_part",
     "is_hermitian_preserving",
     "tensor",
-    "max_coeff_diff",
     "validate_triple",
-    "validate_triples",
     "phase_state_operator",
     "normalized_output",
 ]
@@ -196,17 +193,6 @@ def trace_poly(op: PhaseOperator) -> FirstOrderPoly:
     return FirstOrderPoly(*op.coeffs.trace(axis1=1, axis2=2).tolist())
 
 
-def partial_trace(joint: JointPhaseOperator, keep: int) -> PhaseOperator:
-    """Trace out one subsystem, coefficientwise."""
-    d1, d2 = joint.dim1, joint.dim2
-    blocks = joint.coeffs.reshape(3, d1, d2, d1, d2)
-    if keep == 1:
-        return PhaseOperator(blocks.trace(axis1=2, axis2=4))
-    if keep == 2:
-        return PhaseOperator(blocks.trace(axis1=1, axis2=3))
-    raise ValueError("keep must be 1 or 2")
-
-
 def hermitian_part(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian part and hermiticity defect of each operator of a ``(..., 3, d, d)`` stack.
 
@@ -242,14 +228,8 @@ def tensor(o1: PhaseOperator, o2: PhaseOperator) -> np.ndarray:
     return _tensor(o1.coeffs, o2.coeffs)
 
 
-def max_coeff_diff(op1: PhaseOperator, op2: PhaseOperator) -> float:
-    if op1.dim != op2.dim:
-        raise ValueError("dimension mismatch")
-    return float(np.abs(op1.coeffs - op2.coeffs).max())
-
-
 def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
-    """The arrays of :func:`validate_triples` on the ``(N, 3, ., .)`` stacks of one ``(d1, d2)``.
+    """The arrays of :func:`validate_triple` on the ``(N, 3, ., .)`` stacks of one ``(d1, d2)``.
 
     Returns the ``(3, N)`` traces ``P`` of out1, the ``(4, N)`` largest
     coefficient moduli of ``P``, the joint, out1 and out2, and per member
@@ -300,28 +280,17 @@ def _groups(triples) -> list[tuple[list[int], tuple]]:
     ]
 
 
-def validate_triples(triples, tol: float = 1e-9) -> list[RelationReport | None]:
-    """:func:`validate_triple` for each triple; ``None`` where the trace vanishes identically.
-
-    Triples with the same marginal dimensions are checked as one stack.
-    """
-    reports: list[RelationReport | None] = [None] * len(triples)
-    for members, stacks in _groups(triples):
-        for i, report in zip(members, _relation_reports(_relation(*stacks, tol), tol)):
-            reports[i] = report
-    return reports
-
-
 def validate_triple(t: UncorrelatedTriple, tol: float = 1e-9) -> RelationReport:
     """Check traces, the product relation and the partial traces of a triple.
 
     The relation is tested cross-multiplied, ``joint * P = out1 (x) out2``,
     with no division.  ``max_residual`` is the largest coefficient of the
     difference over all entries and degrees, divided by ``max|P|`` so that
-    it reads in the units of the joint block.  This is
-    :func:`validate_triples` on one triple.
+    it reads in the units of the joint block.  This is the structure
+    stage's :func:`_relation` on a stack of one.
     """
-    (report,) = validate_triples([t], tol)
+    stacks = (t.joint.coeffs[None], t.out1.coeffs[None], t.out2.coeffs[None])
+    (report,) = _relation_reports(_relation(*stacks, tol), tol)
     if report is None:
         raise ZeroProbabilityError("trace polynomial vanishes identically")
     return report

@@ -69,8 +69,9 @@ class SamplerParams:
     Building one raises ``ValueError`` for repeated stratum names, weights
     that are not finite and >= 0 with a positive sum, an unknown
     ``pin_stratum``, an ``r_range`` end or ``pin_r`` that is not finite and
-    >= 1, an ``alpha_abs_range`` end or ``pin_alpha_abs`` that is not
-    finite and > 0, or a range whose low end exceeds its high end.
+    >= 1, a ``pin_r`` other than 1 with ``pin_stratum="wild"``, an
+    ``alpha_abs_range`` end or ``pin_alpha_abs`` that is not finite and
+    > 0, or a range whose low end exceeds its high end.
     """
 
     alpha_abs_range: tuple = (0.1, 2.0)
@@ -106,6 +107,8 @@ class SamplerParams:
                     f"{name}_range and pin_{name} must be finite and {rule} with low <= high, "
                     f"got {(lo, hi)!r} and {pin!r}"
                 )
+        if self.pin_stratum == "wild" and self.pin_r not in (None, 1.0):
+            raise ValueError(f"the wild stratum is built for r = 1, got pin_r={self.pin_r!r}")
         # Built as numpy's Generator.choice builds it, so searching it with
         # one rng.random() picks the stratum choice(p=weights) would pick.
         cdf = (weights / total).cumsum()
@@ -381,8 +384,9 @@ def theorem_search(
     the accepted triples of each block of trials are analyzed together, and
     the reports are tallied in trial order.  Every accepted triple gets the
     verdicts of :func:`analyze_many` except positivity: the certificate (an
-    exact minimum over the phase circle) runs only on triples with both
-    outputs phase-dependent, the only ones where it can decide a verdict.
+    exact minimum over the phase circle) runs only on hermitian-preserving,
+    relation-satisfying triples with both outputs phase-dependent, the only
+    ones where it can decide a verdict.
     Those must show a minimum eigenvalue below ``-1e-6`` at some phase; any
     that do not are recorded as witness failures, and any report that is
     not theorem-consistent is recorded as a violation.  Both lists must
@@ -409,9 +413,12 @@ def theorem_search(
         accepted += len(kept)
         s = analysis._structure(*stacks, tol)
         case_counts.update("unclassified" if label is None else label.value for label in s.case)
-        decided = [m for m, dependence in enumerate(s.dependence) if dependence == (True, True)]
+        both = [m for m, dependence in enumerate(s.dependence) if dependence == (True, True)]
+        # Only these members can be inconsistent (see analysis._consistent).
+        checked = (s.hp.all(axis=0) & s.relation_ok).tolist()
+        decided = [m for m in both if checked[m]]
         verdicts = analysis._certify_many(s.operators(decided), tol)
-        both_dep += len(decided)
+        both_dep += len(both)
 
         for n, m in enumerate(decided):
             k, triple = start + int(kept[m]), verdicts[3 * n : 3 * n + 3]

@@ -17,10 +17,10 @@ shapes (``x = e^{i phi}``):
 * ``b * conj(x)``                             pure negative frequency
 
 Multiplying by ``x`` turns a first-order polynomial into the ordinary
-quadratic ``a x^2 + c x + b``, so factoring, divisibility and root
-containment all reduce to standard polynomial manipulations.  Everything
-here is double precision; tolerances are explicit arguments wherever a
-comparison is not exact.
+quadratic ``a x^2 + c x + b``, so factoring and divisibility both reduce
+to standard polynomial manipulations.  Everything here is double
+precision; tolerances are explicit arguments wherever a comparison is not
+exact.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ __all__ = [
     "exact_div",
     "factorize",
     "expand",
-    "contains_root",
-    "root_multiplicity",
     "has_second_order",
 ]
 
@@ -355,31 +353,6 @@ def expand(f: DecompositionForm) -> FirstOrderPoly:
     if isinstance(f, PureNegForm):
         return FirstOrderPoly(0.0, f.b, 0.0)
     raise TypeError(f"not a decomposition form: {f!r}")
-
-
-def contains_root(p: FirstOrderPoly, z: complex, tol: float = 1e-8) -> int:
-    """Multiplicity (0, 1 or 2) of ``-z`` as a root of ``x * p(x)``.
-
-    Equivalently, how many times the factor ``(x + z)`` divides the shifted
-    polynomial.  Roots match with relative tolerance ``tol`` scaled by
-    ``max(1, |z|)``.  This is :func:`root_multiplicity` of ``factorize(p)``.
-    """
-    return root_multiplicity(factorize(p), z, tol)
-
-
-def root_multiplicity(form: DecompositionForm, z: complex, tol: float = 1e-8) -> int:
-    """:func:`contains_root` on an already factored polynomial."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("factor containment is defined for nonzero z only")
-    if isinstance(form, FullForm):
-        ws = (form.w0, form.w1)
-    elif isinstance(form, AffineForm):
-        ws = (form.w,)
-    else:
-        ws = ()
-    limit = tol * max(1.0, abs(z))
-    return sum(1 for w in ws if abs(w - z) <= limit)
 
 
 def has_second_order(products, tol: float = 1e-10) -> bool:

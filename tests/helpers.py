@@ -8,7 +8,9 @@ import math
 import numpy as np
 
 from phaseclone import (
+    AffineForm,
     FirstOrderPoly,
+    FullForm,
     JointPhaseOperator,
     PhaseOperator,
     UncorrelatedTriple,
@@ -64,3 +66,29 @@ def replace_joint_entry(t: UncorrelatedTriple, row: int, col: int, poly) -> Unco
     coeffs[:, row, col] = poly.coeffs
     joint = JointPhaseOperator(coeffs, dim1=t.joint.dim1, dim2=t.joint.dim2)
     return UncorrelatedTriple(joint=joint, out1=t.out1, out2=t.out2)
+
+
+def max_coeff_diff(op1: PhaseOperator, op2: PhaseOperator) -> float:
+    if op1.dim != op2.dim:
+        raise ValueError("dimension mismatch")
+    return float(np.abs(op1.coeffs - op2.coeffs).max())
+
+
+def root_multiplicity(form, z: complex, tol: float = 1e-8) -> int:
+    """Multiplicity (0, 1 or 2) of ``-z`` as a root of ``x * p(x)``, ``form = factorize(p)``.
+
+    Equivalently, how many times the factor ``(x + z)`` divides the shifted
+    polynomial.  Roots match with relative tolerance ``tol`` scaled by
+    ``max(1, |z|)``.  A per-entry reference for the stacked root matcher.
+    """
+    z = complex(z)
+    if z == 0:
+        raise ValueError("factor containment is defined for nonzero z only")
+    if isinstance(form, FullForm):
+        ws = (form.w0, form.w1)
+    elif isinstance(form, AffineForm):
+        ws = (form.w,)
+    else:
+        ws = ()
+    limit = tol * max(1.0, abs(z))
+    return sum(1 for w in ws if abs(w - z) <= limit)

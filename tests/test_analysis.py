@@ -12,12 +12,10 @@ import pytest
 from phaseclone import (
     CaseLabel,
     CaseVerdict,
-    ConstantOperator,
     FirstOrderPoly,
     JointPhaseOperator,
     NotPositiveError,
     PhaseOperator,
-    PreconditionError,
     SampleRejected,
     SamplerParams,
     UncorrelatedTriple,
@@ -25,7 +23,6 @@ from phaseclone import (
     analyze_many,
     assemble_triple,
     builtin,
-    case2_forcing_check,
     classify,
     decompose_probability,
     deterministic_tensor_obstruction,
@@ -33,7 +30,6 @@ from phaseclone import (
     generate_case2_candidate,
     is_positive_over_phase,
     mul,
-    output_depends_on_phase,
     phase_state_operator,
     swap_systems,
     theorem_search,
@@ -43,9 +39,9 @@ from phaseclone import analysis, search, trigpoly
 from phaseclone.catalog import NAMES
 from phaseclone.operators import MAX_COEFF
 from phaseclone.positivity import DEFAULT_TOL
-from phaseclone.trigpoly import ZERO_COEFF_REL, root_multiplicity
+from phaseclone.trigpoly import ZERO_COEFF_REL
 
-from helpers import fp, random_hp_operator
+from helpers import fp, random_hp_operator, root_multiplicity
 
 
 @pytest.fixture(scope="module")
@@ -83,17 +79,23 @@ def _positive_case2_triple():
 
 # ----------------------------------------------------- phase dependence
 
+def _projection(out: PhaseOperator, P: FirstOrderPoly) -> tuple:
+    """``gamma`` and the dependence flag of one output, by the structure stage's projection."""
+    scale = np.array([max(np.abs(P.coeffs).max(), out.max_abs())])
+    gammas, flags = analysis._projection(out.coeffs[None], P.coeffs[None], scale, DEFAULT_TOL)
+    return gammas[0], bool(flags[0])
+
+
 def test_case1_output_is_constant(case1):
-    P = trace_poly(case1.out1)
-    dep, gamma = output_depends_on_phase(case1.out1, P)
-    assert not dep
-    assert np.allclose(gamma.as_array(), 0.5 * np.eye(2), atol=1e-12)
+    assert analyze(case1).out1_phase_dependent is False
+    gamma, dependent = _projection(case1.out1, trace_poly(case1.out1))
+    assert not dependent
+    assert np.allclose(gamma, 0.5 * np.eye(2), atol=1e-12)
 
 
 def test_counterexample_outputs_depend(counterexample):
-    P = trace_poly(counterexample.out1)
-    dep, gamma = output_depends_on_phase(counterexample.out1, P)
-    assert dep and gamma is None
+    assert analyze(counterexample).out1_phase_dependent is True
+    assert _projection(counterexample.out1, trace_poly(counterexample.out1))[1] is True
 
 
 def test_constructed_constant_output():
@@ -104,29 +106,17 @@ def test_constructed_constant_output():
         g = 0.5 * (g + g.conj().T)
         g /= np.trace(g).real
         out = _proportional(P, g.tolist())
-        dep, gamma = output_depends_on_phase(out, P)
-        assert not dep
-        assert np.allclose(gamma.as_array(), g, atol=1e-10)
-
-
-def test_constant_operator_trace_validation():
-    with pytest.raises(ValueError):
-        ConstantOperator(((0.7, 0.0), (0.0, 0.5)))
+        report = analyze(assemble_triple(out, out))
+        assert report.out1_phase_dependent is False and report.out2_phase_dependent is False
+        gamma, dependent = _projection(out, P)
+        assert not dependent
+        assert np.allclose(gamma, g, atol=1e-10)
 
 
 # -------------------------------------------------------------- classify
 
 def test_classify_counterexample(counterexample):
-    verdict = classify(counterexample)
-    assert verdict.label is CaseLabel.CASE2
-    forms = verdict.entry_forms
-    assert set(forms) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    # diagonals carry both factors of the double root; the off-diagonal pair
-    # keeps a single one (affine shape on one side, free root 0 on the other)
-    assert forms[(0, 0)].m == 1 and forms[(0, 0)].f == pytest.approx(1.0)
-    assert forms[(0, 1)].m == 0
-    assert forms[(1, 0)].m == 1 and forms[(1, 0)].f == 0
-    assert forms[(0, 1)].scale == pytest.approx(1.0)
+    assert classify(counterexample).label is CaseLabel.CASE2
 
 
 def test_classify_case1(case1):
@@ -161,11 +151,11 @@ def test_classification_exhaustive_and_consequences():
         verdict = classify(t)
         assert verdict.label in labels
         labels[verdict.label] += 1
-        P = trace_poly(t.out1)
+        report = analyze(t)
         if verdict.label is CaseLabel.CASE1:
-            assert output_depends_on_phase(t.out1, P)[0] is False
+            assert report.out1_phase_dependent is False
         elif verdict.label is CaseLabel.CASE3:
-            assert output_depends_on_phase(t.out2, P)[0] is False
+            assert report.out2_phase_dependent is False
     assert all(count > 0 for count in labels.values())
 
 
@@ -178,23 +168,17 @@ def test_forcing_check_positive_case2_member():
     assert report.all_positive
     assert report.out1_phase_dependent is False
     assert report.out2_phase_dependent is True
-    assert case2_forcing_check(t) is True
-
-
-def test_forcing_check_counterexample_precondition(counterexample):
-    with pytest.raises(PreconditionError):
-        case2_forcing_check(counterexample)
-
-
-def test_forcing_check_wrong_case(case1):
-    with pytest.raises(PreconditionError):
-        case2_forcing_check(case1)
+    # Positivity forces out1 = P * Gamma1 with a real, nonnegative diagonal.
+    gamma, dependent = _projection(t.out1, trace_poly(t.out1))
+    assert not dependent
+    diagonal = np.diag(gamma)
+    assert (np.abs(diagonal.imag) <= DEFAULT_TOL).all() and (diagonal.real >= -DEFAULT_TOL).all()
 
 
 def test_forcing_unreachable_for_affine_offdiagonal():
     # Degenerate-root member whose out1 off-diagonal keeps only one factor:
-    # a principal submatrix already fails positivity, so the forcing check
-    # can never be invoked on it.
+    # a principal submatrix already fails positivity, so the forcing lemma
+    # never applies to it.
     P = fp(1.0, 1.0, 2.0)
     a = 0.05
     offdiag = fp(0, 1.0, 1.0)
@@ -207,8 +191,7 @@ def test_forcing_unreachable_for_affine_offdiagonal():
     verdict = is_positive_over_phase(PhaseOperator(t.out1.coeffs[:, [0, 1]][:, :, [0, 1]]))
     assert not verdict.positive
     assert verdict.min_eigenvalue < -1e-6
-    with pytest.raises(PreconditionError):
-        case2_forcing_check(t)
+    assert not analyze(t).all_positive
 
 
 # --------------------------------------------------- deterministic obstruction
@@ -334,12 +317,12 @@ def test_phase_dependence_projection_recovers_gamma():
     P = fp(0.3 - 0.1j, 0.3 + 0.1j, 1.2)
     gamma = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     out = PhaseOperator(gamma[None] * P.coeffs[:, None, None])
-    dependent, const = output_depends_on_phase(out, P)
+    const, dependent = _projection(out, P)
     assert dependent is False
-    assert np.abs(const.as_array() - gamma).max() < 1e-15
+    assert np.abs(const - gamma).max() < 1e-15
     bumped = out.coeffs.copy()
     bumped[0, 0, 1] += 1e-6
-    assert output_depends_on_phase(PhaseOperator(bumped), P)[0] is True
+    assert _projection(PhaseOperator(bumped), P)[1] is True
 
 
 def test_classify_factorizes_each_entry_once(monkeypatch):
@@ -355,29 +338,21 @@ def test_classify_factorizes_each_entry_once(monkeypatch):
     calls = []
     factorize = trigpoly.factorize
     counting = lambda p: calls.append(p) or factorize(p)
-    monkeypatch.setattr(analysis, "factorize", counting)
     monkeypatch.setattr(trigpoly, "factorize", counting)
-    labels = set()
-    for t in triples:
-        calls.clear()
-        verdict = classify(t)
-        labels.add(verdict.label)
-        bound = len(list(analysis._nonzero_entries(t.out2)))
-        if verdict.label is CaseLabel.CASE2:
-            bound += len(list(analysis._nonzero_entries(t.out1)))
-        assert len(calls) <= bound
+    # classify matches roots on the out2 coefficient array, as the structure
+    # stage does: it factorizes no entry at all.
+    labels = {classify(t).label for t in triples}
+    assert calls == []
     assert labels >= {CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3}
 
 
 # ------------------------------------------------------ stacked classifier
 
-def _reference_case(t):
-    """Case label and missing root of a triple by the per-entry loop.
+def _reference_case(t) -> CaseLabel:
+    """Case label of a triple by the per-entry loop.
 
     Factors every nonzero out2 entry with ``factorize`` and counts its
     factors with ``root_multiplicity``, under the classifier's constants.
-    The missing root is the one lacked by the first single-factor entry in
-    row-major order (``None`` outside Case 2); the limit is its radius.
     """
     dec = decompose_probability(trace_poly(t.out1))
     p0, p1 = dec.p0, dec.p1
@@ -388,7 +363,7 @@ def _reference_case(t):
     else:
         root_tol = analysis.ROOT_MATCH_TOL
     threshold = ZERO_COEFF_REL * (1.0 + t.out2.max_abs())
-    counts, missing = [], None
+    counts = []
     for row in t.out2.entries:
         for entry in row:
             if entry.max_abs() <= threshold:
@@ -399,13 +374,11 @@ def _reference_case(t):
                 counts.append(min(m0, 2))
             else:
                 counts.append((m0 >= 1) + (root_multiplicity(form, p1, root_tol) >= 1))
-            if counts[-1] == 1 and missing is None:
-                missing = p0 if m0 == 0 else p1
     if 0 in counts:
-        return CaseLabel.CASE1, None, None
+        return CaseLabel.CASE1
     if 1 in counts:
-        return CaseLabel.CASE2, missing, root_tol * max(1.0, abs(missing))
-    return CaseLabel.CASE3, None, None
+        return CaseLabel.CASE2
+    return CaseLabel.CASE3
 
 
 def _gamma_times(P, gamma) -> PhaseOperator:
@@ -444,12 +417,9 @@ def test_stacked_labels_equal_the_per_entry_reference():
     for t, report in zip(triples, reports):
         if report.case is None or report.case.label is CaseLabel.CONSTANT_PROBABILITY:
             continue
-        label, missing, limit = _reference_case(t)
+        label = _reference_case(t)
         assert report.case == CaseVerdict(label)
-        verdict = classify(t)
-        assert verdict.label is label
-        if label is CaseLabel.CASE2:
-            assert verdict.entry_forms == analysis._entry_forms(t.out1, missing, limit)
+        assert classify(t).label is label
         seen.add((label, t.out2.dim))
         degenerate += report.probability.r == 1.0
     assert seen >= {(label, 2) for label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3)}
@@ -616,7 +586,7 @@ def _edge_cases():
 def test_classify_edge_entries(name):
     P, entries, expected = _edge_cases()[name]
     t = _edge_triple(P, entries)
-    assert _reference_case(t)[0] is expected
+    assert _reference_case(t) is expected
     assert classify(t).label is expected
 
 
@@ -627,7 +597,7 @@ def test_edge_entries_classify_as_one_stack():
     triples = [_edge_triple(P, entries) for P, entries, _ in cases]
     decs = [decompose_probability(trace_poly(t.out1)) for t in triples]
     stack = np.array([t.out2.coeffs for t in triples])
-    found, _ = analysis._inlay(stack, [analysis._targets(dec) for dec in decs])
+    found = analysis._inlay(stack, [analysis._targets(dec) for dec in decs])
     labels = analysis._labels(found)
     assert labels == [expected for _, _, expected in cases]
 
@@ -636,7 +606,6 @@ def test_analysis_uses_no_scalar_entry_views(monkeypatch):
     # analyze_many and theorem_search classify from coefficient arrays: no
     # factorize call and no FirstOrderPoly view of an operator's entries.
     calls = []
-    monkeypatch.setattr(analysis, "factorize", lambda p: calls.append("factorize"))
     monkeypatch.setattr(trigpoly, "factorize", lambda p: calls.append("factorize"))
     entries = PhaseOperator.entries
     monkeypatch.setattr(

@@ -20,9 +20,8 @@ from phaseclone import (
     trace_poly,
 )
 from phaseclone.catalog import NAMES
-from phaseclone.operators import max_coeff_diff
 
-from helpers import fp, random_hp_operator
+from helpers import fp, max_coeff_diff, random_hp_operator
 
 # dyadic entries compare at 1e-12; the case1/case3 pair involves sqrt(3)
 TOLS = {

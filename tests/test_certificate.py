@@ -25,7 +25,6 @@ from phaseclone import (
     is_positive_over_phase,
     phase_state_operator,
     positivity_many,
-    validate_triples,
 )
 from phaseclone.catalog import NAMES
 from phaseclone.positivity import _solve
@@ -298,7 +297,6 @@ def test_non_hermitian_member_leaves_the_others_alone():
 def test_empty_stack():
     assert positivity_many([]) == []
     assert analyze_many([]) == []
-    assert validate_triples([]) == []
 
 
 def test_analyze_many_matches_analyze():

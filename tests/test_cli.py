@@ -32,7 +32,9 @@ from phaseclone import (
 from phaseclone import cli
 from phaseclone.cli import main
 from phaseclone.positivity import DEFAULT_TOL, _basis, _lambda_min_grid
-from phaseclone.operators import hermitian_part, max_coeff_diff
+from phaseclone.operators import hermitian_part
+
+from helpers import max_coeff_diff
 
 
 def _write_entry(tmp_path, name, q=0.5):

@@ -20,14 +20,12 @@ from phaseclone import (
     is_hermitian_preserving,
     mul,
     normalized_output,
-    partial_trace,
     phase_state_operator,
     tensor,
     trace_poly,
     validate_triple,
-    validate_triples,
 )
-from phaseclone.operators import MAX_COEFF, max_coeff_diff
+from phaseclone.operators import MAX_COEFF
 
 from helpers import fp, grid, random_hp_operator, replace_joint_entry
 
@@ -78,11 +76,14 @@ def test_trace_case1_out1(case1):
     assert trace_poly(case1.out1).distance(fp(0.125, 0.125, 0.5)) == 0
 
 
-# ------------------------------------------------------------ partial_trace
+# ------------------------------------------------------------ partial traces
+
+def _partial_traces_consistent(joint, out1, out2, tol) -> bool:
+    return validate_triple(UncorrelatedTriple(joint, out1, out2), tol).partial_traces_consistent
+
 
 def test_partial_trace_counterexample(counterexample):
-    assert max_coeff_diff(partial_trace(counterexample.joint, 1), counterexample.out1) <= 1e-12
-    assert max_coeff_diff(partial_trace(counterexample.joint, 2), counterexample.out2) <= 1e-12
+    assert validate_triple(counterexample, 1e-12).partial_traces_consistent
 
 
 def test_partial_trace_constant_tensor():
@@ -93,16 +94,19 @@ def test_partial_trace_constant_tensor():
     prod = tensor(g1, g2)
     # degrees (1, -1, 0) of the product are the (a, b, c) of a first-order joint
     joint = JointPhaseOperator(prod[[3, 1, 2]], dim1=2, dim2=2)
-    assert max_coeff_diff(partial_trace(joint, 1), g1) <= 1e-12
+    T = trace_poly(g1)
+    out2 = PhaseOperator.from_rows([[complex(g) * T for g in row] for row in g2.coeffs[2]])
+    assert _partial_traces_consistent(joint, g1, out2, 1e-12)
 
 
 def test_partial_trace_footnote(footnote):
-    reduced = partial_trace(footnote.joint, 1)
     expected = PhaseOperator.from_rows([[fp(0, 0, 1), fp(0, 0, 0)], [fp(1, 0, 0), fp(0, 0, 0)]])
-    assert max_coeff_diff(reduced, expected) == 0
+    assert validate_triple(footnote, 0.0).partial_traces_consistent
+    assert footnote.out1 == expected
 
 
-def test_partial_trace_asymmetric_dims():
+def _asymmetric_triple():
+    """A 2x3 joint ``o1 (x) g`` with a constant unit-trace ``g``, and its two partial traces."""
     rng = np.random.default_rng(71)
     o1 = random_hp_operator(rng, dim=2)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -111,17 +115,29 @@ def test_partial_trace_asymmetric_dims():
     o2 = PhaseOperator.from_rows([[fp(0, 0, g[i, j]) for j in range(3)] for i in range(3)])
     prod = tensor(o1, o2)
     joint = JointPhaseOperator(prod[[3, 1, 2]], dim1=2, dim2=3)
-    assert max_coeff_diff(partial_trace(joint, 1), o1) <= 1e-12
     T = trace_poly(o1)
     expected = PhaseOperator.from_rows(
         [[complex(g[i, j]) * T for j in range(3)] for i in range(3)]
     )
-    assert max_coeff_diff(partial_trace(joint, 2), expected) <= 1e-12
+    return joint, o1, expected
 
 
-def test_partial_trace_bad_keep(counterexample):
-    with pytest.raises(ValueError):
-        partial_trace(counterexample.joint, 3)
+def test_partial_trace_asymmetric_dims():
+    assert _partial_traces_consistent(*_asymmetric_triple(), 1e-12)
+
+
+def test_partial_trace_detects_a_moved_entry():
+    # Moving weight from one diagonal entry of the (0, 0) block to the other
+    # keeps the joint's trace but breaks the partial trace over system 1.
+    joint, out1, out2 = _asymmetric_triple()
+    coeffs = joint.coeffs.copy()
+    coeffs[:, 0, 0] += 0.25
+    coeffs[:, 1, 1] -= 0.25
+    moved = JointPhaseOperator(coeffs, dim1=2, dim2=3)
+    report = validate_triple(UncorrelatedTriple(moved, out1, out2))
+    assert report.traces_equal
+    assert report.partial_traces_consistent is False
+    assert validate_triple(UncorrelatedTriple(joint, out1, out2)).partial_traces_consistent
 
 
 # ---------------------------------------------------- hermitian preservation
@@ -247,21 +263,18 @@ def _scaled(t: UncorrelatedTriple, k: float) -> UncorrelatedTriple:
     )
 
 
-def test_validate_triples_matches_each_triple(counterexample, case1, footnote):
-    # Mixed dimensions and scales in one call: the zero-probability test is per triple.
+def test_validate_triple_on_mixed_triples(counterexample, case1, footnote):
+    # Mixed dimensions and scales: the zero-probability test is per triple.
     zero = PhaseOperator.zero(2)
     vanishing = UncorrelatedTriple(
         joint=JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2), out1=zero, out2=zero
     )
     bad = replace_joint_entry(counterexample, 3, 3, counterexample.joint.entry(3, 3) + fp(0, 0, 0.01))
-    triples = [counterexample, _scaled(case1, 1e-8), footnote, vanishing, _scaled(counterexample, 1e8)]
+    triples = [counterexample, _scaled(case1, 1e-8), footnote, _scaled(counterexample, 1e8)]
     triples += [builtin("projective-discard", q=0.3).payload, bad, _scaled(footnote, 1e-8)]
-    reports = validate_triples(triples, 1e-9)
-    assert reports[3] is None
-    for t, report in zip(triples, reports):
-        if report is not None:
-            assert report == validate_triple(t, 1e-9)
-    assert [r is not None and r.all_ok for r in reports] == [True] * 3 + [False, True, True, False, True]
+    with pytest.raises(ZeroProbabilityError):
+        validate_triple(vanishing, 1e-9)
+    assert [validate_triple(t, 1e-9).all_ok for t in triples] == [True] * 5 + [False, True]
 
 
 def test_triple_trace_equality(counterexample, case1):
@@ -280,8 +293,8 @@ def test_hp_implies_real_trace():
 
 def test_partial_trace_preserves_trace(counterexample, case1):
     for t in (counterexample, case1):
-        reduced = partial_trace(t.joint, 1)
-        assert trace_poly(reduced).distance(trace_poly(t.joint)) <= 1e-15
+        report = validate_triple(t, 1e-15)
+        assert report.traces_equal and report.partial_traces_consistent
 
 
 # --------------------------------------------------------------- phase state

@@ -26,10 +26,10 @@ from phaseclone import (
 )
 from phaseclone.catalog import NAMES
 from phaseclone.cli import main
-from phaseclone.operators import MAX_COEFF, max_coeff_diff
+from phaseclone.operators import MAX_COEFF
 from phaseclone.pmap import MAX_DIM
 
-from helpers import fp
+from helpers import fp, max_coeff_diff
 
 
 def test_grammar_oracle_entry_line():

@@ -21,10 +21,9 @@ from phaseclone import (
     validate_triple,
 )
 from phaseclone import analysis, search
-from phaseclone.operators import max_coeff_diff
 from phaseclone.analysis import CaseLabel
 
-from helpers import fp
+from helpers import fp, max_coeff_diff
 
 
 def test_assemble_reproduces_counterexample():
@@ -130,6 +129,17 @@ def test_search_counts_every_case():
     assert set(r.case_counts) >= {"Case 1", "Case 2", "Case 3"}
 
 
+def test_search_asks_witnesses_only_where_the_theorem_applies():
+    # pin_r also reaches the wild stratum, whose entries are built for r = 1:
+    # at r = 1 + 1e-9 some of its triples are not hermitian-preserving, so
+    # they cannot contradict the theorem and no witness is asked of them.
+    report = theorem_search(2000, seed=5, params=SamplerParams(pin_r=1 + 1e-9))
+    assert report.ok
+    assert report.witness_failures == [] and report.violations == []
+    assert len(report.witnesses) == 26
+    assert report.both_phase_dependent > len(report.witnesses)
+
+
 def test_assemble_supports_asymmetric_dimensions():
     import cmath
 
@@ -137,7 +147,7 @@ def test_assemble_supports_asymmetric_dimensions():
 
     from phaseclone import FirstOrderPoly, PhaseOperator, parse_pmap, serialize_pmap
     from phaseclone import document_from_triple
-    from phaseclone.operators import max_coeff_diff as diff
+    from helpers import max_coeff_diff as diff
 
     theta = 0.7
     alpha = 0.4 * cmath.exp(-1j * theta)
@@ -242,6 +252,8 @@ _NAMES = tuple(name for name, _ in search._STRATA)
         ({"alpha_abs_range": (0.0, 1.0)}, "alpha_abs_range and pin_alpha_abs"),
         ({"alpha_abs_range": (math.nan, 1.0)}, "alpha_abs_range and pin_alpha_abs"),
         ({"alpha_abs_range": (2.0, 1.0)}, "low <= high"),
+        ({"pin_stratum": "wild", "pin_r": 1 + 1e-9}, "wild stratum is built for r = 1"),
+        ({"pin_stratum": "wild", "pin_r": 1 + 1e-7}, "wild stratum is built for r = 1"),
     ],
 )
 def test_sampler_params_validated_when_built(kwargs, match):
@@ -417,6 +429,8 @@ def _reference_search(trials: int, seed: int, params: SamplerParams | None = Non
         counts[key] = counts.get(key, 0) + 1
         if rep.out1_phase_dependent and rep.out2_phase_dependent:
             both += 1
+        # Only hermitian-preserving, relation-satisfying triples can be inconsistent.
+        if rep.out1_phase_dependent and rep.out2_phase_dependent and rep.hp_ok and rep.relation_ok:
             verdicts = (rep.positivity_out1, rep.positivity_out2, rep.positivity_joint)
             low = min((v for v in verdicts if v is not None), key=lambda v: v.min_eigenvalue)
             if low.min_eigenvalue < -1e-6:
