@@ -177,10 +177,22 @@ def _cmd_classify(args) -> int:
     return 0 if report.case is not None else 1
 
 
+@functools.lru_cache(maxsize=4)
+def _profile_template(n: int) -> str:
+    """The CSV of ``profile --samples n``: the header, then per row its phase
+    already printed and four ``%.17g`` slots (P and the three lmin columns).
+
+    The phase text is the same for every file, so it is formatted once per
+    sample count and shared by later calls.
+    """
+    row = "%.17g" + ",%%.17g" * 4 + "\n"
+    return "phi,P,lmin_out1,lmin_out2,lmin_joint\n" + row * n % tuple(_grid(n)[0].tolist())
+
+
 def _cmd_profile(args) -> int:
     t = _load_triple(args.file)
     try:
-        phis, l1 = min_eigenvalue_profile(t.out1, args.samples)
+        _, l1 = min_eigenvalue_profile(t.out1, args.samples)
         _, l2 = min_eigenvalue_profile(t.out2, args.samples)
         _, lj = min_eigenvalue_profile(t.joint, args.samples)
     except NotHermitianError as err:
@@ -191,9 +203,8 @@ def _cmd_profile(args) -> int:
     P, x = trace_poly(t.out1), _grid(args.samples)[1][:, 0]
     xr, xi = x.real, x.imag
     p = ((P.a.real * xr - P.a.imag * xi) + (P.b.real * xr - P.b.imag * -xi)) + P.c.real
-    values = tuple(np.column_stack([phis, p, l1, l2, lj]).ravel().tolist())
-    rows = "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(phis) % values
-    _write_text(args.out, "phi,P,lmin_out1,lmin_out2,lmin_joint\n" + rows)
+    values = tuple(np.column_stack([p, l1, l2, lj]).ravel().tolist())
+    _write_text(args.out, _profile_template(args.samples) % values)
     return 0
 
 

@@ -25,6 +25,7 @@ decimals, entries in row-major order, zero entries skipped.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -71,8 +72,16 @@ _DIGITS_RE = re.compile("[0-9]+")
 _NUMBER = r"(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
 _COMPLEX = rf"([+-]?{_NUMBER})([+-]{_NUMBER})i"
 _COMPLEX_RE = re.compile(_COMPLEX)
-#: A whole ``entry`` line, comment included; ``\s`` is the whitespace of ``str.split``.
-_ENTRY_RE = re.compile(rf"\s*entry\s+([0-9]+)\s+([0-9]+)" + rf"\s+{_COMPLEX}" * 3 + r"\s*(?:#.*)?")
+
+
+@functools.cache
+def _entry_re() -> re.Pattern:
+    """A whole ``entry`` line, comment included; ``\\s`` is the whitespace of ``str.split``.
+
+    Compiled on the first parse, not at import: the pattern holds three
+    copies of the coefficient pattern and takes milliseconds to compile.
+    """
+    return re.compile(rf"\s*entry\s+([0-9]+)\s+([0-9]+)" + rf"\s+{_COMPLEX}" * 3 + r"\s*(?:#.*)?")
 
 
 def _parse_real(token: str, line: int) -> float:
@@ -123,9 +132,10 @@ def parse_pmap(text: str) -> PmapDocument:
     name: str | None = None
     dim: int | None = None
     entries: dict[tuple[int, int], list] = {}
+    match_entry = _entry_re().fullmatch
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _ENTRY_RE.fullmatch(raw)
+        m = match_entry(raw)
         if m is not None and dim is not None:
             i, j, *parts = m.groups()
             try:

@@ -333,6 +333,21 @@ def test_profile_columns_are_the_scalar_and_grid_values(k, samples):
         t = generate_case2_candidate([20260809, k])
     except SampleRejected:
         return
+    _assert_profile_columns(t, samples)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["gamma-1x2-2", "gamma-1x2-5", "gamma-2x3-3", "gamma-2x3-6", "gamma-3x3-8", "gamma-3x3-13"],
+)
+def test_profile_columns_of_other_dimensions(name):
+    t = _check_triple(name)
+    assert (t.out1.dim, t.out2.dim) == tuple(map(int, name.split("-")[1].split("x")))
+    for samples in (1, 7, 4096):
+        _assert_profile_columns(t, samples)
+
+
+def _assert_profile_columns(t: UncorrelatedTriple, samples: int) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.pmap"
         path.write_text(serialize_pmap(document_from_triple(t)))
@@ -340,6 +355,7 @@ def test_profile_columns_are_the_scalar_and_grid_values(k, samples):
         assert main(["profile", str(path), "--samples", str(samples), "--out", str(out_csv)]) == 0
         t = parse_pmap(path.read_text()).triple()
         lines = out_csv.read_text().splitlines()
+    assert lines[0] == "phi,P,lmin_out1,lmin_out2,lmin_joint" and len(lines) == samples + 1
     table = np.array([line.split(",") for line in lines[1:]], dtype=float)
     phis = table[:, 0]
     assert _bits(phis) == _bits(np.arange(samples) * (2.0 * math.pi / samples))
@@ -366,10 +382,17 @@ def test_profile_builds_its_grid_once(tmp_path, monkeypatch):
     basis = positivity._basis
     monkeypatch.setattr(positivity, "_basis", lambda phis: sizes.append(len(phis)) or basis(phis))
     positivity._grid.cache_clear()
-    for _ in range(2):
-        assert main(["profile", str(path), "--samples", "48", "--out", str(tmp_path / "p.csv")]) == 0
-    # Once for the three sweeps and the P column together, then from the cache.
-    assert sizes == [48]
+    cli._profile_template.cache_clear()
+    out_csv = str(tmp_path / "p.csv")
+    for samples in ("48", "24"):
+        for _ in range(2):
+            assert main(["profile", str(path), "--samples", samples, "--out", out_csv]) == 0
+    # Once per sample count for the three sweeps and the P column together,
+    # then from the cache.
+    assert sizes == [48, 24]
+    # The row template too: its phase text is formatted on the first call at each count only.
+    info = cli._profile_template.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
     phis, rows = positivity._grid(48)
     assert not phis.flags.writeable and not rows.flags.writeable
 

@@ -7,7 +7,10 @@ factors are inlaid, so the case label holds too.  Swapping the two systems
 exchanges the roles of the outputs and nothing else.  Fixed local unitaries
 ``U``, ``V`` act as ``U out1 U^H``, ``V out2 V^H`` and ``(U (x) V) joint
 (U (x) V)^H``: a change of basis, which keeps every verdict but not the
-case label, since the entries it inspects mix.
+case label, since the entries it inspects mix.  A depolarising mix
+``out_k -> a out_k + (1 - a) P I/d`` adds a multiple of the probability
+``P`` to the diagonal and scales the rest, so no entry's root content
+changes: for ``0 < a < 1`` the case label and both dependence flags hold.
 """
 
 from __future__ import annotations
@@ -23,10 +26,14 @@ from phaseclone import (
     PhaseOperator,
     SampleRejected,
     UncorrelatedTriple,
+    analyze,
     analyze_many,
+    assemble_triple,
     builtin,
     generate_case2_candidate,
+    is_positive_over_phase,
     swap_systems,
+    trace_poly,
 )
 from phaseclone.catalog import NAMES
 
@@ -118,3 +125,53 @@ def test_swap_systems_exchanges_the_dependence_flags(triples, verdicts):
     assert flips == []
     # Both flags occur, so the exchange is actually exercised.
     assert {v[3:5] for v in verdicts} >= {(True, False), (False, True), (True, True)}
+
+
+def _depolarised(t: UncorrelatedTriple, a: float) -> UncorrelatedTriple:
+    """Both outputs mixed as ``a out_k + (1 - a) P I/d``, the joint rebuilt from them."""
+    P = trace_poly(t.out1).coeffs[:, None, None]
+    out1, out2 = (
+        PhaseOperator(a * out.coeffs + (1.0 - a) * P * np.eye(out.dim) / out.dim)
+        for out in (t.out1, t.out2)
+    )
+    return assemble_triple(out1, out2)
+
+
+def _case_and_flags(report) -> tuple:
+    label = report.case.label if report.case is not None else None
+    return label, report.out1_phase_dependent, report.out2_phase_dependent
+
+
+@pytest.mark.parametrize("a", [0.5, 0.1, 0.01])
+def test_depolarising_mix_keeps_the_case_and_dependence(triples, reports, a):
+    kept = [(t, r) for t, r in zip(triples, reports) if r.relation_ok and r.hp_ok]
+    mixed = analyze_many([_depolarised(t, a) for t, _ in kept])
+    before = [_case_and_flags(r) for _, r in kept]
+    after = [_case_and_flags(r) for r in mixed]
+    assert [i for i, (b, m) in enumerate(zip(before, after)) if b != m] == []
+    # Every case label and both flag values are among the triples mixed.
+    assert {v[0] for v in before} == set(CaseLabel)
+    assert {flag for v in before for flag in v[1:]} == {True, False}
+
+
+# The counterexample mixed with weight eps: lambda_min of each output is
+# -2 eps^2 in closed form, so the outputs are not positive and the theorem
+# does not apply, while both outputs still depend on the phase (by eps).
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+def test_depolarised_counterexample_meets_the_closed_form(eps):
+    t = _depolarised(builtin("counterexample").payload, eps)
+    for out in (t.out1, t.out2):
+        assert is_positive_over_phase(out).min_eigenvalue == pytest.approx(-2 * eps**2, rel=1e-6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="knife edge: negativity shrinks as eps^2 and phase dependence as eps, "
+    "so fixed absolute tolerances report a violation the closed form rules out",
+)
+def test_depolarised_counterexample_is_no_false_violation():
+    verdicts = [
+        analyze(_depolarised(builtin("counterexample").payload, eps)).theorem_consistent
+        for eps in (1e-5, 1e-6, 1e-7, 1e-8)
+    ]
+    assert False not in verdicts
