@@ -32,6 +32,7 @@ import numpy as np
 from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly, mul
 
 __all__ = [
+    "DEFAULT_TOL",
     "MAX_COEFF",
     "PhaseOperator",
     "JointPhaseOperator",
@@ -57,6 +58,9 @@ __all__ = [
 #: ``sqrt(2) * MAX_COEFF``, so ``|P|^2 <= 8.2e303``, summed over three
 #: coefficients, stays below 1.8e308; so does the relation's ``joint * P``.
 MAX_COEFF = 1e150
+
+#: Default tolerance of the hermiticity, relation and positivity checks.
+DEFAULT_TOL = 1e-9
 
 
 class ZeroProbabilityError(ValueError):
@@ -206,7 +210,7 @@ def hermitian_part(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (coeffs + adjoint), np.abs(coeffs - adjoint).max(axis=(-3, -2, -1))
 
 
-def is_hermitian_preserving(op: PhaseOperator, tol: float = 1e-10) -> bool:
+def is_hermitian_preserving(op: PhaseOperator, tol: float = DEFAULT_TOL) -> bool:
     """``A = B^H`` and ``C = C^H``, each within ``tol`` per entry (see :func:`hermitian_part`)."""
     return bool(hermitian_part(op.coeffs)[1] <= tol)
 
@@ -280,7 +284,7 @@ def _groups(triples) -> list[tuple[list[int], tuple]]:
     ]
 
 
-def validate_triple(t: UncorrelatedTriple, tol: float = 1e-9) -> RelationReport:
+def validate_triple(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> RelationReport:
     """Check traces, the product relation and the partial traces of a triple.
 
     The relation is tested cross-multiplied, ``joint * P = out1 (x) out2``,

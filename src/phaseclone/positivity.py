@@ -81,7 +81,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly
-from .operators import PhaseOperator, hermitian_part
+from .operators import DEFAULT_TOL, PhaseOperator, hermitian_part
 
 __all__ = [
     "DEFAULT_GRID",
@@ -100,7 +100,6 @@ __all__ = [
 
 #: Default number of phases of :func:`min_eigenvalue_profile`.
 DEFAULT_GRID = 4096
-DEFAULT_TOL = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 #: The certificate's level sits this far (relative) below the best sample.
@@ -113,6 +112,8 @@ _DEGENERATE_REL = 1e-6
 _CONSTANT_REL = 1e-12
 #: Bound on the levels of one certificate; the iteration converges quadratically.
 _MAX_LEVELS = 100
+#: Matrix entries of one block of :func:`_lambda_min_grid` (1 MiB of complex values).
+_SWEEP_ENTRIES = 2**16
 #: Exponents of the basis ``(e^{i phi}, e^{-i phi}, 1)`` of first-order families.
 _FREQUENCIES = np.array([1j, -1j, 0.0])
 
@@ -221,9 +222,21 @@ def _lowest(E: np.ndarray) -> np.ndarray:
 
 
 def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of a ``(3, d, d)`` Hermitian family at the phase of each :func:`_basis` row."""
+    """Minimum eigenvalue of a ``(3, d, d)`` Hermitian family at the phase of each :func:`_basis` row.
+
+    The rows are evaluated and solved one block at a time, each block
+    holding at most ``_SWEEP_ENTRIES`` matrix entries, so memory does not
+    grow with ``len(basis) * d * d``.  A row's values do not depend on its
+    block: every matrix gets the same product and the same solve as in one
+    sweep over all rows.
+    """
     d = family.shape[-1]
-    return _lowest((basis @ family.reshape(3, d * d)).reshape(-1, d, d))
+    coeffs = family.reshape(3, d * d)
+    rows = max(1, _SWEEP_ENTRIES // (d * d))
+    lams = np.empty(len(basis))
+    for s in range(0, len(basis), rows):
+        lams[s : s + rows] = _lowest((basis[s : s + rows] @ coeffs).reshape(-1, d, d))
+    return lams
 
 
 @functools.lru_cache(maxsize=4)
@@ -254,7 +267,9 @@ def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np
     """Two float arrays: the phases ``2 pi k / n`` (``k < n``) and lambda_min of ``op`` at each.
 
     The phases are read-only and shared between calls.  Hermiticity is
-    checked within ``DEFAULT_TOL`` (:class:`NotHermitianError`).
+    checked within ``DEFAULT_TOL`` (:class:`NotHermitianError`).  The sweep
+    evaluates and solves one block of phases at a time, at most 2^16 matrix
+    entries (1 MiB) per block, so its memory does not grow with ``n * d * d``.
     """
     family, defect = hermitian_part(op.coeffs)
     if not defect <= DEFAULT_TOL:

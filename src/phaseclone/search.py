@@ -72,6 +72,11 @@ class SamplerParams:
     >= 1, a ``pin_r`` other than 1 with ``pin_stratum="wild"``, an
     ``alpha_abs_range`` end or ``pin_alpha_abs`` that is not finite and
     > 0, or a range whose low end exceeds its high end.
+
+    ``pin_r`` pins the root modulus ``r`` only in the strata that draw it
+    from ``r_range``: every stratum but ``wild``, which is built for
+    ``r = 1``, and ``reject``, which draws ``r`` from
+    ``[max(1.5, r_range[0]), r_range[1])``.
     """
 
     alpha_abs_range: tuple = (0.1, 2.0)
@@ -173,12 +178,12 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
     if alpha_abs is None:
         alpha_abs = rng.uniform(*params.alpha_abs_range)
     theta = params.pin_theta if params.pin_theta is not None else rng.uniform(0.0, 2.0 * math.pi)
-    if params.pin_r is not None:
-        r = params.pin_r
-    elif stratum == "wild":
+    if stratum == "wild":
         r = 1.0
     elif stratum == "reject":
         r = rng.uniform(max(1.5, params.r_range[0]), params.r_range[1])
+    elif params.pin_r is not None:
+        r = params.pin_r
     else:
         r = rng.uniform(*params.r_range)
 

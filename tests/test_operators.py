@@ -180,6 +180,19 @@ def test_hp_matches_pointwise_hermiticity():
     assert bad
 
 
+def test_hp_default_tol_is_the_shared_default():
+    from phaseclone import operators, positivity
+
+    assert positivity.DEFAULT_TOL is operators.DEFAULT_TOL == 1e-9
+    # One off-diagonal constant moved by a defect between the old 1e-10
+    # default and the shared 1e-9, then by one above it.
+    near = PhaseOperator.from_rows([[fp(0, 0, 1), fp(0, 0, 1)], [fp(0, 0, 1 + 5e-10), fp(0, 0, 1)]])
+    far = PhaseOperator.from_rows([[fp(0, 0, 1), fp(0, 0, 1)], [fp(0, 0, 1 + 4e-9), fp(0, 0, 1)]])
+    assert is_hermitian_preserving(near)
+    assert not is_hermitian_preserving(far)
+    assert is_hermitian_preserving(far, 1e-8) and not is_hermitian_preserving(near, 1e-10)
+
+
 # ------------------------------------------------------------------ tensor
 
 def test_tensor_counterexample_offdiag_slot(counterexample):

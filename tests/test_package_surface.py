@@ -3,7 +3,8 @@
 Every top-level function and class of ``phaseclone`` is used somewhere in
 the package or re-exported from ``phaseclone/__init__.py`` (a console
 script named in ``pyproject.toml`` counts as used), and every name in a
-module's ``__all__`` is defined in that module.  Code that only tests call
+module's ``__all__`` is defined in that module or imported into it from a
+sibling module (a re-export).  Code that only tests call
 belongs in ``tests/helpers.py``.
 """
 
@@ -86,7 +87,8 @@ def _unused(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def _defined(tree: ast.Module) -> set[str]:
-    names = set()
+    """Top-level functions, classes and assigned names, and names bound by a ``from .`` import."""
+    names = set(_imports(tree))
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
@@ -124,3 +126,8 @@ def test_the_guard_sees_a_definition_only_tests_use():
     )
     init = ast.parse("from .m import used\n")
     assert _unused({"__init__": init, "m": module}) == ["m.dead"]
+
+
+def test_the_guard_takes_a_re_export_and_rejects_a_stale_name():
+    module = ast.parse('from .a import TOL\n\n__all__ = ["TOL", "gone"]\n')
+    assert sorted(set(_all(module)) - _defined(module)) == ["gone"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from phaseclone import (
     min_eigenvalue_profile,
     phase_state_operator,
 )
+from phaseclone import positivity
+from phaseclone.operators import hermitian_part
 from phaseclone.positivity import _basis, _lambda_min_grid
 
 from helpers import fp, grid, random_hp_operator
@@ -151,6 +154,44 @@ def test_analytic_matches_eigensolver():
         x = np.exp(1j * phis)[:, None, None]
         solver = np.linalg.eigvalsh(x * A + np.conj(x) * B + C)[:, 0]
         assert np.max(np.abs(analytic - solver)) < 1e-10
+
+
+def _random_family(rng, d: int) -> np.ndarray:
+    return hermitian_part(rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d)))[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 9, 16])
+def test_blocked_sweep_equals_one_sweep_bit_for_bit(d):
+    # Two full blocks and a partial one; the reference evaluates and solves
+    # the whole stack at once.
+    rows = max(1, positivity._SWEEP_ENTRIES // (d * d))
+    n = 2 * rows + rows // 2 + 1
+    family = _random_family(np.random.default_rng([47, d]), d)
+    basis = positivity._grid(n)[1]
+    stack = (basis @ family.reshape(3, d * d)).reshape(n, d, d)
+    if d == 1:
+        reference = stack[:, 0, 0].real
+    elif d == 2:
+        h00, h11 = stack[:, 0, 0].real, stack[:, 1, 1].real
+        reference = 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), np.abs(stack[:, 0, 1]))
+    else:
+        reference = np.linalg.eigvalsh(stack)[:, 0]
+    swept = _lambda_min_grid(family, basis)
+    assert swept.shape == (n,) and swept.tobytes() == reference.tobytes()
+
+
+def test_profile_memory_does_not_grow_with_samples_times_d_squared():
+    # One (1024, 64, 64) complex stack would take 64 MiB; a block holds at
+    # most _SWEEP_ENTRIES entries (1 MiB).
+    op = PhaseOperator(_random_family(np.random.default_rng(64), 64))
+    tracemalloc.start()
+    try:
+        phis, lams = min_eigenvalue_profile(op, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lams.shape == (1024,)
+    assert peak <= 4 * 2**20
 
 
 # ------------------------------------------------------- positivity verdicts

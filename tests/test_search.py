@@ -129,15 +129,43 @@ def test_search_counts_every_case():
     assert set(r.case_counts) >= {"Case 1", "Case 2", "Case 3"}
 
 
-def test_search_asks_witnesses_only_where_the_theorem_applies():
-    # pin_r also reaches the wild stratum, whose entries are built for r = 1:
-    # at r = 1 + 1e-9 some of its triples are not hermitian-preserving, so
-    # they cannot contradict the theorem and no witness is asked of them.
-    report = theorem_search(2000, seed=5, params=SamplerParams(pin_r=1 + 1e-9))
+@pytest.mark.parametrize("pin_r", [1 + 1e-9, 2.0])
+def test_pin_r_leaves_the_wild_stratum_at_r_1(pin_r):
+    # pin_r pins only the strata that draw r freely, so the wild stratum
+    # keeps the r = 1 its entries are built for and every triple classifies.
+    report = theorem_search(2000, seed=5, params=SamplerParams(pin_r=pin_r))
+    assert report.ok
+    assert report.accepted == 1794 and "unclassified" not in report.case_counts
+    assert report.witness_failures == [] and report.violations == []
+    assert report.both_phase_dependent == len(report.witnesses) == 374
+
+
+def test_search_asks_witnesses_only_where_the_theorem_applies(monkeypatch):
+    # On odd trials out1 becomes D out1 D^-1, D = diag(1, 2): its trace,
+    # entry roots and phase dependence hold, and so does the relation with
+    # the joint assembled from it, but a nonzero off-diagonal pair is no
+    # longer conjugate.  Such triples cannot contradict the theorem, so no
+    # witness is asked of them.
+    draw = search._draw
+    skew = np.array([[1.0, 2.0], [0.5, 1.0]])
+
+    def skewed(seed, params):
+        out1, out2 = draw(seed, params)
+        return (out1 * skew if seed[1] % 2 else out1), out2
+
+    plain = theorem_search(2000, seed=5)
+    monkeypatch.setattr(search, "_draw", skewed)
+    report = theorem_search(2000, seed=5)
     assert report.ok
     assert report.witness_failures == [] and report.violations == []
-    assert len(report.witnesses) == 26
-    assert report.both_phase_dependent > len(report.witnesses)
+    assert report.both_phase_dependent == plain.both_phase_dependent == 374
+    assert report.case_counts["unclassified"] == 725
+    hermitian = [
+        w.trial for w in plain.witnesses
+        if w.trial % 2 == 0 or not draw([5, w.trial], search._DEFAULT_PARAMS)[0][:, 0, 1].any()
+    ]
+    assert [w.trial for w in report.witnesses] == hermitian
+    assert len(hermitian) == 214
 
 
 def test_assemble_supports_asymmetric_dimensions():
