@@ -31,6 +31,7 @@ from .positivity import (
     _grid,
     min_eigenvalue_profile,
 )
+from ._g17 import format_rows
 from .analysis import analyze
 from .search import theorem_search
 from .catalog import builtin
@@ -80,12 +81,14 @@ def _verdict_line(name: str, v: PositivityVerdict | None) -> str:
     )
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write(path: str | None, chunks) -> None:
+    """Write the byte ``chunks`` to ``path``, or as text to stdout for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def _cmd_factor(args) -> int:
@@ -177,16 +180,14 @@ def _cmd_classify(args) -> int:
     return 0 if report.case is not None else 1
 
 
-@functools.lru_cache(maxsize=4)
-def _profile_template(n: int) -> str:
-    """The CSV of ``profile --samples n``: the header, then per row its phase
-    already printed and four ``%.17g`` slots (P and the three lmin columns).
+#: Rows of the ``profile`` CSV formatted and written at a time.
+_CSV_ROWS = 512
 
-    The phase text is the same for every file, so it is formatted once per
-    sample count and shared by later calls.
-    """
-    row = "%.17g" + ",%%.17g" * 4 + "\n"
-    return "phi,P,lmin_out1,lmin_out2,lmin_joint\n" + row * n % tuple(_grid(n)[0].tolist())
+
+def _csv_blocks(columns, n: int):
+    yield b"phi,P,lmin_out1,lmin_out2,lmin_joint\n"
+    for i in range(0, n, _CSV_ROWS):
+        yield format_rows(np.column_stack([c[i:i + _CSV_ROWS] for c in columns]))
 
 
 def _cmd_profile(args) -> int:
@@ -200,11 +201,11 @@ def _cmd_profile(args) -> int:
         return 1
     # Re(a x + b conj(x) + c) in the float operations of FirstOrderPoly.eval,
     # so every P value has the bits of P.eval(phi).real.
-    P, x = trace_poly(t.out1), _grid(args.samples)[1][:, 0]
-    xr, xi = x.real, x.imag
+    (phis, rows), P = _grid(args.samples), trace_poly(t.out1)
+    xr, xi = rows[:, 0].real, rows[:, 0].imag
     p = ((P.a.real * xr - P.a.imag * xi) + (P.b.real * xr - P.b.imag * -xi)) + P.c.real
-    values = tuple(np.column_stack([p, l1, l2, lj]).ravel().tolist())
-    _write_text(args.out, _profile_template(args.samples) % values)
+    # Written block by block; the output is opened only after every sweep succeeded.
+    _write(args.out, _csv_blocks((phis, p, l1, l2, lj), args.samples))
     return 0
 
 
@@ -237,7 +238,7 @@ def _cmd_catalog(args) -> int:
         doc = document_from_triple(entry.payload)
     else:
         doc = document_from_operator(entry.name, entry.payload)
-    _write_text(args.out, serialize_pmap(doc))
+    _write(args.out, [serialize_pmap(doc).encode()])
     return 0
 
 

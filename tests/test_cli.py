@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,8 @@ def test_profile_requires_hermiticity(tmp_path, capsys):
     code = main(["profile", str(path), "--samples", "8", "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # The output is opened only after every sweep succeeded: no empty or partial CSV.
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_factor_counterexample_entry(tmp_path, capsys):
@@ -382,7 +385,6 @@ def test_profile_builds_its_grid_once(tmp_path, monkeypatch):
     basis = positivity._basis
     monkeypatch.setattr(positivity, "_basis", lambda phis: sizes.append(len(phis)) or basis(phis))
     positivity._grid.cache_clear()
-    cli._profile_template.cache_clear()
     out_csv = str(tmp_path / "p.csv")
     for samples in ("48", "24"):
         for _ in range(2):
@@ -390,11 +392,27 @@ def test_profile_builds_its_grid_once(tmp_path, monkeypatch):
     # Once per sample count for the three sweeps and the P column together,
     # then from the cache.
     assert sizes == [48, 24]
-    # The row template too: its phase text is formatted on the first call at each count only.
-    info = cli._profile_template.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
     phis, rows = positivity._grid(48)
     assert not phis.flags.writeable and not rows.flags.writeable
+
+
+def test_profile_writes_its_csv_one_block_at_a_time(tmp_path):
+    # The CSV of 65536 samples is 6.5 MB; each block of rows is written as
+    # soon as it is formatted, so neither the table's text nor a copy of
+    # the table is held (the call peaks at about 3 MiB, the sweeps' arrays
+    # included).
+    path = tmp_path / "t.pmap"
+    path.write_text(serialize_pmap(document_from_triple(_check_triple("gamma-3x3-8"))))
+    argv = ["profile", str(path), "--samples", "65536", "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 0  # warm: the grid and the formatter's tables are built
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "p.csv").stat().st_size > 6 * 10**6
+    assert peak <= 8 * 2**20
 
 
 def _gamma_output(gamma: np.ndarray, P) -> PhaseOperator:
