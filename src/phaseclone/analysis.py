@@ -34,8 +34,10 @@ the positivity certificate then runs on the Hermitian parts it found.
 :func:`analyze`, :func:`analyze_many` and the CLI ``check`` certify every
 operator and build one report per triple.  The randomized search tallies
 from the stage's arrays, with no object per trial, and certifies only
-the operators of hermitian-preserving, relation-satisfying triples with
-both outputs phase-dependent: positivity decides nothing elsewhere.
+hermitian-preserving, relation-satisfying triples with both outputs
+phase-dependent: positivity decides nothing elsewhere.  It certifies
+their outputs first and a joint only where no output already settles
+the witness and the verdict.
 """
 
 from __future__ import annotations

@@ -219,10 +219,13 @@ def _cmd_search(args) -> int:
     print(f"acceptance_rate: {report.acceptance_rate:.4f}")
     print(f"case_counts: {json.dumps(report.case_counts)}")
     print(f"both_phase_dependent: {report.both_phase_dependent}")
-    if report.max_witness_lambda_min is None:
-        print("max_witness_lambda_min: n/a")
+    if report.witnesses:
+        top = max(report.witnesses, key=lambda w: w.lambda_min)
+        print(f"max_witness_lambda_min: {top.lambda_min:.6e}")
+        print(f"max_witness_operator: {top.operator}")
     else:
-        print(f"max_witness_lambda_min: {report.max_witness_lambda_min:.6e}")
+        print("max_witness_lambda_min: n/a")
+        print("max_witness_operator: n/a")
     print(f"witness_failures: {len(report.witness_failures)}")
     print(f"violations: {len(report.violations)}")
     for v in report.violations:

@@ -70,6 +70,7 @@ class SamplerParams:
     that are not finite and >= 0 with a positive sum, an unknown
     ``pin_stratum``, an ``r_range`` end or ``pin_r`` that is not finite and
     >= 1, a ``pin_r`` other than 1 with ``pin_stratum="wild"``, an
+    ``r_range`` below 1.5 where the ``reject`` stratum can be drawn, an
     ``alpha_abs_range`` end or ``pin_alpha_abs`` that is not finite and
     > 0, or a range whose low end exceeds its high end.
 
@@ -114,6 +115,12 @@ class SamplerParams:
                 )
         if self.pin_stratum == "wild" and self.pin_r not in (None, 1.0):
             raise ValueError(f"the wild stratum is built for r = 1, got pin_r={self.pin_r!r}")
+        drawn = [self.pin_stratum] if self.pin_stratum else [n for n, w in self.strata if w > 0]
+        if "reject" in drawn and self.r_range[1] < 1.5:
+            raise ValueError(
+                f"the reject stratum draws r from [max(1.5, r_range[0]), r_range[1]), "
+                f"so r_range must reach 1.5, got {self.r_range!r}"
+            )
         # Built as numpy's Generator.choice builds it, so searching it with
         # one rng.random() picks the stratum choice(p=weights) would pick.
         cdf = (weights / total).cumsum()
@@ -146,9 +153,14 @@ def _matrix(rows) -> np.ndarray:
     return np.array(rows, dtype=complex).transpose(2, 0, 1)
 
 
+def _uniform(rng, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` in numpy's own formula, without its argument checks."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _polar(rng, lo: float, hi: float) -> complex:
     """A modulus drawn from [lo, hi), then a uniform phase."""
-    return rng.uniform(lo, hi) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return _uniform(rng, lo, hi) * cmath.exp(1j * _uniform(rng, 0.0, 2.0 * math.pi))
 
 
 def _separated(rng, params: SamplerParams, avoid: complex) -> complex:
@@ -162,7 +174,7 @@ def _separated(rng, params: SamplerParams, avoid: complex) -> complex:
 
 def _signed_gap(rng, params: SamplerParams) -> float:
     sign = 1.0 if rng.random() < 0.5 else -1.0
-    return sign * rng.uniform(params.min_angle_gap, math.pi)
+    return sign * _uniform(rng, params.min_angle_gap, math.pi)
 
 
 def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
@@ -176,16 +188,16 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
 
     alpha_abs = params.pin_alpha_abs
     if alpha_abs is None:
-        alpha_abs = rng.uniform(*params.alpha_abs_range)
-    theta = params.pin_theta if params.pin_theta is not None else rng.uniform(0.0, 2.0 * math.pi)
+        alpha_abs = _uniform(rng, *params.alpha_abs_range)
+    theta = params.pin_theta if params.pin_theta is not None else _uniform(rng, 0.0, 2.0 * math.pi)
     if stratum == "wild":
         r = 1.0
     elif stratum == "reject":
-        r = rng.uniform(max(1.5, params.r_range[0]), params.r_range[1])
+        r = _uniform(rng, max(1.5, params.r_range[0]), params.r_range[1])
     elif params.pin_r is not None:
         r = params.pin_r
     else:
-        r = rng.uniform(*params.r_range)
+        r = _uniform(rng, *params.r_range)
 
     phase = cmath.exp(1j * theta)
     p0, p1 = r * phase, phase / r
@@ -209,7 +221,7 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
     def deficient(role_root: complex, companion: complex, force_offdiag: bool = False):
         # Hermiticity plus the forced factor pins r != 1 diagonals to
         # multiples of P; only the off-diagonal pair is free.
-        b0 = rng.uniform(1.05, 1.5) if rng.random() < 0.15 else rng.uniform(0.1, 0.9)
+        b0 = _uniform(rng, 1.05, 1.5) if rng.random() < 0.15 else _uniform(rng, 0.1, 0.9)
         u = rng.random()
         w01 = w10 = _ZERO  # a zero pair is not conjugated: its imaginary zeros stay +0.0
         if force_offdiag or u >= 0.2:
@@ -236,11 +248,11 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
         # Double-root stratum (r = 1): every entry contains p0 at least
         # once, which keeps all tensor products divisible by P.
         if rng.random() < 0.4:
-            d0 = _scaled(rng.uniform(0.1, 0.9), P)
+            d0 = _scaled(_uniform(rng, 0.1, 0.9), P)
         else:
             psi = theta + _signed_gap(rng, params)
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            s0 = sign * rng.uniform(0.2, 1.5) * cmath.exp(-0.5j * (theta + psi))
+            s0 = sign * _uniform(rng, 0.2, 1.5) * cmath.exp(-0.5j * (theta + psi))
             d0 = _full(s0, p0, cmath.exp(1j * psi))
         u = rng.random()
         if u < 0.25:
@@ -252,7 +264,7 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
             elif rng.random() < 0.3:
                 w01 = _full(s, p0, p1)
             else:
-                f = rng.uniform(0.2, 2.0) * cmath.exp(1j * (theta + _signed_gap(rng, params)))
+                f = _uniform(rng, 0.2, 2.0) * cmath.exp(1j * (theta + _signed_gap(rng, params)))
                 w01 = _full(s, p0, f)
         return _matrix([[d0, w01], [_conj(w01), tuple(p - e for p, e in zip(P, d0))]])
 
@@ -332,9 +344,15 @@ def generate_case2_candidate(seed, params: SamplerParams | None = None) -> Uncor
 
 @dataclass(frozen=True)
 class WitnessRecord:
+    """The least certified ``lambda_min`` of a trial, its phase and its operator.
+
+    ``operator`` is ``"out1"``, ``"out2"`` or ``"joint"``.
+    """
+
     trial: int
     phi: float
     lambda_min: float
+    operator: str
 
 
 @dataclass(frozen=True)
@@ -368,12 +386,16 @@ class SearchReport:
         return not self.violations and not self.witness_failures and classified > 0
 
 
-def _witness(verdicts: list) -> tuple[float, float | None]:
-    """The least ``min_eigenvalue`` of (joint, out1, out2) verdicts, out1 first, and its phase."""
-    best = (math.inf, None)
-    for verdict in (verdicts[1], verdicts[2], verdicts[0]):
+def _witness(verdicts: list) -> tuple[float, float | None, str | None]:
+    """The least ``min_eigenvalue`` of (joint, out1, out2) verdicts, out1 first, its phase and role.
+
+    A ``None`` verdict (an operator not certified) is skipped.
+    """
+    best = (math.inf, None, None)
+    joint, out1, out2 = verdicts
+    for role, verdict in (("out1", out1), ("out2", out2), ("joint", joint)):
         if verdict is not None and verdict.min_eigenvalue < best[0]:
-            best = (verdict.min_eigenvalue, verdict.witness_phi)
+            best = (verdict.min_eigenvalue, verdict.witness_phi, role)
     return best
 
 
@@ -395,7 +417,12 @@ def theorem_search(
     Those must show a minimum eigenvalue below ``-1e-6`` at some phase; any
     that do not are recorded as witness failures, and any report that is
     not theorem-consistent is recorded as a violation.  Both lists must
-    stay empty.  ``trials`` must be an integer >= 1 and ``seed`` one >= 0.
+    stay empty.  The outputs of such a triple are certified first, and its
+    joint only where both output minima are at least ``min(-1e-6, -tol)``:
+    an output below that is a witness and makes the triple consistent,
+    whatever the joint.  The witness is the least certified minimum, so a
+    joint not certified is never one.  ``trials`` must be an integer >= 1
+    and ``seed`` one >= 0.
     """
     for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
         if not (isinstance(value, numbers.Integral) and value >= low):
@@ -422,14 +449,24 @@ def theorem_search(
         # Only these members can be inconsistent (see analysis._consistent).
         checked = (s.hp.all(axis=0) & s.relation_ok).tolist()
         decided = [m for m in both if checked[m]]
-        verdicts = analysis._certify_many(s.operators(decided), tol)
         both_dep += len(both)
+        joints, out1s, out2s = s.families
+        outputs = analysis._certify_many([f[m] for m in decided for f in (out1s, out2s)], tol)
+        verdicts = [[None, *outputs[2 * n : 2 * n + 2]] for n in range(len(decided))]
+        # An output below both levels already is a witness and makes the
+        # triple consistent, so only the other members' joints are certified.
+        level = min(WITNESS_LEVEL, -tol)
+        lows = [min(v1.min_eigenvalue, v2.min_eigenvalue) for _, v1, v2 in verdicts]
+        open_ = [n for n, low in enumerate(lows) if low >= level]
+        certified = analysis._certify_many([joints[decided[n]] for n in open_], tol)
+        for n, joint in zip(open_, certified):
+            verdicts[n][0] = joint
 
-        for n, m in enumerate(decided):
-            k, triple = start + int(kept[m]), verdicts[3 * n : 3 * n + 3]
-            lam, phi = _witness(triple)
+        for m, triple in zip(decided, verdicts):
+            k = start + int(kept[m])
+            lam, phi, role = _witness(triple)
             if lam < WITNESS_LEVEL:
-                witnesses.append(WitnessRecord(trial=k, phi=float(phi), lambda_min=lam))
+                witnesses.append(WitnessRecord(k, float(phi), lam, role))
             else:
                 witness_failures.append(k)
             if not analysis._consistent(bool(s.relation_ok[m]), (True, True), triple):

@@ -228,8 +228,7 @@ def _long_div(num: np.ndarray, d: np.ndarray, lead: int) -> np.ndarray:
     for k in range(4, lead - 1, -1):
         qk = rem[k] / d[lead]
         shifted[k - lead] = qk
-        for m in range(lead + 1):
-            rem[k - lead + m] -= qk * d[m]
+        rem[k - lead : k + 1] -= qk * d[: lead + 1]
     # Quotient degree j in [-1, 1] sits at x^(j+1) of the shifted quotient.
     return shifted[[2, 0, 1]]
 
@@ -264,10 +263,14 @@ def _divide(num, den, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.nd
     # Align the divisor's trailing axes with the last ones of ``shape``.
     d = d.reshape((3,) + (1,) * (len(shape) + 1 - d.ndim) + d.shape[1:])
     d = np.broadcast_to(d, (3,) + shape)
-    q = np.empty((3,) + shape, dtype=complex)
-    for value in range(3):
-        members = lead == value
-        if members.any():
+    # Only the lead degrees present are divided; a single one needs no member masks.
+    present = np.bincount(lead.ravel(), minlength=3)
+    if present.max() == lead.size:
+        q = _long_div(num, d, int(present.argmax()))
+    else:
+        q = np.empty((3,) + shape, dtype=complex)
+        for value in np.flatnonzero(present).tolist():
+            members = lead == value
             q[:, members] = _long_div(num[:, members], d[:, members], value)
     residual = np.abs(num - mul(q, den)).max(axis=0)
     return q, residual, tol * np.abs(num).max(axis=0)

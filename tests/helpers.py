@@ -14,6 +14,8 @@ from phaseclone import (
     JointPhaseOperator,
     PhaseOperator,
     UncorrelatedTriple,
+    builtin,
+    trace_poly,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -92,3 +94,14 @@ def root_multiplicity(form, z: complex, tol: float = 1e-8) -> int:
         ws = ()
     limit = tol * max(1.0, abs(z))
     return sum(1 for w in ws if abs(w - z) <= limit)
+
+
+def mixed_counterexample(eps: float) -> tuple:
+    """The counterexample's outputs mixed as ``eps * out + (1 - eps) * P I/2``, as coefficients.
+
+    In closed form each output's ``lambda_min`` is ``-2 eps^2`` and that of
+    the joint assembled from them ``-4 eps^2``.
+    """
+    t = builtin("counterexample").payload
+    P = trace_poly(t.out1).coeffs[:, None, None]
+    return tuple(eps * out.coeffs + (1.0 - eps) * P * np.eye(2) / 2 for out in (t.out1, t.out2))

@@ -35,7 +35,7 @@ from phaseclone.cli import main
 from phaseclone.positivity import DEFAULT_TOL, _basis, _lambda_min_grid
 from phaseclone.operators import hermitian_part
 
-from helpers import max_coeff_diff
+from helpers import max_coeff_diff, mixed_counterexample
 
 
 def _write_entry(tmp_path, name, q=0.5):
@@ -143,6 +143,28 @@ def test_search_small_run(capsys):
     assert "witness_failures: 0" in out
     lines = dict(line.split(": ", 1) for line in out.splitlines())
     assert sum(json.loads(lines["rejection_reasons"]).values()) == int(lines["rejected"]) > 0
+    keys = list(lines)
+    assert keys.index("max_witness_operator") == keys.index("max_witness_lambda_min") + 1
+    assert lines["max_witness_lambda_min"] == "-1.034600e+00"
+    assert lines["max_witness_operator"] == "out1"
+
+
+def test_search_names_the_operator_of_the_weakest_witness(capsys, monkeypatch):
+    # Mixed with weight 7e-4 the counterexample's outputs stay above -1e-6
+    # (-9.8e-7) and only its joint is a witness (-1.96e-6).
+    outputs = mixed_counterexample(7e-4)
+    monkeypatch.setattr(phaseclone.search, "_draw", lambda seed, params: outputs)
+    assert main(["search", "--trials", "3"]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["max_witness_lambda_min"] == "-1.960000e-06"
+    assert lines["max_witness_operator"] == "joint"
+
+
+def test_search_without_a_witness_prints_n_a(capsys):
+    main(["search", "--trials", "1", "--seed", "0"])
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["both_phase_dependent"] == "0"
+    assert lines["max_witness_lambda_min"] == lines["max_witness_operator"] == "n/a"
 
 
 @pytest.mark.parametrize("seed", ["-1", "abc", "1.5", "-99999999999999999999"])

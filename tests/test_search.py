@@ -23,7 +23,7 @@ from phaseclone import (
 from phaseclone import analysis, search
 from phaseclone.analysis import CaseLabel
 
-from helpers import fp, max_coeff_diff
+from helpers import fp, max_coeff_diff, mixed_counterexample
 
 
 def test_assemble_reproduces_counterexample():
@@ -244,6 +244,18 @@ def test_search_counts_rejection_reasons():
     assert vanishing.rejection_reasons == {"trace polynomial vanishes": 20}
 
 
+_NO_REJECT = tuple((name, 0.0 if name == "reject" else w) for name, w in search._STRATA)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"pin_stratum": "case2"}, {"strata": _NO_REJECT}], ids=["pinned", "unweighted"]
+)
+def test_short_r_range_is_valid_where_the_reject_stratum_is_never_drawn(kwargs):
+    # Below 1.5 only the reject stratum has no r to draw.
+    report = theorem_search(50, seed=1, params=SamplerParams(r_range=(1.0, 1.2), **kwargs))
+    assert report.accepted == 50
+
+
 def test_unknown_stratum_rejected():
     with pytest.raises(ValueError):
         generate_case2_candidate(1, SamplerParams(pin_stratum="nope"))
@@ -282,6 +294,8 @@ _NAMES = tuple(name for name, _ in search._STRATA)
         ({"alpha_abs_range": (2.0, 1.0)}, "low <= high"),
         ({"pin_stratum": "wild", "pin_r": 1 + 1e-9}, "wild stratum is built for r = 1"),
         ({"pin_stratum": "wild", "pin_r": 1 + 1e-7}, "wild stratum is built for r = 1"),
+        ({"r_range": (1.0, 1.2)}, "r_range must reach 1.5"),
+        ({"r_range": (1.0, 1.2), "pin_stratum": "reject"}, "r_range must reach 1.5"),
     ],
 )
 def test_sampler_params_validated_when_built(kwargs, match):
@@ -420,9 +434,8 @@ def test_search_builds_no_operator_objects(monkeypatch):
     assert len(built) == 3  # a batch of one wraps its out1, out2 and joint
 
 
-def test_search_certifies_only_both_phase_dependent_triples(monkeypatch):
-    # Positivity decides theorem_consistent only where both outputs depend on
-    # the phase, so only the three operators of those triples are certified.
+def _counting_certificates(monkeypatch) -> list:
+    """The families ``analysis._certify_many`` is handed from now on, in call order."""
     certified = []
     certify_many = analysis._certify_many
 
@@ -431,10 +444,20 @@ def test_search_certifies_only_both_phase_dependent_triples(monkeypatch):
         return certify_many(families, tol)
 
     monkeypatch.setattr(analysis, "_certify_many", counting)
+    return certified
+
+
+def test_search_certifies_only_both_phase_dependent_triples(monkeypatch):
+    # Positivity decides theorem_consistent only where both outputs depend on
+    # the phase, so only those triples are certified: both outputs, and the
+    # joint only where no output is already a witness.
+    *_, joints_needed = _reference_search(300, 20260809)
+    certified = _counting_certificates(monkeypatch)
     monkeypatch.setattr(search, "_BLOCK", 64)
     report = theorem_search(300, seed=20260809)
     assert 0 < report.both_phase_dependent < report.accepted
-    assert len(certified) == 3 * report.both_phase_dependent
+    assert len(certified) == 2 * report.both_phase_dependent + joints_needed
+    assert sum(f.shape[-1] == 4 for f in certified) == joints_needed
     # analyze_many still certifies every operator of every triple.
     certified.clear()
     triples = [builtin(name).payload for name in ("counterexample", "case1-example")]
@@ -442,16 +465,71 @@ def test_search_certifies_only_both_phase_dependent_triples(monkeypatch):
     assert len(certified) == 3 * len(triples)
 
 
-def _reference_search(trials: int, seed: int, params: SamplerParams | None = None):
-    """Per-trial ``analyze`` tally, the serial definition of ``theorem_search``."""
-    counts, witnesses, failures, violations = {}, [], [], []
-    accepted = both = 0
+@pytest.mark.parametrize(
+    "eps, tol, witness, violated",
+    [(1e-4, 1e-9, False, False), (7e-4, 1e-9, True, False), (1e-3, 1e-5, True, True)],
+)
+def test_joint_is_certified_where_the_outputs_leave_the_verdict_open(
+    eps, tol, witness, violated, monkeypatch
+):
+    # The mixed counterexample's outputs (-2 eps^2) are above
+    # min(-1e-6, -tol), so its joint (-4 eps^2) is certified and the search
+    # decides as analyze's three-operator rule does.  At eps = 1e-4 no
+    # operator reaches -1e-6 (a witness failure), at 7e-4 the joint alone
+    # does; at tol = 1e-5 all three operators count as positive, so the
+    # triple is a violation that only the joint's verdict reveals.
+    outputs = mixed_counterexample(eps)
+    rep = analyze(assemble_triple(*(PhaseOperator(c) for c in outputs)), tol)
+    verdicts = (rep.positivity_out1, rep.positivity_out2, rep.positivity_joint)
+    assert rep.hp_ok and rep.relation_ok and rep.theorem_consistent is not violated
+    assert rep.out1_phase_dependent and rep.out2_phase_dependent
+    assert min(v.min_eigenvalue for v in verdicts[:2]) >= min(search.WITNESS_LEVEL, -tol)
+    low = min(verdicts, key=lambda v: v.min_eigenvalue)
+    assert (low.min_eigenvalue < search.WITNESS_LEVEL) is witness
+    certified = _counting_certificates(monkeypatch)
+    monkeypatch.setattr(search, "_draw", lambda seed, params: outputs)
+    report = theorem_search(5, seed=1, tol=tol)
+    assert report.accepted == report.both_phase_dependent == 5
+    assert [f.shape[-1] for f in certified] == [2] * 10 + [4] * 5
+    assert [v.trial for v in report.violations] == (list(range(5)) if violated else [])
+    if witness:
+        assert report.witness_failures == []
+        assert report.witnesses == [
+            search.WitnessRecord(k, low.witness_phi, low.min_eigenvalue, "joint") for k in range(5)
+        ]
+    else:
+        assert report.witnesses == [] and report.witness_failures == list(range(5))
+
+
+def _accepted(trials: int, seed: int, params: SamplerParams | None = None) -> tuple[list, list]:
+    """The trial indices and triples of the accepted per-trial candidates."""
+    indices, triples = [], []
     for k in range(trials):
         try:
-            t = generate_case2_candidate([seed, k], params)
+            triples.append(generate_case2_candidate([seed, k], params))
         except SampleRejected:
             continue
-        accepted += 1
+        indices.append(k)
+    return indices, triples
+
+
+def _least(rep, roles) -> tuple:
+    """The least ``min_eigenvalue`` of a report's verdicts in ``roles``, the first on ties."""
+    verdicts = [(getattr(rep, f"positivity_{role}"), role) for role in roles]
+    low, role = min(verdicts, key=lambda vr: vr[0].min_eigenvalue)
+    return low.min_eigenvalue, low.witness_phi, role
+
+
+def _reference_search(trials: int, seed: int, params: SamplerParams | None = None):
+    """Per-trial ``analyze`` tally, the serial definition of ``theorem_search``.
+
+    The witness of a triple is its least output minimum, or the least of
+    all three operators where that is not below -1e-6 (the joints needed).
+    """
+    counts, witnesses, failures, violations = {}, [], [], []
+    both = joints_needed = 0
+    indices, triples = _accepted(trials, seed, params)
+    for k, t in zip(indices, triples):
         rep = analyze(t)
         key = rep.case.label.value if rep.case is not None else "unclassified"
         counts[key] = counts.get(key, 0) + 1
@@ -459,15 +537,18 @@ def _reference_search(trials: int, seed: int, params: SamplerParams | None = Non
             both += 1
         # Only hermitian-preserving, relation-satisfying triples can be inconsistent.
         if rep.out1_phase_dependent and rep.out2_phase_dependent and rep.hp_ok and rep.relation_ok:
-            verdicts = (rep.positivity_out1, rep.positivity_out2, rep.positivity_joint)
-            low = min((v for v in verdicts if v is not None), key=lambda v: v.min_eigenvalue)
-            if low.min_eigenvalue < -1e-6:
-                witnesses.append((k, low.witness_phi, low.min_eigenvalue))
+            lam, phi, role = _least(rep, ("out1", "out2"))
+            if lam >= -1e-6:
+                joints_needed += 1
+                lam, phi, role = _least(rep, ("out1", "out2", "joint"))
+            if lam < -1e-6:
+                witnesses.append((k, phi, lam, role))
             else:
                 failures.append(k)
         if not rep.theorem_consistent:
             violations.append(k)
-    return accepted, dict(sorted(counts.items())), both, witnesses, failures, violations
+    counts = dict(sorted(counts.items()))
+    return len(triples), counts, both, witnesses, failures, violations, joints_needed
 
 
 @pytest.mark.parametrize(
@@ -480,7 +561,7 @@ def test_batched_search_equals_per_trial_analyze(block, params, monkeypatch):
     if block is not None:  # many blocks, with a partial one at the end
         monkeypatch.setattr(search, "_BLOCK", block)
     report = theorem_search(1000, seed=20260809, params=params)
-    accepted, counts, both, witnesses, failures, violations = _reference_search(
+    accepted, counts, both, witnesses, failures, violations, _ = _reference_search(
         1000, 20260809, params
     )
     assert report.accepted == accepted and report.rejected == 1000 - accepted
@@ -488,7 +569,48 @@ def test_batched_search_equals_per_trial_analyze(block, params, monkeypatch):
     assert report.both_phase_dependent == both
     assert report.witness_failures == failures
     assert [v.trial for v in report.violations] == violations
-    assert [w.trial for w in report.witnesses] == [k for k, _, _ in witnesses]
-    for w, (_, phi, lam) in zip(report.witnesses, witnesses):
+    assert [(w.trial, w.operator) for w in report.witnesses] == [(k, r) for k, _, _, r in witnesses]
+    for w, (_, phi, lam, _) in zip(report.witnesses, witnesses):
         assert abs(w.lambda_min - lam) <= 1e-12 * (1.0 + abs(lam))
         assert abs(w.phi - phi) <= 1e-12 * (1.0 + abs(phi))
+
+
+@pytest.mark.parametrize("seed", [20260809, 7, 424242])
+def test_outputs_first_witnesses_keep_every_count(seed):
+    # Against the rule that certifies all three operators of every decided
+    # triple (analyze_many's verdicts), certifying a joint only where its
+    # outputs leave the verdict open changes no count, witness trial,
+    # failure or violation.  A witness can only rise: it is the least of
+    # fewer minima, and the same one where the joint was certified.
+    report = theorem_search(3000, seed=seed)
+    indices, triples = _accepted(3000, seed)
+    reports = analysis.analyze_many(triples)
+    counts, witnesses, failures, violations = {}, [], [], []
+    for k, rep in zip(indices, reports):
+        key = rep.case.label.value if rep.case is not None else "unclassified"
+        counts[key] = counts.get(key, 0) + 1
+        if rep.out1_phase_dependent and rep.out2_phase_dependent and rep.hp_ok and rep.relation_ok:
+            lam, _, _ = _least(rep, ("out1", "out2", "joint"))
+            (witnesses if lam < -1e-6 else failures).append((k, lam))
+        if not rep.theorem_consistent:
+            violations.append(k)
+    assert report.accepted == len(triples)
+    assert report.case_counts == dict(sorted(counts.items()))
+    assert report.both_phase_dependent == len(witnesses) + len(failures) > 0
+    assert report.witness_failures == [k for k, _ in failures] == []
+    assert [v.trial for v in report.violations] == violations == []
+    assert [w.trial for w in report.witnesses] == [k for k, _ in witnesses]
+    for w, (_, lam) in zip(report.witnesses, witnesses):
+        assert w.lambda_min >= lam
+        assert (w.lambda_min == lam) or w.operator != "joint"
+    assert any(w.lambda_min > lam for w, (_, lam) in zip(report.witnesses, witnesses))
+
+
+def test_uniform_draws_what_generator_uniform_draws():
+    # The sampler's ranges, each drawn bit for bit as Generator.uniform draws it.
+    ranges = [(0.1, 2.0), (1.0, 4.0), (1.5, 4.0), (0.0, 2.0 * math.pi), (0.7, math.pi)]
+    ranges += [(1.05, 1.5), (0.1, 0.9), (0.2, 1.5), (0.2, 2.0), (1.5, 1.5)]
+    for n, (lo, hi) in enumerate(ranges):
+        ours, numpys = np.random.default_rng([11, n]), np.random.default_rng([11, n])
+        for _ in range(1500):
+            assert search._uniform(ours, lo, hi) == numpys.uniform(lo, hi)

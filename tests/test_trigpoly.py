@@ -25,7 +25,7 @@ from phaseclone import (
     mul,
 )
 
-from phaseclone.trigpoly import _divide
+from phaseclone.trigpoly import ZERO_COEFF_REL, _divide
 
 from helpers import eval_on_grid, fp, grid, random_first_order, root_multiplicity
 
@@ -240,6 +240,42 @@ def test_exact_div_per_member_divisors_match_single_calls():
         one = exact_div(num[:, k], den[:, k], 1e-10)
         assert np.abs(got[:, k] - one).max() <= 1e-14 * np.abs(one).max()
         assert np.abs(got[:, k] - quot[:, k]).max() <= 1e-9 * (1.0 + np.abs(quot[:, k]).max())
+
+
+def _reference_quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Long division masked by each lead degree in turn, one coefficient at a time.
+
+    ``num`` and ``den`` have the same trailing shape.  The serial definition
+    of the quotients of ``_divide``.
+    """
+    d = den[[1, 2, 0]]
+    mags = np.abs(d)
+    lead = 2 - np.argmin((mags <= ZERO_COEFF_REL * (1.0 + mags.max(axis=0)))[::-1], axis=0)
+    q = np.empty((3,) + num.shape[1:], dtype=complex)
+    for value in range(3):
+        members = lead == value
+        if members.any():
+            rem, dm = num[:, members].copy(), d[:, members]
+            shifted = np.zeros_like(rem)
+            for k in range(4, value - 1, -1):
+                qk = shifted[k - value] = rem[k] / dm[value]
+                for m in range(value + 1):
+                    rem[k - value + m] -= qk * dm[m]
+            q[:, members] = shifted[[2, 0, 1]]
+    return q
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_divide_quotients_equal_the_masked_long_division_bit_for_bit(noise):
+    # A stack of mixed lead degrees, one of a single lead degree, and each
+    # member alone (a scalar): every path of _divide gives the reference's bits.
+    rng = np.random.default_rng(67)
+    den = _mixed_divisors(rng, 30)
+    num = mul(np.array([random_first_order(rng).coeffs for _ in range(30)]).T, den)
+    num = num + noise * rng.normal(size=num.shape)
+    cases = [(num, den), (num[:, ::3], den[:, ::3])] + [(num[:, k], den[:, k]) for k in range(30)]
+    for n, d in cases:
+        assert _divide(n, d)[0].tobytes() == _reference_quotients(n, d).tobytes()
 
 
 def test_exact_div_per_member_divisors_name_first_failing_member():
