@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly, has_second_order
+from .trigpoly import ALGEBRA_TOL, ZERO_COEFF_REL, FirstOrderPoly, has_second_order
 from .operators import (
     PhaseOperator,
     RelationReport,
@@ -146,12 +146,12 @@ def _projection(outs: np.ndarray, p: np.ndarray, scale: np.ndarray, tol: float) 
     ``p`` holds the ``(N, 3)`` coefficients of their probabilities and
     ``scale`` the larger of ``max|P|`` and ``max|out|`` per output.  Also
     returns, per output, whether some entry differs from ``gamma * P`` by
-    more than ``tol * max(1, scale)``: a phase-dependent output.
+    more than ``tol * scale``: a phase-dependent output.
     """
     p = p[:, :, None, None]
     gamma = (p.conj() * outs).sum(axis=1) / (p.conj() * p).real.sum(axis=1)
     residual = np.abs(outs - gamma[:, None] * p).max(axis=(1, 2, 3))
-    return gamma, residual > tol * np.maximum(1.0, scale)
+    return gamma, residual > tol * scale
 
 
 def _targets(dec: ProbabilityDecomposition) -> tuple[tuple, tuple, tuple]:
@@ -224,7 +224,7 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
 
 
 def deterministic_tensor_obstruction(
-    o1: PhaseOperator, o2: PhaseOperator, tol: float = 1e-10
+    o1: PhaseOperator, o2: PhaseOperator, tol: float = ALGEBRA_TOL
 ) -> bool:
     """Second-order content in the tensor product of two outputs.
 
@@ -284,11 +284,11 @@ def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float
     hermitian-preserving, relation-satisfying members with a decomposed
     ``P``: everything of a report but the positivity certificate.
     """
-    families, defects = zip(hermitian_part(joint), *_outputs(hermitian_part, out1, out2))
-    hp = np.array(defects) <= tol
     relation = _relation(joint, out1, out2, tol)
-    P, sizes, nonzero, traces_equal, residual, partial_ok = relation
-    relation_ok = nonzero & traces_equal & (residual <= tol) & partial_ok
+    P, sizes, nonzero, traces_equal, _, holds, partial_ok = relation
+    relation_ok = nonzero & traces_equal & holds & partial_ok
+    families, defects = zip(hermitian_part(joint), *_outputs(hermitian_part, out1, out2))
+    hp = np.array(defects) <= tol * sizes[1:]
     zero1, zero2 = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2:])  # P vanishes next to each output
     probability = [
         "zero-probability" if zero else _probability(FirstOrderPoly(*row), tol)
@@ -336,14 +336,14 @@ def _consistent(relation_ok: bool, dependence: tuple, verdicts) -> bool:
     return not (relation_ok and all(dependence) and positive)
 
 
-def _reports(s: _Structure, verdicts: list, tol: float) -> list[CloningReport]:
+def _reports(s: _Structure, verdicts: list) -> list[CloningReport]:
     """The :class:`CloningReport` of each member of a structure stage.
 
     ``verdicts`` holds the positivity verdicts of the joint, out1 and out2
     of each member in turn, ``None`` for an operator not certified.
     """
     reports = []
-    members = zip(_relation_reports(s.relation, tol), s.hp.T.tolist(), s.relation_ok.tolist())
+    members = zip(_relation_reports(s.relation), s.hp.T.tolist(), s.relation_ok.tolist())
     for k, (relation, hp, relation_ok) in enumerate(members):
         joint, out1, out2 = positivity = verdicts[3 * k : 3 * k + 3]
         dep1, dep2 = s.dependence[k]
@@ -374,7 +374,7 @@ def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
     for members, stacks in _groups(triples):
         s = _structure(*stacks, tol)
         verdicts = _certify_many(s.operators(range(len(members))), tol)
-        for i, report in zip(members, _reports(s, verdicts, tol)):
+        for i, report in zip(members, _reports(s, verdicts)):
             reports[i] = report
     return reports
 

@@ -279,6 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify uncorrelated cloning maps on the phase-set of qubit states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = argparse.ArgumentParser(add_help=False)
+    relative = "relative: tol times the largest coefficient of the operator or triple judged"
+    tol.add_argument("--tol", type=_tol, default=DEFAULT_TOL, help=relative)
 
     p = sub.add_parser("factor", help="print the decomposition form of one matrix entry")
     p.add_argument("file")
@@ -286,14 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", default=None, help="block name (default: lambda1 or the only block)")
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("check", help="validate a triple; exit 1 on any failed check")
+    p = sub.add_parser("check", parents=[tol], help="validate a triple; exit 1 on any failed check")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("classify", help="print the case verdict and report summary")
+    p = sub.add_parser("classify", parents=[tol], help="print the case verdict and report summary")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("profile", help="write a CSV of minimum-eigenvalue sweeps")
@@ -302,10 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("search", help="randomized theorem search; exit 1 on violations")
+    p = sub.add_parser("search", parents=[tol], help="randomized theorem search; exit 1 on violations")
     p.add_argument("--trials", type=_integer("trials", 1), default=10000)
     p.add_argument("--seed", type=_integer("seed", 0), default=0)
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("catalog", help="emit a built-in map as PMAP text")

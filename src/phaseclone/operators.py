@@ -59,7 +59,22 @@ __all__ = [
 #: coefficients, stays below 1.8e308; so does the relation's ``joint * P``.
 MAX_COEFF = 1e150
 
-#: Default tolerance of the hermiticity, relation and positivity checks.
+#: Default tolerance of every verdict, under one rule: a defect passes iff it
+#: is at most ``tol`` times the largest coefficient modulus of what it judges,
+#: so scaling an operator or a triple by any ``k > 0`` changes no verdict.  The
+#: operator is judged for hermiticity and positivity (``lambda_min >= -tol *
+#: max|coeffs|``); the triple (the largest of joint, out1 and out2) for the
+#: traces, the relation residual and the partial traces; the larger of
+#: ``max|P|`` and ``max|out|`` for phase dependence; ``P`` for being real and
+#: for vanishing at a phase; the outputs, and each product entry, in assembly.
+#: Set apart, each for its reason: ``ZERO_COEFF_REL`` keeps ``(1 + scale)``,
+#: relative from unit scale up, as the classifier's zero-entry boundary is
+#: defined by it; ``ROOT_MATCH_TOL`` and ``DEGENERATE_ROOT_BAND`` work in root
+#: space, which scaling does not move; ``WITNESS_LEVEL`` is set by the
+#: sampler's unit scale and judges only the search's witnesses;
+#: ``has_second_order`` stays absolute (``ALGEBRA_TOL``), the bound the
+#: deterministic obstruction is stated with; the certificate's ``_LEVEL_GAP``,
+#: ``_CIRCLE_BAND``, ``_DEGENERATE_REL`` and ``_CONSTANT_REL`` are relative already.
 DEFAULT_TOL = 1e-9
 
 
@@ -211,8 +226,8 @@ def hermitian_part(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_hermitian_preserving(op: PhaseOperator, tol: float = DEFAULT_TOL) -> bool:
-    """``A = B^H`` and ``C = C^H``, each within ``tol`` per entry (see :func:`hermitian_part`)."""
-    return bool(hermitian_part(op.coeffs)[1] <= tol)
+    """``A = B^H`` and ``C = C^H`` within ``tol * max|coeffs|`` (see :func:`hermitian_part`)."""
+    return bool(hermitian_part(op.coeffs)[1] <= tol * op.max_abs())
 
 
 def _tensor(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -238,37 +253,33 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     Returns the ``(3, N)`` traces ``P`` of out1, the ``(4, N)`` largest
     coefficient moduli of ``P``, the joint, out1 and out2, and per member
     whether ``P`` is nonzero, whether the traces agree, the relation
-    residual and whether the partial traces agree.
+    residual, whether it holds and whether the partial traces agree; a check
+    passes within ``tol`` times the largest modulus of joint, out1 and out2.
     """
     d1, d2 = out1.shape[-1], out2.shape[-1]
     joint, out1, out2 = (stack.swapaxes(0, 1) for stack in (joint, out1, out2))
     P = out1.trace(axis1=-2, axis2=-1)
     moduli = (np.abs(c).max(axis=(0, 2, 3)) for c in (joint, out1, out2))
     sizes = np.array([np.abs(P).max(axis=0), *moduli])
-    size = sizes[0]
-    nonzero = size > ZERO_COEFF_REL * (1.0 + sizes[1:].max(axis=0))
+    size, scale = sizes[0], sizes[1:].max(axis=0)
+    nonzero = size > ZERO_COEFF_REL * (1.0 + scale)
     traces = np.array([out2.trace(axis1=-2, axis2=-1), joint.trace(axis1=-2, axis2=-1)])
-    traces_equal = np.abs(traces - P).max(axis=(0, 1)) <= tol
+    traces_equal = np.abs(traces - P).max(axis=(0, 1)) <= tol * scale
     cross = mul(joint, P[..., None, None]) - _tensor(out1, out2)
     residual = np.abs(cross).max(axis=(0, 2, 3)) / np.where(nonzero, size, 1.0)
     blocks = joint.reshape(joint.shape[:2] + (d1, d2, d1, d2))
     gaps = (blocks.trace(axis1=3, axis2=5) - out1, blocks.trace(axis1=2, axis2=4) - out2)
     partial = np.maximum(*(np.abs(gap).max(axis=(0, 2, 3)) for gap in gaps))
-    return P, sizes, nonzero, traces_equal, residual, partial <= tol
+    return P, sizes, nonzero, traces_equal, residual, residual <= tol * scale, partial <= tol * scale
 
 
-def _relation_reports(relation: tuple, tol: float) -> list[RelationReport | None]:
+def _relation_reports(relation: tuple) -> list[RelationReport | None]:
     """A :class:`RelationReport` per member of :func:`_relation`; ``None`` where ``P`` vanishes."""
-    P, _, nonzero, traces_equal, residual, partial_ok = relation
-    rows = zip(P.T.tolist(), *(a.tolist() for a in (nonzero, traces_equal, residual, partial_ok)))
+    P, _, *verdicts = relation
+    rows = zip(P.T.tolist(), *(a.tolist() for a in verdicts))
     return [
-        RelationReport(
-            probability=FirstOrderPoly(*p), traces_equal=equal, relation_holds=r <= tol,
-            partial_traces_consistent=partial, max_residual=r,
-        )
-        if ok
-        else None
-        for p, ok, equal, r, partial in rows
+        RelationReport(FirstOrderPoly(*p), equal, holds, partial, r) if ok else None
+        for p, ok, equal, r, holds, partial in rows
     ]
 
 
@@ -288,13 +299,13 @@ def validate_triple(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> Relation
     """Check traces, the product relation and the partial traces of a triple.
 
     The relation is tested cross-multiplied, ``joint * P = out1 (x) out2``,
-    with no division.  ``max_residual`` is the largest coefficient of the
-    difference over all entries and degrees, divided by ``max|P|`` so that
-    it reads in the units of the joint block.  This is the structure
-    stage's :func:`_relation` on a stack of one.
+    with no division; ``max_residual``, the largest coefficient of the
+    difference divided by ``max|P|``, reads in the units of the joint block.
+    Each check passes within ``tol`` times the triple's largest coefficient.
+    This is the structure stage's :func:`_relation` on a stack of one.
     """
     stacks = (t.joint.coeffs[None], t.out1.coeffs[None], t.out2.coeffs[None])
-    (report,) = _relation_reports(_relation(*stacks, tol), tol)
+    (report,) = _relation_reports(_relation(*stacks, tol))
     if report is None:
         raise ZeroProbabilityError("trace polynomial vanishes identically")
     return report
@@ -314,15 +325,14 @@ def phase_state_operator(state) -> PhaseOperator:
     )
 
 
-def normalized_output(
-    op: PhaseOperator, P: FirstOrderPoly, phi: float, tol: float = 1e-12
-) -> np.ndarray:
+def normalized_output(op: PhaseOperator, P: FirstOrderPoly, phi: float) -> np.ndarray:
     """The output state ``op(phi) / P(phi)``.
 
-    Raises :class:`ZeroProbabilityAtPhaseError` when ``|P(phi)| <= tol``;
-    there is no output at phases of zero success probability.
+    Raises :class:`ZeroProbabilityAtPhaseError` when ``|P(phi)|`` is at most
+    ``DEFAULT_TOL * max|P|``; there is no output at phases of zero success
+    probability.
     """
     denom = P.eval(phi)
-    if abs(denom) <= tol:
+    if abs(denom) <= DEFAULT_TOL * P.max_abs():
         raise ZeroProbabilityAtPhaseError(f"P({phi}) = {denom} is numerically zero")
     return eval_matrix(op, phi) / denom

@@ -12,7 +12,7 @@ iteration (Boyd & Balakrishnan, SCL 15, 1990):
 
 * Seed ``g`` with the smallest ``lambda_min`` at ``2d + 2`` equispaced
   phases.
-* Put the level ``L = g - eps``, ``eps = 1e-13 * max(1, max|coeffs|)``.
+* Put the level ``L = g - eps``, ``eps = 1e-13 * max|coeffs|``.
   ``L`` is an eigenvalue of ``M(phi)`` iff ``x`` is a unit-circle root of
   ``det(A x^2 + (C - L I) x + A^H) = 0``, a quadratic eigenvalue problem
   read from a ``2d x 2d`` companion matrix after the shift
@@ -170,7 +170,7 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
     """Factor a real-valued probability polynomial, certifying positivity.
 
     Raises :class:`NotRealValuedError` if ``P`` is not real-valued within
-    ``tol``; :class:`ConstantProbabilityError` if ``alpha = 0`` (a
+    ``tol * max|P|``; :class:`ConstantProbabilityError` if ``alpha = 0`` (a
     phase-independent probability, which the classifier treats separately);
     :class:`NotPositiveError` if ``R / |alpha| < 2 - tol``.
     """
@@ -190,14 +190,7 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
     ratio = max(ratio, 2.0)
     r = (ratio + math.sqrt(ratio * ratio - 4.0)) / 2.0
     root_phase = cmath.exp(1j * theta)
-    return ProbabilityDecomposition(
-        alpha_abs=alpha_abs,
-        theta=theta,
-        R=R,
-        r=r,
-        p0=r * root_phase,
-        p1=root_phase / r,
-    )
+    return ProbabilityDecomposition(alpha_abs, theta, R, r, r * root_phase, root_phase / r)
 
 
 def _basis(phis) -> np.ndarray:
@@ -266,13 +259,13 @@ def _seeds(d: int) -> tuple:
 def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
     """Two float arrays: the phases ``2 pi k / n`` (``k < n``) and lambda_min of ``op`` at each.
 
-    The phases are read-only and shared between calls.  Hermiticity is
-    checked within ``DEFAULT_TOL`` (:class:`NotHermitianError`).  The sweep
+    The phases are read-only and shared between calls.  Hermiticity is checked
+    within ``DEFAULT_TOL * max|coeffs|`` (:class:`NotHermitianError`).  The sweep
     evaluates and solves one block of phases at a time, at most 2^16 matrix
     entries (1 MiB) per block, so its memory does not grow with ``n * d * d``.
     """
     family, defect = hermitian_part(op.coeffs)
-    if not defect <= DEFAULT_TOL:
+    if not defect <= DEFAULT_TOL * op.max_abs():
         raise NotHermitianError("operator family is not hermitian-preserving")
     phis, basis = _grid(n)
     return phis, _lambda_min_grid(family, basis)
@@ -381,11 +374,11 @@ def _constant_level_crossings(E: np.ndarray, g: float, scale: float):
     return crossings
 
 
-def _minimum(families: np.ndarray) -> tuple[list[float], list[float]]:
+def _minimum(families: np.ndarray, sizes: list[float]) -> tuple[list[float], list[float]]:
     """Per family of an ``(N, 3, d, d)`` stack: min over phi of lambda_min and a phase attaining it.
 
-    The level-set iteration of the module docstring run on a stack (see
-    "Stacks" there); a degenerate member finds its crossings on its own.
+    ``sizes`` holds their ``max|coeffs|``.  The level-set iteration of the module docstring on
+    a stack ("Stacks" there); a degenerate member (or a zero one) finds its crossings alone.
     """
     d = families.shape[-1]
     seeds, _, basis, *_ = _seeds(d)
@@ -393,18 +386,16 @@ def _minimum(families: np.ndarray) -> tuple[list[float], list[float]]:
     flat = families.reshape(-1, 3, d * d)
     E = (basis @ flat).reshape(-1, d, d)  # member-major
     lams = _lowest(E).tolist()
-    sizes = np.abs(families).max(axis=(1, 2, 3), initial=0.0).tolist()
     g, phi, eps, split, anchors = [], [], [], {}, []
     for m, size in enumerate(sizes):
         lam = lams[m * n : (m + 1) * n]
-        scale = max(1.0, size)
         low, top = min(lam), max(lam)
         g.append(low)
         phi.append(seeds[lam.index(low)])
-        eps.append(_LEVEL_GAP * scale)
+        eps.append(_LEVEL_GAP * size)
         anchors.append(m * n + lam.index(top))
-        if top - low + eps[m] < _DEGENERATE_REL * size:
-            split[m] = _constant_level_crossings(E[m * n : (m + 1) * n], low, scale)
+        if top - low + eps[m] <= _DEGENERATE_REL * size:
+            split[m] = _constant_level_crossings(E[m * n : (m + 1) * n], low, size)
     # Anchored at each member's largest seed (``anchors`` index the rows of
     # ``E``); built for every member, used by those that are not split off.
     pencil = _pencil_crossings(families, [k % n for k in anchors], E.take(anchors, axis=0))
@@ -442,7 +433,8 @@ def _minimum(families: np.ndarray) -> tuple[list[float], list[float]]:
 def _certify_many(families, tol: float) -> list[PositivityVerdict | None]:
     """The certificate on each ``(3, d, d)`` Hermitian family, ``None`` for ``None``.
 
-    The families of one dimension are certified as one stack.
+    A family is positive iff its minimum is at least ``-tol * max|family|``;
+    the families of one dimension are certified as one stack.
     """
     verdicts: list[PositivityVerdict | None] = [None] * len(families)
     groups: dict[int, list[int]] = {}
@@ -451,8 +443,9 @@ def _certify_many(families, tol: float) -> list[PositivityVerdict | None]:
             groups.setdefault(family.shape[-1], []).append(i)
     for members in groups.values():
         stack = np.array([families[i] for i in members])
-        for i, low, phi in zip(members, *_minimum(stack)):
-            verdicts[i] = PositivityVerdict(low >= -tol, low, phi)
+        sizes = np.abs(stack).max(axis=(1, 2, 3)).tolist()
+        for i, size, low, phi in zip(members, sizes, *_minimum(stack, sizes)):
+            verdicts[i] = PositivityVerdict(low >= -tol * size, low, phi)
     return verdicts
 
 
@@ -462,18 +455,18 @@ def positivity_many(ops, tol: float = DEFAULT_TOL) -> list[PositivityVerdict | N
     Operators are grouped by dimension, and each group's certificate runs
     once over its ``(N, 3, d, d)`` stack.
     """
-    parts = (hermitian_part(op.coeffs) for op in ops)
-    return _certify_many([family if defect <= tol else None for family, defect in parts], tol)
+    parts = ((op.max_abs(), *hermitian_part(op.coeffs)) for op in ops)
+    return _certify_many([f if defect <= tol * size else None for size, f, defect in parts], tol)
 
 
 def is_positive_over_phase(op: PhaseOperator, tol: float = DEFAULT_TOL) -> PositivityVerdict:
-    """Certify lambda_min(op(phi)) >= -tol over the whole phase circle.
+    """Certify ``lambda_min(op(phi)) >= -tol * max|coeffs|`` over the whole phase circle.
 
     ``min_eigenvalue`` is the exact minimum over the circle (within
-    ``1e-13 * max(1, max|coeffs|)``, see the module docstring), attained at
-    ``witness_phi`` for every verdict.  Hermiticity is checked at the same
-    ``tol`` (:class:`NotHermitianError`).  This is :func:`positivity_many`
-    on a stack of one.
+    ``1e-13 * max|coeffs|``, see the module docstring), attained at
+    ``witness_phi`` for every verdict; ``coeffs`` are the Hermitian part's.
+    Hermiticity is checked within ``tol * max|op.coeffs|``
+    (:class:`NotHermitianError`).  This is :func:`positivity_many` on a stack of one.
     """
     (verdict,) = positivity_many([op], tol)
     if verdict is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trigpoly import _divide
-from .operators import JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
+from .operators import DEFAULT_TOL, JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
 from . import analysis
 
 __all__ = [
@@ -44,9 +44,6 @@ WITNESS_LEVEL = -1e-6
 #: Trials sampled and analyzed as one stack by :func:`theorem_search`; it
 #: only bounds the memory of a long search.
 _BLOCK = 1024
-
-#: Joint-assembly tolerance; one value keeps search and sampler in step.
-_ASSEMBLE_TOL = 1e-9
 
 _STRATA = (
     ("proportional", 0.15),
@@ -82,11 +79,6 @@ class SamplerParams:
 
     alpha_abs_range: tuple = (0.1, 2.0)
     r_range: tuple = (1.0, 4.0)
-    offdiag_scale_range: tuple = (0.2, 2.0)
-    # Keep free roots and angles away from the forced ones so that
-    # phase-dependent samples show a clearly negative eigenvalue.
-    min_angle_gap: float = 0.7
-    min_root_gap: float = 0.3
     strata: tuple = _STRATA
     pin_stratum: str | None = None
     pin_alpha_abs: float | None = None
@@ -131,6 +123,9 @@ class SamplerParams:
 
 _DEFAULT_PARAMS = SamplerParams()
 _ZERO = (0j, 0j, 0j)
+# The range of off-diagonal scale moduli, and how far free angles and roots keep from
+# the forced ones so that phase-dependent samples show a clearly negative eigenvalue.
+_OFFDIAG_SCALE_RANGE, _MIN_ANGLE_GAP, _MIN_ROOT_GAP = (0.2, 2.0), 0.7, 0.3
 
 
 def _scaled(k, P: tuple) -> tuple:
@@ -163,8 +158,8 @@ def _polar(rng, lo: float, hi: float) -> complex:
     return _uniform(rng, lo, hi) * cmath.exp(1j * _uniform(rng, 0.0, 2.0 * math.pi))
 
 
-def _separated(rng, params: SamplerParams, avoid: complex) -> complex:
-    gap = params.min_root_gap * max(1.0, abs(avoid))
+def _separated(rng, avoid: complex) -> complex:
+    gap = _MIN_ROOT_GAP * max(1.0, abs(avoid))
     for _ in range(64):
         f = _polar(rng, 0.2, 2.0)
         if abs(f - avoid) >= gap:
@@ -172,9 +167,9 @@ def _separated(rng, params: SamplerParams, avoid: complex) -> complex:
     return -avoid if avoid != 0 else 1.0 + 0j
 
 
-def _signed_gap(rng, params: SamplerParams) -> float:
+def _signed_gap(rng) -> float:
     sign = 1.0 if rng.random() < 0.5 else -1.0
-    return sign * _uniform(rng, params.min_angle_gap, math.pi)
+    return sign * _uniform(rng, _MIN_ANGLE_GAP, math.pi)
 
 
 def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
@@ -225,11 +220,11 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
         u = rng.random()
         w01 = w10 = _ZERO  # a zero pair is not conjugated: its imaginary zeros stay +0.0
         if force_offdiag or u >= 0.2:
-            s = _polar(rng, *params.offdiag_scale_range)
+            s = _polar(rng, *_OFFDIAG_SCALE_RANGE)
             if u < (0.5 if force_offdiag else 0.6):
                 w01 = (0j, s * role_root, s)
             else:
-                w01 = _full(s, role_root, _separated(rng, params, companion))
+                w01 = _full(s, role_root, _separated(rng, companion))
             w10 = _conj(w01)
         return _matrix([[_scaled(b0, P), w01], [w10, _scaled(1.0 - b0, P)]])
 
@@ -250,7 +245,7 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
         if rng.random() < 0.4:
             d0 = _scaled(_uniform(rng, 0.1, 0.9), P)
         else:
-            psi = theta + _signed_gap(rng, params)
+            psi = theta + _signed_gap(rng)
             sign = 1.0 if rng.random() < 0.5 else -1.0
             s0 = sign * _uniform(rng, 0.2, 1.5) * cmath.exp(-0.5j * (theta + psi))
             d0 = _full(s0, p0, cmath.exp(1j * psi))
@@ -258,13 +253,13 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
         if u < 0.25:
             w01 = _ZERO
         else:
-            s = _polar(rng, *params.offdiag_scale_range)
+            s = _polar(rng, *_OFFDIAG_SCALE_RANGE)
             if u < 0.6:
                 w01 = (0j, s * p0, s)
             elif rng.random() < 0.3:
                 w01 = _full(s, p0, p1)
             else:
-                f = _uniform(rng, 0.2, 2.0) * cmath.exp(1j * (theta + _signed_gap(rng, params)))
+                f = _uniform(rng, 0.2, 2.0) * cmath.exp(1j * (theta + _signed_gap(rng)))
                 w01 = _full(s, p0, f)
         return _matrix([[d0, w01], [_conj(w01), tuple(p - e for p, e in zip(P, d0))]])
 
@@ -289,14 +284,16 @@ def _assemble(out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
     ``P``, all members in one batched division.  Returns the ``(joint,
     out1, out2)`` stacks of the accepted members, their indices, and a dict
     from each rejected member's index to its :class:`SampleRejected`
-    message: the traces disagree, ``P`` vanishes, or some product entry is
-    not divisible (the first in row-major order is named).
+    message: the traces disagree or ``P`` vanishes (each beyond ``tol``
+    times the member's largest output coefficient), or some product entry
+    is not divisible (the first in row-major order is named).
     """
     c1, c2 = out1.swapaxes(0, 1), out2.swapaxes(0, 1)
     d1, d2 = c1.shape[-1], c2.shape[-1]
     P = c1.trace(axis1=-2, axis2=-1)
-    mismatch = np.abs(c2.trace(axis1=-2, axis2=-1) - P).max(axis=0) > tol
-    vanishes = np.abs(P).max(axis=0) <= tol
+    limit = tol * np.maximum(*(np.abs(c).max(axis=(0, 2, 3)) for c in (c1, c2)))
+    mismatch = np.abs(c2.trace(axis1=-2, axis2=-1) - P).max(axis=0) > limit
+    vanishes = np.abs(P).max(axis=0) <= limit
     rejected = {
         i: "marginal traces disagree" if mismatch[i] else "trace polynomial vanishes"
         for i in np.flatnonzero(mismatch | vanishes).tolist()
@@ -313,7 +310,7 @@ def _assemble(out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
 
 
 def assemble_triple(
-    out1: PhaseOperator, out2: PhaseOperator, tol: float = _ASSEMBLE_TOL
+    out1: PhaseOperator, out2: PhaseOperator, tol: float = DEFAULT_TOL
 ) -> UncorrelatedTriple:
     """Build the joint block by dividing the tensor product by the trace.
 
@@ -400,10 +397,7 @@ def _witness(verdicts: list) -> tuple[float, float | None, str | None]:
 
 
 def theorem_search(
-    trials: int,
-    seed: int = 0,
-    tol: float = 1e-9,
-    params: SamplerParams | None = None,
+    trials: int, seed: int = 0, tol: float = DEFAULT_TOL, params: SamplerParams | None = None
 ) -> SearchReport:
     """Analyze ``trials`` sampled candidates and hunt for theorem violations.
 
@@ -414,15 +408,15 @@ def theorem_search(
     exact minimum over the phase circle) runs only on hermitian-preserving,
     relation-satisfying triples with both outputs phase-dependent, the only
     ones where it can decide a verdict.
-    Those must show a minimum eigenvalue below ``-1e-6`` at some phase; any
-    that do not are recorded as witness failures, and any report that is
-    not theorem-consistent is recorded as a violation.  Both lists must
-    stay empty.  The outputs of such a triple are certified first, and its
-    joint only where both output minima are at least ``min(-1e-6, -tol)``:
-    an output below that is a witness and makes the triple consistent,
-    whatever the joint.  The witness is the least certified minimum, so a
-    joint not certified is never one.  ``trials`` must be an integer >= 1
-    and ``seed`` one >= 0.
+    Those must show a minimum eigenvalue below ``WITNESS_LEVEL`` at some
+    phase; any that do not are recorded as witness failures, and any report
+    that is not theorem-consistent is recorded as a violation.  Both lists
+    must stay empty.  The outputs of such a triple are certified first, and
+    its joint unless an output is already non-positive and below
+    ``WITNESS_LEVEL``: that output is a witness and makes the triple
+    consistent, whatever the joint.  The witness is the least certified
+    minimum, so a joint not certified is never one.  ``tol`` is relative (see
+    ``operators.DEFAULT_TOL``); ``trials`` must be an integer >= 1 and ``seed`` one >= 0.
     """
     for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
         if not (isinstance(value, numbers.Integral) and value >= low):
@@ -440,7 +434,7 @@ def theorem_search(
     for start in range(0, trials, _BLOCK):
         block = range(start, min(start + _BLOCK, trials))
         draws = np.array([_draw([seed, k], params) for k in block])
-        stacks, kept, rejected = _assemble(draws[:, 0], draws[:, 1], _ASSEMBLE_TOL)
+        stacks, kept, rejected = _assemble(draws[:, 0], draws[:, 1], DEFAULT_TOL)
         rejection_reasons.update(rejected.values())
         accepted += len(kept)
         s = analysis._structure(*stacks, tol)
@@ -453,11 +447,10 @@ def theorem_search(
         joints, out1s, out2s = s.families
         outputs = analysis._certify_many([f[m] for m in decided for f in (out1s, out2s)], tol)
         verdicts = [[None, *outputs[2 * n : 2 * n + 2]] for n in range(len(decided))]
-        # An output below both levels already is a witness and makes the
-        # triple consistent, so only the other members' joints are certified.
-        level = min(WITNESS_LEVEL, -tol)
-        lows = [min(v1.min_eigenvalue, v2.min_eigenvalue) for _, v1, v2 in verdicts]
-        open_ = [n for n, low in enumerate(lows) if low >= level]
+        # A non-positive output below WITNESS_LEVEL already is a witness and
+        # makes the triple consistent, so only the other members' joints are certified.
+        open_ = [n for n, (_, *outs) in enumerate(verdicts)
+                 if all(v.positive or v.min_eigenvalue >= WITNESS_LEVEL for v in outs)]
         certified = analysis._certify_many([joints[decided[n]] for n in open_], tol)
         for n, joint in zip(open_, certified):
             verdicts[n][0] = joint

@@ -34,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "ZERO_COEFF_REL",
+    "ALGEBRA_TOL",
     "FirstOrderPoly",
     "FullForm",
     "AffineForm",
@@ -51,6 +52,9 @@ __all__ = [
 
 #: Relative magnitude below which a coefficient counts as zero in case splits.
 ZERO_COEFF_REL = 1e-13
+#: Default tolerance of divisibility (relative to each numerator) and of
+#: second-order content (absolute).
+ALGEBRA_TOL = 1e-10
 
 
 class ZeroPolynomialError(ValueError):
@@ -119,9 +123,9 @@ class FirstOrderPoly:
         """True iff the polynomial takes real values for every real phi.
 
         Coefficientwise criterion: ``b = conj(a)`` and ``c`` real, both
-        within ``tol``.
+        within ``tol * max_abs()``.
         """
-        return abs(self.b - self.a.conjugate()) <= tol and abs(self.c.imag) <= tol
+        return max(abs(self.b - self.a.conjugate()), abs(self.c.imag)) <= tol * self.max_abs()
 
     def conjugate(self) -> "FirstOrderPoly":
         """The polynomial whose value is the complex conjugate at every phi."""
@@ -233,7 +237,7 @@ def _long_div(num: np.ndarray, d: np.ndarray, lead: int) -> np.ndarray:
     return shifted[[2, 0, 1]]
 
 
-def _divide(num, den, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _divide(num, den, tol: float = ALGEBRA_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The division of :func:`exact_div` without the divisibility verdict.
 
     Returns the ``(3, ...)`` quotients, the residual ``max|num - den * q|``
@@ -276,7 +280,7 @@ def _divide(num, den, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.nd
     return q, residual, tol * np.abs(num).max(axis=0)
 
 
-def exact_div(num, den, tol: float = 1e-10) -> np.ndarray:
+def exact_div(num, den, tol: float = ALGEBRA_TOL) -> np.ndarray:
     """Divide products (degrees -2..2 on axis 0) by first-order divisors ``den``.
 
     ``den`` holds ``(a, b, c)`` on axis 0 and broadcasts over the trailing
@@ -358,7 +362,7 @@ def expand(f: DecompositionForm) -> FirstOrderPoly:
     raise TypeError(f"not a decomposition form: {f!r}")
 
 
-def has_second_order(products, tol: float = 1e-10) -> bool:
+def has_second_order(products, tol: float = ALGEBRA_TOL) -> bool:
     """True iff a degree +2 or -2 coefficient of ``products`` (degrees -2..2
     on axis 0) exceeds ``tol`` in magnitude."""
     return bool((np.abs(np.asarray(products)[[0, 4]]) > tol).any())

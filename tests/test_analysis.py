@@ -267,11 +267,13 @@ def test_analyze_never_raises_on_zero_triple():
 
 
 def test_analyze_hermitian_within_tol_does_not_raise():
-    # Hermitian within tol = 1e-9 but not within 1e-10: positivity checks
-    # hermiticity at the same tol as analyze, so a report comes back.
+    # Hermitian within tol * max|coeffs| = 1e-9 * 0.25 but not within a tenth
+    # of it: positivity checks hermiticity at the same relative tol as
+    # analyze, so a report comes back.
     t = builtin("case1-example").payload
+    assert t.out1.max_abs() == 0.25
     coeffs = t.out1.coeffs.copy()
-    coeffs[2, 0, 1] += 5e-10
+    coeffs[2, 0, 1] += 1e-10
     shifted = UncorrelatedTriple(joint=t.joint, out1=PhaseOperator(coeffs), out2=t.out2)
     rep = analyze(shifted)
     assert rep.hp_out1
@@ -492,7 +494,7 @@ def test_search_reports_drop_only_the_certificates_that_decide_nothing():
     full = analyze_many(triples)
     searched = [None] * len(triples)
     for members, s in _stages(triples):
-        for i, report in zip(members, analysis._reports(s, _searched_verdicts(s), DEFAULT_TOL)):
+        for i, report in zip(members, analysis._reports(s, _searched_verdicts(s))):
             searched[i] = report
     assert not all(r.hp_ok for r in full) and not all(r.relation_ok for r in full)
     assert any(r.probability == "constant-probability" for r in full)

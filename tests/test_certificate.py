@@ -22,6 +22,7 @@ from phaseclone import (
     analyze_many,
     builtin,
     generate_case2_candidate,
+    is_hermitian_preserving,
     is_positive_over_phase,
     phase_state_operator,
     positivity_many,
@@ -209,7 +210,7 @@ def test_scaling_scales_the_minimum(k):
     for op in ops:
         scaled = PhaseOperator(k * op.coeffs)
         low = is_positive_over_phase(op).min_eigenvalue
-        assert is_positive_over_phase(scaled, 1e-9 * k).min_eigenvalue == pytest.approx(
+        assert is_positive_over_phase(scaled).min_eigenvalue == pytest.approx(
             k * low, abs=bound(scaled)
         )
 
@@ -234,12 +235,11 @@ def test_huge_coefficients_with_a_constant_eigenvalue():
     # Seeds flat at 0 with coefficients at the bound MAX_COEFF = 1e150: the
     # split-off characteristic polynomial (at scale 1e150, a product of
     # 1e150 * 1e150 * 1e150) must not overflow.  Rounding is relative to the
-    # coefficients, so is the tolerance.
-    tol = 1e-9 * 1e150
+    # coefficients, and so is the default tolerance.
     big = PhaseOperator([np.zeros((2, 2)), np.zeros((2, 2)), 1e150 * np.eye(2)])
     for scale in (1.0, 1e150):
         op = _direct_sum(PhaseOperator(scale * phase_state_operator(0.3).coeffs), big)
-        verdict = is_positive_over_phase(op, tol)
+        verdict = is_positive_over_phase(op)
         assert verdict.positive
         assert abs(verdict.min_eigenvalue) <= bound(op)
         assert_exact(op, verdict)
@@ -248,7 +248,7 @@ def test_huge_coefficients_with_a_constant_eigenvalue():
         PhaseOperator(1e149 * phase_state_operator(0.3).coeffs),
         _branch(1e149 * np.exp(-0.3j), 2e149 - 1e141),
     )
-    verdict = is_positive_over_phase(dip, tol)
+    verdict = is_positive_over_phase(dip)
     assert not verdict.positive
     assert verdict.min_eigenvalue == pytest.approx(-1e141, abs=bound(dip))
     assert abs(verdict.witness_phi - (math.pi + 0.3)) < 1e-5
@@ -347,7 +347,7 @@ def _verdict_digest(verdicts) -> str:
 
 
 #: sha256 prefix of every (positive, min_eigenvalue, witness_phi) of ``_pinned_families``.
-_PINNED_VERDICTS = {"stacked": "b26aee69a8586e0f", "alone": "b26aee69a8586e0f"}
+_PINNED_VERDICTS = {"stacked": "ac70d2b2a568301a", "alone": "ac70d2b2a568301a"}
 
 
 def test_certificate_bits_are_pinned():
@@ -355,6 +355,19 @@ def test_certificate_bits_are_pinned():
     assert len(ops) > 150
     assert _verdict_digest(positivity_many(ops)) == _PINNED_VERDICTS["stacked"]
     assert _verdict_digest([positivity_many([op])[0] for op in ops]) == _PINNED_VERDICTS["alone"]
+
+
+@pytest.mark.parametrize("k", [1e-8, 1e8])
+def test_scaling_keeps_single_operator_verdicts(k):
+    # Hermiticity and positivity are judged against the operator's own
+    # largest coefficient, so scaling by k > 0 changes neither verdict.
+    ops = _pinned_families()
+    scaled = [PhaseOperator(k * op.coeffs) for op in ops]
+    hermitian = [is_hermitian_preserving(op) for op in ops]
+    assert [is_hermitian_preserving(op) for op in scaled] == hermitian
+    positive = [None if v is None else v.positive for v in positivity_many(ops)]
+    assert [None if v is None else v.positive for v in positivity_many(scaled)] == positive
+    assert {False, True} <= set(hermitian) and {None, False, True} <= set(positive)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4, 8, 12, 18))

@@ -27,6 +27,7 @@ from phaseclone import (
     PhaseOperator,
     SampleRejected,
     UncorrelatedTriple,
+    ZeroProbabilityError,
     analyze,
     analyze_many,
     assemble_triple,
@@ -35,6 +36,7 @@ from phaseclone import (
     is_positive_over_phase,
     swap_systems,
     trace_poly,
+    validate_triple,
 )
 from phaseclone.catalog import NAMES
 
@@ -139,18 +141,7 @@ def _scaled(t: UncorrelatedTriple, k: float) -> UncorrelatedTriple:
     )
 
 
-_ABSOLUTE = pytest.mark.xfail(
-    strict=True,
-    reason="absolute tolerances: the relation, hermiticity and positivity thresholds "
-    "do not scale with the operator, so a far scale flips verdicts",
-)
-
-
-@pytest.mark.parametrize(
-    "k",
-    [1e-6, 1e-4, 1e-2, 0.5, 2.0, 1e2, 1e4]
-    + [pytest.param(k, marks=_ABSOLUTE) for k in (1e-8, 1e6, 1e8)],
-)
+@pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0, 1e2, 1e4, 1e6, 1e8])
 def test_scaling_keeps_every_verdict(triples, reports, k):
     # Scaling all three operators by k > 0 keeps the relation (both sides
     # scale by k^2), hermiticity, positivity, the entry roots and so the
@@ -162,6 +153,25 @@ def test_scaling_keeps_every_verdict(triples, reports, k):
         if (_verdict(a), _label(a)) != (_verdict(b), _label(b))
     ]
     assert flips == []
+
+
+def _relation_ok(t: UncorrelatedTriple) -> bool | None:
+    try:
+        return validate_triple(t).all_ok
+    except ZeroProbabilityError:
+        return None
+
+
+@pytest.mark.parametrize("k", [1e-8, 1e8])
+def test_scaling_keeps_each_relation_verdict(triples, k):
+    # validate_triple on its own judges the traces, the relation and the
+    # partial traces against the triple's largest coefficient.  A joint off
+    # by a relative 1e-6 fails at every scale.
+    off = [UncorrelatedTriple(_scaled(t, 1.0 + 1e-6).joint, t.out1, t.out2) for t in triples[:20]]
+    inputs = triples + off
+    before = [_relation_ok(t) for t in inputs]
+    assert [_relation_ok(_scaled(t, k)) for t in inputs] == before
+    assert {True, False} <= set(before)
 
 
 def _depolarised(t: UncorrelatedTriple, a: float) -> UncorrelatedTriple:
@@ -203,7 +213,7 @@ def test_depolarised_counterexample_meets_the_closed_form(eps):
 @pytest.mark.xfail(
     strict=True,
     reason="knife edge: negativity shrinks as eps^2 and phase dependence as eps, "
-    "so fixed absolute tolerances report a violation the closed form rules out",
+    "so fixed tolerances, absolute or relative, report a violation the closed form rules out",
 )
 def test_depolarised_counterexample_is_no_false_violation():
     verdicts = [

@@ -5,7 +5,9 @@ the package or re-exported from ``phaseclone/__init__.py`` (a console
 script named in ``pyproject.toml`` counts as used), and every name in a
 module's ``__all__`` is defined in that module or imported into it from a
 sibling module (a re-export).  Code that only tests call
-belongs in ``tests/helpers.py``.
+belongs in ``tests/helpers.py``.  Small float literals (tolerances, in
+practice) appear only as module-level constants, so that each threshold is
+named once and the tolerance policy of ``operators.DEFAULT_TOL`` can list them.
 """
 
 from __future__ import annotations
@@ -107,6 +109,27 @@ def _all(tree: ast.Module) -> list[str]:
     return []
 
 
+def _small_literals(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.py:line`` of each float literal ``0 < |x| < 1e-3`` outside a module-level assignment."""
+    found = []
+    for module, tree in modules.items():
+        named = {
+            id(n)
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for n in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0.0 < abs(node.value) < 1e-3
+                and id(node) not in named
+            ):
+                found.append((module, node.lineno))
+    return [f"{module}.py:{line}" for module, line in sorted(found)]
+
+
 def test_every_top_level_definition_is_used_or_exported():
     assert _unused(_modules()) == []
 
@@ -116,6 +139,18 @@ def test_every_name_in_all_is_defined_in_its_module():
         module: sorted(set(_all(tree)) - _defined(tree)) for module, tree in _modules().items()
     }
     assert {module: names for module, names in stale.items() if names} == {}
+
+
+def test_no_small_float_literal_outside_a_named_constant():
+    assert _small_literals(_modules()) == []
+
+
+def test_the_guard_sees_a_literal_tolerance():
+    module = ast.parse(
+        "TOL = 1e-9\nBAND = (-2e-4, 0.5)\n\n"
+        "def f(x, tol=1e-10):\n    return x < 2e-4 * TOL + 0.5 and x != 0.0\n"
+    )
+    assert _small_literals({"m": module}) == ["m.py:4", "m.py:5"]
 
 
 def test_the_guard_sees_a_definition_only_tests_use():

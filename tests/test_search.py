@@ -22,6 +22,7 @@ from phaseclone import (
 )
 from phaseclone import analysis, search
 from phaseclone.analysis import CaseLabel
+from phaseclone.operators import DEFAULT_TOL
 
 from helpers import fp, max_coeff_diff, mixed_counterexample
 
@@ -387,7 +388,7 @@ def test_batched_assembly_equals_per_trial_candidates(params):
     for start in range(0, 150, 50):
         block = range(start, start + 50)
         outputs = np.array([search._draw([seed, k], params) for k in block])
-        stacks, kept, rejected = search._assemble(*outputs.swapaxes(0, 1), search._ASSEMBLE_TOL)
+        stacks, kept, rejected = search._assemble(*outputs.swapaxes(0, 1), DEFAULT_TOL)
         accepted = dict(zip(kept.tolist(), zip(*stacks)))
         assert sorted([*accepted, *rejected]) == list(range(len(block)))
         for n, k in enumerate(block):
@@ -467,23 +468,24 @@ def test_search_certifies_only_both_phase_dependent_triples(monkeypatch):
 
 @pytest.mark.parametrize(
     "eps, tol, witness, violated",
-    [(1e-4, 1e-9, False, False), (7e-4, 1e-9, True, False), (1e-3, 1e-5, True, True)],
+    [(1e-4, 1e-9, False, False), (7e-4, 1e-9, True, False), (1e-3, 1e-4, True, True)],
 )
 def test_joint_is_certified_where_the_outputs_leave_the_verdict_open(
     eps, tol, witness, violated, monkeypatch
 ):
-    # The mixed counterexample's outputs (-2 eps^2) are above
-    # min(-1e-6, -tol), so its joint (-4 eps^2) is certified and the search
-    # decides as analyze's three-operator rule does.  At eps = 1e-4 no
-    # operator reaches -1e-6 (a witness failure), at 7e-4 the joint alone
-    # does; at tol = 1e-5 all three operators count as positive, so the
-    # triple is a violation that only the joint's verdict reveals.
+    # The mixed counterexample's outputs (-2 eps^2) are each positive or
+    # above -1e-6, so no output settles the verdict, its joint (-4 eps^2) is
+    # certified and the search decides as analyze's three-operator rule
+    # does.  At eps = 1e-4 no operator reaches -1e-6 (a witness failure), at
+    # 7e-4 the joint alone does; at tol = 1e-4 all three operators count as
+    # positive (the joint's floor is -tol * 0.25), so the triple is a
+    # violation that only the joint's verdict reveals.
     outputs = mixed_counterexample(eps)
     rep = analyze(assemble_triple(*(PhaseOperator(c) for c in outputs)), tol)
     verdicts = (rep.positivity_out1, rep.positivity_out2, rep.positivity_joint)
     assert rep.hp_ok and rep.relation_ok and rep.theorem_consistent is not violated
     assert rep.out1_phase_dependent and rep.out2_phase_dependent
-    assert min(v.min_eigenvalue for v in verdicts[:2]) >= min(search.WITNESS_LEVEL, -tol)
+    assert all(v.positive or v.min_eigenvalue >= search.WITNESS_LEVEL for v in verdicts[:2])
     low = min(verdicts, key=lambda v: v.min_eigenvalue)
     assert (low.min_eigenvalue < search.WITNESS_LEVEL) is witness
     certified = _counting_certificates(monkeypatch)
