@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,6 +31,8 @@ from .positivity import (
     NotHermitianError,
     PositivityVerdict,
     _grid,
+    _hermitian_family,
+    _lambda_min_grid,
     min_eigenvalue_profile,
 )
 from ._g17 import format_rows
@@ -180,32 +184,40 @@ def _cmd_classify(args) -> int:
     return 0 if report.case is not None else 1
 
 
-#: Rows of the ``profile`` CSV formatted and written at a time.
+#: Rows of the ``profile`` CSV swept (joint), formatted and written at a time.
 _CSV_ROWS = 512
 
 
-def _csv_blocks(columns, n: int):
-    yield b"phi,P,lmin_out1,lmin_out2,lmin_joint\n"
-    for i in range(0, n, _CSV_ROWS):
-        yield format_rows(np.column_stack([c[i:i + _CSV_ROWS] for c in columns]))
-
-
 def _cmd_profile(args) -> int:
-    t = _load_triple(args.file)
+    t, n = _load_triple(args.file), args.samples
+    pool = ThreadPoolExecutor(max_workers=1)
     try:
-        _, l1 = min_eigenvalue_profile(t.out1, args.samples)
-        _, l2 = min_eigenvalue_profile(t.out2, args.samples)
-        _, lj = min_eigenvalue_profile(t.joint, args.samples)
+        # The joint, the largest block, is swept on a second thread in jobs of
+        # _CSV_ROWS rows (LAPACK releases the GIL) while out1 and out2 are swept
+        # here and each block of rows is written as soon as its job is done.
+        joint = _hermitian_family(t.joint)
+        phis, rows = _grid(n)
+        starts = range(0, n, _CSV_ROWS)
+        jobs = [pool.submit(_lambda_min_grid, joint, rows[s : s + _CSV_ROWS]) for s in starts]
+        _, l1 = min_eigenvalue_profile(t.out1, n)
+        _, l2 = min_eigenvalue_profile(t.out2, n)
+        # Re(a x + b conj(x) + c) in the float operations of FirstOrderPoly.eval,
+        # so every P value has the bits of P.eval(phi).real.
+        P, xr, xi = trace_poly(t.out1), rows[:, 0].real, rows[:, 0].imag
+        p = ((P.a.real * xr - P.a.imag * xi) + (P.b.real * xr - P.b.imag * -xi)) + P.c.real
+        columns = (phis, p, l1, l2)
+        blocks = (
+            format_rows(np.column_stack([c[s : s + _CSV_ROWS] for c in columns] + [job.result()]))
+            for s, job in zip(starts, jobs)
+        )
+        # Opened only after all three blocks passed the hermiticity check.
+        _write(args.out, itertools.chain([b"phi,P,lmin_out1,lmin_out2,lmin_joint\n"], blocks))
     except NotHermitianError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    # Re(a x + b conj(x) + c) in the float operations of FirstOrderPoly.eval,
-    # so every P value has the bits of P.eval(phi).real.
-    (phis, rows), P = _grid(args.samples), trace_poly(t.out1)
-    xr, xi = rows[:, 0].real, rows[:, 0].imag
-    p = ((P.a.real * xr - P.a.imag * xi) + (P.b.real * xr - P.b.imag * -xi)) + P.c.real
-    # Written block by block; the output is opened only after every sweep succeeded.
-    _write(args.out, _csv_blocks((phis, p, l1, l2, lj), args.samples))
+    finally:
+        # On any exception the jobs not yet begun are dropped; no thread outlives the call.
+        pool.shutdown(cancel_futures=True)
     return 0
 
 

@@ -256,17 +256,25 @@ def _seeds(d: int) -> tuple:
     return tuple(phis.tolist()), tuple(x.ravel().tolist()), basis, *arrays
 
 
+def _hermitian_family(op: PhaseOperator) -> np.ndarray:
+    """``op``'s Hermitian part; :class:`NotHermitianError` past ``DEFAULT_TOL * max|coeffs|``."""
+    family, defect = hermitian_part(op.coeffs)
+    if not defect <= DEFAULT_TOL * op.max_abs():
+        raise NotHermitianError("operator family is not hermitian-preserving")
+    return family
+
+
 def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np.ndarray, np.ndarray]:
     """Two float arrays: the phases ``2 pi k / n`` (``k < n``) and lambda_min of ``op`` at each.
 
     The phases are read-only and shared between calls.  Hermiticity is checked
-    within ``DEFAULT_TOL * max|coeffs|`` (:class:`NotHermitianError`).  The sweep
-    evaluates and solves one block of phases at a time, at most 2^16 matrix
-    entries (1 MiB) per block, so its memory does not grow with ``n * d * d``.
+    by :func:`_hermitian_family`.  The sweep evaluates and solves one block of
+    phases at a time, at most 2^16 matrix entries (1 MiB) per block, so its
+    memory does not grow with ``n * d * d``.  It is :func:`_lambda_min_grid`
+    over the :func:`_grid` rows, and any split of those rows into calls gives
+    every phase the same bits.
     """
-    family, defect = hermitian_part(op.coeffs)
-    if not defect <= DEFAULT_TOL * op.max_abs():
-        raise NotHermitianError("operator family is not hermitian-preserving")
+    family = _hermitian_family(op)
     phis, basis = _grid(n)
     return phis, _lambda_min_grid(family, basis)
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from phaseclone import (
     serialize_pmap,
     trace_poly,
 )
-from phaseclone import cli
+from phaseclone import cli, positivity
 from phaseclone.cli import main
 from phaseclone.positivity import DEFAULT_TOL, _basis, _lambda_min_grid
 from phaseclone.operators import hermitian_part
@@ -312,8 +313,10 @@ def test_bad_tol_is_input_error(tmp_path, capsys, command, tol):
 @pytest.mark.parametrize("samples", ["abc", "1.5", "0", "-3", "65537", "1000000000000", "9" * 5000])
 def test_bad_samples_is_input_error(tmp_path, capsys, monkeypatch, samples):
     path = _write_entry(tmp_path, "counterexample")
-    # Rejected while parsing the arguments, before any grid is built.
-    monkeypatch.setattr(cli, "min_eigenvalue_profile", lambda *a: pytest.fail("grid built"))
+    # Rejected while parsing the arguments, before any grid is built or swept.
+    monkeypatch.setattr(cli, "_grid", lambda *a: pytest.fail("grid built"))
+    for module in (cli, positivity):
+        monkeypatch.setattr(module, "_lambda_min_grid", lambda *a: pytest.fail("grid swept"))
     with pytest.raises(SystemExit) as exc:
         main(["profile", str(path), "--samples", samples])
     err = capsys.readouterr().err
@@ -392,16 +395,70 @@ def _assert_profile_columns(t: UncorrelatedTriple, samples: int) -> None:
 
 def test_profile_sweeps_each_block_once(tmp_path, monkeypatch):
     path = _write_entry(tmp_path, "counterexample")
-    calls = []
-    sweep = cli.min_eigenvalue_profile
-    monkeypatch.setattr(cli, "min_eigenvalue_profile", lambda op, n: calls.append(n) or sweep(op, n))
-    assert main(["profile", str(path), "--samples", "16", "--out", str(tmp_path / "p.csv")]) == 0
-    assert calls == [16, 16, 16]
+    swept = {}  # id of a swept family -> [the family, rows swept]
+    sweep = positivity._lambda_min_grid
+
+    def counted(family, basis):
+        swept.setdefault(id(family), [family, 0])[1] += len(basis)
+        return sweep(family, basis)
+
+    # min_eigenvalue_profile sweeps out1 and out2; the CLI sweeps the joint in jobs.
+    for module in (cli, positivity):
+        monkeypatch.setattr(module, "_lambda_min_grid", counted)
+    samples = 2 * cli._CSV_ROWS + 7
+    argv = ["profile", str(path), "--samples", str(samples), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 0
+    assert sorted(rows for _, rows in swept.values()) == [samples] * 3
+
+
+def test_profile_sweeps_the_joint_on_one_worker_thread(tmp_path, monkeypatch):
+    path = _write_entry(tmp_path, "counterexample")
+    workers, alive = set(), []
+    sweep = cli._lambda_min_grid
+
+    def recorded(family, basis):
+        workers.add(threading.get_ident())
+        alive.append(threading.active_count())
+        return sweep(family, basis)
+
+    monkeypatch.setattr(cli, "_lambda_min_grid", recorded)
+    before = threading.active_count()
+    argv = ["profile", str(path), "--samples", "4096", "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 0
+    assert len(workers) == 1 and threading.get_ident() not in workers
+    assert set(alive) == {before + 1} and len(alive) == 4096 // cli._CSV_ROWS
+    assert threading.active_count() == before
+
+
+def test_profile_into_a_directory_drops_the_joint_jobs(tmp_path, monkeypatch, capsys):
+    path = _write_entry(tmp_path, "counterexample")
+    # Each joint job waits (30 s at most) until the output has failed to
+    # open, so the jobs still queued then must be dropped, not swept.
+    failed, swept = threading.Event(), []
+    sweep, write = cli._lambda_min_grid, cli._write
+
+    def gated(family, basis):
+        failed.wait(timeout=30)
+        swept.append(len(basis))
+        return sweep(family, basis)
+
+    def write_or_fail(path, chunks):
+        try:
+            write(path, chunks)
+        finally:
+            failed.set()
+
+    monkeypatch.setattr(cli, "_lambda_min_grid", gated)
+    monkeypatch.setattr(cli, "_write", write_or_fail)
+    before = threading.active_count()
+    argv = ["profile", str(path), "--samples", str(cli.MAX_SAMPLES), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert threading.active_count() == before
+    assert failed.is_set() and "error:" in capsys.readouterr().err
+    assert len(swept) < cli.MAX_SAMPLES // cli._CSV_ROWS
 
 
 def test_profile_builds_its_grid_once(tmp_path, monkeypatch):
-    from phaseclone import positivity
-
     path = _write_entry(tmp_path, "counterexample")
     sizes = []
     basis = positivity._basis
@@ -418,13 +475,15 @@ def test_profile_builds_its_grid_once(tmp_path, monkeypatch):
     assert not phis.flags.writeable and not rows.flags.writeable
 
 
-def test_profile_writes_its_csv_one_block_at_a_time(tmp_path):
+@pytest.mark.parametrize("name", ["gamma-3x3-8", "gamma-1x2-2"])
+def test_profile_writes_its_csv_one_block_at_a_time(tmp_path, name):
     # The CSV of 65536 samples is 6.5 MB; each block of rows is written as
     # soon as it is formatted, so neither the table's text nor a copy of
-    # the table is held (the call peaks at about 3 MiB, the sweeps' arrays
-    # included).
+    # the table is held (the call peaks at about 3 to 3.7 MiB, the sweeps'
+    # arrays included).  The 1x2 joint is 2x2, swept in closed form, so its
+    # jobs finish ahead of the writer and their blocks queue up.
     path = tmp_path / "t.pmap"
-    path.write_text(serialize_pmap(document_from_triple(_check_triple("gamma-3x3-8"))))
+    path.write_text(serialize_pmap(document_from_triple(_check_triple(name))))
     argv = ["profile", str(path), "--samples", "65536", "--out", str(tmp_path / "p.csv")]
     assert main(argv) == 0  # warm: the grid and the formatter's tables are built
     tracemalloc.start()

@@ -141,7 +141,17 @@ def _scaled(t: UncorrelatedTriple, k: float) -> UncorrelatedTriple:
     )
 
 
-@pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0, 1e2, 1e4, 1e6, 1e8])
+_FLOOR_XFAIL = pytest.mark.xfail(
+    strict=True,
+    reason="ZERO_COEFF_REL's (1 + scale) floor is absolute below unit scale: at k = 1e-12 "
+    "an out2 entry's leading coefficient drops under it and the entry is read as affine",
+)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [pytest.param(1e-12, marks=_FLOOR_XFAIL), 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0, 1e2, 1e4, 1e6, 1e8],
+)
 def test_scaling_keeps_every_verdict(triples, reports, k):
     # Scaling all three operators by k > 0 keeps the relation (both sides
     # scale by k^2), hermiticity, positivity, the entry roots and so the
