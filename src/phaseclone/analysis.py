@@ -28,11 +28,13 @@ of one.
 
 Triples are checked as coefficient stacks, one ``(N, 3, ., .)`` stack
 each of joints, out1s and out2s per pair of marginal dimensions.  A
-structure stage gives hermiticity, the relation, the probability
-decomposition, phase dependence and the case as arrays over the members;
+structure stage gives, as arrays over the members, the verdicts
+(hermiticity, the relation and the probability decomposition) in one
+half and the case analysis (phase dependence and the case) in the other;
 the positivity certificate then runs on the Hermitian parts it found.
-:func:`analyze`, :func:`analyze_many` and the CLI ``check`` certify every
-operator and build one report per triple.  The randomized search tallies
+:func:`analyze` and :func:`analyze_many` run both halves, certify every
+operator and build one report per triple.  The CLI ``check`` runs the
+verdict half and the certificate only.  The randomized search tallies
 from the stage's arrays, with no object per trial, and certifies only
 hermitian-preserving, relation-satisfying triples with both outputs
 phase-dependent: positivity decides nothing elsewhere.  It certifies
@@ -43,7 +45,6 @@ the witness and the verdict.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,15 +238,13 @@ def deterministic_tensor_obstruction(
 
 
 @dataclass(frozen=True)
-class _Structure:
-    """The verdicts of the N triples of one ``(d1, d2)`` group that need no certificate.
+class _Verdicts:
+    """The verdict half of the structure stage on the N triples of one ``(d1, d2)`` group.
 
     ``families`` holds the Hermitian parts of the joint, out1 and out2
     stacks, ``hp`` whether each operator is hermitian-preserving (``(3,
     N)``) and ``relation`` the arrays of ``operators._relation``.  Per
-    member, ``probability`` is the decomposition of ``P`` or a tag string,
-    ``dependence`` the two dependence flags (``(None, None)`` where ``P``
-    vanishes) and ``case`` the :class:`CaseLabel` or ``None``.
+    member, ``probability`` is the decomposition of ``P`` or a tag string.
     """
 
     families: tuple
@@ -253,8 +252,6 @@ class _Structure:
     relation: tuple
     relation_ok: np.ndarray
     probability: list
-    dependence: list
-    case: list
 
     def operators(self, members) -> list:
         """Each member's Hermitian parts of (joint, out1, out2); ``None`` for a non-hermitian one."""
@@ -262,55 +259,75 @@ class _Structure:
         return [f[m] if ok[m] else None for m in members for f, ok in zip(self.families, hp)]
 
 
-def _outputs(fn, out1: np.ndarray, out2: np.ndarray, *args) -> tuple:
-    """``fn(out1, *a1)`` and ``fn(out2, *a2)`` for ``args`` pairs ``(a1, a2)``.
+@dataclass(frozen=True)
+class _Structure(_Verdicts):
+    """Both halves: also each member's dependence flags (``None`` where ``P`` vanishes) and case."""
 
-    One call when the output stacks have one shape; ``fn`` returns a
-    sequence of arrays over the members.
-    """
-    if out1.shape != out2.shape:
-        return fn(out1, *(a for a, _ in args)), fn(out2, *(b for _, b in args))
-    n = len(out1)
-    both = fn(np.concatenate([out1, out2]), *[np.concatenate(pair) for pair in args])
-    return [r[:n] for r in both], [r[n:] for r in both]
+    dependence: list
+    case: list
 
 
-def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
-    """The structure stage on the ``(N, 3, ., .)`` stacks of N triples of one ``(d1, d2)``.
+def _verdicts(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Verdicts:
+    """The verdict half on the ``(N, 3, ., .)`` stacks of N triples of one ``(d1, d2)``.
 
-    Hermiticity per operator, the product relation, the decomposition of
-    ``P`` (out1's trace) per member, the phase-dependence projection of
-    both outputs where ``P`` does not vanish and the case label of the
-    hermitian-preserving, relation-satisfying members with a decomposed
-    ``P``: everything of a report but the positivity certificate.
+    Hermiticity per operator, the product relation and the decomposition of
+    ``P`` (out1's trace) per member; the certificate runs on ``families``.
     """
     relation = _relation(joint, out1, out2, tol)
     P, sizes, nonzero, traces_equal, _, holds, partial_ok = relation
-    relation_ok = nonzero & traces_equal & holds & partial_ok
-    families, defects = zip(hermitian_part(joint), *_outputs(hermitian_part, out1, out2))
+    families, defects = zip(*(hermitian_part(stack) for stack in (joint, out1, out2)))
     hp = np.array(defects) <= tol * sizes[1:]
-    zero1, zero2 = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2:])  # P vanishes next to each output
+    zero = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2])  # P vanishes next to out1
     probability = [
-        "zero-probability" if zero else _probability(FirstOrderPoly(*row), tol)
-        for zero, row in zip(zero1.tolist(), P.T.tolist())
+        "zero-probability" if z else _probability(FirstOrderPoly(*row), tol)
+        for z, row in zip(zero.tolist(), P.T.tolist())
     ]
-    dependence = [(None, None)] * len(probability)
+    relation_ok = nonzero & traces_equal & holds & partial_ok
+    return _Verdicts(families, hp, relation, relation_ok, probability)
+
+
+def _classification(v: _Verdicts, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
+    """The classification half, on the verdict half ``v`` of the out1 and out2 stacks.
+
+    The phase-dependence projection of both outputs where ``P`` vanishes
+    next to neither, and the case of the hermitian-preserving,
+    relation-satisfying members with a decomposed ``P``.
+    """
+    P, sizes = v.relation[:2]
+    zero1, zero2 = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2:])  # P vanishes next to each output
+    dependence = [(None, None)] * len(v.probability)
     projected = (~(zero1 | zero2)).nonzero()[0]
     p = P.T[projected]
-    scales = np.maximum(sizes[0], sizes[2:])[:, projected]  # max(max|P|, max|out|) per output
-    project = functools.partial(_projection, tol=tol)
-    (_, dep1), (_, dep2) = _outputs(project, out1[projected], out2[projected], (p, p), scales)
+    scale1, scale2 = np.maximum(sizes[0], sizes[2:])[:, projected]  # max(max|P|, max|out|)
+    _, dep1 = _projection(out1[projected], p, scale1, tol)
+    _, dep2 = _projection(out2[projected], p, scale2, tol)
     for m, flag in zip(projected.tolist(), zip(dep1.tolist(), dep2.tolist())):
         dependence[m] = flag
     constant = CaseLabel.CONSTANT_PROBABILITY
-    case = [constant if t == "constant-probability" else None for t in probability]
-    checked = (relation_ok & hp.all(axis=0)).nonzero()[0].tolist()
-    classified = [m for m in checked if not isinstance(probability[m], str)]
+    case = [constant if t == "constant-probability" else None for t in v.probability]
+    checked = (v.relation_ok & v.hp.all(axis=0)).nonzero()[0].tolist()
+    classified = [m for m in checked if not isinstance(v.probability[m], str)]
     if classified:
-        found = _inlay(out2[classified], [_targets(probability[m]) for m in classified])
+        found = _inlay(out2[classified], [_targets(v.probability[m]) for m in classified])
         for m, label in zip(classified, _labels(found)):
             case[m] = label
-    return _Structure(families, hp, relation, relation_ok, probability, dependence, case)
+    return _Structure(**vars(v), dependence=dependence, case=case)
+
+
+def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
+    """The structure stage on the ``(N, 3, ., .)`` stacks of N triples of one ``(d1, d2)``."""
+    return _classification(_verdicts(joint, out1, out2, tol), out1, out2, tol)
+
+
+def _check_verdicts(t: UncorrelatedTriple, tol: float) -> tuple:
+    """What ``check`` prints, the verdict half and the certificate: the fields of :func:`analyze`.
+
+    The :class:`RelationReport`, the (joint, out1, out2) hermiticity flags,
+    the probability and the (joint, out1, out2) positivity verdicts.
+    """
+    v = _verdicts(t.joint.coeffs[None], t.out1.coeffs[None], t.out2.coeffs[None], tol)
+    (relation,) = _relation_reports(v.relation)
+    return relation, v.hp[:, 0].tolist(), v.probability[0], _certify_many(v.operators([0]), tol)
 
 
 def _probability(P: FirstOrderPoly, tol: float) -> object:

@@ -36,7 +36,7 @@ from .positivity import (
     min_eigenvalue_profile,
 )
 from ._g17 import format_rows
-from .analysis import analyze
+from .analysis import _check_verdicts, analyze
 from .search import theorem_search
 from .catalog import builtin
 from .pmap import (
@@ -129,8 +129,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = analyze(_load_triple(args.file), args.tol)
-    rel = report.relation
+    rel, hp, p, verdicts = _check_verdicts(_load_triple(args.file), args.tol)
     lines = [f"file: {args.file}"]
     if rel is None:
         lines.append("relation: unavailable (zero probability)")
@@ -140,22 +139,20 @@ def _cmd_check(args) -> int:
             f"relation_holds: {_bool(rel.relation_holds)} (max_residual={rel.max_residual:.3e})",
             f"partial_traces_consistent: {_bool(rel.partial_traces_consistent)}",
         ]
-    lines.append(
-        "hermitian_preserving: "
-        f"joint={_bool(report.hp_joint)} out1={_bool(report.hp_out1)} "
-        f"out2={_bool(report.hp_out2)}"
-    )
-    if isinstance(report.probability, str):
-        lines.append(f"probability: {report.probability}")
+    blocks = ("joint", "out1", "out2")
+    flags = (f"{b}={_bool(ok)}" for b, ok in zip(blocks, hp))
+    lines.append("hermitian_preserving: " + " ".join(flags))
+    if isinstance(p, str):
+        lines.append(f"probability: {p}")
     else:
-        p = report.probability
         lines.append(
             f"probability: |alpha|={_fmt(p.alpha_abs)} theta={_fmt(p.theta)} "
             f"R={_fmt(p.R)} r={_fmt(p.r)}"
         )
-    for block in ("out1", "out2", "joint"):
-        lines.append(_verdict_line(block, getattr(report, f"positivity_{block}")))
-    passed = rel is not None and rel.all_ok and report.hp_ok and report.all_positive
+    positivity = dict(zip(blocks, verdicts))
+    lines += [_verdict_line(block, positivity[block]) for block in ("out1", "out2", "joint")]
+    positive = all(v is not None and v.positive for v in verdicts)
+    passed = rel is not None and rel.all_ok and all(hp) and positive
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
     print("\n".join(lines))
     return 0 if passed else 1

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseclone import (
     CaseLabel,
@@ -509,6 +511,55 @@ def test_search_reports_drop_only_the_certificates_that_decide_nothing():
             )
             assert s.theorem_consistent
     assert 0 < decisive < len(triples)
+
+
+def _assert_check_verdicts_are_the_report(t: UncorrelatedTriple) -> tuple:
+    """``check``'s verdicts, from the verdict half alone, are the fields of :func:`analyze`."""
+    relation, hp, probability, verdicts = found = analysis._check_verdicts(t, DEFAULT_TOL)
+    r = analyze(t)
+    assert relation == r.relation
+    assert hp == [r.hp_joint, r.hp_out1, r.hp_out2]
+    assert probability == r.probability
+    assert verdicts == [r.positivity_joint, r.positivity_out1, r.positivity_out2]
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_check_verdicts_equal_the_report_on_sampled_triples(k):
+    try:
+        t = generate_case2_candidate([20260809, k])
+    except SampleRejected:
+        return
+    _assert_check_verdicts_are_the_report(t)
+
+
+def _off_probability_triple(P: FirstOrderPoly) -> UncorrelatedTriple:
+    """``(Gamma1 P, Gamma2 P)`` with unit-trace ``Gamma``s, for a ``P`` with no decomposition."""
+    gamma1 = [[0.6, 0.1j], [-0.1j, 0.4]]
+    return assemble_triple(_gamma_times(P, gamma1), _gamma_times(P, np.eye(2) / 2))
+
+
+def _check_cases() -> dict:
+    """The catalog and every kind of triple whose verdicts the sampler never reaches."""
+    cases = {name: builtin(name).payload for name in NAMES if name != "phase-state"}
+    zero, t = PhaseOperator.zero(2), builtin("counterexample").payload
+    joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
+    cases["zero-probability"] = UncorrelatedTriple(joint, zero, zero)
+    cases["not-real-valued"] = _off_probability_triple(FirstOrderPoly(1j, 1j, 0.5))
+    cases["not-positive"] = _off_probability_triple(FirstOrderPoly(0.25, 0.25, 0.25))
+    off = JointPhaseOperator(t.joint.coeffs * (1.0 + 1e-6), dim1=2, dim2=2)
+    cases["joint-off-by-1e-6"] = UncorrelatedTriple(off, t.out1, t.out2)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_check_cases()))
+def test_check_verdicts_equal_the_report(name):
+    relation, _, probability, _ = _assert_check_verdicts_are_the_report(_check_cases()[name])
+    if name == "joint-off-by-1e-6":
+        assert not relation.relation_holds
+    elif name in ("zero-probability", "not-real-valued", "not-positive"):
+        assert probability == name
 
 
 @pytest.mark.parametrize("name", [name for name in NAMES if name != "phase-state"])

@@ -31,7 +31,7 @@ from phaseclone import (
     serialize_pmap,
     trace_poly,
 )
-from phaseclone import cli, positivity
+from phaseclone import analysis, cli, positivity
 from phaseclone.cli import main
 from phaseclone.positivity import DEFAULT_TOL, _basis, _lambda_min_grid
 from phaseclone.operators import hermitian_part
@@ -285,8 +285,8 @@ def test_factor_root_with_an_underflowing_phase(tmp_path, capsys):
 def test_consecutive_calls_do_not_leak_options(tmp_path, monkeypatch):
     path = _write_entry(tmp_path, "case1-example")
     tols = []
-    analyze = cli.analyze
-    monkeypatch.setattr(cli, "analyze", lambda t, tol: tols.append(tol) or analyze(t, tol))
+    check = cli._check_verdicts
+    monkeypatch.setattr(cli, "_check_verdicts", lambda t, tol: tols.append(tol) or check(t, tol))
     assert main(["check", str(path), "--tol", "1e-3"]) == 0
     assert main(["check", str(path)]) == 0
     assert tols == [1e-3, DEFAULT_TOL]
@@ -572,3 +572,19 @@ def test_check_output_is_pinned(tmp_path, capsys, name):
     out = captured.out.replace(str(path), "<file>")
     assert (hashlib.sha256(out.encode()).hexdigest()[:16], code) == _PINNED_CHECKS[name]
     assert captured.err == ""
+
+
+def test_check_runs_no_case_analysis(tmp_path, capsys, monkeypatch):
+    # check prints the relation, hermiticity and positivity verdicts only: the
+    # dependence projection and the case split are never entered.
+    def refuse(name):
+        return lambda *args, **kwargs: pytest.fail(f"analysis.{name} called")
+
+    for name in ("_projection", "_inlay"):
+        monkeypatch.setattr(analysis, name, refuse(name))
+    for name, pinned in sorted(_PINNED_CHECKS.items()):
+        path = tmp_path / f"{name}.pmap"
+        path.write_text(serialize_pmap(document_from_triple(_check_triple(name))))
+        code = main(["check", str(path)])
+        out = capsys.readouterr().out.replace(str(path), "<file>")
+        assert (hashlib.sha256(out.encode()).hexdigest()[:16], code) == pinned, name
