@@ -68,6 +68,11 @@ and one evaluation at all of their open-arc midpoints) but nothing else:
 ``eps``, the scale, the degenerate test and the stopping rule are per
 member, so a member gets the same verdict and minimum in any stack.
 :func:`is_positive_over_phase` is a stack of one.
+
+Sweeps.  :func:`min_eigenvalue_profile` and ``profile`` evaluate a 3 x 3
+family in closed form (:func:`_lowest3`), to about ``1e-14 * max|coeffs|``.
+The certificate keeps LAPACK: it evaluates a few phases per level, and its
+values feed the ``1e-13 * max|coeffs|`` level gap.
 """
 
 from __future__ import annotations
@@ -114,6 +119,12 @@ _CONSTANT_REL = 1e-12
 _MAX_LEVELS = 100
 #: Matrix entries of one block of :func:`_lambda_min_grid` (1 MiB of complex values).
 _SWEEP_ENTRIES = 2**16
+#: A d = 3 sweep row whose ``r`` exceeds ``1 - _CLUSTER_GAP`` (its two smallest
+#: eigenvalues within about 2% of the spread ``p``) is solved by LAPACK.
+_CLUSTER_GAP = 1e-4
+#: Flat indices of the diagonal, then of the lower-triangle entries (1, 0), (2, 1),
+#: (2, 0), of a 3 x 3 matrix; LAPACK reads the same triangle.
+_ENTRIES3 = [0, 4, 8, 3, 7, 6]
 #: Exponents of the basis ``(e^{i phi}, e^{-i phi}, 1)`` of first-order families.
 _FREQUENCIES = np.array([1j, -1j, 0.0])
 
@@ -214,21 +225,73 @@ def _lowest(E: np.ndarray) -> np.ndarray:
     return _solve(_umath_linalg.eigvalsh_lo, E, "D->d")[..., 0]
 
 
+def _lowest3(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of a ``(3, 3, 3)`` Hermitian family at each :func:`_basis` row, in closed form.
+
+    Smith's form (Commun. ACM 4, 168, 1961) on ``B = M - q I``, ``q = tr M / 3``:
+    with ``p^2 = |B|_F^2 / 6`` and ``r = det B / (2 p^3)``,
+    ``lambda_min = q + 2 p cos(arccos(r) / 3 + 2 pi / 3)``, within about
+    ``1e-14 * max|coeffs|`` of LAPACK.  The entries' weights are scaled once
+    per family by ``2^-e``, ``2^e`` the power of two just above the largest,
+    so nothing overflows or underflows and a row's bits depend on its phase
+    alone.  Where ``r > 1 - _CLUSTER_GAP`` (or ``p = 0``) the two smallest
+    eigenvalues nearly coincide and ``arccos`` loses half its digits, so the
+    row takes :func:`_lowest` of its matrix scaled by the same ``2^-e``
+    (Kopp, Int. J. Mod. Phys. C 19, 523, 2008); LAPACK's own rescaling of
+    tiny or huge matrices then never applies, and the sweep scales exactly
+    with the family.
+    """
+    # Per basis function (cos phi, sin phi, 1), the weights of q, the diagonal of
+    # B and the real and imaginary parts of M's entries (1, 0), (2, 1), (2, 0):
+    # Re(x A + conj(x) AH + C) = cos (Re A + Re AH) + sin (Im AH - Im A) + Re C.
+    A, AH, C = family.reshape(3, 9)[:, _ENTRIES3]
+    w = np.empty((3, 10))
+    w[:, 1:7] = A.real + AH.real, AH.imag - A.imag, C.real
+    w[:, 7:] = (A.imag + AH.imag)[3:], (A.real - AH.real)[3:], C.imag[3:]
+    w[:, 0] = w[:, 1:4].sum(axis=1) / 3.0
+    w[:, 1:4] -= w[:, :1]
+    e = math.frexp(np.abs(w).max())[1]
+    x = basis[:, 0]
+    xr, xi = x.real.copy(), x.imag.copy()
+    # One array per quantity: one (10, n) stack measured slower, its pages faulted in on every call.
+    q, a, b, c, ur, vr, wr, ui, vi, wi = (
+        cos * xr + sin * xi + one for cos, sin, one in np.ldexp(w, -e).T.tolist()
+    )
+    uu, vv, ww = ur * ur + ui * ui, vr * vr + vi * vi, wr * wr + wi * wi
+    p2 = (a * a + b * b + c * c + 2.0 * (uu + vv + ww)) / 6.0
+    det = a * (b * c - vv) - b * ww - c * uu + 2.0 * ((ur * vr - ui * vi) * wr + (ur * vi + ui * vr) * wi)
+    p = np.sqrt(p2)
+    p3 = p2 * p
+    r = np.divide(0.5 * det, p3, out=np.ones_like(p3), where=p3 > 0)
+    np.clip(r, -1.0, 1.0, out=r)
+    lams = np.ldexp(q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + _TWO_PI / 3.0), e)
+    near = np.flatnonzero(r > 1.0 - _CLUSTER_GAP)
+    if len(near):
+        E = (basis @ family.reshape(3, 9)).reshape(-1, 3, 3)[near]
+        lams[near] = np.ldexp(_lowest(np.ldexp(E.view(float), -e).view(complex)), e)
+    return lams
+
+
 def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of a ``(3, d, d)`` Hermitian family at the phase of each :func:`_basis` row.
 
-    The rows are evaluated and solved one block at a time, each block
-    holding at most ``_SWEEP_ENTRIES`` matrix entries, so memory does not
-    grow with ``len(basis) * d * d``.  A row's values do not depend on its
-    block: every matrix gets the same product and the same solve as in one
-    sweep over all rows.
+    ``d = 3`` is evaluated in closed form by :func:`_lowest3`, every other
+    ``d`` by :func:`_lowest`.  The rows are evaluated and solved one block at
+    a time, each block holding at most ``_SWEEP_ENTRIES`` matrix entries, so
+    memory does not grow with ``len(basis) * d * d``.  A row's values do not
+    depend on its block: every matrix gets the same product and the same
+    solve as in one sweep over all rows.
     """
     d = family.shape[-1]
     coeffs = family.reshape(3, d * d)
     rows = max(1, _SWEEP_ENTRIES // (d * d))
     lams = np.empty(len(basis))
     for s in range(0, len(basis), rows):
-        lams[s : s + rows] = _lowest((basis[s : s + rows] @ coeffs).reshape(-1, d, d))
+        block = basis[s : s + rows]
+        if d == 3:
+            lams[s : s + rows] = _lowest3(family, block)
+        else:
+            lams[s : s + rows] = _lowest((block @ coeffs).reshape(-1, d, d))
     return lams
 
 
@@ -272,7 +335,9 @@ def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np
     phases at a time, at most 2^16 matrix entries (1 MiB) per block, so its
     memory does not grow with ``n * d * d``.  It is :func:`_lambda_min_grid`
     over the :func:`_grid` rows, and any split of those rows into calls gives
-    every phase the same bits.
+    every phase the same bits.  A 3 x 3 family is swept in closed form,
+    within about ``1e-14 * max|coeffs|`` of LAPACK (see :func:`_lowest3`);
+    every other ``d`` as the certificate evaluates it, with :func:`_lowest`.
     """
     family = _hermitian_family(op)
     phis, basis = _grid(n)

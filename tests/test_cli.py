@@ -366,9 +366,19 @@ def test_profile_columns_are_the_scalar_and_grid_values(k, samples):
 
 @pytest.mark.parametrize(
     "name",
-    ["gamma-1x2-2", "gamma-1x2-5", "gamma-2x3-3", "gamma-2x3-6", "gamma-3x3-8", "gamma-3x3-13"],
+    [
+        "gamma-1x2-2",
+        "gamma-1x2-5",
+        "gamma-1x3-4",
+        "gamma-2x3-3",
+        "gamma-2x3-6",
+        "gamma-3x3-8",
+        "gamma-3x3-13",
+    ],
 )
 def test_profile_columns_of_other_dimensions(name):
+    # gamma-1x3's joint is 3x3: it is swept in closed form in the worker's
+    # jobs of 512 rows, and each row must keep the bits of one sweep.
     t = _check_triple(name)
     assert (t.out1.dim, t.out2.dim) == tuple(map(int, name.split("-")[1].split("x")))
     for samples in (1, 7, 4096):
@@ -529,6 +539,8 @@ def _check_triple(name: str) -> UncorrelatedTriple:
         return t
     if kind == "gamma-1x2":
         return assemble_triple(_gamma_output(np.ones((1, 1)), trace_poly(t.out2)), t.out2)
+    if kind == "gamma-1x3":
+        return assemble_triple(_gamma_output(np.ones((1, 1)), P), _gamma_output(_gamma(rng, 3, True), P))
     if kind == "gamma-2x3":
         return assemble_triple(t.out1, _gamma_output(_gamma(rng, 3, k % 2 == 0), P))
     g1, g2 = (_gamma_output(_gamma(rng, 3, psd), P) for psd in (k % 4 != 1, k % 4 != 2))

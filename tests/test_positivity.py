@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from phaseclone import (
     builtin,
     decompose_probability,
     expand,
+    generate_case2_candidate,
     is_positive_over_phase,
     min_eigenvalue_profile,
     phase_state_operator,
+    trace_poly,
 )
 from phaseclone import positivity
 from phaseclone.operators import hermitian_part
@@ -163,7 +166,7 @@ def _random_family(rng, d: int) -> np.ndarray:
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 9, 16])
 def test_blocked_sweep_equals_one_sweep_bit_for_bit(d):
     # Two full blocks and a partial one; the reference evaluates and solves
-    # the whole stack at once.
+    # the whole stack at once (d = 3 in closed form, d >= 4 with LAPACK).
     rows = max(1, positivity._SWEEP_ENTRIES // (d * d))
     n = 2 * rows + rows // 2 + 1
     family = _random_family(np.random.default_rng([47, d]), d)
@@ -174,6 +177,8 @@ def test_blocked_sweep_equals_one_sweep_bit_for_bit(d):
     elif d == 2:
         h00, h11 = stack[:, 0, 0].real, stack[:, 1, 1].real
         reference = 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), np.abs(stack[:, 0, 1]))
+    elif d == 3:
+        reference = positivity._lowest3(family, basis)
     else:
         reference = np.linalg.eigvalsh(stack)[:, 0]
     swept = _lambda_min_grid(family, basis)
@@ -192,6 +197,126 @@ def test_profile_memory_does_not_grow_with_samples_times_d_squared():
         tracemalloc.stop()
     assert lams.shape == (1024,)
     assert peak <= 4 * 2**20
+
+
+# A d = 3 sweep is Smith's closed form, with LAPACK on rows whose two
+# smallest eigenvalues nearly coincide.
+
+def _probability_times(gamma: np.ndarray, P: FirstOrderPoly) -> np.ndarray:
+    """The Hermitian family ``P * Gamma``."""
+    return hermitian_part(np.asarray(P.coeffs)[:, None, None] * gamma)[0]
+
+
+def _psd(rng, rank: int) -> np.ndarray:
+    g = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+    return g @ g.conj().T
+
+
+def _with_spectrum(rng, spectrum) -> np.ndarray:
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    return u @ np.diag(spectrum) @ u.conj().T
+
+
+def _touching() -> FirstOrderPoly:
+    """A probability ``1 + cos(phi - 0.7)`` with a double root on the circle."""
+    a = 0.5 * cmath.exp(-0.7j)
+    return FirstOrderPoly(a, a.conjugate(), 1.0)
+
+
+def _cubic_families() -> dict:
+    rng = np.random.default_rng(2026)
+    P = _touching()
+    sampled = [generate_case2_candidate([20260809, k]) for k in (3, 8, 13)]
+    identity = hermitian_part(np.array([(0.3 + 0.1j) * np.eye(3), 0.2 * np.eye(3), -0.4 * np.eye(3)]))[0]
+    return {
+        "random": [_random_family(np.random.default_rng([3, k]), 3) for k in range(20)],
+        "rank-1 psd": [_probability_times(_psd(rng, 1), P) for _ in range(4)],
+        "rank-2 psd": [_probability_times(_psd(rng, 2), P) for _ in range(4)],
+        "pair 1e-9 apart": [_probability_times(_with_spectrum(rng, [0.3, 0.3 + 1e-9, 1.7]), P) for _ in range(4)],
+        "multiple of I": [identity, hermitian_part(np.array([0 * np.eye(3), 0 * np.eye(3), 2.5 * np.eye(3)]))[0]],
+        "I off by 1e-110": [identity + 1e-110 * _random_family(rng, 3)],
+        "scale 1e-150": [1e-150 * _random_family(rng, 3) for _ in range(4)],
+        "scale 1e150": [1e150 * _random_family(rng, 3) for _ in range(4)],
+        "zero": [np.zeros((3, 3, 3), dtype=complex)],
+        "gamma outputs": [
+            _probability_times(g, trace_poly(t.out1))
+            for t in sampled
+            for g in (_with_spectrum(rng, [0.5, 0.3, 0.2]), _with_spectrum(rng, [-0.2, 0.5, 0.7]))
+        ],
+    }
+
+
+def _eigvalsh_sweep(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh((basis @ family.reshape(3, 9)).reshape(-1, 3, 3))[:, 0]
+
+
+@pytest.mark.parametrize("kind", sorted(_cubic_families()))
+def test_cubic_sweep_is_within_1e_13_of_eigvalsh(kind):
+    basis = positivity._grid(4096)[1]
+    for family in _cubic_families()[kind]:
+        scale = np.abs(family).max()
+        error = np.abs(_lambda_min_grid(family, basis) - _eigvalsh_sweep(family, basis)).max()
+        assert error <= 1e-13 * scale
+
+
+def test_cubic_sweep_sends_clustered_rows_to_lapack_bit_for_bit(monkeypatch):
+    # diag(cos phi, -cos phi, 2) in a random basis: its two smallest
+    # eigenvalues cross at phi = pi/2 and 3 pi/2, so the rows near there
+    # (and only those) go to LAPACK and keep its bits.
+    u = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)) + 1j)[0]
+    half = u @ np.diag([0.5, -0.5, 0.0]) @ u.conj().T
+    family = hermitian_part(np.array([half, half, u @ np.diag([0.0, 0.0, 2.0]) @ u.conj().T]))[0]
+    sent = []
+    lowest = positivity._lowest
+    monkeypatch.setattr(positivity, "_lowest", lambda E: sent.append(E.copy()) or lowest(E))
+    phis, basis = positivity._grid(4096)
+    swept = _lambda_min_grid(family, basis)
+    stack = (basis @ family.reshape(3, 9)).reshape(-1, 3, 3)
+    index = {matrix.tobytes(): k for k, matrix in enumerate(stack)}
+    rows = sorted(index[matrix.tobytes()] for E in sent for matrix in E)
+    assert 0 < len(rows) < 100
+    assert np.abs(np.cos(phis[rows])).max() < 0.05
+    reference = np.linalg.eigvalsh(stack[rows])[:, 0]
+    assert swept[rows].tobytes() == reference.tobytes()
+    assert np.abs(swept - np.linalg.eigvalsh(stack)[:, 0]).max() <= 1e-13 * np.abs(family).max()
+
+
+@pytest.mark.parametrize("kind", ["rank-1 psd", "pair 1e-9 apart", "multiple of I", "zero"])
+def test_cubic_sweep_of_a_cluster_at_every_phase_is_lapack(kind):
+    basis = positivity._grid(512)[1]
+    for family in _cubic_families()[kind]:
+        assert _lambda_min_grid(family, basis).tobytes() == _eigvalsh_sweep(family, basis).tobytes()
+
+
+def test_cubic_sweep_of_a_psd_family_stays_above_the_floor():
+    # P * Gamma with P touching zero, and P1 Gamma1 + P2 Gamma2 of rank 2,
+    # whose smallest eigenvalue is 0 at every phase.
+    rng = np.random.default_rng(11)
+    basis = positivity._grid(4096)[1]
+    P, Q = _touching(), FirstOrderPoly(0.4j, -0.4j, 1.0)
+    families = [_probability_times(_psd(rng, rank), P) for rank in (1, 2, 3) for _ in range(5)]
+    families += [_probability_times(_psd(rng, 1), P) + _probability_times(_psd(rng, 1), Q) for _ in range(10)]
+    for family in families:
+        assert _lambda_min_grid(family, basis).min() >= -1e-13 * np.abs(family).max()
+
+
+@pytest.mark.parametrize("kind", ["random", "rank-1 psd", "rank-2 psd", "gamma outputs"])
+def test_cubic_sweep_scales_by_powers_of_two_bit_for_bit(kind):
+    basis = positivity._grid(1024)[1]
+    for family in _cubic_families()[kind][:4]:
+        swept = _lambda_min_grid(family, basis)
+        for j in range(-400, 401, 40):
+            assert _lambda_min_grid(2.0**j * family, basis).tobytes() == (2.0**j * swept).tobytes()
+
+
+def test_cubic_sweep_raises_no_floating_point_warning():
+    basis = positivity._grid(4096)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise", under="ignore"):
+            for families in _cubic_families().values():
+                for family in families:
+                    _lambda_min_grid(family, basis)
 
 
 # ------------------------------------------------------- positivity verdicts
