@@ -20,26 +20,31 @@ hermitian-preserving and positive, which is the theorem the randomized
 search in :mod:`phaseclone.search` exercises.  For a double root
 (p0 = p1, the boundary r = 1) "both factors" means root multiplicity two.
 
-The split is decided on coefficient arrays: the roots of every out2 entry
-of an ``(N, 3, d, d)`` stack are solved at once and matched against each
-member's ``p0`` and ``p1``; the label follows from the fewest factors a
-nonzero entry carries.  :func:`classify` runs the same split on a stack
-of one.
+The split is decided on coefficient arrays: every out2 entry of an
+``(N, 3, d, d)`` stack is evaluated at each member's factor roots (at a
+double root, its slope too), each test relative to the entry's own size;
+the label follows from the fewest factors a nonzero entry carries.
+:func:`classify` runs the same split on a stack of one.  Lemma L2b reads
+the same multiplicities of both outputs at a double root: a Hermitian
+output whose entries all vanish there is not positive if a diagonal entry
+has a simple root, or if every diagonal entry has a double root and an
+off-diagonal one a simple root.
 
 Triples are checked as coefficient stacks, one ``(N, 3, ., .)`` stack
 each of joints, out1s and out2s per pair of marginal dimensions.  A
 structure stage gives, as arrays over the members, the verdicts
 (hermiticity, the relation and the probability decomposition) in one
-half and the case analysis (phase dependence and the case) in the other;
-the positivity certificate then runs on the Hermitian parts it found.
-:func:`analyze` and :func:`analyze_many` run both halves, certify every
-operator and build one report per triple.  The CLI ``check`` runs the
-verdict half and the certificate only.  The randomized search tallies
-from the stage's arrays, with no object per trial, and certifies only
+half and the case analysis (phase dependence, the case and L2b) in the
+other; the positivity certificate then runs on the Hermitian parts it
+found.  :func:`analyze` and :func:`analyze_many` run both halves, certify
+every operator and build one report per triple.  ``theorem_consistent``
+reads L2b and the outputs' verdicts only: where the relation holds the
+joint is positive iff both outputs are, so its verdict is an audit the
+report carries.  The CLI ``check`` runs the verdict half and the
+certificate only.  The randomized search tallies from the stage's arrays,
+with no object per trial, and certifies only the outputs of
 hermitian-preserving, relation-satisfying triples with both outputs
-phase-dependent: positivity decides nothing elsewhere.  It certifies
-their outputs first and a joint only where no output already settles
-the witness and the verdict.
+phase-dependent: positivity decides nothing elsewhere.
 """
 
 from __future__ import annotations
@@ -67,13 +72,11 @@ from .positivity import (
     NotPositiveError,
     NotRealValuedError,
     PositivityVerdict,
-    ProbabilityDecomposition,
     _certify_many,
     decompose_probability,
 )
 
 __all__ = [
-    "ROOT_MATCH_TOL",
     "CaseLabel",
     "CaseVerdict",
     "CloningReport",
@@ -82,9 +85,6 @@ __all__ = [
     "analyze",
     "analyze_many",
 ]
-
-#: Relative tolerance for matching factor roots (scaled by max(1, |root|)).
-ROOT_MATCH_TOL = 1e-8
 
 #: Root pairs closer than this (relative) are treated as one double root.
 #: Near the positivity boundary r = 1 the solved r carries a square-root
@@ -155,57 +155,50 @@ def _projection(outs: np.ndarray, p: np.ndarray, scale: np.ndarray, tol: float) 
     return gamma, residual > tol * scale
 
 
-def _targets(dec: ProbabilityDecomposition) -> tuple[tuple, tuple, tuple]:
-    """The factor roots an out2 entry is matched against, their match radii and root caps.
+def _multiplicity(outs: np.ndarray, decs: list, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """How many factors of ``P`` each entry of an ``(N, 3, d, d)`` stack carries, as ``(N, d * d)``.
 
-    A pair closer than ``DEGENERATE_ROOT_BAND`` is one double root: its
-    midpoint counts up to two entry roots, within a radius widened past
-    the square-root noise in both the pair and the entries.
+    Per member, ``decs`` holds the decomposition of its ``P``, whose factor
+    ``x + z`` vanishes at ``x = -z``.  An entry ``(a, b, c)`` carries it iff
+    ``a z^2 - c z + b`` (``x`` times its value there) is at most ``tol``
+    times its own ``max|coeff|`` times ``max(1, |z|)^2``.  Roots closer than
+    ``DEGENERATE_ROOT_BAND`` are one double root at their midpoint (``P``'s
+    minimum is then below ``1e-12 * |alpha|``), and an entry that carries it
+    carries it twice iff its slope ``2 a z - c`` is at most ``tol`` times its
+    ``max|coeff|`` times ``max(1, |z|)``.  An entry at most
+    ``ZERO_COEFF_REL`` times the largest of its output carries both.  Also
+    returns, per member, whether its roots are one double root.
     """
-    p0, p1 = dec.p0, dec.p1
-    if abs(p0 - p1) <= DEGENERATE_ROOT_BAND * max(1.0, abs(p0)):
-        z = 0.5 * (p0 + p1)
-        limit = 2.0 * DEGENERATE_ROOT_BAND * max(1.0, abs(z))
-        return (z, z), (limit, limit), (2, 0)
-    limits = (ROOT_MATCH_TOL * max(1.0, abs(p0)), ROOT_MATCH_TOL * max(1.0, abs(p1)))
-    return (p0, p1), limits, (1, 1)
-
-
-def _inlay(out2: np.ndarray, targets: list) -> np.ndarray:
-    """How many factors each entry of an ``(N, 3, d, d)`` out2 stack carries, as ``(N, d * d)``.
-
-    Per member, ``targets`` holds its :func:`_targets`.  The entry roots are
-    those of :func:`factorize`; an entry below ``ZERO_COEFF_REL * (1 +
-    max|out2|)`` counts as carrying both factors.
-    """
-    z, limit, cap = (np.array(column) for column in zip(*targets))
-    e = out2.reshape(len(out2), 3, -1)
+    z = np.array([(d.p0, d.p1) for d in decs]).T[..., None]
+    double = np.abs(z[0] - z[1]) <= DEGENERATE_ROOT_BAND * np.maximum(1.0, np.abs(z[0]))
+    z = np.where(double, 0.5 * (z[0] + z[1]), z)
+    e = outs.reshape(len(outs), 3, -1)
     a, b, c = e[:, 0], e[:, 1], e[:, 2]
-    mags = np.abs(e)
-    size = mags.max(axis=1)
-    small = ZERO_COEFF_REL * (1.0 + size)
-    full = mags[:, 0] > small
-    # Negated roots of a x^2 + c x + b: half / a and b / half, with the sign
-    # of sq chosen so that c + sq does not cancel.
-    sq = np.sqrt(c * c - 4.0 * a * b)
-    np.negative(sq, out=sq, where=(c.conj() * sq).real < 0.0)
-    half = (c + sq) * 0.5
-    roots = np.empty((2,) + size.shape, dtype=complex)
-    roots.fill(np.nan)
-    np.divide(b, c, out=roots[0], where=mags[:, 2] > small)  # affine: w = b / c
-    np.divide(half, a, out=roots[0], where=full)
-    # half = 0 only for the entry a x (b = c = 0), whose roots are both 0.
-    np.divide(b, half + (half == 0), out=roots[1], where=full)
-    hits = np.abs(roots[..., None] - z[:, None]) <= limit[:, None]
-    near = hits.sum(axis=0, dtype=np.intp)
-    found = np.minimum(near, cap[:, None]).sum(axis=-1)
-    found[size <= ZERO_COEFF_REL * (1.0 + size.max(axis=1, keepdims=True))] = 2
-    return found
+    size = np.abs(e).max(axis=1)
+    reach = np.maximum(1.0, np.abs(z))
+    zero = np.abs((a * z - c) * z + b) <= tol * size * reach * reach
+    slope = np.abs(2.0 * a * z[0] - c) <= tol * size * reach[0]
+    found = zero[0] + np.where(double, zero[0] & slope, zero[1]).astype(np.intp)
+    found[size <= ZERO_COEFF_REL * size.max(axis=1, keepdims=True)] = 2
+    return found, double[:, 0]
 
 
 def _labels(found: np.ndarray) -> list[CaseLabel]:
     """Case 1 if a nonzero entry carries no factor, else Case 2 if one carries one, else Case 3."""
     return [_CASES[k] for k in found.min(axis=1).tolist()]
+
+
+def _nonpositive(found: np.ndarray, d: int) -> np.ndarray:
+    """Lemma L2b on the ``(N, d * d)`` multiplicities of d x d outputs at a double root of ``P``.
+
+    True where the output is not positive: a diagonal entry with a simple
+    root changes sign there, and where every diagonal entry has a double
+    root, an off-diagonal one with a simple root makes a 2 x 2 principal
+    minor negative next to it.
+    """
+    found = found.reshape(-1, d, d)
+    diagonal = found.diagonal(axis1=1, axis2=2)
+    return (diagonal == 1).any(axis=1) | ((diagonal == 2).all(axis=1) & (found == 1).any(axis=(1, 2)))
 
 
 def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
@@ -214,13 +207,13 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
     Assumes the triple already passed :func:`validate_triple` and the
     hermiticity checks.  Propagates the probability-decomposition errors
     for non-real or negative traces.  This is the structure stage's
-    :func:`_inlay` on a stack of one.
+    :func:`_multiplicity` on a stack of one.
     """
     try:
         dec = decompose_probability(trace_poly(t.out1), tol)
     except ConstantProbabilityError:
         return CaseVerdict(CaseLabel.CONSTANT_PROBABILITY)
-    (label,) = _labels(_inlay(t.out2.coeffs[None], [_targets(dec)]))
+    (label,) = _labels(_multiplicity(t.out2.coeffs[None], [dec], tol)[0])
     return CaseVerdict(label)
 
 
@@ -261,10 +254,11 @@ class _Verdicts:
 
 @dataclass(frozen=True)
 class _Structure(_Verdicts):
-    """Both halves: also each member's dependence flags (``None`` where ``P`` vanishes) and case."""
+    """Both halves: also each member's dependence flags (``None`` where ``P`` vanishes), case and L2b."""
 
     dependence: list
     case: list
+    nonpositive: list
 
 
 def _verdicts(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Verdicts:
@@ -291,7 +285,8 @@ def _classification(v: _Verdicts, out1: np.ndarray, out2: np.ndarray, tol: float
 
     The phase-dependence projection of both outputs where ``P`` vanishes
     next to neither, and the case of the hermitian-preserving,
-    relation-satisfying members with a decomposed ``P``.
+    relation-satisfying members with a decomposed ``P``.  Lemma L2b runs
+    on those of them with a double root and both outputs phase-dependent.
     """
     P, sizes = v.relation[:2]
     zero1, zero2 = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2:])  # P vanishes next to each output
@@ -307,11 +302,20 @@ def _classification(v: _Verdicts, out1: np.ndarray, out2: np.ndarray, tol: float
     case = [constant if t == "constant-probability" else None for t in v.probability]
     checked = (v.relation_ok & v.hp.all(axis=0)).nonzero()[0].tolist()
     classified = [m for m in checked if not isinstance(v.probability[m], str)]
+    nonpositive = [False] * len(case)
     if classified:
-        found = _inlay(out2[classified], [_targets(v.probability[m]) for m in classified])
+        decs = [v.probability[m] for m in classified]
+        found, double = _multiplicity(out2[classified], decs, tol)
         for m, label in zip(classified, _labels(found)):
             case[m] = label
-    return _Structure(**vars(v), dependence=dependence, case=case)
+        lemma = [n for n, m in enumerate(classified) if double[n] and dependence[m] == (True, True)]
+        members = [classified[n] for n in lemma]
+        if members:
+            found1, _ = _multiplicity(out1[members], [decs[n] for n in lemma], tol)
+            proved = _nonpositive(found1, out1.shape[-1]) | _nonpositive(found[lemma], out2.shape[-1])
+            for m, flag in zip(members, proved.tolist()):
+                nonpositive[m] = flag
+    return _Structure(**vars(v), dependence=dependence, case=case, nonpositive=nonpositive)
 
 
 def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
@@ -342,15 +346,19 @@ def _probability(P: FirstOrderPoly, tol: float) -> object:
         return "not-positive"
 
 
-def _consistent(relation_ok: bool, dependence: tuple, verdicts) -> bool:
-    """``theorem_consistent`` of a triple from its relation, dependence flags and verdicts.
+def _consistent(relation_ok: bool, dependence: tuple, nonpositive: bool, out1, out2) -> bool:
+    """``theorem_consistent`` of a triple from its relation, dependence flags, L2b and output verdicts.
 
-    Only a relation-satisfying triple with both outputs phase-dependent and
-    all three operators positive (a verdict implies ``hp_ok``) is
-    inconsistent, so the search certifies no other triple.
+    Only a relation-satisfying triple with both outputs phase-dependent can
+    be inconsistent, so the search certifies no other triple; it is
+    consistent if lemma L2b proves an output not positive, and otherwise
+    unless both outputs are certified positive (a verdict implies
+    hermiticity).  Where the relation holds, the joint is positive iff both
+    outputs are (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.12), so
+    its verdict is not read.
     """
-    positive = all(v is not None and v.positive for v in verdicts)
-    return not (relation_ok and all(dependence) and positive)
+    positive = all(v is not None and v.positive for v in (out1, out2))
+    return not (relation_ok and all(dependence) and not nonpositive and positive)
 
 
 def _reports(s: _Structure, verdicts: list) -> list[CloningReport]:
@@ -362,7 +370,7 @@ def _reports(s: _Structure, verdicts: list) -> list[CloningReport]:
     reports = []
     members = zip(_relation_reports(s.relation), s.hp.T.tolist(), s.relation_ok.tolist())
     for k, (relation, hp, relation_ok) in enumerate(members):
-        joint, out1, out2 = positivity = verdicts[3 * k : 3 * k + 3]
+        joint, out1, out2 = verdicts[3 * k : 3 * k + 3]
         dep1, dep2 = s.dependence[k]
         reports.append(
             CloningReport(
@@ -371,7 +379,7 @@ def _reports(s: _Structure, verdicts: list) -> list[CloningReport]:
                 positivity_joint=joint, positivity_out1=out1, positivity_out2=out2,
                 case=None if s.case[k] is None else CaseVerdict(s.case[k]),
                 out1_phase_dependent=dep1, out2_phase_dependent=dep2,
-                theorem_consistent=_consistent(relation_ok, (dep1, dep2), positivity),
+                theorem_consistent=_consistent(relation_ok, (dep1, dep2), s.nonpositive[k], out1, out2),
             )
         )
     return reports

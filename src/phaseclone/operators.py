@@ -66,12 +66,14 @@ MAX_COEFF = 1e150
 #: max|coeffs|``); the triple (the largest of joint, out1 and out2) for the
 #: traces, the relation residual and the partial traces; the larger of
 #: ``max|P|`` and ``max|out|`` for phase dependence; ``P`` for being real and
-#: for vanishing at a phase; the outputs, and each product entry, in assembly.
-#: Set apart, each for its reason: ``ZERO_COEFF_REL`` keeps ``(1 + scale)``,
-#: relative from unit scale up, as the classifier's zero-entry boundary is
-#: defined by it; ``ROOT_MATCH_TOL`` and ``DEGENERATE_ROOT_BAND`` work in root
-#: space, which scaling does not move; ``WITNESS_LEVEL`` is set by the
-#: sampler's unit scale and judges only the search's witnesses;
+#: for vanishing at a phase; the outputs, and each product entry, in assembly;
+#: each entry for its value and slope at a factor root of ``P`` (times a power
+#: of ``max(1, |root|)``) in the case analysis, where an entry is zero below
+#: ``ZERO_COEFF_REL`` times its output's largest.  Set apart, each for its
+#: reason: ``ZERO_COEFF_REL`` keeps ``(1 + scale)``, relative from unit scale
+#: up, where ``P`` is judged to vanish or to be constant; ``DEGENERATE_ROOT_BAND``
+#: works in root space, which scaling does not move; ``WITNESS_LEVEL`` is set
+#: by the sampler's unit scale and judges only the search's witnesses;
 #: ``has_second_order`` stays absolute (``ALGEBRA_TOL``), the bound the
 #: deterministic obstruction is stated with; the certificate's ``_LEVEL_GAP``,
 #: ``_CIRCLE_BAND``, ``_DEGENERATE_REL`` and ``_CONSTANT_REL`` are relative already.

@@ -213,6 +213,14 @@ def _basis(phis) -> np.ndarray:
     return np.exp(np.multiply.outer(phis, _FREQUENCIES))
 
 
+def _evaluate(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``basis @ coeffs``, a one-row ``basis`` twice over: numpy would compute it as a
+    vector-matrix product, whose complex rounding differs from a longer product's."""
+    if len(basis) == 1:
+        return (np.repeat(basis, 2, axis=0) @ coeffs)[:1]
+    return basis @ coeffs
+
+
 def _lowest(E: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of each Hermitian matrix (analytic for d <= 2, eigvalsh above)."""
     d = E.shape[-1]
@@ -267,7 +275,7 @@ def _lowest3(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
     lams = np.ldexp(q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + _TWO_PI / 3.0), e)
     near = np.flatnonzero(r > 1.0 - _CLUSTER_GAP)
     if len(near):
-        E = (basis @ family.reshape(3, 9)).reshape(-1, 3, 3)[near]
+        E = _evaluate(basis, family.reshape(3, 9)).reshape(-1, 3, 3)[near]
         lams[near] = np.ldexp(_lowest(np.ldexp(E.view(float), -e).view(complex)), e)
     return lams
 
@@ -279,8 +287,9 @@ def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
     ``d`` by :func:`_lowest`.  The rows are evaluated and solved one block at
     a time, each block holding at most ``_SWEEP_ENTRIES`` matrix entries, so
     memory does not grow with ``len(basis) * d * d``.  A row's values do not
-    depend on its block: every matrix gets the same product and the same
-    solve as in one sweep over all rows.
+    depend on its block: every matrix gets the same product (a block of one
+    row too, see :func:`_evaluate`) and the same solve as in one sweep over
+    all rows.
     """
     d = family.shape[-1]
     coeffs = family.reshape(3, d * d)
@@ -291,7 +300,7 @@ def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
         if d == 3:
             lams[s : s + rows] = _lowest3(family, block)
         else:
-            lams[s : s + rows] = _lowest((block @ coeffs).reshape(-1, d, d))
+            lams[s : s + rows] = _lowest(_evaluate(block, coeffs).reshape(-1, d, d))
     return lams
 
 

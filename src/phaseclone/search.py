@@ -341,9 +341,9 @@ def generate_case2_candidate(seed, params: SamplerParams | None = None) -> Uncor
 
 @dataclass(frozen=True)
 class WitnessRecord:
-    """The least certified ``lambda_min`` of a trial, its phase and its operator.
+    """The least certified ``lambda_min`` of a trial's outputs, its phase and its operator.
 
-    ``operator`` is ``"out1"``, ``"out2"`` or ``"joint"``.
+    ``operator`` is ``"out1"`` or ``"out2"``.
     """
 
     trial: int
@@ -383,19 +383,6 @@ class SearchReport:
         return not self.violations and not self.witness_failures and classified > 0
 
 
-def _witness(verdicts: list) -> tuple[float, float | None, str | None]:
-    """The least ``min_eigenvalue`` of (joint, out1, out2) verdicts, out1 first, its phase and role.
-
-    A ``None`` verdict (an operator not certified) is skipped.
-    """
-    best = (math.inf, None, None)
-    joint, out1, out2 = verdicts
-    for role, verdict in (("out1", out1), ("out2", out2), ("joint", joint)):
-        if verdict is not None and verdict.min_eigenvalue < best[0]:
-            best = (verdict.min_eigenvalue, verdict.witness_phi, role)
-    return best
-
-
 def theorem_search(
     trials: int, seed: int = 0, tol: float = DEFAULT_TOL, params: SamplerParams | None = None
 ) -> SearchReport:
@@ -405,17 +392,15 @@ def theorem_search(
     the accepted triples of each block of trials are analyzed together, and
     the reports are tallied in trial order.  Every accepted triple gets the
     verdicts of :func:`analyze_many` except positivity: the certificate (an
-    exact minimum over the phase circle) runs only on hermitian-preserving,
-    relation-satisfying triples with both outputs phase-dependent, the only
-    ones where it can decide a verdict.
-    Those must show a minimum eigenvalue below ``WITNESS_LEVEL`` at some
-    phase; any that do not are recorded as witness failures, and any report
-    that is not theorem-consistent is recorded as a violation.  Both lists
-    must stay empty.  The outputs of such a triple are certified first, and
-    its joint unless an output is already non-positive and below
-    ``WITNESS_LEVEL``: that output is a witness and makes the triple
-    consistent, whatever the joint.  The witness is the least certified
-    minimum, so a joint not certified is never one.  ``tol`` is relative (see
+    exact minimum over the phase circle) runs only on the outputs of
+    hermitian-preserving, relation-satisfying triples with both outputs
+    phase-dependent, the only verdicts that can decide anything (where the
+    relation holds, the joint is positive iff both outputs are).  One of
+    their outputs must show a minimum eigenvalue below ``WITNESS_LEVEL`` at
+    some phase (the witness is the least, out1 on ties); a triple where
+    neither does is recorded as a witness failure, and one that is not
+    theorem-consistent (:func:`analysis._consistent`, with lemma L2b) as a
+    violation.  Both lists must stay empty.  ``tol`` is relative (see
     ``operators.DEFAULT_TOL``); ``trials`` must be an integer >= 1 and ``seed`` one >= 0.
     """
     for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
@@ -444,25 +429,17 @@ def theorem_search(
         checked = (s.hp.all(axis=0) & s.relation_ok).tolist()
         decided = [m for m in both if checked[m]]
         both_dep += len(both)
-        joints, out1s, out2s = s.families
+        _, out1s, out2s = s.families
         outputs = analysis._certify_many([f[m] for m in decided for f in (out1s, out2s)], tol)
-        verdicts = [[None, *outputs[2 * n : 2 * n + 2]] for n in range(len(decided))]
-        # A non-positive output below WITNESS_LEVEL already is a witness and
-        # makes the triple consistent, so only the other members' joints are certified.
-        open_ = [n for n, (_, *outs) in enumerate(verdicts)
-                 if all(v.positive or v.min_eigenvalue >= WITNESS_LEVEL for v in outs)]
-        certified = analysis._certify_many([joints[decided[n]] for n in open_], tol)
-        for n, joint in zip(open_, certified):
-            verdicts[n][0] = joint
-
-        for m, triple in zip(decided, verdicts):
+        for m, out1, out2 in zip(decided, outputs[::2], outputs[1::2]):
             k = start + int(kept[m])
-            lam, phi, role = _witness(triple)
+            role, low = min((("out1", out1), ("out2", out2)), key=lambda rv: rv[1].min_eigenvalue)
+            lam = low.min_eigenvalue
             if lam < WITNESS_LEVEL:
-                witnesses.append(WitnessRecord(k, float(phi), lam, role))
+                witnesses.append(WitnessRecord(k, float(low.witness_phi), lam, role))
             else:
                 witness_failures.append(k)
-            if not analysis._consistent(bool(s.relation_ok[m]), (True, True), triple):
+            if not analysis._consistent(True, (True, True), s.nonpositive[m], out1, out2):
                 case = None if s.case[m] is None else s.case[m].value
                 detail = f"case={case}, min_eig={lam:.3e}"
                 violations.append(ViolationRecord(trial=k, detail=detail))

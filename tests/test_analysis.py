@@ -28,7 +28,6 @@ from phaseclone import (
     classify,
     decompose_probability,
     deterministic_tensor_obstruction,
-    factorize,
     generate_case2_candidate,
     is_positive_over_phase,
     mul,
@@ -43,7 +42,7 @@ from phaseclone.operators import MAX_COEFF
 from phaseclone.positivity import DEFAULT_TOL
 from phaseclone.trigpoly import ZERO_COEFF_REL
 
-from helpers import fp, random_hp_operator, root_multiplicity
+from helpers import fp, random_hp_operator
 
 
 @pytest.fixture(scope="module")
@@ -343,8 +342,8 @@ def test_classify_factorizes_each_entry_once(monkeypatch):
     factorize = trigpoly.factorize
     counting = lambda p: calls.append(p) or factorize(p)
     monkeypatch.setattr(trigpoly, "factorize", counting)
-    # classify matches roots on the out2 coefficient array, as the structure
-    # stage does: it factorizes no entry at all.
+    # classify evaluates the out2 entries at the factor roots on the
+    # coefficient array, as the structure stage does: it factorizes no entry.
     labels = {classify(t).label for t in triples}
     assert calls == []
     assert labels >= {CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3}
@@ -352,32 +351,35 @@ def test_classify_factorizes_each_entry_once(monkeypatch):
 
 # ------------------------------------------------------ stacked classifier
 
-def _reference_case(t) -> CaseLabel:
-    """Case label of a triple by the per-entry loop.
+def _reference_case(t, tol: float = DEFAULT_TOL) -> CaseLabel:
+    """Case label of a triple by a scalar loop over the out2 entries.
 
-    Factors every nonzero out2 entry with ``factorize`` and counts its
-    factors with ``root_multiplicity``, under the classifier's constants.
+    Every nonzero entry ``a x + b conj(x) + c`` is evaluated, times ``x``,
+    at ``x = -p0`` and ``x = -p1`` (at a double root, the midpoint, with its
+    slope), against ``tol`` times its size, under the classifier's constants.
     """
     dec = decompose_probability(trace_poly(t.out1))
     p0, p1 = dec.p0, dec.p1
-    degenerate = abs(p0 - p1) <= analysis.DEGENERATE_ROOT_BAND * max(1.0, abs(p0))
-    if degenerate:
+    double = abs(p0 - p1) <= analysis.DEGENERATE_ROOT_BAND * max(1.0, abs(p0))
+    if double:
         p0 = p1 = 0.5 * (p0 + p1)
-        root_tol = 2.0 * analysis.DEGENERATE_ROOT_BAND
-    else:
-        root_tol = analysis.ROOT_MATCH_TOL
-    threshold = ZERO_COEFF_REL * (1.0 + t.out2.max_abs())
+    entries = [entry for row in t.out2.entries for entry in row]
+    threshold = ZERO_COEFF_REL * max(entry.max_abs() for entry in entries)
+
+    def carries(e, p, slope=False) -> bool:
+        x, size, reach = -p, e.max_abs(), max(1.0, abs(p))
+        if slope:
+            return abs(2.0 * e.a * x + e.c) <= tol * size * reach
+        return abs(e.a * x * x + e.c * x + e.b) <= tol * size * reach * reach
+
     counts = []
-    for row in t.out2.entries:
-        for entry in row:
-            if entry.max_abs() <= threshold:
-                continue
-            form = factorize(entry)
-            m0 = root_multiplicity(form, p0, root_tol)
-            if degenerate:
-                counts.append(min(m0, 2))
-            else:
-                counts.append((m0 >= 1) + (root_multiplicity(form, p1, root_tol) >= 1))
+    for e in entries:
+        if e.max_abs() <= threshold:
+            continue
+        if double:
+            counts.append(carries(e, p0) * (1 + carries(e, p0, slope=True)))
+        else:
+            counts.append(carries(e, p0) + carries(e, p1))
     if 0 in counts:
         return CaseLabel.CASE1
     if 1 in counts:
@@ -484,8 +486,9 @@ def test_structure_stage_matches_the_reports_on_paths_the_sampler_never_reaches(
             assert s.probability[m] == r.probability
             assert s.dependence[m] == (r.out1_phase_dependent, r.out2_phase_dependent)
             assert s.case[m] is (None if r.case is None else r.case.label)
-            positivity = verdicts[3 * m : 3 * m + 3]
-            consistent = analysis._consistent(bool(s.relation_ok[m]), s.dependence[m], positivity)
+            _, out1, out2 = verdicts[3 * m : 3 * m + 3]
+            relation_ok, dependence = bool(s.relation_ok[m]), s.dependence[m]
+            consistent = analysis._consistent(relation_ok, dependence, s.nonpositive[m], out1, out2)
             assert consistent is r.theorem_consistent
 
 
@@ -594,19 +597,31 @@ def _full(s, w0, w1):
     return (s, s * w0 * w1, s * (w0 + w1))
 
 
+def _off(entry, k: float, p: complex, slope: bool = False) -> tuple:
+    """``entry`` with its roots moved so that its value (times ``x``) at ``x = -p``, or only
+    its slope there, moves by ``k`` times the classifier's bound: ``DEFAULT_TOL`` times its
+    size times ``max(1, |p|)`` to the power 2 or 1."""
+    a, b, c = entry
+    reach = max(1.0, abs(p))
+    delta = k * DEFAULT_TOL * max(abs(a), abs(b), abs(c)) * (reach if slope else reach * reach)
+    # Adding delta (x + p) to x times the entry keeps its value at -p.
+    return (a, b + delta * p, c + delta) if slope else (a, b + delta, c)
+
+
 def _edge_cases():
     theta, r = 0.7, 2.5
     P = FirstOrderPoly(cmath.exp(-1j * theta), cmath.exp(1j * theta), r + 1.0 / r)
     p0, p1 = r * cmath.exp(1j * theta), cmath.exp(1j * theta) / r
-    far, tol = -1.3 + 0.4j, analysis.ROOT_MATCH_TOL * max(1.0, abs(p0))
-    near = lambda k: p0 + k * tol * cmath.exp(0.3j)  # noqa: E731
+    far = -1.3 + 0.4j
     zero = (0.0, 0.0, 0.0)
-    threshold = ZERO_COEFF_REL * (1.0 + 0.5 * P.max_abs())  # max|out2| is max|P / 2|
+    threshold = ZERO_COEFF_REL * 0.5 * P.max_abs()  # max|out2| is max|P / 2|
     unit = np.array(_full(1.0, far, -far)) / np.abs(_full(1.0, far, -far)).max()
+    carrying = _full(0.3, p0, far)
     cases = {
-        "root 0.5 tol from p0": (P, [_full(0.3, near(0.5), far), zero], CaseLabel.CASE2),
-        "root 2 tol from p0": (P, [_full(0.3, near(2.0), far), zero], CaseLabel.CASE1),
-        "both roots 0.5 tol off": (P, [_full(0.3, near(0.5), p1 + 0.5e-8), zero], CaseLabel.CASE3),
+        "root 0.5 tol from p0": (P, [_off(carrying, 0.5, p0), zero], CaseLabel.CASE2),
+        "root 2 tol from p0": (P, [_off(carrying, 2.0, p0), zero], CaseLabel.CASE1),
+        # |p1| < 1, so the bound at p1 is the smaller one.
+        "both roots 0.5 tol off": (P, [_off(_full(0.3, p0, p1), 0.5, p1), zero], CaseLabel.CASE3),
         "affine carrying p0": (P, [(0.0, 0.4 * p0, 0.4), zero], CaseLabel.CASE2),
         "affine carrying neither": (P, [(0.0, 0.4 * far, 0.4), zero], CaseLabel.CASE1),
         "pure negative": (P, [(0.0, 0.7, 0.0), zero], CaseLabel.CASE1),
@@ -620,18 +635,27 @@ def _edge_cases():
             P, [_full(0.3, far, -far), (0.0, 0.4 * p1, 0.4)], CaseLabel.CASE1
         ),
     }
-    # r = 1e9 puts p1 within the match radius of 0, both roots of a x.
+    # r = 1e9 puts p1 within the bound of 0, both roots of a x.
     R = FirstOrderPoly(cmath.exp(-1j * theta), cmath.exp(1j * theta), 1e9 + 1e-9)
     cases["pure positive, roots at 0 near p1"] = (R, [(0.7, 0.0, 0.0), zero], CaseLabel.CASE2)
-    # r = 1: p0 = p1, matched at its midpoint within twice the degenerate band.
+    # r = 1: p0 = p1 = q, a double root; the slope decides between one factor and two.
     Q = FirstOrderPoly(cmath.exp(-1j * theta), cmath.exp(1j * theta), 2.0)
     q = cmath.exp(1j * theta)
-    band = analysis.DEGENERATE_ROOT_BAND
+    twice = _full(0.3, q, q)
     cases["double root, entry carries it once"] = (Q, [_full(0.3, q, far), zero], CaseLabel.CASE2)
-    cases["double root, entry carries it twice"] = (
-        Q, [_full(0.3, q + band * q, q - band * q), zero], CaseLabel.CASE3
-    )
+    cases["double root, entry carries it twice"] = (Q, [twice, zero], CaseLabel.CASE3)
+    cases["double root, slope 0.5 tol"] = (Q, [_off(twice, 0.5, q, True), zero], CaseLabel.CASE3)
+    cases["double root, slope 2 tol"] = (Q, [_off(twice, 2.0, q, True), zero], CaseLabel.CASE2)
+    cases["double root, value 0.5 tol"] = (Q, [_off(twice, 0.5, q), zero], CaseLabel.CASE3)
+    cases["double root, value 2 tol"] = (Q, [_off(twice, 2.0, q), zero], CaseLabel.CASE1)
     cases["double root, entry misses it"] = (Q, [_full(0.3, far, -far), zero], CaseLabel.CASE1)
+    # r = 1 + 4e-7: a pair inside the band is one double root at its midpoint, where P is
+    # below 1e-12 |alpha|; an entry with a simple root at one of the pair misses it there.
+    r = 1.0 + 4e-7
+    N = FirstOrderPoly(cmath.exp(-1j * theta), cmath.exp(1j * theta), r + 1.0 / r)
+    n0, n1 = r * q, q / r
+    cases["close pair, entry carries one root"] = (N, [_full(0.3, n0, far), zero], CaseLabel.CASE1)
+    cases["close pair, entry carries both roots"] = (N, [_full(0.3, n0, n1), zero], CaseLabel.CASE3)
     return cases
 
 
@@ -650,9 +674,26 @@ def test_edge_entries_classify_as_one_stack():
     triples = [_edge_triple(P, entries) for P, entries, _ in cases]
     decs = [decompose_probability(trace_poly(t.out1)) for t in triples]
     stack = np.array([t.out2.coeffs for t in triples])
-    found = analysis._inlay(stack, [analysis._targets(dec) for dec in decs])
+    found, double = analysis._multiplicity(stack, decs, DEFAULT_TOL)
     labels = analysis._labels(found)
+    assert double.tolist() == [abs(P.c - 2.0) < 1e-12 for P, _, _ in cases]
     assert labels == [expected for _, _, expected in cases]
+
+
+@pytest.mark.parametrize(
+    "found, expected",
+    [
+        ([[1, 1], [1, 2]], True),  # a diagonal entry with a simple root changes sign
+        ([[2, 1], [1, 2]], True),  # a 2 x 2 minor goes negative next to the root
+        ([[2, 2], [2, 2]], False),  # P * Gamma
+        ([[0, 1], [1, 2]], False),  # L2b assumes every entry vanishes at the root
+        ([[2, 2, 2], [2, 2, 2], [2, 2, 2]], False),
+        ([[2, 2, 1], [2, 2, 2], [1, 2, 2]], True),
+    ],
+)
+def test_lemma_l2b_reads_the_root_multiplicities(found, expected):
+    found = np.array([found])
+    assert analysis._nonpositive(found.reshape(1, -1), found.shape[-1]).tolist() == [expected]
 
 
 def test_analysis_uses_no_scalar_entry_views(monkeypatch):

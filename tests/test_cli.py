@@ -151,14 +151,22 @@ def test_search_small_run(capsys):
 
 
 def test_search_names_the_operator_of_the_weakest_witness(capsys, monkeypatch):
-    # Mixed with weight 7e-4 the counterexample's outputs stay above -1e-6
-    # (-9.8e-7) and only its joint is a witness (-1.96e-6).
-    outputs = mixed_counterexample(7e-4)
-    monkeypatch.setattr(phaseclone.search, "_draw", lambda seed, params: outputs)
-    assert main(["search", "--trials", "3"]) == 0
-    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
-    assert lines["max_witness_lambda_min"] == "-1.960000e-06"
-    assert lines["max_witness_operator"] == "joint"
+    # Mixed with weight eps the counterexample's outputs sit at -2 eps^2 and
+    # its joint at -4 eps^2; only outputs are witnesses.  At 7e-4 the
+    # outputs stay above -1e-6 (-9.8e-7) and only the joint (-1.96e-6),
+    # which the search does not certify, would reach it: each trial is a
+    # witness failure.
+    for eps, code, low, operator in ((1e-3, 0, "-2.000000e-06", "out1"), (7e-4, 1, "n/a", "n/a")):
+        outputs = mixed_counterexample(eps)
+        monkeypatch.setattr(phaseclone.search, "_draw", lambda seed, params: outputs)
+        assert main(["search", "--trials", "3"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        fields = dict(line.split(": ", 1) for line in lines)
+        assert fields["max_witness_lambda_min"] == low
+        assert fields["max_witness_operator"] == operator
+        assert (fields["witness_failures"], fields["violations"]) == (str(3 * code), "0")
+        failures = [line for line in lines if line.startswith("witness_failure:")]
+        assert failures == [f"witness_failure: trial={k}" for k in range(3 * code)]
 
 
 def test_search_without_a_witness_prints_n_a(capsys):
@@ -385,6 +393,15 @@ def test_profile_columns_of_other_dimensions(name):
         _assert_profile_columns(t, samples)
 
 
+@pytest.mark.parametrize("name", ["sampled-2x2-1", "gamma-3x3-8"])
+@pytest.mark.parametrize("samples", [513, 1025])
+def test_profile_one_row_job_keeps_the_bits_of_one_sweep(name, samples):
+    # The joint's last job of 512 rows holds one row, which numpy alone
+    # would evaluate as a vector-matrix product with other rounding.
+    assert samples % cli._CSV_ROWS == 1
+    _assert_profile_columns(_check_triple(name), samples)
+
+
 def _assert_profile_columns(t: UncorrelatedTriple, samples: int) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.pmap"
@@ -592,7 +609,7 @@ def test_check_runs_no_case_analysis(tmp_path, capsys, monkeypatch):
     def refuse(name):
         return lambda *args, **kwargs: pytest.fail(f"analysis.{name} called")
 
-    for name in ("_projection", "_inlay"):
+    for name in ("_projection", "_multiplicity"):
         monkeypatch.setattr(analysis, name, refuse(name))
     for name, pinned in sorted(_PINNED_CHECKS.items()):
         path = tmp_path / f"{name}.pmap"

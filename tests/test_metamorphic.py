@@ -141,16 +141,8 @@ def _scaled(t: UncorrelatedTriple, k: float) -> UncorrelatedTriple:
     )
 
 
-_FLOOR_XFAIL = pytest.mark.xfail(
-    strict=True,
-    reason="ZERO_COEFF_REL's (1 + scale) floor is absolute below unit scale: at k = 1e-12 "
-    "an out2 entry's leading coefficient drops under it and the entry is read as affine",
-)
-
-
 @pytest.mark.parametrize(
-    "k",
-    [pytest.param(1e-12, marks=_FLOOR_XFAIL), 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0, 1e2, 1e4, 1e6, 1e8],
+    "k", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0, 1e2, 1e4, 1e6, 1e8]
 )
 def test_scaling_keeps_every_verdict(triples, reports, k):
     # Scaling all three operators by k > 0 keeps the relation (both sides
@@ -220,14 +212,37 @@ def test_depolarised_counterexample_meets_the_closed_form(eps):
         assert is_positive_over_phase(out).min_eigenvalue == pytest.approx(-2 * eps**2, rel=1e-6)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="knife edge: negativity shrinks as eps^2 and phase dependence as eps, "
-    "so fixed tolerances, absolute or relative, report a violation the closed form rules out",
-)
 def test_depolarised_counterexample_is_no_false_violation():
+    # Negativity shrinks as eps^2 and phase dependence as eps, so below
+    # eps ~ 1.1e-5 both outputs are certified positive within tol; lemma L2b
+    # proves them not positive from their entries' root multiplicities.
     verdicts = [
         analyze(_depolarised(builtin("counterexample").payload, eps)).theorem_consistent
         for eps in (1e-5, 1e-6, 1e-7, 1e-8)
     ]
     assert False not in verdicts
+
+
+def test_joint_is_positive_iff_both_outputs_are(triples, reports):
+    # Where the relation holds, the joint's eigenvalues are the products of
+    # the outputs' over P (Horn & Johnson, Topics in Matrix Analysis, Thm
+    # 4.2.12), so theorem_consistent reads only the outputs' verdicts.
+    related = [r for r in reports if r.relation_ok and r.hp_ok]
+    joint = [r.positivity_joint.positive for r in related]
+    assert joint == [r.positivity_out1.positive and r.positivity_out2.positive for r in related]
+    assert {True, False} <= set(joint)
+
+
+@pytest.mark.parametrize("a", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_mixed_both_dependent_triples_are_no_false_violation(triples, reports, a):
+    # The mix keeps both outputs phase-dependent (by a) while their
+    # negativity (about a^2) sinks under the certificate's floor; lemma L2b
+    # proves them not positive from each entry's root multiplicity.
+    both = [
+        t for t, r in zip(triples, reports)
+        if r.relation_ok and r.hp_ok and r.out1_phase_dependent and r.out2_phase_dependent
+    ]
+    mixed = analyze_many([_depolarised(t, a) for t in both])
+    assert len(both) > 50
+    assert [i for i, r in enumerate(mixed) if not r.theorem_consistent] == []
+

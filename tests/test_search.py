@@ -450,15 +450,14 @@ def _counting_certificates(monkeypatch) -> list:
 
 def test_search_certifies_only_both_phase_dependent_triples(monkeypatch):
     # Positivity decides theorem_consistent only where both outputs depend on
-    # the phase, so only those triples are certified: both outputs, and the
-    # joint only where no output is already a witness.
-    *_, joints_needed = _reference_search(300, 20260809)
+    # the phase, so only those triples are certified, and only their
+    # outputs: where the relation holds the joint's verdict is theirs.
     certified = _counting_certificates(monkeypatch)
     monkeypatch.setattr(search, "_BLOCK", 64)
     report = theorem_search(300, seed=20260809)
     assert 0 < report.both_phase_dependent < report.accepted
-    assert len(certified) == 2 * report.both_phase_dependent + joints_needed
-    assert sum(f.shape[-1] == 4 for f in certified) == joints_needed
+    assert len(certified) == 2 * report.both_phase_dependent
+    assert [f.shape[-1] for f in certified] == [2] * len(certified)  # no 4 x 4 joint
     # analyze_many still certifies every operator of every triple.
     certified.clear()
     triples = [builtin(name).payload for name in ("counterexample", "case1-example")]
@@ -467,37 +466,38 @@ def test_search_certifies_only_both_phase_dependent_triples(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "eps, tol, witness, violated",
-    [(1e-4, 1e-9, False, False), (7e-4, 1e-9, True, False), (1e-3, 1e-4, True, True)],
+    "eps, tol, witness",
+    [(1e-4, 1e-9, False), (7e-4, 1e-9, False), (1e-3, 1e-9, True), (1e-3, 1e-4, True)],
 )
-def test_joint_is_certified_where_the_outputs_leave_the_verdict_open(
-    eps, tol, witness, violated, monkeypatch
-):
-    # The mixed counterexample's outputs (-2 eps^2) are each positive or
-    # above -1e-6, so no output settles the verdict, its joint (-4 eps^2) is
-    # certified and the search decides as analyze's three-operator rule
-    # does.  At eps = 1e-4 no operator reaches -1e-6 (a witness failure), at
-    # 7e-4 the joint alone does; at tol = 1e-4 all three operators count as
-    # positive (the joint's floor is -tol * 0.25), so the triple is a
-    # violation that only the joint's verdict reveals.
+def test_search_decides_the_mixed_counterexample_from_its_outputs(eps, tol, witness, monkeypatch):
+    # The mixed counterexample's outputs are at -2 eps^2, its joint at
+    # -4 eps^2.  Only the outputs are certified and only they are witnesses:
+    # at eps = 7e-4 the joint alone is below -1e-6, a witness failure.  At
+    # tol = 1e-4 both outputs count as positive, and lemma L2b (each
+    # entry's root multiplicity at P's double root) keeps it consistent.
     outputs = mixed_counterexample(eps)
-    rep = analyze(assemble_triple(*(PhaseOperator(c) for c in outputs)), tol)
-    verdicts = (rep.positivity_out1, rep.positivity_out2, rep.positivity_joint)
-    assert rep.hp_ok and rep.relation_ok and rep.theorem_consistent is not violated
+    t = assemble_triple(*(PhaseOperator(c) for c in outputs))
+    rep = analyze(t, tol)
+    assert rep.hp_ok and rep.relation_ok and rep.theorem_consistent
     assert rep.out1_phase_dependent and rep.out2_phase_dependent
-    assert all(v.positive or v.min_eigenvalue >= search.WITNESS_LEVEL for v in verdicts[:2])
-    low = min(verdicts, key=lambda v: v.min_eigenvalue)
+    assert rep.probability.r == 1.0
+    low = rep.positivity_out1
+    assert rep.positivity_out2.min_eigenvalue == low.min_eigenvalue
     assert (low.min_eigenvalue < search.WITNESS_LEVEL) is witness
+    assert (rep.positivity_joint.min_eigenvalue < search.WITNESS_LEVEL) is (eps > 1e-4)
+    s = analysis._structure(t.joint.coeffs[None], t.out1.coeffs[None], t.out2.coeffs[None], tol)
+    assert s.nonpositive == [True]
+    assert low.positive is (tol == 1e-4)
     certified = _counting_certificates(monkeypatch)
     monkeypatch.setattr(search, "_draw", lambda seed, params: outputs)
     report = theorem_search(5, seed=1, tol=tol)
     assert report.accepted == report.both_phase_dependent == 5
-    assert [f.shape[-1] for f in certified] == [2] * 10 + [4] * 5
-    assert [v.trial for v in report.violations] == (list(range(5)) if violated else [])
+    assert [f.shape[-1] for f in certified] == [2] * 10
+    assert report.violations == []
     if witness:
         assert report.witness_failures == []
         assert report.witnesses == [
-            search.WitnessRecord(k, low.witness_phi, low.min_eigenvalue, "joint") for k in range(5)
+            search.WitnessRecord(k, low.witness_phi, low.min_eigenvalue, "out1") for k in range(5)
         ]
     else:
         assert report.witnesses == [] and report.witness_failures == list(range(5))
@@ -525,11 +525,10 @@ def _least(rep, roles) -> tuple:
 def _reference_search(trials: int, seed: int, params: SamplerParams | None = None):
     """Per-trial ``analyze`` tally, the serial definition of ``theorem_search``.
 
-    The witness of a triple is its least output minimum, or the least of
-    all three operators where that is not below -1e-6 (the joints needed).
+    The witness of a triple is its least output minimum, out1 on ties.
     """
     counts, witnesses, failures, violations = {}, [], [], []
-    both = joints_needed = 0
+    both = 0
     indices, triples = _accepted(trials, seed, params)
     for k, t in zip(indices, triples):
         rep = analyze(t)
@@ -540,9 +539,6 @@ def _reference_search(trials: int, seed: int, params: SamplerParams | None = Non
         # Only hermitian-preserving, relation-satisfying triples can be inconsistent.
         if rep.out1_phase_dependent and rep.out2_phase_dependent and rep.hp_ok and rep.relation_ok:
             lam, phi, role = _least(rep, ("out1", "out2"))
-            if lam >= -1e-6:
-                joints_needed += 1
-                lam, phi, role = _least(rep, ("out1", "out2", "joint"))
             if lam < -1e-6:
                 witnesses.append((k, phi, lam, role))
             else:
@@ -550,7 +546,7 @@ def _reference_search(trials: int, seed: int, params: SamplerParams | None = Non
         if not rep.theorem_consistent:
             violations.append(k)
     counts = dict(sorted(counts.items()))
-    return len(triples), counts, both, witnesses, failures, violations, joints_needed
+    return len(triples), counts, both, witnesses, failures, violations
 
 
 @pytest.mark.parametrize(
@@ -563,7 +559,7 @@ def test_batched_search_equals_per_trial_analyze(block, params, monkeypatch):
     if block is not None:  # many blocks, with a partial one at the end
         monkeypatch.setattr(search, "_BLOCK", block)
     report = theorem_search(1000, seed=20260809, params=params)
-    accepted, counts, both, witnesses, failures, violations, _ = _reference_search(
+    accepted, counts, both, witnesses, failures, violations = _reference_search(
         1000, 20260809, params
     )
     assert report.accepted == accepted and report.rejected == 1000 - accepted
@@ -579,11 +575,10 @@ def test_batched_search_equals_per_trial_analyze(block, params, monkeypatch):
 
 @pytest.mark.parametrize("seed", [20260809, 7, 424242])
 def test_outputs_first_witnesses_keep_every_count(seed):
-    # Against the rule that certifies all three operators of every decided
-    # triple (analyze_many's verdicts), certifying a joint only where its
-    # outputs leave the verdict open changes no count, witness trial,
-    # failure or violation.  A witness can only rise: it is the least of
-    # fewer minima, and the same one where the joint was certified.
+    # Against the least minimum of all three operators of every decided
+    # triple (analyze_many certifies them all), a witness from the outputs
+    # alone changes no count, witness trial, failure or violation.  A
+    # witness can only rise: it is the least of fewer minima.
     report = theorem_search(3000, seed=seed)
     indices, triples = _accepted(3000, seed)
     reports = analysis.analyze_many(triples)
@@ -604,7 +599,7 @@ def test_outputs_first_witnesses_keep_every_count(seed):
     assert [w.trial for w in report.witnesses] == [k for k, _ in witnesses]
     for w, (_, lam) in zip(report.witnesses, witnesses):
         assert w.lambda_min >= lam
-        assert (w.lambda_min == lam) or w.operator != "joint"
+        assert w.operator in ("out1", "out2")
     assert any(w.lambda_min > lam for w, (_, lam) in zip(report.witnesses, witnesses))
 
 
