@@ -16,13 +16,13 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .trigpoly import AffineForm, FullForm, ZeroPolynomialError, factorize
 from .operators import (
     UncorrelatedTriple,
+    _relation,
     trace_poly,
 )
 from .positivity import (
@@ -33,7 +33,6 @@ from .positivity import (
     _grid,
     _hermitian_family,
     _lambda_min_grid,
-    min_eigenvalue_profile,
 )
 from ._g17 import format_rows
 from .analysis import _check_verdicts, analyze
@@ -181,40 +180,52 @@ def _cmd_classify(args) -> int:
     return 0 if report.case is not None else 1
 
 
-#: Rows of the ``profile`` CSV swept (joint), formatted and written at a time.
+#: Rows of the ``profile`` CSV formatted and written at a time.
 _CSV_ROWS = 512
+#: ``profile`` derives a joint row only where ``P(phi)`` exceeds this fraction of
+#: ``max|P|``: ``P(phi)`` is rounded by a few ulps of ``max|P|``, which is then at
+#: most a few hundred ulps of ``P(phi)`` and of the quotient.
+_DERIVE_FLOOR = 1e-2
+#: ... and where Weyl's bound on the quotient's distance from the joint's
+#: lambda_min is at most this times ``max|joint|``.
+_DERIVE_BUDGET = 1e-13
 
 
 def _cmd_profile(args) -> int:
     t, n = _load_triple(args.file), args.samples
-    pool = ThreadPoolExecutor(max_workers=1)
     try:
-        # The joint, the largest block, is swept on a second thread in jobs of
-        # _CSV_ROWS rows (LAPACK releases the GIL) while out1 and out2 are swept
-        # here and each block of rows is written as soon as its job is done.
-        joint = _hermitian_family(t.joint)
-        phis, rows = _grid(n)
-        starts = range(0, n, _CSV_ROWS)
-        jobs = [pool.submit(_lambda_min_grid, joint, rows[s : s + _CSV_ROWS]) for s in starts]
-        _, l1 = min_eigenvalue_profile(t.out1, n)
-        _, l2 = min_eigenvalue_profile(t.out2, n)
-        # Re(a x + b conj(x) + c) in the float operations of FirstOrderPoly.eval,
-        # so every P value has the bits of P.eval(phi).real.
-        P, xr, xi = trace_poly(t.out1), rows[:, 0].real, rows[:, 0].imag
-        p = ((P.a.real * xr - P.a.imag * xi) + (P.b.real * xr - P.b.imag * -xi)) + P.c.real
-        columns = (phis, p, l1, l2)
-        blocks = (
-            format_rows(np.column_stack([c[s : s + _CSV_ROWS] for c in columns] + [job.result()]))
-            for s, job in zip(starts, jobs)
-        )
-        # Opened only after all three blocks passed the hermiticity check.
-        _write(args.out, itertools.chain([b"phi,P,lmin_out1,lmin_out2,lmin_joint\n"], blocks))
+        joint, out1, out2 = (_hermitian_family(op) for op in (t.joint, t.out1, t.out2))
     except NotHermitianError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    finally:
-        # On any exception the jobs not yet begun are dropped; no thread outlives the call.
-        pool.shutdown(cancel_futures=True)
+    phis, rows = _grid(n)
+    # Re(a x + b conj(x) + c) in the float operations of FirstOrderPoly.eval,
+    # so every P value has the bits of P.eval(phi).real.
+    P, xr, xi = trace_poly(t.out1), rows[:, 0].real, rows[:, 0].imag
+    p = ((P.a.real * xr - P.a.imag * xi) + (P.b.real * xr - P.b.imag * -xi)) + P.c.real
+    # joint(phi) P(phi) = out1(phi) (x) out2(phi) + R(phi).  Where P(phi) > 0 the
+    # joint's eigenvalues are the products a_i b_j / P(phi) of the outputs' (Horn &
+    # Johnson, Topics in Matrix Analysis, Thm 4.2.12), each moved by at most
+    # ||R(phi)|| / P(phi) (Weyl); an entry of R(phi) sums five coefficients of the
+    # relation's cross term, so ||R(phi)|| <= 5 d max|cross|.  The other rows (near a
+    # root of P, where P <= 0, and all rows where the relation fails) are swept.
+    _, sizes, nonzero, _, residual, *_ = _relation(joint[None], out1[None], out2[None], DEFAULT_TOL)
+    size_p, size_joint = sizes[:2, 0]
+    weyl = 5 * joint.shape[-1] * residual[0] * size_p
+    derived = nonzero[0] & (p > _DERIVE_FLOOR * size_p) & (weyl <= _DERIVE_BUDGET * size_joint * p)
+    l1, l2 = _lambda_min_grid(out1, rows), _lambda_min_grid(out2, rows)
+    h1, h2 = -_lambda_min_grid(-out1, rows), -_lambda_min_grid(-out2, rows)
+    # Each output has trace P(phi) > 0, so h1, h2 > 0 and h1 h2 >= l1 h2 is never the least.
+    least = np.minimum(l1 * l2, np.minimum(l1 * h2, h1 * l2))
+    lj = np.divide(least, p, out=least, where=derived)
+    lj[~derived] = _lambda_min_grid(joint, rows[~derived])
+    columns = (phis, p, l1, l2, lj)
+    blocks = (
+        format_rows(np.column_stack([c[s : s + _CSV_ROWS] for c in columns]))
+        for s in range(0, n, _CSV_ROWS)
+    )
+    # Opened only after all three blocks passed the hermiticity check.
+    _write(args.out, itertools.chain([b"phi,P,lmin_out1,lmin_out2,lmin_joint\n"], blocks))
     return 0
 
 

@@ -12,6 +12,7 @@ import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from phaseclone import (
 )
 from phaseclone import analysis, cli, positivity
 from phaseclone.cli import main
-from phaseclone.positivity import DEFAULT_TOL, _basis, _lambda_min_grid
+from phaseclone.positivity import DEFAULT_TOL, _basis, _lambda_min_grid, decompose_probability
 from phaseclone.operators import hermitian_part
 
 from helpers import max_coeff_diff, mixed_counterexample
@@ -334,13 +335,15 @@ def test_bad_samples_is_input_error(tmp_path, capsys, monkeypatch, samples):
 
 
 # sha256 (first 16 hex digits) of the profile CSV of each catalog triple at
-# 1, 7, 64 and 4096 samples, as written by the per-row formatter this table
-# formatter replaced.  footnote-linear-only is not hermitian-preserving: it
-# exits 1 and writes nothing (the digest of no bytes).
+# 1, 7, 64 and 4096 samples.  The phi, P and output columns are those of the
+# per-row formatter the table formatter replaced; the joint column is derived
+# from the outputs' where P is above its floor (projective-discard's derived
+# values have the bits of its sweep).  footnote-linear-only is not
+# hermitian-preserving: it exits 1 and writes nothing (the digest of no bytes).
 _PINNED_PROFILES = {
-    "counterexample": ("5212b7d64b93afd6", "d105b184f0202169", "533dbda7c8b0ac6d", "376d79ac3123932b"),
-    "case1-example": ("99a8185043683446", "2f2c9ad39224ae58", "c6678607101fa3ac", "1747e8180fb69eed"),
-    "case3-example": ("1f0136a8cf0d23a6", "c3176dd90c189fbe", "be8ee554695af5fb", "24914f530a84e303"),
+    "counterexample": ("0c16aa5f5700ebf4", "241d38563bf7fd6e", "2df6ac764fac8175", "e5df672e11d756ee"),
+    "case1-example": ("99a8185043683446", "ff1e7c8167288248", "a19a42d2b6a6f7b7", "875ca8b64950b2a0"),
+    "case3-example": ("1f0136a8cf0d23a6", "faa5f1ce2c2cd084", "a6ae169bc4a361a4", "8110d8ad651f2fcf"),
     "footnote-linear-only": ("e3b0c44298fc1c14",) * 4,
     "projective-discard": ("748eb4eeeb38f6a7", "b3d67cd398428e00", "be159f2f0faad5fb", "fb712447793c35a5"),
 }
@@ -363,8 +366,9 @@ def _bits(x) -> bytes:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 300))
 def test_profile_columns_are_the_scalar_and_grid_values(k, samples):
-    # P is P.eval(phi).real and every lmin column the grid sweep of its
-    # block, bit for bit (signed zeros included).
+    # P is P.eval(phi).real and each output's column the grid sweep of its
+    # block, bit for bit (signed zeros included); the joint's column is
+    # checked against eigvalsh.
     try:
         t = generate_case2_candidate([20260809, k])
     except SampleRejected:
@@ -385,25 +389,33 @@ def test_profile_columns_are_the_scalar_and_grid_values(k, samples):
     ],
 )
 def test_profile_columns_of_other_dimensions(name):
-    # gamma-1x3's joint is 3x3: it is swept in closed form in the worker's
-    # jobs of 512 rows, and each row must keep the bits of one sweep.
+    # gamma-1x3's joint is 3x3, swept in closed form where it is not derived.
     t = _check_triple(name)
     assert (t.out1.dim, t.out2.dim) == tuple(map(int, name.split("-")[1].split("x")))
     for samples in (1, 7, 4096):
         _assert_profile_columns(t, samples)
 
 
-@pytest.mark.parametrize("name", ["sampled-2x2-1", "gamma-3x3-8"])
-@pytest.mark.parametrize("samples", [513, 1025])
+@pytest.mark.parametrize(
+    "name, samples",
+    [("catalog-counterexample", 2), ("catalog-counterexample", 30), ("gamma-3x3-8", 1), ("gamma-3x3-8", 13)],
+)
 def test_profile_one_row_job_keeps_the_bits_of_one_sweep(name, samples):
-    # The joint's last job of 512 rows holds one row, which numpy alone
-    # would evaluate as a vector-matrix product with other rounding.
-    assert samples % cli._CSV_ROWS == 1
-    _assert_profile_columns(_check_triple(name), samples)
+    # The joint's sweep gets one row, which numpy alone would evaluate as a
+    # vector-matrix product with other rounding.
+    assert _assert_profile_columns(_check_triple(name), samples)[1].sum() == 1
 
 
-def _assert_profile_columns(t: UncorrelatedTriple, samples: int) -> None:
-    with tempfile.TemporaryDirectory() as tmp:
+def _assert_profile_columns(t: UncorrelatedTriple, samples: int) -> tuple:
+    """Check each column of ``t``'s profile CSV; return its table and the mask of the joint rows swept."""
+    sweeps = []  # (family, rows) of each sweep, in call order
+    sweep = cli._lambda_min_grid
+
+    def recorded(family, basis):
+        sweeps.append((family, basis))
+        return sweep(family, basis)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_lambda_min_grid", recorded):
         path = Path(tmp) / "t.pmap"
         path.write_text(serialize_pmap(document_from_triple(t)))
         out_csv = Path(tmp) / "t.csv"
@@ -416,73 +428,108 @@ def _assert_profile_columns(t: UncorrelatedTriple, samples: int) -> None:
     assert _bits(phis) == _bits(np.arange(samples) * (2.0 * math.pi / samples))
     P = trace_poly(t.out1)
     assert _bits(table[:, 1]) == _bits([P.eval(phi).real for phi in phis.tolist()])
-    for column, op in zip(table[:, 2:].T, (t.out1, t.out2, t.joint)):
-        assert _bits(column) == _bits(_lambda_min_grid(hermitian_part(op.coeffs)[0], _basis(phis)))
+    rows = _basis(phis)
+    for column, op in zip(table[:, 2:4].T, (t.out1, t.out2)):
+        assert _bits(column) == _bits(_lambda_min_grid(hermitian_part(op.coeffs)[0], rows))
+    joint = hermitian_part(t.joint.coeffs)[0]
+    d = t.joint.dim
+    oracle = np.linalg.eigvalsh((rows @ joint.reshape(3, d * d)).reshape(-1, d, d))[:, 0]
+    assert np.abs(table[:, 4] - oracle).max() <= 1e-13 * np.abs(joint).max()
+    # The rows not derived are the joint's own sweep, bit for bit: the last
+    # sweep of the joint's family (a 1x2 joint can equal out2).
+    swept = [basis for family, basis in sweeps if np.array_equal(family, joint)][-1]
+    mask = np.isin(rows[:, 0], swept[:, 0])
+    assert mask.sum() == len(swept)
+    assert _bits(table[mask, 4]) == _bits(_lambda_min_grid(joint, rows[mask]))
+    return table, mask
+
+
+def test_profile_sweeps_the_joint_where_the_relation_fails():
+    # A hermitian joint off by 1e-6 of its size fails the relation, so no row
+    # is derived: the column is the joint's own sweep over every row.
+    t = builtin("counterexample").payload
+    noise = np.random.default_rng(20260809).normal(size=t.joint.coeffs.shape)
+    noise = hermitian_part(noise.astype(complex))[0]
+    coeffs = t.joint.coeffs + 1e-6 * t.joint.max_abs() * noise / np.abs(noise).max()
+    off = UncorrelatedTriple(type(t.joint)(coeffs, dim1=2, dim2=2), t.out1, t.out2)
+    assert not phaseclone.validate_triple(off).relation_holds
+    _, swept = _assert_profile_columns(off, 4096)
+    assert swept.all()
+
+
+@pytest.mark.parametrize("samples", [2, 64, 4096])
+def test_profile_sweeps_the_joint_at_a_root_of_P(samples):
+    # P vanishes at phi = pi, where nothing is divided: the row is swept and
+    # reads the joint's minimum, -4.
+    table, swept = _assert_profile_columns(builtin("counterexample").payload, samples)
+    row = table[samples // 2]
+    assert row[0] == math.pi and abs(row[1]) < 1e-15 and swept[samples // 2]
+    assert np.isfinite(table).all() and row[4] == pytest.approx(-4.0, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.floats(-8.0, -1.0))
+def test_profile_joint_column_of_mixed_triples(k, log_a):
+    # Both outputs mixed as a out + (1 - a) P I/d, a log-uniform, on triples
+    # whose P has a double root on the circle: next to it the outputs are
+    # nearly P I/d and the joint's smallest eigenvalues cluster.
+    while True:
+        t = _sampled(k)
+        if decompose_probability(trace_poly(t.out1)).r < 1.0 + 1e-6:
+            break
+        k += 1
+    a = 10.0**log_a
+    P = trace_poly(t.out1).coeffs[:, None, None]
+    out1, out2 = (
+        PhaseOperator(a * o.coeffs + (1.0 - a) * P * np.eye(o.dim) / o.dim) for o in (t.out1, t.out2)
+    )
+    try:
+        mixed = assemble_triple(out1, out2)
+    except SampleRejected:
+        return
+    _assert_profile_columns(mixed, 4096)
 
 
 def test_profile_sweeps_each_block_once(tmp_path, monkeypatch):
     path = _write_entry(tmp_path, "counterexample")
-    swept = {}  # id of a swept family -> [the family, rows swept]
-    sweep = positivity._lambda_min_grid
+    t = builtin("counterexample").payload
+    swept = []  # (family, rows swept) per call
+    sweep = cli._lambda_min_grid
 
     def counted(family, basis):
-        swept.setdefault(id(family), [family, 0])[1] += len(basis)
+        swept.append((family, len(basis)))
         return sweep(family, basis)
 
-    # min_eigenvalue_profile sweeps out1 and out2; the CLI sweeps the joint in jobs.
-    for module in (cli, positivity):
-        monkeypatch.setattr(module, "_lambda_min_grid", counted)
-    samples = 2 * cli._CSV_ROWS + 7
-    argv = ["profile", str(path), "--samples", str(samples), "--out", str(tmp_path / "p.csv")]
-    assert main(argv) == 0
-    assert sorted(rows for _, rows in swept.values()) == [samples] * 3
+    monkeypatch.setattr(cli, "_lambda_min_grid", counted)
+    samples = 2 * cli._CSV_ROWS + 8
+    out_csv = tmp_path / "p.csv"
+    assert main(["profile", str(path), "--samples", str(samples), "--out", str(out_csv)]) == 0
+    # Each output and its negation (for the largest eigenvalue) once over the
+    # grid, then the joint on the rows not derived: the counterexample's
+    # relation is exact, so those are the rows at or below the floor of P.
+    P = np.loadtxt(out_csv, delimiter=",", skiprows=1)[:, 1]
+    fallback = int((P <= cli._DERIVE_FLOOR * trace_poly(t.out1).max_abs()).sum())
+    assert 0 < fallback < samples
+    assert [rows for _, rows in swept] == [samples] * 4 + [fallback]
+    assert np.array_equal(swept[-1][0], hermitian_part(t.joint.coeffs)[0])
 
 
-def test_profile_sweeps_the_joint_on_one_worker_thread(tmp_path, monkeypatch):
+def test_profile_into_a_directory_starts_no_thread(tmp_path, monkeypatch, capsys):
     path = _write_entry(tmp_path, "counterexample")
-    workers, alive = set(), []
+    alive = []
     sweep = cli._lambda_min_grid
 
     def recorded(family, basis):
-        workers.add(threading.get_ident())
         alive.append(threading.active_count())
         return sweep(family, basis)
 
     monkeypatch.setattr(cli, "_lambda_min_grid", recorded)
     before = threading.active_count()
-    argv = ["profile", str(path), "--samples", "4096", "--out", str(tmp_path / "p.csv")]
-    assert main(argv) == 0
-    assert len(workers) == 1 and threading.get_ident() not in workers
-    assert set(alive) == {before + 1} and len(alive) == 4096 // cli._CSV_ROWS
-    assert threading.active_count() == before
-
-
-def test_profile_into_a_directory_drops_the_joint_jobs(tmp_path, monkeypatch, capsys):
-    path = _write_entry(tmp_path, "counterexample")
-    # Each joint job waits (30 s at most) until the output has failed to
-    # open, so the jobs still queued then must be dropped, not swept.
-    failed, swept = threading.Event(), []
-    sweep, write = cli._lambda_min_grid, cli._write
-
-    def gated(family, basis):
-        failed.wait(timeout=30)
-        swept.append(len(basis))
-        return sweep(family, basis)
-
-    def write_or_fail(path, chunks):
-        try:
-            write(path, chunks)
-        finally:
-            failed.set()
-
-    monkeypatch.setattr(cli, "_lambda_min_grid", gated)
-    monkeypatch.setattr(cli, "_write", write_or_fail)
-    before = threading.active_count()
     argv = ["profile", str(path), "--samples", str(cli.MAX_SAMPLES), "--out", str(tmp_path)]
     assert main(argv) == 2
-    assert threading.active_count() == before
-    assert failed.is_set() and "error:" in capsys.readouterr().err
-    assert len(swept) < cli.MAX_SAMPLES // cli._CSV_ROWS
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert alive and set(alive) == {before} and threading.active_count() == before
 
 
 def test_profile_builds_its_grid_once(tmp_path, monkeypatch):
@@ -506,9 +553,8 @@ def test_profile_builds_its_grid_once(tmp_path, monkeypatch):
 def test_profile_writes_its_csv_one_block_at_a_time(tmp_path, name):
     # The CSV of 65536 samples is 6.5 MB; each block of rows is written as
     # soon as it is formatted, so neither the table's text nor a copy of
-    # the table is held (the call peaks at about 3 to 3.7 MiB, the sweeps'
-    # arrays included).  The 1x2 joint is 2x2, swept in closed form, so its
-    # jobs finish ahead of the writer and their blocks queue up.
+    # the table is held (the call peaks at about 4.6 MiB, the columns of
+    # every phase included).
     path = tmp_path / "t.pmap"
     path.write_text(serialize_pmap(document_from_triple(_check_triple(name))))
     argv = ["profile", str(path), "--samples", "65536", "--out", str(tmp_path / "p.csv")]
