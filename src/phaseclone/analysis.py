@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import ALGEBRA_TOL, ZERO_COEFF_REL, FirstOrderPoly, has_second_order
+from .trigpoly import ALGEBRA_TOL, FirstOrderPoly, _negligible, has_second_order
 from .operators import (
     PhaseOperator,
     RelationReport,
@@ -165,8 +165,8 @@ def _multiplicity(outs: np.ndarray, decs: list, tol: float) -> tuple[np.ndarray,
     ``DEGENERATE_ROOT_BAND`` are one double root at their midpoint (``P``'s
     minimum is then below ``1e-12 * |alpha|``), and an entry that carries it
     carries it twice iff its slope ``2 a z - c`` is at most ``tol`` times its
-    ``max|coeff|`` times ``max(1, |z|)``.  An entry at most
-    ``ZERO_COEFF_REL`` times the largest of its output carries both.  Also
+    ``max|coeff|`` times ``max(1, |z|)``.  An entry negligible next to the
+    largest of its output (``trigpoly._negligible``) carries both.  Also
     returns, per member, whether its roots are one double root.
     """
     z = np.array([(d.p0, d.p1) for d in decs]).T[..., None]
@@ -179,7 +179,7 @@ def _multiplicity(outs: np.ndarray, decs: list, tol: float) -> tuple[np.ndarray,
     zero = np.abs((a * z - c) * z + b) <= tol * size * reach * reach
     slope = np.abs(2.0 * a * z[0] - c) <= tol * size * reach[0]
     found = zero[0] + np.where(double, zero[0] & slope, zero[1]).astype(np.intp)
-    found[size <= ZERO_COEFF_REL * size.max(axis=1, keepdims=True)] = 2
+    found[_negligible(size, size.max(axis=1, keepdims=True))] = 2
     return found, double[:, 0]
 
 
@@ -271,10 +271,9 @@ def _verdicts(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     P, sizes, nonzero, traces_equal, _, holds, partial_ok = relation
     families, defects = zip(*(hermitian_part(stack) for stack in (joint, out1, out2)))
     hp = np.array(defects) <= tol * sizes[1:]
-    zero = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2])  # P vanishes next to out1
     probability = [
-        "zero-probability" if z else _probability(FirstOrderPoly(*row), tol)
-        for z, row in zip(zero.tolist(), P.T.tolist())
+        _probability(FirstOrderPoly(*row), tol) if ok else "zero-probability"
+        for ok, row in zip(nonzero.tolist(), P.T.tolist())
     ]
     relation_ok = nonzero & traces_equal & holds & partial_ok
     return _Verdicts(families, hp, relation, relation_ok, probability)
@@ -283,15 +282,14 @@ def _verdicts(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
 def _classification(v: _Verdicts, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
     """The classification half, on the verdict half ``v`` of the out1 and out2 stacks.
 
-    The phase-dependence projection of both outputs where ``P`` vanishes
-    next to neither, and the case of the hermitian-preserving,
+    The phase-dependence projection of both outputs where ``P`` does not
+    vanish, and the case of the hermitian-preserving,
     relation-satisfying members with a decomposed ``P``.  Lemma L2b runs
     on those of them with a double root and both outputs phase-dependent.
     """
-    P, sizes = v.relation[:2]
-    zero1, zero2 = sizes[0] <= ZERO_COEFF_REL * (1.0 + sizes[2:])  # P vanishes next to each output
+    P, sizes, nonzero = v.relation[:3]
     dependence = [(None, None)] * len(v.probability)
-    projected = (~(zero1 | zero2)).nonzero()[0]
+    projected = nonzero.nonzero()[0]
     p = P.T[projected]
     scale1, scale2 = np.maximum(sizes[0], sizes[2:])[:, projected]  # max(max|P|, max|out|)
     _, dep1 = _projection(out1[projected], p, scale1, tol)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly, mul
+from .trigpoly import FirstOrderPoly, _negligible, mul
 
 __all__ = [
     "DEFAULT_TOL",
@@ -61,19 +61,20 @@ MAX_COEFF = 1e150
 
 #: Default tolerance of every verdict, under one rule: a defect passes iff it
 #: is at most ``tol`` times the largest coefficient modulus of what it judges,
-#: so scaling an operator or a triple by any ``k > 0`` changes no verdict.  The
-#: operator is judged for hermiticity and positivity (``lambda_min >= -tol *
-#: max|coeffs|``); the triple (the largest of joint, out1 and out2) for the
-#: traces, the relation residual and the partial traces; the larger of
-#: ``max|P|`` and ``max|out|`` for phase dependence; ``P`` for being real and
-#: for vanishing at a phase; the outputs, and each product entry, in assembly;
-#: each entry for its value and slope at a factor root of ``P`` (times a power
-#: of ``max(1, |root|)``) in the case analysis, where an entry is zero below
-#: ``ZERO_COEFF_REL`` times its output's largest.  Set apart, each for its
-#: reason: ``ZERO_COEFF_REL`` keeps ``(1 + scale)``, relative from unit scale
-#: up, where ``P`` is judged to vanish or to be constant; ``DEGENERATE_ROOT_BAND``
-#: works in root space, which scaling does not move; ``WITNESS_LEVEL`` is set
-#: by the sampler's unit scale and judges only the search's witnesses;
+#: so scaling a triple by ``k > 0`` changes no verdict while out1's scale stays
+#: from ``trigpoly.SCALE_FLOOR`` to ``MAX_COEFF``.  The operator is judged for
+#: hermiticity and positivity (``lambda_min >= -tol * max|coeffs|``); the
+#: triple (the largest of joint, out1 and out2) for the traces, the relation
+#: residual and the partial traces; the larger of ``max|P|`` and ``max|out|``
+#: for phase dependence; ``P`` for being real and for vanishing at a phase; the
+#: outputs, and each product entry, in assembly; each entry for its value and
+#: slope at a factor root of ``P`` (times a power of ``max(1, |root|)``) in the
+#: case analysis.  Set apart, each for its reason: ``ZERO_COEFF_REL``, the one
+#: zero rule ``trigpoly._negligible``, judges ``P`` against out1 (once, in
+#: ``_relation``), an entry against its output, ``alpha`` against ``P`` and a
+#: divisor's coefficient against the divisor; ``DEGENERATE_ROOT_BAND`` works in
+#: root space, which scaling does not move; ``WITNESS_LEVEL`` is set by the
+#: sampler's unit scale and judges only the search's witnesses;
 #: ``has_second_order`` stays absolute (``ALGEBRA_TOL``), the bound the
 #: deterministic obstruction is stated with; the certificate's ``_LEVEL_GAP``,
 #: ``_CIRCLE_BAND``, ``_DEGENERATE_REL`` and ``_CONSTANT_REL`` are relative already.
@@ -264,7 +265,7 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     moduli = (np.abs(c).max(axis=(0, 2, 3)) for c in (joint, out1, out2))
     sizes = np.array([np.abs(P).max(axis=0), *moduli])
     size, scale = sizes[0], sizes[1:].max(axis=0)
-    nonzero = size > ZERO_COEFF_REL * (1.0 + scale)
+    nonzero = ~_negligible(size, sizes[2])  # P vanishes next to out1, once for every caller
     traces = np.array([out2.trace(axis1=-2, axis2=-1), joint.trace(axis1=-2, axis2=-1)])
     traces_equal = np.abs(traces - P).max(axis=(0, 1)) <= tol * scale
     cross = mul(joint, P[..., None, None]) - _tensor(out1, out2)

@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .trigpoly import ZERO_COEFF_REL, FirstOrderPoly
+from .trigpoly import FirstOrderPoly, _negligible
 from .operators import DEFAULT_TOL, PhaseOperator, hermitian_part
 
 __all__ = [
@@ -189,7 +189,7 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
         raise NotRealValuedError("probability polynomial must be real-valued")
     alpha = P.a
     alpha_abs = abs(alpha)
-    if alpha_abs <= ZERO_COEFF_REL * (1.0 + P.max_abs()):
+    if _negligible(alpha_abs, P.max_abs()):
         raise ConstantProbabilityError("probability is independent of the phase")
     R = P.c.real
     ratio = R / alpha_abs

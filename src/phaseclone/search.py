@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import _divide
+from .trigpoly import _divide, _negligible
 from .operators import DEFAULT_TOL, JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
 from . import analysis
 
@@ -284,16 +284,16 @@ def _assemble(out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
     ``P``, all members in one batched division.  Returns the ``(joint,
     out1, out2)`` stacks of the accepted members, their indices, and a dict
     from each rejected member's index to its :class:`SampleRejected`
-    message: the traces disagree or ``P`` vanishes (each beyond ``tol``
-    times the member's largest output coefficient), or some product entry
+    message: the traces disagree (beyond ``tol`` times the member's largest
+    output coefficient), ``P`` vanishes next to out1, or some product entry
     is not divisible (the first in row-major order is named).
     """
     c1, c2 = out1.swapaxes(0, 1), out2.swapaxes(0, 1)
     d1, d2 = c1.shape[-1], c2.shape[-1]
     P = c1.trace(axis1=-2, axis2=-1)
-    limit = tol * np.maximum(*(np.abs(c).max(axis=(0, 2, 3)) for c in (c1, c2)))
-    mismatch = np.abs(c2.trace(axis1=-2, axis2=-1) - P).max(axis=0) > limit
-    vanishes = np.abs(P).max(axis=0) <= limit
+    size1, size2 = (np.abs(c).max(axis=(0, 2, 3)) for c in (c1, c2))
+    mismatch = np.abs(c2.trace(axis1=-2, axis2=-1) - P).max(axis=0) > tol * np.maximum(size1, size2)
+    vanishes = _negligible(np.abs(P).max(axis=0), size1)  # the rule of operators._relation
     rejected = {
         i: "marginal traces disagree" if mismatch[i] else "trace polynomial vanishes"
         for i in np.flatnonzero(mismatch | vanishes).tolist()

@@ -34,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "ZERO_COEFF_REL",
+    "SCALE_FLOOR",
     "ALGEBRA_TOL",
     "FirstOrderPoly",
     "FullForm",
@@ -50,8 +51,11 @@ __all__ = [
     "has_second_order",
 ]
 
-#: Relative magnitude below which a coefficient counts as zero in case splits.
+#: The one zero rule (:func:`_negligible`): a magnitude is zero iff it is at
+#: most this times its scale, a scale below ``SCALE_FLOOR`` counting as it.
 ZERO_COEFF_REL = 1e-13
+#: The underflow counterpart of ``operators.MAX_COEFF``: ``|P|^2`` at the zero threshold is normal.
+SCALE_FLOOR = 1e-140
 #: Default tolerance of divisibility (relative to each numerator) and of
 #: second-order content (absolute).
 ALGEBRA_TOL = 1e-10
@@ -86,8 +90,9 @@ def _finite(z, name: str) -> complex:
     return z
 
 
-def _negligible(magnitude: float, scale: float) -> bool:
-    return magnitude <= ZERO_COEFF_REL * (1.0 + scale)
+def _negligible(magnitude, scale):
+    """``magnitude <= ZERO_COEFF_REL * max(scale, SCALE_FLOOR)``, elementwise."""
+    return magnitude <= ZERO_COEFF_REL * np.maximum(scale, SCALE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -256,10 +261,7 @@ def _divide(num, den, tol: float = ALGEBRA_TOL) -> tuple[np.ndarray, np.ndarray,
     # Ascending coefficients of den * x.
     d = den[[1, 2, 0]]
     mags = np.abs(d)
-    den_scale = mags.max(axis=0)
-    if (den_scale == 0.0).any():
-        raise ZeroDivisorError("division by the zero polynomial")
-    negligible = mags <= ZERO_COEFF_REL * (1.0 + den_scale)
+    negligible = _negligible(mags, mags.max(axis=0))
     if negligible.all(axis=0).any():
         raise ZeroDivisorError("division by a numerically zero polynomial")
     # Highest non-negligible coefficient of each divisor.
@@ -338,8 +340,6 @@ def factorize(p: FirstOrderPoly) -> DecompositionForm:
     pure negative-frequency shape applies.
     """
     scale = p.max_abs()
-    if scale == 0.0:
-        raise ZeroPolynomialError("cannot factorize the zero polynomial")
     if not _negligible(abs(p.a), scale):
         r0, r1 = _stable_quadratic_roots(p.a, p.c, p.b)
         w0, w1 = _canonical_pair(-r0, -r1)

@@ -73,6 +73,32 @@ def test_check_counterexample_report_content(tmp_path, capsys):
     assert "positivity_out1: false" in out
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-14])
+def test_check_decides_once_whether_p_vanishes(tmp_path, capsys, eps):
+    # out1 = out2 = diag(P', -1), so P = P' - 1 = (eps / 4, eps / 4, 2 eps), next
+    # to a joint 100 times the outputs.  P is zero iff it is negligible next to
+    # out1: at eps = 1e-12 it is not, at 1e-14 it is.  The relation line, the
+    # probability line and validate_triple read that one decision.
+    out = PhaseOperator.from_rows([[(eps / 4, eps / 4, 1 + 2 * eps), 0], [0, -1]])
+    joint = np.array([0, 0, 100]).reshape(3, 1, 1) * np.eye(4)
+    joint = phaseclone.JointPhaseOperator(joint, dim1=2, dim2=2)
+    t = UncorrelatedTriple(joint, out, out)
+    path = tmp_path / "vanishing.pmap"
+    path.write_text(serialize_pmap(document_from_triple(t)))
+    assert main(["check", str(path)]) == 1
+    printed = capsys.readouterr().out
+    zero = phaseclone.analyze(t).probability == "zero-probability"
+    assert zero == (eps < 1e-13)
+    assert ("relation: unavailable (zero probability)" in printed) == zero
+    assert ("probability: zero-probability" in printed) == zero
+    try:
+        phaseclone.validate_triple(t)
+    except phaseclone.ZeroProbabilityError:
+        assert zero
+    else:
+        assert not zero
+
+
 def test_check_on_single_operator_is_input_error(tmp_path, capsys):
     path = _write_entry(tmp_path, "phase-state")
     code = main(["check", str(path)])

@@ -142,12 +142,15 @@ def _scaled(t: UncorrelatedTriple, k: float) -> UncorrelatedTriple:
 
 
 @pytest.mark.parametrize(
-    "k", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0, 1e2, 1e4, 1e6, 1e8]
+    "k",
+    [1e-150, 1e-100, 1e-40, 1e-14, 1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 2.0,
+     1e2, 1e4, 1e6, 1e8, 1e140],
 )
 def test_scaling_keeps_every_verdict(triples, reports, k):
     # Scaling all three operators by k > 0 keeps the relation (both sides
     # scale by k^2), hermiticity, positivity, the entry roots and so the
-    # phase dependence: no verdict and no case label may change.
+    # phase dependence: no verdict and no case label may change while out1's
+    # scale stays from trigpoly.SCALE_FLOOR to operators.MAX_COEFF.
     scaled = analyze_many([_scaled(t, k) for t in triples])
     flips = [
         i
@@ -155,6 +158,15 @@ def test_scaling_keeps_every_verdict(triples, reports, k):
         if (_verdict(a), _label(a)) != (_verdict(b), _label(b))
     ]
     assert flips == []
+
+
+@pytest.mark.parametrize("k", [1e-200, 1e-300])
+def test_below_the_scale_floor_every_probability_is_zero(triples, k):
+    # Magnitudes under ZERO_COEFF_REL * SCALE_FLOOR are zero at any scale, so
+    # no check divides by a P whose square underflows.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        scaled = analyze_many([_scaled(t, k) for t in triples])
+    assert {r.probability for r in scaled} == {"zero-probability"}
 
 
 def _relation_ok(t: UncorrelatedTriple) -> bool | None:

@@ -8,6 +8,7 @@ sibling module (a re-export).  Code that only tests call
 belongs in ``tests/helpers.py``.  Small float literals (tolerances, in
 practice) appear only as module-level constants, so that each threshold is
 named once and the tolerance policy of ``operators.DEFAULT_TOL`` can list them.
+``ZERO_COEFF_REL`` is read only by ``trigpoly._negligible``, the one zero rule.
 """
 
 from __future__ import annotations
@@ -130,6 +131,24 @@ def _small_literals(modules: dict[str, ast.Module]) -> list[str]:
     return [f"{module}.py:{line}" for module, line in sorted(found)]
 
 
+def _readers(modules: dict[str, ast.Module], name: str) -> list[str]:
+    """``module.definition`` of each top-level definition that reads or imports ``name``;
+    ``module`` where other module-level code does."""
+    found = set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            owner = f"{module}.{node.name}" if named else module
+            for n in ast.walk(node):
+                if (
+                    (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+                    or (isinstance(n, ast.Attribute) and n.attr == name)
+                    or (isinstance(n, ast.alias) and n.name == name)
+                ):
+                    found.add(owner)
+    return sorted(found)
+
+
 def test_every_top_level_definition_is_used_or_exported():
     assert _unused(_modules()) == []
 
@@ -143,6 +162,23 @@ def test_every_name_in_all_is_defined_in_its_module():
 
 def test_no_small_float_literal_outside_a_named_constant():
     assert _small_literals(_modules()) == []
+
+
+def test_only_the_zero_rule_reads_its_threshold():
+    assert _readers(_modules(), "ZERO_COEFF_REL") == ["trigpoly._negligible"]
+
+
+def test_the_guard_sees_each_read_of_the_zero_threshold():
+    trigpoly = ast.parse(
+        "ZERO_COEFF_REL = 1.0\n__all__ = ['ZERO_COEFF_REL']\n\n"
+        "def _negligible(m, s):\n    return m <= ZERO_COEFF_REL * s\n"
+    )
+    other = ast.parse(
+        "from .trigpoly import ZERO_COEFF_REL as Z\nfrom . import trigpoly\n\n"
+        "class C:\n    def f(self, x):\n        return x <= trigpoly.ZERO_COEFF_REL\n"
+    )
+    readers = _readers({"trigpoly": trigpoly, "other": other}, "ZERO_COEFF_REL")
+    assert readers == ["other", "other.C", "trigpoly._negligible"]
 
 
 def test_the_guard_sees_a_literal_tolerance():

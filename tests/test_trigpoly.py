@@ -25,7 +25,7 @@ from phaseclone import (
     mul,
 )
 
-from phaseclone.trigpoly import ZERO_COEFF_REL, _divide
+from phaseclone.trigpoly import SCALE_FLOOR, ZERO_COEFF_REL, _divide
 
 from helpers import eval_on_grid, fp, grid, random_first_order, root_multiplicity
 
@@ -250,7 +250,8 @@ def _reference_quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """
     d = den[[1, 2, 0]]
     mags = np.abs(d)
-    lead = 2 - np.argmin((mags <= ZERO_COEFF_REL * (1.0 + mags.max(axis=0)))[::-1], axis=0)
+    floor = ZERO_COEFF_REL * np.maximum(mags.max(axis=0), SCALE_FLOOR)
+    lead = 2 - np.argmin((mags <= floor)[::-1], axis=0)
     q = np.empty((3,) + num.shape[1:], dtype=complex)
     for value in range(3):
         members = lead == value
@@ -298,6 +299,18 @@ def test_exact_div_per_member_divisors_name_first_failing_member():
     assert np.array_equal(q[:, :4], exact_div(num[:, :4], den[:, :4, None], 1e-10))
 
 
+@pytest.mark.parametrize("s", [1e-14, 1e-100])
+def test_exact_div_of_a_small_constant_is_relative(s):
+    # A divisor's coefficients are negligible relative to the divisor, at any
+    # scale above SCALE_FLOOR.
+    assert np.array_equal(exact_div([0, 0, s * s, 0, 0], [0, 0, s]), [0, 0, s])
+
+
+def test_exact_div_below_the_scale_floor_is_by_zero():
+    with pytest.raises(ZeroDivisorError):
+        exact_div([0, 0, 1, 0, 0], [0, 0, 0.1 * ZERO_COEFF_REL * SCALE_FLOOR])
+
+
 def test_exact_div_rejects_bad_divisor_shapes():
     with pytest.raises(ValueError):
         exact_div(np.zeros(5), np.ones(2))
@@ -341,6 +354,14 @@ def test_factorize_affine():
 def test_factorize_zero_raises():
     with pytest.raises(ZeroPolynomialError):
         factorize(FirstOrderPoly.zero())
+    with pytest.raises(ZeroPolynomialError):
+        factorize(FirstOrderPoly(0.1 * ZERO_COEFF_REL * SCALE_FLOOR, 0, 0))
+
+
+def test_factorize_is_relative_below_unit_scale():
+    form = factorize(FirstOrderPoly(1e-14, 0, 0))
+    assert isinstance(form, FullForm)
+    assert (form.scale, form.w0, form.w1) == (1e-14, 0, 0)
 
 
 # ------------------------------------------------------------------ expand
