@@ -105,9 +105,8 @@ def format_rows(table: np.ndarray) -> bytes:
     n, k, ok = _significand(v)
     text, keep = _slots(n, k, np.signbit(v))
     text.reshape(*table.shape, _SLOTS)[:, -1, _SEP] = ord("\n")
+    text *= keep  # NUL in every slot not printed; "%.17g" prints no NUL
     odd = np.flatnonzero(~ok)
-    python = np.array([b"%.17g" % x for x in v[odd].tolist()], "S24").view(np.uint8).reshape(-1, 24)
-    text[odd, :24] = python
-    keep[odd, :_SEP] = False
-    keep[odd, :24] = python != 0
-    return text.ravel().take(np.flatnonzero(keep)).tobytes()
+    python = [b"%.17g" % x for x in v[odd].tolist()]
+    text[odd, :_SEP] = np.array(python, f"S{_SEP}").view(np.uint8).reshape(-1, _SEP)
+    return text.tobytes().translate(None, b"\0")

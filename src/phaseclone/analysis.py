@@ -59,6 +59,7 @@ from .operators import (
     PhaseOperator,
     RelationReport,
     UncorrelatedTriple,
+    ZeroProbabilityError,
     _groups,
     _relation,
     _relation_reports,
@@ -205,12 +206,17 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
     """Assign one of the three factor-inlay cases (or constant probability).
 
     Assumes the triple already passed :func:`validate_triple` and the
-    hermiticity checks.  Propagates the probability-decomposition errors
-    for non-real or negative traces.  This is the structure stage's
-    :func:`_multiplicity` on a stack of one.
+    hermiticity checks.  Raises :class:`ZeroProbabilityError` where ``P``
+    vanishes next to out1 (the rule of ``operators._relation``), as
+    :func:`validate_triple` does, and propagates the
+    probability-decomposition errors for non-real or negative traces.  This
+    is the structure stage's :func:`_multiplicity` on a stack of one.
     """
+    P = trace_poly(t.out1)
+    if _negligible(P.max_abs(), t.out1.max_abs()):
+        raise ZeroProbabilityError("trace polynomial vanishes identically")
     try:
-        dec = decompose_probability(trace_poly(t.out1), tol)
+        dec = decompose_probability(P, tol)
     except ConstantProbabilityError:
         return CaseVerdict(CaseLabel.CONSTANT_PROBABILITY)
     (label,) = _labels(_multiplicity(t.out2.coeffs[None], [dec], tol)[0])
@@ -236,8 +242,9 @@ class _Verdicts:
 
     ``families`` holds the Hermitian parts of the joint, out1 and out2
     stacks, ``hp`` whether each operator is hermitian-preserving (``(3,
-    N)``) and ``relation`` the arrays of ``operators._relation``.  Per
-    member, ``probability`` is the decomposition of ``P`` or a tag string.
+    N)``) and ``relation`` the arrays of ``operators._relation`` but the
+    last, its cross term.  Per member, ``probability`` is the decomposition
+    of ``P`` or a tag string.
     """
 
     families: tuple
@@ -267,7 +274,7 @@ def _verdicts(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     Hermiticity per operator, the product relation and the decomposition of
     ``P`` (out1's trace) per member; the certificate runs on ``families``.
     """
-    relation = _relation(joint, out1, out2, tol)
+    relation = _relation(joint, out1, out2, tol)[:-1]
     P, sizes, nonzero, traces_equal, _, holds, partial_ok = relation
     families, defects = zip(*(hermitian_part(stack) for stack in (joint, out1, out2)))
     hp = np.array(defects) <= tol * sizes[1:]

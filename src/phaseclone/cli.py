@@ -30,6 +30,7 @@ from .positivity import (
     DEFAULT_TOL,
     NotHermitianError,
     PositivityVerdict,
+    _extremes_grid,
     _grid,
     _hermitian_family,
     _lambda_min_grid,
@@ -181,7 +182,7 @@ def _cmd_classify(args) -> int:
 
 
 #: Rows of the ``profile`` CSV formatted and written at a time.
-_CSV_ROWS = 512
+_CSV_ROWS = 1024
 #: ``profile`` derives a joint row only where ``P(phi)`` exceeds this fraction of
 #: ``max|P|``: ``P(phi)`` is rounded by a few ulps of ``max|P|``, which is then at
 #: most a few hundred ulps of ``P(phi)`` and of the quotient.
@@ -206,15 +207,15 @@ def _cmd_profile(args) -> int:
     # joint(phi) P(phi) = out1(phi) (x) out2(phi) + R(phi).  Where P(phi) > 0 the
     # joint's eigenvalues are the products a_i b_j / P(phi) of the outputs' (Horn &
     # Johnson, Topics in Matrix Analysis, Thm 4.2.12), each moved by at most
-    # ||R(phi)|| / P(phi) (Weyl); an entry of R(phi) sums five coefficients of the
-    # relation's cross term, so ||R(phi)|| <= 5 d max|cross|.  The other rows (near a
-    # root of P, where P <= 0, and all rows where the relation fails) are swept.
-    _, sizes, nonzero, _, residual, *_ = _relation(joint[None], out1[None], out2[None], DEFAULT_TOL)
+    # ||R(phi)|| / P(phi) (Weyl); R(phi) sums the relation's five cross-term
+    # coefficients, each times a unit phase factor, so ||R(phi)|| is at most the sum
+    # of their Frobenius norms.  The other rows (near a root of P, where P <= 0, and
+    # all rows where the relation fails) are swept.
+    _, sizes, nonzero, *_, cross = _relation(joint[None], out1[None], out2[None], DEFAULT_TOL)
     size_p, size_joint = sizes[:2, 0]
-    weyl = 5 * joint.shape[-1] * residual[0] * size_p
+    weyl = np.linalg.norm(cross[:, 0], axis=(1, 2)).sum()
     derived = nonzero[0] & (p > _DERIVE_FLOOR * size_p) & (weyl <= _DERIVE_BUDGET * size_joint * p)
-    l1, l2 = _lambda_min_grid(out1, rows), _lambda_min_grid(out2, rows)
-    h1, h2 = -_lambda_min_grid(-out1, rows), -_lambda_min_grid(-out2, rows)
+    (l1, h1), (l2, h2) = _extremes_grid(out1, rows), _extremes_grid(out2, rows)
     # Each output has trace P(phi) > 0, so h1, h2 > 0 and h1 h2 >= l1 h2 is never the least.
     least = np.minimum(l1 * l2, np.minimum(l1 * h2, h1 * l2))
     lj = np.divide(least, p, out=least, where=derived)

@@ -258,6 +258,8 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     whether ``P`` is nonzero, whether the traces agree, the relation
     residual, whether it holds and whether the partial traces agree; a check
     passes within ``tol`` times the largest modulus of joint, out1 and out2.
+    Last, the ``(5, N, d1 d2, d1 d2)`` cross term ``joint * P - out1 (x) out2``
+    over degrees -2..2, whose largest modulus is the residual's numerator.
     """
     d1, d2 = out1.shape[-1], out2.shape[-1]
     joint, out1, out2 = (stack.swapaxes(0, 1) for stack in (joint, out1, out2))
@@ -273,11 +275,13 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     blocks = joint.reshape(joint.shape[:2] + (d1, d2, d1, d2))
     gaps = (blocks.trace(axis1=3, axis2=5) - out1, blocks.trace(axis1=2, axis2=4) - out2)
     partial = np.maximum(*(np.abs(gap).max(axis=(0, 2, 3)) for gap in gaps))
-    return P, sizes, nonzero, traces_equal, residual, residual <= tol * scale, partial <= tol * scale
+    holds, partial_ok = residual <= tol * scale, partial <= tol * scale
+    return P, sizes, nonzero, traces_equal, residual, holds, partial_ok, cross
 
 
 def _relation_reports(relation: tuple) -> list[RelationReport | None]:
-    """A :class:`RelationReport` per member of :func:`_relation`; ``None`` where ``P`` vanishes."""
+    """A :class:`RelationReport` per member of :func:`_relation` (its arrays but the cross term);
+    ``None`` where ``P`` vanishes."""
     P, _, *verdicts = relation
     rows = zip(P.T.tolist(), *(a.tolist() for a in verdicts))
     return [
@@ -308,7 +312,7 @@ def validate_triple(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> Relation
     This is the structure stage's :func:`_relation` on a stack of one.
     """
     stacks = (t.joint.coeffs[None], t.out1.coeffs[None], t.out2.coeffs[None])
-    (report,) = _relation_reports(_relation(*stacks, tol))
+    (report,) = _relation_reports(_relation(*stacks, tol)[:-1])
     if report is None:
         raise ZeroProbabilityError("trace polynomial vanishes identically")
     return report

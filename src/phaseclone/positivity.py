@@ -70,8 +70,15 @@ member, so a member gets the same verdict and minimum in any stack.
 :func:`is_positive_over_phase` is a stack of one.
 
 Sweeps.  :func:`min_eigenvalue_profile` and ``profile`` evaluate a 3 x 3
-family in closed form (:func:`_lowest3`), to about ``1e-14 * max|coeffs|``.
-The certificate keeps LAPACK: it evaluates a few phases per level, and its
+family in closed form (:func:`_lowest3`), to about ``1e-14 * max|coeffs|``,
+and a smaller one as the certificate does (:func:`_lowest`).  ``profile``
+reads both extreme eigenvalues of an output from one sweep
+(:func:`_extremes_grid`): ``m -+ hypot`` of a 2 x 2 matrix, and for 3 x 3
+the largest eigenvalue ``q - 2 p cos(arccos(-r) / 3 + 2 pi / 3)`` from the
+same ``q``, ``p`` and ``r`` as the smallest.  Each keeps the bits of a
+sweep of the family (the largest: of its negation) alone, but for the
+sign of a zero where a 2 x 2 or 1 x 1 matrix vanishes.  The
+certificate keeps LAPACK: it evaluates a few phases per level, and its
 values feed the ``1e-13 * max|coeffs|`` level gap.
 """
 
@@ -233,26 +240,45 @@ def _lowest(E: np.ndarray) -> np.ndarray:
     return _solve(_umath_linalg.eigvalsh_lo, E, "D->d")[..., 0]
 
 
-def _lowest3(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of a ``(3, 3, 3)`` Hermitian family at each :func:`_basis` row, in closed form.
+def _extremes(E: np.ndarray) -> tuple:
+    """``(lambda_min, lambda_max)`` of each Hermitian matrix of a ``d <= 2`` stack, in closed form.
+
+    ``lambda_min`` is :func:`_lowest`'s; ``lambda_max`` takes the operations
+    of ``-_lowest(-E)``, so it keeps their bits wherever the matrix is not
+    exactly zero (there a zero may carry the other sign).
+    """
+    if E.shape[-1] == 1:
+        return E[..., 0, 0].real, E[..., 0, 0].real
+    h = E.real
+    h00, h11 = h[..., 0, 0], h[..., 1, 1]
+    m, g = 0.5 * (h00 + h11), np.hypot(0.5 * (h00 - h11), np.abs(E[..., 0, 1]))
+    return m - g, -(-m - g)
+
+
+def _lowest3(family: np.ndarray, basis: np.ndarray, signs=(1.0,)) -> np.ndarray:
+    """``s * lambda_min(s M)`` of a ``(3, 3, 3)`` Hermitian family ``M`` per sign ``s`` (rows) and
+    :func:`_basis` row (columns), in closed form: ``lambda_min`` for 1, ``lambda_max`` for -1.
 
     Smith's form (Commun. ACM 4, 168, 1961) on ``B = M - q I``, ``q = tr M / 3``:
     with ``p^2 = |B|_F^2 / 6`` and ``r = det B / (2 p^3)``,
     ``lambda_min = q + 2 p cos(arccos(r) / 3 + 2 pi / 3)``, within about
-    ``1e-14 * max|coeffs|`` of LAPACK.  The entries' weights are scaled once
-    per family by ``2^-e``, ``2^e`` the power of two just above the largest,
-    so nothing overflows or underflows and a row's bits depend on its phase
-    alone.  Where ``r > 1 - _CLUSTER_GAP`` (or ``p = 0``) the two smallest
-    eigenvalues nearly coincide and ``arccos`` loses half its digits, so the
-    row takes :func:`_lowest` of its matrix scaled by the same ``2^-e``
-    (Kopp, Int. J. Mod. Phys. C 19, 523, 2008); LAPACK's own rescaling of
-    tiny or huge matrices then never applies, and the sweep scales exactly
-    with the family.
+    ``1e-14 * max|coeffs|`` of LAPACK.  ``-M`` has ``-q``, ``p`` and ``-r``,
+    so both ends come from one evaluation of ``q``, ``p`` and ``r``, and each
+    takes the operations (hence the bits) of a sweep of ``s M`` alone.  The
+    entries' weights are scaled once per family by ``2^-e``, ``2^e`` the power
+    of two just above the largest, so nothing overflows or underflows and a
+    row's bits depend on its phase alone.  Where ``s r > 1 - _CLUSTER_GAP``
+    (or ``p = 0``) the two smallest eigenvalues of ``s M`` nearly coincide
+    and ``arccos`` loses half its digits, so the row takes :func:`_lowest` of
+    ``s M`` scaled by the same ``2^-e`` (Kopp, Int. J. Mod. Phys. C 19, 523,
+    2008); LAPACK's own rescaling of tiny or huge matrices then never
+    applies, and the sweep scales exactly with the family.
     """
     # Per basis function (cos phi, sin phi, 1), the weights of q, the diagonal of
     # B and the real and imaginary parts of M's entries (1, 0), (2, 1), (2, 0):
     # Re(x A + conj(x) AH + C) = cos (Re A + Re AH) + sin (Im AH - Im A) + Re C.
-    A, AH, C = family.reshape(3, 9)[:, _ENTRIES3]
+    coeffs = family.reshape(3, 9)
+    A, AH, C = coeffs[:, _ENTRIES3]
     w = np.empty((3, 10))
     w[:, 1:7] = A.real + AH.real, AH.imag - A.imag, C.real
     w[:, 7:] = (A.imag + AH.imag)[3:], (A.real - AH.real)[3:], C.imag[3:]
@@ -270,21 +296,29 @@ def _lowest3(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
     det = a * (b * c - vv) - b * ww - c * uu + 2.0 * ((ur * vr - ui * vi) * wr + (ur * vi + ui * vr) * wi)
     p = np.sqrt(p2)
     p3 = p2 * p
-    r = np.divide(0.5 * det, p3, out=np.ones_like(p3), where=p3 > 0)
+    flat = p3 == 0.0
+    r = np.divide(0.5 * det, p3, out=np.zeros_like(p3), where=~flat)
     np.clip(r, -1.0, 1.0, out=r)
-    lams = np.ldexp(q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + _TWO_PI / 3.0), e)
-    near = np.flatnonzero(r > 1.0 - _CLUSTER_GAP)
-    if len(near):
-        E = _evaluate(basis, family.reshape(3, 9)).reshape(-1, 3, 3)[near]
-        lams[near] = np.ldexp(_lowest(np.ldexp(E.view(float), -e).view(complex)), e)
+    lams = np.empty((len(signs), len(x)))
+    for out, s in zip(lams, signs):
+        # s * q and s * r are exact: -M's own q and r, bit for bit, wherever they are not zero.
+        np.ldexp(s * q + 2.0 * p * np.cos(np.arccos(s * r) / 3.0 + _TWO_PI / 3.0), e, out=out)
+        near = np.flatnonzero(flat | (s * r > 1.0 - _CLUSTER_GAP))
+        if len(near):
+            # -coeffs, not -E: the evaluation of -M rounds some zero entries to +0, and
+            # LAPACK's reflectors read their sign.
+            E = _evaluate(basis, coeffs if s > 0 else -coeffs).reshape(-1, 3, 3)[near]
+            out[near] = np.ldexp(_lowest(np.ldexp(E.view(float), -e).view(complex)), e)
+        out *= s
     return lams
 
 
-def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of a ``(3, d, d)`` Hermitian family at the phase of each :func:`_basis` row.
+def _sweep(family: np.ndarray, basis: np.ndarray, signs) -> np.ndarray:
+    """``s * lambda_min(s M)`` of a ``(3, d, d)`` Hermitian family per sign ``s`` and :func:`_basis` row.
 
-    ``d = 3`` is evaluated in closed form by :func:`_lowest3`, every other
-    ``d`` by :func:`_lowest`.  The rows are evaluated and solved one block at
+    ``d = 3`` is evaluated in closed form by :func:`_lowest3`, ``d <= 2`` by
+    :func:`_extremes` (signs ``(1,)`` or ``(1, -1)``), every other ``d`` by
+    :func:`_lowest` (sign 1).  The rows are evaluated and solved one block at
     a time, each block holding at most ``_SWEEP_ENTRIES`` matrix entries, so
     memory does not grow with ``len(basis) * d * d``.  A row's values do not
     depend on its block: every matrix gets the same product (a block of one
@@ -294,14 +328,43 @@ def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
     d = family.shape[-1]
     coeffs = family.reshape(3, d * d)
     rows = max(1, _SWEEP_ENTRIES // (d * d))
-    lams = np.empty(len(basis))
+    lams = np.empty((len(signs), len(basis)))
     for s in range(0, len(basis), rows):
         block = basis[s : s + rows]
         if d == 3:
-            lams[s : s + rows] = _lowest3(family, block)
+            lams[:, s : s + rows] = _lowest3(family, block, signs)
+            continue
+        E = _evaluate(block, coeffs).reshape(-1, d, d)
+        if len(signs) == 1:
+            lams[0, s : s + rows] = _lowest(E)
         else:
-            lams[s : s + rows] = _lowest(_evaluate(block, coeffs).reshape(-1, d, d))
+            lams[:, s : s + rows] = _extremes(E)
     return lams
+
+
+def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of a ``(3, d, d)`` Hermitian family at the phase of each :func:`_basis` row.
+
+    :func:`_sweep` with the one sign 1: blocked, and the same bits for a row
+    in any block.
+    """
+    return _sweep(family, basis, (1.0,))[0]
+
+
+def _extremes_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``(lambda_min, lambda_max)`` of a ``(3, d, d)`` Hermitian family at each :func:`_basis` row.
+
+    A ``(2, len(basis))`` array from one evaluation of the family (one
+    :func:`_sweep`) for ``d <= 3``.  Row 0 is :func:`_lambda_min_grid`'s and
+    row 1 ``-_lambda_min_grid(-family)``'s, bit for bit, except that at a
+    phase where a ``d <= 2`` matrix is exactly zero a zero may carry the
+    other sign.
+    For ``d > 3`` LAPACK shares nothing between the two ends, and the family
+    is swept twice.
+    """
+    if family.shape[-1] > 3:
+        return np.array([_lambda_min_grid(family, basis), -_lambda_min_grid(-family, basis)])
+    return _sweep(family, basis, (1.0, -1.0))
 
 
 @functools.lru_cache(maxsize=4)

@@ -21,6 +21,7 @@ from phaseclone import (
     SampleRejected,
     SamplerParams,
     UncorrelatedTriple,
+    ZeroProbabilityError,
     analyze,
     analyze_many,
     assemble_triple,
@@ -35,6 +36,7 @@ from phaseclone import (
     swap_systems,
     theorem_search,
     trace_poly,
+    validate_triple,
 )
 from phaseclone import analysis, search, trigpoly
 from phaseclone.catalog import NAMES
@@ -256,15 +258,34 @@ def test_analyze_footnote():
     assert rep.theorem_consistent
 
 
-def test_analyze_never_raises_on_zero_triple():
-    from phaseclone import JointPhaseOperator, UncorrelatedTriple
-
+def _zero_triple():
     zero = PhaseOperator.zero(2)
     joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
-    rep = analyze(UncorrelatedTriple(joint=joint, out1=zero, out2=zero))
+    return UncorrelatedTriple(joint=joint, out1=zero, out2=zero)
+
+
+def test_analyze_never_raises_on_zero_triple():
+    rep = analyze(_zero_triple())
     assert rep.probability == "zero-probability"
     assert not rep.relation_ok
     assert rep.theorem_consistent
+
+
+def _negligible_p_triple():
+    """``out1 = out2 = diag(P', -1)``, ``P' = (1e-14, 1e-14, 1 + 1e-14)``: their trace ``P`` is
+    about 1e-14 of out1's largest coefficient."""
+    out = PhaseOperator.from_rows([[fp(1e-14, 1e-14, 1.0 + 1e-14), 0.0], [0.0, -1.0]])
+    return dataclasses.replace(_zero_triple(), out1=out, out2=out)
+
+
+@pytest.mark.parametrize("make", [_zero_triple, _negligible_p_triple], ids=["zero", "negligible"])
+def test_classify_raises_where_p_vanishes_as_validate_does(make):
+    # analyze reads zero-probability, so classify has no case to give.
+    t = make()
+    assert analyze(t).probability == "zero-probability"
+    for check in (validate_triple, classify):
+        with pytest.raises(ZeroProbabilityError):
+            check(t)
 
 
 def test_analyze_hermitian_within_tol_does_not_raise():

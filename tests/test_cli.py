@@ -35,7 +35,7 @@ from phaseclone import (
 from phaseclone import analysis, cli, positivity
 from phaseclone.cli import main
 from phaseclone.positivity import DEFAULT_TOL, _basis, _lambda_min_grid, decompose_probability
-from phaseclone.operators import hermitian_part
+from phaseclone.operators import _relation, hermitian_part
 
 from helpers import max_coeff_diff, mixed_counterexample
 
@@ -424,7 +424,7 @@ def test_profile_columns_of_other_dimensions(name):
 
 @pytest.mark.parametrize(
     "name, samples",
-    [("catalog-counterexample", 2), ("catalog-counterexample", 30), ("gamma-3x3-8", 1), ("gamma-3x3-8", 13)],
+    [("catalog-counterexample", 2), ("catalog-counterexample", 30), ("gamma-3x3-28", 1), ("gamma-3x3-28", 13)],
 )
 def test_profile_one_row_job_keeps_the_bits_of_one_sweep(name, samples):
     # The joint's sweep gets one row, which numpy alone would evaluate as a
@@ -461,9 +461,10 @@ def _assert_profile_columns(t: UncorrelatedTriple, samples: int) -> tuple:
     d = t.joint.dim
     oracle = np.linalg.eigvalsh((rows @ joint.reshape(3, d * d)).reshape(-1, d, d))[:, 0]
     assert np.abs(table[:, 4] - oracle).max() <= 1e-13 * np.abs(joint).max()
-    # The rows not derived are the joint's own sweep, bit for bit: the last
-    # sweep of the joint's family (a 1x2 joint can equal out2).
-    swept = [basis for family, basis in sweeps if np.array_equal(family, joint)][-1]
+    # The rows not derived are the joint's own sweep, bit for bit (the outputs
+    # are swept by _extremes_grid).
+    ((family, swept),) = sweeps
+    assert np.array_equal(family, joint)
     mask = np.isin(rows[:, 0], swept[:, 0])
     assert mask.sum() == len(swept)
     assert _bits(table[mask, 4]) == _bits(_lambda_min_grid(joint, rows[mask]))
@@ -519,25 +520,50 @@ def test_profile_joint_column_of_mixed_triples(k, log_a):
 def test_profile_sweeps_each_block_once(tmp_path, monkeypatch):
     path = _write_entry(tmp_path, "counterexample")
     t = builtin("counterexample").payload
-    swept = []  # (family, rows swept) per call
-    sweep = cli._lambda_min_grid
+    swept = []  # (sweep, family, rows swept) per call
+    for name in ("_extremes_grid", "_lambda_min_grid"):
+        sweep = getattr(cli, name)
 
-    def counted(family, basis):
-        swept.append((family, len(basis)))
-        return sweep(family, basis)
+        def counted(family, basis, name=name, sweep=sweep):
+            swept.append((name, family, len(basis)))
+            return sweep(family, basis)
 
-    monkeypatch.setattr(cli, "_lambda_min_grid", counted)
+        monkeypatch.setattr(cli, name, counted)
     samples = 2 * cli._CSV_ROWS + 8
     out_csv = tmp_path / "p.csv"
     assert main(["profile", str(path), "--samples", str(samples), "--out", str(out_csv)]) == 0
-    # Each output and its negation (for the largest eigenvalue) once over the
-    # grid, then the joint on the rows not derived: the counterexample's
-    # relation is exact, so those are the rows at or below the floor of P.
+    # Each output once over the grid, for both of its extreme eigenvalues,
+    # then the joint on the rows not derived: the counterexample's relation
+    # is exact, so those are the rows at or below the floor of P.
     P = np.loadtxt(out_csv, delimiter=",", skiprows=1)[:, 1]
     fallback = int((P <= cli._DERIVE_FLOOR * trace_poly(t.out1).max_abs()).sum())
     assert 0 < fallback < samples
-    assert [rows for _, rows in swept] == [samples] * 4 + [fallback]
-    assert np.array_equal(swept[-1][0], hermitian_part(t.joint.coeffs)[0])
+    calls = [(name, rows) for name, _, rows in swept]
+    assert calls == [("_extremes_grid", samples)] * 2 + [("_lambda_min_grid", fallback)]
+    families = [hermitian_part(op.coeffs)[0] for op in (t.out1, t.out2, t.joint)]
+    assert all(np.array_equal(family, want) for (_, family, _), want in zip(swept, families))
+
+
+def _old_bound_derives(t: UncorrelatedTriple, samples: int) -> np.ndarray:
+    """The rows whose joint value a profile bounding ``||R(phi)||`` by ``5 d max|cross|`` derived."""
+    joint, out1, out2 = (hermitian_part(op.coeffs)[0] for op in (t.joint, t.out1, t.out2))
+    _, sizes, nonzero, _, residual, *_ = _relation(joint[None], out1[None], out2[None], DEFAULT_TOL)
+    size_p, size_joint = sizes[:2, 0]
+    p = np.array([trace_poly(t.out1).eval(phi).real for phi in positivity._grid(samples)[0].tolist()])
+    weyl = 5 * joint.shape[-1] * residual[0] * size_p  # residual is max|cross| / max|P|
+    return nonzero[0] & (p > cli._DERIVE_FLOOR * size_p) & (weyl <= cli._DERIVE_BUDGET * size_joint * p)
+
+
+@pytest.mark.parametrize("name", ["sampled-2x2-3", "sampled-2x2-10", "gamma-1x2-2", "gamma-2x3-3", "gamma-3x3-8"])
+def test_profile_sweeps_a_subset_of_the_old_bound_rows(name):
+    # The sum of the cross term's Frobenius norms is at most 5 d max|cross|,
+    # so every row the old bound derived is derived; on these triples it
+    # derives some more (and checks them against eigvalsh).
+    t = _check_triple(name)
+    _, swept = _assert_profile_columns(t, 4096)
+    old_swept = ~_old_bound_derives(t, 4096)
+    assert not (swept & ~old_swept).any()
+    assert swept.sum() < old_swept.sum()
 
 
 def test_profile_into_a_directory_starts_no_thread(tmp_path, monkeypatch, capsys):

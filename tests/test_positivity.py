@@ -6,9 +6,12 @@ import cmath
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseclone import (
     ConstantProbabilityError,
@@ -178,7 +181,7 @@ def test_blocked_sweep_equals_one_sweep_bit_for_bit(d):
         h00, h11 = stack[:, 0, 0].real, stack[:, 1, 1].real
         reference = 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), np.abs(stack[:, 0, 1]))
     elif d == 3:
-        reference = positivity._lowest3(family, basis)
+        (reference,) = positivity._lowest3(family, basis)
     else:
         reference = np.linalg.eigvalsh(stack)[:, 0]
     swept = _lambda_min_grid(family, basis)
@@ -317,6 +320,62 @@ def test_cubic_sweep_raises_no_floating_point_warning():
             for families in _cubic_families().values():
                 for family in families:
                     _lambda_min_grid(family, basis)
+
+
+# Both extreme eigenvalues from one sweep.
+
+def _extreme_family(rng, d: int, kind: str) -> np.ndarray:
+    """A ``(3, d, d)`` Hermitian family: random, ``P * Gamma`` with a PSD ``Gamma`` of
+    random rank, a spectrum pair ``0`` to ``1e-4`` apart at every phase, two eigenvalues
+    that cross (at the bottom or the top of the spectrum), a constant diagonal of
+    dyadic entries (exact eigenvalues, zero among them), or zero."""
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    spectrum = lambda values: u @ np.diag(values[:d]) @ u.conj().T  # noqa: E731
+    if kind == "random":
+        return _random_family(rng, d)
+    if kind == "psd":
+        shape = (d, rng.integers(1, d + 1))
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return _probability_times(g @ g.conj().T, _touching())
+    if kind == "pair":
+        gap = rng.choice([0.0, 1e-9, 1e-4])
+        return _probability_times(spectrum([0.3, 0.3 + gap, 1.7]), _touching())
+    if kind == "crossing":
+        half = spectrum([0.5, -0.5, 0.0])
+        return hermitian_part(np.array([half, half, spectrum([0.0, 0.0, rng.choice([-2.0, 2.0])])]))[0]
+    if kind == "diagonal":
+        return np.array([0 * np.eye(d), 0 * np.eye(d), np.diag(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], d))])
+    return np.zeros((3, d, d), dtype=complex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from(["random", "psd", "pair", "crossing", "diagonal", "zero"]),
+    st.booleans(),
+    st.sampled_from([-500, 0, 500]),
+    st.integers(1, 600),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_extremes_sweep_is_both_ends_bit_for_bit(d, kind, negate, exponent, n, one_row, seed):
+    # (lambda_min, lambda_max) from one evaluation of the family: the bits of
+    # the sweep of the family and of the negated family.  A pair or crossing
+    # puts r near 1 (negated: near -1) on some rows, which both ends send to
+    # LAPACK on their own family.  A d <= 2 matrix that is exactly zero at a
+    # phase may read a zero of the other sign there: evaluating -family rounds
+    # sums of signed zero products to +0, where negating the matrix gives -0.
+    family = 2.0**exponent * _extreme_family(np.random.default_rng(seed), d, kind)
+    if negate:
+        family = -family
+    basis = positivity._grid(n)[1]
+    with mock.patch.object(positivity, "_SWEEP_ENTRIES", 1 if one_row else positivity._SWEEP_ENTRIES):
+        low, high = positivity._extremes_grid(family, basis)
+        assert low.tobytes() == _lambda_min_grid(family, basis).tobytes()
+        reference = -_lambda_min_grid(-family, basis)
+    assert np.array_equal(high, reference)
+    zero = ~positivity._evaluate(basis, family.reshape(3, d * d)).any(axis=1) & (d <= 2)
+    assert high[~zero].tobytes() == reference[~zero].tobytes()
 
 
 # ------------------------------------------------------- positivity verdicts
