@@ -30,10 +30,9 @@ from .positivity import (
     DEFAULT_TOL,
     NotHermitianError,
     PositivityVerdict,
-    _extremes_grid,
     _grid,
     _hermitian_family,
-    _lambda_min_grid,
+    _sweep,
 )
 from ._g17 import format_rows
 from .analysis import _check_verdicts, analyze
@@ -215,11 +214,12 @@ def _cmd_profile(args) -> int:
     size_p, size_joint = sizes[:2, 0]
     weyl = np.linalg.norm(cross[:, 0], axis=(1, 2)).sum()
     derived = nonzero[0] & (p > _DERIVE_FLOOR * size_p) & (weyl <= _DERIVE_BUDGET * size_joint * p)
-    (l1, h1), (l2, h2) = _extremes_grid(out1, rows), _extremes_grid(out2, rows)
-    # Each output has trace P(phi) > 0, so h1, h2 > 0 and h1 h2 >= l1 h2 is never the least.
+    (l1, h1), (l2, h2) = (_sweep(out, rows, (1.0, -1.0)) for out in (out1, out2))
+    # out1 has trace P(phi) > 0, so h1 >= P(phi) / d1 > 0 and h1 h2 >= h1 l2 is never
+    # the least (out2's trace need not be P).
     least = np.minimum(l1 * l2, np.minimum(l1 * h2, h1 * l2))
     lj = np.divide(least, p, out=least, where=derived)
-    lj[~derived] = _lambda_min_grid(joint, rows[~derived])
+    lj[~derived] = _sweep(joint, rows[~derived])[0]
     columns = (phis, p, l1, l2, lj)
     blocks = (
         format_rows(np.column_stack([c[s : s + _CSV_ROWS] for c in columns]))

@@ -69,17 +69,18 @@ and one evaluation at all of their open-arc midpoints) but nothing else:
 member, so a member gets the same verdict and minimum in any stack.
 :func:`is_positive_over_phase` is a stack of one.
 
-Sweeps.  :func:`min_eigenvalue_profile` and ``profile`` evaluate a 3 x 3
-family in closed form (:func:`_lowest3`), to about ``1e-14 * max|coeffs|``,
-and a smaller one as the certificate does (:func:`_lowest`).  ``profile``
-reads both extreme eigenvalues of an output from one sweep
-(:func:`_extremes_grid`): ``m -+ hypot`` of a 2 x 2 matrix, and for 3 x 3
-the largest eigenvalue ``q - 2 p cos(arccos(-r) / 3 + 2 pi / 3)`` from the
-same ``q``, ``p`` and ``r`` as the smallest.  Each keeps the bits of a
-sweep of the family (the largest: of its negation) alone, but for the
-sign of a zero where a 2 x 2 or 1 x 1 matrix vanishes.  The
-certificate keeps LAPACK: it evaluates a few phases per level, and its
-values feed the ``1e-13 * max|coeffs|`` level gap.
+Sweeps.  :func:`_sweep` is the one grid sweep, of :func:`min_eigenvalue_profile`
+and ``profile``.  It evaluates a 3 x 3 family in closed form
+(:func:`_lowest3`), to about ``1e-14 * max|coeffs|``, and every other one as
+the certificate does (:func:`_lowest`).  ``profile`` reads both extreme
+eigenvalues of an output from one sweep: ``m -+ hypot`` of a 2 x 2 matrix;
+for 3 x 3 the largest eigenvalue ``q - 2 p cos(arccos(-r) / 3 + 2 pi / 3)``
+from the same ``q``, ``p`` and ``r`` as the smallest; for ``d >= 4`` the last
+eigenvalue of the same ``eigvalsh`` call.  For ``d <= 3`` each keeps the bits
+of a sweep of the family (the largest: of its negation) alone, but for the
+sign of a zero where a 2 x 2 or 1 x 1 matrix vanishes.  The certificate
+keeps LAPACK: it evaluates a few phases per level, and its values feed the
+``1e-13 * max|coeffs|`` level gap.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ _DEGENERATE_REL = 1e-6
 _CONSTANT_REL = 1e-12
 #: Bound on the levels of one certificate; the iteration converges quadratically.
 _MAX_LEVELS = 100
-#: Matrix entries of one block of :func:`_lambda_min_grid` (1 MiB of complex values).
+#: Matrix entries of one block of :func:`_sweep` (1 MiB of complex values).
 _SWEEP_ENTRIES = 2**16
 #: A d = 3 sweep row whose ``r`` exceeds ``1 - _CLUSTER_GAP`` (its two smallest
 #: eigenvalues within about 2% of the spread ``p``) is solved by LAPACK.
@@ -228,39 +229,36 @@ def _evaluate(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return basis @ coeffs
 
 
-def _lowest(E: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of each Hermitian matrix (analytic for d <= 2, eigvalsh above)."""
-    d = E.shape[-1]
-    if d == 1:
-        return E[..., 0, 0].real
-    if d == 2:
-        h = E.real
-        h00, h11 = h[..., 0, 0], h[..., 1, 1]
-        return 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), np.abs(E[..., 0, 1]))
-    return _solve(_umath_linalg.eigvalsh_lo, E, "D->d")[..., 0]
+def _lowest(E: np.ndarray, signs=(1.0,)) -> np.ndarray:
+    """``s * lambda_min(s E)`` of each Hermitian matrix per sign ``s`` (rows): ``lambda_min`` for 1,
+    ``lambda_max`` for -1.
 
-
-def _extremes(E: np.ndarray) -> tuple:
-    """``(lambda_min, lambda_max)`` of each Hermitian matrix of a ``d <= 2`` stack, in closed form.
-
-    ``lambda_min`` is :func:`_lowest`'s; ``lambda_max`` takes the operations
-    of ``-_lowest(-E)``, so it keeps their bits wherever the matrix is not
-    exactly zero (there a zero may carry the other sign).
+    For ``d <= 2`` the closed form ``s * (s * m - g)``, with ``m`` the mean of the
+    diagonal and ``g = hypot(...)`` the half gap (0 for ``d = 1``), keeps the bits
+    of ``-_lowest(-E)`` for -1 wherever the matrix is not exactly zero (there a zero
+    may carry the other sign).  For ``d >= 3`` one ``eigvalsh`` call gives both
+    ends, its first and its last eigenvalue.
     """
-    if E.shape[-1] == 1:
-        return E[..., 0, 0].real, E[..., 0, 0].real
+    d = E.shape[-1]
+    if d > 2:
+        ev = _solve(_umath_linalg.eigvalsh_lo, E, "D->d")
+        return np.array([ev[..., 0 if s > 0 else -1] for s in signs])
     h = E.real
-    h00, h11 = h[..., 0, 0], h[..., 1, 1]
-    m, g = 0.5 * (h00 + h11), np.hypot(0.5 * (h00 - h11), np.abs(E[..., 0, 1]))
-    return m - g, -(-m - g)
+    if d == 1:
+        m, g = h[..., 0, 0], 0.0
+    else:
+        h00, h11 = h[..., 0, 0], h[..., 1, 1]
+        m, g = 0.5 * (h00 + h11), np.hypot(0.5 * (h00 - h11), np.abs(E[..., 0, 1]))
+    return np.array([s * (s * m - g) for s in signs])
 
 
 def _lowest3(family: np.ndarray, basis: np.ndarray, signs=(1.0,)) -> np.ndarray:
     """``s * lambda_min(s M)`` of a ``(3, 3, 3)`` Hermitian family ``M`` per sign ``s`` (rows) and
     :func:`_basis` row (columns), in closed form: ``lambda_min`` for 1, ``lambda_max`` for -1.
 
-    Smith's form (Commun. ACM 4, 168, 1961) on ``B = M - q I``, ``q = tr M / 3``:
-    with ``p^2 = |B|_F^2 / 6`` and ``r = det B / (2 p^3)``,
+    :func:`_sweep`'s evaluator for ``d = 3``.  Smith's form (Commun. ACM 4,
+    168, 1961) on ``B = M - q I``, ``q = tr M / 3``: with
+    ``p^2 = |B|_F^2 / 6`` and ``r = det B / (2 p^3)``,
     ``lambda_min = q + 2 p cos(arccos(r) / 3 + 2 pi / 3)``, within about
     ``1e-14 * max|coeffs|`` of LAPACK.  ``-M`` has ``-q``, ``p`` and ``-r``,
     so both ends come from one evaluation of ``q``, ``p`` and ``r``, and each
@@ -269,10 +267,11 @@ def _lowest3(family: np.ndarray, basis: np.ndarray, signs=(1.0,)) -> np.ndarray:
     of two just above the largest, so nothing overflows or underflows and a
     row's bits depend on its phase alone.  Where ``s r > 1 - _CLUSTER_GAP``
     (or ``p = 0``) the two smallest eigenvalues of ``s M`` nearly coincide
-    and ``arccos`` loses half its digits, so the row takes :func:`_lowest` of
-    ``s M`` scaled by the same ``2^-e`` (Kopp, Int. J. Mod. Phys. C 19, 523,
-    2008); LAPACK's own rescaling of tiny or huge matrices then never
-    applies, and the sweep scales exactly with the family.
+    and ``arccos`` loses half its digits, so the row takes LAPACK's
+    ``lambda_min`` (:func:`_lowest`, sign 1) of ``s M`` scaled by the same
+    ``2^-e`` (Kopp, Int. J. Mod. Phys. C 19, 523, 2008); LAPACK's own
+    rescaling of tiny or huge matrices then never applies, and the sweep
+    scales exactly with the family.
     """
     # Per basis function (cos phi, sin phi, 1), the weights of q, the diagonal of
     # B and the real and imaginary parts of M's entries (1, 0), (2, 1), (2, 0):
@@ -308,63 +307,34 @@ def _lowest3(family: np.ndarray, basis: np.ndarray, signs=(1.0,)) -> np.ndarray:
             # -coeffs, not -E: the evaluation of -M rounds some zero entries to +0, and
             # LAPACK's reflectors read their sign.
             E = _evaluate(basis, coeffs if s > 0 else -coeffs).reshape(-1, 3, 3)[near]
-            out[near] = np.ldexp(_lowest(np.ldexp(E.view(float), -e).view(complex)), e)
+            out[near] = np.ldexp(_lowest(np.ldexp(E.view(float), -e).view(complex))[0], e)
         out *= s
     return lams
 
 
-def _sweep(family: np.ndarray, basis: np.ndarray, signs) -> np.ndarray:
-    """``s * lambda_min(s M)`` of a ``(3, d, d)`` Hermitian family per sign ``s`` and :func:`_basis` row.
+def _sweep(family: np.ndarray, basis: np.ndarray, signs=(1.0,)) -> np.ndarray:
+    """``s * lambda_min(s M)`` of a ``(3, d, d)`` Hermitian family per sign ``s`` (rows) and
+    :func:`_basis` row (columns): ``lambda_min`` for 1, ``lambda_max`` for -1.
 
-    ``d = 3`` is evaluated in closed form by :func:`_lowest3`, ``d <= 2`` by
-    :func:`_extremes` (signs ``(1,)`` or ``(1, -1)``), every other ``d`` by
-    :func:`_lowest` (sign 1).  The rows are evaluated and solved one block at
-    a time, each block holding at most ``_SWEEP_ENTRIES`` matrix entries, so
-    memory does not grow with ``len(basis) * d * d``.  A row's values do not
-    depend on its block: every matrix gets the same product (a block of one
-    row too, see :func:`_evaluate`) and the same solve as in one sweep over
-    all rows.
+    The one grid sweep: ``d = 3`` in closed form by :func:`_lowest3`, every
+    other ``d`` by :func:`_lowest` of the evaluated matrices.  The rows are
+    evaluated and solved one block at a time, each block holding at most
+    ``_SWEEP_ENTRIES`` matrix entries, so memory does not grow with
+    ``len(basis) * d * d``.  A row's values do not depend on its block: every
+    matrix gets the same product (a block of one row too, see
+    :func:`_evaluate`) and the same solve as in one sweep over all rows.
     """
     d = family.shape[-1]
     coeffs = family.reshape(3, d * d)
     rows = max(1, _SWEEP_ENTRIES // (d * d))
     lams = np.empty((len(signs), len(basis)))
-    for s in range(0, len(basis), rows):
-        block = basis[s : s + rows]
+    for start in range(0, len(basis), rows):
+        block = basis[start : start + rows]
         if d == 3:
-            lams[:, s : s + rows] = _lowest3(family, block, signs)
-            continue
-        E = _evaluate(block, coeffs).reshape(-1, d, d)
-        if len(signs) == 1:
-            lams[0, s : s + rows] = _lowest(E)
+            lams[:, start : start + rows] = _lowest3(family, block, signs)
         else:
-            lams[:, s : s + rows] = _extremes(E)
+            lams[:, start : start + rows] = _lowest(_evaluate(block, coeffs).reshape(-1, d, d), signs)
     return lams
-
-
-def _lambda_min_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of a ``(3, d, d)`` Hermitian family at the phase of each :func:`_basis` row.
-
-    :func:`_sweep` with the one sign 1: blocked, and the same bits for a row
-    in any block.
-    """
-    return _sweep(family, basis, (1.0,))[0]
-
-
-def _extremes_grid(family: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``(lambda_min, lambda_max)`` of a ``(3, d, d)`` Hermitian family at each :func:`_basis` row.
-
-    A ``(2, len(basis))`` array from one evaluation of the family (one
-    :func:`_sweep`) for ``d <= 3``.  Row 0 is :func:`_lambda_min_grid`'s and
-    row 1 ``-_lambda_min_grid(-family)``'s, bit for bit, except that at a
-    phase where a ``d <= 2`` matrix is exactly zero a zero may carry the
-    other sign.
-    For ``d > 3`` LAPACK shares nothing between the two ends, and the family
-    is swept twice.
-    """
-    if family.shape[-1] > 3:
-        return np.array([_lambda_min_grid(family, basis), -_lambda_min_grid(-family, basis)])
-    return _sweep(family, basis, (1.0, -1.0))
 
 
 @functools.lru_cache(maxsize=4)
@@ -391,10 +361,10 @@ def _seeds(d: int) -> tuple:
     return tuple(phis.tolist()), tuple(x.ravel().tolist()), basis, *arrays
 
 
-def _hermitian_family(op: PhaseOperator) -> np.ndarray:
-    """``op``'s Hermitian part; :class:`NotHermitianError` past ``DEFAULT_TOL * max|coeffs|``."""
+def _hermitian_family(op: PhaseOperator, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``op``'s Hermitian part; :class:`NotHermitianError` past ``tol * max|coeffs|``."""
     family, defect = hermitian_part(op.coeffs)
-    if not defect <= DEFAULT_TOL * op.max_abs():
+    if not defect <= tol * op.max_abs():
         raise NotHermitianError("operator family is not hermitian-preserving")
     return family
 
@@ -405,7 +375,7 @@ def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np
     The phases are read-only and shared between calls.  Hermiticity is checked
     by :func:`_hermitian_family`.  The sweep evaluates and solves one block of
     phases at a time, at most 2^16 matrix entries (1 MiB) per block, so its
-    memory does not grow with ``n * d * d``.  It is :func:`_lambda_min_grid`
+    memory does not grow with ``n * d * d``.  It is :func:`_sweep` (sign 1)
     over the :func:`_grid` rows, and any split of those rows into calls gives
     every phase the same bits.  A 3 x 3 family is swept in closed form,
     within about ``1e-14 * max|coeffs|`` of LAPACK (see :func:`_lowest3`);
@@ -413,7 +383,7 @@ def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np
     """
     family = _hermitian_family(op)
     phis, basis = _grid(n)
-    return phis, _lambda_min_grid(family, basis)
+    return phis, _sweep(family, basis)[0]
 
 
 def _pencil_crossings(families: np.ndarray, anchors: list[int], M0: np.ndarray):
@@ -530,7 +500,7 @@ def _minimum(families: np.ndarray, sizes: list[float]) -> tuple[list[float], lis
     n = len(seeds)
     flat = families.reshape(-1, 3, d * d)
     E = (basis @ flat).reshape(-1, d, d)  # member-major
-    lams = _lowest(E).tolist()
+    lams = _lowest(E)[0].tolist()
     g, phi, eps, split, anchors = [], [], [], {}, []
     for m, size in enumerate(sizes):
         lam = lams[m * n : (m + 1) * n]
@@ -564,7 +534,7 @@ def _minimum(families: np.ndarray, sizes: list[float]) -> tuple[list[float], lis
         if not mids:
             continue
         at = _basis(mids)[:, None] @ flat.take(owners, axis=0)
-        values = _lowest(at.reshape(-1, d, d)).tolist()
+        values = _lowest(at.reshape(-1, d, d))[0].tolist()
         for m, lo, hi in spans:
             vals = values[lo:hi]
             seen[m] = [*seen[m], *mids[lo:hi]]
@@ -611,10 +581,8 @@ def is_positive_over_phase(op: PhaseOperator, tol: float = DEFAULT_TOL) -> Posit
     ``1e-13 * max|coeffs|``, see the module docstring), attained at
     ``witness_phi`` for every verdict; ``coeffs`` are the Hermitian part's.
     Hermiticity is checked within ``tol * max|op.coeffs|``
-    (:class:`NotHermitianError`).  This is :func:`positivity_many` on a stack of one.
+    (:class:`NotHermitianError`, from :func:`_hermitian_family`).  The
+    certificate is :func:`positivity_many`'s, on a stack of one.
     """
-    (verdict,) = positivity_many([op], tol)
-    if verdict is None:
-        raise NotHermitianError("operator family is not hermitian-preserving")
-    return verdict
+    return _certify_many([_hermitian_family(op, tol)], tol)[0]
 

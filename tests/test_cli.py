@@ -34,7 +34,7 @@ from phaseclone import (
 )
 from phaseclone import analysis, cli, positivity
 from phaseclone.cli import main
-from phaseclone.positivity import DEFAULT_TOL, _basis, _lambda_min_grid, decompose_probability
+from phaseclone.positivity import DEFAULT_TOL, _basis, _sweep, decompose_probability
 from phaseclone.operators import _relation, hermitian_part
 
 from helpers import max_coeff_diff, mixed_counterexample
@@ -351,7 +351,7 @@ def test_bad_samples_is_input_error(tmp_path, capsys, monkeypatch, samples):
     # Rejected while parsing the arguments, before any grid is built or swept.
     monkeypatch.setattr(cli, "_grid", lambda *a: pytest.fail("grid built"))
     for module in (cli, positivity):
-        monkeypatch.setattr(module, "_lambda_min_grid", lambda *a: pytest.fail("grid swept"))
+        monkeypatch.setattr(module, "_sweep", lambda *a: pytest.fail("grid swept"))
     with pytest.raises(SystemExit) as exc:
         main(["profile", str(path), "--samples", samples])
     err = capsys.readouterr().err
@@ -412,10 +412,13 @@ def test_profile_columns_are_the_scalar_and_grid_values(k, samples):
         "gamma-2x3-6",
         "gamma-3x3-8",
         "gamma-3x3-13",
+        "gamma-4x1-2",
+        "gamma-4x1-3",
     ],
 )
 def test_profile_columns_of_other_dimensions(name):
-    # gamma-1x3's joint is 3x3, swept in closed form where it is not derived.
+    # gamma-1x3's joint is 3x3, swept in closed form where it is not derived;
+    # gamma-4x1's out1 is 4x4, both of its ends read from one eigvalsh sweep.
     t = _check_triple(name)
     assert (t.out1.dim, t.out2.dim) == tuple(map(int, name.split("-")[1].split("x")))
     for samples in (1, 7, 4096):
@@ -434,14 +437,14 @@ def test_profile_one_row_job_keeps_the_bits_of_one_sweep(name, samples):
 
 def _assert_profile_columns(t: UncorrelatedTriple, samples: int) -> tuple:
     """Check each column of ``t``'s profile CSV; return its table and the mask of the joint rows swept."""
-    sweeps = []  # (family, rows) of each sweep, in call order
-    sweep = cli._lambda_min_grid
+    sweeps = []  # (family, rows, signs) of each sweep, in call order
+    sweep = cli._sweep
 
-    def recorded(family, basis):
-        sweeps.append((family, basis))
-        return sweep(family, basis)
+    def recorded(family, basis, signs=(1.0,)):
+        sweeps.append((family, basis, signs))
+        return sweep(family, basis, signs)
 
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_lambda_min_grid", recorded):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_sweep", recorded):
         path = Path(tmp) / "t.pmap"
         path.write_text(serialize_pmap(document_from_triple(t)))
         out_csv = Path(tmp) / "t.csv"
@@ -456,18 +459,19 @@ def _assert_profile_columns(t: UncorrelatedTriple, samples: int) -> tuple:
     assert _bits(table[:, 1]) == _bits([P.eval(phi).real for phi in phis.tolist()])
     rows = _basis(phis)
     for column, op in zip(table[:, 2:4].T, (t.out1, t.out2)):
-        assert _bits(column) == _bits(_lambda_min_grid(hermitian_part(op.coeffs)[0], rows))
+        assert _bits(column) == _bits(_sweep(hermitian_part(op.coeffs)[0], rows)[0])
     joint = hermitian_part(t.joint.coeffs)[0]
     d = t.joint.dim
     oracle = np.linalg.eigvalsh((rows @ joint.reshape(3, d * d)).reshape(-1, d, d))[:, 0]
     assert np.abs(table[:, 4] - oracle).max() <= 1e-13 * np.abs(joint).max()
-    # The rows not derived are the joint's own sweep, bit for bit (the outputs
-    # are swept by _extremes_grid).
-    ((family, swept),) = sweeps
-    assert np.array_equal(family, joint)
+    # Each output is swept once over every row, for both of its extreme
+    # eigenvalues; the rows not derived are the joint's own sweep, bit for bit.
+    *outputs, (family, swept, signs) = sweeps
+    assert [(len(basis), s) for _, basis, s in outputs] == [(samples, (1.0, -1.0))] * 2
+    assert np.array_equal(family, joint) and signs == (1.0,)
     mask = np.isin(rows[:, 0], swept[:, 0])
     assert mask.sum() == len(swept)
-    assert _bits(table[mask, 4]) == _bits(_lambda_min_grid(joint, rows[mask]))
+    assert _bits(table[mask, 4]) == _bits(_sweep(joint, rows[mask])[0])
     return table, mask
 
 
@@ -492,6 +496,21 @@ def test_profile_sweeps_the_joint_at_a_root_of_P(samples):
     row = table[samples // 2]
     assert row[0] == math.pi and abs(row[1]) < 1e-15 and swept[samples // 2]
     assert np.isfinite(table).all() and row[4] == pytest.approx(-4.0, abs=1e-12)
+
+
+def test_profile_derives_the_joint_where_out2_has_trace_minus_P():
+    # out1 = P Gamma1, out2 = -P Gamma2 and joint = P Gamma1 (x) (-Gamma2): the
+    # relation holds though the traces differ, so out2 has h2 <= 0.  h1 h2 is
+    # still never the least product: h1 >= P(phi) / d1 > 0, so h1 l2 <= h1 h2.
+    rng = np.random.default_rng(20260809)
+    P = trace_poly(_sampled(3).out1).coeffs[:, None, None]
+    g1, g2 = (_gamma(rng, 2, True) for _ in range(2))
+    joint = phaseclone.JointPhaseOperator(P * np.kron(g1, -g2), dim1=2, dim2=2)
+    t = UncorrelatedTriple(joint, PhaseOperator(P * g1), PhaseOperator(-P * g2))
+    report = phaseclone.validate_triple(t)
+    assert not report.traces_equal and report.relation_holds
+    table, swept = _assert_profile_columns(t, 4096)
+    assert not swept.all() and (table[:, 3] <= 0.0).all()
 
 
 @settings(max_examples=25, deadline=None)
@@ -520,15 +539,14 @@ def test_profile_joint_column_of_mixed_triples(k, log_a):
 def test_profile_sweeps_each_block_once(tmp_path, monkeypatch):
     path = _write_entry(tmp_path, "counterexample")
     t = builtin("counterexample").payload
-    swept = []  # (sweep, family, rows swept) per call
-    for name in ("_extremes_grid", "_lambda_min_grid"):
-        sweep = getattr(cli, name)
+    swept = []  # (signs, family, rows swept) per call
+    sweep = cli._sweep
 
-        def counted(family, basis, name=name, sweep=sweep):
-            swept.append((name, family, len(basis)))
-            return sweep(family, basis)
+    def counted(family, basis, signs=(1.0,)):
+        swept.append((signs, family, len(basis)))
+        return sweep(family, basis, signs)
 
-        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(cli, "_sweep", counted)
     samples = 2 * cli._CSV_ROWS + 8
     out_csv = tmp_path / "p.csv"
     assert main(["profile", str(path), "--samples", str(samples), "--out", str(out_csv)]) == 0
@@ -538,8 +556,8 @@ def test_profile_sweeps_each_block_once(tmp_path, monkeypatch):
     P = np.loadtxt(out_csv, delimiter=",", skiprows=1)[:, 1]
     fallback = int((P <= cli._DERIVE_FLOOR * trace_poly(t.out1).max_abs()).sum())
     assert 0 < fallback < samples
-    calls = [(name, rows) for name, _, rows in swept]
-    assert calls == [("_extremes_grid", samples)] * 2 + [("_lambda_min_grid", fallback)]
+    calls = [(signs, rows) for signs, _, rows in swept]
+    assert calls == [((1.0, -1.0), samples)] * 2 + [((1.0,), fallback)]
     families = [hermitian_part(op.coeffs)[0] for op in (t.out1, t.out2, t.joint)]
     assert all(np.array_equal(family, want) for (_, family, _), want in zip(swept, families))
 
@@ -569,13 +587,13 @@ def test_profile_sweeps_a_subset_of_the_old_bound_rows(name):
 def test_profile_into_a_directory_starts_no_thread(tmp_path, monkeypatch, capsys):
     path = _write_entry(tmp_path, "counterexample")
     alive = []
-    sweep = cli._lambda_min_grid
+    sweep = cli._sweep
 
-    def recorded(family, basis):
+    def recorded(family, basis, signs=(1.0,)):
         alive.append(threading.active_count())
-        return sweep(family, basis)
+        return sweep(family, basis, signs)
 
-    monkeypatch.setattr(cli, "_lambda_min_grid", recorded)
+    monkeypatch.setattr(cli, "_sweep", recorded)
     before = threading.active_count()
     argv = ["profile", str(path), "--samples", str(cli.MAX_SAMPLES), "--out", str(tmp_path)]
     assert main(argv) == 2
@@ -658,6 +676,8 @@ def _check_triple(name: str) -> UncorrelatedTriple:
         return assemble_triple(_gamma_output(np.ones((1, 1)), P), _gamma_output(_gamma(rng, 3, True), P))
     if kind == "gamma-2x3":
         return assemble_triple(t.out1, _gamma_output(_gamma(rng, 3, k % 2 == 0), P))
+    if kind == "gamma-4x1":
+        return assemble_triple(_gamma_output(_gamma(rng, 4, k % 2 == 0), P), _gamma_output(np.ones((1, 1)), P))
     g1, g2 = (_gamma_output(_gamma(rng, 3, psd), P) for psd in (k % 4 != 1, k % 4 != 2))
     return assemble_triple(g1, g2)
 

@@ -8,7 +8,9 @@ sibling module (a re-export).  Code that only tests call
 belongs in ``tests/helpers.py``.  Small float literals (tolerances, in
 practice) appear only as module-level constants, so that each threshold is
 named once and the tolerance policy of ``operators.DEFAULT_TOL`` can list them.
-``ZERO_COEFF_REL`` is read only by ``trigpoly._negligible``, the one zero rule.
+``ZERO_COEFF_REL`` is read only by ``trigpoly._negligible``, the one zero rule,
+and ``hypot`` (the closed form of a 2 x 2 eigenvalue) is named only by
+``positivity._lowest``.
 """
 
 from __future__ import annotations
@@ -166,6 +168,10 @@ def test_no_small_float_literal_outside_a_named_constant():
 
 def test_only_the_zero_rule_reads_its_threshold():
     assert _readers(_modules(), "ZERO_COEFF_REL") == ["trigpoly._negligible"]
+
+
+def test_the_2x2_closed_form_is_written_once():
+    assert _readers(_modules(), "hypot") == ["positivity._lowest"]
 
 
 def test_the_guard_sees_each_read_of_the_zero_threshold():
