@@ -122,7 +122,8 @@ def test_c3_case3_example():
 
 def test_c4_factorization_suite():
     with criterion(4, "factorization suite, 10^4 random polynomials"):
-        start = time.perf_counter()
+        # CPU time of this process: wall time also counts what other processes take.
+        start = time.process_time()
         rng = np.random.default_rng(20260809)
         phis = np.arange(64) * (2.0 * math.pi / 64)
         basis = np.stack([np.exp(1j * phis), np.exp(-1j * phis), np.ones(64)], axis=1)
@@ -146,8 +147,8 @@ def test_c4_factorization_suite():
             got = FirstOrderPoly(*exact_div(mul(p.coeffs, d.coeffs), d.coeffs, 1e-10))
             assert got.distance(p) <= 1e-10 * (1.0 + p.max_abs())
 
-        elapsed = time.perf_counter() - start
-        assert elapsed < 5.0, f"suite took {elapsed:.2f}s"
+        elapsed = time.process_time() - start
+        assert elapsed < 5.0, f"suite took {elapsed:.2f} s of CPU time"
 
 
 def test_c5_probability_positivity_equivalence():

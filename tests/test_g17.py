@@ -6,6 +6,7 @@ import math
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,3 +72,46 @@ def test_values_out_of_range_take_the_fallback():
     inside = np.array([0.0, -0.0, 1.1e-240, 0.9e240, 1.0, -2.5, 1e-5, 1e16])
     assert _significand(inside)[2].all()
     _assert_formats(np.concatenate([outside, inside]))
+
+
+def _with_digits(k: int, digits: int) -> np.ndarray:
+    """Doubles nearest to decimals of ``digits`` significant digits and exponent ``k``:
+    random ones, all nines and, where there is one, a dyadic ``t / 2**j`` that prints
+    exactly; and their neighbours on both sides."""
+    rng = np.random.default_rng([k + 5, digits])
+    m = rng.integers(10 ** (digits - 1), 10**digits, size=16) // 10 * 10 + rng.integers(1, 10, 16)
+    m = [*m.tolist(), 10**digits - 1]
+    q = k - digits + 1
+    five = 5 ** max(-q, 0)
+    t = -(-(10 ** (digits - 1)) // five) | 1  # odd: t * five ends in a nonzero digit
+    if t * five < 10**digits:
+        m.append(t * five)
+    x = np.array([float(f"{d}e{q}") for d in m])
+    return np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+
+
+def test_every_exponent_and_digit_count_around_fixed_notation():
+    # Fixed notation prints its point among the last 16 digits for 1 <= k <= 15, and
+    # only when more than k + 1 digits are significant.
+    values = np.concatenate([_with_digits(k, d) for k in range(-5, 18) for d in range(1, 18)])
+    _assert_formats(np.concatenate([values, -values]))
+    printed = [Decimal((b"%.17g" % x).decode()) for x in values.tolist()]
+    shapes = {(p.adjusted(), len(p.normalize().as_tuple().digits)) for p in printed}
+    # No double prints as one digit times 1e-5: the nearest to 1e-5 is 1.0000000000000001e-05.
+    wanted = {(k, d) for k in range(-5, 18) for d in range(1, 18)} - {(-5, 1)}
+    assert wanted <= shapes
+    # Seventeen nines round up across 10**(k + 1): 9.9999999999999999e15 is the double 1e16.
+    nines = [float(f"{10**17 - 1}e{k - 16}") for k in range(-5, 18)]
+    assert [Decimal(x).adjusted() for x in nines] == list(range(-4, 19))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025])
+def test_row_blocks_concatenate_to_one_call(rows):
+    # profile formats its CSV in blocks of rows; the blocks must join to one call's bytes.
+    rng = np.random.default_rng(rows)
+    table = rng.normal(size=(3000, 5)) * 10.0 ** rng.integers(-7, 20, size=(3000, 5))
+    table[rng.random(table.shape) < 0.05] = 0.0
+    table[::97, 2] = _ties()[: table[::97].shape[0]]
+    whole = format_rows(table)
+    assert whole == _reference(table)
+    assert b"".join(format_rows(table[s : s + rows]) for s in range(0, len(table), rows)) == whole
