@@ -13,9 +13,11 @@ polynomial; omitted entries are zero.  Each coefficient is written as
 ``<re><sign><im>i`` where the parts are decimal (optionally with an
 exponent) or exact rationals ``p/q``; digits are ASCII ``0-9``.  Rationals
 are parsed exactly and converted once to double; each part is at most
-:data:`~phaseclone.operators.MAX_COEFF` in magnitude.  An ``entry`` line is
-one pattern match (read token by token only to word an error).  Blank lines
-and ``#`` comments are ignored.
+:data:`~phaseclone.operators.MAX_COEFF` in magnitude.  Blank lines and ``#``
+comments are ignored.  Text in exactly the form :func:`serialize_pmap` writes
+is read a block at a time (one ``findall``, one ``complex()`` per coefficient);
+any other text, or a fault, goes to the line reader (one match per ``entry``
+line), the only one that words a :class:`ParseError`.  Both give the same bits.
 A document whose blocks are named ``lambda12``, ``lambda1`` and
 ``lambda2`` describes an uncorrelated triple.  ``dim`` is at most
 :data:`MAX_DIM`, checked on the ``dim`` line before anything is
@@ -126,8 +128,59 @@ class PmapDocument:
         return UncorrelatedTriple(joint=joint, out1=out1, out2=out2)
 
 
+@functools.cache
+def _block_re() -> tuple:
+    """The header and ``entry`` line of :func:`serialize_pmap`; one group per coefficient."""
+    number = r"(?:[0-9]+\.[0-9]+|[0-9](?:\.[0-9]+)?e[+-][0-9]+)"
+    coeff = rf"(-?{number}[+-]{number}j)"
+    header = re.compile(r"pmap ([A-Za-z_][A-Za-z0-9_-]*)\ndim ([1-9][0-9]?)\n")
+    entry = re.compile(rf"^entry ([0-9]+ [0-9]+) {coeff} {coeff} {coeff}\n", re.M)
+    return header.match, entry.findall
+
+
+@functools.cache
+def _cells(dim: int) -> dict:
+    """``"i j"`` -> ``i * dim + j`` for every cell of a ``dim`` x ``dim`` block."""
+    return {f"{i} {j}": i * dim + j for i in range(dim) for j in range(dim)}
+
+
+def _read_blocks(text: str) -> PmapDocument | None:
+    """Read text in the form :func:`serialize_pmap` writes; ``None`` for any other.
+
+    Never raises: on any departure from the form, a duplicate, an index or
+    ``dim`` out of range or a part beyond ``MAX_COEFF`` it returns ``None``.
+    """
+    if not text.endswith("\nend\n") or "#" in text or "\r" in text or "/" in text:
+        return None  # hand-written text is declined before any block is read
+    header, entries = _block_re()
+    blocks: dict[str, PhaseOperator] = {}
+    for chunk in text[:-1].split("\n\n"):  # blocks are separated by one blank line
+        h = header(chunk)
+        dim = int(h[2]) if h else 0
+        if not 0 < dim <= MAX_DIM or h[1] in blocks or not chunk.endswith("\nend"):
+            return None
+        body = chunk[h.end() : -len("end")]
+        rows = entries(body.replace("i", "j"))
+        keys = list(map(_cells(dim).get, (row[0] for row in rows)))
+        if "j" in body or len(rows) != body.count("\n") or len(set(keys) - {None}) < len(rows):
+            return None  # a line that is no entry, an index out of range, or a duplicate
+        flat = np.zeros((dim * dim, 3), complex)  # row-major (i, j), then (a, b, c)
+        flat[keys] = np.reshape([complex(c) for row in rows for c in row[1:]], (-1, 3))
+        try:
+            blocks[h[1]] = PhaseOperator(flat.reshape(dim, dim, 3).transpose(2, 0, 1))
+        except ValueError:  # a part beyond MAX_COEFF
+            return None
+    return PmapDocument(blocks=blocks)
+
+
 def parse_pmap(text: str) -> PmapDocument:
     """Parse PMAP text; raises :class:`ParseError` with a line number."""
+    doc = _read_blocks(text)
+    return doc if doc is not None else _read_lines(text)
+
+
+def _read_lines(text: str) -> PmapDocument:
+    """Read any PMAP text line by line; the only reader that raises :class:`ParseError`."""
     blocks: dict[str, PhaseOperator] = {}
     name: str | None = None
     dim: int | None = None
@@ -227,30 +280,17 @@ def parse_pmap(text: str) -> PmapDocument:
     return PmapDocument(blocks=blocks)
 
 
-def _format_real(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalise -0.0
-    return repr(x)
-
-
 def _format_complex(z: complex) -> str:
-    im = z.imag if z.imag != 0.0 else 0.0
-    sign = "+" if im >= 0.0 else "-"
-    return f"{_format_real(z.real)}{sign}{_format_real(abs(im))}i"
+    re_, im = z.real + 0.0, z.imag + 0.0  # -0.0 + 0.0 is 0.0
+    return f"{re_!r}{'-' if im < 0.0 else '+'}{abs(im)!r}i"
 
 
 def _serialize_block(name: str, op: PhaseOperator) -> str:
     lines = [f"pmap {name}", f"dim {op.dim}"]
-    for i in range(op.dim):
-        for j in range(op.dim):
-            e = op.entry(i, j)
-            if e.is_zero():
-                continue
-            lines.append(
-                f"entry {i} {j} "
-                f"{_format_complex(e.a)} {_format_complex(e.b)} {_format_complex(e.c)}"
-            )
+    for k, abc in enumerate(zip(*op.coeffs.reshape(3, -1).tolist())):  # (a, b, c) per cell
+        if any(abc):  # zero entries are skipped
+            i, j = divmod(k, op.dim)
+            lines.append(f"entry {i} {j} " + " ".join(map(_format_complex, abc)))
     lines.append("end")
     return "\n".join(lines)
 

@@ -24,6 +24,7 @@ from phaseclone import (
     parse_pmap,
     serialize_pmap,
 )
+from phaseclone import pmap
 from phaseclone.catalog import NAMES
 from phaseclone.cli import main
 from phaseclone.operators import MAX_COEFF
@@ -402,3 +403,118 @@ def test_entry_line_matches_the_per_token_reference(dim_fields, taken, space, le
     (i, j), coeffs = want
     op = parse_pmap(f"pmap x\ndim {dim}\n{pre}{raw}\nend\n").blocks["x"]
     assert op.coeffs[:, i, j].tobytes() == np.array(coeffs).tobytes()
+
+
+def _same_blocks(a: PmapDocument, b: PmapDocument) -> bool:
+    """The same block names in the same order, each with the same coefficient bits."""
+    return list(a.blocks) == list(b.blocks) and all(
+        a.blocks[n].coeffs.tobytes() == b.blocks[n].coeffs.tobytes() for n in a.blocks
+    )
+
+
+#: Doubles whose ``repr`` is a coefficient part: random ones, subnormals, the
+#: extremes of the accepted range and exact dyadics.
+_DOUBLE = st.one_of(
+    st.floats(min_value=-MAX_COEFF, max_value=MAX_COEFF),
+    st.sampled_from(
+        [5e-324, -2.2250738585072e-308, 1e-300, 1e150, -1e150, 0.125, -0.375, 2.0**-60, 3.0 * 2**40]
+    ),
+)
+
+
+def _canonical(z: tuple) -> str:
+    """``re`` and ``im`` written as :func:`serialize_pmap` writes them, but keeping ``-0.0``."""
+    re_, im = z
+    return f"{re_!r}{'-' if math.copysign(1.0, im) < 0 else '+'}{abs(im)!r}i"
+
+
+@st.composite
+def _canonical_blocks(draw):
+    """Blocks of dim 1-9 or MAX_DIM in the serialized form; zero entries left out."""
+    dim = draw(st.one_of(st.integers(1, 9), st.just(MAX_DIM)))
+    cell = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    part = st.one_of(_DOUBLE, _DOUBLE, st.just(-0.0), st.just(0.0))
+    coefficient = st.tuples(part, part)
+    triple = st.tuples(coefficient, coefficient, coefficient)
+    entries = draw(st.dictionaries(cell, triple, max_size=12))
+    lines = [f"dim {dim}"]
+    for (i, j), abc in sorted(entries.items()):
+        if any(x != 0.0 for z in abc for x in z):
+            lines.append(f"entry {i} {j} " + " ".join(map(_canonical, abc)))
+    return lines + ["end"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_canonical_blocks(), min_size=1, max_size=3),
+    st.permutations(["lambda12", "lambda1", "lambda2"]),
+)
+def test_block_reader_and_line_reader_read_the_same_bits(blocks, names):
+    text = "\n\n".join("\n".join([f"pmap {n}", *b]) for n, b in zip(names, blocks)) + "\n"
+    fast = pmap._read_blocks(text)
+    assert fast is not None
+    assert _same_blocks(fast, pmap._read_lines(text))
+    assert _same_blocks(parse_pmap(text), fast)
+
+
+_FORM = (
+    "pmap lambda1\ndim 2\n"
+    "entry 0 0 0.125+0.0i 0.125-0.0i 0.25+0.0i\n"
+    "entry 0 1 0.0+0.0i 1e-05+1.0i 1.0+0.0i\n"
+    "end\n\n"
+    "pmap lambda2\ndim 1\n"
+    "entry 0 0 1.0+0.0i 0.0+0.0i -0.5+0.0i\n"
+    "end\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# note\n" + _FORM,
+        _FORM.replace("entry 0 1", "entry\t0 1"),
+        _FORM.replace("\n", "\r\n"),
+        _FORM + "\n",
+        "pmap x\ndim 07\nentry 6 6 1.0+0.0i 0.0+0.0i 0.0+0.0i\nend\n",
+        _FORM.replace("0.125+0.0i 0.125", "1/8+0.0i 0.125"),
+        _FORM.replace("entry 0 1 ", "entry 0 1  "),
+        _FORM[:-1],
+        _FORM.replace("end\n\n", "entry 0 1 2.0+0.0i 0.0+0.0i 0.0+0.0i\nend\n\n"),
+        _FORM.replace("entry 0 1", "entry 2 1"),
+        _FORM.replace("entry 0 1", "entry " + "1" * 4400 + " 1"),
+        _FORM.replace("1e-05+1.0i", "1e+151+1.0i"),
+        _FORM.replace("1e-05+1.0i", "1e-05+1.0j"),
+        _FORM.replace("entry 0 1", "xentry 0 1"),
+        _FORM.replace("\n\npmap", "\n#pmap"),
+        _FORM.replace("end\n\n", "\n"),
+        _FORM.replace("lambda2", "lambda1"),
+        "pmap x\ndim 65\nend\n",
+    ],
+    ids=[
+        "comment", "tab", "crlf", "trailing-blank-line", "dim-07", "rational", "double-space",
+        "no-final-newline", "duplicate-entry", "index-equals-dim", "4400-digit-index", "part-1e151",
+        "j-suffix", "junk-before-entry", "commented-out-header", "missing-end",
+        "duplicate-block", "dim-above-max",
+    ],
+)
+def test_departures_from_the_form_take_the_line_reader(text):
+    assert pmap._read_blocks(text) is None
+    try:
+        want = pmap._read_lines(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as exc:
+            parse_pmap(text)
+        assert (type(exc.value), str(exc.value), exc.value.line) == (type(err), str(err), err.line)
+        return
+    assert _same_blocks(parse_pmap(text), want)
+
+
+def test_a_serialized_document_is_read_by_the_block_reader(monkeypatch):
+    # The fast path must not go dead unnoticed: with the line reader gone,
+    # what serialize_pmap writes still reads back.
+    def refuse(text):
+        raise AssertionError("the line reader ran on a serialized document")
+
+    text = serialize_pmap(document_from_triple(builtin("counterexample").payload))
+    monkeypatch.setattr(pmap, "_read_lines", refuse)
+    assert serialize_pmap(parse_pmap(text)) == text
