@@ -36,15 +36,20 @@ structure stage gives, as arrays over the members, the verdicts
 (hermiticity, the relation and the probability decomposition) in one
 half and the case analysis (phase dependence, the case and L2b) in the
 other; the positivity certificate then runs on the Hermitian parts it
-found.  :func:`analyze` and :func:`analyze_many` run both halves, certify
-every operator and build one report per triple.  ``theorem_consistent``
-reads L2b and the outputs' verdicts only: where the relation holds the
-joint is positive iff both outputs are, so its verdict is an audit the
-report carries.  The CLI ``check`` runs the verdict half and the
-certificate only.  The randomized search tallies from the stage's arrays,
-with no object per trial, and certifies only the outputs of
-hermitian-preserving, relation-satisfying triples with both outputs
-phase-dependent: positivity decides nothing elsewhere.
+found.  Where out1 and out2 have one shape, each per-output test (the
+Hermitian part, the projection, the root multiplicities) takes both
+outputs in one call.  :func:`analyze` and :func:`analyze_many` run both
+halves, certify every operator and build one report per triple.
+``theorem_consistent`` reads L2b and the outputs' verdicts only: where the
+relation holds the joint is positive iff both outputs are, so its verdict
+is an audit the report carries.  The CLI ``check`` runs the verdict half
+and the certificate only.  The randomized search assembles each joint as
+the quotient of ``out1 (x) out2`` by ``P``, so a block's relation residual
+is its division remainder, handed to the stage rather than formed again;
+it tallies from the stage's arrays, with no object per trial, and
+certifies only the outputs of hermitian-preserving, relation-satisfying
+triples with both outputs phase-dependent: positivity decides nothing
+elsewhere.
 """
 
 from __future__ import annotations
@@ -148,11 +153,12 @@ def _projection(outs: np.ndarray, p: np.ndarray, scale: np.ndarray, tol: float) 
     ``p`` holds the ``(N, 3)`` coefficients of their probabilities and
     ``scale`` the larger of ``max|P|`` and ``max|out|`` per output.  Also
     returns, per output, whether some entry differs from ``gamma * P`` by
-    more than ``tol * scale``: a phase-dependent output.
+    more than ``tol * scale``: a phase-dependent output.  An ``(2, N, 3, d,
+    d)`` stack of out1 and out2 with ``(2, N)`` scales is judged in one call.
     """
-    p = p[:, :, None, None]
-    gamma = (p.conj() * outs).sum(axis=1) / (p.conj() * p).real.sum(axis=1)
-    residual = np.abs(outs - gamma[:, None] * p).max(axis=(1, 2, 3))
+    p = p[..., None, None]
+    gamma = (p.conj() * outs).sum(axis=-3) / (p.conj() * p).real.sum(axis=-3)
+    residual = np.abs(outs - gamma[..., None, :, :] * p).max(axis=(-3, -2, -1))
     return gamma, residual > tol * scale
 
 
@@ -268,15 +274,21 @@ class _Structure(_Verdicts):
     nonpositive: list
 
 
-def _verdicts(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Verdicts:
+def _verdicts(
+    joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float, remainder=None
+) -> _Verdicts:
     """The verdict half on the ``(N, 3, ., .)`` stacks of N triples of one ``(d1, d2)``.
 
-    Hermiticity per operator, the product relation and the decomposition of
-    ``P`` (out1's trace) per member; the certificate runs on ``families``.
+    Hermiticity per operator (out1 and out2 in one call where their shapes
+    agree), the product relation (from ``remainder``, see
+    ``operators._relation``, where given) and the decomposition of ``P``
+    (out1's trace) per member; the certificate runs on ``families``.
     """
-    relation = _relation(joint, out1, out2, tol)[:-1]
+    relation = _relation(joint, out1, out2, tol, remainder)[:-1]
     P, sizes, nonzero, traces_equal, _, holds, partial_ok = relation
-    families, defects = zip(*(hermitian_part(stack) for stack in (joint, out1, out2)))
+    same = out1.shape == out2.shape
+    outs = zip(*hermitian_part(np.stack((out1, out2)))) if same else map(hermitian_part, (out1, out2))
+    families, defects = zip(hermitian_part(joint), *outs)
     hp = np.array(defects) <= tol * sizes[1:]
     probability = [
         _probability(FirstOrderPoly(*row), tol) if ok else "zero-probability"
@@ -293,15 +305,18 @@ def _classification(v: _Verdicts, out1: np.ndarray, out2: np.ndarray, tol: float
     vanish, and the case of the hermitian-preserving,
     relation-satisfying members with a decomposed ``P``.  Lemma L2b runs
     on those of them with a double root and both outputs phase-dependent.
+    Where the outputs' shapes agree, each test takes both in one call.
     """
     P, sizes, nonzero = v.relation[:3]
     dependence = [(None, None)] * len(v.probability)
     projected = nonzero.nonzero()[0]
     p = P.T[projected]
-    scale1, scale2 = np.maximum(sizes[0], sizes[2:])[:, projected]  # max(max|P|, max|out|)
-    _, dep1 = _projection(out1[projected], p, scale1, tol)
-    _, dep2 = _projection(out2[projected], p, scale2, tol)
-    for m, flag in zip(projected.tolist(), zip(dep1.tolist(), dep2.tolist())):
+    scales = np.maximum(sizes[0], sizes[2:])[:, projected]  # max(max|P|, max|out|)
+    if out1.shape == out2.shape:
+        _, dep = _projection(np.stack((out1[projected], out2[projected])), p, scales, tol)
+    else:
+        dep = [_projection(o[projected], p, s, tol)[1] for o, s in zip((out1, out2), scales)]
+    for m, flag in zip(projected.tolist(), zip(*(d.tolist() for d in dep))):
         dependence[m] = flag
     constant = CaseLabel.CONSTANT_PROBABILITY
     case = [constant if t == "constant-probability" else None for t in v.probability]
@@ -309,23 +324,30 @@ def _classification(v: _Verdicts, out1: np.ndarray, out2: np.ndarray, tol: float
     classified = [m for m in checked if not isinstance(v.probability[m], str)]
     nonpositive = [False] * len(case)
     if classified:
-        decs = [v.probability[m] for m in classified]
-        found, double = _multiplicity(out2[classified], decs, tol)
+        decs, count = [v.probability[m] for m in classified], len(classified)
+        if out1.shape == out2.shape:  # out2's case split and L2b's out1 rows in one call
+            both = np.concatenate((out2[classified], out1[classified]))
+            found, double = _multiplicity(both, decs * 2, tol)
+            found, found1, double = found[:count], found[count:], double[:count]
+        else:
+            pairs = (_multiplicity(o[classified], decs, tol) for o in (out2, out1))
+            (found, double), (found1, _) = pairs
         for m, label in zip(classified, _labels(found)):
             case[m] = label
         lemma = [n for n, m in enumerate(classified) if double[n] and dependence[m] == (True, True)]
-        members = [classified[n] for n in lemma]
-        if members:
-            found1, _ = _multiplicity(out1[members], [decs[n] for n in lemma], tol)
-            proved = _nonpositive(found1, out1.shape[-1]) | _nonpositive(found[lemma], out2.shape[-1])
-            for m, flag in zip(members, proved.tolist()):
+        if lemma:
+            proved = _nonpositive(found1[lemma], out1.shape[-1])
+            proved |= _nonpositive(found[lemma], out2.shape[-1])
+            for m, flag in zip((classified[n] for n in lemma), proved.tolist()):
                 nonpositive[m] = flag
     return _Structure(**vars(v), dependence=dependence, case=case, nonpositive=nonpositive)
 
 
-def _structure(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
+def _structure(
+    joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float, remainder=None
+) -> _Structure:
     """The structure stage on the ``(N, 3, ., .)`` stacks of N triples of one ``(d1, d2)``."""
-    return _classification(_verdicts(joint, out1, out2, tol), out1, out2, tol)
+    return _classification(_verdicts(joint, out1, out2, tol, remainder), out1, out2, tol)
 
 
 def _check_verdicts(t: UncorrelatedTriple, tol: float) -> tuple:

@@ -250,7 +250,9 @@ def tensor(o1: PhaseOperator, o2: PhaseOperator) -> np.ndarray:
     return _tensor(o1.coeffs, o2.coeffs)
 
 
-def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
+def _relation(
+    joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float, remainder=None
+) -> tuple:
     """The arrays of :func:`validate_triple` on the ``(N, 3, ., .)`` stacks of one ``(d1, d2)``.
 
     Returns the ``(3, N)`` traces ``P`` of out1, the ``(4, N)`` largest
@@ -260,6 +262,9 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     passes within ``tol`` times the largest modulus of joint, out1 and out2.
     Last, the ``(5, N, d1 d2, d1 d2)`` cross term ``joint * P - out1 (x) out2``
     over degrees -2..2, whose largest modulus is the residual's numerator.
+    For joints assembled as the quotients of ``out1 (x) out2`` by ``P``, the
+    ``(N,)`` ``remainder`` may give that modulus, their division remainder's
+    (``search._assemble``); the cross term is then not formed and is ``None``.
     """
     d1, d2 = out1.shape[-1], out2.shape[-1]
     joint, out1, out2 = (stack.swapaxes(0, 1) for stack in (joint, out1, out2))
@@ -270,8 +275,9 @@ def _relation(joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float)
     nonzero = ~_negligible(size, sizes[2])  # P vanishes next to out1, once for every caller
     traces = np.array([out2.trace(axis1=-2, axis2=-1), joint.trace(axis1=-2, axis2=-1)])
     traces_equal = np.abs(traces - P).max(axis=(0, 1)) <= tol * scale
-    cross = mul(joint, P[..., None, None]) - _tensor(out1, out2)
-    residual = np.abs(cross).max(axis=(0, 2, 3)) / np.where(nonzero, size, 1.0)
+    cross = None if remainder is not None else mul(joint, P[..., None, None]) - _tensor(out1, out2)
+    numerator = remainder if cross is None else np.abs(cross).max(axis=(0, 2, 3))
+    residual = numerator / np.where(nonzero, size, 1.0)
     blocks = joint.reshape(joint.shape[:2] + (d1, d2, d1, d2))
     gaps = (blocks.trace(axis1=3, axis2=5) - out1, blocks.trace(axis1=2, axis2=4) - out2)
     partial = np.maximum(*(np.abs(gap).max(axis=(0, 2, 3)) for gap in gaps))

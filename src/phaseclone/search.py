@@ -282,11 +282,13 @@ def _assemble(out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
 
     Each member's joint block is its tensor product divided by its trace
     ``P``, all members in one batched division.  Returns the ``(joint,
-    out1, out2)`` stacks of the accepted members, their indices, and a dict
+    out1, out2)`` stacks of the accepted members, their indices, a dict
     from each rejected member's index to its :class:`SampleRejected`
     message: the traces disagree (beyond ``tol`` times the member's largest
     output coefficient), ``P`` vanishes next to out1, or some product entry
-    is not divisible (the first in row-major order is named).
+    is not divisible (the first in row-major order is named); last, each
+    accepted member's largest division remainder coefficient, ``max|out1 (x)
+    out2 - joint * P|``: the ``remainder`` of ``operators._relation``.
     """
     c1, c2 = out1.swapaxes(0, 1), out2.swapaxes(0, 1)
     d1, d2 = c1.shape[-1], c2.shape[-1]
@@ -306,7 +308,8 @@ def _assemble(out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
         r, c = divmod(int(failing[n].argmax()), d1 * d2)
         rejected[int(live[n])] = f"product entry ({r}, {c}) is not divisible by the trace"
     kept = live[divisible]
-    return (q.swapaxes(0, 1)[divisible], out1[kept], out2[kept]), kept, rejected
+    remainder = residual[divisible].max(axis=(1, 2))
+    return (q.swapaxes(0, 1)[divisible], out1[kept], out2[kept]), kept, rejected, remainder
 
 
 def assemble_triple(
@@ -320,7 +323,7 @@ def assemble_triple(
     message names the first such entry).  A triple returned from here
     passes :func:`validate_triple` by construction.
     """
-    (joint, _, _), _, rejected = _assemble(out1.coeffs[None], out2.coeffs[None], tol)
+    (joint, _, _), _, rejected, _ = _assemble(out1.coeffs[None], out2.coeffs[None], tol)
     if rejected:
         raise SampleRejected(rejected[0])
     joint = JointPhaseOperator(joint[0], dim1=out1.dim, dim2=out2.dim)
@@ -419,10 +422,10 @@ def theorem_search(
     for start in range(0, trials, _BLOCK):
         block = range(start, min(start + _BLOCK, trials))
         draws = np.array([_draw([seed, k], params) for k in block])
-        stacks, kept, rejected = _assemble(draws[:, 0], draws[:, 1], DEFAULT_TOL)
+        stacks, kept, rejected, remainder = _assemble(draws[:, 0], draws[:, 1], DEFAULT_TOL)
         rejection_reasons.update(rejected.values())
         accepted += len(kept)
-        s = analysis._structure(*stacks, tol)
+        s = analysis._structure(*stacks, tol, remainder)
         case_counts.update("unclassified" if label is None else label.value for label in s.case)
         both = [m for m, dependence in enumerate(s.dependence) if dependence == (True, True)]
         # Only these members can be inconsistent (see analysis._consistent).

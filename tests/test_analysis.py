@@ -38,7 +38,7 @@ from phaseclone import (
     trace_poly,
     validate_triple,
 )
-from phaseclone import analysis, search, trigpoly
+from phaseclone import analysis, operators, search, trigpoly
 from phaseclone.catalog import NAMES
 from phaseclone.operators import MAX_COEFF
 from phaseclone.positivity import DEFAULT_TOL
@@ -535,6 +535,65 @@ def test_search_reports_drop_only_the_certificates_that_decide_nothing():
             )
             assert s.theorem_consistent
     assert 0 < decisive < len(triples)
+
+
+def _bits(x: np.ndarray) -> tuple:
+    return x.dtype, x.shape, x.tobytes()
+
+
+def test_stacked_output_tests_give_the_per_output_bits():
+    # Where out1 and out2 share a shape, hermitian_part, _projection and
+    # _multiplicity take both in one call; member for member, that call gives
+    # the bits of one call per output.
+    triples = [t for t in _mixed_stack() if t.out1.dim == t.out2.dim == 2]
+    names = ("joint", "out1", "out2")
+    joint, out1, out2 = (np.array([getattr(t, n).coeffs for t in triples]) for n in names)
+    both = np.stack((out1, out2))
+    family, defect = operators.hermitian_part(both)
+    P = out1.trace(axis1=-2, axis2=-1)
+    scales = np.maximum(np.abs(P).max(axis=1), np.abs(both).max(axis=(2, 3, 4)))
+    gamma, dependent = analysis._projection(both, P, scales, DEFAULT_TOL)
+    for k, out in enumerate((out1, out2)):
+        assert list(map(_bits, operators.hermitian_part(out))) == [_bits(family[k]), _bits(defect[k])]
+        g, flags = analysis._projection(out, P, scales[k], DEFAULT_TOL)
+        assert (_bits(g), _bits(flags)) == (_bits(gamma[k]), _bits(dependent[k]))
+    assert dependent.any() and not dependent.all()
+    probability = analysis._verdicts(joint, out1, out2, DEFAULT_TOL).probability
+    members = [m for m, dec in enumerate(probability) if not isinstance(dec, str)]
+    decs, n = [probability[m] for m in members], len(members)
+    stacked = np.concatenate((out2[members], out1[members]))
+    found, double = analysis._multiplicity(stacked, decs * 2, DEFAULT_TOL)
+    for k, out in enumerate((out2, out1)):
+        f, d = analysis._multiplicity(out[members], decs, DEFAULT_TOL)
+        rows = slice(k * n, k * n + n)
+        assert (_bits(f), _bits(d)) == (_bits(found[rows]), _bits(double[rows]))
+    assert set(found.ravel().tolist()) == {0, 1, 2} and 0 < double.sum() < 2 * n
+
+
+def test_a_group_takes_one_call_per_test_and_output_shape(monkeypatch):
+    # A 2x2 group runs hermitian_part on its joints and then on both outputs
+    # stacked, _projection on both stacked and _multiplicity on out2's and
+    # out1's members concatenated; a 2x3 group, whose outputs cannot be
+    # stacked, runs each test once per output.  Recorded: (ndim, d) of each
+    # call's stack.
+    names = ("hermitian_part", "_projection", "_multiplicity")
+    calls: dict = {name: [] for name in names}
+    for name in names:
+        test, seen = getattr(analysis, name), calls[name]
+        record = lambda *a, _t=test, _s=seen: _s.append((a[0].ndim, a[0].shape[-1])) or _t(*a)  # noqa: E731
+        monkeypatch.setattr(analysis, name, record)
+    expected = {
+        (2, 2): ([(4, 4), (5, 2)], [(5, 2)], [(4, 2)]),
+        (2, 3): ([(4, 6), (4, 2), (4, 3)], [(4, 2), (4, 3)], [(4, 3), (4, 2)]),
+    }
+    triples = _mixed_stack()
+    for dims, want in expected.items():
+        for seen in calls.values():
+            seen.clear()
+        reports = analyze_many([t for t in triples if (t.out1.dim, t.out2.dim) == dims])
+        assert any(r.case is not None for r in reports)
+        assert sorted(calls["hermitian_part"]) == sorted(want[0]), dims  # in either order
+        assert (calls["_projection"], calls["_multiplicity"]) == want[1:], dims
 
 
 def _assert_check_verdicts_are_the_report(t: UncorrelatedTriple) -> tuple:

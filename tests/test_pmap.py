@@ -509,6 +509,50 @@ def test_departures_from_the_form_take_the_line_reader(text):
     assert _same_blocks(parse_pmap(text), want)
 
 
+def _late_departures() -> dict:
+    """A serialized catalog triple (three blocks) with one departure in its last entry line."""
+    text = serialize_pmap(document_from_triple(builtin("case3-example").payload))
+    head, last = text[:-1].rsplit("\nentry ", 1)
+    return {
+        "tab": f"{head}\nentry\t{last}\n",
+        "tab-between-parts": f"{head}\nentry {last.replace('i ', 'i' + chr(9), 1)}\n",
+        "double-space": f"{head}\nentry  {last}\n",
+        "trailing-double-space": f"{head}\nentry {last.replace(chr(10), '  ' + chr(10), 1)}\n",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_late_departures()))
+def test_a_late_tab_or_double_space_is_declined_before_any_block_is_read(name, monkeypatch):
+    # The serialized form holds no tab and no doubled space, so text with one
+    # goes to the line reader at once, wherever it is: the block reader's
+    # header matcher never runs, and the bits are the line reader's.
+    text = _late_departures()[name]
+    want = pmap._read_lines(text)
+
+    def refuse():
+        raise AssertionError("the block reader read a block of hand-written text")
+
+    monkeypatch.setattr(pmap, "_block_re", refuse)
+    assert pmap._read_blocks(text) is None
+    assert _same_blocks(parse_pmap(text), want)
+
+
+def test_a_leading_zero_index_is_declined_where_its_block_is_read(monkeypatch):
+    # An index with a leading zero is only caught by the block's index lookup,
+    # so the blocks before it are read by the block reader first; the result
+    # is still the line reader's.
+    text = serialize_pmap(document_from_triple(builtin("case3-example").payload))
+    head, last = text[:-1].rsplit("\nentry ", 1)
+    text = f"{head}\nentry 0{last}\n"
+    headers = []
+    header, entries = pmap._block_re()
+    want = pmap._read_lines(text)
+    monkeypatch.setattr(pmap, "_block_re", lambda: (lambda c: headers.append(c) or header(c), entries))
+    assert pmap._read_blocks(text) is None
+    assert len(headers) == 3  # the third block, the last, holds the index
+    assert _same_blocks(parse_pmap(text), want)
+
+
 def test_a_serialized_document_is_read_by_the_block_reader(monkeypatch):
     # The fast path must not go dead unnoticed: with the line reader gone,
     # what serialize_pmap writes still reads back.

@@ -20,7 +20,7 @@ from phaseclone import (
     theorem_search,
     validate_triple,
 )
-from phaseclone import analysis, search
+from phaseclone import analysis, operators, search
 from phaseclone.analysis import CaseLabel
 from phaseclone.operators import DEFAULT_TOL
 
@@ -388,7 +388,7 @@ def test_batched_assembly_equals_per_trial_candidates(params):
     for start in range(0, 150, 50):
         block = range(start, start + 50)
         outputs = np.array([search._draw([seed, k], params) for k in block])
-        stacks, kept, rejected = search._assemble(*outputs.swapaxes(0, 1), DEFAULT_TOL)
+        stacks, kept, rejected, _ = search._assemble(*outputs.swapaxes(0, 1), DEFAULT_TOL)
         accepted = dict(zip(kept.tolist(), zip(*stacks)))
         assert sorted([*accepted, *rejected]) == list(range(len(block)))
         for n, k in enumerate(block):
@@ -399,6 +399,57 @@ def test_batched_assembly_equals_per_trial_candidates(params):
                 continue
             for got, name in zip(accepted[n], ("joint", "out1", "out2")):
                 assert _same_bits(got, getattr(t, name).coeffs), k
+
+
+@pytest.mark.parametrize(
+    "params",
+    [SamplerParams()]
+    + [SamplerParams(pin_stratum=name) for name in _NAMES]
+    + [_unvalidated(pin_alpha_abs=0.0)],
+    ids=["default", *_NAMES, "vanishing-trace"],
+)
+def test_the_division_remainder_gives_the_relation_verdicts(params):
+    # A search block's relation residual is its division remainder, and
+    # operators._relation does not form the product again; every verdict
+    # equals _relation's recomputed on the same assembled stacks.  numpy may
+    # round a complex product with or without a fused multiply-add by memory
+    # layout, which moves a residual by a few units in the last place of the
+    # products, not of the residual; so the bound is 8 eps times the scale the
+    # relation judges in, against a tolerance of 1e-9 times it.  Measured: the
+    # residuals agree bit for bit on all 7,085 accepted members here, and
+    # reach 23 eps times that scale.
+    bound = 8 * np.finfo(float).eps
+    for seed in (20260809, 7):
+        for start in range(0, 600, 200):
+            outputs = np.array([search._draw([seed, k], params) for k in range(start, start + 200)])
+            stacks, kept, _, remainder = search._assemble(*outputs.swapaxes(0, 1), DEFAULT_TOL)
+            fed = operators._relation(*stacks, DEFAULT_TOL, remainder)
+            full = operators._relation(*stacks, DEFAULT_TOL)
+            assert fed[-1] is None and full[-1].shape[1] == len(kept)
+            for i in (0, 1, 2, 3, 5, 6):  # P, sizes, nonzero, traces_equal, holds, partial_ok
+                assert np.array_equal(fed[i], full[i]), i
+            scale = full[1][1:].max(axis=0)
+            assert (np.abs(fed[4] - full[4]) <= bound * scale).all()
+            v = analysis._verdicts(*stacks, DEFAULT_TOL, remainder)
+            assert np.array_equal(v.relation_ok, analysis._verdicts(*stacks, DEFAULT_TOL).relation_ok)
+            if params.pin_stratum != "reject" and params.pin_alpha_abs != 0.0:
+                assert v.relation_ok.all() and len(kept) > 0
+
+
+def test_a_search_block_forms_its_tensor_product_once(monkeypatch):
+    # Assembly divides out1 (x) out2 by P and the relation reads the division
+    # remainder: one Kronecker product per block, not a second for the relation.
+    calls = []
+    tensor = operators._tensor
+    counting = lambda c1, c2: calls.append(c1.shape) or tensor(c1, c2)  # noqa: E731
+    for module in (operators, search):
+        monkeypatch.setattr(module, "_tensor", counting)
+    theorem_search(10, seed=20260809)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(search, "_BLOCK", 64)
+    report = theorem_search(300, seed=7)
+    assert len(calls) == 5 and report.accepted > 0
 
 
 def test_search_analyzes_the_per_trial_candidates(monkeypatch):
