@@ -325,20 +325,20 @@ def _classification(v: _Verdicts, out1: np.ndarray, out2: np.ndarray, tol: float
     nonpositive = [False] * len(case)
     if classified:
         decs, count = [v.probability[m] for m in classified], len(classified)
-        if out1.shape == out2.shape:  # out2's case split and L2b's out1 rows in one call
-            both = np.concatenate((out2[classified], out1[classified]))
-            found, double = _multiplicity(both, decs * 2, tol)
-            found, found1, double = found[:count], found[count:], double[:count]
-        else:
-            pairs = (_multiplicity(o[classified], decs, tol) for o in (out2, out1))
-            (found, double), (found1, _) = pairs
-        for m, label in zip(classified, _labels(found)):
+        same = out1.shape == out2.shape  # then out2's case split and L2b's out1 rows share one call
+        rows = np.concatenate((out2[classified], out1[classified])) if same else out2[classified]
+        found, double = _multiplicity(rows, decs * (1 + same), tol)
+        for m, label in zip(classified, _labels(found[:count])):
             case[m] = label
         lemma = [n for n, m in enumerate(classified) if double[n] and dependence[m] == (True, True)]
-        if lemma:
-            proved = _nonpositive(found1[lemma], out1.shape[-1])
-            proved |= _nonpositive(found[lemma], out2.shape[-1])
-            for m, flag in zip((classified[n] for n in lemma), proved.tolist()):
+        members = [classified[n] for n in lemma]
+        if members:
+            if same:
+                found1 = found[count:][lemma]
+            else:
+                found1, _ = _multiplicity(out1[members], [decs[n] for n in lemma], tol)
+            proved = _nonpositive(found1, out1.shape[-1]) | _nonpositive(found[lemma], out2.shape[-1])
+            for m, flag in zip(members, proved.tolist()):
                 nonpositive[m] = flag
     return _Structure(**vars(v), dependence=dependence, case=case, nonpositive=nonpositive)
 

@@ -149,11 +149,11 @@ def _read_blocks(text: str) -> PmapDocument | None:
 
     Never raises: on any departure from the form, a duplicate, an index or
     ``dim`` out of range or a part beyond ``MAX_COEFF`` it returns ``None``.
-    Text with a ``#``, CR, ``/``, tab or doubled space (the form holds none)
-    is declined before any block is read; an index with a leading zero
+    Text with a ``#``, CR, ``/`` or tab (the form holds none) is declined
+    before any block is read; a doubled space or an index with a leading zero
     (``entry 01 0``) only where its block is read, after the blocks before it.
     """
-    if not text.endswith("\nend\n") or any(c in text for c in ("#", "\r", "/", "\t", "  ")):
+    if not text.endswith("\nend\n") or "#" in text or "\r" in text or "/" in text or "\t" in text:
         return None  # hand-written text is declined before any block is read
     header, entries = _block_re()
     blocks: dict[str, PhaseOperator] = {}

@@ -237,14 +237,11 @@ def _lowest(E: np.ndarray, signs=(1.0,)) -> np.ndarray:
     diagonal and ``g = hypot(...)`` the half gap (0 for ``d = 1``), keeps the bits
     of ``-_lowest(-E)`` for -1 wherever the matrix is not exactly zero (there a zero
     may carry the other sign).  For ``d >= 3`` one ``eigvalsh`` call gives both
-    ends, its first and its last eigenvalue.  Sign 1 alone, the default, is the
-    one row ``m - g`` or ``eigvalsh``'s first column, as a view: the same bits.
+    ends, its first and its last eigenvalue.
     """
     d = E.shape[-1]
     if d > 2:
         ev = _solve(_umath_linalg.eigvalsh_lo, E, "D->d")
-        if signs == (1.0,):
-            return ev[None, ..., 0]
         return np.array([ev[..., 0 if s > 0 else -1] for s in signs])
     h = E.real
     if d == 1:
@@ -252,8 +249,6 @@ def _lowest(E: np.ndarray, signs=(1.0,)) -> np.ndarray:
     else:
         h00, h11 = h[..., 0, 0], h[..., 1, 1]
         m, g = 0.5 * (h00 + h11), np.hypot(0.5 * (h00 - h11), np.abs(E[..., 0, 1]))
-    if signs == (1.0,):
-        return (m - g)[None]
     return np.array([s * (s * m - g) for s in signs])
 
 

@@ -257,8 +257,7 @@ def _divide(num, den, tol: float = ALGEBRA_TOL) -> tuple[np.ndarray, np.ndarray,
     if den.shape[:1] != (3,):
         raise ValueError(f"divisor needs (a, b, c) on axis 0, got shape {den.shape}")
     shape = np.broadcast_shapes(num.shape[1:], den.shape[1:])
-    if num.shape[1:] != shape:
-        num = np.broadcast_to(num, (5,) + shape)
+    num = np.broadcast_to(num, (5,) + shape)
     # Ascending coefficients of den * x.
     d = den[[1, 2, 0]]
     mags = np.abs(d)

@@ -537,6 +537,11 @@ def test_search_reports_drop_only_the_certificates_that_decide_nothing():
     assert 0 < decisive < len(triples)
 
 
+def _stacks(triples: list) -> tuple:
+    """The ``(joint, out1, out2)`` coefficient stacks of triples of one ``(d1, d2)``."""
+    return tuple(np.array([getattr(t, n).coeffs for t in triples]) for n in ("joint", "out1", "out2"))
+
+
 def _bits(x: np.ndarray) -> tuple:
     return x.dtype, x.shape, x.tobytes()
 
@@ -546,8 +551,7 @@ def test_stacked_output_tests_give_the_per_output_bits():
     # _multiplicity take both in one call; member for member, that call gives
     # the bits of one call per output.
     triples = [t for t in _mixed_stack() if t.out1.dim == t.out2.dim == 2]
-    names = ("joint", "out1", "out2")
-    joint, out1, out2 = (np.array([getattr(t, n).coeffs for t in triples]) for n in names)
+    joint, out1, out2 = _stacks(triples)
     both = np.stack((out1, out2))
     family, defect = operators.hermitian_part(both)
     P = out1.trace(axis1=-2, axis2=-1)
@@ -570,30 +574,69 @@ def test_stacked_output_tests_give_the_per_output_bits():
     assert set(found.ravel().tolist()) == {0, 1, 2} and 0 < double.sum() < 2 * n
 
 
+def _padded_l2b_triples() -> tuple[list, list]:
+    """2x2 triples that lemma L2b proves not positive, and each with out2 padded to 3x3 by zeros.
+
+    The padding keeps ``P``, the phase dependence and the lemma's verdict, so
+    the 2x3 triples take lemma L2b's out1 rows through the mismatched-shape
+    branch.
+    """
+    square = [t for t in _mixed_stack() if (t.out1.dim, t.out2.dim) == (2, 2)]
+    s = analysis._structure(*_stacks(square), DEFAULT_TOL)
+    proved = [t for t, flag in zip(square, s.nonpositive) if flag][:6]
+    pad = ((0, 0), (0, 1), (0, 1))
+    return proved, [assemble_triple(t.out1, PhaseOperator(np.pad(t.out2.coeffs, pad))) for t in proved]
+
+
+def test_padded_outputs_keep_the_lemma_verdicts():
+    # In a 2x3 group lemma L2b's out1 rows are judged apart from out2's; mixed
+    # among sampled 2x3 triples, each member keeps the verdict it has alone.
+    proved, padded = _padded_l2b_triples()
+    assert len(proved) == 6
+    for group in (proved, padded):
+        s = analysis._structure(*_stacks(group), DEFAULT_TOL)
+        assert s.nonpositive == [True] * 6
+        assert s.dependence == [(True, True)] * 6
+    rect = [t for t in _mixed_stack() if (t.out1.dim, t.out2.dim) == (2, 3)]
+    mixed = [t for pair in zip(rect, padded) for t in pair] + rect[len(padded) :]
+    alone = [analysis._structure(*_stacks([t]), DEFAULT_TOL).nonpositive[0] for t in mixed]
+    assert analysis._structure(*_stacks(mixed), DEFAULT_TOL).nonpositive == alone
+    assert sum(alone) == 6
+
+
 def test_a_group_takes_one_call_per_test_and_output_shape(monkeypatch):
     # A 2x2 group runs hermitian_part on its joints and then on both outputs
     # stacked, _projection on both stacked and _multiplicity on out2's and
     # out1's members concatenated; a 2x3 group, whose outputs cannot be
-    # stacked, runs each test once per output.  Recorded: (ndim, d) of each
-    # call's stack.
+    # stacked, runs each test once per output, and _multiplicity on out1
+    # only for lemma L2b's members (none in the sampled 2x3 triples).
+    # Recorded: (ndim, d) of each call's stack.
     names = ("hermitian_part", "_projection", "_multiplicity")
     calls: dict = {name: [] for name in names}
     for name in names:
         test, seen = getattr(analysis, name), calls[name]
         record = lambda *a, _t=test, _s=seen: _s.append((a[0].ndim, a[0].shape[-1])) or _t(*a)  # noqa: E731
         monkeypatch.setattr(analysis, name, record)
-    expected = {
-        (2, 2): ([(4, 4), (5, 2)], [(5, 2)], [(4, 2)]),
-        (2, 3): ([(4, 6), (4, 2), (4, 3)], [(4, 2), (4, 3)], [(4, 3), (4, 2)]),
-    }
     triples = _mixed_stack()
-    for dims, want in expected.items():
+    rect = [t for t in triples if (t.out1.dim, t.out2.dim) == (2, 3)]
+    groups = {
+        "2x2": (
+            [t for t in triples if (t.out1.dim, t.out2.dim) == (2, 2)],
+            ([(4, 4), (5, 2)], [(5, 2)], [(4, 2)]),
+        ),
+        "2x3": (rect, ([(4, 6), (4, 2), (4, 3)], [(4, 2), (4, 3)], [(4, 3)])),
+        "2x3 with L2b": (
+            rect + _padded_l2b_triples()[1],
+            ([(4, 6), (4, 2), (4, 3)], [(4, 2), (4, 3)], [(4, 3), (4, 2)]),
+        ),
+    }
+    for name, (group, want) in groups.items():
         for seen in calls.values():
             seen.clear()
-        reports = analyze_many([t for t in triples if (t.out1.dim, t.out2.dim) == dims])
+        reports = analyze_many(group)
         assert any(r.case is not None for r in reports)
-        assert sorted(calls["hermitian_part"]) == sorted(want[0]), dims  # in either order
-        assert (calls["_projection"], calls["_multiplicity"]) == want[1:], dims
+        assert sorted(calls["hermitian_part"]) == sorted(want[0]), name  # in either order
+        assert (calls["_projection"], calls["_multiplicity"]) == want[1:], name
 
 
 def _assert_check_verdicts_are_the_report(t: UncorrelatedTriple) -> tuple:
