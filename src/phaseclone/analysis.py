@@ -36,8 +36,9 @@ structure stage gives, as arrays over the members, the verdicts
 (hermiticity, the relation and the probability decomposition) in one
 half and the case analysis (phase dependence, the case and L2b) in the
 other; the positivity certificate then runs on the Hermitian parts it
-found.  Where out1 and out2 have one shape, each per-output test (the
-Hermitian part, the projection, the root multiplicities) takes both
+found.  out1 and out2 form one ``(2, N, 3, d, d)`` stack, the smaller
+zero-padded to the larger ``d``, so for every shape each per-output test
+(the Hermitian part, the projection, the root multiplicities) takes both
 outputs in one call.  :func:`analyze` and :func:`analyze_many` run both
 halves, certify every operator and build one report per triple.
 ``theorem_consistent`` reads L2b and the outputs' verdicts only: where the
@@ -246,13 +247,16 @@ def deterministic_tensor_obstruction(
 class _Verdicts:
     """The verdict half of the structure stage on the N triples of one ``(d1, d2)`` group.
 
-    ``families`` holds the Hermitian parts of the joint, out1 and out2
-    stacks, ``hp`` whether each operator is hermitian-preserving (``(3,
-    N)``) and ``relation`` the arrays of ``operators._relation`` but the
-    last, its cross term.  Per member, ``probability`` is the decomposition
-    of ``P`` or a tag string.
+    ``outs`` holds the out1 and out2 stacks as one ``(2, N, 3, d, d)``
+    stack, the smaller zero-padded to the larger ``d``; ``families`` the
+    Hermitian parts of the joint, out1 and out2 stacks at their own
+    dimensions, ``hp`` whether each operator is hermitian-preserving
+    (``(3, N)``) and ``relation`` the arrays of ``operators._relation`` but
+    the last, its cross term.  Per member, ``probability`` is the
+    decomposition of ``P`` or a tag string.
     """
 
+    outs: np.ndarray
     families: tuple
     hp: np.ndarray
     relation: tuple
@@ -279,44 +283,45 @@ def _verdicts(
 ) -> _Verdicts:
     """The verdict half on the ``(N, 3, ., .)`` stacks of N triples of one ``(d1, d2)``.
 
-    Hermiticity per operator (out1 and out2 in one call where their shapes
-    agree), the product relation (from ``remainder``, see
-    ``operators._relation``, where given) and the decomposition of ``P``
-    (out1's trace) per member; the certificate runs on ``families``.
+    Hermiticity per operator (out1 and out2 in one call, as one padded
+    stack: a zero entry adds no defect), the product relation (from
+    ``remainder``, see ``operators._relation``, where given) and the
+    decomposition of ``P`` (out1's trace) per member; the certificate runs
+    on ``families``.
     """
     relation = _relation(joint, out1, out2, tol, remainder)[:-1]
     P, sizes, nonzero, traces_equal, _, holds, partial_ok = relation
-    same = out1.shape == out2.shape
-    outs = zip(*hermitian_part(np.stack((out1, out2)))) if same else map(hermitian_part, (out1, out2))
-    families, defects = zip(hermitian_part(joint), *outs)
-    hp = np.array(defects) <= tol * sizes[1:]
+    d1, d2 = out1.shape[-1], out2.shape[-1]
+    outs = np.zeros((2, *np.maximum(out1.shape, out2.shape)), complex)
+    outs[0, ..., :d1, :d1], outs[1, ..., :d2, :d2] = out1, out2
+    (family, defect), (parts, defects) = hermitian_part(joint), hermitian_part(outs)
+    families = family, parts[0, ..., :d1, :d1], parts[1, ..., :d2, :d2]
+    hp = np.array([defect, *defects]) <= tol * sizes[1:]
     probability = [
         _probability(FirstOrderPoly(*row), tol) if ok else "zero-probability"
         for ok, row in zip(nonzero.tolist(), P.T.tolist())
     ]
     relation_ok = nonzero & traces_equal & holds & partial_ok
-    return _Verdicts(families, hp, relation, relation_ok, probability)
+    return _Verdicts(outs, families, hp, relation, relation_ok, probability)
 
 
-def _classification(v: _Verdicts, out1: np.ndarray, out2: np.ndarray, tol: float) -> _Structure:
-    """The classification half, on the verdict half ``v`` of the out1 and out2 stacks.
+def _classification(v: _Verdicts, tol: float) -> _Structure:
+    """The classification half, on the verdict half ``v``.
 
     The phase-dependence projection of both outputs where ``P`` does not
     vanish, and the case of the hermitian-preserving,
     relation-satisfying members with a decomposed ``P``.  Lemma L2b runs
     on those of them with a double root and both outputs phase-dependent.
-    Where the outputs' shapes agree, each test takes both in one call.
+    Each test takes both outputs in one call on the padded stack ``v.outs``:
+    a zero entry leaves the projection residual unchanged and carries both
+    factors, so it moves neither the case nor L2b.
     """
     P, sizes, nonzero = v.relation[:3]
     dependence = [(None, None)] * len(v.probability)
     projected = nonzero.nonzero()[0]
-    p = P.T[projected]
     scales = np.maximum(sizes[0], sizes[2:])[:, projected]  # max(max|P|, max|out|)
-    if out1.shape == out2.shape:
-        _, dep = _projection(np.stack((out1[projected], out2[projected])), p, scales, tol)
-    else:
-        dep = [_projection(o[projected], p, s, tol)[1] for o, s in zip((out1, out2), scales)]
-    for m, flag in zip(projected.tolist(), zip(*(d.tolist() for d in dep))):
+    _, dep = _projection(v.outs[:, projected], P.T[projected], scales, tol)
+    for m, flag in zip(projected.tolist(), zip(*dep.tolist())):
         dependence[m] = flag
     constant = CaseLabel.CONSTANT_PROBABILITY
     case = [constant if t == "constant-probability" else None for t in v.probability]
@@ -324,22 +329,16 @@ def _classification(v: _Verdicts, out1: np.ndarray, out2: np.ndarray, tol: float
     classified = [m for m in checked if not isinstance(v.probability[m], str)]
     nonpositive = [False] * len(case)
     if classified:
-        decs, count = [v.probability[m] for m in classified], len(classified)
-        same = out1.shape == out2.shape  # then out2's case split and L2b's out1 rows share one call
-        rows = np.concatenate((out2[classified], out1[classified])) if same else out2[classified]
-        found, double = _multiplicity(rows, decs * (1 + same), tol)
-        for m, label in zip(classified, _labels(found[:count])):
+        d = v.outs.shape[-1]
+        rows = v.outs[:, classified].reshape(-1, 3, d, d)  # out1's members, then out2's
+        found, double = _multiplicity(rows, [v.probability[m] for m in classified] * 2, tol)
+        found1, found2 = found.reshape(2, len(classified), -1)
+        for m, label in zip(classified, _labels(found2)):
             case[m] = label
         lemma = [n for n, m in enumerate(classified) if double[n] and dependence[m] == (True, True)]
-        members = [classified[n] for n in lemma]
-        if members:
-            if same:
-                found1 = found[count:][lemma]
-            else:
-                found1, _ = _multiplicity(out1[members], [decs[n] for n in lemma], tol)
-            proved = _nonpositive(found1, out1.shape[-1]) | _nonpositive(found[lemma], out2.shape[-1])
-            for m, flag in zip(members, proved.tolist()):
-                nonpositive[m] = flag
+        proved = _nonpositive(found1[lemma], d) | _nonpositive(found2[lemma], d)
+        for n, flag in zip(lemma, proved.tolist()):
+            nonpositive[classified[n]] = flag
     return _Structure(**vars(v), dependence=dependence, case=case, nonpositive=nonpositive)
 
 
@@ -347,7 +346,7 @@ def _structure(
     joint: np.ndarray, out1: np.ndarray, out2: np.ndarray, tol: float, remainder=None
 ) -> _Structure:
     """The structure stage on the ``(N, 3, ., .)`` stacks of N triples of one ``(d1, d2)``."""
-    return _classification(_verdicts(joint, out1, out2, tol, remainder), out1, out2, tol)
+    return _classification(_verdicts(joint, out1, out2, tol, remainder), tol)
 
 
 def _check_verdicts(t: UncorrelatedTriple, tol: float) -> tuple:

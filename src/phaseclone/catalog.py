@@ -16,6 +16,7 @@ with the properties the construction is supposed to exhibit:
 * ``phase-state``          the input density matrix itself (single
                            operator, not a triple).
 
+Entries are written as ``(a, b, c)`` tuples of ``a e^{i phi} + b e^{-i phi} + c``.
 All dyadic coefficients are exactly representable, so comparisons against
 these entries can use tolerance 1e-12 (1e-10 where sqrt(3) appears).
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trigpoly import FirstOrderPoly
 from .operators import (
     JointPhaseOperator,
     PhaseOperator,
@@ -76,10 +76,6 @@ class CatalogEntry:
     expected: ExpectedProperties
 
 
-def _fp(a, b, c) -> FirstOrderPoly:
-    return FirstOrderPoly(a, b, c)
-
-
 def swap_systems(t: UncorrelatedTriple) -> UncorrelatedTriple:
     """Interchange system 1 with system 2 in a triple."""
     d1, d2 = t.out1.dim, t.out2.dim
@@ -91,22 +87,22 @@ def swap_systems(t: UncorrelatedTriple) -> UncorrelatedTriple:
 def _counterexample_triple() -> UncorrelatedTriple:
     # Both marginals share the same matrix; the joint block is the tensor
     # product divided by the trace (1/4)(e^{i phi}+1)(e^{-i phi}+1).
-    diag = _fp(0.125, 0.125, 0.25)
+    diag = (0.125, 0.125, 0.25)
     out = PhaseOperator.from_rows(
         [
-            [diag, _fp(0, 1, 1)],
-            [_fp(1, 0, 1), diag],
+            [diag, (0, 1, 1)],
+            [(1, 0, 1), diag],
         ]
     )
-    jdiag = _fp(0.0625, 0.0625, 0.125)
-    up = _fp(0, 0.5, 0.5)    # (1/2)(e^{-i phi} + 1)
-    dn = _fp(0.5, 0, 0.5)    # (1/2)(e^{i phi} + 1)
+    jdiag = (0.0625, 0.0625, 0.125)
+    up = (0, 0.5, 0.5)    # (1/2)(e^{-i phi} + 1)
+    dn = (0.5, 0, 0.5)    # (1/2)(e^{i phi} + 1)
     joint = JointPhaseOperator.from_rows(
         (
-            (jdiag, up, up, _fp(0, 4, 0)),
-            (dn, jdiag, _fp(0, 0, 4), up),
-            (dn, _fp(0, 0, 4), jdiag, up),
-            (_fp(4, 0, 0), dn, dn, jdiag),
+            (jdiag, up, up, (0, 4, 0)),
+            (dn, jdiag, (0, 0, 4), up),
+            (dn, (0, 0, 4), jdiag, up),
+            ((4, 0, 0), dn, dn, jdiag),
         ),
         dim1=2,
         dim2=2,
@@ -117,17 +113,17 @@ def _counterexample_triple() -> UncorrelatedTriple:
 def _case1_triple() -> UncorrelatedTriple:
     # Trace polynomial (cos phi + 2)/4 with root pair 2 +- sqrt(3); the
     # first output is half the probability times the identity.
-    half_p = _fp(0.0625, 0.0625, 0.25)
-    zero = FirstOrderPoly.zero()
+    half_p = (0.0625, 0.0625, 0.25)
+    zero = (0, 0, 0)
     out1 = PhaseOperator.from_rows([[half_p, zero], [zero, half_p]])
     out2 = PhaseOperator.from_rows(
         [
-            [_fp(0.125, 0.125, 0.25), zero],
-            [zero, _fp(0, 0, 0.25)],
+            [(0.125, 0.125, 0.25), zero],
+            [zero, (0, 0, 0.25)],
         ]
     )
-    jslot = _fp(0.0625, 0.0625, 0.125)
-    jconst = _fp(0, 0, 0.125)
+    jslot = (0.0625, 0.0625, 0.125)
+    jconst = (0, 0, 0.125)
     joint = JointPhaseOperator.from_rows(
         (
             (jslot, zero, zero, zero),
@@ -144,10 +140,10 @@ def _case1_triple() -> UncorrelatedTriple:
 def _footnote_triple() -> UncorrelatedTriple:
     # Linear-only maps: the phase dependence splits across the two outputs
     # and every joint entry stays first-order, but hermiticity fails.
-    zero = FirstOrderPoly.zero()
-    one = _fp(0, 0, 1)
-    ep = _fp(1, 0, 0)
-    em = _fp(0, 1, 0)
+    zero = (0, 0, 0)
+    one = (0, 0, 1)
+    ep = (1, 0, 0)
+    em = (0, 1, 0)
     out1 = PhaseOperator.from_rows([[one, zero], [ep, zero]])
     out2 = PhaseOperator.from_rows([[one, zero], [em, zero]])
     joint = JointPhaseOperator.from_rows(
@@ -168,10 +164,10 @@ def _projective_discard_triple(q: float) -> UncorrelatedTriple:
     # prepare |0> in the second system.  On the phase-set the success
     # probability is the constant q and both outputs are the fixed |0><0|.
     PhaseState(q)  # validates the range
-    zero = FirstOrderPoly.zero()
-    out = PhaseOperator.from_rows([[_fp(0, 0, q), zero], [zero, zero]])
+    zero = (0, 0, 0)
+    out = PhaseOperator.from_rows([[(0, 0, q), zero], [zero, zero]])
     jrows = [[zero] * 4 for _ in range(4)]
-    jrows[0][0] = _fp(0, 0, q)
+    jrows[0][0] = (0, 0, q)
     joint = JointPhaseOperator.from_rows(jrows, dim1=2, dim2=2)
     return UncorrelatedTriple(joint=joint, out1=out, out2=out)
 

@@ -267,10 +267,10 @@ def _cmd_catalog(args) -> int:
 
 
 def _tol(text: str) -> float:
-    """Argparse type of ``--tol``: a finite number > 0."""
+    """Argparse type of ``--tol``: a number in (0, 1); a relative tol of 1 or more passes any defect."""
     tol = float(text)
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"tol must be a finite number > 0, got {text!r}")
+    if not 0 < tol < 1:
+        raise argparse.ArgumentTypeError(f"tol must be a finite number > 0 and < 1, got {text!r}")
     return tol
 
 

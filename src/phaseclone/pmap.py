@@ -16,8 +16,9 @@ are parsed exactly and converted once to double; each part is at most
 :data:`~phaseclone.operators.MAX_COEFF` in magnitude.  Blank lines and ``#``
 comments are ignored.  Text in exactly the form :func:`serialize_pmap` writes
 is read a block at a time (one ``findall``, one ``complex()`` per coefficient);
-any other text, or a fault, goes to the line reader (one match per ``entry``
-line), the only one that words a :class:`ParseError`.  Both give the same bits.
+any other text, or a fault, goes to the line reader, which checks each token
+of a line in turn and is the only one that words a :class:`ParseError`.  Both
+give the same bits.
 A document whose blocks are named ``lambda12``, ``lambda1`` and
 ``lambda2`` describes an uncorrelated triple.  ``dim`` is at most
 :data:`MAX_DIM`, checked on the ``dim`` line before anything is
@@ -72,18 +73,7 @@ class DimensionMismatchError(ValueError):
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 _DIGITS_RE = re.compile("[0-9]+")
 _NUMBER = r"(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-_COMPLEX = rf"([+-]?{_NUMBER})([+-]{_NUMBER})i"
-_COMPLEX_RE = re.compile(_COMPLEX)
-
-
-@functools.cache
-def _entry_re() -> re.Pattern:
-    """A whole ``entry`` line, comment included; ``\\s`` is the whitespace of ``str.split``.
-
-    Compiled on the first parse, not at import: the pattern holds three
-    copies of the coefficient pattern and takes milliseconds to compile.
-    """
-    return re.compile(rf"\s*entry\s+([0-9]+)\s+([0-9]+)" + rf"\s+{_COMPLEX}" * 3 + r"\s*(?:#.*)?")
+_COMPLEX_RE = re.compile(rf"([+-]?{_NUMBER})([+-]{_NUMBER})i")
 
 
 def _parse_real(token: str, line: int) -> float:
@@ -188,21 +178,8 @@ def _read_lines(text: str) -> PmapDocument:
     name: str | None = None
     dim: int | None = None
     entries: dict[tuple[int, int], list] = {}
-    match_entry = _entry_re().fullmatch
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = match_entry(raw)
-        if m is not None and dim is not None:
-            i, j, *parts = m.groups()
-            try:
-                key = i, j = int(i), int(j)
-                parts = [float(Fraction(p)) if "/" in p else float(p) for p in parts]
-                ok = max(i, j) < dim and key not in entries and max(map(abs, parts)) <= MAX_COEFF
-            except (ValueError, ZeroDivisionError, OverflowError):
-                ok = False  # worded token by token below
-            if ok:
-                entries[key] = parts
-                continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -239,7 +216,6 @@ def _read_lines(text: str) -> PmapDocument:
                 raise ParseError("'entry' outside of a pmap block", lineno)
             if dim is None:
                 raise ParseError("'dim' must precede 'entry' lines", lineno)
-            # The line failed the one-match read above: find its first fault.
             if len(tokens) != 6:
                 raise ParseError("expected 'entry <i> <j> <a> <b> <c>'", lineno)
             if not (_DIGITS_RE.fullmatch(tokens[1]) and _DIGITS_RE.fullmatch(tokens[2])):
@@ -252,6 +228,7 @@ def _read_lines(text: str) -> PmapDocument:
                 raise ParseError(f"entry index ({i}, {j}) out of range for dim {dim}", lineno)
             if (i, j) in entries:
                 raise DuplicateEntryError(f"duplicate entry ({i}, {j})", lineno)
+            parts = []  # (a, b, c) as re, im
             for token in tokens[3:]:
                 m = _COMPLEX_RE.fullmatch(token)
                 if m is None:
@@ -259,9 +236,8 @@ def _read_lines(text: str) -> PmapDocument:
                         f"expected coefficient like '0.5+0.0i' or '1/8-1/2i', got {token!r}",
                         lineno,
                     )
-                for part in m.groups():
-                    _parse_real(part, lineno)
-            raise ParseError("malformed entry line", lineno)
+                parts += map(_parse_real, m.groups(), (lineno, lineno))
+            entries[i, j] = parts
         elif keyword == "end":
             if name is None:
                 raise ParseError("'end' outside of a pmap block", lineno)

@@ -404,13 +404,13 @@ def theorem_search(
     neither does is recorded as a witness failure, and one that is not
     theorem-consistent (:func:`analysis._consistent`, with lemma L2b) as a
     violation.  Both lists must stay empty.  ``tol`` is relative (see
-    ``operators.DEFAULT_TOL``); ``trials`` must be an integer >= 1 and ``seed`` one >= 0.
+    ``operators.DEFAULT_TOL``) and in (0, 1); ``trials`` must be an integer >= 1 and ``seed`` one >= 0.
     """
     for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
         if not (isinstance(value, numbers.Integral) and value >= low):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if not 0 < tol < 1:  # a relative tol of 1 or more passes any defect
+        raise ValueError(f"tol must be a finite number > 0 and < 1, got {tol!r}")
     params = params or _DEFAULT_PARAMS
     case_counts: Counter[str] = Counter()
     rejection_reasons: Counter[str] = Counter()

@@ -546,40 +546,72 @@ def _bits(x: np.ndarray) -> tuple:
     return x.dtype, x.shape, x.tobytes()
 
 
+def _shaped_groups() -> dict:
+    """Groups of triples of each ``(d1, d2)``: 2x2, 2x3 and 1x2 ones and their swaps.
+
+    The 2x3 group holds lemma L2b's padded members (see
+    :func:`_padded_l2b_triples`) and the 1x2 one takes the 2x2 outputs
+    with the wild stratum's double roots as out2, next to ``P`` as out1.
+    """
+    mixed = _mixed_stack()
+    square = [t for t in mixed if (t.out1.dim, t.out2.dim) == (2, 2)]
+    rect = [t for t in mixed if (t.out1.dim, t.out2.dim) == (2, 3)] + _padded_l2b_triples()[1]
+    probability = [PhaseOperator(trace_poly(t.out2).coeffs.reshape(3, 1, 1)) for t in square]
+    line = [assemble_triple(p, t.out2) for p, t in zip(probability, square)]
+    swapped = {(3, 2): rect, (2, 1): line}
+    return {(2, 2): square, (2, 3): rect, (1, 2): line} | {
+        shape: [swap_systems(t) for t in group] for shape, group in swapped.items()
+    }
+
+
 def test_stacked_output_tests_give_the_per_output_bits():
-    # Where out1 and out2 share a shape, hermitian_part, _projection and
-    # _multiplicity take both in one call; member for member, that call gives
-    # the bits of one call per output.
-    triples = [t for t in _mixed_stack() if t.out1.dim == t.out2.dim == 2]
-    joint, out1, out2 = _stacks(triples)
-    both = np.stack((out1, out2))
-    family, defect = operators.hermitian_part(both)
-    P = out1.trace(axis1=-2, axis2=-1)
-    scales = np.maximum(np.abs(P).max(axis=1), np.abs(both).max(axis=(2, 3, 4)))
-    gamma, dependent = analysis._projection(both, P, scales, DEFAULT_TOL)
-    for k, out in enumerate((out1, out2)):
-        assert list(map(_bits, operators.hermitian_part(out))) == [_bits(family[k]), _bits(defect[k])]
-        g, flags = analysis._projection(out, P, scales[k], DEFAULT_TOL)
-        assert (_bits(g), _bits(flags)) == (_bits(gamma[k]), _bits(dependent[k]))
-    assert dependent.any() and not dependent.all()
-    probability = analysis._verdicts(joint, out1, out2, DEFAULT_TOL).probability
-    members = [m for m, dec in enumerate(probability) if not isinstance(dec, str)]
-    decs, n = [probability[m] for m in members], len(members)
-    stacked = np.concatenate((out2[members], out1[members]))
-    found, double = analysis._multiplicity(stacked, decs * 2, DEFAULT_TOL)
-    for k, out in enumerate((out2, out1)):
-        f, d = analysis._multiplicity(out[members], decs, DEFAULT_TOL)
-        rows = slice(k * n, k * n + n)
-        assert (_bits(f), _bits(d)) == (_bits(found[rows]), _bits(double[rows]))
-    assert set(found.ravel().tolist()) == {0, 1, 2} and 0 < double.sum() < 2 * n
+    # In every group hermitian_part, _projection and _multiplicity take out1
+    # and out2 in one call, the smaller zero-padded to the larger d; member
+    # for member, that call gives on the real entries the bits of one call
+    # per output, and the padding moves neither the dependence flags nor
+    # lemma L2b's verdict.
+    seen, proved = set(), {}
+    for shape, triples in _shaped_groups().items():
+        _, out1, out2 = stacks = _stacks(triples)
+        v = analysis._verdicts(*stacks, DEFAULT_TOL)
+        both, d = v.outs, v.outs.shape[-1]
+        family, defect = operators.hermitian_part(both)
+        P = out1.trace(axis1=-2, axis2=-1)
+        scales = np.maximum(np.abs(P).max(axis=1), np.abs(both).max(axis=(2, 3, 4)))
+        gamma, dependent = analysis._projection(both, P, scales, DEFAULT_TOL)
+        members = [m for m, dec in enumerate(v.probability) if not isinstance(dec, str)]
+        decs, n = [v.probability[m] for m in members], len(members)
+        found, double = analysis._multiplicity(both[:, members].reshape(-1, 3, d, d), decs * 2, DEFAULT_TOL)
+        found = found.reshape(2, n, d, d)
+        for k, out in enumerate((out1, out2)):
+            real = (Ellipsis, slice(out.shape[-1]), slice(out.shape[-1]))
+            assert _bits(both[k][real]) == _bits(out), shape
+            assert np.count_nonzero(both[k]) == np.count_nonzero(out), shape  # zero padding
+            assert _bits(v.families[1 + k]) == _bits(family[k][real])
+            part, flaw = operators.hermitian_part(out)
+            assert [_bits(part), _bits(flaw)] == [_bits(family[k][real]), _bits(defect[k])], shape
+            g, flags = analysis._projection(out, P, scales[k], DEFAULT_TOL)
+            assert (_bits(g), _bits(flags)) == (_bits(gamma[k][real]), _bits(dependent[k])), shape
+            f, dd = analysis._multiplicity(out[members], decs, DEFAULT_TOL)
+            rows = slice(k * n, k * n + n)
+            assert _bits(f.reshape(found[k][real].shape)) == _bits(found[k][real]), shape
+            assert _bits(dd) == _bits(double[rows]), shape
+            lemma = analysis._nonpositive(f, out.shape[-1])
+            assert _bits(lemma) == _bits(analysis._nonpositive(found[k].reshape(n, -1), d)), shape
+            proved[shape] = proved.get(shape, 0) + int(lemma.sum())
+        assert 1 in found and 0 < double.sum() < 2 * n, shape
+        seen |= set(found.ravel().tolist())
+        if 1 not in shape:
+            assert dependent.any() and not dependent.all(), shape
+    assert seen == {0, 1, 2} and proved[2, 3] > 0 and proved[3, 2] > 0
 
 
 def _padded_l2b_triples() -> tuple[list, list]:
     """2x2 triples that lemma L2b proves not positive, and each with out2 padded to 3x3 by zeros.
 
     The padding keeps ``P``, the phase dependence and the lemma's verdict, so
-    the 2x3 triples take lemma L2b's out1 rows through the mismatched-shape
-    branch.
+    the 2x3 triples give a 2x3 group members that lemma L2b proves not
+    positive.
     """
     square = [t for t in _mixed_stack() if (t.out1.dim, t.out2.dim) == (2, 2)]
     s = analysis._structure(*_stacks(square), DEFAULT_TOL)
@@ -589,7 +621,7 @@ def _padded_l2b_triples() -> tuple[list, list]:
 
 
 def test_padded_outputs_keep_the_lemma_verdicts():
-    # In a 2x3 group lemma L2b's out1 rows are judged apart from out2's; mixed
+    # In a 2x3 group lemma L2b reads out1's rows padded to 3x3 by zeros; mixed
     # among sampled 2x3 triples, each member keeps the verdict it has alone.
     proved, padded = _padded_l2b_triples()
     assert len(proved) == 6
@@ -604,12 +636,11 @@ def test_padded_outputs_keep_the_lemma_verdicts():
     assert sum(alone) == 6
 
 
-def test_a_group_takes_one_call_per_test_and_output_shape(monkeypatch):
-    # A 2x2 group runs hermitian_part on its joints and then on both outputs
-    # stacked, _projection on both stacked and _multiplicity on out2's and
-    # out1's members concatenated; a 2x3 group, whose outputs cannot be
-    # stacked, runs each test once per output, and _multiplicity on out1
-    # only for lemma L2b's members (none in the sampled 2x3 triples).
+def test_a_group_takes_one_call_per_test(monkeypatch):
+    # Whatever the output shapes, a group runs hermitian_part on its joints
+    # and then on out1 and out2 as one stack, zero-padded to the larger d,
+    # _projection on that stack and _multiplicity on out1's and out2's
+    # members concatenated, which also gives lemma L2b its rows.
     # Recorded: (ndim, d) of each call's stack.
     names = ("hermitian_part", "_projection", "_multiplicity")
     calls: dict = {name: [] for name in names}
@@ -617,26 +648,16 @@ def test_a_group_takes_one_call_per_test_and_output_shape(monkeypatch):
         test, seen = getattr(analysis, name), calls[name]
         record = lambda *a, _t=test, _s=seen: _s.append((a[0].ndim, a[0].shape[-1])) or _t(*a)  # noqa: E731
         monkeypatch.setattr(analysis, name, record)
-    triples = _mixed_stack()
-    rect = [t for t in triples if (t.out1.dim, t.out2.dim) == (2, 3)]
-    groups = {
-        "2x2": (
-            [t for t in triples if (t.out1.dim, t.out2.dim) == (2, 2)],
-            ([(4, 4), (5, 2)], [(5, 2)], [(4, 2)]),
-        ),
-        "2x3": (rect, ([(4, 6), (4, 2), (4, 3)], [(4, 2), (4, 3)], [(4, 3)])),
-        "2x3 with L2b": (
-            rect + _padded_l2b_triples()[1],
-            ([(4, 6), (4, 2), (4, 3)], [(4, 2), (4, 3)], [(4, 3), (4, 2)]),
-        ),
-    }
-    for name, (group, want) in groups.items():
+    groups = _shaped_groups()
+    for (d1, d2), group in groups.items():
+        d = max(d1, d2)
         for seen in calls.values():
             seen.clear()
         reports = analyze_many(group)
         assert any(r.case is not None for r in reports)
-        assert sorted(calls["hermitian_part"]) == sorted(want[0]), name  # in either order
-        assert (calls["_projection"], calls["_multiplicity"]) == want[1:], name
+        assert calls["hermitian_part"] == [(4, d1 * d2), (5, d)], (d1, d2)
+        assert (calls["_projection"], calls["_multiplicity"]) == ([(5, d)], [(4, d)]), (d1, d2)
+    assert any(analysis._structure(*_stacks(groups[2, 3]), DEFAULT_TOL).nonpositive)
 
 
 def _assert_check_verdicts_are_the_report(t: UncorrelatedTriple) -> tuple:

@@ -330,7 +330,7 @@ def test_consecutive_calls_do_not_leak_options(tmp_path, monkeypatch):
     assert main(["classify", str(path)]) == 0
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1", "2", "1e308"])
 @pytest.mark.parametrize("command", ["check", "classify", "search"])
 def test_bad_tol_is_input_error(tmp_path, capsys, command, tol):
     if command == "search":

@@ -387,8 +387,9 @@ _SPACE = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003", " \x1f "])
     st.sampled_from(["", " # note", "#", "# a/b 1e999"]),
 )
 def test_entry_line_matches_the_per_token_reference(dim_fields, taken, space, lead, comment):
-    # One match of one pattern against a per-token reading of the same line:
-    # the same coefficient bits, or the same error and line.
+    # The line reader's token-by-token read of an entry line against an
+    # independent per-token reading of the same line: the same coefficient
+    # bits, or the same error and line.
     dim, fields = dim_fields
     raw = lead + space.join(["entry", *fields]) + comment
     pre = "entry 0 0 1+0i 0+0i 0+0i\n" if taken else ""

@@ -262,7 +262,7 @@ def test_unknown_stratum_rejected():
         generate_case2_candidate(1, SamplerParams(pin_stratum="nope"))
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 1.0, 2.0, 1e308])
 def test_search_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be a finite number > 0"):
         theorem_search(5, tol=tol)
