@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import ALGEBRA_TOL, FirstOrderPoly, _negligible, has_second_order
+from .trigpoly import ALGEBRA_TOL, FirstOrderPoly, _checked_tol, _negligible, has_second_order
 from .operators import (
     PhaseOperator,
     RelationReport,
@@ -219,6 +219,7 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
     probability-decomposition errors for non-real or negative traces.  This
     is the structure stage's :func:`_multiplicity` on a stack of one.
     """
+    tol = _checked_tol(tol)
     P = trace_poly(t.out1)
     if _negligible(P.max_abs(), t.out1.max_abs()):
         raise ZeroProbabilityError("trace polynomial vanishes identically")
@@ -420,6 +421,7 @@ def analyze_many(triples, tol: float = DEFAULT_TOL) -> list[CloningReport]:
     whatever the other verdicts of its triple (a member's verdict does not
     depend on its stack).
     """
+    tol = _checked_tol(tol)
     triples = list(triples)
     reports: list = [None] * len(triples)
     for members, stacks in _groups(triples):

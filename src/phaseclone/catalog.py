@@ -43,16 +43,6 @@ __all__ = [
     "swap_systems",
 ]
 
-NAMES = (
-    "counterexample",
-    "case1-example",
-    "case3-example",
-    "footnote-linear-only",
-    "projective-discard",
-    "phase-state",
-)
-
-
 class UnknownNameError(ValueError):
     """Requested catalog entry does not exist."""
 
@@ -172,75 +162,38 @@ def _projective_discard_triple(q: float) -> UncorrelatedTriple:
     return UncorrelatedTriple(joint=joint, out1=out, out2=out)
 
 
+#: Each entry's builder of its payload from ``q`` and its expected properties,
+#: in field order: hermitian_preserving, relation_holds, positive, case,
+#: out1_phase_dependent and out2_phase_dependent.
+_ENTRIES = {
+    "counterexample": (
+        lambda q: _counterexample_triple(),
+        ExpectedProperties(True, True, False, CaseLabel.CASE2, True, True),
+    ),
+    "case1-example": (
+        lambda q: _case1_triple(),
+        ExpectedProperties(True, True, True, CaseLabel.CASE1, False, True),
+    ),
+    "case3-example": (
+        lambda q: swap_systems(_case1_triple()),
+        ExpectedProperties(True, True, True, CaseLabel.CASE3, True, False),
+    ),
+    "footnote-linear-only": (
+        lambda q: _footnote_triple(),
+        ExpectedProperties(False, True, None, None, True, True),
+    ),
+    "projective-discard": (
+        _projective_discard_triple,
+        ExpectedProperties(True, True, True, CaseLabel.CONSTANT_PROBABILITY, False, False),
+    ),
+    "phase-state": (phase_state_operator, ExpectedProperties(True, None, True)),
+}
+NAMES = tuple(_ENTRIES)
+
+
 def builtin(name: str, q: float = 0.5) -> CatalogEntry:
     """Return a named catalog entry; ``q`` feeds the q-parameterized ones."""
-    if name == "counterexample":
-        return CatalogEntry(
-            name=name,
-            payload=_counterexample_triple(),
-            expected=ExpectedProperties(
-                hermitian_preserving=True,
-                relation_holds=True,
-                positive=False,
-                case=CaseLabel.CASE2,
-                out1_phase_dependent=True,
-                out2_phase_dependent=True,
-            ),
-        )
-    if name == "case1-example":
-        return CatalogEntry(
-            name=name,
-            payload=_case1_triple(),
-            expected=ExpectedProperties(
-                hermitian_preserving=True,
-                relation_holds=True,
-                positive=True,
-                case=CaseLabel.CASE1,
-                out1_phase_dependent=False,
-                out2_phase_dependent=True,
-            ),
-        )
-    if name == "case3-example":
-        return CatalogEntry(
-            name=name,
-            payload=swap_systems(_case1_triple()),
-            expected=ExpectedProperties(
-                hermitian_preserving=True,
-                relation_holds=True,
-                positive=True,
-                case=CaseLabel.CASE3,
-                out1_phase_dependent=True,
-                out2_phase_dependent=False,
-            ),
-        )
-    if name == "footnote-linear-only":
-        return CatalogEntry(
-            name=name,
-            payload=_footnote_triple(),
-            expected=ExpectedProperties(
-                hermitian_preserving=False,
-                relation_holds=True,
-                out1_phase_dependent=True,
-                out2_phase_dependent=True,
-            ),
-        )
-    if name == "projective-discard":
-        return CatalogEntry(
-            name=name,
-            payload=_projective_discard_triple(q),
-            expected=ExpectedProperties(
-                hermitian_preserving=True,
-                relation_holds=True,
-                positive=True,
-                case=CaseLabel.CONSTANT_PROBABILITY,
-                out1_phase_dependent=False,
-                out2_phase_dependent=False,
-            ),
-        )
-    if name == "phase-state":
-        return CatalogEntry(
-            name=name,
-            payload=phase_state_operator(q),
-            expected=ExpectedProperties(hermitian_preserving=True, positive=True),
-        )
-    raise UnknownNameError(f"no catalog entry named {name!r}; known: {', '.join(NAMES)}")
+    if name not in NAMES:
+        raise UnknownNameError(f"no catalog entry named {name!r}; known: {', '.join(NAMES)}")
+    build, expected = _ENTRIES[name]
+    return CatalogEntry(name=name, payload=build(q), expected=expected)

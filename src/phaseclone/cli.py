@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .trigpoly import AffineForm, FullForm, ZeroPolynomialError, factorize
+from .trigpoly import AffineForm, FullForm, ZeroPolynomialError, _checked_tol, factorize
 from .operators import (
     UncorrelatedTriple,
     _relation,
@@ -269,9 +269,10 @@ def _cmd_catalog(args) -> int:
 def _tol(text: str) -> float:
     """Argparse type of ``--tol``: a number in (0, 1); a relative tol of 1 or more passes any defect."""
     tol = float(text)
-    if not 0 < tol < 1:
-        raise argparse.ArgumentTypeError(f"tol must be a finite number > 0 and < 1, got {text!r}")
-    return tol
+    try:
+        return _checked_tol(tol)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 #: Largest ``profile --samples``: 16 times the default grid.

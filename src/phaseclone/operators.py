@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import FirstOrderPoly, _negligible, mul
+from .trigpoly import FirstOrderPoly, _checked_tol, _negligible, mul
 
 __all__ = [
     "DEFAULT_TOL",
@@ -78,6 +78,8 @@ MAX_COEFF = 1e150
 #: ``has_second_order`` stays absolute (``ALGEBRA_TOL``), the bound the
 #: deterministic obstruction is stated with; the certificate's ``_LEVEL_GAP``,
 #: ``_CIRCLE_BAND``, ``_DEGENERATE_REL`` and ``_CONSTANT_REL`` are relative already.
+#: Each public function that takes a relative ``tol`` checks it with
+#: ``trigpoly._checked_tol``: it must lie in (0, 1).
 DEFAULT_TOL = 1e-9
 
 
@@ -230,7 +232,7 @@ def hermitian_part(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def is_hermitian_preserving(op: PhaseOperator, tol: float = DEFAULT_TOL) -> bool:
     """``A = B^H`` and ``C = C^H`` within ``tol * max|coeffs|`` (see :func:`hermitian_part`)."""
-    return bool(hermitian_part(op.coeffs)[1] <= tol * op.max_abs())
+    return bool(hermitian_part(op.coeffs)[1] <= _checked_tol(tol) * op.max_abs())
 
 
 def _tensor(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -318,7 +320,7 @@ def validate_triple(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> Relation
     This is the structure stage's :func:`_relation` on a stack of one.
     """
     stacks = (t.joint.coeffs[None], t.out1.coeffs[None], t.out2.coeffs[None])
-    (report,) = _relation_reports(_relation(*stacks, tol)[:-1])
+    (report,) = _relation_reports(_relation(*stacks, _checked_tol(tol))[:-1])
     if report is None:
         raise ZeroProbabilityError("trace polynomial vanishes identically")
     return report

@@ -93,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .trigpoly import FirstOrderPoly, _negligible
+from .trigpoly import FirstOrderPoly, _checked_tol, _negligible
 from .operators import DEFAULT_TOL, PhaseOperator, hermitian_part
 
 __all__ = [
@@ -193,7 +193,7 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
     phase-independent probability, which the classifier treats separately);
     :class:`NotPositiveError` if ``R / |alpha| < 2 - tol``.
     """
-    if not P.is_real_valued(tol):
+    if not P.is_real_valued(_checked_tol(tol)):
         raise NotRealValuedError("probability polynomial must be real-valued")
     alpha = P.a
     alpha_abs = abs(alpha)
@@ -570,6 +570,7 @@ def positivity_many(ops, tol: float = DEFAULT_TOL) -> list[PositivityVerdict | N
     Operators are grouped by dimension, and each group's certificate runs
     once over its ``(N, 3, d, d)`` stack.
     """
+    tol = _checked_tol(tol)
     parts = ((op.max_abs(), *hermitian_part(op.coeffs)) for op in ops)
     return _certify_many([f if defect <= tol * size else None for size, f, defect in parts], tol)
 
@@ -584,5 +585,5 @@ def is_positive_over_phase(op: PhaseOperator, tol: float = DEFAULT_TOL) -> Posit
     (:class:`NotHermitianError`, from :func:`_hermitian_family`).  The
     certificate is :func:`positivity_many`'s, on a stack of one.
     """
-    return _certify_many([_hermitian_family(op, tol)], tol)[0]
+    return _certify_many([_hermitian_family(op, _checked_tol(tol))], tol)[0]
 

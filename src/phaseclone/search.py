@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import _divide, _negligible
+from .trigpoly import _checked_tol, _divide, _negligible
 from .operators import DEFAULT_TOL, JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
 from . import analysis
 
@@ -61,29 +61,27 @@ class SampleRejected(Exception):
 
 @dataclass(frozen=True)
 class SamplerParams:
-    """Ranges, stratum weights and optional pins for the candidate sampler.
+    """One knob per quantity the candidate sampler draws.
 
-    Building one raises ``ValueError`` for repeated stratum names, weights
-    that are not finite and >= 0 with a positive sum, an unknown
-    ``pin_stratum``, an ``r_range`` end or ``pin_r`` that is not finite and
-    >= 1, a ``pin_r`` other than 1 with ``pin_stratum="wild"``, an
-    ``r_range`` below 1.5 where the ``reject`` stratum can be drawn, an
-    ``alpha_abs_range`` end or ``pin_alpha_abs`` that is not finite and
-    > 0, or a range whose low end exceeds its high end.
+    ``|alpha|``, ``theta`` and the root modulus ``r`` of ``P`` are drawn
+    uniformly from ``alpha_abs_range``, ``theta_range`` and ``r_range``; a
+    range of zero width gives its value and draws nothing.  ``strata``
+    weighs the six strata :func:`_draw` builds, by name; a table of one
+    entry draws no stratum variate.  ``r_range`` feeds only the strata
+    built on a free ``r``: ``wild`` keeps ``r = 1`` and ``reject`` draws
+    ``r`` from ``[1.5, 4)``.  ``pin_psd`` fixes whether ``proportional``
+    draws a PSD ``Gamma`` (by default a fair coin decides).
 
-    ``pin_r`` pins the root modulus ``r`` only in the strata that draw it
-    from ``r_range``: every stratum but ``wild``, which is built for
-    ``r = 1``, and ``reject``, which draws ``r`` from
-    ``[max(1.5, r_range[0]), r_range[1])``.
+    Building one raises ``ValueError`` for repeated or unknown stratum
+    names, weights that are not finite and >= 0 with a positive sum, or a
+    range with an end that is not finite or breaks its rule (``r >= 1``,
+    ``|alpha| > 0``), or with its low end above its high end.
     """
 
     alpha_abs_range: tuple = (0.1, 2.0)
+    theta_range: tuple = (0.0, 2.0 * math.pi)
     r_range: tuple = (1.0, 4.0)
     strata: tuple = _STRATA
-    pin_stratum: str | None = None
-    pin_alpha_abs: float | None = None
-    pin_theta: float | None = None
-    pin_r: float | None = None
     pin_psd: bool | None = None
 
     def __post_init__(self):
@@ -91,34 +89,30 @@ class SamplerParams:
         weights = np.array([w for _, w in self.strata], dtype=float)
         if len(set(names)) != len(names):
             raise ValueError(f"stratum names must be unique, got {names}")
+        unknown = [name for name in names if name not in dict(_STRATA)]
+        if unknown:
+            raise ValueError(f"unknown stratum {unknown[0]!r}; known: {', '.join(dict(_STRATA))}")
         total = weights.sum()
         if not (np.isfinite(weights).all() and (weights >= 0).all() and 0 < total < math.inf):
             raise ValueError(f"stratum weights must be finite, >= 0 and not all 0, got {weights}")
-        if self.pin_stratum is not None and self.pin_stratum not in names:
-            raise ValueError(f"unknown stratum {self.pin_stratum!r}")
-        for name, (lo, hi), pin, rule, valid in (
-            ("r", self.r_range, self.pin_r, ">= 1", lambda v: 1.0 <= v < math.inf),
-            ("alpha_abs", self.alpha_abs_range, self.pin_alpha_abs, "> 0", lambda v: 0.0 < v < math.inf),
+        for name, (lo, hi), rule, valid in (
+            ("alpha_abs_range", self.alpha_abs_range, " and > 0", lambda v: 0.0 < v < math.inf),
+            ("theta_range", self.theta_range, "", math.isfinite),
+            ("r_range", self.r_range, " and >= 1", lambda v: 1.0 <= v < math.inf),
         ):
-            if not (valid(lo) and valid(hi) and lo <= hi and (pin is None or valid(pin))):
-                raise ValueError(
-                    f"{name}_range and pin_{name} must be finite and {rule} with low <= high, "
-                    f"got {(lo, hi)!r} and {pin!r}"
-                )
-        if self.pin_stratum == "wild" and self.pin_r not in (None, 1.0):
-            raise ValueError(f"the wild stratum is built for r = 1, got pin_r={self.pin_r!r}")
-        drawn = [self.pin_stratum] if self.pin_stratum else [n for n, w in self.strata if w > 0]
-        if "reject" in drawn and self.r_range[1] < 1.5:
-            raise ValueError(
-                f"the reject stratum draws r from [max(1.5, r_range[0]), r_range[1]), "
-                f"so r_range must reach 1.5, got {self.r_range!r}"
-            )
+            if not (valid(lo) and valid(hi) and lo <= hi):
+                raise ValueError(f"{name} must be finite{rule} with low <= high, got {(lo, hi)!r}")
         # Built as numpy's Generator.choice builds it, so searching it with
         # one rng.random() picks the stratum choice(p=weights) would pick.
         cdf = (weights / total).cumsum()
         cdf /= cdf[-1]
         object.__setattr__(self, "_names", tuple(names))
         object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_sole", names[0] if len(names) == 1 else None)
+
+    def _stratum(self, rng) -> str:
+        """The stratum of one draw: one ``rng.random()``, or none for a table of one entry."""
+        return self._sole or self._names[self._cdf.searchsorted(rng.random(), "right")]
 
 
 _DEFAULT_PARAMS = SamplerParams()
@@ -153,6 +147,11 @@ def _uniform(rng, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
+def _ranged(rng, lo: float, hi: float) -> float:
+    """``lo`` for a range of zero width, drawing nothing; otherwise :func:`_uniform`'s draw."""
+    return lo if lo == hi else _uniform(rng, lo, hi)
+
+
 def _polar(rng, lo: float, hi: float) -> complex:
     """A modulus drawn from [lo, hi), then a uniform phase."""
     return _uniform(rng, lo, hi) * cmath.exp(1j * _uniform(rng, 0.0, 2.0 * math.pi))
@@ -175,24 +174,19 @@ def _signed_gap(rng) -> float:
 def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
     """The ``(3, 2, 2)`` coefficients of one candidate's two outputs.
 
-    ``seed`` feeds ``numpy.random.default_rng``; every entry is built with
-    plain complex arithmetic straight from the draws.
+    ``seed`` feeds ``numpy.random.default_rng``, whose stream gives the
+    stratum, ``|alpha|``, ``theta`` and ``r`` from ``params`` (see
+    :class:`SamplerParams` for the ones it skips), then the stratum's
+    entries, built with plain complex arithmetic straight from the draws.
     """
     rng = np.random.default_rng(seed)
-    stratum = params.pin_stratum or params._names[params._cdf.searchsorted(rng.random(), "right")]
-
-    alpha_abs = params.pin_alpha_abs
-    if alpha_abs is None:
-        alpha_abs = _uniform(rng, *params.alpha_abs_range)
-    theta = params.pin_theta if params.pin_theta is not None else _uniform(rng, 0.0, 2.0 * math.pi)
+    stratum = params._stratum(rng)
+    alpha_abs = _ranged(rng, *params.alpha_abs_range)
+    theta = _ranged(rng, *params.theta_range)
     if stratum == "wild":
         r = 1.0
-    elif stratum == "reject":
-        r = _uniform(rng, max(1.5, params.r_range[0]), params.r_range[1])
-    elif params.pin_r is not None:
-        r = params.pin_r
-    else:
-        r = _uniform(rng, *params.r_range)
+    else:  # r_range feeds the strata built on a free r; reject keeps its own [1.5, 4)
+        r = _ranged(rng, *((1.5, 4.0) if stratum == "reject" else params.r_range))
 
     phase = cmath.exp(1j * theta)
     p0, p1 = r * phase, phase / r
@@ -323,6 +317,7 @@ def assemble_triple(
     message names the first such entry).  A triple returned from here
     passes :func:`validate_triple` by construction.
     """
+    tol = _checked_tol(tol)
     (joint, _, _), _, rejected, _ = _assemble(out1.coeffs[None], out2.coeffs[None], tol)
     if rejected:
         raise SampleRejected(rejected[0])
@@ -403,15 +398,15 @@ def theorem_search(
     some phase (the witness is the least, out1 on ties); a triple where
     neither does is recorded as a witness failure, and one that is not
     theorem-consistent (:func:`analysis._consistent`, with lemma L2b) as a
-    violation.  Both lists must stay empty.  ``tol`` is relative (see
-    ``operators.DEFAULT_TOL``) and in (0, 1); ``trials`` must be an integer >= 1 and ``seed`` one >= 0.
+    violation.  Both lists must stay empty.  ``params`` sets the sampler's
+    ranges and strata (:class:`SamplerParams`, its defaults when ``None``).
+    ``tol`` is relative (see ``operators.DEFAULT_TOL``) and in (0, 1);
+    ``trials`` must be an integer >= 1 and ``seed`` one >= 0.
     """
     for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
         if not (isinstance(value, numbers.Integral) and value >= low):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    if not 0 < tol < 1:  # a relative tol of 1 or more passes any defect
-        raise ValueError(f"tol must be a finite number > 0 and < 1, got {tol!r}")
-    params = params or _DEFAULT_PARAMS
+    tol, params = _checked_tol(tol), params or _DEFAULT_PARAMS
     case_counts: Counter[str] = Counter()
     rejection_reasons: Counter[str] = Counter()
     witnesses: list[WitnessRecord] = []

@@ -61,6 +61,13 @@ SCALE_FLOOR = 1e-140
 ALGEBRA_TOL = 1e-10
 
 
+def _checked_tol(tol: float) -> float:
+    """``tol`` if it lies in (0, 1), else ``ValueError``: a relative tol >= 1 passes any defect."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be a finite number > 0 and < 1, got {tol!r}")
+    return tol
+
+
 class ZeroPolynomialError(ValueError):
     """The operation is undefined for the zero polynomial."""
 
@@ -297,7 +304,7 @@ def exact_div(num, den, tol: float = ALGEBRA_TOL) -> np.ndarray:
     numerator has no first-order quotient (for example when it would need
     degree 2).
     """
-    q, residual, limit = _divide(num, den, tol)
+    q, residual, limit = _divide(num, den, _checked_tol(tol))
     failing = residual > limit
     if failing.any():
         index = tuple(int(i) for i in np.argwhere(failing)[0])

@@ -425,10 +425,10 @@ def _mixed_stack() -> list:
 
     draw(20260809)
     for name, _ in search._STRATA:
-        draw(20260809, SamplerParams(pin_stratum=name), 80)
+        draw(20260809, SamplerParams(strata=((name, 1.0),)), 80)
     rng = np.random.default_rng(5)
     for k in range(12):
-        t = generate_case2_candidate([31, k], SamplerParams(pin_stratum="case2"))
+        t = generate_case2_candidate([31, k], SamplerParams(strata=(("case2", 1.0),)))
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         g = g @ g.conj().T if k % 2 else 0.5 * (g + g.conj().T)
         out = t.out2 if k % 3 else t.out1

@@ -15,17 +15,25 @@ from phaseclone import (
     UncorrelatedTriple,
     ZeroProbabilityAtPhaseError,
     ZeroProbabilityError,
+    analyze,
+    analyze_many,
+    assemble_triple,
     builtin,
+    classify,
+    decompose_probability,
     eval_matrix,
+    exact_div,
     is_hermitian_preserving,
+    is_positive_over_phase,
     mul,
     normalized_output,
     phase_state_operator,
+    positivity_many,
     tensor,
     trace_poly,
     validate_triple,
 )
-from phaseclone.operators import MAX_COEFF
+from phaseclone.operators import DEFAULT_TOL, MAX_COEFF
 
 from helpers import fp, grid, random_hp_operator, replace_joint_entry
 
@@ -101,7 +109,11 @@ def test_partial_trace_constant_tensor():
 
 def test_partial_trace_footnote(footnote):
     expected = PhaseOperator.from_rows([[fp(0, 0, 1), fp(0, 0, 0)], [fp(1, 0, 0), fp(0, 0, 0)]])
-    assert validate_triple(footnote, 0.0).partial_traces_consistent
+    assert validate_triple(footnote).partial_traces_consistent
+    # Exactly: the joint's partial traces are out1 and out2 bit for bit.
+    blocks = footnote.joint.coeffs.reshape(3, 2, 2, 2, 2)
+    assert np.array_equal(blocks.trace(axis1=2, axis2=4), footnote.out1.coeffs)
+    assert np.array_equal(blocks.trace(axis1=1, axis2=3), footnote.out2.coeffs)
     assert footnote.out1 == expected
 
 
@@ -414,3 +426,34 @@ def test_joint_equality_compares_dimensions():
     assert JointPhaseOperator(coeffs, dim1=2, dim2=2) == JointPhaseOperator(coeffs, dim1=2, dim2=2)
     assert JointPhaseOperator(coeffs, dim1=2, dim2=2) != JointPhaseOperator(coeffs, dim1=1, dim2=4)
     assert JointPhaseOperator(coeffs, dim1=2, dim2=2) != PhaseOperator(coeffs)
+
+
+def _relative_tol_entry_points() -> dict:
+    """Each public entry point whose ``tol`` is relative, as a call on the counterexample."""
+    t = builtin("counterexample").payload
+    return {
+        "analyze": lambda tol: analyze(t, tol),
+        "analyze_many": lambda tol: analyze_many([], tol),
+        "classify": lambda tol: classify(t, tol),
+        "validate_triple": lambda tol: validate_triple(t, tol),
+        "is_hermitian_preserving": lambda tol: is_hermitian_preserving(t.out1, tol),
+        "is_positive_over_phase": lambda tol: is_positive_over_phase(t.out1, tol),
+        "positivity_many": lambda tol: positivity_many([], tol),
+        "decompose_probability": lambda tol: decompose_probability(trace_poly(t.out1), tol),
+        "assemble_triple": lambda tol: assemble_triple(t.out1, t.out2, tol),
+        "exact_div": lambda tol: exact_div(tensor(t.out1, t.out2), trace_poly(t.out1).coeffs, tol),
+    }
+
+
+_ENTRY_POINTS = _relative_tol_entry_points()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 1.0, 2.0, 1e308])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_relative_tol_outside_0_1_is_rejected(entry, tol):
+    # A relative tol of 1 or more passes any defect (tol=2 certified the
+    # counterexample's out1 positive with lambda_min = -1.5), and nan or one
+    # <= 0 failed every check silently; every entry point raises instead.
+    _ENTRY_POINTS[entry](DEFAULT_TOL)
+    with pytest.raises(ValueError, match=r"tol must be a finite number > 0 and < 1, got "):
+        _ENTRY_POINTS[entry](tol)

@@ -47,7 +47,7 @@ def test_assemble_rejects_trace_mismatch():
 
 
 def test_assemble_rejection_names_the_entry():
-    params = SamplerParams(pin_stratum="reject")
+    params = SamplerParams(strata=(("reject", 1.0),))
     with pytest.raises(SampleRejected, match=r"product entry \(\d+, \d+\) is not divisible"):
         generate_case2_candidate([33, 0], params)
 
@@ -65,7 +65,7 @@ def test_generated_samples_validate_by_construction():
 
 
 def test_pinned_proportional_psd_is_positive_and_constant():
-    params = SamplerParams(pin_stratum="proportional", pin_psd=True)
+    params = SamplerParams(strata=(("proportional", 1.0),), pin_psd=True)
     for k in range(10):
         t = generate_case2_candidate([21, k], params)
         rep = analyze(t)
@@ -76,7 +76,7 @@ def test_pinned_proportional_psd_is_positive_and_constant():
 
 
 def test_reject_stratum_always_rejects():
-    params = SamplerParams(pin_stratum="reject")
+    params = SamplerParams(strata=(("reject", 1.0),))
     for k in range(50):
         with pytest.raises(SampleRejected):
             generate_case2_candidate([33, k], params)
@@ -84,7 +84,8 @@ def test_reject_stratum_always_rejects():
 
 def test_pinned_values_flow_through():
     params = SamplerParams(
-        pin_stratum="wild", pin_alpha_abs=0.25, pin_theta=0.0, pin_r=1.0
+        alpha_abs_range=(0.25, 0.25), theta_range=(0.0, 0.0), r_range=(1.0, 1.0),
+        strata=(("wild", 1.0),),
     )
     t = generate_case2_candidate(2, params)
     from phaseclone import trace_poly
@@ -94,7 +95,7 @@ def test_pinned_values_flow_through():
 
 
 def test_wild_phase_dependent_samples_have_strong_witnesses():
-    params = SamplerParams(pin_stratum="wild")
+    params = SamplerParams(strata=(("wild", 1.0),))
     seen = 0
     for k in range(40):
         try:
@@ -130,11 +131,12 @@ def test_search_counts_every_case():
     assert set(r.case_counts) >= {"Case 1", "Case 2", "Case 3"}
 
 
-@pytest.mark.parametrize("pin_r", [1 + 1e-9, 2.0])
-def test_pin_r_leaves_the_wild_stratum_at_r_1(pin_r):
-    # pin_r pins only the strata that draw r freely, so the wild stratum
-    # keeps the r = 1 its entries are built for and every triple classifies.
-    report = theorem_search(2000, seed=5, params=SamplerParams(pin_r=pin_r))
+@pytest.mark.parametrize("r", [1 + 1e-9, 2.0, 1.2])
+def test_zero_width_r_range_leaves_the_wild_stratum_at_r_1(r):
+    # r_range feeds only the strata built on a free r, so the wild stratum
+    # keeps the r = 1 its entries are built for and every triple classifies;
+    # the reject stratum keeps its own [1.5, 4), even under an r_range below 1.5.
+    report = theorem_search(2000, seed=5, params=SamplerParams(r_range=(r, r)))
     assert report.ok
     assert report.accepted == 1794 and "unclassified" not in report.case_counts
     assert report.witness_failures == [] and report.violations == []
@@ -204,7 +206,7 @@ def test_assemble_supports_asymmetric_dimensions():
 
 
 def test_search_smallest_run_forced_constant_branch():
-    params = SamplerParams(pin_stratum="proportional", pin_psd=True)
+    params = SamplerParams(strata=(("proportional", 1.0),), pin_psd=True)
     r = theorem_search(1, seed=4, params=params)
     assert r.accepted == 1 and r.rejected == 0
     assert r.both_phase_dependent == 0
@@ -215,7 +217,7 @@ def test_search_without_a_classified_triple_is_not_ok():
     clean = theorem_search(20, seed=1)
     assert clean.ok and clean.accepted > clean.case_counts.get("unclassified", 0)
     # Every draw of the reject stratum is rejected: nothing was tested.
-    rejected = theorem_search(20, seed=1, params=SamplerParams(pin_stratum="reject"))
+    rejected = theorem_search(20, seed=1, params=SamplerParams(strata=(("reject", 1.0),)))
     assert rejected.accepted == 0 and not rejected.violations and not rejected.witness_failures
     assert not rejected.ok
     # Accepted triples that were all left unclassified test nothing either.
@@ -241,7 +243,7 @@ def test_search_counts_rejection_reasons():
     # The reject stratum's deficient off-diagonals: the first product entry
     # in row-major order that does not divide is always (1, 2).
     assert report.rejection_reasons == {"product entry (1, 2) is not divisible by the trace": 150}
-    vanishing = theorem_search(20, seed=20260809, params=_unvalidated(pin_alpha_abs=0.0))
+    vanishing = theorem_search(20, seed=20260809, params=_unvalidated(alpha_abs_range=(0.0, 0.0)))
     assert vanishing.rejection_reasons == {"trace polynomial vanishes": 20}
 
 
@@ -249,17 +251,37 @@ _NO_REJECT = tuple((name, 0.0 if name == "reject" else w) for name, w in search.
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"pin_stratum": "case2"}, {"strata": _NO_REJECT}], ids=["pinned", "unweighted"]
+    "kwargs", [{"strata": (("case2", 1.0),)}, {"strata": _NO_REJECT}], ids=["pinned", "unweighted"]
 )
 def test_short_r_range_is_valid_where_the_reject_stratum_is_never_drawn(kwargs):
-    # Below 1.5 only the reject stratum has no r to draw.
+    # The other strata draw r from any valid r_range, 1 <= r < 1.5 included.
     report = theorem_search(50, seed=1, params=SamplerParams(r_range=(1.0, 1.2), **kwargs))
     assert report.accepted == 50
 
 
 def test_unknown_stratum_rejected():
+    # Each stratum name must be one _draw builds: an unknown one would fall
+    # through to the reject stratum on every trial.
     with pytest.raises(ValueError):
-        generate_case2_candidate(1, SamplerParams(pin_stratum="nope"))
+        generate_case2_candidate(1, SamplerParams(strata=(("nope", 1.0),)))
+    for strata in ((("foo", 1.0),), (("case1", 1.0), ("foo", 1.0)), (("foo", 0.0), ("wild", 1.0))):
+        with pytest.raises(ValueError, match="unknown stratum 'foo'"):
+            SamplerParams(strata=strata)
+
+
+def test_zero_width_ranges_and_one_stratum_draw_nothing():
+    # A zero-width range gives its value and a one-entry strata table its
+    # stratum, both without moving the stream; wider ones draw one double.
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    assert search._ranged(rng, 1.25, 1.25) == 1.25
+    assert SamplerParams(strata=(("wild", 1.0),))._stratum(rng) == "wild"
+    assert rng.bit_generator.state == state
+    ours, numpys = np.random.default_rng(11), np.random.default_rng(11)
+    assert search._ranged(ours, 1.0, 4.0) == numpys.uniform(1.0, 4.0)
+    assert SamplerParams()._stratum(ours) in _NAMES
+    numpys.random()
+    assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 1.0, 2.0, 1e308])
@@ -279,24 +301,23 @@ _NAMES = tuple(name for name, _ in search._STRATA)
         ({"strata": tuple(zip(_NAMES, (1.0, math.inf, 1.0, 1.0, 1.0, 1.0)))}, "finite"),
         ({"strata": tuple(zip(_NAMES, (1.0, -0.5, 1.0, 1.0, 1.0, 1.0)))}, "finite"),
         ({"strata": tuple(zip(_NAMES, (0.0,) * 6))}, "not all 0"),
-        ({"pin_stratum": "nope"}, "unknown stratum"),
-        ({"strata": (("case1", 1.0),), "pin_stratum": "wild"}, "unknown stratum"),
-        ({"pin_r": 0.0}, "pin_r must be finite and >= 1"),
-        ({"pin_r": -2.0}, "pin_r must be finite and >= 1"),
-        ({"pin_r": math.nan}, "pin_r must be finite and >= 1"),
-        ({"r_range": (0.0, 0.0)}, "r_range and pin_r"),
-        ({"r_range": (0.5, 2.0)}, "r_range and pin_r"),
-        ({"r_range": (1.0, math.inf)}, "r_range and pin_r"),
+        ({"strata": (("nope", 1.0),)}, "unknown stratum"),
+        ({"strata": (("case1", 1.0), ("foo", 1.0))}, "unknown stratum"),
+        ({"r_range": (1.0 - 1e-12, 1.0 - 1e-12)}, "r_range must be finite and >= 1"),
+        ({"r_range": (-2.0, -2.0)}, "r_range must be finite and >= 1"),
+        ({"r_range": (math.nan, math.nan)}, "r_range must be finite and >= 1"),
+        ({"r_range": (0.0, 0.0)}, "r_range must be finite and >= 1"),
+        ({"r_range": (0.5, 2.0)}, "r_range must be finite and >= 1"),
+        ({"r_range": (1.0, math.inf)}, "r_range must be finite and >= 1"),
         ({"r_range": (3.0, 2.0)}, "low <= high"),
-        ({"pin_alpha_abs": -1.0}, "pin_alpha_abs must be finite and > 0"),
-        ({"pin_alpha_abs": 0.0}, "pin_alpha_abs must be finite and > 0"),
-        ({"alpha_abs_range": (0.0, 1.0)}, "alpha_abs_range and pin_alpha_abs"),
-        ({"alpha_abs_range": (math.nan, 1.0)}, "alpha_abs_range and pin_alpha_abs"),
+        ({"alpha_abs_range": (-1.0, -1.0)}, "alpha_abs_range must be finite and > 0"),
+        ({"alpha_abs_range": (0.0, 0.0)}, "alpha_abs_range must be finite and > 0"),
+        ({"alpha_abs_range": (0.0, 1.0)}, "alpha_abs_range must be finite and > 0"),
+        ({"alpha_abs_range": (math.nan, 1.0)}, "alpha_abs_range must be finite and > 0"),
         ({"alpha_abs_range": (2.0, 1.0)}, "low <= high"),
-        ({"pin_stratum": "wild", "pin_r": 1 + 1e-9}, "wild stratum is built for r = 1"),
-        ({"pin_stratum": "wild", "pin_r": 1 + 1e-7}, "wild stratum is built for r = 1"),
-        ({"r_range": (1.0, 1.2)}, "r_range must reach 1.5"),
-        ({"r_range": (1.0, 1.2), "pin_stratum": "reject"}, "r_range must reach 1.5"),
+        ({"theta_range": (0.0, math.inf)}, "theta_range must be finite"),
+        ({"theta_range": (math.nan, math.nan)}, "theta_range must be finite"),
+        ({"theta_range": (1.0, 0.0)}, "low <= high"),
     ],
 )
 def test_sampler_params_validated_when_built(kwargs, match):
@@ -377,8 +398,8 @@ def _unvalidated(**fields) -> SamplerParams:
 @pytest.mark.parametrize(
     "params",
     [SamplerParams()]
-    + [SamplerParams(pin_stratum=name) for name in _NAMES]
-    + [_unvalidated(pin_alpha_abs=0.0)],
+    + [SamplerParams(strata=((name, 1.0),)) for name in _NAMES]
+    + [_unvalidated(alpha_abs_range=(0.0, 0.0))],
     ids=["default", *_NAMES, "vanishing-trace"],
 )
 def test_batched_assembly_equals_per_trial_candidates(params):
@@ -404,8 +425,8 @@ def test_batched_assembly_equals_per_trial_candidates(params):
 @pytest.mark.parametrize(
     "params",
     [SamplerParams()]
-    + [SamplerParams(pin_stratum=name) for name in _NAMES]
-    + [_unvalidated(pin_alpha_abs=0.0)],
+    + [SamplerParams(strata=((name, 1.0),)) for name in _NAMES]
+    + [_unvalidated(alpha_abs_range=(0.0, 0.0))],
     ids=["default", *_NAMES, "vanishing-trace"],
 )
 def test_the_division_remainder_gives_the_relation_verdicts(params):
@@ -432,7 +453,7 @@ def test_the_division_remainder_gives_the_relation_verdicts(params):
             assert (np.abs(fed[4] - full[4]) <= bound * scale).all()
             v = analysis._verdicts(*stacks, DEFAULT_TOL, remainder)
             assert np.array_equal(v.relation_ok, analysis._verdicts(*stacks, DEFAULT_TOL).relation_ok)
-            if params.pin_stratum != "reject" and params.pin_alpha_abs != 0.0:
+            if params.strata != (("reject", 1.0),) and params.alpha_abs_range != (0.0, 0.0):
                 assert v.relation_ok.all() and len(kept) > 0
 
 
@@ -603,7 +624,7 @@ def _reference_search(trials: int, seed: int, params: SamplerParams | None = Non
 @pytest.mark.parametrize(
     "block, params",
     [pytest.param(None, None, id="None"), pytest.param(97, None, id="97")]
-    + [pytest.param(None, SamplerParams(pin_stratum=name), id=name) for name in _NAMES],
+    + [pytest.param(None, SamplerParams(strata=((name, 1.0),)), id=name) for name in _NAMES],
 )
 def test_batched_search_equals_per_trial_analyze(block, params, monkeypatch):
     # Each pinned stratum is a mix of cases and dependence flags of its own.
