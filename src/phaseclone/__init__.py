@@ -45,7 +45,6 @@ from .positivity import (
 )
 from .analysis import (
     CaseLabel,
-    CaseVerdict,
     CloningReport,
     analyze,
     analyze_many,

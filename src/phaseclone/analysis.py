@@ -85,7 +85,6 @@ from .positivity import (
 
 __all__ = [
     "CaseLabel",
-    "CaseVerdict",
     "CloningReport",
     "classify",
     "deterministic_tensor_obstruction",
@@ -113,14 +112,6 @@ _CASES = (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3)
 
 
 @dataclass(frozen=True)
-class CaseVerdict:
-    label: CaseLabel
-
-    def __str__(self) -> str:
-        return self.label.value
-
-
-@dataclass(frozen=True)
 class CloningReport:
     """Full verdict of :func:`analyze` on one triple."""
 
@@ -133,7 +124,7 @@ class CloningReport:
     positivity_joint: PositivityVerdict | None
     positivity_out1: PositivityVerdict | None
     positivity_out2: PositivityVerdict | None
-    case: CaseVerdict | None
+    case: CaseLabel | None
     out1_phase_dependent: bool | None
     out2_phase_dependent: bool | None
     theorem_consistent: bool
@@ -209,7 +200,7 @@ def _nonpositive(found: np.ndarray, d: int) -> np.ndarray:
     return (diagonal == 1).any(axis=1) | ((diagonal == 2).all(axis=1) & (found == 1).any(axis=(1, 2)))
 
 
-def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
+def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseLabel:
     """Assign one of the three factor-inlay cases (or constant probability).
 
     Assumes the triple already passed :func:`validate_triple` and the
@@ -226,9 +217,9 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseVerdict:
     try:
         dec = decompose_probability(P, tol)
     except ConstantProbabilityError:
-        return CaseVerdict(CaseLabel.CONSTANT_PROBABILITY)
+        return CaseLabel.CONSTANT_PROBABILITY
     (label,) = _labels(_multiplicity(t.out2.coeffs[None], [dec], tol)[0])
-    return CaseVerdict(label)
+    return label
 
 
 def deterministic_tensor_obstruction(
@@ -404,7 +395,7 @@ def _reports(s: _Structure, verdicts: list) -> list[CloningReport]:
                 hp_joint=hp[0], hp_out1=hp[1], hp_out2=hp[2],
                 relation=relation, relation_ok=relation_ok, probability=s.probability[k],
                 positivity_joint=joint, positivity_out1=out1, positivity_out2=out2,
-                case=None if s.case[k] is None else CaseVerdict(s.case[k]),
+                case=s.case[k],
                 out1_phase_dependent=dep1, out2_phase_dependent=dep2,
                 theorem_consistent=_consistent(relation_ok, (dep1, dep2), s.nonpositive[k], out1, out2),
             )

@@ -166,7 +166,7 @@ def _cmd_classify(args) -> int:
             return "unknown"
         return "phase-dependent" if flag else "phase-independent"
 
-    case_text = str(report.case) if report.case is not None else "unclassified"
+    case_text = report.case.value if report.case is not None else "unclassified"
     print(f"{case_text}; out1 {dep_word(report.out1_phase_dependent)}; "
           f"out2 {dep_word(report.out2_phase_dependent)}")
     print(f"hermitian_preserving: {_bool(report.hp_ok)}")

@@ -69,8 +69,8 @@ class SamplerParams:
     weighs the six strata :func:`_draw` builds, by name; a table of one
     entry draws no stratum variate.  ``r_range`` feeds only the strata
     built on a free ``r``: ``wild`` keeps ``r = 1`` and ``reject`` draws
-    ``r`` from ``[1.5, 4)``.  ``pin_psd`` fixes whether ``proportional``
-    draws a PSD ``Gamma`` (by default a fair coin decides).
+    ``r`` from ``[1.5, 4)``.  A fair coin decides whether ``proportional``
+    draws a PSD ``Gamma``.
 
     Building one raises ``ValueError`` for repeated or unknown stratum
     names, weights that are not finite and >= 0 with a positive sum, or a
@@ -82,7 +82,6 @@ class SamplerParams:
     theta_range: tuple = (0.0, 2.0 * math.pi)
     r_range: tuple = (1.0, 4.0)
     strata: tuple = _STRATA
-    pin_psd: bool | None = None
 
     def __post_init__(self):
         names = [name for name, _ in self.strata]
@@ -195,7 +194,7 @@ def _draw(seed, params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
 
     def proportional() -> np.ndarray:
         # Gamma * P for a random unit-trace Hermitian Gamma, PSD or not.
-        psd = params.pin_psd if params.pin_psd is not None else bool(rng.random() < 0.5)
+        psd = rng.random() < 0.5
         for _ in range(64):
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             h = g @ g.conj().T if psd else 0.5 * (g + g.conj().T)

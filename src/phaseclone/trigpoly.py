@@ -123,13 +123,8 @@ class FirstOrderPoly:
         x = cmath.exp(1j * phi)
         return self.a * x + self.b * x.conjugate() + self.c
 
-    __call__ = eval
-
     def max_abs(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c))
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0
 
     def is_real_valued(self, tol: float) -> bool:
         """True iff the polynomial takes real values for every real phi.
@@ -156,11 +151,6 @@ class FirstOrderPoly:
         if not isinstance(other, FirstOrderPoly):
             return NotImplemented
         return FirstOrderPoly(self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def __sub__(self, other):
-        if not isinstance(other, FirstOrderPoly):
-            return NotImplemented
-        return FirstOrderPoly(self.a - other.a, self.b - other.b, self.c - other.c)
 
     def __mul__(self, other):
         if isinstance(other, numbers.Complex):

@@ -68,7 +68,7 @@ def test_c1_counterexample_reproduction():
         assert report.hp_joint and report.hp_out1 and report.hp_out2
         assert report.relation_ok
         assert report.relation.max_residual < 1e-12
-        assert report.case.label is CaseLabel.CASE2
+        assert report.case is CaseLabel.CASE2
         assert report.out1_phase_dependent and report.out2_phase_dependent
         assert not report.all_positive
         assert not report.positivity_out1.positive
@@ -86,7 +86,7 @@ def test_c2_case1_example():
     with criterion(2, "case 1 example"):
         start = time.perf_counter()
         t = builtin("case1-example").payload
-        assert classify(t).label is CaseLabel.CASE1
+        assert classify(t) is CaseLabel.CASE1
 
         P = trace_poly(t.out1)
         phis = np.arange(4096) * (2.0 * math.pi / 4096)
@@ -114,7 +114,7 @@ def test_c3_case3_example():
     with criterion(3, "case 3 by system swap"):
         swapped = swap_systems(builtin("case1-example").payload)
         report = analyze(swapped, 1e-9)
-        assert report.case.label is CaseLabel.CASE3
+        assert report.case is CaseLabel.CASE3
         assert report.out2_phase_dependent is False
         assert report.out1_phase_dependent is True
         assert report.theorem_consistent

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from phaseclone import (
     CaseLabel,
-    CaseVerdict,
+    CloningReport,
     FirstOrderPoly,
     JointPhaseOperator,
     NotPositiveError,
@@ -119,20 +120,20 @@ def test_constructed_constant_output():
 # -------------------------------------------------------------- classify
 
 def test_classify_counterexample(counterexample):
-    assert classify(counterexample).label is CaseLabel.CASE2
+    assert classify(counterexample) is CaseLabel.CASE2
 
 
 def test_classify_case1(case1):
-    assert classify(case1).label is CaseLabel.CASE1
+    assert classify(case1) is CaseLabel.CASE1
 
 
 def test_classify_case3_by_swapping(case1):
-    assert classify(swap_systems(case1)).label is CaseLabel.CASE3
+    assert classify(swap_systems(case1)) is CaseLabel.CASE3
 
 
 def test_classify_constant_probability():
     t = builtin("projective-discard").payload
-    assert classify(t).label is CaseLabel.CONSTANT_PROBABILITY
+    assert classify(t) is CaseLabel.CONSTANT_PROBABILITY
 
 
 def test_classify_propagates_not_positive():
@@ -152,12 +153,12 @@ def test_classification_exhaustive_and_consequences():
         except SampleRejected:
             continue
         verdict = classify(t)
-        assert verdict.label in labels
-        labels[verdict.label] += 1
+        assert verdict in labels
+        labels[verdict] += 1
         report = analyze(t)
-        if verdict.label is CaseLabel.CASE1:
+        if verdict is CaseLabel.CASE1:
             assert report.out1_phase_dependent is False
-        elif verdict.label is CaseLabel.CASE3:
+        elif verdict is CaseLabel.CASE3:
             assert report.out2_phase_dependent is False
     assert all(count > 0 for count in labels.values())
 
@@ -166,7 +167,7 @@ def test_classification_exhaustive_and_consequences():
 
 def test_forcing_check_positive_case2_member():
     t = _positive_case2_triple()
-    assert classify(t).label is CaseLabel.CASE2
+    assert classify(t) is CaseLabel.CASE2
     report = analyze(t)
     assert report.all_positive
     assert report.out1_phase_dependent is False
@@ -190,7 +191,7 @@ def test_forcing_unreachable_for_affine_offdiagonal():
         [[0.5 * P, offdiag], [offdiag.conjugate(), 0.5 * P]]
     )
     t = assemble_triple(out1, out2)
-    assert classify(t).label is CaseLabel.CASE2
+    assert classify(t) is CaseLabel.CASE2
     verdict = is_positive_over_phase(PhaseOperator(t.out1.coeffs[:, [0, 1]][:, :, [0, 1]]))
     assert not verdict.positive
     assert verdict.min_eigenvalue < -1e-6
@@ -225,7 +226,7 @@ def test_analyze_counterexample(counterexample):
     assert rep.hp_ok
     assert rep.relation_ok and rep.relation.max_residual < 1e-12
     assert not rep.all_positive
-    assert rep.case.label is CaseLabel.CASE2
+    assert rep.case is CaseLabel.CASE2
     assert rep.out1_phase_dependent and rep.out2_phase_dependent
     assert rep.theorem_consistent
 
@@ -234,7 +235,7 @@ def test_analyze_case1(case1):
     rep = analyze(case1)
     assert rep.hp_ok and rep.relation_ok
     assert rep.all_positive
-    assert rep.case.label is CaseLabel.CASE1
+    assert rep.case is CaseLabel.CASE1
     assert rep.out1_phase_dependent is False
     assert rep.theorem_consistent
 
@@ -242,7 +243,7 @@ def test_analyze_case1(case1):
 def test_analyze_projective_discard():
     rep = analyze(builtin("projective-discard", q=0.3).payload)
     assert rep.probability == "constant-probability"
-    assert rep.case.label is CaseLabel.CONSTANT_PROBABILITY
+    assert rep.case is CaseLabel.CONSTANT_PROBABILITY
     assert rep.out1_phase_dependent is False
     assert rep.out2_phase_dependent is False
     assert rep.all_positive
@@ -365,7 +366,7 @@ def test_classify_factorizes_each_entry_once(monkeypatch):
     monkeypatch.setattr(trigpoly, "factorize", counting)
     # classify evaluates the out2 entries at the factor roots on the
     # coefficient array, as the structure stage does: it factorizes no entry.
-    labels = {classify(t).label for t in triples}
+    labels = {classify(t) for t in triples}
     assert calls == []
     assert labels >= {CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3}
 
@@ -442,11 +443,11 @@ def test_stacked_labels_equal_the_per_entry_reference():
     reports = analyze_many(triples)
     seen, degenerate = set(), 0
     for t, report in zip(triples, reports):
-        if report.case is None or report.case.label is CaseLabel.CONSTANT_PROBABILITY:
+        if report.case is None or report.case is CaseLabel.CONSTANT_PROBABILITY:
             continue
         label = _reference_case(t)
-        assert report.case == CaseVerdict(label)
-        assert classify(t).label is label
+        assert report.case is label
+        assert classify(t) is label
         seen.add((label, t.out2.dim))
         degenerate += report.probability.r == 1.0
     assert seen >= {(label, 2) for label in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3)}
@@ -506,7 +507,7 @@ def test_structure_stage_matches_the_reports_on_paths_the_sampler_never_reaches(
             assert bool(s.relation_ok[m]) is r.relation_ok
             assert s.probability[m] == r.probability
             assert s.dependence[m] == (r.out1_phase_dependent, r.out2_phase_dependent)
-            assert s.case[m] is (None if r.case is None else r.case.label)
+            assert s.case[m] is r.case
             _, out1, out2 = verdicts[3 * m : 3 * m + 3]
             relation_ok, dependence = bool(s.relation_ok[m]), s.dependence[m]
             consistent = analysis._consistent(relation_ok, dependence, s.nonpositive[m], out1, out2)
@@ -681,6 +682,68 @@ def test_check_verdicts_equal_the_report_on_sampled_triples(k):
     _assert_check_verdicts_are_the_report(t)
 
 
+#: Kinds of coefficient stack for the never-raises property; ``proportional``
+#: (out2 only) is ``Gamma * P`` for out1's trace ``P``, so its joint assembles.
+_STACKS = ("random", "zero", "sparse", "hermitian", "proportional")
+
+
+def _stack(rng, d: int, kind: str, P: np.ndarray) -> np.ndarray:
+    """A ``(3, d, d)`` coefficient stack of one kind, parts of magnitude at most 1 (times ``P``)."""
+    e = rng.uniform(-1, 1, (3, d, d)) + 1j * rng.uniform(-1, 1, (3, d, d))
+    if kind == "zero":
+        e[:] = 0
+    elif kind == "sparse":
+        e[rng.random(e.shape) < 0.7] = 0
+    elif kind == "hermitian":  # b = a^H and c = c^H: Hermitian at every phi
+        e[1], e[2] = e[0].conj().T, 0.5 * (e[2] + e[2].conj().T)
+    elif kind == "proportional":  # a unit-trace PSD Gamma, entries at most 1
+        h = e[0] @ e[0].conj().T
+        e = (h / np.trace(h).real)[None] * P[:, None, None]
+    return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.tuples(*[st.sampled_from(_STACKS[:4])] * 2, st.sampled_from(_STACKS)),
+    st.tuples(*[st.floats(-150, 150)] * 3),
+    st.sampled_from(("drawn", "assembled", "sampled")),
+)
+def test_analyze_never_raises_or_warns(d1, d2, seed, kinds, exponents, source):
+    # Random, zero, sparse, Hermitian and proportional stacks, each scaled by
+    # 10^k anywhere in the coefficient range, with the joint drawn or, where
+    # the division succeeds, assembled from the outputs; or a sampled
+    # candidate's outputs scaled by one 10^k and assembled.
+    rng = np.random.default_rng(seed)
+    out1 = _stack(rng, d1, kinds[1], None) * 10.0 ** exponents[1]
+    P = np.trace(out1, axis1=1, axis2=2)
+    if kinds[2] == "proportional":  # trace P, unless P is past MAX_COEFF
+        out2 = _stack(rng, d2, "proportional", P / max(1.0, 2 * np.abs(P).max() / MAX_COEFF))
+    else:
+        out2 = _stack(rng, d2, kinds[2], None) * 10.0 ** exponents[2]
+    joint = _stack(rng, d1 * d2, kinds[0], None) * 10.0 ** exponents[0]
+    out1, out2 = PhaseOperator(out1), PhaseOperator(out2)
+    t = UncorrelatedTriple(JointPhaseOperator(joint, dim1=d1, dim2=d2), out1, out2)
+    if source == "sampled":
+        try:
+            s = generate_case2_candidate([seed])
+        except SampleRejected:
+            s = builtin("counterexample").payload
+        k = 10.0 ** exponents[0] / (2 * max(s.out1.max_abs(), s.out2.max_abs()))
+        out1, out2 = PhaseOperator(s.out1.coeffs * k), PhaseOperator(s.out2.coeffs * k)
+    if source != "drawn":
+        try:
+            t = assemble_triple(out1, out2)
+        except (SampleRejected, ValueError):  # not divisible, or a quotient past MAX_COEFF
+            pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(t)
+    assert isinstance(report, CloningReport)
+
+
 def _off_probability_triple(P: FirstOrderPoly) -> UncorrelatedTriple:
     """``(Gamma1 P, Gamma2 P)`` with unit-trace ``Gamma``s, for a ``P`` with no decomposition."""
     gamma1 = [[0.6, 0.1j], [-0.1j, 0.4]]
@@ -808,7 +871,7 @@ def test_classify_edge_entries(name):
     P, entries, expected = _edge_cases()[name]
     t = _edge_triple(P, entries)
     assert _reference_case(t) is expected
-    assert classify(t).label is expected
+    assert classify(t) is expected
 
 
 def test_edge_entries_classify_as_one_stack():
@@ -855,7 +918,7 @@ def test_analysis_uses_no_scalar_entry_views(monkeypatch):
             triples.append(generate_case2_candidate([20260809, k]))
         except SampleRejected:
             pass
-    labels = {r.case.label for r in analyze_many(triples) if r.case is not None}
+    labels = {r.case for r in analyze_many(triples) if r.case is not None}
     report = theorem_search(300, seed=20260809)
     assert calls == []
     assert labels >= {CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3}

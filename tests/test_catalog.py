@@ -47,7 +47,7 @@ def test_expected_properties_hold(name):
         if exp.positive is not None:
             assert rep.all_positive == exp.positive
         if exp.case is not None:
-            assert rep.case is not None and rep.case.label is exp.case
+            assert rep.case is exp.case
         if exp.out1_phase_dependent is not None:
             assert rep.out1_phase_dependent == exp.out1_phase_dependent
         if exp.out2_phase_dependent is not None:

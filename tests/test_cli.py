@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,6 +36,7 @@ from phaseclone import (
 from phaseclone import analysis, cli, positivity
 from phaseclone.cli import main
 from phaseclone.positivity import DEFAULT_TOL, _basis, _sweep, decompose_probability
+from phaseclone.search import ViolationRecord
 from phaseclone.operators import _relation, hermitian_part
 
 from helpers import max_coeff_diff, mixed_counterexample
@@ -160,6 +162,71 @@ def test_factor_zero_entry(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "zero polynomial" in out
+
+
+def test_factor_block_selection(tmp_path, capsys):
+    # Several blocks: --block names one, else lambda1 is the default.
+    path = _write_entry(tmp_path, "counterexample")
+    assert main(["factor", str(path), "--entry", "0", "0"]) == 0
+    assert capsys.readouterr().out.startswith("entry (0, 0) of lambda1: full ")
+    assert main(["factor", str(path), "--block", "nope"]) == 2
+    assert capsys.readouterr().err == f"error: no block named 'nope' in {path}\n"
+    two = tmp_path / "two.pmap"
+    two.write_text("pmap a\ndim 1\nend\n\npmap b\ndim 1\nend\n")
+    assert main(["factor", str(two)]) == 2
+    assert capsys.readouterr().err == "error: ambiguous document; select a block with --block\n"
+
+
+@pytest.mark.parametrize("entry", [("2", "0"), ("0", "2"), ("-1", "0"), ("0", "-1")])
+def test_factor_entry_out_of_range(tmp_path, capsys, entry):
+    path = _write_entry(tmp_path, "counterexample")
+    assert main(["factor", str(path), "--entry", *entry, "--block", "lambda1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: entry ({entry[0]}, {entry[1]}) out of range for dim 2\n"
+
+
+@pytest.mark.parametrize(
+    "coeffs, line",
+    [("0+0i 2+0i 1+0i", "affine scale=1+0j w=2+0j"), ("0+0i 0+3i 0+0i", "pure-negative b=0+3j")],
+)
+def test_factor_affine_and_pure_negative_lines(tmp_path, capsys, coeffs, line):
+    path = tmp_path / "one.pmap"
+    path.write_text(f"pmap lambda1\ndim 1\nentry 0 0 {coeffs}\nend\n")
+    assert main(["factor", str(path)]) == 0
+    assert capsys.readouterr().out == f"entry (0, 0) of lambda1: {line}\n"
+
+
+def test_classify_prints_the_probability_tag_and_unknown_dependence(tmp_path, capsys):
+    # P = 0.25 + 0.5 cos(phi) takes negative values: no decomposition, no case.
+    P = phaseclone.FirstOrderPoly(0.25, 0.25, 0.25)
+    out = PhaseOperator.from_rows([[0.5 * P, 0.0], [0.0, 0.5 * P]])
+    path = tmp_path / "not-positive.pmap"
+    path.write_text(serialize_pmap(document_from_triple(assemble_triple(out, out))))
+    assert main(["classify", str(path)]) == 1
+    out_lines = capsys.readouterr().out.splitlines()
+    assert out_lines[0] == "unclassified; out1 phase-independent; out2 phase-independent"
+    assert "probability: not-positive" in out_lines
+    # Where P vanishes there is no projection: dependence is unknown.
+    zero = PhaseOperator.zero(2)
+    joint = phaseclone.JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
+    path = tmp_path / "zero.pmap"
+    path.write_text(serialize_pmap(document_from_triple(UncorrelatedTriple(joint, zero, zero))))
+    assert main(["classify", str(path)]) == 1
+    out_lines = capsys.readouterr().out.splitlines()
+    assert out_lines[0] == "unclassified; out1 unknown; out2 unknown"
+    assert "probability: zero-probability" in out_lines
+
+
+def test_search_prints_each_violation(capsys, monkeypatch):
+    report = phaseclone.theorem_search(2, seed=9)
+    violations = [ViolationRecord(1, "case=Case 2, min_eig=1.000e-03")]
+    patched = dataclasses.replace(report, violations=violations)
+    monkeypatch.setattr(cli, "theorem_search", lambda *a, **k: patched)
+    assert main(["search", "--trials", "2", "--seed", "9"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "violations: 1" in lines
+    assert "violation: trial=1 case=Case 2, min_eig=1.000e-03" in lines
 
 
 def test_search_small_run(capsys):

@@ -74,10 +74,6 @@ def _verdict(report) -> tuple:
     )
 
 
-def _label(report):
-    return report.case.label if report.case is not None else None
-
-
 def _shifted(t: UncorrelatedTriple, delta: float) -> UncorrelatedTriple:
     factor = np.array([cmath.exp(1j * delta), cmath.exp(-1j * delta), 1.0])[:, None, None]
     joint = JointPhaseOperator(t.joint.coeffs * factor, dim1=t.joint.dim1, dim2=t.joint.dim2)
@@ -97,7 +93,7 @@ def test_phase_shift_keeps_every_verdict(triples, reports, delta):
         if (_verdict(a), a.case) != (_verdict(b), b.case)
     ]
     assert flips == []
-    assert {r.case.label for r in reports if r.case is not None} == set(CaseLabel)
+    assert {r.case for r in reports if r.case is not None} == set(CaseLabel)
 
 
 def _unitary(rng, d: int) -> np.ndarray:
@@ -155,7 +151,7 @@ def test_scaling_keeps_every_verdict(triples, reports, k):
     flips = [
         i
         for i, (a, b) in enumerate(zip(reports, scaled))
-        if (_verdict(a), _label(a)) != (_verdict(b), _label(b))
+        if (_verdict(a), a.case) != (_verdict(b), b.case)
     ]
     assert flips == []
 
@@ -199,7 +195,7 @@ def _depolarised(t: UncorrelatedTriple, a: float) -> UncorrelatedTriple:
 
 
 def _case_and_flags(report) -> tuple:
-    return _label(report), report.out1_phase_dependent, report.out2_phase_dependent
+    return report.case, report.out1_phase_dependent, report.out2_phase_dependent
 
 
 @pytest.mark.parametrize("a", [0.5, 0.1, 0.01])

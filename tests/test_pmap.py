@@ -119,6 +119,21 @@ def test_parse_errors(text):
         parse_pmap(text)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("pmap x\ndim 2\ndim 2\nend\n", 3, "duplicate 'dim' line"),
+        ("pmap x\nend\n", 2, "block 'x' has no 'dim'"),
+        ("pmap x\ndim 1\nend\n\npmap y\nend\n", 6, "block 'y' has no 'dim'"),
+    ],
+)
+def test_parse_errors_name_the_line(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_pmap(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_triple_requires_lambda_blocks():
     doc = parse_pmap("pmap lambda1\ndim 2\nend\n")
     with pytest.raises(ValueError):
@@ -139,6 +154,12 @@ def test_negative_zero_normalised():
     doc = document_from_operator("z", parse_pmap("pmap z\ndim 1\nentry 0 0 1+0i 0+0i 0+0i\nend\n").blocks["z"])
     text = serialize_pmap(doc)
     assert "-0.0" not in text
+
+
+@pytest.mark.parametrize("name", ["", "1x", "two words", "x/y"])
+def test_document_from_operator_rejects_an_invalid_name(name):
+    with pytest.raises(ValueError, match="invalid block name"):
+        document_from_operator(name, PhaseOperator.zero(1))
 
 
 def test_serializer_skips_zero_entries():

@@ -34,7 +34,7 @@ def test_assemble_reproduces_counterexample():
     rebuilt = assemble_triple(ref.out1, ref.out2)
     assert max_coeff_diff(rebuilt.joint, ref.joint) == 0
     rep = analyze(rebuilt)
-    assert rep.case.label is CaseLabel.CASE2
+    assert rep.case is CaseLabel.CASE2
     assert not rep.positivity_out1.positive
     assert rep.positivity_out1.min_eigenvalue <= -1.5 + 1e-6
 
@@ -64,11 +64,20 @@ def test_generated_samples_validate_by_construction():
     assert checked >= 40
 
 
-def test_pinned_proportional_psd_is_positive_and_constant():
-    params = SamplerParams(strata=(("proportional", 1.0),), pin_psd=True)
-    for k in range(10):
-        t = generate_case2_candidate([21, k], params)
-        rep = analyze(t)
+def test_proportional_psd_outputs_are_positive_and_constant():
+    # What the proportional stratum draws on its PSD side of the coin: two
+    # outputs Gamma * P with a unit-trace PSD Gamma each.
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        theta, alpha_abs, r = rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 2.0), rng.uniform(1.0, 4.0)
+        alpha = alpha_abs * complex(math.cos(theta), -math.sin(theta))
+        P = fp(alpha, alpha.conjugate(), alpha_abs * (r + 1 / r))
+        outs = []
+        for _ in range(2):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            h = g @ g.conj().T
+            outs.append(PhaseOperator.from_rows([[complex(x) * P for x in row] for row in h / np.trace(h).real]))
+        rep = analyze(assemble_triple(*outs))
         assert rep.hp_ok and rep.relation_ok
         assert rep.all_positive
         assert rep.out1_phase_dependent is False
@@ -198,7 +207,7 @@ def test_assemble_supports_asymmetric_dimensions():
 
     rep = analyze(t)
     assert rep.hp_ok and rep.relation_ok and rep.all_positive
-    assert rep.case.label is CaseLabel.CASE3
+    assert rep.case is CaseLabel.CASE3
     assert rep.theorem_consistent
 
     back = parse_pmap(serialize_pmap(document_from_triple(t))).triple()
@@ -206,7 +215,7 @@ def test_assemble_supports_asymmetric_dimensions():
 
 
 def test_search_smallest_run_forced_constant_branch():
-    params = SamplerParams(strata=(("proportional", 1.0),), pin_psd=True)
+    params = SamplerParams(strata=(("proportional", 1.0),))
     r = theorem_search(1, seed=4, params=params)
     assert r.accepted == 1 and r.rejected == 0
     assert r.both_phase_dependent == 0
@@ -604,7 +613,7 @@ def _reference_search(trials: int, seed: int, params: SamplerParams | None = Non
     indices, triples = _accepted(trials, seed, params)
     for k, t in zip(indices, triples):
         rep = analyze(t)
-        key = rep.case.label.value if rep.case is not None else "unclassified"
+        key = rep.case.value if rep.case is not None else "unclassified"
         counts[key] = counts.get(key, 0) + 1
         if rep.out1_phase_dependent and rep.out2_phase_dependent:
             both += 1
@@ -656,7 +665,7 @@ def test_outputs_first_witnesses_keep_every_count(seed):
     reports = analysis.analyze_many(triples)
     counts, witnesses, failures, violations = {}, [], [], []
     for k, rep in zip(indices, reports):
-        key = rep.case.label.value if rep.case is not None else "unclassified"
+        key = rep.case.value if rep.case is not None else "unclassified"
         counts[key] = counts.get(key, 0) + 1
         if rep.out1_phase_dependent and rep.out2_phase_dependent and rep.hp_ok and rep.relation_ok:
             lam, _, _ = _least(rep, ("out1", "out2", "joint"))

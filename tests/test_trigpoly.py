@@ -374,6 +374,11 @@ def test_expand_affine_constant():
     assert expand(AffineForm(3.5, 0.0)).distance(fp(0, 0, 3.5)) == 0
 
 
+def test_expand_pure_negative():
+    assert expand(PureNegForm(2 - 1j)).distance(fp(0, 2 - 1j, 0)) == 0
+    assert expand(factorize(fp(0, 1e-3j, 0))).distance(fp(0, 1e-3j, 0)) == 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.complex_numbers(allow_nan=False, allow_infinity=False, min_magnitude=1e-2, max_magnitude=1e2),
