@@ -63,10 +63,11 @@ unit-circle roots are the crossings of the non-constant eigenvalues, and
 Stacks.  :func:`positivity_many` certifies many operators at once; each
 group of one dimension is an ``(N, 3, d, d)`` stack.  The members share
 the numpy calls (one evaluation at the seeds, then per level one
-``eigvals`` over the companion matrices of the members still iterating
-and one evaluation at all of their open-arc midpoints) but nothing else:
-``eps``, the scale, the degenerate test and the stopping rule are per
-member, so a member gets the same verdict and minimum in any stack.
+``eigvals`` over the companion matrices of the non-degenerate members
+still iterating and one evaluation at all open-arc midpoints) but nothing
+else: ``eps``, the scale, the degenerate test, the stopping rule and each
+companion matrix are per member, so a member gets the same verdict and
+minimum in any stack and in any order.
 :func:`is_positive_over_phase` is a stack of one.
 
 Sweeps.  :func:`_sweep` is the one grid sweep, of :func:`min_eigenvalue_profile`
@@ -93,7 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .trigpoly import FirstOrderPoly, _checked_tol, _negligible
+from .trigpoly import FirstOrderPoly, _checked_count, _checked_tol, _negligible
 from .operators import DEFAULT_TOL, PhaseOperator, hermitian_part
 
 __all__ = [
@@ -340,8 +341,6 @@ def _sweep(family: np.ndarray, basis: np.ndarray, signs=(1.0,)) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The phases ``2 pi k / n`` (``k < n``) and their :func:`_basis` rows, read-only."""
-    if n < 1:
-        raise ValueError("grid size must be positive")
     phis = np.arange(n) * (2.0 * math.pi / n)
     basis = _basis(phis)
     phis.flags.writeable = basis.flags.writeable = False
@@ -382,7 +381,7 @@ def min_eigenvalue_profile(op: PhaseOperator, n: int = DEFAULT_GRID) -> tuple[np
     every other ``d`` as the certificate evaluates it, with :func:`_lowest`.
     """
     family = _hermitian_family(op)
-    phis, basis = _grid(n)
+    phis, basis = _grid(_checked_count("n", n))
     return phis, _sweep(family, basis)[0]
 
 
@@ -394,10 +393,10 @@ def _pencil_crossings(families: np.ndarray, anchors: list[int], M0: np.ndarray):
     ``anchors[m]`` for member ``m``.  On the circle ``Q(x0) = x0 (M0 - L I)``
     with ``M0 = M(phi0) = V diag(mu) V^H``, so in the eigenbasis of ``M0``
     the ``2d x 2d`` companion matrix of the shifted pencil needs only
-    ``diag(1 / (mu - L))`` per level.  The returned function maps the rows
-    still iterating (in stack order, a subset of the previous call's) and
-    their levels to the sorted phases of the roots within ``_CIRCLE_BAND``
-    of the circle, with one ``eigvals`` call for all rows.
+    ``diag(1 / (mu - L))`` per level.  The returned function maps any
+    members of the stack and their levels to the sorted phases of the roots
+    within ``_CIRCLE_BAND`` of the circle, with one ``eigvals`` call over
+    the companion matrices of those members alone.
     """
     d = families.shape[-1]
     _, xs, _, scalars, pad, upper = _seeds(d)
@@ -410,25 +409,17 @@ def _pencil_crossings(families: np.ndarray, anchors: list[int], M0: np.ndarray):
     # where V^H A^H V = G^H for G = V^H A V.
     G = V.conj().swapaxes(1, 2) @ families[:, 0] @ V
     blocks = np.concatenate([G, x * G - xc * G.conj().swapaxes(1, 2)], axis=2) * inv
-    companion = np.empty((len(x0), 2 * d, 2 * d), dtype=complex)
-    companion[:, :d] = upper
-    current = list(range(len(x0)))
 
-    def crossings(rows: list[int], levels: list[float]) -> list[list[float]]:
-        nonlocal current, companion, blocks, mu, pad, x0
-        if rows != current:  # drop the rows that have finished
-            where = {row: k for k, row in enumerate(current)}
-            keep = [where[row] for row in rows]
-            kept = (a.take(keep, axis=0) for a in (companion, blocks, mu, pad))
-            companion, blocks, mu, pad = kept
-            x0 = [x0[k] for k in keep]
-            current = rows
-        np.subtract(blocks / (mu - np.array(levels)[:, None, None]), pad, out=companion[:, d:])
+    def crossings(members: list[int], levels: list[float]) -> list[list[float]]:
+        companion = np.empty((len(members), 2 * d, 2 * d), dtype=complex)
+        companion[:, :d] = upper
+        shifted = mu.take(members, axis=0) - np.array(levels)[:, None, None]
+        np.subtract(blocks.take(members, axis=0) / shifted, pad.take(members, axis=0), out=companion[:, d:])
         found = []
-        for anchor, roots in zip(x0, _solve(_umath_linalg.eigvals, companion, "D->D").tolist()):
+        for m, roots in zip(members, _solve(_umath_linalg.eigvals, companion, "D->D").tolist()):
             phases = []
             for y in roots:
-                u = anchor * y + 1.0  # x = u / y; y = 0 is the root at infinity
+                u = x0[m] * y + 1.0  # x = u / y; y = 0 is the root at infinity
                 size = abs(y)
                 if abs(abs(u) - size) <= _CIRCLE_BAND * size:
                     w = u * y.conjugate()

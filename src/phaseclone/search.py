@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import _checked_tol, _divide, _negligible
+from .trigpoly import _checked_count, _checked_tol, _divide, _negligible
 from .operators import DEFAULT_TOL, JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
 from . import analysis
 
@@ -399,12 +398,12 @@ def theorem_search(
     theorem-consistent (:func:`analysis._consistent`, with lemma L2b) as a
     violation.  Both lists must stay empty.  ``params`` sets the sampler's
     ranges and strata (:class:`SamplerParams`, its defaults when ``None``).
-    ``tol`` is relative (see ``operators.DEFAULT_TOL``) and in (0, 1);
-    ``trials`` must be an integer >= 1 and ``seed`` one >= 0.
+    ``tol`` is relative (see ``operators.DEFAULT_TOL``) and in (0, 1), but
+    blocks are assembled at ``DEFAULT_TOL``: acceptance and the rejection
+    reasons do not move with ``tol``.  ``trials`` must be an integer >= 1
+    and ``seed`` one >= 0, neither a ``bool``.
     """
-    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
-        if not (isinstance(value, numbers.Integral) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    trials, seed = _checked_count("trials", trials), _checked_count("seed", seed, 0)
     tol, params = _checked_tol(tol), params or _DEFAULT_PARAMS
     case_counts: Counter[str] = Counter()
     rejection_reasons: Counter[str] = Counter()

@@ -68,6 +68,13 @@ def _checked_tol(tol: float) -> float:
     return tol
 
 
+def _checked_count(name: str, value, low: int = 1) -> int:
+    """``value`` if it is an integer >= ``low`` (a ``bool`` is not), else ``ValueError``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 class ZeroPolynomialError(ValueError):
     """The operation is undefined for the zero polynomial."""
 

@@ -27,6 +27,7 @@ from phaseclone import (
     phase_state_operator,
     positivity_many,
 )
+from phaseclone import positivity
 from phaseclone.catalog import NAMES
 from phaseclone.positivity import _solve
 
@@ -272,16 +273,38 @@ def _mixed_stack() -> list[PhaseOperator]:
 
 
 def test_stack_matches_each_member_alone():
-    # Per-member eps, scale and degenerate test: a shared scale would move the
-    # minima of the 1e-8 members by far more than the bound.
+    # Per-member eps, scale and degenerate test, and a crossing finder that forms
+    # each member's companion matrix from its own arrays: a member's verdict,
+    # minimum and witness carry the bits it gets alone, in any stack order.
     ops = _mixed_stack()
-    stacked = positivity_many(ops)
-    assert len(stacked) == len(ops)
-    for op, verdict in zip(ops, stacked):
-        alone = is_positive_over_phase(op)
-        assert verdict.positive == alone.positive
-        assert abs(verdict.min_eigenvalue - alone.min_eigenvalue) <= bound(op)
-    assert any(v.positive for v in stacked) and not all(v.positive for v in stacked)
+    alone = [is_positive_over_phase(op) for op in ops]
+    given = list(range(len(ops)))
+    for order in (given, given[::-1], np.random.default_rng(11).permutation(len(ops)).tolist()):
+        assert positivity_many([ops[i] for i in order]) == [alone[i] for i in order]
+    assert any(v.positive for v in alone) and not all(v.positive for v in alone)
+
+
+def test_pencil_finder_answers_any_members_in_any_order():
+    # The finder keeps nothing between calls: each member gets the phases a
+    # fresh finder built for it alone gives, whichever members came before.
+    rng = np.random.default_rng(8)
+    families = np.array([positivity._hermitian_family(random_hp_operator(rng, 2)) for _ in range(3)])
+    _, _, basis, *_ = positivity._seeds(2)
+    anchors = [1, 4, 2]
+    M0 = np.array([(basis[k] @ f.reshape(3, 4)).reshape(2, 2) for k, f in zip(anchors, families)])
+    # Halfway between each family's least and largest lambda_min: a level with crossings.
+    lows = [positivity._sweep(f, positivity._grid(256)[1])[0] for f in families]
+    levels = [0.5 * (low.min() + low.max()) for low in lows]
+
+    def alone(m):
+        finder = positivity._pencil_crossings(families[m : m + 1], anchors[m : m + 1], M0[m : m + 1])
+        return finder([0], [levels[m]])[0]
+
+    finder = positivity._pencil_crossings(families, anchors, M0)
+    for members in ([2], [0, 2], [1, 0], [0, 1, 2], [1]):
+        got = finder(members, [levels[m] for m in members])
+        assert got == [alone(m) for m in members]
+    assert all(alone(m) for m in range(3))
 
 
 def test_non_hermitian_member_leaves_the_others_alone():

@@ -10,7 +10,8 @@ practice) appear only as module-level constants, so that each threshold is
 named once and the tolerance policy of ``operators.DEFAULT_TOL`` can list them.
 ``ZERO_COEFF_REL`` is read only by ``trigpoly._negligible``, the one zero rule,
 and ``hypot`` (the closed form of a 2 x 2 eigenvalue) is named only by
-``positivity._lowest``.
+``positivity._lowest``.  No function has a ``nonlocal`` or ``global``
+statement, so no call carries state into the next.
 """
 
 from __future__ import annotations
@@ -172,6 +173,31 @@ def test_only_the_zero_rule_reads_its_threshold():
 
 def test_the_2x2_closed_form_is_written_once():
     assert _readers(_modules(), "hypot") == ["positivity._lowest"]
+
+
+def _rebinders(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.function`` of every function with a ``nonlocal`` or ``global`` statement."""
+    found = set()
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(inner, (ast.Nonlocal, ast.Global)) for inner in ast.walk(node)):
+                    found.add(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_no_function_rebinds_an_outer_name():
+    # A closure that rebinds captured names carries state between calls.
+    assert _rebinders(_modules()) == []
+
+
+def test_the_guard_sees_nonlocal_and_global():
+    module = ast.parse(
+        "N = 0\n\ndef count():\n    global N\n    N += 1\n\n"
+        "def outer():\n    k = 0\n\n    def inner():\n        nonlocal k\n        k += 1\n\n"
+        "    return inner\n\ndef pure(x):\n    return x\n"
+    )
+    assert _rebinders({"m": module}) == ["m.count", "m.inner", "m.outer"]
 
 
 def test_the_guard_sees_each_read_of_the_zero_threshold():

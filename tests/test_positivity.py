@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -142,6 +143,13 @@ def test_profile_case1_out2_formula():
 def test_profile_zero_operator():
     _, lams = min_eigenvalue_profile(PhaseOperator.zero(2), 16)
     assert all(lam == 0.0 for lam in lams)
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, True, False, 0, -3, "8", None])
+def test_profile_rejects_a_grid_size_that_is_not_a_count(n):
+    out1 = builtin("counterexample").payload.out1
+    with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {re.escape(repr(n))}"):
+        min_eigenvalue_profile(out1, n)
 
 
 def test_profile_requires_hermiticity():

@@ -235,12 +235,12 @@ def test_search_without_a_classified_triple_is_not_ok():
 
 
 def test_search_rejects_bad_trials():
-    for trials in (0, -2, 10.5, "3", None, 1.0):
+    for trials in (0, -2, 10.5, "3", None, 1.0, 2.5, 4.0, True, False, "8"):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             theorem_search(trials)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, 2.5, 4.0, True, False, "8"])
 def test_search_rejects_bad_seed(seed):
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         theorem_search(5, seed=seed)
@@ -254,6 +254,17 @@ def test_search_counts_rejection_reasons():
     assert report.rejection_reasons == {"product entry (1, 2) is not divisible by the trace": 150}
     vanishing = theorem_search(20, seed=20260809, params=_unvalidated(alpha_abs_range=(0.0, 0.0)))
     assert vanishing.rejection_reasons == {"trace polynomial vanishes": 20}
+
+
+def test_search_assembles_at_the_default_tolerance():
+    # The division by the trace runs at DEFAULT_TOL whatever the search's tol,
+    # so acceptance and the rejection reasons do not move with tol.  Assembled
+    # at tol itself, 0.5 would name other entries and 1e-15 reject half the draws.
+    tols = (DEFAULT_TOL, 1e-4, 1e-13, 0.5, 1e-15)
+    reports = [theorem_search(500, seed=3, tol=tol) for tol in tols]
+    assert [(r.accepted, r.rejected) for r in reports] == [(456, 44)] * len(tols)
+    reason = {"product entry (1, 2) is not divisible by the trace": 44}
+    assert [r.rejection_reasons for r in reports] == [reason] * len(tols)
 
 
 _NO_REJECT = tuple((name, 0.0 if name == "reject" else w) for name, w in search._STRATA)
