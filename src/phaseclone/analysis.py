@@ -34,13 +34,14 @@ Triples are checked as coefficient stacks, one ``(N, 3, ., .)`` stack
 each of joints, out1s and out2s per pair of marginal dimensions.  A
 structure stage gives, as arrays over the members, the verdicts
 (hermiticity, the relation and the probability decomposition) in one
-half and the case analysis (phase dependence, the case and L2b) in the
-other; the positivity certificate then runs on the Hermitian parts it
-found.  out1 and out2 form one ``(2, N, 3, d, d)`` stack, the smaller
-zero-padded to the larger ``d``, so for every shape each per-output test
-(the Hermitian part, the projection, the root multiplicities) takes both
-outputs in one call.  :func:`analyze` and :func:`analyze_many` run both
-halves, certify every operator and build one report per triple.
+half and the case analysis (phase dependence, a case code, L2b and the
+members that need the certificate, the only ones whose verdict
+positivity decides) in the other.  out1 and out2 form one ``(2, N, 3, d,
+d)`` stack, the smaller zero-padded to the larger ``d``, so for every
+shape each per-output test (the Hermitian part, the projection, the root
+multiplicities) takes both outputs in one call.  :func:`analyze` and
+:func:`analyze_many` run both halves, certify every operator and build
+one report per triple, where codes become labels.
 ``theorem_consistent`` reads L2b and the outputs' verdicts only: where the
 relation holds the joint is positive iff both outputs are, so its verdict
 is an audit the report carries.  The CLI ``check`` runs the verdict half
@@ -48,9 +49,7 @@ and the certificate only.  The randomized search assembles each joint as
 the quotient of ``out1 (x) out2`` by ``P``, so a block's relation residual
 is its division remainder, handed to the stage rather than formed again;
 it tallies from the stage's arrays, with no object per trial, and
-certifies only the outputs of hermitian-preserving, relation-satisfying
-triples with both outputs phase-dependent: positivity decides nothing
-elsewhere.
+certifies only the outputs of the members that need the certificate.
 """
 
 from __future__ import annotations
@@ -79,6 +78,7 @@ from .positivity import (
     NotPositiveError,
     NotRealValuedError,
     PositivityVerdict,
+    ProbabilityDecomposition,
     _certify_many,
     decompose_probability,
 )
@@ -107,8 +107,8 @@ class CaseLabel(enum.Enum):
     CASE3 = "Case 3"
 
 
-#: The label of a triple whose out2 entries carry at least this many factors each.
-_CASES = (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3)
+#: The labels of the stage's case codes (-1: none); out2 entries all carrying >= k factors give 1 + k.
+_LABELS = (CaseLabel.CONSTANT_PROBABILITY, CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class CloningReport:
     hp_out2: bool
     relation: RelationReport | None
     relation_ok: bool
-    probability: object  # ProbabilityDecomposition or an error tag string
+    probability: ProbabilityDecomposition | str  # a tag string where there is none
     positivity_joint: PositivityVerdict | None
     positivity_out1: PositivityVerdict | None
     positivity_out2: PositivityVerdict | None
@@ -182,11 +182,6 @@ def _multiplicity(outs: np.ndarray, decs: list, tol: float) -> tuple[np.ndarray,
     return found, double[:, 0]
 
 
-def _labels(found: np.ndarray) -> list[CaseLabel]:
-    """Case 1 if a nonzero entry carries no factor, else Case 2 if one carries one, else Case 3."""
-    return [_CASES[k] for k in found.min(axis=1).tolist()]
-
-
 def _nonpositive(found: np.ndarray, d: int) -> np.ndarray:
     """Lemma L2b on the ``(N, d * d)`` multiplicities of d x d outputs at a double root of ``P``.
 
@@ -218,8 +213,7 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseLabel:
         dec = decompose_probability(P, tol)
     except ConstantProbabilityError:
         return CaseLabel.CONSTANT_PROBABILITY
-    (label,) = _labels(_multiplicity(t.out2.coeffs[None], [dec], tol)[0])
-    return label
+    return _LABELS[1 + int(_multiplicity(t.out2.coeffs[None], [dec], tol)[0].min())]
 
 
 def deterministic_tensor_obstruction(
@@ -263,11 +257,16 @@ class _Verdicts:
 
 @dataclass(frozen=True)
 class _Structure(_Verdicts):
-    """Both halves: also each member's dependence flags (``None`` where ``P`` vanishes), case and L2b."""
+    """Both halves, and the classification half's verdicts as arrays over the members.
 
-    dependence: list
-    case: list
-    nonpositive: list
+    ``dependence`` is ``(2, N)``, False where ``P`` vanishes; ``case`` indexes ``_LABELS``, -1 for
+    none; ``needs_certificate`` marks hermitian-preserving, relation-satisfying, both-dependent members.
+    """
+
+    dependence: np.ndarray
+    case: np.ndarray
+    nonpositive: np.ndarray
+    needs_certificate: np.ndarray
 
 
 def _verdicts(
@@ -301,37 +300,34 @@ def _classification(v: _Verdicts, tol: float) -> _Structure:
     """The classification half, on the verdict half ``v``.
 
     The phase-dependence projection of both outputs where ``P`` does not
-    vanish, and the case of the hermitian-preserving,
-    relation-satisfying members with a decomposed ``P``.  Lemma L2b runs
-    on those of them with a double root and both outputs phase-dependent.
-    Each test takes both outputs in one call on the padded stack ``v.outs``:
-    a zero entry leaves the projection residual unchanged and carries both
+    vanish; the case of the hermitian-preserving, relation-satisfying
+    members with a decomposed ``P``, and lemma L2b on those with a double
+    root that need the certificate (both outputs phase-dependent).  Each
+    test takes both outputs in one call on the padded stack ``v.outs``: a
+    zero entry leaves the projection residual unchanged and carries both
     factors, so it moves neither the case nor L2b.
     """
     P, sizes, nonzero = v.relation[:3]
-    dependence = [(None, None)] * len(v.probability)
-    projected = nonzero.nonzero()[0]
-    scales = np.maximum(sizes[0], sizes[2:])[:, projected]  # max(max|P|, max|out|)
-    _, dep = _projection(v.outs[:, projected], P.T[projected], scales, tol)
-    for m, flag in zip(projected.tolist(), zip(*dep.tolist())):
-        dependence[m] = flag
-    constant = CaseLabel.CONSTANT_PROBABILITY
-    case = [constant if t == "constant-probability" else None for t in v.probability]
-    checked = (v.relation_ok & v.hp.all(axis=0)).nonzero()[0].tolist()
-    classified = [m for m in checked if not isinstance(v.probability[m], str)]
-    nonpositive = [False] * len(case)
-    if classified:
+    checked = v.hp.all(axis=0) & v.relation_ok
+    dependence = np.zeros((2, nonzero.size), bool)
+    scales = np.maximum(sizes[0], sizes[2:])[:, nonzero]  # max(max|P|, max|out|)
+    _, dependence[:, nonzero] = _projection(v.outs[:, nonzero], P.T[nonzero], scales, tol)
+    needs = checked & dependence.all(axis=0)
+    case = np.where([p == "constant-probability" for p in v.probability], 0, -1)  # ints also for N = 0
+    nonpositive = np.zeros(nonzero.size, bool)
+    decomposed = np.array([not isinstance(p, str) for p in v.probability], bool)
+    classified = np.flatnonzero(checked & decomposed)
+    if classified.size:
         d = v.outs.shape[-1]
         rows = v.outs[:, classified].reshape(-1, 3, d, d)  # out1's members, then out2's
-        found, double = _multiplicity(rows, [v.probability[m] for m in classified] * 2, tol)
-        found1, found2 = found.reshape(2, len(classified), -1)
-        for m, label in zip(classified, _labels(found2)):
-            case[m] = label
-        lemma = [n for n, m in enumerate(classified) if double[n] and dependence[m] == (True, True)]
-        proved = _nonpositive(found1[lemma], d) | _nonpositive(found2[lemma], d)
-        for n, flag in zip(lemma, proved.tolist()):
-            nonpositive[classified[n]] = flag
-    return _Structure(**vars(v), dependence=dependence, case=case, nonpositive=nonpositive)
+        found, double = _multiplicity(rows, [v.probability[m] for m in classified.tolist()] * 2, tol)
+        found1, found2 = found.reshape(2, classified.size, -1)
+        case[classified] = 1 + found2.min(axis=1)
+        lemma = double[: classified.size] & needs[classified]
+        nonpositive[classified[lemma]] = _nonpositive(found1[lemma], d) | _nonpositive(found2[lemma], d)
+    return _Structure(
+        **vars(v), dependence=dependence, case=case, nonpositive=nonpositive, needs_certificate=needs
+    )
 
 
 def _structure(
@@ -352,7 +348,7 @@ def _check_verdicts(t: UncorrelatedTriple, tol: float) -> tuple:
     return relation, v.hp[:, 0].tolist(), v.probability[0], _certify_many(v.operators([0]), tol)
 
 
-def _probability(P: FirstOrderPoly, tol: float) -> object:
+def _probability(P: FirstOrderPoly, tol: float) -> ProbabilityDecomposition | str:
     """The decomposition of a nonzero ``P``, or a tag string naming why there is none."""
     try:
         return decompose_probability(P, tol)
@@ -364,40 +360,41 @@ def _probability(P: FirstOrderPoly, tol: float) -> object:
         return "not-positive"
 
 
-def _consistent(relation_ok: bool, dependence: tuple, nonpositive: bool, out1, out2) -> bool:
-    """``theorem_consistent`` of a triple from its relation, dependence flags, L2b and output verdicts.
+def _consistent(needs_certificate: bool, nonpositive: bool, out1, out2) -> bool:
+    """``theorem_consistent`` of a triple from the stage's ``needs_certificate``, L2b and output verdicts.
 
-    Only a relation-satisfying triple with both outputs phase-dependent can
-    be inconsistent, so the search certifies no other triple; it is
-    consistent if lemma L2b proves an output not positive, and otherwise
-    unless both outputs are certified positive (a verdict implies
-    hermiticity).  Where the relation holds, the joint is positive iff both
-    outputs are (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.12), so
-    its verdict is not read.
+    Positivity decides nothing on a triple the stage does not mark, which
+    is consistent.  A marked one is consistent if lemma L2b proves an output
+    not positive, and otherwise unless both outputs are certified positive.
+    Where the relation holds the joint is positive iff both outputs are (Horn
+    & Johnson, Topics in Matrix Analysis, Thm 4.2.12): its verdict is not read.
     """
     positive = all(v is not None and v.positive for v in (out1, out2))
-    return not (relation_ok and all(dependence) and not nonpositive and positive)
+    return not (needs_certificate and not nonpositive and positive)
 
 
 def _reports(s: _Structure, verdicts: list) -> list[CloningReport]:
     """The :class:`CloningReport` of each member of a structure stage.
 
     ``verdicts`` holds the positivity verdicts of the joint, out1 and out2
-    of each member in turn, ``None`` for an operator not certified.
+    of each member in turn, ``None`` for an operator not certified.  Here
+    codes become labels and flags ``bool``, or ``None`` where ``P`` vanishes.
     """
     reports = []
-    members = zip(_relation_reports(s.relation), s.hp.T.tolist(), s.relation_ok.tolist())
-    for k, (relation, hp, relation_ok) in enumerate(members):
+    hp, dependence = s.hp.T.tolist(), s.dependence.T.tolist()
+    flags = s.relation[2], s.relation_ok, s.case, s.nonpositive, s.needs_certificate
+    members = zip(_relation_reports(s.relation), *(f.tolist() for f in flags))
+    for k, (relation, live, relation_ok, code, nonpositive, needs_certificate) in enumerate(members):
         joint, out1, out2 = verdicts[3 * k : 3 * k + 3]
-        dep1, dep2 = s.dependence[k]
+        dep1, dep2 = dependence[k] if live else (None, None)
         reports.append(
             CloningReport(
-                hp_joint=hp[0], hp_out1=hp[1], hp_out2=hp[2],
+                hp_joint=hp[k][0], hp_out1=hp[k][1], hp_out2=hp[k][2],
                 relation=relation, relation_ok=relation_ok, probability=s.probability[k],
                 positivity_joint=joint, positivity_out1=out1, positivity_out2=out2,
-                case=s.case[k],
+                case=None if code < 0 else _LABELS[code],
                 out1_phase_dependent=dep1, out2_phase_dependent=dep2,
-                theorem_consistent=_consistent(relation_ok, (dep1, dep2), s.nonpositive[k], out1, out2),
+                theorem_consistent=_consistent(needs_certificate, nonpositive, out1, out2),
             )
         )
     return reports

@@ -100,6 +100,12 @@ def _as_coeffs(value) -> tuple:
     return a, b, c
 
 
+def _check_parts(coeffs: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every real and imaginary part is a number of magnitude <= MAX_COEFF."""
+    if not np.abs(coeffs.view(float)).max() <= MAX_COEFF:  # NaN fails too
+        raise ValueError(f"coefficient parts must be numbers of magnitude <= {MAX_COEFF:g}")
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseOperator:
     """d x d matrix of first-order phase polynomials as ``(A, B, C)`` arrays."""
@@ -110,8 +116,7 @@ class PhaseOperator:
         coeffs = np.array(self.coeffs, dtype=complex, order="C")
         if coeffs.ndim != 3 or coeffs.shape[0] != 3 or not 1 <= coeffs.shape[1] == coeffs.shape[2]:
             raise ValueError(f"coeffs must have shape (3, d, d) with d >= 1, got {coeffs.shape}")
-        if not np.abs(coeffs.view(float)).max() <= MAX_COEFF:  # NaN fails too
-            raise ValueError(f"coefficient parts must be numbers of magnitude <= {MAX_COEFF:g}")
+        _check_parts(coeffs)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .trigpoly import _checked_count, _checked_tol, _divide, _negligible
 from .operators import DEFAULT_TOL, JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
-from . import analysis
+from . import analysis, operators
 
 __all__ = [
     "SamplerParams",
@@ -374,9 +374,9 @@ class SearchReport:
 
     @property
     def ok(self) -> bool:
-        """No violation, no witness failure, and at least one accepted triple classified."""
-        classified = self.accepted - self.case_counts.get("unclassified", 0)
-        return not self.violations and not self.witness_failures and classified > 0
+        """No violation or witness failure, and triples accepted, every one classified (else untested)."""
+        untested = self.accepted == 0 or "unclassified" in self.case_counts
+        return not (self.violations or self.witness_failures or untested)
 
 
 def theorem_search(
@@ -388,20 +388,20 @@ def theorem_search(
     the accepted triples of each block of trials are analyzed together, and
     the reports are tallied in trial order.  Every accepted triple gets the
     verdicts of :func:`analyze_many` except positivity: the certificate (an
-    exact minimum over the phase circle) runs only on the outputs of
-    hermitian-preserving, relation-satisfying triples with both outputs
-    phase-dependent, the only verdicts that can decide anything (where the
-    relation holds, the joint is positive iff both outputs are).  One of
-    their outputs must show a minimum eigenvalue below ``WITNESS_LEVEL`` at
-    some phase (the witness is the least, out1 on ties); a triple where
-    neither does is recorded as a witness failure, and one that is not
-    theorem-consistent (:func:`analysis._consistent`, with lemma L2b) as a
-    violation.  Both lists must stay empty.  ``params`` sets the sampler's
-    ranges and strata (:class:`SamplerParams`, its defaults when ``None``).
-    ``tol`` is relative (see ``operators.DEFAULT_TOL``) and in (0, 1), but
-    blocks are assembled at ``DEFAULT_TOL``: acceptance and the rejection
-    reasons do not move with ``tol``.  ``trials`` must be an integer >= 1
-    and ``seed`` one >= 0, neither a ``bool``.
+    exact minimum over the phase circle) runs only on the outputs of the
+    members the structure stage says need it.  One of their outputs must
+    show a minimum eigenvalue below ``WITNESS_LEVEL`` at some phase (the
+    witness is the least, out1 on ties); a triple where neither does is
+    recorded as a witness failure, and one that is not theorem-consistent
+    (:func:`analysis._consistent`, with lemma L2b) as a violation.  Both
+    lists must stay empty, and every accepted triple classified
+    (``SearchReport.ok``).  ``params`` sets the sampler's ranges and strata
+    (:class:`SamplerParams`, its defaults when ``None``); a draw with a
+    coefficient part beyond ``MAX_COEFF`` raises ``PhaseOperator``'s
+    ``ValueError``.  ``tol`` is relative (see ``operators.DEFAULT_TOL``)
+    and in (0, 1), but blocks are assembled at ``DEFAULT_TOL``: acceptance
+    and the rejection reasons do not move with ``tol``.  ``trials`` must be
+    an integer >= 1 and ``seed`` one >= 0, neither a ``bool``.
     """
     trials, seed = _checked_count("trials", trials), _checked_count("seed", seed, 0)
     tol, params = _checked_tol(tol), params or _DEFAULT_PARAMS
@@ -415,16 +415,14 @@ def theorem_search(
     for start in range(0, trials, _BLOCK):
         block = range(start, min(start + _BLOCK, trials))
         draws = np.array([_draw([seed, k], params) for k in block])
+        operators._check_parts(draws)  # PhaseOperator's rule, as generate_case2_candidate applies it
         stacks, kept, rejected, remainder = _assemble(draws[:, 0], draws[:, 1], DEFAULT_TOL)
         rejection_reasons.update(rejected.values())
         accepted += len(kept)
         s = analysis._structure(*stacks, tol, remainder)
-        case_counts.update("unclassified" if label is None else label.value for label in s.case)
-        both = [m for m, dependence in enumerate(s.dependence) if dependence == (True, True)]
-        # Only these members can be inconsistent (see analysis._consistent).
-        checked = (s.hp.all(axis=0) & s.relation_ok).tolist()
-        decided = [m for m in both if checked[m]]
-        both_dep += len(both)
+        case_counts.update("unclassified" if c < 0 else analysis._LABELS[c].value for c in s.case.tolist())
+        both_dep += int(s.dependence.all(axis=0).sum())
+        decided = np.flatnonzero(s.needs_certificate).tolist()
         _, out1s, out2s = s.families
         outputs = analysis._certify_many([f[m] for m in decided for f in (out1s, out2s)], tol)
         for m, out1, out2 in zip(decided, outputs[::2], outputs[1::2]):
@@ -435,10 +433,9 @@ def theorem_search(
                 witnesses.append(WitnessRecord(k, float(low.witness_phi), lam, role))
             else:
                 witness_failures.append(k)
-            if not analysis._consistent(True, (True, True), s.nonpositive[m], out1, out2):
-                case = None if s.case[m] is None else s.case[m].value
-                detail = f"case={case}, min_eig={lam:.3e}"
-                violations.append(ViolationRecord(trial=k, detail=detail))
+            if not analysis._consistent(True, s.nonpositive[m], out1, out2):
+                case = None if s.case[m] < 0 else analysis._LABELS[s.case[m]].value
+                violations.append(ViolationRecord(trial=k, detail=f"case={case}, min_eig={lam:.3e}"))
 
     return SearchReport(
         trials=trials,

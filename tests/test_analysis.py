@@ -482,10 +482,10 @@ def _stages(triples) -> list:
 
 
 def _searched_verdicts(s) -> list:
-    """The verdicts of theorem_search: certificates only where both outputs depend on the phase."""
-    decided = [m for m, dependence in enumerate(s.dependence) if dependence == (True, True)]
+    """The verdicts of theorem_search: certificates only where the stage says they are needed."""
+    decided = np.flatnonzero(s.needs_certificate).tolist()
     certified = analysis._certify_many(s.operators(decided), DEFAULT_TOL)
-    verdicts = [None] * (3 * len(s.dependence))
+    verdicts = [None] * (3 * s.needs_certificate.size)
     for n, m in enumerate(decided):
         verdicts[3 * m : 3 * m + 3] = certified[3 * n : 3 * n + 3]
     return verdicts
@@ -499,6 +499,7 @@ def test_structure_stage_matches_the_reports_on_paths_the_sampler_never_reaches(
     assert not all(r.hp_ok for r in reports) and not all(r.relation_ok for r in reports)
     tags = {r.probability for r in reports if isinstance(r.probability, str)}
     assert {"constant-probability", "zero-probability"} <= tags
+    needs = set()
     for members, s in _stages(triples):
         verdicts = _searched_verdicts(s)
         for m, i in enumerate(members):
@@ -506,17 +507,27 @@ def test_structure_stage_matches_the_reports_on_paths_the_sampler_never_reaches(
             assert s.hp[:, m].tolist() == [r.hp_joint, r.hp_out1, r.hp_out2]
             assert bool(s.relation_ok[m]) is r.relation_ok
             assert s.probability[m] == r.probability
-            assert s.dependence[m] == (r.out1_phase_dependent, r.out2_phase_dependent)
-            assert s.case[m] is r.case
+            dependence = (r.out1_phase_dependent, r.out2_phase_dependent)
+            if s.relation[2][m]:
+                assert tuple(s.dependence[:, m].tolist()) == dependence
+            else:  # P vanishes: no flag, and none in the stage
+                assert dependence == (None, None) and not s.dependence[:, m].any()
+            code = int(s.case[m])
+            assert code >= -1 and (analysis._LABELS[code] if code >= 0 else None) is r.case
+            both = dependence == (True, True)
+            assert bool(s.needs_certificate[m]) is (r.hp_ok and r.relation_ok and both)
+            needs.add((both, bool(s.needs_certificate[m])))
             _, out1, out2 = verdicts[3 * m : 3 * m + 3]
-            relation_ok, dependence = bool(s.relation_ok[m]), s.dependence[m]
-            consistent = analysis._consistent(relation_ok, dependence, s.nonpositive[m], out1, out2)
+            consistent = analysis._consistent(s.needs_certificate[m], s.nonpositive[m], out1, out2)
             assert consistent is r.theorem_consistent
+    # Both-dependent members the stage leaves uncertified: the broken relation.
+    assert needs == {(False, False), (True, False), (True, True)}
 
 
 def test_search_reports_drop_only_the_certificates_that_decide_nothing():
-    # theorem_search certifies only triples with both outputs phase-dependent;
-    # every other verdict, and theorem_consistent, is the one analyze_many gives.
+    # theorem_search certifies only hermitian-preserving, relation-satisfying
+    # triples with both outputs phase-dependent; every other verdict, and
+    # theorem_consistent, is the one analyze_many gives.
     triples = _odd_stack()
     full = analyze_many(triples)
     searched = [None] * len(triples)
@@ -527,7 +538,7 @@ def test_search_reports_drop_only_the_certificates_that_decide_nothing():
     assert any(r.probability == "constant-probability" for r in full)
     decisive = 0
     for f, s in zip(full, searched):
-        if f.out1_phase_dependent and f.out2_phase_dependent:
+        if f.hp_ok and f.relation_ok and f.out1_phase_dependent and f.out2_phase_dependent:
             decisive += 1
             assert s == f
         else:
@@ -628,12 +639,12 @@ def test_padded_outputs_keep_the_lemma_verdicts():
     assert len(proved) == 6
     for group in (proved, padded):
         s = analysis._structure(*_stacks(group), DEFAULT_TOL)
-        assert s.nonpositive == [True] * 6
-        assert s.dependence == [(True, True)] * 6
+        assert s.nonpositive.tolist() == [True] * 6
+        assert s.dependence.tolist() == [[True] * 6] * 2
     rect = [t for t in _mixed_stack() if (t.out1.dim, t.out2.dim) == (2, 3)]
     mixed = [t for pair in zip(rect, padded) for t in pair] + rect[len(padded) :]
-    alone = [analysis._structure(*_stacks([t]), DEFAULT_TOL).nonpositive[0] for t in mixed]
-    assert analysis._structure(*_stacks(mixed), DEFAULT_TOL).nonpositive == alone
+    alone = [bool(analysis._structure(*_stacks([t]), DEFAULT_TOL).nonpositive[0]) for t in mixed]
+    assert analysis._structure(*_stacks(mixed), DEFAULT_TOL).nonpositive.tolist() == alone
     assert sum(alone) == 6
 
 
@@ -882,7 +893,7 @@ def test_edge_entries_classify_as_one_stack():
     decs = [decompose_probability(trace_poly(t.out1)) for t in triples]
     stack = np.array([t.out2.coeffs for t in triples])
     found, double = analysis._multiplicity(stack, decs, DEFAULT_TOL)
-    labels = analysis._labels(found)
+    labels = [analysis._LABELS[1 + k] for k in found.min(axis=1).tolist()]
     assert double.tolist() == [abs(P.c - 2.0) < 1e-12 for P, _, _ in cases]
     assert labels == [expected for _, _, expected in cases]
 

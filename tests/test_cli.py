@@ -263,6 +263,12 @@ def test_search_names_the_operator_of_the_weakest_witness(capsys, monkeypatch):
         assert failures == [f"witness_failure: trial={k}" for k in range(3 * code)]
 
 
+@pytest.mark.parametrize("tol, code", [("1e-9", 0), ("1e-13", 0), ("1e-15", 1)])
+def test_search_exits_1_while_an_accepted_triple_is_unclassified(capsys, tol, code):
+    assert main(["search", "--trials", "500", "--seed", "3", "--tol", tol]) == code
+    assert ('"unclassified": 112' in capsys.readouterr().out) is (code == 1)
+
+
 def test_search_without_a_witness_prints_n_a(capsys):
     main(["search", "--trials", "1", "--seed", "0"])
     lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())

@@ -11,7 +11,9 @@ named once and the tolerance policy of ``operators.DEFAULT_TOL`` can list them.
 ``ZERO_COEFF_REL`` is read only by ``trigpoly._negligible``, the one zero rule,
 and ``hypot`` (the closed form of a 2 x 2 eigenvalue) is named only by
 ``positivity._lowest``.  No function has a ``nonlocal`` or ``global``
-statement, so no call carries state into the next.
+statement, so no call carries state into the next, and
+``analysis._classification`` has no ``for`` statement: its verdicts are
+arrays over the members.
 """
 
 from __future__ import annotations
@@ -198,6 +200,22 @@ def test_the_guard_sees_nonlocal_and_global():
         "    return inner\n\ndef pure(x):\n    return x\n"
     )
     assert _rebinders({"m": module}) == ["m.count", "m.inner", "m.outer"]
+
+
+def _loops(tree: ast.Module, name: str) -> list[int]:
+    """The lines of the ``for`` statements in top-level function ``name``; a comprehension is none."""
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return [node.lineno for node in ast.walk(function) if isinstance(node, ast.For)]
+
+
+def test_the_classification_half_has_no_per_member_loop():
+    # Its verdicts are masked assignments into arrays over the members.
+    assert _loops(_modules()["analysis"], "_classification") == []
+
+
+def test_the_guard_sees_a_for_statement_but_not_a_comprehension():
+    module = ast.parse("def f(xs):\n    ys = [x for x in xs]\n    for y in ys:\n        pass\n")
+    assert _loops(module, "f") == [3]
 
 
 def test_the_guard_sees_each_read_of_the_zero_threshold():

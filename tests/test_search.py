@@ -157,7 +157,7 @@ def test_search_asks_witnesses_only_where_the_theorem_applies(monkeypatch):
     # entry roots and phase dependence hold, and so does the relation with
     # the joint assembled from it, but a nonzero off-diagonal pair is no
     # longer conjugate.  Such triples cannot contradict the theorem, so no
-    # witness is asked of them.
+    # witness is asked of them; they stay unclassified, so the search is not ok.
     draw = search._draw
     skew = np.array([[1.0, 2.0], [0.5, 1.0]])
 
@@ -168,7 +168,7 @@ def test_search_asks_witnesses_only_where_the_theorem_applies(monkeypatch):
     plain = theorem_search(2000, seed=5)
     monkeypatch.setattr(search, "_draw", skewed)
     report = theorem_search(2000, seed=5)
-    assert report.ok
+    assert plain.ok and not report.ok
     assert report.witness_failures == [] and report.violations == []
     assert report.both_phase_dependent == plain.both_phase_dependent == 374
     assert report.case_counts["unclassified"] == 725
@@ -232,6 +232,33 @@ def test_search_without_a_classified_triple_is_not_ok():
     # Accepted triples that were all left unclassified test nothing either.
     unclassified = dataclasses.replace(clean, case_counts={"unclassified": clean.accepted})
     assert not unclassified.ok
+
+
+@pytest.mark.parametrize("tol, unclassified", [(1e-9, 0), (1e-13, 0), (1e-15, 112)])
+def test_search_leaving_an_accepted_triple_unclassified_is_not_ok(tol, unclassified):
+    # Assembly judges the relation at DEFAULT_TOL; far below it the stage
+    # fails some of the search's own assembled triples, which it then cannot
+    # classify.  A search that leaves them untested is not ok.
+    report = theorem_search(500, seed=3, tol=tol)
+    assert report.accepted == 456 and not report.violations and not report.witness_failures
+    assert report.case_counts.get("unclassified", 0) == unclassified
+    assert report.ok is (unclassified == 0)
+    one = dataclasses.replace(report, case_counts={**report.case_counts, "unclassified": 1})
+    assert not one.ok
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kwargs", [{"r_range": (1.0, 1e300)}, {"alpha_abs_range": (1e300, 1e300)}])
+def test_search_refuses_the_draws_phase_operator_refuses(kwargs):
+    # A block's stacked draws meet PhaseOperator's bound on coefficient parts
+    # before any arithmetic on them: no overflow, and no verdict from inf/NaN.
+    params = SamplerParams(**kwargs)
+    with pytest.raises(ValueError) as one:
+        generate_case2_candidate([1, 3], params)
+    with pytest.raises(ValueError) as block:
+        theorem_search(200, seed=1, params=params)
+    message = f"coefficient parts must be numbers of magnitude <= {operators.MAX_COEFF:g}"
+    assert str(block.value) == str(one.value) == message
 
 
 def test_search_rejects_bad_trials():
@@ -578,7 +605,7 @@ def test_search_decides_the_mixed_counterexample_from_its_outputs(eps, tol, witn
     assert (low.min_eigenvalue < search.WITNESS_LEVEL) is witness
     assert (rep.positivity_joint.min_eigenvalue < search.WITNESS_LEVEL) is (eps > 1e-4)
     s = analysis._structure(t.joint.coeffs[None], t.out1.coeffs[None], t.out2.coeffs[None], tol)
-    assert s.nonpositive == [True]
+    assert s.nonpositive.tolist() == [True]
     assert low.positive is (tol == 1e-4)
     certified = _counting_certificates(monkeypatch)
     monkeypatch.setattr(search, "_draw", lambda seed, params: outputs)
