@@ -16,7 +16,7 @@ from .trigpoly import (
     mul,
 )
 from .operators import (
-    JointPhaseOperator,
+    DimensionMismatchError,
     PhaseOperator,
     PhaseState,
     RelationReport,
@@ -61,7 +61,6 @@ from .search import (
 )
 from .catalog import CatalogEntry, ExpectedProperties, UnknownNameError, builtin, swap_systems
 from .pmap import (
-    DimensionMismatchError,
     DuplicateEntryError,
     ParseError,
     PmapDocument,

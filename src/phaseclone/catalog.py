@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .operators import (
-    JointPhaseOperator,
     PhaseOperator,
     PhaseState,
     UncorrelatedTriple,
@@ -70,7 +69,7 @@ def swap_systems(t: UncorrelatedTriple) -> UncorrelatedTriple:
     """Interchange system 1 with system 2 in a triple."""
     d1, d2 = t.out1.dim, t.out2.dim
     blocks = t.joint.coeffs.reshape(3, d1, d2, d1, d2).transpose(0, 2, 1, 4, 3)
-    joint = JointPhaseOperator(blocks.reshape(3, d1 * d2, d1 * d2), dim1=d2, dim2=d1)
+    joint = PhaseOperator(blocks.reshape(3, d1 * d2, d1 * d2))
     return UncorrelatedTriple(joint=joint, out1=t.out2, out2=t.out1)
 
 
@@ -87,15 +86,13 @@ def _counterexample_triple() -> UncorrelatedTriple:
     jdiag = (0.0625, 0.0625, 0.125)
     up = (0, 0.5, 0.5)    # (1/2)(e^{-i phi} + 1)
     dn = (0.5, 0, 0.5)    # (1/2)(e^{i phi} + 1)
-    joint = JointPhaseOperator.from_rows(
+    joint = PhaseOperator.from_rows(
         (
             (jdiag, up, up, (0, 4, 0)),
             (dn, jdiag, (0, 0, 4), up),
             (dn, (0, 0, 4), jdiag, up),
             ((4, 0, 0), dn, dn, jdiag),
-        ),
-        dim1=2,
-        dim2=2,
+        )
     )
     return UncorrelatedTriple(joint=joint, out1=out, out2=out)
 
@@ -114,15 +111,13 @@ def _case1_triple() -> UncorrelatedTriple:
     )
     jslot = (0.0625, 0.0625, 0.125)
     jconst = (0, 0, 0.125)
-    joint = JointPhaseOperator.from_rows(
+    joint = PhaseOperator.from_rows(
         (
             (jslot, zero, zero, zero),
             (zero, jconst, zero, zero),
             (zero, zero, jslot, zero),
             (zero, zero, zero, jconst),
-        ),
-        dim1=2,
-        dim2=2,
+        )
     )
     return UncorrelatedTriple(joint=joint, out1=out1, out2=out2)
 
@@ -136,15 +131,13 @@ def _footnote_triple() -> UncorrelatedTriple:
     em = (0, 1, 0)
     out1 = PhaseOperator.from_rows([[one, zero], [ep, zero]])
     out2 = PhaseOperator.from_rows([[one, zero], [em, zero]])
-    joint = JointPhaseOperator.from_rows(
+    joint = PhaseOperator.from_rows(
         (
             (one, zero, zero, zero),
             (em, zero, zero, zero),
             (ep, zero, zero, zero),
             (one, zero, zero, zero),
-        ),
-        dim1=2,
-        dim2=2,
+        )
     )
     return UncorrelatedTriple(joint=joint, out1=out1, out2=out2)
 
@@ -158,7 +151,7 @@ def _projective_discard_triple(q: float) -> UncorrelatedTriple:
     out = PhaseOperator.from_rows([[(0, 0, q), zero], [zero, zero]])
     jrows = [[zero] * 4 for _ in range(4)]
     jrows[0][0] = (0, 0, q)
-    joint = JointPhaseOperator.from_rows(jrows, dim1=2, dim2=2)
+    joint = PhaseOperator.from_rows(jrows)
     return UncorrelatedTriple(joint=joint, out1=out, out2=out)
 
 

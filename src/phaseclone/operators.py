@@ -4,11 +4,11 @@ A :class:`PhaseOperator` is the restriction of a linear map to the
 phase-set of qubit states: a d x d matrix whose entries are first-order
 polynomials in e^{i phi}, stored as one read-only complex array ``coeffs``
 of shape ``(3, d, d)`` holding the coefficient matrices ``(A, B, C)`` of
-``A e^{i phi} + B e^{-i phi} + C``.  A :class:`JointPhaseOperator` is the
-same thing on a bipartite output with the row index laid out as
-``i * dim2 + mu`` (system 1 major).  An :class:`UncorrelatedTriple` bundles
-a joint output with its two marginals and can be validated against the
-product relation
+``A e^{i phi} + B e^{-i phi} + C``.  It is the one operator type: an
+:class:`UncorrelatedTriple` bundles a joint output on the bipartite system,
+itself a plain :class:`PhaseOperator`, with its two marginals, and is the
+only place that ties the joint's dimension to theirs.  The triple can be
+validated against the product relation
 
     joint(phi) = out1(phi) (x) out2(phi) / P(phi),      P = trace(out1),
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,10 +35,10 @@ __all__ = [
     "DEFAULT_TOL",
     "MAX_COEFF",
     "PhaseOperator",
-    "JointPhaseOperator",
     "UncorrelatedTriple",
     "PhaseState",
     "RelationReport",
+    "DimensionMismatchError",
     "ZeroProbabilityError",
     "ZeroProbabilityAtPhaseError",
     "eval_matrix",
@@ -66,18 +66,20 @@ MAX_COEFF = 1e150
 #: hermiticity and positivity (``lambda_min >= -tol * max|coeffs|``); the
 #: triple (the largest of joint, out1 and out2) for the traces, the relation
 #: residual and the partial traces; the larger of ``max|P|`` and ``max|out|``
-#: for phase dependence; ``P`` for being real and for vanishing at a phase; the
-#: outputs, and each product entry, in assembly; each entry for its value and
-#: slope at a factor root of ``P`` (times a power of ``max(1, |root|)``) in the
-#: case analysis.  Set apart, each for its reason: ``ZERO_COEFF_REL``, the one
-#: zero rule ``trigpoly._negligible``, judges ``P`` against out1 (once, in
-#: ``_relation``), an entry against its output, ``alpha`` against ``P`` and a
-#: divisor's coefficient against the divisor; ``DEGENERATE_ROOT_BAND`` works in
-#: root space, which scaling does not move; ``WITNESS_LEVEL`` is set by the
-#: sampler's unit scale and judges only the search's witnesses;
-#: ``has_second_order`` stays absolute (``ALGEBRA_TOL``), the bound the
-#: deterministic obstruction is stated with; the certificate's ``_LEVEL_GAP``,
-#: ``_CIRCLE_BAND``, ``_DEGENERATE_REL`` and ``_CONSTANT_REL`` are relative already.
+#: for phase dependence; ``P`` for being real, for positivity (``min P >=
+#: -tol * max|P|``, the certificate's rule on ``[[P]]``) and for vanishing at a
+#: phase; the outputs, and each product entry, in assembly; each entry for its
+#: value and slope at a factor root of ``P`` (times a power of
+#: ``max(1, |root|)``) in the case analysis.  Set apart, each for its reason:
+#: ``ZERO_COEFF_REL``, the one zero rule ``trigpoly._negligible``, judges ``P``
+#: against out1 (once, in ``_relation``), an entry against its output, ``alpha``
+#: against ``P`` and a divisor's coefficient against the divisor;
+#: ``DEGENERATE_ROOT_BAND`` works in root space, which scaling does not move;
+#: ``WITNESS_LEVEL`` is set by the sampler's unit scale and judges only the
+#: search's witnesses; ``has_second_order`` stays absolute (``ALGEBRA_TOL``),
+#: the bound the deterministic obstruction is stated with; the certificate's
+#: ``_LEVEL_GAP``, ``_CIRCLE_BAND``, ``_DEGENERATE_REL`` and ``_CONSTANT_REL``
+#: are relative already.
 #: Each public function that takes a relative ``tol`` checks it with
 #: ``trigpoly._checked_tol``: it must lie in (0, 1).
 DEFAULT_TOL = 1e-9
@@ -89,6 +91,10 @@ class ZeroProbabilityError(ValueError):
 
 class ZeroProbabilityAtPhaseError(ZeroDivisionError):
     """P(phi) = 0 at the requested phase, so there is no output state."""
+
+
+class DimensionMismatchError(ValueError):
+    """A triple's joint dimension is not the product of its marginals' dimensions."""
 
 
 def _as_coeffs(value) -> tuple:
@@ -123,15 +129,13 @@ class PhaseOperator:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
+        return np.array_equal(self.coeffs, other.coeffs)
 
     @classmethod
-    def from_rows(cls, rows, **dims) -> "PhaseOperator":
+    def from_rows(cls, rows) -> "PhaseOperator":
         """Build from rows of :class:`FirstOrderPoly`, ``(a, b, c)`` tuples or scalars."""
         cells = [[_as_coeffs(e) for e in row] for row in rows]
-        return cls(np.moveaxis(np.array(cells, dtype=complex), -1, 0), **dims)
+        return cls(np.moveaxis(np.array(cells, dtype=complex), -1, 0))
 
     @classmethod
     def zero(cls, dim: int) -> "PhaseOperator":
@@ -154,32 +158,24 @@ class PhaseOperator:
         return float(np.abs(self.coeffs).max())
 
 
-@dataclass(frozen=True, eq=False)
-class JointPhaseOperator(PhaseOperator):
-    """Bipartite output matrix, row/column index = i * dim2 + mu."""
-
-    dim1: int
-    dim2: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.dim1 < 1 or self.dim2 < 1 or self.dim != self.dim1 * self.dim2:
-            raise ValueError(
-                f"joint dimension {self.dim} != dim1 * dim2 = {self.dim1 * self.dim2}"
-            )
-
-
 @dataclass(frozen=True)
 class UncorrelatedTriple:
-    """A joint output together with the two claimed marginals."""
+    """A joint output on the bipartite system and its two claimed marginals.
 
-    joint: JointPhaseOperator
+    The joint's row and column index is ``i * out2.dim + mu`` (system 1
+    major); its dimension must be ``out1.dim * out2.dim``, checked here only.
+    """
+
+    joint: PhaseOperator
     out1: PhaseOperator
     out2: PhaseOperator
 
     def __post_init__(self):
-        if self.joint.dim1 != self.out1.dim or self.joint.dim2 != self.out2.dim:
-            raise ValueError("joint block dimensions do not match the marginals")
+        d1, d2 = self.out1.dim, self.out2.dim
+        if self.joint.dim != d1 * d2:
+            raise DimensionMismatchError(
+                f"joint has dim {self.joint.dim}, expected {d1} * {d2} = {d1 * d2}"
+            )
 
 
 @dataclass(frozen=True)

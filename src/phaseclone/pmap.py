@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import MAX_COEFF, JointPhaseOperator, PhaseOperator, UncorrelatedTriple
+from .operators import MAX_COEFF, DimensionMismatchError, PhaseOperator, UncorrelatedTriple
 
 __all__ = [
     "MAX_DIM",
@@ -63,10 +63,6 @@ class ParseError(ValueError):
 
 
 class DuplicateEntryError(ParseError):
-    pass
-
-
-class DimensionMismatchError(ValueError):
     pass
 
 
@@ -106,16 +102,8 @@ class PmapDocument:
         if not self.has_triple:
             missing = [n for n in TRIPLE_BLOCKS if n not in self.blocks]
             raise ValueError(f"document has no triple; missing blocks: {', '.join(missing)}")
-        out1 = self.blocks["lambda1"]
-        out2 = self.blocks["lambda2"]
-        flat = self.blocks["lambda12"]
-        if flat.dim != out1.dim * out2.dim:
-            raise DimensionMismatchError(
-                f"lambda12 has dim {flat.dim}, expected "
-                f"{out1.dim} * {out2.dim} = {out1.dim * out2.dim}"
-            )
-        joint = JointPhaseOperator(flat.coeffs, dim1=out1.dim, dim2=out2.dim)
-        return UncorrelatedTriple(joint=joint, out1=out1, out2=out2)
+        b = self.blocks
+        return UncorrelatedTriple(b["lambda12"], b["lambda1"], b["lambda2"])
 
 
 @functools.cache
@@ -281,7 +269,7 @@ def serialize_pmap(doc: PmapDocument) -> str:
 def document_from_triple(t: UncorrelatedTriple) -> PmapDocument:
     return PmapDocument(
         blocks={
-            "lambda12": PhaseOperator(t.joint.coeffs),
+            "lambda12": t.joint,
             "lambda1": t.out1,
             "lambda2": t.out2,
         }

@@ -2,8 +2,9 @@
 
 Two kinds of certificate live here.  The scalar one factors a real-valued
 trace polynomial ``P(phi) = 2|alpha| cos(phi - theta) + R`` and succeeds
-iff ``R / |alpha| >= 2``, returning the root pair ``p0 = r e^{i theta}``,
-``p1 = e^{i theta} / r`` with ``r + 1/r = R/|alpha|`` and ``r >= 1``.
+iff ``min P = R - 2|alpha| >= -tol * max|P|`` (the operator certificate's
+rule), returning ``p0 = r e^{i theta}``, ``p1 = e^{i theta} / r`` with
+``r + 1/r = max(R/|alpha|, 2)`` and ``r >= 1``.
 
 The operator one finds the minimum over the phase circle of
 ``lambda_min(M(phi))``, ``M(phi) = A x + A^H conj(x) + C`` with
@@ -153,7 +154,7 @@ class ConstantProbabilityError(ValueError):
 
 
 class NotPositiveError(ValueError):
-    """The probability dips below zero (R / |alpha| < 2)."""
+    """The probability dips below zero (``min P < -tol * max|P|``)."""
 
 
 class NotHermitianError(ValueError):
@@ -192,7 +193,8 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
     Raises :class:`NotRealValuedError` if ``P`` is not real-valued within
     ``tol * max|P|``; :class:`ConstantProbabilityError` if ``alpha = 0`` (a
     phase-independent probability, which the classifier treats separately);
-    :class:`NotPositiveError` if ``R / |alpha| < 2 - tol``.
+    :class:`NotPositiveError` if ``min P = R - 2|alpha|`` is below
+    ``-tol * max|P|``, the rule of the operator certificate on ``[[P]]``.
     """
     if not P.is_real_valued(_checked_tol(tol)):
         raise NotRealValuedError("probability polynomial must be real-valued")
@@ -202,7 +204,7 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
         raise ConstantProbabilityError("probability is independent of the phase")
     R = P.c.real
     ratio = R / alpha_abs
-    if ratio < 2.0 - tol:
+    if 2.0 * alpha_abs - R > tol * P.max_abs():
         raise NotPositiveError(
             f"R/|alpha| = {ratio:.12g} < 2, the probability goes negative"
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trigpoly import _checked_count, _checked_tol, _divide, _negligible
-from .operators import DEFAULT_TOL, JointPhaseOperator, PhaseOperator, UncorrelatedTriple, _tensor
+from .operators import DEFAULT_TOL, PhaseOperator, UncorrelatedTriple, _tensor
 from . import analysis, operators
 
 __all__ = [
@@ -319,8 +319,7 @@ def assemble_triple(
     (joint, _, _), _, rejected, _ = _assemble(out1.coeffs[None], out2.coeffs[None], tol)
     if rejected:
         raise SampleRejected(rejected[0])
-    joint = JointPhaseOperator(joint[0], dim1=out1.dim, dim2=out2.dim)
-    return UncorrelatedTriple(joint, out1, out2)
+    return UncorrelatedTriple(PhaseOperator(joint[0]), out1, out2)
 
 
 def generate_case2_candidate(seed, params: SamplerParams | None = None) -> UncorrelatedTriple:

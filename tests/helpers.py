@@ -11,7 +11,6 @@ from phaseclone import (
     AffineForm,
     FirstOrderPoly,
     FullForm,
-    JointPhaseOperator,
     PhaseOperator,
     UncorrelatedTriple,
     builtin,
@@ -66,7 +65,7 @@ def random_hp_operator(rng, dim: int = 2, min_a: float = 1e-3) -> PhaseOperator:
 def replace_joint_entry(t: UncorrelatedTriple, row: int, col: int, poly) -> UncorrelatedTriple:
     coeffs = t.joint.coeffs.copy()
     coeffs[:, row, col] = poly.coeffs
-    joint = JointPhaseOperator(coeffs, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    joint = PhaseOperator(coeffs)
     return UncorrelatedTriple(joint=joint, out1=t.out1, out2=t.out2)
 
 

@@ -16,7 +16,6 @@ from phaseclone import (
     CaseLabel,
     CloningReport,
     FirstOrderPoly,
-    JointPhaseOperator,
     NotPositiveError,
     PhaseOperator,
     SampleRejected,
@@ -261,7 +260,7 @@ def test_analyze_footnote():
 
 def _zero_triple():
     zero = PhaseOperator.zero(2)
-    joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
+    joint = PhaseOperator.zero(4)
     return UncorrelatedTriple(joint=joint, out1=zero, out2=zero)
 
 
@@ -460,9 +459,9 @@ def _odd_stack() -> list:
     ce = builtin("counterexample").payload
     coeffs = ce.joint.coeffs.copy()
     coeffs[2, 0, 0] += 0.1  # still hermitian, but no longer out1 (x) out2 / P
-    broken = UncorrelatedTriple(JointPhaseOperator(coeffs, dim1=2, dim2=2), ce.out1, ce.out2)
+    broken = UncorrelatedTriple(PhaseOperator(coeffs), ce.out1, ce.out2)
     zero = PhaseOperator.zero(2)
-    joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
+    joint = PhaseOperator.zero(4)
     return _mixed_stack() + [broken, UncorrelatedTriple(joint, zero, zero)]
 
 
@@ -736,7 +735,7 @@ def test_analyze_never_raises_or_warns(d1, d2, seed, kinds, exponents, source):
         out2 = _stack(rng, d2, kinds[2], None) * 10.0 ** exponents[2]
     joint = _stack(rng, d1 * d2, kinds[0], None) * 10.0 ** exponents[0]
     out1, out2 = PhaseOperator(out1), PhaseOperator(out2)
-    t = UncorrelatedTriple(JointPhaseOperator(joint, dim1=d1, dim2=d2), out1, out2)
+    t = UncorrelatedTriple(PhaseOperator(joint), out1, out2)
     if source == "sampled":
         try:
             s = generate_case2_candidate([seed])
@@ -765,11 +764,11 @@ def _check_cases() -> dict:
     """The catalog and every kind of triple whose verdicts the sampler never reaches."""
     cases = {name: builtin(name).payload for name in NAMES if name != "phase-state"}
     zero, t = PhaseOperator.zero(2), builtin("counterexample").payload
-    joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
+    joint = PhaseOperator.zero(4)
     cases["zero-probability"] = UncorrelatedTriple(joint, zero, zero)
     cases["not-real-valued"] = _off_probability_triple(FirstOrderPoly(1j, 1j, 0.5))
     cases["not-positive"] = _off_probability_triple(FirstOrderPoly(0.25, 0.25, 0.25))
-    off = JointPhaseOperator(t.joint.coeffs * (1.0 + 1e-6), dim1=2, dim2=2)
+    off = PhaseOperator(t.joint.coeffs * (1.0 + 1e-6))
     cases["joint-off-by-1e-6"] = UncorrelatedTriple(off, t.out1, t.out2)
     return cases
 
@@ -789,7 +788,7 @@ def test_analyze_at_the_coefficient_bound_gives_finite_verdicts(name):
     # fails the suite): the relation, the projection and the certificate.
     t = builtin(name).payload
     k = MAX_COEFF / max(op.max_abs() for op in (t.joint, t.out1, t.out2)) * (1.0 - 1e-15)
-    joint = JointPhaseOperator(k * t.joint.coeffs, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    joint = PhaseOperator(k * t.joint.coeffs)
     out1, out2 = PhaseOperator(k * t.out1.coeffs), PhaseOperator(k * t.out2.coeffs)
     report = analyze(UncorrelatedTriple(joint, out1, out2))
     verdicts = (report.positivity_joint, report.positivity_out1, report.positivity_out2)
@@ -806,7 +805,7 @@ def _edge_triple(P, entries) -> UncorrelatedTriple:
     coeffs[:, 0, 0] = coeffs[:, 1, 1] = 0.5 * P.coeffs
     coeffs[:, 0, 1], coeffs[:, 1, 0] = (np.asarray(e, dtype=complex) for e in entries)
     # out1 (x) out2 / P = I/2 (x) out2, without a division.
-    joint = JointPhaseOperator(np.kron(0.5 * np.eye(2), coeffs), dim1=2, dim2=2)
+    joint = PhaseOperator(np.kron(0.5 * np.eye(2), coeffs))
     return UncorrelatedTriple(joint, _gamma_times(P, 0.5 * np.eye(2)), PhaseOperator(coeffs))
 
 

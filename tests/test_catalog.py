@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from phaseclone import (
-    JointPhaseOperator,
+    PhaseOperator,
     UncorrelatedTriple,
     UnknownNameError,
     analyze,
@@ -116,12 +116,13 @@ def test_swap_systems_matches_index_loop():
     d1, d2 = 2, 3
     coeffs = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
     t = UncorrelatedTriple(
-        joint=JointPhaseOperator(coeffs, dim1=d1, dim2=d2),
+        joint=PhaseOperator(coeffs),
         out1=random_hp_operator(rng, dim=d1),
         out2=random_hp_operator(rng, dim=d2),
     )
-    swapped = swap_systems(t).joint
-    assert (swapped.dim1, swapped.dim2) == (d2, d1)
+    back = swap_systems(t)
+    assert (back.out1.dim, back.out2.dim) == (d2, d1)
+    swapped = back.joint
     for i in range(d1):
         for j in range(d1):
             for mu in range(d2):

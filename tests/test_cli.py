@@ -83,7 +83,7 @@ def test_check_decides_once_whether_p_vanishes(tmp_path, capsys, eps):
     # probability line and validate_triple read that one decision.
     out = PhaseOperator.from_rows([[(eps / 4, eps / 4, 1 + 2 * eps), 0], [0, -1]])
     joint = np.array([0, 0, 100]).reshape(3, 1, 1) * np.eye(4)
-    joint = phaseclone.JointPhaseOperator(joint, dim1=2, dim2=2)
+    joint = PhaseOperator(joint)
     t = UncorrelatedTriple(joint, out, out)
     path = tmp_path / "vanishing.pmap"
     path.write_text(serialize_pmap(document_from_triple(t)))
@@ -209,7 +209,7 @@ def test_classify_prints_the_probability_tag_and_unknown_dependence(tmp_path, ca
     assert "probability: not-positive" in out_lines
     # Where P vanishes there is no projection: dependence is unknown.
     zero = PhaseOperator.zero(2)
-    joint = phaseclone.JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
+    joint = PhaseOperator.zero(4)
     path = tmp_path / "zero.pmap"
     path.write_text(serialize_pmap(document_from_triple(UncorrelatedTriple(joint, zero, zero))))
     assert main(["classify", str(path)]) == 1
@@ -323,26 +323,50 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "classify", "profile"])
+def test_dimension_mismatch_exit_code(tmp_path, capsys, command):
+    bad = tmp_path / "mismatch.pmap"
+    blocks = (("lambda12", 4), ("lambda1", 2), ("lambda2", 3))
+    bad.write_text("\n".join(f"pmap {name}\ndim {dim}\nend\n" for name, dim in blocks))
+    assert main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: joint has dim 4, expected 2 * 3 = 6\n" and captured.out == ""
+
+
 def test_missing_file_exit_code(capsys):
     code = main(["check", "/nonexistent/path.pmap"])
     assert code == 2
     capsys.readouterr()
 
 
-def test_module_entry_point(tmp_path):
-    path = _write_entry(tmp_path, "case1-example")
-    # Run the package under test, also when it is not installed.
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m phaseclone *args`` on the package under test, also when it is not installed."""
     src = str(Path(phaseclone.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "phaseclone", "check", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "phaseclone", *args], capture_output=True, text=True, env=env
     )
+
+
+def test_module_entry_point(tmp_path):
+    proc = _run_module("check", str(_write_entry(tmp_path, "case1-example")))
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+def test_module_entry_point_emits_the_catalog_triple():
+    proc = _run_module("catalog", "counterexample")
+    assert proc.returncode == 0
+    assert parse_pmap(proc.stdout).triple() == builtin("counterexample").payload
+
+
+def test_console_script_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["phaseclone", "check", "/nonexistent/path.pmap"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entrypoint()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("command", ["factor", "check"])
@@ -555,7 +579,7 @@ def test_profile_sweeps_the_joint_where_the_relation_fails():
     noise = np.random.default_rng(20260809).normal(size=t.joint.coeffs.shape)
     noise = hermitian_part(noise.astype(complex))[0]
     coeffs = t.joint.coeffs + 1e-6 * t.joint.max_abs() * noise / np.abs(noise).max()
-    off = UncorrelatedTriple(type(t.joint)(coeffs, dim1=2, dim2=2), t.out1, t.out2)
+    off = UncorrelatedTriple(PhaseOperator(coeffs), t.out1, t.out2)
     assert not phaseclone.validate_triple(off).relation_holds
     _, swept = _assert_profile_columns(off, 4096)
     assert swept.all()
@@ -578,7 +602,7 @@ def test_profile_derives_the_joint_where_out2_has_trace_minus_P():
     rng = np.random.default_rng(20260809)
     P = trace_poly(_sampled(3).out1).coeffs[:, None, None]
     g1, g2 = (_gamma(rng, 2, True) for _ in range(2))
-    joint = phaseclone.JointPhaseOperator(P * np.kron(g1, -g2), dim1=2, dim2=2)
+    joint = PhaseOperator(P * np.kron(g1, -g2))
     t = UncorrelatedTriple(joint, PhaseOperator(P * g1), PhaseOperator(-P * g2))
     report = phaseclone.validate_triple(t)
     assert not report.traces_equal and report.relation_holds

@@ -23,7 +23,6 @@ import pytest
 
 from phaseclone import (
     CaseLabel,
-    JointPhaseOperator,
     PhaseOperator,
     SampleRejected,
     UncorrelatedTriple,
@@ -76,7 +75,7 @@ def _verdict(report) -> tuple:
 
 def _shifted(t: UncorrelatedTriple, delta: float) -> UncorrelatedTriple:
     factor = np.array([cmath.exp(1j * delta), cmath.exp(-1j * delta), 1.0])[:, None, None]
-    joint = JointPhaseOperator(t.joint.coeffs * factor, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    joint = PhaseOperator(t.joint.coeffs * factor)
     return UncorrelatedTriple(
         joint=joint,
         out1=PhaseOperator(t.out1.coeffs * factor),
@@ -103,7 +102,7 @@ def _unitary(rng, d: int) -> np.ndarray:
 
 def _rotated(t: UncorrelatedTriple, U: np.ndarray, V: np.ndarray) -> UncorrelatedTriple:
     W = np.kron(U, V)
-    joint = JointPhaseOperator(W @ t.joint.coeffs @ W.conj().T, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    joint = PhaseOperator(W @ t.joint.coeffs @ W.conj().T)
     return UncorrelatedTriple(
         joint=joint,
         out1=PhaseOperator(U @ t.out1.coeffs @ U.conj().T),
@@ -131,7 +130,7 @@ def test_swap_systems_exchanges_the_dependence_flags(triples, verdicts):
 
 
 def _scaled(t: UncorrelatedTriple, k: float) -> UncorrelatedTriple:
-    joint = JointPhaseOperator(t.joint.coeffs * k, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    joint = PhaseOperator(t.joint.coeffs * k)
     return UncorrelatedTriple(
         joint=joint, out1=PhaseOperator(t.out1.coeffs * k), out2=PhaseOperator(t.out2.coeffs * k)
     )

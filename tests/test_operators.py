@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from phaseclone import (
+    DimensionMismatchError,
     FirstOrderPoly,
-    JointPhaseOperator,
     PhaseOperator,
     PhaseState,
     UncorrelatedTriple,
@@ -101,7 +101,7 @@ def test_partial_trace_constant_tensor():
     g2 = PhaseOperator.from_rows([[fp(0, 0, 0.7), fp(0, 0, 0.1j)], [fp(0, 0, -0.1j), fp(0, 0, 0.3)]])
     prod = tensor(g1, g2)
     # degrees (1, -1, 0) of the product are the (a, b, c) of a first-order joint
-    joint = JointPhaseOperator(prod[[3, 1, 2]], dim1=2, dim2=2)
+    joint = PhaseOperator(prod[[3, 1, 2]])
     T = trace_poly(g1)
     out2 = PhaseOperator.from_rows([[complex(g) * T for g in row] for row in g2.coeffs[2]])
     assert _partial_traces_consistent(joint, g1, out2, 1e-12)
@@ -126,7 +126,7 @@ def _asymmetric_triple():
     g /= np.trace(g).real
     o2 = PhaseOperator.from_rows([[fp(0, 0, g[i, j]) for j in range(3)] for i in range(3)])
     prod = tensor(o1, o2)
-    joint = JointPhaseOperator(prod[[3, 1, 2]], dim1=2, dim2=3)
+    joint = PhaseOperator(prod[[3, 1, 2]])
     T = trace_poly(o1)
     expected = PhaseOperator.from_rows(
         [[complex(g[i, j]) * T for j in range(3)] for i in range(3)]
@@ -145,7 +145,7 @@ def test_partial_trace_detects_a_moved_entry():
     coeffs = joint.coeffs.copy()
     coeffs[:, 0, 0] += 0.25
     coeffs[:, 1, 1] -= 0.25
-    moved = JointPhaseOperator(coeffs, dim1=2, dim2=3)
+    moved = PhaseOperator(coeffs)
     report = validate_triple(UncorrelatedTriple(moved, out1, out2))
     assert report.traces_equal
     assert report.partial_traces_consistent is False
@@ -276,13 +276,13 @@ def test_validate_detects_injected_defect(counterexample):
 
 def test_validate_zero_probability():
     zero = PhaseOperator.zero(2)
-    joint = JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2)
+    joint = PhaseOperator.zero(4)
     with pytest.raises(ZeroProbabilityError):
         validate_triple(UncorrelatedTriple(joint=joint, out1=zero, out2=zero))
 
 
 def _scaled(t: UncorrelatedTriple, k: float) -> UncorrelatedTriple:
-    joint = JointPhaseOperator(k * t.joint.coeffs, dim1=t.joint.dim1, dim2=t.joint.dim2)
+    joint = PhaseOperator(k * t.joint.coeffs)
     return UncorrelatedTriple(
         joint=joint, out1=PhaseOperator(k * t.out1.coeffs), out2=PhaseOperator(k * t.out2.coeffs)
     )
@@ -292,7 +292,7 @@ def test_validate_triple_on_mixed_triples(counterexample, case1, footnote):
     # Mixed dimensions and scales: the zero-probability test is per triple.
     zero = PhaseOperator.zero(2)
     vanishing = UncorrelatedTriple(
-        joint=JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=2), out1=zero, out2=zero
+        joint=PhaseOperator.zero(4), out1=zero, out2=zero
     )
     bad = replace_joint_entry(counterexample, 3, 3, counterexample.joint.entry(3, 3) + fp(0, 0, 0.01))
     triples = [counterexample, _scaled(case1, 1e-8), footnote, _scaled(counterexample, 1e8)]
@@ -371,8 +371,10 @@ def test_normalized_output_zero_phase(counterexample):
 # ----------------------------------------------------------------- structure
 
 def test_joint_dimension_validation():
-    with pytest.raises(ValueError):
-        JointPhaseOperator(PhaseOperator.zero(4).coeffs, dim1=2, dim2=3)
+    # The triple is the one place that ties the joint's dimension to its marginals'.
+    with pytest.raises(DimensionMismatchError, match=r"joint has dim 4, expected 2 \* 3 = 6"):
+        UncorrelatedTriple(PhaseOperator.zero(4), PhaseOperator.zero(2), PhaseOperator.zero(3))
+    assert issubclass(DimensionMismatchError, ValueError)
 
 
 def test_triple_dimension_validation(counterexample):
@@ -421,11 +423,12 @@ def test_coefficient_parts_past_the_bound_are_rejected(value):
     assert PhaseOperator(coeffs.transpose(0, 2, 1)).coeffs[2, 0, 1] == coeffs[2, 1, 0]
 
 
-def test_joint_equality_compares_dimensions():
+def test_joint_equality_compares_coefficients():
+    # A joint is a plain operator: equal coefficients are equal, whatever the marginals.
     coeffs = np.zeros((3, 4, 4))
-    assert JointPhaseOperator(coeffs, dim1=2, dim2=2) == JointPhaseOperator(coeffs, dim1=2, dim2=2)
-    assert JointPhaseOperator(coeffs, dim1=2, dim2=2) != JointPhaseOperator(coeffs, dim1=1, dim2=4)
-    assert JointPhaseOperator(coeffs, dim1=2, dim2=2) != PhaseOperator(coeffs)
+    assert PhaseOperator(coeffs) == PhaseOperator(coeffs)
+    assert PhaseOperator(coeffs) != PhaseOperator.zero(2)
+    assert PhaseOperator(coeffs).__eq__(coeffs) is NotImplemented
 
 
 def _relative_tol_entry_points() -> dict:

@@ -13,7 +13,9 @@ and ``hypot`` (the closed form of a 2 x 2 eigenvalue) is named only by
 ``positivity._lowest``.  No function has a ``nonlocal`` or ``global``
 statement, so no call carries state into the next, and
 ``analysis._classification`` has no ``for`` statement: its verdicts are
-arrays over the members.
+arrays over the members.  No class subclasses ``PhaseOperator``: a joint
+output is a plain operator, and only ``UncorrelatedTriple`` states its
+dimensions.
 """
 
 from __future__ import annotations
@@ -252,3 +254,33 @@ def test_the_guard_sees_a_definition_only_tests_use():
 def test_the_guard_takes_a_re_export_and_rejects_a_stale_name():
     module = ast.parse('from .a import TOL\n\n__all__ = ["TOL", "gone"]\n')
     assert sorted(set(_all(module)) - _defined(module)) == ["gone"]
+
+
+def _subclasses(modules: dict[str, ast.Module], base: str) -> list[str]:
+    """``module.Class`` of every class, at any depth, that names ``base`` among its bases."""
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                (isinstance(b, ast.Name) and b.id == base)
+                or (isinstance(b, ast.Attribute) and b.attr == base)
+                for b in node.bases
+            ):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_there_is_one_operator_type():
+    # A joint output is a plain PhaseOperator; only UncorrelatedTriple states its dimensions.
+    assert _subclasses(_modules(), "PhaseOperator") == []
+
+
+def test_the_guard_sees_a_subclass_of_the_operator_type():
+    module = ast.parse(
+        "from . import operators\nfrom .operators import PhaseOperator\n\n"
+        "class Joint(PhaseOperator):\n    pass\n\n"
+        "class Other(operators.PhaseOperator):\n    pass\n\n"
+        "def f():\n    class Local(PhaseOperator):\n        pass\n\n"
+        "class Plain:\n    pass\n"
+    )
+    assert _subclasses({"m": module}, "PhaseOperator") == ["m.Joint", "m.Local", "m.Other"]

@@ -482,3 +482,28 @@ def test_decompose_probability_with_an_underflowing_phase():
     dec = decompose_probability(fp(alpha, alpha.conjugate(), 5.0))
     assert dec.theta == 0.0
     assert dec.to_poly().distance(fp(alpha, alpha.conjugate(), 5.0)) <= 1e-15
+
+
+def test_decompose_probability_judges_positivity_as_the_certificate_does():
+    # min P = R - 2|alpha| is judged against tol * max|P|, as the certificate judges
+    # the 1 x 1 family [[P]].  The probes sit k * 1e-10 + 3.7e-11 below ratio 2 at
+    # three scales; judging min P against tol * |alpha| instead splits the two on 30.
+    disagreements, rejected = [], 0
+    for alpha_abs in (1e-3, 1.0, 1e3):
+        for k in range(1, 60):
+            R = alpha_abs * (2.0 - (k * 1e-10 + 3.7e-11))
+            P = fp(alpha_abs, alpha_abs, R)
+            try:
+                decompose_probability(P)
+                decomposed = True
+            except NotPositiveError:
+                decomposed, rejected = False, rejected + 1
+            certified = is_positive_over_phase(PhaseOperator.from_rows([[P]])).positive
+            if decomposed != certified:
+                disagreements.append((alpha_abs, k))
+    assert disagreements == []
+    assert rejected == 3 * 40  # k >= 20 dips below -1e-9 * max|P| = -2e-9 |alpha|
+    # The case from the rule's statement: |alpha| = 1, R = 2 - 1.5e-9.
+    P = fp(1.0, 1.0, 2.0 - 1.5e-9)
+    assert decompose_probability(P).r == 1.0
+    assert is_positive_over_phase(PhaseOperator.from_rows([[P]])).positive

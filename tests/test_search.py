@@ -20,7 +20,7 @@ from phaseclone import (
     theorem_search,
     validate_triple,
 )
-from phaseclone import analysis, operators, search
+from phaseclone import analysis, cli, operators, positivity, search
 from phaseclone.analysis import CaseLabel
 from phaseclone.operators import DEFAULT_TOL
 
@@ -203,7 +203,7 @@ def test_assemble_supports_asymmetric_dimensions():
     out1 = PhaseOperator.from_rows([[complex(g1[i, j]) * P for j in range(2)] for i in range(2)])
     out2 = PhaseOperator.from_rows([[complex(g2[i, j]) * P for j in range(3)] for i in range(3)])
     t = assemble_triple(out1, out2)
-    assert (t.joint.dim, t.joint.dim1, t.joint.dim2) == (6, 2, 3)
+    assert (t.joint.dim, t.out1.dim, t.out2.dim) == (6, 2, 3)
 
     rep = analyze(t)
     assert rep.hp_ok and rep.relation_ok and rep.all_positive
@@ -730,3 +730,34 @@ def test_uniform_draws_what_generator_uniform_draws():
         ours, numpys = np.random.default_rng([11, n]), np.random.default_rng([11, n])
         for _ in range(1500):
             assert search._uniform(ours, lo, hi) == numpys.uniform(lo, hi)
+
+
+def _silence_lemma_l2b(monkeypatch) -> None:
+    """Lemma L2b proves no output of any member not positive from now on."""
+    monkeypatch.setattr(analysis, "_nonpositive", lambda found, d: np.zeros(len(found), bool))
+
+
+def test_search_records_a_violation_where_the_certificate_backs_no_verdict(monkeypatch, capsys):
+    # With L2b silent and every output certified positive at 0.0, each
+    # both-dependent member is an uncorrelated positive clone with two
+    # phase-dependent outputs: a violation, and a witness failure, each.
+    _silence_lemma_l2b(monkeypatch)
+    flat = positivity.PositivityVerdict(True, 0.0, 0.0)
+    monkeypatch.setattr(analysis, "_certify_many", lambda families, tol: [flat] * len(families))
+    report = theorem_search(200, seed=20260809)
+    assert report.both_phase_dependent == len(report.violations) == 36
+    assert {v.detail for v in report.violations} == {"case=Case 2, min_eig=0.000e+00"}
+    assert report.witness_failures == [v.trial for v in report.violations]
+    assert report.witnesses == [] and report.ok is False
+    assert cli.main(["search", "--trials", "200", "--seed", "20260809"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert report.violations[0].trial == 0
+    assert "violations: 36" in lines
+    assert "violation: trial=0 case=Case 2, min_eig=0.000e+00" in lines
+
+
+def test_the_certificate_backs_every_verdict_without_lemma_l2b(monkeypatch):
+    _silence_lemma_l2b(monkeypatch)
+    report = theorem_search(200, seed=20260809)
+    assert report.both_phase_dependent == 36
+    assert report.violations == [] and report.witness_failures == [] and report.ok
