@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import ALGEBRA_TOL, FirstOrderPoly, _checked_tol, _negligible, has_second_order
+from .trigpoly import DEFAULT_TOL, FirstOrderPoly, _checked_tol, _negligible, has_second_order
 from .operators import (
     PhaseOperator,
     RelationReport,
@@ -73,7 +73,6 @@ from .operators import (
     trace_poly,
 )
 from .positivity import (
-    DEFAULT_TOL,
     ConstantProbabilityError,
     NotPositiveError,
     NotRealValuedError,
@@ -217,14 +216,16 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseLabel:
 
 
 def deterministic_tensor_obstruction(
-    o1: PhaseOperator, o2: PhaseOperator, tol: float = ALGEBRA_TOL
+    o1: PhaseOperator, o2: PhaseOperator, tol: float = DEFAULT_TOL
 ) -> bool:
     """Second-order content in the tensor product of two outputs.
 
     For hermitian-preserving, phase-dependent outputs the product always
     contains an e^{+-2 i phi} term, which no linear map can produce on the
     phase-set when the success probability is constant.  Returns True iff
-    some entry of the tensor has second-order content above ``tol``.
+    some entry's degree +-2 coefficient exceeds ``tol`` times the tensor's
+    largest coefficient modulus (:func:`has_second_order`), so scaling either
+    output by ``k > 0`` keeps the verdict.
     """
     return has_second_order(tensor(o1, o2), tol)
 

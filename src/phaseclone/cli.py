@@ -5,7 +5,8 @@ Subcommands: ``factor`` (decomposition form of one entry), ``check``
 (case verdict and report summary), ``profile`` (CSV of minimum-eigenvalue
 sweeps), ``search`` (randomized theorem search, exit 1 on violations) and
 ``catalog`` (emit a built-in entry as PMAP).  Exit codes: 0 success,
-1 failed checks, 2 parse/input errors.
+1 failed checks, 2 parse/input errors, 141 (128 + SIGPIPE) when the reader
+of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -348,7 +350,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``): exit as a writer killed
+        # by SIGPIPE, with stdout on devnull so that the flush at shutdown
+        # cannot report the broken pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import FirstOrderPoly, _checked_tol, _negligible, mul
+from .trigpoly import DEFAULT_TOL, FirstOrderPoly, _checked_tol, _negligible, mul
 
 __all__ = [
     "DEFAULT_TOL",
@@ -58,31 +58,6 @@ __all__ = [
 #: ``sqrt(2) * MAX_COEFF``, so ``|P|^2 <= 8.2e303``, summed over three
 #: coefficients, stays below 1.8e308; so does the relation's ``joint * P``.
 MAX_COEFF = 1e150
-
-#: Default tolerance of every verdict, under one rule: a defect passes iff it
-#: is at most ``tol`` times the largest coefficient modulus of what it judges,
-#: so scaling a triple by ``k > 0`` changes no verdict while out1's scale stays
-#: from ``trigpoly.SCALE_FLOOR`` to ``MAX_COEFF``.  The operator is judged for
-#: hermiticity and positivity (``lambda_min >= -tol * max|coeffs|``); the
-#: triple (the largest of joint, out1 and out2) for the traces, the relation
-#: residual and the partial traces; the larger of ``max|P|`` and ``max|out|``
-#: for phase dependence; ``P`` for being real, for positivity (``min P >=
-#: -tol * max|P|``, the certificate's rule on ``[[P]]``) and for vanishing at a
-#: phase; the outputs, and each product entry, in assembly; each entry for its
-#: value and slope at a factor root of ``P`` (times a power of
-#: ``max(1, |root|)``) in the case analysis.  Set apart, each for its reason:
-#: ``ZERO_COEFF_REL``, the one zero rule ``trigpoly._negligible``, judges ``P``
-#: against out1 (once, in ``_relation``), an entry against its output, ``alpha``
-#: against ``P`` and a divisor's coefficient against the divisor;
-#: ``DEGENERATE_ROOT_BAND`` works in root space, which scaling does not move;
-#: ``WITNESS_LEVEL`` is set by the sampler's unit scale and judges only the
-#: search's witnesses; ``has_second_order`` stays absolute (``ALGEBRA_TOL``),
-#: the bound the deterministic obstruction is stated with; the certificate's
-#: ``_LEVEL_GAP``, ``_CIRCLE_BAND``, ``_DEGENERATE_REL`` and ``_CONSTANT_REL``
-#: are relative already.
-#: Each public function that takes a relative ``tol`` checks it with
-#: ``trigpoly._checked_tol``: it must lie in (0, 1).
-DEFAULT_TOL = 1e-9
 
 
 class ZeroProbabilityError(ValueError):

@@ -95,8 +95,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .trigpoly import FirstOrderPoly, _checked_count, _checked_tol, _negligible
-from .operators import DEFAULT_TOL, PhaseOperator, hermitian_part
+from .trigpoly import DEFAULT_TOL, FirstOrderPoly, _checked_count, _checked_tol, _negligible
+from .operators import PhaseOperator, hermitian_part
 
 __all__ = [
     "DEFAULT_GRID",
@@ -196,7 +196,7 @@ def decompose_probability(P: FirstOrderPoly, tol: float = DEFAULT_TOL) -> Probab
     :class:`NotPositiveError` if ``min P = R - 2|alpha|`` is below
     ``-tol * max|P|``, the rule of the operator certificate on ``[[P]]``.
     """
-    if not P.is_real_valued(_checked_tol(tol)):
+    if not P.is_real_valued(tol):
         raise NotRealValuedError("probability polynomial must be real-valued")
     alpha = P.a
     alpha_abs = abs(alpha)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import _checked_count, _checked_tol, _divide, _negligible
-from .operators import DEFAULT_TOL, PhaseOperator, UncorrelatedTriple, _tensor
+from .trigpoly import DEFAULT_TOL, _checked_count, _checked_tol, _divide, _negligible
+from .operators import PhaseOperator, UncorrelatedTriple, _tensor
 from . import analysis, operators
 
 __all__ = [
@@ -397,7 +397,7 @@ def theorem_search(
     (``SearchReport.ok``).  ``params`` sets the sampler's ranges and strata
     (:class:`SamplerParams`, its defaults when ``None``); a draw with a
     coefficient part beyond ``MAX_COEFF`` raises ``PhaseOperator``'s
-    ``ValueError``.  ``tol`` is relative (see ``operators.DEFAULT_TOL``)
+    ``ValueError``.  ``tol`` is relative (see ``trigpoly.DEFAULT_TOL``)
     and in (0, 1), but blocks are assembled at ``DEFAULT_TOL``: acceptance
     and the rejection reasons do not move with ``tol``.  ``trials`` must be
     an integer >= 1 and ``seed`` one >= 0, neither a ``bool``.

@@ -20,7 +20,7 @@ Multiplying by ``x`` turns a first-order polynomial into the ordinary
 quadratic ``a x^2 + c x + b``, so factoring and divisibility both reduce
 to standard polynomial manipulations.  Everything here is double
 precision; tolerances are explicit arguments wherever a comparison is not
-exact.
+exact, relative under the one policy of ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_TOL",
     "ZERO_COEFF_REL",
     "SCALE_FLOOR",
-    "ALGEBRA_TOL",
     "FirstOrderPoly",
     "FullForm",
     "AffineForm",
@@ -56,9 +56,29 @@ __all__ = [
 ZERO_COEFF_REL = 1e-13
 #: The underflow counterpart of ``operators.MAX_COEFF``: ``|P|^2`` at the zero threshold is normal.
 SCALE_FLOOR = 1e-140
-#: Default tolerance of divisibility (relative to each numerator) and of
-#: second-order content (absolute).
-ALGEBRA_TOL = 1e-10
+#: Default tolerance of every verdict, under one rule: a defect passes iff it
+#: is at most ``tol`` times the largest coefficient modulus of what it judges,
+#: so scaling a triple by ``k > 0`` changes no verdict while out1's scale stays
+#: from ``SCALE_FLOOR`` to ``operators.MAX_COEFF``.  The operator is judged for
+#: hermiticity and positivity (``lambda_min >= -tol * max|coeffs|``); the
+#: triple (the largest of joint, out1 and out2) for the traces, the relation
+#: residual and the partial traces; the larger of ``max|P|`` and ``max|out|``
+#: for phase dependence; ``P`` for being real, for positivity (``min P >=
+#: -tol * max|P|``, the certificate's rule on ``[[P]]``) and for vanishing at a
+#: phase; the outputs, and each product entry, in assembly and division; a
+#: stack of products for its degree +-2 content; each entry for its value and
+#: slope at a factor root of ``P`` (times a power of ``max(1, |root|)``) in the
+#: case analysis.  Set apart, each for its reason: ``ZERO_COEFF_REL``, the one
+#: zero rule :func:`_negligible`, judges ``P`` against out1 (once, in
+#: ``operators._relation``), an entry against its output, ``alpha`` against
+#: ``P`` and a divisor's coefficient against the divisor;
+#: ``analysis.DEGENERATE_ROOT_BAND`` works in root space, which scaling does not
+#: move; ``search.WITNESS_LEVEL`` is set by the sampler's unit scale and judges
+#: only the search's witnesses; the certificate's ``_LEVEL_GAP``,
+#: ``_CIRCLE_BAND``, ``_DEGENERATE_REL`` and ``_CONSTANT_REL`` are relative
+#: already.  Each public function that takes a relative ``tol`` checks it with
+#: :func:`_checked_tol`: it must lie in (0, 1).
+DEFAULT_TOL = 1e-9
 
 
 def _checked_tol(tol: float) -> float:
@@ -137,8 +157,9 @@ class FirstOrderPoly:
         """True iff the polynomial takes real values for every real phi.
 
         Coefficientwise criterion: ``b = conj(a)`` and ``c`` real, both
-        within ``tol * max_abs()``.
+        within ``tol * max_abs()``; ``tol`` must lie in (0, 1).
         """
+        tol = _checked_tol(tol)
         return max(abs(self.b - self.a.conjugate()), abs(self.c.imag)) <= tol * self.max_abs()
 
     def conjugate(self) -> "FirstOrderPoly":
@@ -246,7 +267,15 @@ def _long_div(num: np.ndarray, d: np.ndarray, lead: int) -> np.ndarray:
     return shifted[[2, 0, 1]]
 
 
-def _divide(num, den, tol: float = ALGEBRA_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _products(num) -> np.ndarray:
+    """``num`` as a complex array if it holds degrees -2..2 on axis 0, else ``ValueError``."""
+    num = np.asarray(num, dtype=complex)
+    if num.shape[:1] != (5,):
+        raise ValueError(f"numerator needs degrees -2..2 on axis 0, got shape {num.shape}")
+    return num
+
+
+def _divide(num, den, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The division of :func:`exact_div` without the divisibility verdict.
 
     Returns the ``(3, ...)`` quotients, the residual ``max|num - den * q|``
@@ -254,10 +283,8 @@ def _divide(num, den, tol: float = ALGEBRA_TOL) -> tuple[np.ndarray, np.ndarray,
     is divisible iff its residual is at most its limit.  Raises like
     :func:`exact_div` for bad shapes and zero divisors.
     """
-    num = np.asarray(num, dtype=complex)
+    num = _products(num)
     den = np.asarray(den, dtype=complex)
-    if num.shape[:1] != (5,):
-        raise ValueError(f"numerator needs degrees -2..2 on axis 0, got shape {num.shape}")
     if den.shape[:1] != (3,):
         raise ValueError(f"divisor needs (a, b, c) on axis 0, got shape {den.shape}")
     shape = np.broadcast_shapes(num.shape[1:], den.shape[1:])
@@ -286,7 +313,7 @@ def _divide(num, den, tol: float = ALGEBRA_TOL) -> tuple[np.ndarray, np.ndarray,
     return q, residual, tol * np.abs(num).max(axis=0)
 
 
-def exact_div(num, den, tol: float = ALGEBRA_TOL) -> np.ndarray:
+def exact_div(num, den, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Divide products (degrees -2..2 on axis 0) by first-order divisors ``den``.
 
     ``den`` holds ``(a, b, c)`` on axis 0 and broadcasts over the trailing
@@ -295,11 +322,12 @@ def exact_div(num, den, tol: float = ALGEBRA_TOL) -> np.ndarray:
     ``num * x^2`` and long-divided by ``den * x``, grouped by the degree of
     each divisor's leading coefficient; a quotient is accepted only if the
     rebuilt product matches its numerator with residual at most
-    ``tol * max|num coeffs|``.  Returns the quotients as a ``(3, ...)``
-    array.  Raises :class:`ZeroDivisorError` for a zero divisor and
-    :class:`NotDivisibleError`, naming the first failing index, when some
-    numerator has no first-order quotient (for example when it would need
-    degree 2).
+    ``tol * max|num coeffs|``, the rule by which ``search.assemble_triple``
+    accepts a joint at the same default ``DEFAULT_TOL``.  Returns the
+    quotients as a ``(3, ...)`` array.  Raises :class:`ZeroDivisorError`
+    for a zero divisor and :class:`NotDivisibleError`, naming the first
+    failing index, when some numerator has no first-order quotient (for
+    example when it would need degree 2).
     """
     q, residual, limit = _divide(num, den, _checked_tol(tol))
     failing = residual > limit
@@ -366,7 +394,8 @@ def expand(f: DecompositionForm) -> FirstOrderPoly:
     raise TypeError(f"not a decomposition form: {f!r}")
 
 
-def has_second_order(products, tol: float = ALGEBRA_TOL) -> bool:
-    """True iff a degree +2 or -2 coefficient of ``products`` (degrees -2..2
-    on axis 0) exceeds ``tol`` in magnitude."""
-    return bool((np.abs(np.asarray(products)[[0, 4]]) > tol).any())
+def has_second_order(products, tol: float = DEFAULT_TOL) -> bool:
+    """True iff a degree +2 or -2 coefficient of ``products`` (degrees -2..2 on
+    axis 0) exceeds ``tol`` times the largest coefficient modulus of ``products``."""
+    mags = np.abs(_products(products))
+    return bool((mags[[0, 4]] > _checked_tol(tol) * mags.max()).any())

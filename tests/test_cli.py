@@ -339,14 +339,39 @@ def test_missing_file_exit_code(capsys):
     capsys.readouterr()
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
-    """``python -m phaseclone *args`` on the package under test, also when it is not installed."""
+def _module_call(*args: str) -> tuple[list, dict]:
+    """Command and environment of ``python -m phaseclone *args`` on the package under
+    test, also when it is not installed."""
     src = str(Path(phaseclone.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    return subprocess.run(
-        [sys.executable, "-m", "phaseclone", *args], capture_output=True, text=True, env=env
-    )
+    return [sys.executable, "-m", "phaseclone", *args], env
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    command, env = _module_call(*args)
+    return subprocess.run(command, capture_output=True, text=True, env=env)
+
+
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path):
+    # The reader takes one byte of a 400 kB CSV and closes the pipe, as
+    # ``| head -c 1`` does: the CLI exits as a writer killed by SIGPIPE
+    # (128 + 13), not as an input error, and no "Exception ignored" follows.
+    entry = str(_write_entry(tmp_path, "counterexample"))
+    command, env = _module_call("profile", entry, "--samples", "4096")
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"p"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_a_failing_out_write_stays_an_input_error(tmp_path, capsys):
+    entry = str(_write_entry(tmp_path, "counterexample"))
+    assert main(["profile", entry, "--samples", "8", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_module_entry_point(tmp_path):

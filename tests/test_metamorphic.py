@@ -23,6 +23,7 @@ import pytest
 
 from phaseclone import (
     CaseLabel,
+    NotDivisibleError,
     PhaseOperator,
     SampleRejected,
     UncorrelatedTriple,
@@ -31,13 +32,20 @@ from phaseclone import (
     analyze_many,
     assemble_triple,
     builtin,
+    deterministic_tensor_obstruction,
+    exact_div,
     generate_case2_candidate,
+    has_second_order,
     is_positive_over_phase,
     swap_systems,
+    tensor,
     trace_poly,
     validate_triple,
 )
 from phaseclone.catalog import NAMES
+from phaseclone.trigpoly import DEFAULT_TOL
+
+from helpers import random_hp_operator
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +261,54 @@ def test_mixed_both_dependent_triples_are_no_false_violation(triples, reports, a
     assert len(both) > 50
     assert [i for i, r in enumerate(mixed) if not r.theorem_consistent] == []
 
+
+def _algebra_verdicts(o1: PhaseOperator, o2: PhaseOperator) -> tuple:
+    """The obstruction, the second-order test of the tensor and each entry's being real."""
+    entries = [op.entry(i, j) for op in (o1, o2) for i, j in np.ndindex(op.dim, op.dim)]
+    real = [entry.is_real_valued(DEFAULT_TOL) for entry in entries]
+    return deterministic_tensor_obstruction(o1, o2), has_second_order(tensor(o1, o2)), real
+
+
+def test_scaling_keeps_the_algebra_verdicts():
+    # The first 50 pairs of C7's generator and the footnote pair, both outputs
+    # scaled by k = 2^j: the products scale by k^2, exactly, so no verdict may
+    # move while every coefficient stays from SCALE_FLOOR to MAX_COEFF.  An
+    # absolute second-order bound called the obstruction absent from about
+    # j = -20 on.
+    rng = np.random.default_rng(777)
+    footnote = builtin("footnote-linear-only").payload
+    pairs = [(random_hp_operator(rng), random_hp_operator(rng)) for _ in range(50)]
+    pairs.append((footnote.out1, footnote.out2))
+    before = [_algebra_verdicts(o1, o2) for o1, o2 in pairs]
+    assert {v[0] for v in before} == {True, False}
+    assert {r for v in before for r in v[2]} == {True, False}
+    for j in range(-460, 491, 10):
+        k = 2.0**j
+        scaled = [
+            _algebra_verdicts(PhaseOperator(o1.coeffs * k), PhaseOperator(o2.coeffs * k))
+            for o1, o2 in pairs
+        ]
+        assert [i for i, (b, a) in enumerate(zip(before, scaled)) if b != a] == [], j
+
+
+@pytest.mark.parametrize("eps", [1e-10, 3e-10, 6e-10, 2e-9])
+def test_exact_div_and_assembly_agree_by_default(eps):
+    # The counterexample's output with its off-diagonal constants moved by
+    # eps: dividing its tensor square by the trace at exact_div's default
+    # accepts exactly where assembly accepts the joint.  With a default ten
+    # times tighter, exact_div refused the first three.
+    coeffs = builtin("counterexample").payload.out1.coeffs.copy()
+    coeffs[2, 0, 1] += eps
+    coeffs[2, 1, 0] += eps
+    o = PhaseOperator(coeffs)
+    try:
+        exact_div(tensor(o, o), trace_poly(o).coeffs)
+        divides = True
+    except NotDivisibleError:
+        divides = False
+    try:
+        assemble_triple(o, o)
+        assembles = True
+    except SampleRejected:
+        assembles = False
+    assert divides == assembles == (eps < 1e-9)

@@ -21,8 +21,10 @@ from phaseclone import (
     builtin,
     classify,
     decompose_probability,
+    deterministic_tensor_obstruction,
     eval_matrix,
     exact_div,
+    has_second_order,
     is_hermitian_preserving,
     is_positive_over_phase,
     mul,
@@ -445,6 +447,13 @@ def _relative_tol_entry_points() -> dict:
         "decompose_probability": lambda tol: decompose_probability(trace_poly(t.out1), tol),
         "assemble_triple": lambda tol: assemble_triple(t.out1, t.out2, tol),
         "exact_div": lambda tol: exact_div(tensor(t.out1, t.out2), trace_poly(t.out1).coeffs, tol),
+        "has_second_order": lambda tol: has_second_order(tensor(t.out1, t.out2), tol),
+        "deterministic_tensor_obstruction": lambda tol: deterministic_tensor_obstruction(
+            t.out1, t.out2, tol
+        ),
+        # Unchecked, a tol of NaN or -1 called a real polynomial not real,
+        # and one of 1.0 or 2.0 called e^{i phi} real.
+        "FirstOrderPoly.is_real_valued": lambda tol: trace_poly(t.out1).is_real_valued(tol),
     }
 
 

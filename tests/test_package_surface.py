@@ -7,7 +7,10 @@ module's ``__all__`` is defined in that module or imported into it from a
 sibling module (a re-export).  Code that only tests call
 belongs in ``tests/helpers.py``.  Small float literals (tolerances, in
 practice) appear only as module-level constants, so that each threshold is
-named once and the tolerance policy of ``operators.DEFAULT_TOL`` can list them.
+named once and the tolerance policy of ``trigpoly.DEFAULT_TOL`` can list them.
+That policy is the only one: ``trigpoly`` alone assigns ``DEFAULT_TOL``, every
+parameter named ``tol`` has no default or defaults to ``DEFAULT_TOL``, and no
+other name ending in ``_TOL`` exists.
 ``ZERO_COEFF_REL`` is read only by ``trigpoly._negligible``, the one zero rule,
 and ``hypot`` (the closed form of a 2 x 2 eigenvalue) is named only by
 ``positivity._lowest``.  No function has a ``nonlocal`` or ``global``
@@ -284,3 +287,85 @@ def test_the_guard_sees_a_subclass_of_the_operator_type():
         "class Plain:\n    pass\n"
     )
     assert _subclasses({"m": module}, "PhaseOperator") == ["m.Joint", "m.Local", "m.Other"]
+
+
+def _tolerance_breaks(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.py:line: what`` of each break of the one tolerance policy: an
+    assignment to ``DEFAULT_TOL`` outside ``trigpoly``, a ``tol`` parameter whose
+    default is not the name ``DEFAULT_TOL``, and any other name ending in ``_TOL``
+    (bound, read, imported, defined or listed in ``__all__``)."""
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaults = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+                defaults += zip(args.kwonlyargs, args.kw_defaults)
+                for arg, default in defaults:
+                    if arg.arg == "tol" and default is not None and not (
+                        isinstance(default, ast.Name) and default.id == "DEFAULT_TOL"
+                    ):
+                        found.append((module, default.lineno, "tol defaults to no DEFAULT_TOL"))
+            if (
+                isinstance(node, ast.Name)
+                and node.id == "DEFAULT_TOL"
+                and isinstance(node.ctx, ast.Store)
+                and module != "trigpoly"
+            ):
+                found.append((module, node.lineno, "assigns DEFAULT_TOL"))
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name, node.asname]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                names = []
+            for name in names:
+                if name and name.endswith("_TOL") and name != "DEFAULT_TOL":
+                    found.append((module, node.lineno, f"names {name}"))
+    return [f"{module}.py:{line}: {what}" for module, line, what in sorted(found)]
+
+
+def test_there_is_one_tolerance_policy():
+    modules = _modules()
+    assert _tolerance_breaks(modules) == []
+    # ... and trigpoly states it once.
+    stores = [
+        module
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "DEFAULT_TOL" and isinstance(node.ctx, ast.Store)
+    ]
+    assert stores == ["trigpoly"]
+
+
+def test_the_guard_sees_each_break_of_the_tolerance_policy():
+    trigpoly = ast.parse(
+        "DEFAULT_TOL = 1e-9\nOLD_TOL = 1e-10\n__all__ = ['DEFAULT_TOL', 'OLD_TOL']\n\n"
+        "def kept(p, tol=DEFAULT_TOL, scale=1.0):\n    return p\n\n"
+        "def stale(p, tol=OLD_TOL):\n    return p\n"
+    )
+    other = ast.parse(
+        "from .trigpoly import DEFAULT_TOL\nfrom .trigpoly import OLD_TOL as O\n"
+        "from . import trigpoly\n\nDEFAULT_TOL = 1e-9\n\n"
+        "def keyword(p, *, tol=1e-10):\n    return p\n\n"
+        "def required(p, tol, scale=DEFAULT_TOL):\n    return trigpoly.OLD_TOL\n\n"
+        "loose = lambda tol=0.5: tol\n"
+    )
+    assert _tolerance_breaks({"trigpoly": trigpoly, "other": other}) == [
+        "other.py:2: names OLD_TOL",
+        "other.py:5: assigns DEFAULT_TOL",
+        "other.py:7: tol defaults to no DEFAULT_TOL",
+        "other.py:11: names OLD_TOL",
+        "other.py:13: tol defaults to no DEFAULT_TOL",
+        "trigpoly.py:2: names OLD_TOL",
+        "trigpoly.py:3: names OLD_TOL",
+        "trigpoly.py:8: names OLD_TOL",
+        "trigpoly.py:8: tol defaults to no DEFAULT_TOL",
+    ]

@@ -470,6 +470,22 @@ def test_has_second_order_footnote_product():
     assert not has_second_order(mul(fp(0, 0, 1).coeffs, fp(1, 0, 0).coeffs))
 
 
+@pytest.mark.parametrize("k", [2.0**-900, 1e-12, 1.0, 1e12, 2.0**900])
+def test_has_second_order_is_relative(k):
+    # A degree +-2 coefficient counts iff it exceeds tol times the products'
+    # largest coefficient modulus, at any scale.
+    assert has_second_order(k * np.array([2e-9, 0, 1, 0, 0]), 1e-9)
+    assert not has_second_order(k * np.array([0, 0, 1, 0, 5e-10]), 1e-9)
+    assert has_second_order(k * np.array([[0, 0], [0, 0], [1, 0], [0, 0], [0, 2e-9]]), 1e-9)
+
+
+@pytest.mark.parametrize("shape", [(3,), (6, 2), (4, 5), ()])
+def test_has_second_order_needs_the_degree_axis(shape):
+    # A (3,) array used to raise IndexError and a (6, 2) one of ones to read True.
+    with pytest.raises(ValueError, match="degrees -2..2 on axis 0"):
+        has_second_order(np.ones(shape))
+
+
 # ------------------------------------------------------------- structure
 
 def test_laurent_degree_bounds():
