@@ -64,13 +64,12 @@ from .operators import (
     PhaseOperator,
     RelationReport,
     UncorrelatedTriple,
-    ZeroProbabilityError,
     _groups,
     _relation,
     _relation_reports,
     hermitian_part,
     tensor,
-    trace_poly,
+    validate_triple,
 )
 from .positivity import (
     ConstantProbabilityError,
@@ -198,16 +197,13 @@ def classify(t: UncorrelatedTriple, tol: float = DEFAULT_TOL) -> CaseLabel:
     """Assign one of the three factor-inlay cases (or constant probability).
 
     Assumes the triple already passed :func:`validate_triple` and the
-    hermiticity checks.  Raises :class:`ZeroProbabilityError` where ``P``
-    vanishes next to out1 (the rule of ``operators._relation``), as
-    :func:`validate_triple` does, and propagates the
-    probability-decomposition errors for non-real or negative traces.  This
-    is the structure stage's :func:`_multiplicity` on a stack of one.
+    hermiticity checks.  Takes ``P`` from :func:`validate_triple`, so it
+    raises :class:`ZeroProbabilityError` by that function's rule, and
+    propagates the probability-decomposition errors for non-real or negative
+    traces.  This is the structure stage's :func:`_multiplicity` on a stack
+    of one.
     """
-    tol = _checked_tol(tol)
-    P = trace_poly(t.out1)
-    if _negligible(P.max_abs(), t.out1.max_abs()):
-        raise ZeroProbabilityError("trace polynomial vanishes identically")
+    P = validate_triple(t, tol).probability
     try:
         dec = decompose_probability(P, tol)
     except ConstantProbabilityError:
@@ -282,13 +278,13 @@ def _verdicts(
     on ``families``.
     """
     relation = _relation(joint, out1, out2, tol, remainder)[:-1]
-    P, sizes, nonzero, traces_equal, _, holds, partial_ok = relation
+    P, _, nonzero, traces_equal, _, holds, partial_ok = relation
     d1, d2 = out1.shape[-1], out2.shape[-1]
     outs = np.zeros((2, *np.maximum(out1.shape, out2.shape)), complex)
     outs[0, ..., :d1, :d1], outs[1, ..., :d2, :d2] = out1, out2
-    (family, defect), (parts, defects) = hermitian_part(joint), hermitian_part(outs)
+    (family, _, hp_joint), (parts, _, hp_outs) = hermitian_part(joint, tol), hermitian_part(outs, tol)
     families = family, parts[0, ..., :d1, :d1], parts[1, ..., :d2, :d2]
-    hp = np.array([defect, *defects]) <= tol * sizes[1:]
+    hp = np.array([hp_joint, *hp_outs])
     probability = [
         _probability(FirstOrderPoly(*row), tol) if ok else "zero-probability"
         for ok, row in zip(nonzero.tolist(), P.T.tolist())

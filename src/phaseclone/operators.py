@@ -193,22 +193,25 @@ def trace_poly(op: PhaseOperator) -> FirstOrderPoly:
     return FirstOrderPoly(*op.coeffs.trace(axis1=1, axis2=2).tolist())
 
 
-def hermitian_part(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian part and hermiticity defect of each operator of a ``(..., 3, d, d)`` stack.
+def hermitian_part(coeffs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """Hermitian part, hermiticity defect and verdict of each operator of a ``(..., 3, d, d)`` stack.
 
     ``op(phi)^H = B^H e^{i phi} + A^H e^{-i phi} + C^H``, the family with
     coefficients ``c* = (B^H, A^H, C^H)``.  The Hermitian part
     ``(c + c*) / 2`` is the family ``A' x + A'^H conj(x) + C'``; the
     defect, the largest coefficient of ``c - c*`` per operator, is zero iff
-    the output matrix is Hermitian at every phi.
+    the output matrix is Hermitian at every phi.  The verdict, the one rule
+    of hermiticity, is ``defect <= tol * max|coeffs|`` per operator.
     """
     adjoint = coeffs.take([1, 0, 2], axis=-3).conj().swapaxes(-1, -2)
-    return 0.5 * (coeffs + adjoint), np.abs(coeffs - adjoint).max(axis=(-3, -2, -1))
+    defect = np.abs(coeffs - adjoint).max(axis=(-3, -2, -1))
+    size = np.abs(coeffs).max(axis=(-3, -2, -1))
+    return 0.5 * (coeffs + adjoint), defect, defect <= _checked_tol(tol) * size
 
 
 def is_hermitian_preserving(op: PhaseOperator, tol: float = DEFAULT_TOL) -> bool:
     """``A = B^H`` and ``C = C^H`` within ``tol * max|coeffs|`` (see :func:`hermitian_part`)."""
-    return bool(hermitian_part(op.coeffs)[1] <= _checked_tol(tol) * op.max_abs())
+    return bool(hermitian_part(op.coeffs, tol)[2])
 
 
 def _tensor(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -226,6 +229,18 @@ def tensor(o1: PhaseOperator, o2: PhaseOperator) -> np.ndarray:
     second-order content.
     """
     return _tensor(o1.coeffs, o2.coeffs)
+
+
+def _marginal_traces(out1: np.ndarray, out2: np.ndarray) -> tuple:
+    """The ``(3, N)`` traces ``P`` of ``(3, N, ., .)`` out1 stacks, and the one zero-probability rule.
+
+    Also the ``(N,)`` largest coefficient moduli of ``P``, out1 and out2 and of ``tr out2 - P``,
+    and whether ``P`` is nonzero: not negligible next to out1.
+    """
+    P = out1.trace(axis1=-2, axis2=-1)
+    size, (size1, size2) = np.abs(P).max(axis=0), (np.abs(c).max(axis=(0, 2, 3)) for c in (out1, out2))
+    gap = np.abs(out2.trace(axis1=-2, axis2=-1) - P).max(axis=0)
+    return P, size, size1, size2, gap, ~_negligible(size, size1)
 
 
 def _relation(
@@ -246,13 +261,11 @@ def _relation(
     """
     d1, d2 = out1.shape[-1], out2.shape[-1]
     joint, out1, out2 = (stack.swapaxes(0, 1) for stack in (joint, out1, out2))
-    P = out1.trace(axis1=-2, axis2=-1)
-    moduli = (np.abs(c).max(axis=(0, 2, 3)) for c in (joint, out1, out2))
-    sizes = np.array([np.abs(P).max(axis=0), *moduli])
-    size, scale = sizes[0], sizes[1:].max(axis=0)
-    nonzero = ~_negligible(size, sizes[2])  # P vanishes next to out1, once for every caller
-    traces = np.array([out2.trace(axis1=-2, axis2=-1), joint.trace(axis1=-2, axis2=-1)])
-    traces_equal = np.abs(traces - P).max(axis=(0, 1)) <= tol * scale
+    P, size, size1, size2, gap, nonzero = _marginal_traces(out1, out2)
+    sizes = np.array([size, np.abs(joint).max(axis=(0, 2, 3)), size1, size2])
+    scale = sizes[1:].max(axis=0)
+    gap = np.maximum(gap, np.abs(joint.trace(axis1=-2, axis2=-1) - P).max(axis=0))
+    traces_equal = gap <= tol * scale
     cross = None if remainder is not None else mul(joint, P[..., None, None]) - _tensor(out1, out2)
     numerator = remainder if cross is None else np.abs(cross).max(axis=(0, 2, 3))
     residual = numerator / np.where(nonzero, size, 1.0)

@@ -252,8 +252,17 @@ def _format_complex(z: complex) -> str:
     return f"{re_!r}{'-' if im < 0.0 else '+'}{abs(im)!r}i"
 
 
+def _checked_block(name: str, op: PhaseOperator) -> PhaseOperator:
+    """``op`` if :func:`parse_pmap` reads a block of this name and dimension, else ``ValueError``."""
+    if not _NAME_RE.fullmatch(name):
+        raise ValueError(f"invalid block name {name!r}")
+    if op.dim > MAX_DIM:
+        raise ValueError(f"dim {op.dim} exceeds the maximum of {MAX_DIM}")
+    return op
+
+
 def _serialize_block(name: str, op: PhaseOperator) -> str:
-    lines = [f"pmap {name}", f"dim {op.dim}"]
+    lines = [f"pmap {name}", f"dim {_checked_block(name, op).dim}"]
     for k, abc in enumerate(zip(*op.coeffs.reshape(3, -1).tolist())):  # (a, b, c) per cell
         if any(abc):  # zero entries are skipped
             i, j = divmod(k, op.dim)
@@ -263,6 +272,10 @@ def _serialize_block(name: str, op: PhaseOperator) -> str:
 
 
 def serialize_pmap(doc: PmapDocument) -> str:
+    """The PMAP text of ``doc``; ``ValueError`` for a document :func:`parse_pmap` would refuse:
+    no block, a block name the reader refuses or a ``dim`` above :data:`MAX_DIM`."""
+    if not doc.blocks:
+        raise ValueError("document contains no pmap blocks")
     return "\n\n".join(_serialize_block(n, op) for n, op in doc.blocks.items()) + "\n"
 
 
@@ -277,6 +290,4 @@ def document_from_triple(t: UncorrelatedTriple) -> PmapDocument:
 
 
 def document_from_operator(name: str, op: PhaseOperator) -> PmapDocument:
-    if not _NAME_RE.match(name):
-        raise ValueError(f"invalid block name {name!r}")
-    return PmapDocument(blocks={name: op})
+    return PmapDocument(blocks={name: _checked_block(name, op)})

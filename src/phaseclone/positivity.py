@@ -364,8 +364,8 @@ def _seeds(d: int) -> tuple:
 
 def _hermitian_family(op: PhaseOperator, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``op``'s Hermitian part; :class:`NotHermitianError` past ``tol * max|coeffs|``."""
-    family, defect = hermitian_part(op.coeffs)
-    if not defect <= tol * op.max_abs():
+    family, _, hermitian = hermitian_part(op.coeffs, tol)
+    if not hermitian:
         raise NotHermitianError("operator family is not hermitian-preserving")
     return family
 
@@ -564,8 +564,8 @@ def positivity_many(ops, tol: float = DEFAULT_TOL) -> list[PositivityVerdict | N
     once over its ``(N, 3, d, d)`` stack.
     """
     tol = _checked_tol(tol)
-    parts = ((op.max_abs(), *hermitian_part(op.coeffs)) for op in ops)
-    return _certify_many([f if defect <= tol * size else None for size, f, defect in parts], tol)
+    parts = (hermitian_part(op.coeffs, tol) for op in ops)
+    return _certify_many([f if hermitian else None for f, _, hermitian in parts], tol)
 
 
 def is_positive_over_phase(op: PhaseOperator, tol: float = DEFAULT_TOL) -> PositivityVerdict:

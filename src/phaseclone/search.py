@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigpoly import DEFAULT_TOL, _checked_count, _checked_tol, _divide, _negligible
-from .operators import PhaseOperator, UncorrelatedTriple, _tensor
+from .trigpoly import DEFAULT_TOL, _checked_count, _checked_tol, _divide
+from .operators import PhaseOperator, UncorrelatedTriple, _marginal_traces, _tensor
 from . import analysis, operators
 
 __all__ = [
@@ -284,15 +284,13 @@ def _assemble(out1: np.ndarray, out2: np.ndarray, tol: float) -> tuple:
     """
     c1, c2 = out1.swapaxes(0, 1), out2.swapaxes(0, 1)
     d1, d2 = c1.shape[-1], c2.shape[-1]
-    P = c1.trace(axis1=-2, axis2=-1)
-    size1, size2 = (np.abs(c).max(axis=(0, 2, 3)) for c in (c1, c2))
-    mismatch = np.abs(c2.trace(axis1=-2, axis2=-1) - P).max(axis=0) > tol * np.maximum(size1, size2)
-    vanishes = _negligible(np.abs(P).max(axis=0), size1)  # the rule of operators._relation
+    P, _, size1, size2, gap, nonzero = _marginal_traces(c1, c2)
+    mismatch = gap > tol * np.maximum(size1, size2)
     rejected = {
         i: "marginal traces disagree" if mismatch[i] else "trace polynomial vanishes"
-        for i in np.flatnonzero(mismatch | vanishes).tolist()
+        for i in np.flatnonzero(mismatch | ~nonzero).tolist()
     }
-    live = np.flatnonzero(~(mismatch | vanishes))
+    live = np.flatnonzero(~mismatch & nonzero)
     q, residual, limit = _divide(_tensor(c1[:, live], c2[:, live]), P[:, live, None, None], tol)
     failing = (residual > limit).reshape(live.size, (d1 * d2) ** 2)
     divisible = ~failing.any(axis=1)

@@ -70,7 +70,7 @@ SCALE_FLOOR = 1e-140
 #: slope at a factor root of ``P`` (times a power of ``max(1, |root|)``) in the
 #: case analysis.  Set apart, each for its reason: ``ZERO_COEFF_REL``, the one
 #: zero rule :func:`_negligible`, judges ``P`` against out1 (once, in
-#: ``operators._relation``), an entry against its output, ``alpha`` against
+#: ``operators._marginal_traces``), an entry against its output, ``alpha`` against
 #: ``P`` and a divisor's coefficient against the divisor;
 #: ``analysis.DEGENERATE_ROOT_BAND`` works in root space, which scaling does not
 #: move; ``search.WITNESS_LEVEL`` is set by the sampler's unit scale and judges
@@ -151,6 +151,12 @@ class FirstOrderPoly:
         return self.a * x + self.b * x.conjugate() + self.c
 
     def max_abs(self) -> float:
+        """The largest coefficient modulus, by Python's ``abs``.
+
+        That differs in the last bit from numpy's complex ``abs`` on about a
+        third of values, so a rule judged on coefficient arrays must not be
+        restated on this scalar view.
+        """
         return max(abs(self.a), abs(self.b), abs(self.c))
 
     def is_real_valued(self, tol: float) -> bool:

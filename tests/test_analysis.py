@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import contextlib
 import dataclasses
 import math
 import warnings
@@ -16,6 +17,7 @@ from phaseclone import (
     CaseLabel,
     CloningReport,
     FirstOrderPoly,
+    NotHermitianError,
     NotPositiveError,
     PhaseOperator,
     SampleRejected,
@@ -30,9 +32,11 @@ from phaseclone import (
     decompose_probability,
     deterministic_tensor_obstruction,
     generate_case2_candidate,
+    is_hermitian_preserving,
     is_positive_over_phase,
     mul,
     phase_state_operator,
+    positivity_many,
     swap_systems,
     theorem_search,
     trace_poly,
@@ -288,6 +292,53 @@ def test_classify_raises_where_p_vanishes_as_validate_does(make):
             check(t)
 
 
+def _threshold_triple(z: complex) -> UncorrelatedTriple:
+    """``out1 = out2 = [[z x + conj(z) conj(x), 1], [1, 0]]``: ``P`` has modulus ``|z|``, out1 has 1."""
+    out = PhaseOperator.from_rows([[fp(z, z.conjugate(), 0.0), 1.0], [1.0, 0.0]])
+    return dataclasses.replace(_zero_triple(), out1=out, out2=out)
+
+
+def _threshold_moduli() -> list[complex]:
+    """``z`` of modulus ``ZERO_COEFF_REL * max|out1|`` whose Python ``abs`` and numpy ``abs`` differ.
+
+    The first is a literal whose Python ``abs`` is exactly the zero threshold
+    and whose numpy ``abs`` is one ulp above it; the rest come from a seeded
+    search, so the test does not rest on one literal.
+    """
+    found = [3.344362830216656e-14 - 9.424183638908214e-14j]
+    for theta in np.random.default_rng(20261021).uniform(0.0, 2.0 * math.pi, 300):
+        z = ZERO_COEFF_REL * cmath.exp(1j * theta)
+        if abs(z) != np.abs(np.complex128(z)):
+            found.append(z)
+    return found
+
+
+def test_zero_probability_is_one_rule_at_its_threshold():
+    # classify, validate_triple, analyze and assembly judge P by one rule, so
+    # where the two complex abs differ in the last bit they still agree.
+    verdicts, messages = [], []
+    for z in _threshold_moduli():
+        t = _threshold_triple(z)
+        try:
+            validate_triple(t)
+        except ZeroProbabilityError:
+            zero = True
+        else:
+            zero = False
+        verdicts.append(zero)
+        assert analyze(t).probability == ("zero-probability" if zero else "not-positive"), z
+        with pytest.raises(ZeroProbabilityError if zero else NotPositiveError):
+            classify(t)
+        with pytest.raises(SampleRejected) as rejected:
+            assemble_triple(t.out1, t.out2)
+        messages.append(str(rejected.value))
+        assert (messages[-1] == "trace polynomial vanishes") == zero, z
+    # The literal's P is nonzero: classify raises NotPositiveError, as analyze's
+    # "not-positive" says, and assembly finds a product entry not divisible.
+    assert not verdicts[0] and messages[0] == "product entry (0, 3) is not divisible by the trace"
+    assert True in verdicts and False in verdicts
+
+
 def test_analyze_hermitian_within_tol_does_not_raise():
     # Hermitian within tol * max|coeffs| = 1e-9 * 0.25 but not within a tenth
     # of it: positivity checks hermiticity at the same relative tol as
@@ -303,6 +354,37 @@ def test_analyze_hermitian_within_tol_does_not_raise():
     assert rep.theorem_consistent
 
 
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 3), (2, 3)], ids=["1x1", "2x2", "3x3", "2x3"])
+def test_hermiticity_is_one_rule_at_its_threshold(dims):
+    # An anti-Hermitian i s added to one constant diagonal entry of an exactly
+    # Hermitian operator gives a defect of exactly 2 s; set at tol * max|coeffs|
+    # and one ulp either side, every hermiticity verdict reads the same bit.
+    # The outputs of d = 1, 2, 3 and the 2x3 triple's, which the stage reads
+    # zero-padded to 3x3, and each joint are perturbed in turn.
+    rng = np.random.default_rng(sum(dims))
+    d1, d2 = dims
+    base = [random_hp_operator(rng, d) for d in (d1 * d2, d1, d2)]
+    with pytest.raises(ValueError, match="tol must be"):
+        operators.hermitian_part(base[0].coeffs, 1.0)
+    for role, op in enumerate(base):
+        limit = DEFAULT_TOL * op.max_abs()
+        below, above = np.nextafter(limit, 0.0), np.nextafter(limit, np.inf)
+        for defect, expected in ((below, True), (limit, True), (above, False)):
+            coeffs = op.coeffs.copy()
+            coeffs[2, 0, 0] += 0.5j * defect
+            ops = list(base)
+            ops[role] = PhaseOperator(coeffs)
+            assert ops[role].max_abs() == op.max_abs()
+            assert operators.hermitian_part(coeffs)[1] == defect
+            flags = [role != k or expected for k in range(3)]
+            assert [is_hermitian_preserving(o) for o in ops] == flags
+            assert [v is not None for v in positivity_many(ops)] == flags
+            with pytest.raises(NotHermitianError) if not expected else contextlib.nullcontext():
+                is_positive_over_phase(ops[role])
+            rep = analyze(UncorrelatedTriple(*ops))
+            assert [rep.hp_joint, rep.hp_out1, rep.hp_out2] == flags
+
+
 def test_analyze_tests_hermiticity_once_per_operator(monkeypatch):
     import sys
 
@@ -311,10 +393,10 @@ def test_analyze_tests_hermiticity_once_per_operator(monkeypatch):
     original = operators.hermitian_part
     calls = []
 
-    def counting(coeffs):
+    def counting(coeffs, tol=DEFAULT_TOL):
         # One entry per operator tested: the test runs over a stack.
         calls.extend([None] * int(np.prod(np.shape(coeffs)[:-3])))
-        return original(coeffs)
+        return original(coeffs, tol)
 
     # Count calls through every binding, as `from .operators import ...` makes one per module.
     for name, module in list(sys.modules.items()):
@@ -586,7 +668,7 @@ def test_stacked_output_tests_give_the_per_output_bits():
         _, out1, out2 = stacks = _stacks(triples)
         v = analysis._verdicts(*stacks, DEFAULT_TOL)
         both, d = v.outs, v.outs.shape[-1]
-        family, defect = operators.hermitian_part(both)
+        family, defect, _ = operators.hermitian_part(both)
         P = out1.trace(axis1=-2, axis2=-1)
         scales = np.maximum(np.abs(P).max(axis=1), np.abs(both).max(axis=(2, 3, 4)))
         gamma, dependent = analysis._projection(both, P, scales, DEFAULT_TOL)
@@ -599,7 +681,7 @@ def test_stacked_output_tests_give_the_per_output_bits():
             assert _bits(both[k][real]) == _bits(out), shape
             assert np.count_nonzero(both[k]) == np.count_nonzero(out), shape  # zero padding
             assert _bits(v.families[1 + k]) == _bits(family[k][real])
-            part, flaw = operators.hermitian_part(out)
+            part, flaw, _ = operators.hermitian_part(out)
             assert [_bits(part), _bits(flaw)] == [_bits(family[k][real]), _bits(defect[k])], shape
             g, flags = analysis._projection(out, P, scales[k], DEFAULT_TOL)
             assert (_bits(g), _bits(flags)) == (_bits(gamma[k][real]), _bits(dependent[k])), shape

@@ -12,8 +12,9 @@ That policy is the only one: ``trigpoly`` alone assigns ``DEFAULT_TOL``, every
 parameter named ``tol`` has no default or defaults to ``DEFAULT_TOL``, and no
 other name ending in ``_TOL`` exists.
 ``ZERO_COEFF_REL`` is read only by ``trigpoly._negligible``, the one zero rule,
-and ``hypot`` (the closed form of a 2 x 2 eigenvalue) is named only by
-``positivity._lowest``.  No function has a ``nonlocal`` or ``global``
+whose readers are listed, so that ``operators._marginal_traces`` alone judges
+``P`` against out1 (zero probability); ``hypot`` (the closed form of a 2 x 2
+eigenvalue) is named only by ``positivity._lowest``.  No function has a ``nonlocal`` or ``global``
 statement, so no call carries state into the next, and
 ``analysis._classification`` has no ``for`` statement: its verdicts are
 arrays over the members.  No class subclasses ``PhaseOperator``: a joint
@@ -176,6 +177,35 @@ def test_no_small_float_literal_outside_a_named_constant():
 
 def test_only_the_zero_rule_reads_its_threshold():
     assert _readers(_modules(), "ZERO_COEFF_REL") == ["trigpoly._negligible"]
+
+
+def test_zero_probability_is_judged_once():
+    # P against out1 in operators._marginal_traces; the other readers judge an
+    # entry against its output, alpha against P and a divisor's coefficients.
+    assert _readers(_modules(), "_negligible") == [
+        "analysis",
+        "analysis._multiplicity",
+        "operators",
+        "operators._marginal_traces",
+        "positivity",
+        "positivity.decompose_probability",
+        "trigpoly._divide",
+        "trigpoly.factorize",
+    ]
+
+
+def test_the_guard_sees_each_reader_of_the_zero_rule():
+    trigpoly = ast.parse(
+        "def _negligible(m, s):\n    return m <= s\n\n"
+        "def _divide(d):\n    return _negligible(d, 1.0)\n"
+    )
+    other = ast.parse(
+        "from .trigpoly import _negligible as small\nfrom . import trigpoly\n\n"
+        "class C:\n    def f(self, p):\n        return trigpoly._negligible(p, 1.0)\n\n"
+        "def g(p):\n    return p\n"
+    )
+    readers = _readers({"trigpoly": trigpoly, "other": other}, "_negligible")
+    assert readers == ["other", "other.C", "trigpoly._divide"]
 
 
 def test_the_2x2_closed_form_is_written_once():

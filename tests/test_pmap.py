@@ -162,6 +162,36 @@ def test_document_from_operator_rejects_an_invalid_name(name):
         document_from_operator(name, PhaseOperator.zero(1))
 
 
+def _unreadable_documents() -> dict:
+    """Documents whose text ``parse_pmap`` would refuse, and the error each names."""
+    one, nine, big = (PhaseOperator.zero(d) for d in (1, 9, MAX_DIM + 1))
+    return {
+        "bad name": (lambda: PmapDocument(blocks={"bad name": one}), "invalid block name"),
+        "trailing newline": (lambda: PmapDocument(blocks={"x\n": one}), "invalid block name"),
+        "65x65 operator": (lambda: document_from_operator("x", big), "dim 65 exceeds the maximum of 64"),
+        "81x81 joint": (
+            lambda: document_from_triple(UncorrelatedTriple(PhaseOperator.zero(81), nine, nine)),
+            "dim 81 exceeds the maximum of 64",
+        ),
+        "no block": (lambda: PmapDocument(blocks={}), "document contains no pmap blocks"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_unreadable_documents()))
+def test_serializer_refuses_what_the_reader_refuses(case):
+    # The serializer raises by the reader's own rules (the block name, MAX_DIM,
+    # at least one block) rather than write text parse_pmap rejects.
+    make, message = _unreadable_documents()[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize_pmap(make())
+
+
+def test_serializer_writes_the_largest_block_the_reader_takes():
+    op = PhaseOperator(np.full((3, MAX_DIM, MAX_DIM), 0.5))
+    text = serialize_pmap(document_from_operator("x_1-y", op))
+    assert parse_pmap(text).blocks["x_1-y"] == op
+
+
 def test_serializer_skips_zero_entries():
     t = builtin("case1-example").payload
     text = serialize_pmap(document_from_triple(t))
